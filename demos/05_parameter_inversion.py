@@ -39,7 +39,7 @@ for sign, w in ((+1, w_plus), (-1, w_minus)):
     print(f"  sector {sign:+d}: eps = {res.eps:.4e}, "
           f"|domega| = {abs(res.omega_hat - w):.3e} <= {res.bound_omega:.3e}")
 
-est = pm.estimated_data(omega_hat[+1], omega_hat[-1], model.ell, model.n)
+est = pm.observables(omega_hat[+1], omega_hat[-1], model.ell, model.n)
 guess = pm.ParameterPoint(m=1.01, a=0.082, lam=0.02)
 box = [(0.9, 1.1), (0.0, 0.15)]
 inv = pm.invert_data(model, {"U": est["U"], "V": est["V"]}, guess, box=box)

@@ -1,156 +1,220 @@
-"""Scenario configuration: a single YAML document, schema-validated.
+"""Scenario configuration: a single YAML document, parsed once.
 
-Unknown keys are rejected and all physical consistency constraints
-(delta < T, delta and T multiples of dt, T > 3*delta where energy bounds
-are used) are checked before any computation runs.  No environment
-overrides: the file is the complete record of a run.
+``DEFAULTS`` is the one list of the document's keys: every section, every
+key, and its default.  A configured leaf must have its default's type: real
+leaves take ints or floats and must be finite, int leaves reject floats and
+bools, complex leaves are ``[re, im]`` pairs (or a bare real), and a list
+leaf checks each item against the first item of its default (the template
+of an :class:`Items` default), a mapping item like a section.  A ``None``
+default marks a value the pipeline derives from other values; the pipeline
+checks such a leaf with :func:`resolve` where it derives it.
+
+Unknown keys are rejected, and the observation grid (delta < T, delta and T
+multiples of dt, T > 3*delta for the energy bounds) is checked for the base
+scenario and for every sweep point before any computation runs.  No
+environment overrides: the file is the complete record of a run.
 """
 from __future__ import annotations
 
+import copy
+import math
 from dataclasses import dataclass, field
-from typing import Any, Optional
 
 import yaml
 
 from .errors import ConfigError
+from .signal_model import ObservationSetup
 
-# allowed keys per section; None marks scalar leaves
-_SCHEMA: dict = {
+
+class Items(list):
+    """An empty list default whose configured items must look like ``template``."""
+
+    def __init__(self, template):
+        super().__init__()
+        self.template = template
+
+
+DEFAULTS: dict = {
     "lattice": {
-        "M": None, "a": None, "Lambda": None, "kappa": None,
-        "ell": None, "overtone": None,
-        "damping": {"kind": None, "value": None},
-        "pole_offset": None,
+        "M": 1.0, "a": 0.08, "Lambda": 0.02, "kappa": 0.3,
+        "ell": 100, "overtone": 0,
+        "damping": {"kind": "constant", "value": 0.2},
+        "pole_offset": 0j,
     },
     "modes": {
-        "amp_plus": None, "amp_minus": None,
-        "contaminants": None,  # list of {j, sign, amp}
+        "amp_plus": 1 + 0j, "amp_minus": 1 + 0j,
+        # sign None: the contaminant sits in both sectors
+        "contaminants": Items({"j": 0, "sign": None, "amp": 1 + 0j}),
     },
-    "tail": {"c": None, "nu": None, "m": None, "leak": None},
-    "noise": {
-        "harmonics": None,  # list of [c, mu, phi]
-        "lcg": {"seed": None, "amplitude": None},
-    },
-    "observation": {"T0": None, "T": None, "Delta": None, "dt": None, "taper": None},
-    "window": {
-        "enabled": None, "n": None, "m0": None,
-        "prior": None, "prior_offset": None,
-        "path": None, "stencil_order": None,
-    },
-    "extraction": {"prior": None, "prior_offset": None, "amp_floor": None},
-    "inversion": {
-        "mode": None,
-        "guess": {"M": None, "a": None, "Lambda": None},
-        "box": {"M": None, "a": None, "Lambda": None},
-        "grid_n": None,
-    },
-    "sweep": {"axis": None, "values": None},
-    "prony": {"samples": None, "amps": None, "nodes": None, "eta": None},
-    "band_isolate": {
-        "dim": None, "n_poles": None, "max_order": None, "seed": None,
-        "n_models": None, "nu1": None, "nu2": None, "times": None,
-        "forcing_k": None, "tol": None,
-    },
-    "pseudospectrum": {
-        "poles": None, "e_plus": None, "e_minus": None, "hol_bound": None,
-        "eps": None, "grid_n": None, "re_range": None, "im_range": None,
-    },
-    "window_check": {
-        "nodes": None, "target": None, "m0": None, "n_draws": None,
-        "delta_scale": None, "nu": None, "sigma_max": None, "seed": None,
-    },
-}
-
-_SWEEP_AXES = ("T0", "T", "Delta", "ell", "noise_amp", "separation")
-
-
-def _validate_keys(tree: Any, schema: dict, path: str = ""):
-    if not isinstance(tree, dict):
-        raise ConfigError(f"section {path or '<root>'} must be a mapping")
-    for key, val in tree.items():
-        if key not in schema:
-            raise ConfigError(f"unknown key {path + key!r}")
-        sub = schema[key]
-        if isinstance(sub, dict) and isinstance(val, dict):
-            _validate_keys(val, sub, path + key + ".")
-        elif isinstance(sub, dict) and val is not None and not isinstance(val, dict):
-            raise ConfigError(f"key {path + key!r} must be a mapping")
-
-
-_DEFAULTS = {
-    "lattice": {"M": 1.0, "a": 0.08, "Lambda": 0.02, "kappa": 0.3,
-                "ell": 100, "overtone": 0,
-                "damping": {"kind": "constant", "value": 0.2},
-                "pole_offset": [0.0, 0.0]},
-    "modes": {"amp_plus": [1.0, 0.0], "amp_minus": [1.0, 0.0], "contaminants": []},
     "tail": {"c": 0.0, "nu": 0.5, "m": 0, "leak": 0.0},
-    "noise": {"harmonics": [], "lcg": None},
+    "noise": {
+        "harmonics": Items([0.0]),  # items are [c, mu, phi]
+        "lcg": {"seed": None, "amplitude": 0.0},  # no stream unless seeded
+    },
     "observation": {"T0": 4.0, "T": 10.0, "Delta": 1.0, "dt": 0.05,
                     "taper": "raised-cosine"},
-    "window": {"enabled": False, "n": 1, "m0": None, "prior": "exact",
-               "prior_offset": [0.0, 0.0], "path": "modal", "stencil_order": 8},
-    "extraction": {"prior": "exact", "prior_offset": [0.0, 0.0], "amp_floor": 0.0},
-    "inversion": {"mode": "2p", "guess": None, "box": None, "grid_n": 5},
-    "sweep": {"axis": None, "values": []},
+    "window": {
+        "enabled": False, "n": None, "m0": None,
+        "prior": "exact", "prior_offset": [0.0, 0.0],  # [dM, da]
+        "path": "modal", "stencil_order": 8,
+    },
+    "extraction": {"prior": "exact", "prior_offset": 0j, "amp_floor": 0.0},
+    "inversion": {
+        "mode": "2p",
+        "guess": {"M": None, "a": None, "Lambda": None},
+        "box": {"M": None, "a": None, "Lambda": None},
+        "grid_n": 5,
+    },
+    "sweep": {"axis": None, "values": Items(None)},  # checked per axis by point()
+    "prony": {"samples": Items(0j), "amps": Items(0j), "nodes": Items(0j),
+              "eta": 1e-8},
+    "band_isolate": {
+        "dim": None, "n_poles": None, "max_order": 2, "seed": 0,
+        "n_models": 5, "nu1": 0.3, "nu2": 2.3, "times": [1.0, 2.0, 5.0],
+        "forcing_k": 6, "tol": 1e-6,
+    },
+    "pseudospectrum": {
+        "poles": [complex(0.0, -1.0), complex(1.0, -1.0)],
+        "e_plus": 1.0, "e_minus": 1.0, "hol_bound": 0.0,
+        "eps": [1e-1, 1e-2, 1e-3, 1e-4], "grid_n": 400,
+        "re_range": None, "im_range": None,
+    },
+    "window_check": {
+        "nodes": [complex(2.0, -0.1), complex(2.0, -0.3), complex(2.0, -0.5)],
+        "target": None, "m0": None, "n_draws": 200, "delta_scale": 0.125,
+        "nu": 0.5, "sigma_max": 100.0, "seed": 0,
+    },
 }
 
+#: sweep axis -> (section, key) of the leaf a sweep point replaces;
+#: noise_amp instead scales every noise amplitude of the noise section
+_SWEEP_LEAVES = {
+    "T0": ("observation", "T0"), "T": ("observation", "T"),
+    "Delta": ("observation", "Delta"), "ell": ("lattice", "ell"),
+    "separation": ("lattice", "a"), "noise_amp": ("noise", None),
+}
 
-def _merge(base: dict, override: dict) -> dict:
-    out = dict(base)
-    for key, val in override.items():
-        if isinstance(val, dict) and isinstance(out.get(key), dict):
-            out[key] = _merge(out[key], val)
+_KINDS = {bool: "true or false", int: "an integer", float: "a finite real",
+          str: "a string"}
+
+
+def _real(x) -> bool:
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    return isinstance(x, int) or math.isfinite(x)
+
+
+def _leaf(path: str, value, default):
+    """``value`` checked against the type of ``default``; complex leaves convert."""
+    if default is None:
+        return value
+    if isinstance(default, dict):
+        return _parse(value, default, path + ".")
+    if isinstance(default, complex):
+        parts = value if isinstance(value, list) else [value, 0.0]
+        if len(parts) != 2 or not all(_real(x) for x in parts):
+            raise ConfigError(f"{path} must be a finite real or an [re, im] pair, "
+                              f"got {value!r}")
+        return complex(float(parts[0]), float(parts[1]))
+    if isinstance(default, list):
+        if not isinstance(value, list):
+            raise ConfigError(f"{path} must be a list, got {value!r}")
+        item = default.template if isinstance(default, Items) else default[0]
+        return [_leaf(path, v, item) for v in value]
+    if isinstance(default, (bool, str)):
+        ok = type(value) is type(default)
+    elif isinstance(default, int):
+        ok = isinstance(value, int) and not isinstance(value, bool)
+    else:
+        ok = _real(value)
+    if not ok:
+        raise ConfigError(f"{path} must be {_KINDS[type(default)]}, got {value!r}")
+    return value
+
+
+def resolve(value, derived, path: str):
+    """A leaf with a ``None`` default: ``derived`` when unset, else ``value``
+    checked against the type of ``derived``."""
+    return derived if value is None else _leaf(path, value, derived)
+
+
+def _parse(raw, defaults: dict, path: str = "") -> dict:
+    """``defaults`` overlaid with ``raw``; unknown keys and bad leaves raise."""
+    if raw is None:
+        raw = {}
+    if not isinstance(raw, dict):
+        raise ConfigError(f"section {path.rstrip('.') or '<root>'} must be a mapping")
+    for key in raw:
+        if key not in defaults:
+            raise ConfigError(f"unknown key {path + str(key)!r}")
+    out = {}
+    for key, default in defaults.items():
+        value = raw.get(key)
+        if value is None and not isinstance(default, dict):
+            out[key] = default
         else:
-            out[key] = val
+            out[key] = _leaf(path + key, value, default)
     return out
+
+
+def _one_of(path: str, value, allowed: tuple):
+    if value not in allowed:
+        raise ConfigError(f"{path} must be one of {allowed}, got {value!r}")
 
 
 @dataclass
 class ScenarioConfig:
-    """Validated scenario document with defaults filled in."""
+    """Parsed scenario document: every section, defaults filled in.
+
+    ``data`` holds the sections and ``setup`` the observation grid.
+    """
 
     raw: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        _validate_keys(self.raw, _SCHEMA)
-        merged = dict(_DEFAULTS)
-        for key in _DEFAULTS:
-            merged[key] = _merge(_DEFAULTS[key], self.raw.get(key, {}) or {})
-        for key in self.raw:
-            if key not in merged:
-                merged[key] = self.raw[key]
-        self.data = merged
+        self.data = _parse(self.raw, DEFAULTS)
         self._check_physical()
+        if self.data["sweep"]["axis"] is not None:
+            for value in self.data["sweep"]["values"]:
+                try:
+                    self.point(value)
+                except ConfigError as exc:
+                    raise ConfigError(f"sweep value {value!r}: {exc}") from None
 
     def _check_physical(self):
-        obs = self.data["observation"]
-        t_len, delta, dt = obs["T"], obs["Delta"], obs["dt"]
-        if not (0 < delta < t_len):
-            raise ConfigError("need 0 < Delta < T")
-        for name, x in (("Delta", delta), ("T", t_len)):
-            k = x / dt
-            if abs(k - round(k)) > 1e-9 * max(1.0, k):
-                raise ConfigError(f"{name} must be an integer multiple of dt")
-        if t_len <= 3 * delta:
+        data = self.data
+        obs = data["observation"]
+        self.setup = ObservationSetup(t0=obs["T0"], t_len=obs["T"], delta=obs["Delta"],
+                                      dt=obs["dt"], taper=obs["taper"])
+        if self.setup.t_len <= 3 * self.setup.delta:
             raise ConfigError("need T > 3*Delta for the energy lower bounds")
-        if obs["taper"] not in ("raised-cosine", "rectangular"):
-            raise ConfigError(f"unknown taper {obs['taper']!r}")
-        sweep = self.data["sweep"]
-        if sweep["axis"] is not None and sweep["axis"] not in _SWEEP_AXES:
-            raise ConfigError(
-                f"sweep axis must be one of {_SWEEP_AXES}, got {sweep['axis']!r}")
-        win = self.data["window"]
-        if win["path"] not in ("modal", "fd"):
-            raise ConfigError("window path must be 'modal' or 'fd'")
-        inv = self.data["inversion"]
-        if inv["mode"] not in ("2p", "3p"):
-            raise ConfigError("inversion mode must be '2p' or '3p'")
+        _one_of("sweep.axis", data["sweep"]["axis"], (None, *_SWEEP_LEAVES))
+        _one_of("window.path", data["window"]["path"], ("modal", "fd"))
+        _one_of("window.prior", data["window"]["prior"], ("exact", "offset"))
+        _one_of("extraction.prior", data["extraction"]["prior"], ("exact", "offset"))
+        _one_of("inversion.mode", data["inversion"]["mode"], ("2p", "3p"))
+        overtone = data["lattice"]["overtone"]
+        if resolve(data["window"]["n"], overtone, "window.n") != overtone:
+            raise ConfigError("window.n must equal lattice.overtone, the window's target")
+
+    def point(self, value) -> "ScenarioConfig":
+        """This scenario at one value of its sweep axis, checked like the base."""
+        section, key = _SWEEP_LEAVES[self.data["sweep"]["axis"]]
+        sec = self.data[section]
+        if key is None:
+            scale = float(_leaf("sweep.values", value, 1.0))
+            leaves = {"harmonics": [[scale * c, mu, phi] for c, mu, phi in sec["harmonics"]],
+                      "lcg": {**sec["lcg"], "amplitude": scale * sec["lcg"]["amplitude"]}}
+        else:
+            default = DEFAULTS[section][key]
+            leaves = {key: type(default)(_leaf(f"{section}.{key}", value, default))}
+        out = copy.copy(self)
+        out.data = {**self.data, section: {**sec, **leaves}}
+        out._check_physical()
+        return out
 
     def __getitem__(self, key: str):
         return self.data[key]
-
-    def section(self, key: str, default=None):
-        return self.data.get(key, default)
 
 
 def load_config(path: str) -> ScenarioConfig:
@@ -161,12 +225,3 @@ def load_config(path: str) -> ScenarioConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a mapping")
     return ScenarioConfig(raw=doc)
-
-
-def as_complex(val) -> complex:
-    """Accept [re, im] pairs or bare numbers from the config."""
-    if isinstance(val, (list, tuple)):
-        if len(val) != 2:
-            raise ConfigError(f"complex values are [re, im] pairs, got {val!r}")
-        return complex(float(val[0]), float(val[1]))
-    return complex(float(val), 0.0)

@@ -44,11 +44,6 @@ class ExtractionConfig:
 class HypothesisFlags:
     eps_small: Optional[bool] = None
     branch_hyp: Optional[bool] = None
-    disk_hyp: Optional[bool] = None
-
-    def all_hold(self) -> bool:
-        return all(v for v in (self.eps_small, self.branch_hyp, self.disk_hyp)
-                   if v is not None)
 
 
 @dataclass

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
-from scipy.integrate import quad, quad_vec
+from scipy.integrate import quad
 
 from .errors import ConfigError, ContourError, HypothesisError, ResolutionError, StructureError
 

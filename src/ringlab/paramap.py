@@ -8,7 +8,7 @@ measured on a grid rather than assumed.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -130,12 +130,6 @@ def observables(omega_plus: complex, omega_minus: complex, ell: int, n: int) -> 
         "V": (omega_plus - omega_minus).real / (2.0 * ell),
         "W": -omega_plus.imag / (n + 0.5),
     }
-
-
-def estimated_data(omega_hat_plus: complex, omega_hat_minus: complex,
-                   ell: int, n: int) -> dict:
-    """Observables evaluated on extracted frequencies."""
-    return observables(omega_hat_plus, omega_hat_minus, ell, n)
 
 
 def data_map_error_bound(delta_omega_plus: complex, delta_omega_minus: complex,
@@ -297,28 +291,3 @@ def bias_bound_3p(eps_plus: float, eps_minus: float, z_plus: complex,
     extra = 10.0 * c_star3 / (delta * (n + 0.5)) * eps_plus / abs(z_plus)
     return {"bound": float(base + extra),
             "eps_small": _check_eps_flags(eps_plus, eps_minus, z_plus, z_minus)}
-
-
-@dataclass
-class BiasReport:
-    """End-to-end error ledger for one inversion scenario."""
-
-    delta_omega_plus: complex
-    delta_omega_minus: complex
-    data_err: float
-    param_err: float
-    bound_2p: float
-    bound_3p: Optional[float] = None
-    bound_tail: Optional[float] = None
-    bound_meas: Optional[float] = None
-    constants: dict = field(default_factory=dict)
-    flags: dict = field(default_factory=dict)
-
-    def certified_ok(self) -> bool:
-        """Certified inequality: param_err <= bound whenever hypotheses hold."""
-        if not all(self.flags.values()):
-            return True  # hypotheses failed: nothing asserted
-        ok = self.param_err <= self.bound_2p
-        if self.bound_3p is not None:
-            ok = ok and self.param_err <= self.bound_3p
-        return ok

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from . import merotoy as mt
 from . import paramap as pm
 from . import prony2 as p2
 from . import signal_model as sm
-from .config import ScenarioConfig, as_complex
+from .config import ScenarioConfig, resolve
 from .errors import ConfigError, RinglabError
 from .report import RunReport
 
@@ -37,31 +37,40 @@ from .report import RunReport
 # scenario assembly
 # ---------------------------------------------------------------------------
 
-def _lattice_from_config(lat: dict) -> pm.LatticeModel:
+@dataclass
+class Scenario:
+    """What both sectors of one scenario share, built once from its config."""
+
+    model: pm.LatticeModel
+    p_true: pm.ParameterPoint
+    setup: sm.ObservationSetup
+    tail: sm.TailSpec
+    noise: sm.NoiseSpec
+
+
+def _noise_from_config(noise: dict, setup: sm.ObservationSetup) -> sm.NoiseSpec:
+    harmonics = tuple((c, mu, phi) for c, mu, phi in noise["harmonics"])
+    lcg = noise["lcg"]
+    if lcg["seed"] is None:
+        if lcg["amplitude"]:
+            raise ConfigError("noise.lcg.amplitude needs noise.lcg.seed")
+        return sm.NoiseSpec(harmonics=harmonics)
+    return sm.NoiseSpec(harmonics=harmonics, lcg_seed=resolve(lcg["seed"], 0, "noise.lcg.seed"),
+                        lcg_amplitude=lcg["amplitude"], lcg_dt=setup.dt)
+
+
+def _scenario(cfg: ScenarioConfig) -> Scenario:
+    """Lattice, true point, grid, tail and noise; their ConfigErrors surface here."""
+    lat, tail = cfg["lattice"], cfg["tail"]
     damping = lat["damping"]
-    return pm.default_lattice(kappa=lat["kappa"], lam_kind=damping["kind"],
-                              lam_value=damping.get("value", 0.2),
-                              n=lat["overtone"], ell=int(lat["ell"]))
-
-
-def _setup_from_config(obs: dict) -> sm.ObservationSetup:
-    return sm.ObservationSetup(t0=obs["T0"], t_len=obs["T"], delta=obs["Delta"],
-                               dt=obs["dt"], taper=obs["taper"])
-
-
-def _noise_from_config(noise: dict, setup: sm.ObservationSetup,
-                       scale: float = 1.0) -> sm.NoiseSpec:
-    harmonics = tuple((scale * c, mu, phi) for c, mu, phi in noise["harmonics"] or [])
-    lcg = noise.get("lcg")
-    if lcg:
-        return sm.NoiseSpec(harmonics=harmonics, lcg_seed=int(lcg["seed"]),
-                            lcg_amplitude=scale * lcg["amplitude"], lcg_dt=setup.dt)
-    return sm.NoiseSpec(harmonics=harmonics)
-
-
-def _tail_from_config(tail: dict) -> sm.TailSpec:
-    return sm.TailSpec(c_tail=tail["c"], nu=tail["nu"], m=int(tail["m"]),
-                       leak=tail["leak"])
+    model = pm.default_lattice(kappa=lat["kappa"], lam_kind=damping["kind"],
+                               lam_value=damping["value"], n=lat["overtone"],
+                               ell=lat["ell"])
+    return Scenario(
+        model=model, p_true=pm.ParameterPoint(m=lat["M"], a=lat["a"], lam=lat["Lambda"]),
+        setup=cfg.setup,
+        tail=sm.TailSpec(c_tail=tail["c"], nu=tail["nu"], m=tail["m"], leak=tail["leak"]),
+        noise=_noise_from_config(cfg["noise"], cfg.setup))
 
 
 @dataclass
@@ -85,24 +94,19 @@ def _sample_extended(modes, tail, noise, setup: sm.ObservationSetup,
     return sm.SampledSignal(t_start=float(t[0]), dt=setup.dt, values=vals)
 
 
-def _run_sector(sign: int, cfg_data: dict, model: pm.LatticeModel,
-                p_true: pm.ParameterPoint, setup: sm.ObservationSetup,
-                noise_scale: float) -> SectorResult:
-    lat, win = cfg_data["lattice"], cfg_data["window"]
+def _run_sector(sign: int, cfg: ScenarioConfig, scn: Scenario) -> SectorResult:
+    win = cfg["window"]
+    model, p_true, setup, tail, noise = scn.model, scn.p_true, scn.setup, scn.tail, scn.noise
     n = model.n
-    pole_offset = as_complex(lat["pole_offset"])
+    pole_offset = cfg["lattice"]["pole_offset"]
     omega_true = pm.pseudopole(model, n, sign, p_true) + pole_offset
-    amp_key = "amp_plus" if sign > 0 else "amp_minus"
-    amp = as_complex(cfg_data["modes"][amp_key])
+    amp = cfg["modes"]["amp_plus" if sign > 0 else "amp_minus"]
     modes = [sm.Mode(freq=omega_true, amp=amp)]
-    for cont in cfg_data["modes"]["contaminants"] or []:
-        if int(cont.get("sign", sign)) != sign:
+    for cont in cfg["modes"]["contaminants"]:
+        if resolve(cont["sign"], sign, "modes.contaminants.sign") != sign:
             continue
-        j = int(cont["j"])
-        modes.append(sm.Mode(freq=pm.pseudopole(model, j, sign, p_true) + pole_offset,
-                             amp=as_complex(cont["amp"])))
-    tail = _tail_from_config(cfg_data["tail"])
-    noise = _noise_from_config(cfg_data["noise"], setup, scale=noise_scale)
+        modes.append(sm.Mode(freq=pm.pseudopole(model, cont["j"], sign, p_true) + pole_offset,
+                             amp=cont["amp"]))
 
     window_gain = 1.0 + 0.0j
     if win["enabled"]:
@@ -115,25 +119,25 @@ def _run_sector(sign: int, cfg_data: dict, model: pm.LatticeModel,
         node_vals = tuple(pm.pseudopole(model, j, sign, p_nodes)
                           for j in range(n + 1))
         nodes = aw.PseudopoleSet(node_vals)
-        m0 = win["m0"] if win["m0"] is not None else n + 2
-        gpoly = aw.modified_window(nodes, target=n, m0=int(m0))
+        gpoly = aw.modified_window(nodes, target=n,
+                                   m0=resolve(win["m0"], n + 2, "window.m0"))
         window_gain = complex(gpoly(omega_true))
         if win["path"] == "modal":
             modes = aw.apply_window_modal(modes, gpoly)
             y = sm.sample_scene(modes, tail, noise, setup)
         else:
-            pad = (gpoly.degree + int(win["stencil_order"])) // 2
+            pad = (gpoly.degree + win["stencil_order"]) // 2
             raw = _sample_extended(modes, tail, noise, setup, pad)
-            y = aw.apply_window_fd(raw, gpoly, stencil_order=int(win["stencil_order"]))
+            y = aw.apply_window_fd(raw, gpoly, stencil_order=win["stencil_order"])
     else:
         y = sm.sample_scene(modes, tail, noise, setup)
 
     amp_ref = amp * window_gain
     prior = pm.pseudopole(model, n, sign, p_true)
-    if cfg_data["extraction"]["prior"] == "offset":
-        prior = prior + as_complex(cfg_data["extraction"]["prior_offset"])
+    if cfg["extraction"]["prior"] == "offset":
+        prior = prior + cfg["extraction"]["prior_offset"]
     ecfg = ex.ExtractionConfig(setup=setup, prior=prior,
-                               amp_floor=cfg_data["extraction"]["amp_floor"])
+                               amp_floor=cfg["extraction"]["amp_floor"])
     ref_mode = sm.Mode(freq=omega_true, amp=amp_ref)
     result = ex.extract(y, ecfg, y0_reference=[ref_mode], method="trapezoid")
 
@@ -145,29 +149,40 @@ def _run_sector(sign: int, cfg_data: dict, model: pm.LatticeModel,
                         amp_ref=amp_ref, result=result, eps_budget=budget)
 
 
+def _sector_ledger(sec: SectorResult) -> dict:
+    """One sector's error-versus-bound columns, in report order."""
+    res = sec.result
+    return {
+        "z_hat": res.z_hat, "omega_hat": res.omega_hat,
+        "omega_true": sec.omega_true,
+        "omega_err": abs(res.omega_hat - sec.omega_true),
+        "z_err": abs(res.z_hat - sec.z_true),
+        "eps0": res.eps0, "eps1": res.eps1, "eps": res.eps,
+        "eps_budget": sec.eps_budget["eps_bound"],
+        "bound_z": res.bound_z, "bound_z_crude": 3.0 * res.eps,
+        "bound_omega": res.bound_omega,
+        "hyp_eps_small": res.hypotheses_ok.eps_small,
+        "hyp_branch": res.hypotheses_ok.branch_hyp,
+    }
+
+
+def _sector_checks(led: dict) -> list:
+    hyp = led["hyp_eps_small"]
+    return [("z_stability", hyp, led["z_err"], led["bound_z_crude"]),
+            ("z_stability_sharp", hyp, led["z_err"], led["bound_z"]),
+            ("omega_error", hyp, led["omega_err"], led["bound_omega"]),
+            ("budget_soundness", True, led["eps"], led["eps_budget"])]
+
+
 #: absolute rounding floor for certified comparisons (quantities are O(1))
 _CERT_ATOL = 1e-13
 
 
-def _violated(value: float, bound: float) -> bool:
-    return value > bound * (1.0 + 1e-12) + _CERT_ATOL
-
-
-def _certify(row: dict, report: RunReport, label: str):
-    """Append violations for every certified inequality whose flags hold."""
-    checks = [
-        ("z_stability", row.get("hyp_eps_small"), row.get("z_err"),
-         row.get("bound_z_crude")),
-        ("z_stability_sharp", row.get("hyp_eps_small"), row.get("z_err"),
-         row.get("bound_z")),
-        ("omega_error", row.get("hyp_eps_small"), row.get("omega_err"),
-         row.get("bound_omega")),
-        ("budget_soundness", True, row.get("eps"), row.get("eps_budget")),
-    ]
+def _certify(report: RunReport, label: str, checks):
+    """Record a violation for each (name, hypothesis, value, bound) whose
+    hypothesis holds and whose value exceeds its bound beyond rounding."""
     for name, hyp, value, bound in checks:
-        if not hyp or value is None or bound is None:
-            continue
-        if _violated(value, bound):
+        if hyp and value > bound * (1.0 + 1e-12) + _CERT_ATOL:
             report.add_violation(
                 f"{label}: {name} violated ({value:.6e} > {bound:.6e})")
 
@@ -180,66 +195,44 @@ _REPORT_TOLERANCES = {
 }
 
 
+def _failed(report: RunReport, row: dict, prefix: str, exc: RinglabError) -> RunReport:
+    row["failed"] = True
+    row["error"] = str(exc)
+    report.add_row(row)
+    report.add_violation(f"{prefix}{exc}")
+    return report
+
+
 def run_pipeline(cfg: ScenarioConfig, scenario_id: int = 0,
-                 overrides: Optional[dict] = None,
                  report: Optional[RunReport] = None) -> RunReport:
     """End-to-end scenario: generate -> window -> extract -> invert -> bias ledger."""
     if report is None:
         report = RunReport(metadata={"subcommand": "pipeline",
                                      **_REPORT_TOLERANCES})
-    data = cfg.data if overrides is None else overrides
-    lat = data["lattice"]
-    model = _lattice_from_config(lat)
-    p_true = pm.ParameterPoint(m=lat["M"], a=lat["a"], lam=lat["Lambda"])
-    setup = _setup_from_config(data["observation"])
-    noise_scale = data.get("_noise_scale", 1.0)
+    scn = _scenario(cfg)
+    model, p_true, setup = scn.model, scn.p_true, scn.setup
+    label = f"scenario {scenario_id}"
 
     row: dict = {"scenario": scenario_id, "ell": model.ell,
                  "T0": setup.t0, "T": setup.t_len, "Delta": setup.delta,
                  "dt": setup.dt, "M_true": p_true.m, "a_true": p_true.a,
                  "Lambda_true": p_true.lam}
     try:
-        sectors = {sign: _run_sector(sign, data, model, p_true, setup, noise_scale)
-                   for sign in (+1, -1)}
+        sectors = {sign: _run_sector(sign, cfg, scn) for sign in (+1, -1)}
     except RinglabError as exc:
-        row["failed"] = True
-        row["error"] = str(exc)
-        report.add_row(row)
-        report.add_violation(f"scenario {scenario_id}: {exc}")
-        return report
+        return _failed(report, row, f"{label}: ", exc)
 
-    three = data["inversion"]["mode"] == "3p"
-    per_sector = {}
+    inv_cfg = cfg["inversion"]
+    three = inv_cfg["mode"] == "3p"
+    ledgers = {}
     for sign, sec in sectors.items():
         tag = "plus" if sign > 0 else "minus"
-        res = sec.result
-        omega_err = abs(res.omega_hat - sec.omega_true)
-        z_err = abs(res.z_hat - sec.z_true)
-        srow = {
-            f"z_hat_{tag}": res.z_hat, f"omega_hat_{tag}": res.omega_hat,
-            f"omega_true_{tag}": sec.omega_true,
-            f"omega_err_{tag}": omega_err, f"z_err_{tag}": z_err,
-            f"eps0_{tag}": res.eps0, f"eps1_{tag}": res.eps1,
-            f"eps_{tag}": res.eps,
-            f"eps_budget_{tag}": sec.eps_budget["eps_bound"],
-            f"bound_z_{tag}": res.bound_z,
-            f"bound_z_crude_{tag}": 3.0 * res.eps,
-            f"bound_omega_{tag}": res.bound_omega,
-            f"hyp_eps_small_{tag}": res.hypotheses_ok.eps_small,
-            f"hyp_branch_{tag}": res.hypotheses_ok.branch_hyp,
-        }
-        row.update(srow)
-        per_sector[tag] = {
-            "hyp_eps_small": res.hypotheses_ok.eps_small,
-            "z_err": z_err, "bound_z": res.bound_z,
-            "bound_z_crude": 3.0 * res.eps,
-            "omega_err": omega_err, "bound_omega": res.bound_omega,
-            "eps": res.eps, "eps_budget": sec.eps_budget["eps_bound"],
-        }
+        ledgers[tag] = _sector_ledger(sec)
+        row.update({f"{k}_{tag}": v for k, v in ledgers[tag].items()})
 
     sp, sm_ = sectors[+1], sectors[-1]
-    est = pm.estimated_data(sp.result.omega_hat, sm_.result.omega_hat,
-                            model.ell, model.n)
+    est = pm.observables(sp.result.omega_hat, sm_.result.omega_hat,
+                         model.ell, model.n)
     truth = pm.observables(sp.omega_true, sm_.omega_true, model.ell, model.n)
     keys = ("U", "V", "W") if three else ("U", "V")
     data_err = float(np.linalg.norm([est[k] - truth[k] for k in keys]))
@@ -248,29 +241,27 @@ def run_pipeline(cfg: ScenarioConfig, scenario_id: int = 0,
     data_bound = pm.data_map_error_bound(dw[0], dw[1], model.ell,
                                          n=model.n if three else None)
 
-    inv_cfg = data["inversion"]
-    guess_cfg = inv_cfg.get("guess") or {}
+    guess_cfg, box_cfg = inv_cfg["guess"], inv_cfg["box"]
     guess = pm.ParameterPoint(
-        m=guess_cfg.get("M", p_true.m * 1.01),
-        a=guess_cfg.get("a", p_true.a * 1.01 + 0.001),
-        lam=guess_cfg.get("Lambda", p_true.lam * (1.01 if three else 1.0)))
-    box_cfg = inv_cfg.get("box") or {}
-    box = [tuple(box_cfg.get("M", [0.9 * p_true.m, 1.1 * p_true.m])),
-           tuple(box_cfg.get("a", [p_true.a - 0.05, p_true.a + 0.05]))]
+        m=resolve(guess_cfg["M"], p_true.m * 1.01, "inversion.guess.M"),
+        a=resolve(guess_cfg["a"], p_true.a * 1.01 + 0.001, "inversion.guess.a"),
+        lam=resolve(guess_cfg["Lambda"], p_true.lam * (1.01 if three else 1.0),
+                    "inversion.guess.Lambda"))
+    box = [tuple(resolve(box_cfg["M"], [0.9 * p_true.m, 1.1 * p_true.m],
+                         "inversion.box.M")),
+           tuple(resolve(box_cfg["a"], [p_true.a - 0.05, p_true.a + 0.05],
+                         "inversion.box.a"))]
     if three:
-        box.append(tuple(box_cfg.get("Lambda", [0.5 * p_true.lam, 1.5 * p_true.lam])))
+        box.append(tuple(resolve(box_cfg["Lambda"], [0.5 * p_true.lam, 1.5 * p_true.lam],
+                                 "inversion.box.Lambda")))
 
     target = {k: est[k] for k in keys}
     try:
         inv = pm.invert_data(model, target, guess, box=box)
-        consts = pm.inverse_constants(model, box, grid_n=int(inv_cfg["grid_n"]),
+        consts = pm.inverse_constants(model, box, grid_n=inv_cfg["grid_n"],
                                       three_param=three)
     except RinglabError as exc:
-        row["failed"] = True
-        row["error"] = str(exc)
-        report.add_row(row)
-        report.add_violation(f"scenario {scenario_id}: {exc}")
-        return report
+        return _failed(report, row, f"{label}: ", exc)
 
     p_hat = inv["point"]
     param_err = float(np.linalg.norm(p_hat.as_array(three) - p_true.as_array(three)))
@@ -290,27 +281,18 @@ def run_pipeline(cfg: ScenarioConfig, scenario_id: int = 0,
         "bias_bound_2p": b2["bound"], "bias_bound_2p_budget": b2_budget["bound"],
         "hyp_bias": b2["eps_small"], "hyp_bias_budget": b2_budget["eps_small"],
     })
+    checks = [("data-map bound", True, data_err, data_bound),
+              ("2p bias bound", b2["eps_small"], param_err, b2["bound"]),
+              ("budget bias bound", b2_budget["eps_small"], param_err, b2_budget["bound"])]
     if three:
         b3 = pm.bias_bound_3p(eps_pair[0], eps_pair[1], sp.z_true, sm_.z_true,
                               setup.delta, model.ell, model.n, consts["C_star"])
         row["bias_bound_3p"] = b3["bound"]
+        checks.append(("3p bias bound", b3["eps_small"], param_err, b3["bound"]))
 
-    for tag in ("plus", "minus"):
-        _certify(per_sector[tag], report, f"scenario {scenario_id} {tag}")
-    if _violated(data_err, data_bound):
-        report.add_violation(
-            f"scenario {scenario_id}: data-map bound violated "
-            f"({data_err:.6e} > {data_bound:.6e})")
-    if b2["eps_small"] and _violated(param_err, row["bias_bound_2p"]):
-        report.add_violation(
-            f"scenario {scenario_id}: 2p bias bound violated "
-            f"({param_err:.6e} > {row['bias_bound_2p']:.6e})")
-    if b2_budget["eps_small"] and _violated(param_err, row["bias_bound_2p_budget"]):
-        report.add_violation(
-            f"scenario {scenario_id}: budget bias bound violated")
-    if three and b3["eps_small"] and _violated(param_err, row["bias_bound_3p"]):
-        report.add_violation(
-            f"scenario {scenario_id}: 3p bias bound violated")
+    for tag, led in ledgers.items():
+        _certify(report, f"{label} {tag}", _sector_checks(led))
+    _certify(report, label, checks)
     report.add_row(row)
     return report
 
@@ -319,33 +301,10 @@ def run_pipeline(cfg: ScenarioConfig, scenario_id: int = 0,
 # sweeps
 # ---------------------------------------------------------------------------
 
-def _apply_axis(data: dict, axis: str, value) -> dict:
-    import copy
-
-    out = copy.deepcopy(data)
-    if axis == "T0":
-        out["observation"]["T0"] = float(value)
-    elif axis == "T":
-        out["observation"]["T"] = float(value)
-    elif axis == "Delta":
-        out["observation"]["Delta"] = float(value)
-    elif axis == "ell":
-        out["lattice"]["ell"] = int(value)
-    elif axis == "noise_amp":
-        out["_noise_scale"] = float(value)
-    elif axis == "separation":
-        out["lattice"]["a"] = float(value)
-    else:
-        raise ConfigError(f"unknown sweep axis {axis!r}")
-    return out
-
-
 def _sweep_worker(args):
-    cfg_raw, axis, value, idx = args
-    cfg = ScenarioConfig(raw=cfg_raw)
-    data = _apply_axis(cfg.data, axis, value)
+    point, axis, value, idx = args
     report = RunReport()
-    run_pipeline(cfg, scenario_id=idx, overrides=data, report=report)
+    run_pipeline(point, scenario_id=idx, report=report)
     for row in report.rows:
         row["sweep_axis"] = axis
         row["sweep_value"] = float(value)
@@ -353,12 +312,12 @@ def _sweep_worker(args):
 
 
 def run_sweep(cfg: ScenarioConfig, jobs: int = 1) -> RunReport:
-    axis = cfg.data["sweep"]["axis"]
-    values = cfg.data["sweep"]["values"]
+    axis = cfg["sweep"]["axis"]
+    values = cfg["sweep"]["values"]
     if axis is None or not values:
         raise ConfigError("sweep requires an axis and a nonempty value list")
     report = RunReport(metadata={"subcommand": "sweep", "axis": axis, **_REPORT_TOLERANCES})
-    tasks = [(cfg.raw, axis, v, i) for i, v in enumerate(values)]
+    tasks = [(cfg.point(v), axis, v, i) for i, v in enumerate(values)]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_sweep_worker, tasks))
@@ -379,47 +338,24 @@ def run_sweep(cfg: ScenarioConfig, jobs: int = 1) -> RunReport:
 def run_extract(cfg: ScenarioConfig) -> RunReport:
     """One-sector extraction only: signal, Rayleigh quotient, bounds."""
     report = RunReport(metadata={"subcommand": "extract", **_REPORT_TOLERANCES})
-    data = cfg.data
-    model = _lattice_from_config(data["lattice"])
-    p_true = pm.ParameterPoint(m=data["lattice"]["M"], a=data["lattice"]["a"],
-                               lam=data["lattice"]["Lambda"])
-    setup = _setup_from_config(data["observation"])
+    scn = _scenario(cfg)
     try:
-        sec = _run_sector(+1, data, model, p_true, setup, 1.0)
+        sec = _run_sector(+1, cfg, scn)
     except RinglabError as exc:
-        report.add_row({"failed": True, "error": str(exc)})
-        report.add_violation(str(exc))
-        return report
-    res = sec.result
-    row = {
-        "omega_true": sec.omega_true, "z_true": sec.z_true,
-        "z_hat": res.z_hat, "omega_hat": res.omega_hat,
-        "omega_err": abs(res.omega_hat - sec.omega_true),
-        "z_err": abs(res.z_hat - sec.z_true),
-        "eps0": res.eps0, "eps1": res.eps1, "eps": res.eps,
-        "eps_budget": sec.eps_budget["eps_bound"],
-        "bound_z": res.bound_z, "bound_z_crude": 3.0 * res.eps,
-        "bound_omega": res.bound_omega,
-        "hyp_eps_small": res.hypotheses_ok.eps_small,
-        "hyp_branch": res.hypotheses_ok.branch_hyp,
-    }
-    report.add_row(row)
-    _certify({"hyp_eps_small": res.hypotheses_ok.eps_small,
-              "z_err": row["z_err"], "bound_z": res.bound_z,
-              "bound_z_crude": 3.0 * res.eps, "omega_err": row["omega_err"],
-              "bound_omega": res.bound_omega, "eps": res.eps,
-              "eps_budget": row["eps_budget"]}, report, "extract")
+        return _failed(report, {}, "", exc)
+    ledger = _sector_ledger(sec)
+    report.add_row({"omega_true": sec.omega_true, "z_true": sec.z_true, **ledger})
+    _certify(report, "extract", _sector_checks(ledger))
     return report
 
 
 def run_prony(cfg: ScenarioConfig) -> RunReport:
     report = RunReport(metadata={"subcommand": "prony", **_REPORT_TOLERANCES})
-    sec = cfg.section("prony") or {}
-    if sec.get("samples"):
-        ys = [as_complex(v) for v in sec["samples"]]
-    elif sec.get("amps") and sec.get("nodes"):
-        a = [as_complex(v) for v in sec["amps"]]
-        z = [as_complex(v) for v in sec["nodes"]]
+    sec = cfg["prony"]
+    a, z = sec["amps"], sec["nodes"]
+    if sec["samples"]:
+        ys = sec["samples"]
+    elif a and z:
         ys = [a[0] * z[0] ** j + a[1] * z[1] ** j for j in range(4)]
     else:
         raise ConfigError("prony needs either 'samples' or 'amps' + 'nodes'")
@@ -429,9 +365,8 @@ def run_prony(cfg: ScenarioConfig) -> RunReport:
            "residual": res.residual}
     if res.confluent:
         row["b0"], row["b1"] = res.b0, res.b1
-    if sec.get("amps") and sec.get("nodes"):
-        eta = float(sec.get("eta", 1e-8))
-        cond = p2.conditioning_report(a[0], a[1], z[0], z[1], eta)
+    if a and z:
+        cond = p2.conditioning_report(a[0], a[1], z[0], z[1], float(sec["eta"]))
         row.update({"cond_bound": cond["bound"],
                     "cond_smallness_ok": cond["smallness_ok"],
                     "cond_slope": cond["scaling_exponent_probe"],
@@ -442,24 +377,20 @@ def run_prony(cfg: ScenarioConfig) -> RunReport:
 
 def run_band_isolate(cfg: ScenarioConfig) -> RunReport:
     report = RunReport(metadata={"subcommand": "band-isolate", **_REPORT_TOLERANCES})
-    sec = cfg.section("band_isolate") or {}
-    seed = int(sec.get("seed", 0))
-    n_models = int(sec.get("n_models", 5))
-    times = sec.get("times") or [1.0, 2.0, 5.0]
-    nu1 = float(sec.get("nu1", 0.3))
-    nu2 = float(sec.get("nu2", 2.3))
-    tol = float(sec.get("tol", 1e-6))
-    k = int(sec.get("forcing_k", 6))
-    for idx in range(n_models):
-        rng = np.random.default_rng(seed + idx)
-        dim = int(sec.get("dim", int(rng.integers(1, 4))))
+    sec = cfg["band_isolate"]
+    nu1, nu2, tol = float(sec["nu1"]), float(sec["nu2"]), float(sec["tol"])
+    for idx in range(sec["n_models"]):
+        rng = np.random.default_rng(sec["seed"] + idx)
+        # both draws happen whether or not the config fixes the value
+        dim = resolve(sec["dim"], int(rng.integers(1, 4)), "band_isolate.dim")
         resolvent = mt.random_rational_resolvent(
-            rng, dim=dim, n_poles=int(sec.get("n_poles", rng.integers(1, 6))),
-            max_order=int(sec.get("max_order", 2)))
+            rng, dim=dim,
+            n_poles=resolve(sec["n_poles"], int(rng.integers(1, 6)), "band_isolate.n_poles"),
+            max_order=sec["max_order"])
         forcing = mt.ForcingSpec(
-            k=k, payload=rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
+            k=sec["forcing_k"], payload=rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
         fhat = mt.forcing_transform_callable(forcing)
-        for t in times:
+        for t in sec["times"]:
             out = mt.band_subtract(resolvent, fhat, None, nu1, nu2, float(t))
             ok = out["mismatch"] < tol
             report.add_row({
@@ -479,21 +410,20 @@ def run_band_isolate(cfg: ScenarioConfig) -> RunReport:
 
 def run_pseudospectrum(cfg: ScenarioConfig) -> RunReport:
     report = RunReport(metadata={"subcommand": "pseudospectrum", **_REPORT_TOLERANCES})
-    sec = cfg.section("pseudospectrum") or {}
-    poles = tuple(as_complex(p) for p in sec.get("poles") or [[0.0, -1.0], [1.0, -1.0]])
+    sec = cfg["pseudospectrum"]
+    poles = tuple(sec["poles"])
     model = mt.PseudospectrumModel(
-        poles=poles, e_plus=float(sec.get("e_plus", 1.0)),
-        e_minus=float(sec.get("e_minus", 1.0)),
-        hol_bound=float(sec.get("hol_bound", 0.0)))
-    grid_n = int(sec.get("grid_n", 400))
-    res = [float(p.real) for p in poles]
-    ims = [float(p.imag) for p in poles]
-    re_range = sec.get("re_range") or [min(res) - 1.0, max(res) + 1.0]
-    im_range = sec.get("im_range") or [min(ims) - 1.0, max(ims) + 1.0]
-    re_grid = np.linspace(re_range[0], re_range[1], grid_n)
-    im_grid = np.linspace(im_range[0], im_range[1], grid_n)
-    eps_list = sec.get("eps") or [1e-1, 1e-2, 1e-3, 1e-4]
-    for i, eps in enumerate(eps_list):
+        poles=poles, e_plus=float(sec["e_plus"]), e_minus=float(sec["e_minus"]),
+        hol_bound=float(sec["hol_bound"]))
+    res = [p.real for p in poles]
+    ims = [p.imag for p in poles]
+    re_range = resolve(sec["re_range"], [min(res) - 1.0, max(res) + 1.0],
+                       "pseudospectrum.re_range")
+    im_range = resolve(sec["im_range"], [min(ims) - 1.0, max(ims) + 1.0],
+                       "pseudospectrum.im_range")
+    re_grid = np.linspace(re_range[0], re_range[1], sec["grid_n"])
+    im_grid = np.linspace(im_range[0], im_range[1], sec["grid_n"])
+    for i, eps in enumerate(sec["eps"]):
         scan = mt.pseudospectrum_scan(model, re_grid, im_grid, float(eps))
         report.add_row({
             "eps": float(eps), "n_flagged": scan["n_flagged"],
@@ -512,14 +442,12 @@ def run_pseudospectrum(cfg: ScenarioConfig) -> RunReport:
 
 def run_window_check(cfg: ScenarioConfig) -> RunReport:
     report = RunReport(metadata={"subcommand": "window-check", **_REPORT_TOLERANCES})
-    sec = cfg.section("window_check") or {}
-    node_vals = [as_complex(v) for v in sec.get("nodes")
-                 or [[2.0, -0.1], [2.0, -0.3], [2.0, -0.5]]]
-    nodes = aw.PseudopoleSet(tuple(node_vals))
+    sec = cfg["window_check"]
+    nodes = aw.PseudopoleSet(tuple(sec["nodes"]))
     n = len(nodes) - 1
-    target = int(sec.get("target", n))
-    m0 = int(sec.get("m0", n + 2))
-    gpoly = aw.modified_window(nodes, target=target, m0=m0)
+    target = resolve(sec["target"], n, "window_check.target")
+    gpoly = aw.modified_window(nodes, target=target,
+                               m0=resolve(sec["m0"], n + 2, "window_check.m0"))
     for j, node in enumerate(nodes.nodes):
         want = 1.0 if j == target else 0.0
         dev = abs(complex(gpoly(node)) - want)
@@ -527,9 +455,9 @@ def run_window_check(cfg: ScenarioConfig) -> RunReport:
                         "tol": 1e-12, "ok": dev <= 1e-12})
         if dev > 1e-12:
             report.add_violation(f"window identity at node {j}: dev {dev:.2e}")
-    rng = np.random.default_rng(int(sec.get("seed", 0)))
-    n_draws = int(sec.get("n_draws", 200))
-    delta_scale = float(sec.get("delta_scale", 1.0 / 8.0))
+    rng = np.random.default_rng(sec["seed"])
+    n_draws = sec["n_draws"]
+    delta_scale = float(sec["delta_scale"])
     d_sharp = nodes.min_sep
     worst = 0.0
     for _ in range(n_draws):
@@ -543,10 +471,9 @@ def run_window_check(cfg: ScenarioConfig) -> RunReport:
         worst = max(worst, max(devs) / rob["bound"] if rob["bound"] > 0 else 0.0)
     report.add_row({"check": "robustness", "n_draws": n_draws,
                     "worst_ratio_to_bound": worst, "ok": worst <= 1.0})
-    nu = float(sec.get("nu", 0.5))
-    sig_max = float(sec.get("sigma_max", 100.0))
+    sig_max = float(sec["sigma_max"])
     sigma = np.linspace(-sig_max, sig_max, 201)
-    prof = aw.growth_profile(gpoly, nu, sigma)
+    prof = aw.growth_profile(gpoly, float(sec["nu"]), sigma)
     lead = abs(gpoly.coefficients()[-1])
     report.plotdata["window_growth"] = (
         ["sigma", "abs_value", "normalized"],

@@ -14,8 +14,8 @@ path).  Untagged signals fall back to trapezoid quadrature on the grid.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -258,12 +258,6 @@ def eval_scene(modes: Sequence[Mode], tail: TailSpec, noise: NoiseSpec, t):
     if not noise.is_zero:
         val = val + noise.eval(t)
     return val if val.shape else complex(val)
-
-
-def scene_callable(modes: Sequence[Mode], tail: TailSpec = ZERO_TAIL,
-                   noise: NoiseSpec = ZERO_NOISE) -> Callable:
-    """Vectorized t -> scene value, for quadrature oracles."""
-    return lambda t: eval_scene(modes, tail, noise, t)
 
 
 def sample_scene(modes: Sequence[Mode], tail: TailSpec, noise: NoiseSpec,

@@ -19,6 +19,22 @@ CANONICAL = {
 }
 
 
+#: shipped demo config -> the subcommand it is run through
+DEMO_CONFIGS = {
+    "band_isolate": "band-isolate", "canonical": "pipeline", "extract": "extract",
+    "prony": "prony", "prony_conditioning": "prony",
+    "pseudospectrum": "pseudospectrum", "sweep_ell": "sweep",
+    "three_param": "pipeline", "window_check": "window-check",
+    "windowed_overtone": "pipeline",
+}
+DEMO_DIR = Path(__file__).resolve().parents[1] / "demos" / "configs"
+
+
+def with_section(section, **leaves):
+    """CANONICAL with some leaves of one section replaced."""
+    return dict(CANONICAL, **{section: dict(CANONICAL.get(section, {}), **leaves)})
+
+
 def write_cfg(tmp_path, doc, name="cfg.yaml"):
     path = tmp_path / name
     path.write_text(yaml.safe_dump(doc))
@@ -45,6 +61,14 @@ class TestConfig:
     def test_sweep_axis_whitelist(self):
         with pytest.raises(ConfigError):
             ScenarioConfig(raw={"sweep": {"axis": "dt", "values": [1]}})
+
+    @pytest.mark.parametrize("sweep", [
+        {"axis": "Delta", "values": [1.0, 4.0]},  # T = 10 <= 3 * 4
+        {"axis": "ell", "values": [50, 100.5]},
+    ])
+    def test_swept_values_checked_like_base_values(self, sweep):
+        with pytest.raises(ConfigError, match="sweep value"):
+            ScenarioConfig(raw=dict(CANONICAL, sweep=sweep))
 
     def test_defaults_filled(self):
         cfg = ScenarioConfig(raw={})
@@ -168,10 +192,23 @@ class TestCli:
         assert doc["ok"] is True
         assert doc["metadata"]["ringlab_version"]
 
-    def test_config_error_exit_2(self, tmp_path):
-        cfg = write_cfg(tmp_path, {"bogus_section": {}})
-        assert cli.main(["pipeline", "--config", cfg, "--out",
-                         str(tmp_path / "o")]) == 2
+    def test_config_error_exit_2(self, tmp_path, capsys):
+        docs = [
+            {"bogus_section": {}},
+            with_section("lattice", ell=float("inf")),
+            with_section("observation", dt=0),
+            with_section("lattice", M="x"),
+            with_section("lattice", M=float("nan")),
+            with_section("lattice", ell=1.7),
+            with_section("tail", c=-1),
+            with_section("window", enabled=True, n=2, m0=3),  # n != overtone
+        ]
+        for i, doc in enumerate(docs):
+            cfg = write_cfg(tmp_path, doc, f"cfg{i}.yaml")
+            assert cli.main(["pipeline", "--config", cfg, "--out",
+                             str(tmp_path / "o")]) == 2, doc
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("configuration error: "), err
 
     def test_missing_file_exit_2(self, tmp_path):
         assert cli.main(["pipeline", "--config", str(tmp_path / "nope.yaml"),
@@ -239,3 +276,16 @@ class TestCli:
         assert cli.main(["sweep", "--config", cfg, "--out", out, "--jobs", "2"]) == 0
         rows = json.loads(Path(out, "report.json").read_text())["rows"]
         assert [r["ell"] for r in rows] == [50, 100]
+
+
+@pytest.mark.parametrize("name", sorted(DEMO_CONFIGS))
+def test_demo_config_runs_and_is_deterministic(tmp_path, name):
+    assert sorted(p.stem for p in DEMO_DIR.glob("*.yaml")) == sorted(DEMO_CONFIGS)
+    argv = [DEMO_CONFIGS[name], "--config", str(DEMO_DIR / f"{name}.yaml")]
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        assert cli.main(argv + ["--out", str(out)]) == 0
+    files = sorted(p.relative_to(outs[0]) for p in outs[0].rglob("*.csv"))
+    assert Path("report.csv") in files
+    for rel in files + [Path("report.json")]:
+        assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes(), rel
