@@ -23,8 +23,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"run the {name} driver")
         p.add_argument("--config", required=True, help="YAML scenario file")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="concurrent sweep workers")
     return parser
 
 
@@ -36,8 +34,8 @@ def main(argv=None) -> int:
         return 2
     try:
         cfg = load_config(args.config)
-        report = run_subcommand(args.subcommand, cfg, jobs=args.jobs)
-    except (ConfigError, FileNotFoundError) as exc:
+        report = run_subcommand(args.subcommand, cfg)
+    except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     paths = report.write(args.out)

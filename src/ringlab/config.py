@@ -94,6 +94,21 @@ _SWEEP_LEAVES = {
     "separation": ("lattice", "a"), "noise_amp": ("noise", None),
 }
 
+#: leaves whose values a driver needs in a shape or range their type does
+#: not give: (section, key) -> (test, what the leaf must be)
+_LIMITS = {
+    ("noise", "harmonics"): (lambda v: all(len(h) == 3 for h in v),
+                             "a list of [c, mu, phi] items"),
+    ("window", "prior_offset"): (lambda v: len(v) == 2, "a [dM, da] pair"),
+    ("prony", "samples"): (lambda v: len(v) in (0, 4), "empty or four samples"),
+    ("prony", "amps"): (lambda v: len(v) in (0, 2), "empty or two amplitudes"),
+    ("prony", "nodes"): (lambda v: len(v) in (0, 2), "empty or two nodes"),
+    ("pseudospectrum", "poles"): (lambda v: len(v) > 0, "a nonempty list"),
+    ("pseudospectrum", "eps"): (lambda v: all(e > 0 for e in v), "a list of positive reals"),
+    ("pseudospectrum", "grid_n"): (lambda v: v >= 2, "at least 2"),
+    ("band_isolate", "max_order"): (lambda v: v >= 1, "at least 1"),
+}
+
 _KINDS = {bool: "true or false", int: "an integer", float: "a finite real",
           str: "a string"}
 
@@ -173,6 +188,10 @@ class ScenarioConfig:
 
     def __post_init__(self):
         self.data = _parse(self.raw, DEFAULTS)
+        for (section, key), (holds, what) in _LIMITS.items():
+            value = self.data[section][key]
+            if not holds(value):
+                raise ConfigError(f"{section}.{key} must be {what}, got {value!r}")
         self._check_physical()
         if self.data["sweep"]["axis"] is not None:
             for value in self.data["sweep"]["values"]:
@@ -218,8 +237,14 @@ class ScenarioConfig:
 
 
 def load_config(path: str) -> ScenarioConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = yaml.safe_load(fh)
+    """The scenario in the YAML file at ``path``; an unreadable file or a
+    malformed document raises ConfigError with a one-line message."""
+    try:
+        # bytes, so that yaml decodes them and reports bad encodings as YAMLError
+        with open(path, "rb") as fh:
+            doc = yaml.safe_load(fh)
+    except (OSError, yaml.YAMLError) as exc:
+        raise ConfigError(" ".join(str(exc).split())) from None
     if doc is None:
         doc = {}
     if not isinstance(doc, dict):

@@ -16,7 +16,6 @@ discrete residual sizes for soundness.
 """
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -203,9 +202,30 @@ def _failed(report: RunReport, row: dict, prefix: str, exc: RinglabError) -> Run
     return report
 
 
+def _inverse_constants(cfg: ScenarioConfig, model: pm.LatticeModel, box: list,
+                       three: bool, memo: dict) -> dict:
+    """``pm.inverse_constants``, kept in ``memo`` under everything it reads.
+
+    The constants depend on the lattice functions and the box only, not on
+    ell, the window, the noise or the observation grid.  A failure is not
+    stored, so every point that hits it reports it.
+    """
+    lat, grid_n = cfg["lattice"], cfg["inversion"]["grid_n"]
+    key = (lat["kappa"], lat["damping"]["kind"], lat["damping"]["value"],
+           tuple(box), grid_n, three)
+    if key not in memo:
+        memo[key] = pm.inverse_constants(model, box, grid_n=grid_n, three_param=three)
+    return memo[key]
+
+
 def run_pipeline(cfg: ScenarioConfig, scenario_id: int = 0,
-                 report: Optional[RunReport] = None) -> RunReport:
-    """End-to-end scenario: generate -> window -> extract -> invert -> bias ledger."""
+                 report: Optional[RunReport] = None,
+                 constants: Optional[dict] = None) -> RunReport:
+    """End-to-end scenario: generate -> window -> extract -> invert -> bias ledger.
+
+    Rows and violations go to ``report`` (a new one if None).  Calls that
+    share a ``constants`` dict compute each set of inverse constants once.
+    """
     if report is None:
         report = RunReport(metadata={"subcommand": "pipeline",
                                      **_REPORT_TOLERANCES})
@@ -258,8 +278,8 @@ def run_pipeline(cfg: ScenarioConfig, scenario_id: int = 0,
     target = {k: est[k] for k in keys}
     try:
         inv = pm.invert_data(model, target, guess, box=box)
-        consts = pm.inverse_constants(model, box, grid_n=inv_cfg["grid_n"],
-                                      three_param=three)
+        consts = _inverse_constants(cfg, model, box, three,
+                                    {} if constants is None else constants)
     except RinglabError as exc:
         return _failed(report, row, f"{label}: ", exc)
 
@@ -301,33 +321,20 @@ def run_pipeline(cfg: ScenarioConfig, scenario_id: int = 0,
 # sweeps
 # ---------------------------------------------------------------------------
 
-def _sweep_worker(args):
-    point, axis, value, idx = args
-    report = RunReport()
-    run_pipeline(point, scenario_id=idx, report=report)
-    for row in report.rows:
-        row["sweep_axis"] = axis
-        row["sweep_value"] = float(value)
-    return idx, report.rows, report.violations
-
-
-def run_sweep(cfg: ScenarioConfig, jobs: int = 1) -> RunReport:
+def run_sweep(cfg: ScenarioConfig) -> RunReport:
+    """One pipeline scenario per sweep value, in order, sharing inverse constants."""
     axis = cfg["sweep"]["axis"]
     values = cfg["sweep"]["values"]
     if axis is None or not values:
         raise ConfigError("sweep requires an axis and a nonempty value list")
     report = RunReport(metadata={"subcommand": "sweep", "axis": axis, **_REPORT_TOLERANCES})
-    tasks = [(cfg.point(v), axis, v, i) for i, v in enumerate(values)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_sweep_worker, tasks))
-    else:
-        results = [_sweep_worker(t) for t in tasks]
-    for idx, rows, violations in sorted(results, key=lambda r: r[0]):
-        for row in rows:
-            report.rows.append(row)
-        for v in violations:
-            report.add_violation(v)
+    constants: dict = {}
+    for i, value in enumerate(values):
+        start = len(report.rows)
+        run_pipeline(cfg.point(value), scenario_id=i, report=report, constants=constants)
+        for row in report.rows[start:]:
+            row["sweep_axis"] = axis
+            row["sweep_value"] = float(value)
     return report
 
 
@@ -482,20 +489,21 @@ def run_window_check(cfg: ScenarioConfig) -> RunReport:
     return report
 
 
+#: subcommand -> driver.  Each entry looks its driver up among the module's
+#: globals when called, so a wrapped or replaced ``pipeline.run_*`` attribute
+#: is the one that runs.
 SUBCOMMANDS = {
-    "pipeline": lambda cfg, jobs: run_pipeline(cfg),
-    "sweep": run_sweep,
-    "extract": lambda cfg, jobs: run_extract(cfg),
-    "prony": lambda cfg, jobs: run_prony(cfg),
-    "band-isolate": lambda cfg, jobs: run_band_isolate(cfg),
-    "pseudospectrum": lambda cfg, jobs: run_pseudospectrum(cfg),
-    "window-check": lambda cfg, jobs: run_window_check(cfg),
+    "pipeline": lambda cfg: run_pipeline(cfg),
+    "sweep": lambda cfg: run_sweep(cfg),
+    "extract": lambda cfg: run_extract(cfg),
+    "prony": lambda cfg: run_prony(cfg),
+    "band-isolate": lambda cfg: run_band_isolate(cfg),
+    "pseudospectrum": lambda cfg: run_pseudospectrum(cfg),
+    "window-check": lambda cfg: run_window_check(cfg),
 }
 
 
-def run_subcommand(name: str, cfg: ScenarioConfig, jobs: int = 1) -> RunReport:
+def run_subcommand(name: str, cfg: ScenarioConfig) -> RunReport:
     if name not in SUBCOMMANDS:
         raise ConfigError(f"unknown subcommand {name!r}")
-    if name == "sweep":
-        return run_sweep(cfg, jobs=jobs)
-    return SUBCOMMANDS[name](cfg, jobs)
+    return SUBCOMMANDS[name](cfg)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import yaml
 
-from ringlab import cli
+from ringlab import cli, pipeline
 from ringlab.config import ScenarioConfig, load_config
 from ringlab.errors import ConfigError
 from ringlab.pipeline import run_pipeline, run_subcommand, run_sweep
@@ -33,6 +33,23 @@ DEMO_DIR = Path(__file__).resolve().parents[1] / "demos" / "configs"
 def with_section(section, **leaves):
     """CANONICAL with some leaves of one section replaced."""
     return dict(CANONICAL, **{section: dict(CANONICAL.get(section, {}), **leaves)})
+
+
+#: one sweep per axis; separation leaves the box to its default, so the box
+#: (and with it the inverse constants) moves from point to point
+SWEEPS = {
+    "ell": dict(CANONICAL, sweep={"axis": "ell", "values": [50, 100, 200]}),
+    "T0": dict(CANONICAL, sweep={"axis": "T0", "values": [2.0, 4.0, 8.0]}),
+    "Delta": dict(CANONICAL, sweep={"axis": "Delta", "values": [0.5, 1.0, 2.0]}),
+    "noise_amp": dict(CANONICAL, noise={"harmonics": [[0.001, 3.0, 0.4]]},
+                      sweep={"axis": "noise_amp", "values": [0.5, 2.0]}),
+    "separation": dict(CANONICAL, inversion={"mode": "2p"},
+                       sweep={"axis": "separation", "values": [0.05, 0.08, 0.12]}),
+    "ell_3p": dict(with_section("lattice", damping={"kind": "gap_over_mass"}),
+                   inversion={"mode": "3p", "box": {"M": [0.9, 1.1], "a": [0.02, 0.15],
+                                                    "Lambda": [0.01, 0.03]}},
+                   sweep={"axis": "ell", "values": [50, 100]}),
+}
 
 
 def write_cfg(tmp_path, doc, name="cfg.yaml"):
@@ -160,12 +177,20 @@ class TestSweep:
         assert [r["sweep_value"] for r in report.rows] == [2.0, 4.0, 8.0]
         assert report.ok
 
-    def test_parallel_matches_serial(self):
-        doc = dict(CANONICAL)
-        doc["sweep"] = {"axis": "ell", "values": [50, 100]}
-        serial = run_sweep(ScenarioConfig(raw=doc), jobs=1)
-        parallel = run_sweep(ScenarioConfig(raw=doc), jobs=2)
-        assert serial.rows == parallel.rows
+    @pytest.mark.parametrize("name", sorted(SWEEPS))
+    def test_rows_equal_independent_points(self, name):
+        cfg = ScenarioConfig(raw=SWEEPS[name])
+        axis, values = cfg["sweep"]["axis"], cfg["sweep"]["values"]
+        rows, violations = [], []
+        for i, value in enumerate(values):
+            point = run_pipeline(cfg.point(value), scenario_id=i)
+            rows += [dict(row, sweep_axis=axis, sweep_value=float(value))
+                     for row in point.rows]
+            violations += point.violations
+        sweep = run_sweep(cfg)
+        assert [list(row.items()) for row in sweep.rows] == \
+            [list(row.items()) for row in rows]
+        assert sweep.violations == violations
 
     def test_tail_start_time_decay(self):
         doc = dict(CANONICAL)
@@ -202,13 +227,36 @@ class TestCli:
             with_section("lattice", ell=1.7),
             with_section("tail", c=-1),
             with_section("window", enabled=True, n=2, m0=3),  # n != overtone
+            with_section("noise", harmonics=[[0.001, 3.0]]),
+            with_section("window", enabled=True, prior="offset", prior_offset=[0.01]),
+            {"prony": {"samples": [[2, 0], [1.4, 0], [1.06, 0]]}},
+            {"prony": {"amps": [[1, 0]], "nodes": [[0.9, 0], [0.5, 0]]}},
+            {"prony": {"amps": [[1, 0], [1, 0]], "nodes": [[0.9, 0]]}},
+            {"pseudospectrum": {"grid_n": 1}},
+            {"pseudospectrum": {"eps": [0.1, 0.0]}},
+            {"pseudospectrum": {"poles": []}},
+            {"band_isolate": {"max_order": 0}},
         ]
-        for i, doc in enumerate(docs):
-            cfg = write_cfg(tmp_path, doc, f"cfg{i}.yaml")
-            assert cli.main(["pipeline", "--config", cfg, "--out",
-                             str(tmp_path / "o")]) == 2, doc
+        paths = [write_cfg(tmp_path, doc, f"cfg{i}.yaml") for i, doc in enumerate(docs)]
+        truncated = tmp_path / "truncated.yaml"
+        truncated.write_text("lattice: {M: [1")
+        undecodable = tmp_path / "undecodable.yaml"
+        undecodable.write_bytes(b"lattice: {M: \xff}\n")
+        paths += [str(truncated), str(undecodable), str(tmp_path)]  # last: a directory
+        for path in paths:
+            assert cli.main(["pipeline", "--config", path, "--out",
+                             str(tmp_path / "o")]) == 2, path
             err = capsys.readouterr().err.splitlines()
             assert len(err) == 1 and err[0].startswith("configuration error: "), err
+
+    def test_subcommands_call_module_drivers(self, monkeypatch):
+        # the table must not hold the functions themselves: wrapping or
+        # replacing a pipeline.run_* attribute has to reach the CLI
+        for driver in ("run_pipeline", "run_sweep"):
+            monkeypatch.setattr(pipeline, driver, lambda cfg, driver=driver: driver)
+        cfg = ScenarioConfig(raw={})
+        assert run_subcommand("pipeline", cfg) == "run_pipeline"
+        assert run_subcommand("sweep", cfg) == "run_sweep"
 
     def test_missing_file_exit_2(self, tmp_path):
         assert cli.main(["pipeline", "--config", str(tmp_path / "nope.yaml"),
@@ -273,7 +321,7 @@ class TestCli:
         doc["sweep"] = {"axis": "ell", "values": [50, 100]}
         cfg = write_cfg(tmp_path, doc)
         out = str(tmp_path / "o")
-        assert cli.main(["sweep", "--config", cfg, "--out", out, "--jobs", "2"]) == 0
+        assert cli.main(["sweep", "--config", cfg, "--out", out]) == 0
         rows = json.loads(Path(out, "report.json").read_text())["rows"]
         assert [r["ell"] for r in rows] == [50, 100]
 
