@@ -94,8 +94,13 @@ _SWEEP_LEAVES = {
     "separation": ("lattice", "a"), "noise_amp": ("noise", None),
 }
 
+#: a range the driver derives when unset: else finite reals [lo, hi], lo < hi
+_RANGE = (lambda v: v is None or (isinstance(v, list) and len(v) == 2
+                                  and all(_real(x) for x in v) and v[0] < v[1]),
+          "a [lo, hi] pair with lo < hi")
+
 #: leaves whose values a driver needs in a shape or range their type does
-#: not give: (section, key) -> (test, what the leaf must be)
+#: not give: key path -> (test, what the leaf must be)
 _LIMITS = {
     ("noise", "harmonics"): (lambda v: all(len(h) == 3 for h in v),
                              "a list of [c, mu, phi] items"),
@@ -107,6 +112,9 @@ _LIMITS = {
     ("pseudospectrum", "eps"): (lambda v: all(e > 0 for e in v), "a list of positive reals"),
     ("pseudospectrum", "grid_n"): (lambda v: v >= 2, "at least 2"),
     ("band_isolate", "max_order"): (lambda v: v >= 1, "at least 1"),
+    ("pseudospectrum", "re_range"): _RANGE, ("pseudospectrum", "im_range"): _RANGE,
+    ("inversion", "box", "M"): _RANGE, ("inversion", "box", "a"): _RANGE,
+    ("inversion", "box", "Lambda"): _RANGE,
 }
 
 _KINDS = {bool: "true or false", int: "an integer", float: "a finite real",
@@ -188,10 +196,12 @@ class ScenarioConfig:
 
     def __post_init__(self):
         self.data = _parse(self.raw, DEFAULTS)
-        for (section, key), (holds, what) in _LIMITS.items():
-            value = self.data[section][key]
+        for path, (holds, what) in _LIMITS.items():
+            value = self.data
+            for key in path:
+                value = value[key]
             if not holds(value):
-                raise ConfigError(f"{section}.{key} must be {what}, got {value!r}")
+                raise ConfigError(f"{'.'.join(path)} must be {what}, got {value!r}")
         self._check_physical()
         if self.data["sweep"]["axis"] is not None:
             for value in self.data["sweep"]["values"]:

@@ -45,6 +45,7 @@ class Scenario:
     setup: sm.ObservationSetup
     tail: sm.TailSpec
     noise: sm.NoiseSpec
+    noise_l2: float  # the noise alone on the grid: both sectors' budgets use it
 
 
 def _noise_from_config(noise: dict, setup: sm.ObservationSetup) -> sm.NoiseSpec:
@@ -59,17 +60,19 @@ def _noise_from_config(noise: dict, setup: sm.ObservationSetup) -> sm.NoiseSpec:
 
 
 def _scenario(cfg: ScenarioConfig) -> Scenario:
-    """Lattice, true point, grid, tail and noise; their ConfigErrors surface here."""
+    """Lattice, true point, grid, tail, noise and its norm; ConfigErrors surface here."""
     lat, tail = cfg["lattice"], cfg["tail"]
     damping = lat["damping"]
     model = pm.default_lattice(kappa=lat["kappa"], lam_kind=damping["kind"],
                                lam_value=damping["value"], n=lat["overtone"],
                                ell=lat["ell"])
+    noise = _noise_from_config(cfg["noise"], cfg.setup)
     return Scenario(
         model=model, p_true=pm.ParameterPoint(m=lat["M"], a=lat["a"], lam=lat["Lambda"]),
         setup=cfg.setup,
         tail=sm.TailSpec(c_tail=tail["c"], nu=tail["nu"], m=tail["m"], leak=tail["leak"]),
-        noise=_noise_from_config(cfg["noise"], cfg.setup))
+        noise=noise, noise_l2=sm.residual_l2(
+            sm.sample_scene([], sm.ZERO_TAIL, noise, cfg.setup), cfg.setup))
 
 
 @dataclass
@@ -140,9 +143,7 @@ def _run_sector(sign: int, cfg: ScenarioConfig, scn: Scenario) -> SectorResult:
     ref_mode = sm.Mode(freq=omega_true, amp=amp_ref)
     result = ex.extract(y, ecfg, y0_reference=[ref_mode], method="trapezoid")
 
-    noise_sig = sm.sample_scene([], sm.ZERO_TAIL, noise, setup)
-    noise_l2 = sm.residual_l2(noise_sig, setup)
-    budget = ex.epsilon_budget(amp_ref, omega_true, tail, noise_l2, setup)
+    budget = ex.epsilon_budget(amp_ref, omega_true, tail, scn.noise_l2, setup)
     z_true = np.exp(-1j * omega_true * setup.delta)
     return SectorResult(sign=sign, omega_true=omega_true, z_true=z_true,
                         amp_ref=amp_ref, result=result, eps_budget=budget)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -236,6 +239,13 @@ class TestCli:
             {"pseudospectrum": {"eps": [0.1, 0.0]}},
             {"pseudospectrum": {"poles": []}},
             {"band_isolate": {"max_order": 0}},
+            {"pseudospectrum": {"re_range": [0.0]}},
+            {"pseudospectrum": {"re_range": [2.0, -1.0]}},
+            {"pseudospectrum": {"im_range": "x"}},
+            with_section("inversion", box={"M": [0.9]}),
+            with_section("inversion", box={"M": [1.1, 0.9]}),
+            with_section("inversion", box={"a": [0.0, float("inf")]}),
+            with_section("inversion", mode="3p", box={"Lambda": [0.03, 0.03]}),
         ]
         paths = [write_cfg(tmp_path, doc, f"cfg{i}.yaml") for i, doc in enumerate(docs)]
         truncated = tmp_path / "truncated.yaml"
@@ -337,3 +347,19 @@ def test_demo_config_runs_and_is_deterministic(tmp_path, name):
     assert Path("report.csv") in files
     for rel in files + [Path("report.json")]:
         assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes(), rel
+
+
+def test_runs_without_scipy(tmp_path):
+    # scipy serves only the tests' quadrature oracles; a run must not load it
+    runs = [[sub, "--config", str(DEMO_DIR / f"{name}.yaml"), "--out", str(tmp_path / name)]
+            for name, sub in (("canonical", "pipeline"), ("band_isolate", "band-isolate"))]
+    script = ("import json, sys\nfrom ringlab import cli\n"
+              f"codes = [cli.main(argv) for argv in {runs!r}]\n"
+              "print(json.dumps([codes, 'scipy' in sys.modules]))")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[0, 0], False]
