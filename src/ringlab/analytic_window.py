@@ -240,17 +240,23 @@ def centered_stencil(deriv_order: int, accuracy: int, dt: float) -> np.ndarray:
     return wts / dt**q
 
 
+def fd_trim(degree: int, stencil_order: int) -> int:
+    """Nodes per side that ``apply_window_fd`` trims for a degree-``degree``
+    window: the half-width (degree + p - 1)//2 of the widest stencil, 0 for
+    a constant window."""
+    return (degree + stencil_order - 1) // 2 if degree else 0
+
+
 def apply_window_fd(signal: SampledSignal, w: WindowPolynomial,
                     stencil_order: int = 8) -> SampledSignal:
     """Apply w(i d/dt) to a sampled signal with centered stencils.
 
     On a pure mode exp(-i omega t) the symbol of i d/dt is omega, so the
     output amplitude is w(omega) up to O((|omega| dt)^p) with p the stencil
-    accuracy.  The output grid loses K = (degree + p)//2 nodes per side.
+    accuracy.  The output grid loses ``fd_trim(degree, p)`` nodes per side.
     """
     coeffs = w.coefficients()
-    qmax = len(coeffs) - 1
-    kmax = (qmax + stencil_order - 1) // 2 if qmax else 0
+    kmax = fd_trim(len(coeffs) - 1, stencil_order)
     n = len(signal)
     if n - 2 * kmax < 4:
         raise ConfigError("not enough samples for the requested stencil")
@@ -263,7 +269,7 @@ def apply_window_fd(signal: SampledSignal, w: WindowPolynomial,
             out += cq * signal.values[core]
             continue
         wts = centered_stencil(q, stencil_order, signal.dt)
-        k = (q + stencil_order - 1) // 2
+        k = fd_trim(q, stencil_order)
         acc = np.zeros(n - 2 * k, dtype=complex)
         for j, wt in enumerate(wts):
             acc += wt * signal.values[j:j + n - 2 * k]

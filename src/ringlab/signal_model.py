@@ -97,7 +97,10 @@ class NoiseSpec:
       generator x <- 6364136223846793005*x + 1442695040888963407 mod 2**64,
       sample_k = amplitude * (2*(x_k / 2**64) - 1), held constant around
       each grid node t = k*dt (nearest-node indexing, anchored at t=0).
-      The state is advanced once from the seed before sample 0.
+      The state is advanced once from the seed before sample 0.  The stream
+      is produced by jump-ahead doubling over a uint64 array (F. Brown,
+      "Random number generation with arbitrary strides", Trans. Am. Nucl.
+      Soc. 1994) and is bit-identical to the sequential recurrence.
 
     Identical specs produce bit-identical samples on the same grid.
     """
@@ -118,12 +121,18 @@ class NoiseSpec:
         return not self.harmonics and self.lcg_seed is None
 
     def _lcg_samples(self, n: int) -> np.ndarray:
-        x = self.lcg_seed & _LCG_MASK
-        out = np.empty(n, dtype=float)
-        for k in range(n):
-            x = (_LCG_MULT * x + _LCG_INC) & _LCG_MASK
-            out[k] = self.lcg_amplitude * (2.0 * (x / 2.0**64) - 1.0)
-        return out
+        # x[m + j] = A_m * x[j] + C_m mod 2**64, with A_m = a**m and
+        # C_m = c * (1 + a + ... + a**(m-1)); uint64 arrays wrap silently but
+        # numpy scalars warn, so A_m and C_m advance as masked Python ints
+        x = np.empty(n, dtype=np.uint64)
+        if n:
+            x[0] = (_LCG_MULT * (self.lcg_seed & _LCG_MASK) + _LCG_INC) & _LCG_MASK
+        a_m, c_m, m = _LCG_MULT, _LCG_INC, 1
+        while m < n:
+            k = min(m, n - m)
+            x[m:m + k] = np.uint64(a_m) * x[:k] + np.uint64(c_m)
+            a_m, c_m, m = (a_m * a_m) & _LCG_MASK, (a_m * c_m + c_m) & _LCG_MASK, 2 * m
+        return self.lcg_amplitude * (2.0 * (x / 2.0**64) - 1.0)
 
     def eval(self, t):
         t = np.asarray(t, dtype=float)

@@ -282,6 +282,21 @@ class TestCli:
         assert cli.main(["pipeline", "--config", cfg, "--out",
                          str(tmp_path / "o")]) == 1
 
+    @pytest.mark.parametrize("sub", ["pipeline", "extract"])
+    @pytest.mark.parametrize("window", [{"enabled": True, "path": "fd"},
+                                        {"enabled": True, "path": "fd", "m0": 3}])
+    def test_fd_window_default_config_exit_0(self, tmp_path, sub, window):
+        # the default m0 gives an even window degree, where the padding must
+        # still match the stencil trim; the scene has no tail and no noise, so
+        # the eps budget is 0 and the stencil error exceeds it, which the
+        # budget does not claim to cover
+        cfg = write_cfg(tmp_path, {"window": window})
+        out = tmp_path / "o"
+        assert cli.main([sub, "--config", cfg, "--out", str(out)]) == 0
+        row = json.loads((out / "report.json").read_text())["rows"][0]
+        tag = "_plus" if sub == "pipeline" else ""
+        assert row["eps" + tag] > row["eps_budget" + tag] == 0.0
+
     def test_unknown_subcommand_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["frobnicate", "--config", "x"])

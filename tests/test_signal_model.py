@@ -1,9 +1,22 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from ringlab import signal_model as sm
 from ringlab.errors import ConfigError, DegenerateSignalError
+
+
+def lcg_reference(seed, amplitude, n):
+    """The LCG stream by its sequential Python-int recurrence, one sample a step."""
+    mask = (1 << 64) - 1
+    x = seed & mask
+    out = np.empty(n, dtype=float)
+    for k in range(n):
+        x = (6364136223846793005 * x + 1442695040888963407) & mask
+        out[k] = amplitude * (2.0 * (x / 2.0**64) - 1.0)
+    return out
 
 
 def std_setup(**kw):
@@ -70,6 +83,23 @@ class TestNoise:
         b = sm.sample_scene([], sm.ZERO_TAIL, spec, setup)
         assert np.array_equal(a.values, b.values)
         assert np.max(np.abs(a.values)) <= 0.1
+
+    @pytest.mark.parametrize("seed", [0, 1, 12345, -7, 2**63 + 5, 2**64 - 1,
+                                      8_444_111_222_333])
+    def test_lcg_jump_ahead_matches_recurrence(self, seed):
+        spec = sm.NoiseSpec(lcg_seed=seed, lcg_amplitude=0.37)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for n in (0, 1, 2, 3, 7, 1000, 20_001, 100_000):
+                got = spec._lcg_samples(n)
+                want = lcg_reference(seed, 0.37, n)
+                assert got.dtype == np.float64 and got.shape == (n,)
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_lcg_pinned_samples(self):
+        want = [0.13646065328781543, -0.5490731421044972, -0.17432336234097634]
+        assert lcg_reference(42, 1.0, 3).tolist() == want
+        assert sm.NoiseSpec(lcg_seed=42, lcg_amplitude=1.0)._lcg_samples(3).tolist() == want
 
     def test_harmonic_noise(self):
         spec = sm.NoiseSpec(harmonics=((0.2, 1.5, 0.3),))
