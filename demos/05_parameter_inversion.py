@@ -48,8 +48,8 @@ param_err = float(np.hypot(p_hat.m - p_true.m, p_hat.a - p_true.a))
 print(f"\ninverted point: M = {p_hat.m:.8f}, a = {p_hat.a:.8f} "
       f"({inv['iterations']} Newton steps)")
 
-# --- the certified bias bound with measured constants ------------------------
-consts = pm.inverse_constants(model, box, grid_n=5)
+# --- the certified bias bound with closed-form inverse constants -------------
+consts = pm.inverse_constants(model, box)  # extrema at proven box vertices
 z_plus = np.exp(-1j * w_plus * setup.delta)
 z_minus = np.exp(-1j * w_minus * setup.delta)
 bound = pm.bias_bound_2p(eps[+1], eps[-1], z_plus, z_minus,

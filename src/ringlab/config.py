@@ -63,7 +63,6 @@ DEFAULTS: dict = {
         "mode": "2p",
         "guess": {"M": None, "a": None, "Lambda": None},
         "box": {"M": None, "a": None, "Lambda": None},
-        "grid_n": 5,
     },
     "sweep": {"axis": None, "values": Items(None)},  # checked per axis by point()
     "prony": {"samples": Items(0j), "amps": Items(0j), "nodes": Items(0j),

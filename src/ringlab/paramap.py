@@ -1,21 +1,23 @@
 """Synthetic pseudopole lattice over parameters and explicit bias bounds.
 
 The lattice places pseudopoles at ell*(u(p) +/- v(p)) - i (j + 1/2) lam(p)
-for configurable smooth functions (u, v, lam) of the parameter point, so
-that the normalized observables U, V, W-tilde invert it exactly.  The bias
-theorems are map-agnostic given the inverse stability constant C*, which is
-measured on a grid rather than assumed.
+for explicit smooth functions (u, v, lam) of the parameter point, so that
+the normalized observables U, V, W-tilde invert it exactly.  The bias
+theorems are map-agnostic given the inverse stability constant C*, a proven
+extremum of the closed-form Jacobian over a parameter box, not a sample.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import ConfigError, InversionError
 
 SQRT2 = float(np.sqrt(2.0))
+SQRT3 = float(np.sqrt(3.0))
 
 
 @dataclass(frozen=True)
@@ -61,50 +63,65 @@ def photon_sphere_frequency(m: float, lam: float = 0.0) -> float:
 class LatticeModel:
     """Pseudopole lattice ell*(u +/- v) - i (j+1/2) lam over parameter points.
 
-    u_fn: scaled mean frequency, v_fn: scaled splitting, lam_fn: damping
-    scale; overtone layers are strictly ordered in Im as long as lam_fn > 0.
+    u is the photon-sphere frequency, v = kappa * a, and lam > 0 (so overtone
+    layers are strictly ordered in Im) is u for lam_kind 'photon_sphere'
+    (degenerate in 3p), (1 - 9 Lambda M^2)/M for 'gap_over_mass' (independent
+    of u) or lam_value for 'constant'.
     """
 
-    u_fn: Callable[[ParameterPoint], float]
-    v_fn: Callable[[ParameterPoint], float]
-    lam_fn: Callable[[ParameterPoint], float]
-    n: int = 0
-    ell: int = 100
+    kappa: float
+    lam_kind: str
+    lam_value: float
+    n: int
+    ell: int
 
     def __post_init__(self):
+        if self.kappa <= 0:
+            raise ConfigError("kappa must be positive")
+        if self.lam_kind not in ("photon_sphere", "gap_over_mass", "constant"):
+            raise ConfigError(f"unknown lam_kind {self.lam_kind!r}")
+        if self.lam_kind == "constant" and self.lam_value <= 0:
+            raise ConfigError("constant damping scale must be positive")
         if self.n < 0 or self.ell < 1:
             raise ConfigError("need overtone n >= 0 and ell >= 1")
+
+    def u_fn(self, p: ParameterPoint) -> float:
+        return photon_sphere_frequency(p.m, p.lam)
+
+    def v_fn(self, p: ParameterPoint) -> float:
+        return self.kappa * p.a
+
+    def lam_fn(self, p: ParameterPoint) -> float:
+        if self.lam_kind == "photon_sphere":
+            return self.u_fn(p)
+        if self.lam_kind == "gap_over_mass":
+            return (1.0 - 9.0 * p.lam * p.m**2) / p.m
+        return self.lam_value
 
     def data_map(self, p: ParameterPoint, three_param: bool) -> np.ndarray:
         if three_param:
             return np.array([self.u_fn(p), self.v_fn(p), self.lam_fn(p)])
         return np.array([self.u_fn(p), self.v_fn(p)])
 
+    def jacobian(self, p: ParameterPoint, three_param: bool) -> np.ndarray:
+        """D data_map at p: rows (u, v[, lam]), columns (M, a[, Lambda])."""
+        m, lam = p.m, p.lam
+        r = math.sqrt(1.0 - 9.0 * lam * m**2)
+        u_m = -1.0 / (3.0 * SQRT3 * m**2 * r)
+        if not three_param:
+            return np.array([[u_m, 0.0], [0.0, self.kappa]])
+        u_lam = -0.5 * SQRT3 * m / r
+        lam_m, lam_lam = {"photon_sphere": (u_m, u_lam),
+                          "gap_over_mass": (-1.0 / m**2 - 9.0 * lam, -9.0 * m),
+                          "constant": (0.0, 0.0)}[self.lam_kind]
+        return np.array([[u_m, 0.0, u_lam], [0.0, self.kappa, 0.0],
+                         [lam_m, 0.0, lam_lam]])
+
 
 def default_lattice(kappa: float = 0.3, lam_kind: str = "photon_sphere",
                     lam_value: float = 0.2, n: int = 0, ell: int = 100) -> LatticeModel:
-    """Default lattice: u = photon-sphere frequency, v = kappa * a.
-
-    lam_kind selects the damping scale: 'photon_sphere' reuses u (fine for
-    two-parameter work, degenerate for three), 'gap_over_mass' uses
-    (1 - 9 lam M^2)/M (independent of u, suitable for three-parameter
-    inversion), 'constant' uses lam_value.
-    """
-    if kappa <= 0:
-        raise ConfigError("kappa must be positive")
-    u_fn = lambda p: photon_sphere_frequency(p.m, p.lam)
-    v_fn = lambda p: kappa * p.a
-    if lam_kind == "photon_sphere":
-        lam_fn = u_fn
-    elif lam_kind == "gap_over_mass":
-        lam_fn = lambda p: (1.0 - 9.0 * p.lam * p.m**2) / p.m
-    elif lam_kind == "constant":
-        if lam_value <= 0:
-            raise ConfigError("constant damping scale must be positive")
-        lam_fn = lambda p: lam_value
-    else:
-        raise ConfigError(f"unknown lam_kind {lam_kind!r}")
-    return LatticeModel(u_fn=u_fn, v_fn=v_fn, lam_fn=lam_fn, n=n, ell=ell)
+    """The lattice with damping scale lam_kind (see :class:`LatticeModel`)."""
+    return LatticeModel(kappa=kappa, lam_kind=lam_kind, lam_value=lam_value, n=n, ell=ell)
 
 
 def pseudopole(model: LatticeModel, j: int, sign: int, p: ParameterPoint) -> complex:
@@ -145,19 +162,6 @@ def data_map_error_bound(delta_omega_plus: complex, delta_omega_minus: complex,
     return base + abs(delta_omega_plus) / (n + 0.5)
 
 
-def _fd_jacobian(fun: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
-                 rel_step: float = 1e-6) -> np.ndarray:
-    fx = fun(x)
-    jac = np.zeros((len(fx), len(x)))
-    for j in range(len(x)):
-        h = rel_step * max(1.0, abs(x[j]))
-        xp, xm = x.copy(), x.copy()
-        xp[j] += h
-        xm[j] -= h
-        jac[:, j] = (fun(xp) - fun(xm)) / (2.0 * h)
-    return jac
-
-
 def invert_data(model: LatticeModel, data: dict, guess: ParameterPoint,
                 tol: float = 1e-12, max_iter: int = 50,
                 box: Optional[Sequence[Tuple[float, float]]] = None) -> dict:
@@ -182,7 +186,7 @@ def invert_data(model: LatticeModel, data: dict, guess: ParameterPoint,
     while np.linalg.norm(res) > tol:
         if n_iter >= max_iter:
             raise InversionError(f"Newton did not converge in {max_iter} iterations")
-        jac = _fd_jacobian(fun, x)
+        jac = model.jacobian(ParameterPoint.from_array(x, lam_fixed=lam_fixed), three)
         det = np.linalg.det(jac)
         if not np.isfinite(det) or abs(det) < 1e-14 * np.linalg.norm(jac, 2) ** len(x):
             raise InversionError("singular Jacobian of the data map")
@@ -215,43 +219,54 @@ def invert_data(model: LatticeModel, data: dict, guess: ParameterPoint,
 
 def inverse_constants(model: LatticeModel,
                       box: Sequence[Tuple[float, float]],
-                      grid_n: int = 5, three_param: Optional[bool] = None,
-                      rel_step: float = 1e-6) -> dict:
-    """Grid estimates of the inverse stability constants of the data map.
+                      three_param: Optional[bool] = None) -> dict:
+    """Inverse stability constants of the data map G over a parameter box.
 
-    c_star = min |det D G| over the grid, C_star = max ||(D G)^-1||_2
-    (Lipschitz constant of the local inverse); Jacobians by central
-    differences.  The box is [(M_lo, M_hi), (a_lo, a_hi)[, (lam_lo, lam_hi)]].
+    C_star = sup ||DG^-1||_2 (the Lipschitz constant of the local inverse)
+    and c_star = inf |det DG| over the box [(M_lo, M_hi), (a_lo, a_hi)
+    [, (Lambda_lo, Lambda_hi)]].  DG (:meth:`LatticeModel.jacobian`) does not
+    depend on a; it is evaluated at the vertices where the extrema are proven
+    to sit.  r = sqrt(1 - 9 Lambda M^2) decreases in M and in Lambda.
+
+    2p (Lambda = 0): DG = diag(u_M, kappa), so ||DG^-1|| = max(1/kappa,
+    3 sqrt3 M^2) and |det DG| = kappa/(3 sqrt3 M^2), both at M_hi.  A fixed
+    Lambda > 0 scales |u_M| by 1/r >= 1, lowering the first and raising the
+    second, so these values bound every 2p inversion at Lambda >= 0.
+
+    3p, gap_over_mass: the a-row decouples, so ||DG^-1|| = max(1/kappa,
+    ||B^-1||) and |det DG| = kappa det B for the (M, Lambda) block B, where
+    det B = sqrt3 r/(2M) is least at (M_hi, Lambda_hi).  B^-1 = S N S' with
+    S = diag(1, -1), S' = diag(-1, 1), N = [[6 sqrt3 M^2/r, M^2/r^2],
+    [2(1 + 9 Lambda M^2)/(sqrt3 M r), 2/(9 M r^2)]] >= 0, so ||B^-1|| is the
+    max of y.N x over unit x, y >= 0.  Each entry of N grows with Lambda, and
+    in t = log M its log is affine plus nonnegative multiples of log(1 + w)
+    and -log(1 - w), w = 9 Lambda e^(2t) < 1, both convex: the entries are
+    log-convex, hence convex, in t, and so are y.N x and its max.  So C_star
+    is the larger of ||DG^-1|| at (M_lo, Lambda_hi) and (M_hi, Lambda_hi).
+
+    3p, photon_sphere or constant: the lam row of DG equals the u row or is
+    zero, so DG is singular everywhere and InversionError is raised.
     """
     if three_param is None:
         three_param = len(box) == 3
     if len(box) != (3 if three_param else 2):
         raise ConfigError("box dimension must match the inversion mode")
-    axes = [np.linspace(lo, hi, grid_n) for lo, hi in box]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
-    c_star = np.inf
-    big_c = 0.0
-
-    def fun(x: np.ndarray) -> np.ndarray:
-        p = ParameterPoint.from_array(x, lam_fixed=None if three_param else 0.0)
-        return model.data_map(p, three_param)
-
-    for x in pts:
-        jac = _fd_jacobian(fun, x, rel_step=rel_step)
-        det = np.linalg.det(jac)
-        if not np.isfinite(det) or det == 0:
-            raise InversionError(f"singular data-map Jacobian at {x}")
-        c_star = min(c_star, abs(det))
-        big_c = max(big_c, float(np.linalg.norm(np.linalg.inv(jac), 2)))
-    return {"c_star": float(c_star), "C_star": big_c, "grid_n": grid_n,
-            "rel_step": rel_step}
+    if three_param and model.lam_kind != "gap_over_mass":
+        raise InversionError(f"singular data-map Jacobian: a {model.lam_kind} "
+                             "damping scale does not separate M from Lambda")
+    (m_lo, m_hi), a = box[0], box[1][0]
+    lam_lo, lam_hi = box[2] if three_param else (0.0, 0.0)
+    ParameterPoint(m=m_lo, a=a, lam=lam_lo)  # M_lo > 0 and Lambda_lo >= 0
+    jacs = [model.jacobian(ParameterPoint(m=m, a=a, lam=lam_hi), three_param)
+            for m in ((m_hi, m_lo) if three_param else (m_hi,))]
+    return {"c_star": float(abs(np.linalg.det(jacs[0]))),
+            "C_star": max(float(np.linalg.norm(np.linalg.inv(j), 2)) for j in jacs)}
 
 
 def _check_eps_flags(eps_plus: float, eps_minus: float,
                      z_plus: complex, z_minus: complex) -> bool:
-    return (eps_plus <= min(0.125, abs(z_plus) / 20.0)
-            and eps_minus <= min(0.125, abs(z_minus) / 20.0))
+    return bool(eps_plus <= min(0.125, abs(z_plus) / 20.0)
+                and eps_minus <= min(0.125, abs(z_minus) / 20.0))
 
 
 def bias_bound_2p(eps_plus: float, eps_minus: float, z_plus: complex,

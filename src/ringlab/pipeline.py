@@ -143,7 +143,11 @@ def _run_sector(sign: int, cfg: ScenarioConfig, scn: Scenario) -> SectorResult:
     ref_mode = sm.Mode(freq=omega_true, amp=amp_ref)
     result = ex.extract(y, ecfg, y0_reference=[ref_mode], method="trapezoid")
 
-    budget = ex.epsilon_budget(amp_ref, omega_true, tail, scn.noise_l2, setup)
+    known_l2 = scn.noise_l2  # plus the contaminants, known exactly (triangle inequality)
+    if len(modes) > 1:
+        known_l2 += sm.residual_l2(
+            sm.sample_scene(modes[1:], sm.ZERO_TAIL, sm.ZERO_NOISE, setup), setup)
+    budget = ex.epsilon_budget(amp_ref, omega_true, tail, known_l2, setup)
     z_true = np.exp(-1j * omega_true * setup.delta)
     return SectorResult(sign=sign, omega_true=omega_true, z_true=z_true,
                         amp_ref=amp_ref, result=result, eps_budget=budget)
@@ -167,8 +171,8 @@ def _sector_ledger(sec: SectorResult) -> dict:
 
 
 def _sector_checks(led: dict, win: dict) -> list:
-    """The sector's certified inequalities.  ``epsilon_budget`` bounds the
-    tail and the noise only, not an fd window's stencil error, so
+    """The sector's certified inequalities.  The eps budget bounds the tail,
+    the noise and the contaminants, not an fd window's stencil error, so
     budget_soundness has a hypothesis that fails on the fd path."""
     hyp = led["hyp_eps_small"]
     fd_window = win["enabled"] and win["path"] == "fd"
@@ -207,29 +211,11 @@ def _failed(report: RunReport, row: dict, prefix: str, exc: RinglabError) -> Run
     return report
 
 
-def _inverse_constants(cfg: ScenarioConfig, model: pm.LatticeModel, box: list,
-                       three: bool, memo: dict) -> dict:
-    """``pm.inverse_constants``, kept in ``memo`` under everything it reads.
-
-    The constants depend on the lattice functions and the box only, not on
-    ell, the window, the noise or the observation grid.  A failure is not
-    stored, so every point that hits it reports it.
-    """
-    lat, grid_n = cfg["lattice"], cfg["inversion"]["grid_n"]
-    key = (lat["kappa"], lat["damping"]["kind"], lat["damping"]["value"],
-           tuple(box), grid_n, three)
-    if key not in memo:
-        memo[key] = pm.inverse_constants(model, box, grid_n=grid_n, three_param=three)
-    return memo[key]
-
-
 def run_pipeline(cfg: ScenarioConfig, scenario_id: int = 0,
-                 report: Optional[RunReport] = None,
-                 constants: Optional[dict] = None) -> RunReport:
+                 report: Optional[RunReport] = None) -> RunReport:
     """End-to-end scenario: generate -> window -> extract -> invert -> bias ledger.
 
-    Rows and violations go to ``report`` (a new one if None).  Calls that
-    share a ``constants`` dict compute each set of inverse constants once.
+    Rows and violations go to ``report`` (a new one if None).
     """
     if report is None:
         report = RunReport(metadata={"subcommand": "pipeline",
@@ -283,8 +269,7 @@ def run_pipeline(cfg: ScenarioConfig, scenario_id: int = 0,
     target = {k: est[k] for k in keys}
     try:
         inv = pm.invert_data(model, target, guess, box=box)
-        consts = _inverse_constants(cfg, model, box, three,
-                                    {} if constants is None else constants)
+        consts = pm.inverse_constants(model, box, three_param=three)
     except RinglabError as exc:
         return _failed(report, row, f"{label}: ", exc)
 
@@ -327,16 +312,15 @@ def run_pipeline(cfg: ScenarioConfig, scenario_id: int = 0,
 # ---------------------------------------------------------------------------
 
 def run_sweep(cfg: ScenarioConfig) -> RunReport:
-    """One pipeline scenario per sweep value, in order, sharing inverse constants."""
+    """One pipeline scenario per sweep value, in order."""
     axis = cfg["sweep"]["axis"]
     values = cfg["sweep"]["values"]
     if axis is None or not values:
         raise ConfigError("sweep requires an axis and a nonempty value list")
     report = RunReport(metadata={"subcommand": "sweep", "axis": axis, **_REPORT_TOLERANCES})
-    constants: dict = {}
     for i, value in enumerate(values):
         start = len(report.rows)
-        run_pipeline(cfg.point(value), scenario_id=i, report=report, constants=constants)
+        run_pipeline(cfg.point(value), scenario_id=i, report=report)
         for row in report.rows[start:]:
             row["sweep_axis"] = axis
             row["sweep_value"] = float(value)

@@ -14,6 +14,48 @@ def lattice_3p(ell=100):
     return pm.default_lattice(kappa=0.3, lam_kind="gap_over_mass", ell=ell)
 
 
+KINDS = ("photon_sphere", "gap_over_mass", "constant")
+
+
+def fd_jacobian(model, p, three, rel_step=1e-6):
+    """Central differences of the data map: the oracle for the analytic Jacobian."""
+    x = p.as_array(three)
+    cols = []
+    for j in range(len(x)):
+        h = rel_step * max(1.0, abs(x[j]))
+        xp, xm = x.copy(), x.copy()
+        xp[j] += h
+        xm[j] -= h
+        g = [model.data_map(pm.ParameterPoint.from_array(y, lam_fixed=p.lam), three)
+             for y in (xp, xm)]
+        cols.append((g[0] - g[1]) / (2.0 * h))
+    return np.stack(cols, axis=1)
+
+
+def grid_extrema(model, box, three, n=201):
+    """max ||J^-1||_2 and min |det J| of the analytic Jacobian on an n x n
+    (M, Lambda) grid; J does not depend on a.  In 2p the Lambda axis runs
+    from 0 to the box's Lambda_hi, since the 2p constants claim every
+    Lambda >= 0."""
+    lam_lo, lam_hi = box[2]
+    lams = np.linspace(lam_lo if three else 0.0, lam_hi, n)
+    jacs = np.array([model.jacobian(pm.ParameterPoint(m=m, a=box[1][0], lam=lam), three)
+                     for m in np.linspace(*box[0], n) for lam in lams])
+    return (np.linalg.norm(np.linalg.inv(jacs), 2, axis=(1, 2)).max(),
+            np.abs(np.linalg.det(jacs)).min())
+
+
+def random_box(rng):
+    """A subextremal (M, a, Lambda) box: 9 Lambda_hi M_hi^2 <= 0.95.  M_lo is
+    log-uniform, so that small-mass boxes, where ||J^-1|| peaks at M_lo, are
+    drawn as often as large-mass ones, where it peaks at M_hi."""
+    m_lo = np.exp(rng.uniform(np.log(0.02), np.log(3.0)))
+    m_hi = m_lo * rng.uniform(1.01, 2.0)
+    lam_hi = rng.uniform(0.01, 0.95) / (9.0 * m_hi**2)
+    a_lo = rng.uniform(-0.3, 0.3)
+    return [(m_lo, m_hi), (a_lo, a_lo + 0.1), (lam_hi * rng.uniform(0.0, 0.9), lam_hi)]
+
+
 class TestPhotonSphere:
     def test_schwarzschild_limit(self):
         assert abs(pm.photon_sphere_frequency(1.0, 0.0)
@@ -101,6 +143,21 @@ class TestEstimatedData:
         assert abs(abs(est["W"] - tru["W"]) - 0.04) < 1e-15
 
 
+class TestJacobian:
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("three", [False, True])
+    def test_matches_central_differences(self, rng, kind, three):
+        model = pm.default_lattice(kappa=rng.uniform(0.1, 2.0), lam_kind=kind)
+        for _ in range(20):
+            m = rng.uniform(0.5, 1.5)
+            p = pm.ParameterPoint(m=m, a=rng.uniform(-0.3, 0.3),
+                                  lam=rng.uniform(0.0, 0.5) / (9.0 * m**2))
+            jac = model.jacobian(p, three)
+            assert jac.shape == (len(p.as_array(three)),) * 2
+            err = np.abs(jac - fd_jacobian(model, p, three)).max()
+            assert err <= 1e-7 * np.abs(jac).max()
+
+
 class TestInvertData:
     def test_fixed_point(self):
         model = lattice_2p()
@@ -151,15 +208,48 @@ class TestInvertData:
 
 
 class TestInverseConstants:
-    def test_affine_map_exact(self):
-        mat = np.array([[2.0, 0.3], [0.1, 1.5]])
-        model = pm.LatticeModel(
-            u_fn=lambda q: mat[0, 0] * q.m + mat[0, 1] * q.a,
-            v_fn=lambda q: mat[1, 0] * q.m + mat[1, 1] * q.a,
-            lam_fn=lambda q: 1.0)
-        out = pm.inverse_constants(model, [(0.9, 1.1), (0.0, 0.1)], grid_n=3)
-        assert abs(out["C_star"] - np.linalg.norm(np.linalg.inv(mat), 2)) < 1e-6
-        assert abs(out["c_star"] - abs(np.linalg.det(mat))) < 1e-6
+    @pytest.mark.parametrize("three", [False, True])
+    def test_demo_boxes_match_dense_grid(self, three):
+        # the demo configs' (M, Lambda) boxes; the 2p grid's Lambda axis is [0, 0.03]
+        box = [(0.9, 1.1), (0.02, 0.15), (0.01, 0.03)]
+        model = pm.default_lattice(kappa=0.3, lam_kind="gap_over_mass" if three else "constant")
+        out = pm.inverse_constants(model, box if three else box[:2])
+        big_c, small_c = grid_extrema(model, box, three)
+        assert big_c <= out["C_star"] <= big_c * (1 + 1e-12)
+        assert out["c_star"] <= small_c
+        if three:  # C*: what finite-difference grids of 2 to 41 points gave
+            assert abs(out["C_star"] - 15.52539331) < 1e-8
+            assert abs(out["c_star"] - 0.3 * np.sqrt(3 * (1 - 0.27 * 1.21)) / 2.2) < 1e-15
+        else:
+            assert abs(out["C_star"] / (3 * np.sqrt(3) * 1.21) - 1) < 1e-15
+            assert abs(out["c_star"] * (3 * np.sqrt(3) * 1.21) / 0.3 - 1) < 1e-15
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_boxes_match_dense_grid(self, seed):
+        # one subextremal box per seed, 3p (gap_over_mass) on even seeds and
+        # 2p with a random damping kind on odd ones; kappa is log-uniform on
+        # [0.05, 3], so that 1/kappa dominates on some boxes
+        rng = np.random.default_rng(seed)
+        box = random_box(rng)
+        three = seed % 2 == 0
+        kind = "gap_over_mass" if three else str(rng.choice(KINDS))
+        model = pm.default_lattice(kappa=np.exp(rng.uniform(np.log(0.05), np.log(3.0))),
+                                   lam_kind=kind)
+        out = pm.inverse_constants(model, box if three else box[:2])
+        big_c, small_c = grid_extrema(model, box, three)
+        assert big_c <= out["C_star"] <= big_c * (1 + 1e-12)
+        assert out["c_star"] <= small_c
+
+    @pytest.mark.parametrize("kind", ["photon_sphere", "constant"])
+    def test_singular_three_param_kinds_raise(self, kind):
+        model = pm.default_lattice(kappa=0.3, lam_kind=kind)
+        box = [(0.9, 1.1), (0.02, 0.15), (0.01, 0.03)]
+        with pytest.raises(InversionError):
+            pm.inverse_constants(model, box)
+        p = pm.ParameterPoint(m=1.0, a=0.08, lam=0.02)
+        data = {"U": model.u_fn(p), "V": model.v_fn(p), "W": model.lam_fn(p) + 1e-4}
+        with pytest.raises(InversionError):
+            pm.invert_data(model, data, pm.ParameterPoint(m=1.01, a=0.081, lam=0.021))
 
     def test_default_lattice_finite(self):
         out = pm.inverse_constants(lattice_2p(), [(0.9, 1.1), (0.02, 0.12)])
@@ -168,8 +258,8 @@ class TestInverseConstants:
 
     def test_shrinking_box_monotone(self):
         model = lattice_2p()
-        big = pm.inverse_constants(model, [(0.85, 1.15), (0.02, 0.14)], grid_n=7)
-        small = pm.inverse_constants(model, [(0.95, 1.05), (0.05, 0.11)], grid_n=7)
+        big = pm.inverse_constants(model, [(0.85, 1.15), (0.02, 0.14)])
+        small = pm.inverse_constants(model, [(0.95, 1.05), (0.05, 0.11)])
         assert small["C_star"] <= big["C_star"] * (1 + 1e-9)
 
 
@@ -216,7 +306,7 @@ class TestCertifiedBias:
         # stay within C* times the data-map perturbation
         model = lattice_2p()
         box = [(0.9, 1.1), (0.02, 0.14)]
-        consts = pm.inverse_constants(model, box, grid_n=5)
+        consts = pm.inverse_constants(model, box)
         for _ in range(30):
             p = pm.ParameterPoint(m=rng.uniform(0.95, 1.05),
                                   a=rng.uniform(0.04, 0.12), lam=0.02)

@@ -246,6 +246,7 @@ class TestCli:
             with_section("inversion", box={"M": [1.1, 0.9]}),
             with_section("inversion", box={"a": [0.0, float("inf")]}),
             with_section("inversion", mode="3p", box={"Lambda": [0.03, 0.03]}),
+            {"inversion": {"grid_n": 5}},  # removed key: the constants are closed-form
         ]
         paths = [write_cfg(tmp_path, doc, f"cfg{i}.yaml") for i, doc in enumerate(docs)]
         truncated = tmp_path / "truncated.yaml"
@@ -258,6 +259,28 @@ class TestCli:
                              str(tmp_path / "o")]) == 2, path
             err = capsys.readouterr().err.splitlines()
             assert len(err) == 1 and err[0].startswith("configuration error: "), err
+
+    def test_flags_are_true_false(self, tmp_path):
+        # every flag, the bias hypotheses included, is spelled true/false in
+        # report.csv and is a JSON boolean in report.json
+        out = tmp_path / "o"
+        assert cli.main(["pipeline", "--config", str(DEMO_DIR / "canonical.yaml"),
+                         "--out", str(out)]) == 0
+        cells = (out / "report.csv").read_text().replace("\n", ",").split(",")
+        assert "true" in cells and not {"True", "False"} & set(cells)
+        row = json.loads((out / "report.json").read_text())["rows"][0]
+        assert row["hyp_bias"] is True and row["hyp_bias_budget"] is True
+
+    @pytest.mark.parametrize("sub", ["pipeline", "extract"])
+    def test_contaminant_within_budget_exit_0(self, tmp_path, sub):
+        # a known contaminant mode is part of the eps budget, so the budget
+        # still bounds eps on an unwindowed scene
+        cfg = write_cfg(tmp_path, {"modes": {"contaminants": [{"j": 1, "amp": [0.1, 0.0]}]}})
+        out = tmp_path / "o"
+        assert cli.main([sub, "--config", cfg, "--out", str(out)]) == 0
+        row = json.loads((out / "report.json").read_text())["rows"][0]
+        tag = "_plus" if sub == "pipeline" else ""
+        assert 0.0 < row["eps" + tag] <= row["eps_budget" + tag]
 
     def test_subcommands_call_module_drivers(self, monkeypatch):
         # the table must not hold the functions themselves: wrapping or
