@@ -32,8 +32,7 @@ eps = {}
 for sign, w in ((+1, w_plus), (-1, w_minus)):
     mode = sm.Mode(freq=w, amp=1.0)
     y = sm.sample_scene([mode], tail, sm.ZERO_NOISE, setup)
-    res = ex.extract(y, ex.ExtractionConfig(setup=setup, prior=w),
-                     y0_reference=[mode], method="trapezoid")
+    res = ex.extract(y, ex.ExtractionConfig(setup=setup, prior=w), y0_reference=[mode])
     omega_hat[sign] = res.omega_hat
     eps[sign] = res.eps
     print(f"  sector {sign:+d}: eps = {res.eps:.4e}, "

@@ -129,10 +129,10 @@ def modified_window(nodes: PseudopoleSet, target: Optional[int] = None,
     bounded on compact sets when the nodes scale to high frequency.
     """
     n = len(nodes) - 1
-    if target is None:
-        target = n
-    if m0 is None:
-        m0 = n + 2
+    target = n if target is None else target
+    m0 = n + 2 if m0 is None else m0
+    if not 0 <= target <= n:
+        raise ConfigError("target index out of range")
     zt = nodes.nodes[target]
     if zt == 0:
         raise ConfigError("target node at omega = 0: normalizer vanishes")

@@ -97,17 +97,24 @@ _SWEEP_LEAVES = {
 _RANGE = (lambda v: v is None or (isinstance(v, list) and len(v) == 2
                                   and all(_real(x) for x in v) and v[0] < v[1]),
           "a [lo, hi] pair with lo < hi")
+_DISTINCT = (lambda v: 0 < len(v) == len(set(v)), "a nonempty list of distinct values")
 
 #: leaves whose values a driver needs in a shape or range their type does
 #: not give: key path -> (test, what the leaf must be)
 _LIMITS = {
+    ("modes", "contaminants"): (
+        lambda v: all(c["j"] >= 0 and abs(resolve(c["sign"], 1, "modes.contaminants.sign")) == 1
+                      for c in v), "a list of items with j >= 0 and sign null, 1 or -1"),
     ("noise", "harmonics"): (lambda v: all(len(h) == 3 for h in v),
                              "a list of [c, mu, phi] items"),
     ("window", "prior_offset"): (lambda v: len(v) == 2, "a [dM, da] pair"),
+    ("window", "stencil_order"): (lambda v: v >= 2 and v % 2 == 0, "an even integer >= 2"),
     ("prony", "samples"): (lambda v: len(v) in (0, 4), "empty or four samples"),
-    ("prony", "amps"): (lambda v: len(v) in (0, 2), "empty or two amplitudes"),
-    ("prony", "nodes"): (lambda v: len(v) in (0, 2), "empty or two nodes"),
-    ("pseudospectrum", "poles"): (lambda v: len(v) > 0, "a nonempty list"),
+    ("prony", "amps"): (lambda v: len(v) in (0, 2) and 0 not in v,
+                        "empty or two nonzero amplitudes"),
+    ("prony", "nodes"): (lambda v: not v or len(v) == len(set(v)) == 2,
+                         "empty or two distinct nodes"),
+    ("pseudospectrum", "poles"): _DISTINCT, ("window_check", "nodes"): _DISTINCT,
     ("pseudospectrum", "eps"): (lambda v: all(e > 0 for e in v), "a list of positive reals"),
     ("pseudospectrum", "grid_n"): (lambda v: v >= 2, "at least 2"),
     ("band_isolate", "max_order"): (lambda v: v >= 1, "at least 1"),
@@ -224,6 +231,11 @@ class ScenarioConfig:
         overtone = data["lattice"]["overtone"]
         if resolve(data["window"]["n"], overtone, "window.n") != overtone:
             raise ConfigError("window.n must equal lattice.overtone, the window's target")
+        check, pseudo = data["window_check"], data["pseudospectrum"]
+        if not 0 <= resolve(check["target"], 0, "window_check.target") < len(check["nodes"]):
+            raise ConfigError("window_check.target must index window_check.nodes")
+        if pseudo["hol_bound"] * max(pseudo["eps"], default=0.0) >= 1.0:
+            raise ConfigError("pseudospectrum.hol_bound * max(eps) must be below 1")
 
     def point(self, value) -> "ScenarioConfig":
         """This scenario at one value of its sweep axis, checked like the base."""

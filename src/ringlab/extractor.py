@@ -5,12 +5,11 @@ a frequency prior -> omega_hat, together with the relative residual sizes
 eps0, eps1 and the explicit stability constants that bound |z_hat - z| and
 |omega_hat - omega|.
 
-All certified inequalities are exact statements about an inner product
-space.  Two such spaces are available: the continuum weighted L2 (closed
-form for exponential scenes, the oracle path) and the discrete trapezoid-
-weighted product on the sampling grid.  Because the shift step is an exact
-multiple of dt, a pure mode is an exact shift eigenvector in both, so the
-bounds hold without quadrature caveats in either path.
+All certified inequalities are exact statements about one inner product
+space: the discrete trapezoid-weighted product on the sampling grid, in
+which z_hat and the residual sizes eps0, eps1 are all measured.  Because
+the shift step is an exact multiple of dt, a pure mode is an exact shift
+eigenvector of that product, so the bounds hold without quadrature caveats.
 """
 from __future__ import annotations
 
@@ -58,29 +57,28 @@ class ExtractionResult:
     hypotheses_ok: HypothesisFlags = field(default_factory=HypothesisFlags)
 
 
-def rayleigh_quotient(y: SampledSignal, setup: ObservationSetup,
-                      method: str = "auto") -> complex:
+def rayleigh_quotient(y: SampledSignal, setup: ObservationSetup) -> complex:
     """Shift Rayleigh quotient <S_delta y, y>_w / <y, y>_w."""
-    num = weighted_inner(shift(y, setup.delta), y, setup, method=method)
-    den = weighted_inner(y, y, setup, method=method)
+    num = weighted_inner(shift(y, setup.delta), y, setup)
+    den = weighted_inner(y, y, setup)
     if not np.isfinite(den.real) or den.real <= 0.0:
         raise DegenerateSignalError("zero weighted energy: Rayleigh quotient undefined")
     return num / den
 
 
 def residual_sizes(y0_modes: Sequence[Mode], r: SampledSignal,
-                   setup: ObservationSetup, method: str = "auto") -> dict:
+                   setup: ObservationSetup) -> dict:
     """Relative residual sizes eps0 = ||r||_w/||y0||_w, eps1 with r shifted.
 
     y0_modes is the reference pure-exponential content; r is the residual
-    signal on the same grid.  method selects the inner-product path.
+    signal on the same grid.
     """
     y0 = sample_scene(y0_modes, ZERO_TAIL, ZERO_NOISE, setup)
-    n0 = wnorm(y0, setup, method=method)
+    n0 = wnorm(y0, setup)
     if n0 <= 0.0:
         raise DegenerateSignalError("reference mode has zero weighted energy")
-    eps0 = wnorm(r, setup, method=method) / n0
-    eps1 = wnorm(shift(r, setup.delta), setup, method=method) / n0
+    eps0 = wnorm(r, setup) / n0
+    eps1 = wnorm(shift(r, setup.delta), setup) / n0
     return {"eps0": eps0, "eps1": eps1, "eps": max(eps0, eps1)}
 
 
@@ -123,8 +121,7 @@ def branch_log(z_hat: complex, prior: complex, delta: float) -> complex:
 
 
 def extract(y: SampledSignal, cfg: ExtractionConfig,
-            y0_reference: Optional[Sequence[Mode]] = None,
-            method: str = "auto") -> ExtractionResult:
+            y0_reference: Optional[Sequence[Mode]] = None) -> ExtractionResult:
     """Run the extraction chain; certify bounds when a reference is supplied.
 
     With y0_reference (the known synthetic mode content, a single mode for
@@ -135,7 +132,7 @@ def extract(y: SampledSignal, cfg: ExtractionConfig,
     hypotheses at the true z).
     """
     setup = cfg.setup
-    z_hat = rayleigh_quotient(y, setup, method=method)
+    z_hat = rayleigh_quotient(y, setup)
     omega_hat = branch_log(z_hat, cfg.prior, setup.delta)
     result = ExtractionResult(z_hat=z_hat, omega_hat=omega_hat)
     z_sharp = np.exp(-1j * cfg.prior * setup.delta)
@@ -151,7 +148,7 @@ def extract(y: SampledSignal, cfg: ExtractionConfig,
         y0 = sample_scene(modes, ZERO_TAIL, ZERO_NOISE, setup)
         r_vals = y.values - y0.values
         r = SampledSignal(t_start=y.t_start, dt=y.dt, values=r_vals)
-        sizes = residual_sizes(modes, r, setup, method=method)
+        sizes = residual_sizes(modes, r, setup)
         result.eps0, result.eps1 = sizes["eps0"], sizes["eps1"]
         result.eps = sizes["eps"]
         z = np.exp(-1j * mode.freq * setup.delta)

@@ -28,7 +28,7 @@ from . import paramap as pm
 from . import prony2 as p2
 from . import signal_model as sm
 from .config import ScenarioConfig, resolve
-from .errors import ConfigError, RinglabError
+from .errors import ConfigError, RinglabError, StructureError
 from .report import RunReport
 
 
@@ -105,7 +105,7 @@ def _run_sector(sign: int, cfg: ScenarioConfig, scn: Scenario) -> SectorResult:
     amp = cfg["modes"]["amp_plus" if sign > 0 else "amp_minus"]
     modes = [sm.Mode(freq=omega_true, amp=amp)]
     for cont in cfg["modes"]["contaminants"]:
-        if resolve(cont["sign"], sign, "modes.contaminants.sign") != sign:
+        if cont["sign"] not in (None, sign):
             continue
         modes.append(sm.Mode(freq=pm.pseudopole(model, cont["j"], sign, p_true) + pole_offset,
                              amp=cont["amp"]))
@@ -141,7 +141,7 @@ def _run_sector(sign: int, cfg: ScenarioConfig, scn: Scenario) -> SectorResult:
     ecfg = ex.ExtractionConfig(setup=setup, prior=prior,
                                amp_floor=cfg["extraction"]["amp_floor"])
     ref_mode = sm.Mode(freq=omega_true, amp=amp_ref)
-    result = ex.extract(y, ecfg, y0_reference=[ref_mode], method="trapezoid")
+    result = ex.extract(y, ecfg, y0_reference=[ref_mode])
 
     known_l2 = scn.noise_l2  # plus the contaminants, known exactly (triangle inequality)
     if len(modes) > 1:
@@ -355,7 +355,10 @@ def run_prony(cfg: ScenarioConfig) -> RunReport:
         ys = [a[0] * z[0] ** j + a[1] * z[1] ** j for j in range(4)]
     else:
         raise ConfigError("prony needs either 'samples' or 'amps' + 'nodes'")
-    res = p2.prony4(*ys)
+    try:
+        res = p2.prony4(*ys)
+    except StructureError as exc:  # every sample comes from the config
+        raise ConfigError(f"prony samples: {exc}") from None
     row = {"s1": res.s1, "s2": res.s2, "z1": res.z1, "z2": res.z2,
            "delta0": res.delta0, "confluent": res.confluent,
            "residual": res.residual}

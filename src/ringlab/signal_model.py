@@ -7,10 +7,10 @@ one exactness requirement: the shift step Delta is an integer multiple of
 the sampling step, so the time shift acts exactly on the grid and a pure
 mode is an exact eigenvector of the shift with eigenvalue exp(-i*omega*Delta).
 
-Two evaluation paths coexist on purpose.  Signals whose content is exactly
-a sum of pure exponentials carry that mode list as a tag, and weighted
-inner products of tagged signals are computed in closed form (the oracle
-path).  Untagged signals fall back to trapezoid quadrature on the grid.
+Weighted inner products are trapezoid sums on the sampling grid, the one
+path.  The raised-cosine weight has zero slope at its grid-node breakpoints,
+so the sums meet the continuum integral at order dt^4 (Trefethen & Weideman,
+SIAM Rev. 56, 2014); the tests hold the closed-form integral as the oracle.
 """
 from __future__ import annotations
 
@@ -199,16 +199,11 @@ class ObservationSetup:
 
 @dataclass(frozen=True)
 class SampledSignal:
-    """Complex samples on a uniform grid t_start + k*dt.
-
-    ``modes`` is an optional exactness tag: when set, the samples are the
-    pointwise values of that mode sum, enabling closed-form inner products.
-    """
+    """Complex samples on a uniform grid t_start + k*dt."""
 
     t_start: float
     dt: float
     values: np.ndarray
-    modes: Optional[tuple] = None
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=complex)
@@ -223,35 +218,6 @@ class SampledSignal:
 
     def __len__(self) -> int:
         return len(self.values)
-
-
-def scene_modes(modes: Sequence[Mode], tail: TailSpec = ZERO_TAIL,
-                noise: NoiseSpec = ZERO_NOISE) -> Optional[tuple]:
-    """Exact mode-sum representation of a scene, or None.
-
-    A scene is exactly a sum of pure exponentials when every mode has
-    poly_degree 0, the tail has no polynomial factor (m == 0), and the
-    noise is a harmonic sum.  The tail maps to modes with freq = -i*nu
-    (and freq = 0 for the leak floor); each harmonic c*cos(mu t + phi)
-    maps to amplitudes (c/2) e^{+-i phi} at freq = -+mu.
-    """
-    out = []
-    for mode in modes:
-        if mode.poly_degree != 0:
-            return None
-        out.append(mode)
-    if tail.m != 0:
-        return None
-    if tail.c_tail:
-        out.append(Mode(freq=-1j * tail.nu, amp=tail.c_tail))
-    if tail.leak:
-        out.append(Mode(freq=0.0 + 0.0j, amp=tail.leak))
-    if noise.lcg_seed is not None:
-        return None
-    for c, mu, phi in noise.harmonics:
-        out.append(Mode(freq=-mu + 0.0j, amp=0.5 * c * np.exp(1j * phi)))
-        out.append(Mode(freq=+mu + 0.0j, amp=0.5 * c * np.exp(-1j * phi)))
-    return tuple(out)
 
 
 def eval_scene(modes: Sequence[Mode], tail: TailSpec, noise: NoiseSpec, t):
@@ -271,11 +237,10 @@ def eval_scene(modes: Sequence[Mode], tail: TailSpec, noise: NoiseSpec, t):
 
 def sample_scene(modes: Sequence[Mode], tail: TailSpec, noise: NoiseSpec,
                  setup: ObservationSetup) -> SampledSignal:
-    """Sample a scene on the setup grid, tagging exact mode sums."""
+    """Sample a scene on the setup grid."""
     t = setup.grid()
     values = np.atleast_1d(eval_scene(modes, tail, noise, t))
-    return SampledSignal(t_start=setup.t0, dt=setup.dt, values=values,
-                         modes=scene_modes(modes, tail, noise))
+    return SampledSignal(t_start=setup.t0, dt=setup.dt, values=values)
 
 
 def weight_eval(setup: ObservationSetup, t):
@@ -313,89 +278,27 @@ def _slice_to_range(f: SampledSignal, t_lo: float, t_hi: float) -> np.ndarray:
     return f.values[k0i:k0i + npts]
 
 
-def _exp_integral(s: complex, a: float, b: float) -> complex:
-    """Exact integral of e^{s t} over [a, b], stable for small |s|*(b-a)."""
-    x = s * (b - a)
-    if abs(x) < 1e-4:
-        # series for (e^x - 1)/x
-        series = 1.0 + x / 2.0 + x * x / 6.0 + x * x * x / 24.0
-        return (b - a) * np.exp(s * a) * series
-    return (np.exp(s * b) - np.exp(s * a)) / s
-
-
-def _weighted_exp_integral(s: complex, setup: ObservationSetup) -> complex:
-    """Exact integral of w(t) e^{s t} over the support of w."""
-    lo = setup.t0
-    p_lo = setup.t0 + setup.delta
-    p_hi = setup.t0 + setup.t_len - 2 * setup.delta
-    hi = setup.t0 + setup.t_len - setup.delta
-    if p_hi < p_lo:  # empty plateau (t_len < 3*delta)
-        if setup.taper == "rectangular":
-            return 0.0 + 0.0j
-        raise ConfigError("closed-form raised-cosine path requires t_len >= 3*delta")
-    total = _exp_integral(s, p_lo, p_hi)
-    if setup.taper == "rectangular":
-        return total
-    om = 1j * np.pi / setup.delta
-    # left ramp: 1/2 - (1/4) e^{om (t-lo)} - (1/4) e^{-om (t-lo)}
-    total += 0.5 * _exp_integral(s, lo, p_lo)
-    total -= 0.25 * np.exp(-om * lo) * _exp_integral(s + om, lo, p_lo)
-    total -= 0.25 * np.exp(om * lo) * _exp_integral(s - om, lo, p_lo)
-    # right ramp: 1/2 + (1/4) e^{om (t-p_hi)} + (1/4) e^{-om (t-p_hi)}
-    total += 0.5 * _exp_integral(s, p_hi, hi)
-    total += 0.25 * np.exp(-om * p_hi) * _exp_integral(s + om, p_hi, hi)
-    total += 0.25 * np.exp(om * p_hi) * _exp_integral(s - om, p_hi, hi)
-    return total
-
-
-def weighted_inner_exact(modes_f: Sequence[Mode], modes_g: Sequence[Mode],
-                         setup: ObservationSetup) -> complex:
-    """Closed-form <f, g>_w for pure-exponential mode sums."""
-    total = 0.0 + 0.0j
-    for mf in modes_f:
-        if mf.poly_degree:
-            raise ConfigError("closed-form inner products require pure exponentials")
-        for mg in modes_g:
-            if mg.poly_degree:
-                raise ConfigError("closed-form inner products require pure exponentials")
-            s = -1j * mf.freq + 1j * np.conj(mg.freq)
-            total += mf.amp * np.conj(mg.amp) * _weighted_exp_integral(s, setup)
-    return total
-
-
-def weighted_inner(f: SampledSignal, g: SampledSignal, setup: ObservationSetup,
-                   method: str = "auto") -> complex:
-    """Weighted inner product <f, g>_w = integral of w f conj(g) over [t0, t0+T-delta].
-
-    method 'auto' uses the closed form when both signals are tagged as exact
-    mode sums, otherwise composite trapezoid on the shared grid; 'trapezoid'
-    and 'exact' force one path.
-    """
-    if method not in ("auto", "trapezoid", "exact"):
-        raise ConfigError(f"unknown method {method!r}")
-    if method != "trapezoid" and f.modes is not None and g.modes is not None:
-        return weighted_inner_exact(f.modes, g.modes, setup)
-    if method == "exact":
-        raise ConfigError("exact path requires both signals tagged as mode sums")
+def weighted_inner(f: SampledSignal, g: SampledSignal,
+                   setup: ObservationSetup) -> complex:
+    """Weighted inner product <f, g>_w: composite trapezoid of w f conj(g)
+    on the shared grid over [t0, t0+T-delta]."""
     if abs(f.dt - g.dt) > _GRID_RTOL * f.dt:
         raise ConfigError("signals must share the sampling step")
-    hi = setup.t0 + setup.t_len - setup.delta
+    lo, hi = setup.t0, setup.t0 + setup.t_len - setup.delta
     if setup.taper == "rectangular":
         # weight jumps exactly at grid nodes: integrate over the plateau only
-        p_lo = setup.t0 + setup.delta
-        p_hi = setup.t0 + setup.t_len - 2 * setup.delta
-        if p_hi <= p_lo:
+        lo, hi = lo + setup.delta, hi - setup.delta
+        if hi <= lo:
             return 0.0 + 0.0j
-        prod = _slice_to_range(f, p_lo, p_hi) * np.conj(_slice_to_range(g, p_lo, p_hi))
-        return complex(np.trapezoid(prod, dx=f.dt))
-    prod = _slice_to_range(f, setup.t0, hi) * np.conj(_slice_to_range(g, setup.t0, hi))
-    t = setup.t0 + f.dt * np.arange(len(prod))
-    return complex(np.trapezoid(weight_eval(setup, t) * prod, dx=f.dt))
+    prod = _slice_to_range(f, lo, hi) * np.conj(_slice_to_range(g, lo, hi))
+    if setup.taper != "rectangular":
+        prod = weight_eval(setup, lo + f.dt * np.arange(len(prod))) * prod
+    return complex(np.trapezoid(prod, dx=f.dt))
 
 
-def wnorm(f: SampledSignal, setup: ObservationSetup, method: str = "auto") -> float:
+def wnorm(f: SampledSignal, setup: ObservationSetup) -> float:
     """Weighted norm ||f||_w."""
-    val = weighted_inner(f, f, setup, method=method)
+    val = weighted_inner(f, f, setup)
     return float(np.sqrt(max(val.real, 0.0)))
 
 
@@ -407,13 +310,7 @@ def shift(f: SampledSignal, delta: float) -> SampledSignal:
         raise ConfigError("shift must be a nonnegative integer multiple of dt")
     if len(f) - ki < 4:
         raise ConfigError("shifted signal would have fewer than 4 samples")
-    shifted_modes = None
-    if f.modes is not None:
-        shifted_modes = tuple(
-            Mode(freq=m.freq, amp=m.amp * np.exp(-1j * m.freq * delta)) for m in f.modes
-        )
-    return SampledSignal(t_start=f.t_start, dt=f.dt, values=f.values[ki:],
-                         modes=shifted_modes)
+    return SampledSignal(t_start=f.t_start, dt=f.dt, values=f.values[ki:])
 
 
 def mode_energy_lower_bound(amp: complex, freq: complex,

@@ -1,16 +1,77 @@
 """Shared scene builders and oracles for the test suite.
 
-Randomized scenes are built entirely from pure exponentials (damped modes,
-exponential tails, leak floors, harmonic perturbations) so that every
-weighted inner product has a closed form and the certified inequalities
-can be checked at the continuum level with no quadrature slack.
+The library measures every weighted inner product with the trapezoid sum on
+the sampling grid.  The oracle here is the continuum one: the closed-form
+integral of w(t) e^{st} over the taper's support, which gives <f, g>_w
+exactly when f and g are sums of pure exponentials.  Randomized scenes are
+built entirely from pure exponentials (damped modes, exponential tails,
+leak floors, harmonic perturbations), so the certified inequalities can be
+checked at the continuum level with no quadrature slack, and the grid path
+can be checked against the continuum.
 """
 from __future__ import annotations
+
+from typing import Sequence
 
 import numpy as np
 import pytest
 
 from ringlab import signal_model as sm
+from ringlab.errors import ConfigError
+
+
+def _exp_integral(s: complex, a: float, b: float) -> complex:
+    """Exact integral of e^{s t} over [a, b], stable for small |s|*(b-a)."""
+    x = s * (b - a)
+    if abs(x) < 1e-4:
+        # series for (e^x - 1)/x
+        series = 1.0 + x / 2.0 + x * x / 6.0 + x * x * x / 24.0
+        return (b - a) * np.exp(s * a) * series
+    return (np.exp(s * b) - np.exp(s * a)) / s
+
+
+def _weighted_exp_integral(s: complex, setup: sm.ObservationSetup) -> complex:
+    """Exact integral of w(t) e^{s t} over the support of w."""
+    lo = setup.t0
+    p_lo = setup.t0 + setup.delta
+    p_hi = setup.t0 + setup.t_len - 2 * setup.delta
+    hi = setup.t0 + setup.t_len - setup.delta
+    if p_hi < p_lo:  # empty plateau (t_len < 3*delta)
+        if setup.taper == "rectangular":
+            return 0.0 + 0.0j
+        raise ConfigError("closed-form raised-cosine path requires t_len >= 3*delta")
+    total = _exp_integral(s, p_lo, p_hi)
+    if setup.taper == "rectangular":
+        return total
+    om = 1j * np.pi / setup.delta
+    # left ramp: 1/2 - (1/4) e^{om (t-lo)} - (1/4) e^{-om (t-lo)}
+    total += 0.5 * _exp_integral(s, lo, p_lo)
+    total -= 0.25 * np.exp(-om * lo) * _exp_integral(s + om, lo, p_lo)
+    total -= 0.25 * np.exp(om * lo) * _exp_integral(s - om, lo, p_lo)
+    # right ramp: 1/2 + (1/4) e^{om (t-p_hi)} + (1/4) e^{-om (t-p_hi)}
+    total += 0.5 * _exp_integral(s, p_hi, hi)
+    total += 0.25 * np.exp(-om * p_hi) * _exp_integral(s + om, p_hi, hi)
+    total += 0.25 * np.exp(om * p_hi) * _exp_integral(s - om, p_hi, hi)
+    return total
+
+
+def weighted_inner_exact(modes_f: Sequence[sm.Mode], modes_g: Sequence[sm.Mode],
+                         setup: sm.ObservationSetup) -> complex:
+    """Closed-form continuum <f, g>_w for pure-exponential mode sums."""
+    total = 0.0 + 0.0j
+    for mf in modes_f:
+        for mg in modes_g:
+            if mf.poly_degree or mg.poly_degree:
+                raise ConfigError("closed-form inner products require pure exponentials")
+            s = -1j * mf.freq + 1j * np.conj(mg.freq)
+            total += mf.amp * np.conj(mg.amp) * _weighted_exp_integral(s, setup)
+    return total
+
+
+def shifted(modes: Sequence[sm.Mode], delta: float) -> list:
+    """The mode list of S_delta f, (S_delta f)(t) = f(t + delta)."""
+    return [sm.Mode(freq=m.freq, amp=m.amp * np.exp(-1j * m.freq * delta))
+            for m in modes]
 
 
 def make_setup(rng: np.random.Generator) -> sm.ObservationSetup:
@@ -45,19 +106,18 @@ def scaled_scene(rng: np.random.Generator, eps_target: float):
     """One-mode scene with residual rescaled to hit a target eps exactly.
 
     Returns (mode, residual_modes, setup, eps0, eps1, eps); all quantities
-    evaluated with closed-form inner products.
+    evaluated with closed-form continuum inner products.
     """
     setup = make_setup(rng)
     mode = random_mode(rng)
     residual = random_residual_modes(rng)
-    y0_sq = sm.weighted_inner_exact([mode], [mode], setup).real
+    y0_sq = weighted_inner_exact([mode], [mode], setup).real
     if y0_sq <= 0:
         return scaled_scene(rng, eps_target)
     n0 = np.sqrt(y0_sq)
-    r_sq = sm.weighted_inner_exact(residual, residual, setup).real
-    shifted = [sm.Mode(freq=m.freq, amp=m.amp * np.exp(-1j * m.freq * setup.delta))
-               for m in residual]
-    rs_sq = sm.weighted_inner_exact(shifted, shifted, setup).real
+    r_sq = weighted_inner_exact(residual, residual, setup).real
+    r_shift = shifted(residual, setup.delta)
+    rs_sq = weighted_inner_exact(r_shift, r_shift, setup).real
     eps_now = max(np.sqrt(max(r_sq, 0.0)), np.sqrt(max(rs_sq, 0.0))) / n0
     if eps_now <= 0:
         return scaled_scene(rng, eps_target)
@@ -72,10 +132,8 @@ def rayleigh_exact(mode: sm.Mode, residual_modes: list,
                    setup: sm.ObservationSetup) -> complex:
     """Closed-form shift Rayleigh quotient of the scene y = mode + residual."""
     y = [mode] + list(residual_modes)
-    y_shift = [sm.Mode(freq=m.freq, amp=m.amp * np.exp(-1j * m.freq * setup.delta))
-               for m in y]
-    num = sm.weighted_inner_exact(y_shift, y, setup)
-    den = sm.weighted_inner_exact(y, y, setup)
+    num = weighted_inner_exact(shifted(y, setup.delta), y, setup)
+    den = weighted_inner_exact(y, y, setup)
     return num / den
 
 

@@ -9,7 +9,8 @@ import time
 import numpy as np
 import pytest
 from conftest import (fit_decay_order, make_setup, random_mode,
-                      random_residual_modes, rayleigh_exact, scaled_scene)
+                      random_residual_modes, rayleigh_exact, scaled_scene,
+                      weighted_inner_exact)
 
 from ringlab import analytic_window as aw
 from ringlab import extractor as ex
@@ -95,10 +96,8 @@ def test_criterion_03_pure_mode_exactness():
         mode = random_mode(rng)
         y = sm.sample_scene([mode], sm.ZERO_TAIL, sm.ZERO_NOISE, setup)
         z = np.exp(-1j * mode.freq * setup.delta)
-        worst_closed = max(worst_closed,
-                           abs(ex.rayleigh_quotient(y, setup, "exact") - z))
-        worst_trap = max(worst_trap,
-                         abs(ex.rayleigh_quotient(y, setup, "trapezoid") - z))
+        worst_closed = max(worst_closed, abs(rayleigh_exact(mode, [], setup) - z))
+        worst_trap = max(worst_trap, abs(ex.rayleigh_quotient(y, setup) - z))
     # The shift acts exactly on the grid, so the trapezoid-path quotient is
     # exact on pure modes too (<= C dt^2 trivially).  The dt^2 convergence
     # of the trapezoid path is measured on its underlying quadrature: the
@@ -111,8 +110,8 @@ def test_criterion_03_pure_mode_exactness():
         setup = sm.ObservationSetup(t0=1.0, t_len=10.0, delta=1.0, dt=dt,
                                     taper="rectangular")
         y = sm.sample_scene([mode], sm.ZERO_TAIL, sm.ZERO_NOISE, setup)
-        exact = sm.weighted_inner(y, y, setup, method="exact")
-        trap = sm.weighted_inner(y, y, setup, method="trapezoid")
+        exact = weighted_inner_exact([mode], [mode], setup)
+        trap = sm.weighted_inner(y, y, setup)
         errs.append(abs(trap - exact))
     order = np.polyfit(np.log(dts), np.log(errs), 1)[0]
     ok = worst_closed <= 1e-10 and worst_trap <= 1e-10 and abs(order - 2.0) <= 0.3
@@ -350,7 +349,7 @@ def _trend_scene(ell, seed):
         noise = sm.NoiseSpec(harmonics=((2e-3, w.real + detune, 0.7),))
         y = sm.sample_scene([mode], sm.ZERO_TAIL, noise, setup)
         cfg = ex.ExtractionConfig(setup=setup, prior=w)
-        res = ex.extract(y, cfg, y0_reference=[mode], method="trapezoid")
+        res = ex.extract(y, cfg, y0_reference=[mode])
         omega_hat[sign] = res.omega_hat
     est = pm.observables(omega_hat[1], omega_hat[-1], ell, 0)
     guess = pm.ParameterPoint(m=p.m * 1.005, a=p.a * 1.005, lam=0.02)
@@ -390,8 +389,7 @@ def test_criterion_12_tail_start_time_law():
             setup = sm.ObservationSetup(t0=float(t0), t_len=10.0, delta=1.0,
                                         dt=0.01)
             r = sm.sample_scene([], tail, sm.ZERO_NOISE, setup)
-            sizes = ex.residual_sizes([sm.Mode(freq=mode_freq, amp=1.0)], r,
-                                      setup, method="trapezoid")
+            sizes = ex.residual_sizes([sm.Mode(freq=mode_freq, amp=1.0)], r, setup)
             eps_vals.append(sizes["eps"])
         # compensate the known polynomial factor to expose the exponent
         comp = np.log(eps_vals) + m_use * np.log(1.0 + t0s)

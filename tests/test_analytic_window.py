@@ -66,6 +66,12 @@ class TestModifiedWindow:
         with pytest.raises(ConfigError):
             aw.modified_window(nodes, target=0, m0=2)
 
+    @pytest.mark.parametrize("target", [-1, 2, 5])
+    def test_target_out_of_range_rejected(self, target):
+        nodes = aw.PseudopoleSet((2.0 - 0.1j, 2.0 - 0.3j))
+        with pytest.raises(ConfigError, match="target index out of range"):
+            aw.modified_window(nodes, target=target)
+
     def test_m0_zero_of_correct_order(self):
         nodes = aw.PseudopoleSet((3 - 0.2j, 3 - 0.6j))
         m0 = 3

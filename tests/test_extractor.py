@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import rayleigh_exact, scaled_scene
+from conftest import rayleigh_exact, scaled_scene, weighted_inner_exact
 
 from ringlab import extractor as ex
 from ringlab import signal_model as sm
@@ -18,10 +18,8 @@ class TestRayleighQuotient:
     def test_pure_mode_closed_form_exact(self):
         setup = std_setup()
         omega = 1 - 0.1j
-        y = sm.sample_scene([sm.Mode(freq=omega, amp=1.0)], sm.ZERO_TAIL,
-                            sm.ZERO_NOISE, setup)
         z = np.exp(-1j * omega * setup.delta)
-        assert abs(ex.rayleigh_quotient(y, setup) - z) < 1e-14
+        assert abs(rayleigh_exact(sm.Mode(freq=omega, amp=1.0), [], setup) - z) < 1e-14
 
     def test_constant_signal(self):
         setup = std_setup()
@@ -37,7 +35,7 @@ class TestRayleighQuotient:
         y = sm.sample_scene([sm.Mode(freq=omega, amp=0.7)], sm.ZERO_TAIL,
                             sm.ZERO_NOISE, setup)
         z = np.exp(-1j * omega * setup.delta)
-        got = ex.rayleigh_quotient(y, setup, method="trapezoid")
+        got = ex.rayleigh_quotient(y, setup)
         assert abs(got - z) < 1e-13
 
     def test_tail_scene_within_crude_bound(self):
@@ -77,9 +75,9 @@ class TestResidualSizes:
         mode = sm.Mode(freq=1 - 0.1j, amp=1.0)
         tail = sm.TailSpec(c_tail=0.05, nu=0.5)
         r = sm.sample_scene([], tail, sm.ZERO_NOISE, setup)
-        sizes = ex.residual_sizes([mode], r, setup, method="trapezoid")
+        sizes = ex.residual_sizes([mode], r, setup)
         y0 = sm.sample_scene([mode], sm.ZERO_TAIL, sm.ZERO_NOISE, setup)
-        bound = sm.residual_l2(r, setup) / sm.wnorm(y0, setup, method="trapezoid")
+        bound = sm.residual_l2(r, setup) / sm.wnorm(y0, setup)
         assert sizes["eps1"] <= bound * (1 + 1e-12)
 
     def test_zero_reference_rejected(self):
@@ -229,7 +227,7 @@ class TestEpsilonBudget:
                                nu=rng.uniform(0.3, 1.0), m=int(rng.integers(0, 3)))
             setup = std_setup(t0=float(rng.uniform(1, 4)))
             r = sm.sample_scene([], tail, sm.ZERO_NOISE, setup)
-            sizes = ex.residual_sizes([mode], r, setup, method="trapezoid")
+            sizes = ex.residual_sizes([mode], r, setup)
             b = ex.epsilon_budget(mode.amp, mode.freq, tail, 0.0, setup)
             assert sizes["eps"] <= b["eps_bound"]
 
@@ -277,8 +275,8 @@ class TestCertifiedInequalities:
             mode, residual, setup, eps0, _, _ = scaled_scene(
                 rng, float(rng.uniform(0.0, 0.24)))
             y = [mode] + residual
-            den = sm.weighted_inner_exact(y, y, setup).real
-            n0_sq = sm.weighted_inner_exact([mode], [mode], setup).real
+            den = weighted_inner_exact(y, y, setup).real
+            n0_sq = weighted_inner_exact([mode], [mode], setup).real
             assert den >= (1 - 2 * eps0) * n0_sq * (1 - 1e-12)
 
     def test_rayleigh_stability_bounds(self, rng):

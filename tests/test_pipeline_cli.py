@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -31,6 +32,10 @@ DEMO_CONFIGS = {
     "windowed_overtone": "pipeline",
 }
 DEMO_DIR = Path(__file__).resolve().parents[1] / "demos" / "configs"
+#: demo config -> output file -> sha256 of its bytes.  A change that alters
+#: a report on purpose regenerates this file and says which output changed.
+DEMO_DIGESTS = json.loads(
+    (Path(__file__).with_name("demo_report_digests.json")).read_text(encoding="utf-8"))
 
 
 def with_section(section, **leaves):
@@ -247,15 +252,28 @@ class TestCli:
             with_section("inversion", box={"a": [0.0, float("inf")]}),
             with_section("inversion", mode="3p", box={"Lambda": [0.03, 0.03]}),
             {"inversion": {"grid_n": 5}},  # removed key: the constants are closed-form
+            with_section("window", enabled=True, path="fd", stencil_order=3),
+            {"modes": {"contaminants": [{"j": -1, "amp": [0.1, 0.0]}]}},
+            {"modes": {"contaminants": [{"j": 1, "sign": 2, "amp": [0.1, 0.0]}]}},
+            {"window_check": {"target": 5}},
+            {"pseudospectrum": {"poles": [[0.0, -1.0], [0.0, -1.0]]}},
+            {"pseudospectrum": {"hol_bound": 100.0}},
+            {"prony": {"amps": [[1, 0], [1, 0]], "nodes": [[0.5, 0], [0.5, 0]]}},
+            {"prony": {"amps": [[0, 0], [1, 0]], "nodes": [[0.5, 0], [0.7, 0]]}},
         ]
-        paths = [write_cfg(tmp_path, doc, f"cfg{i}.yaml") for i, doc in enumerate(docs)]
+        runs = [("pipeline", write_cfg(tmp_path, doc, f"cfg{i}.yaml"))
+                for i, doc in enumerate(docs)]
         truncated = tmp_path / "truncated.yaml"
         truncated.write_text("lattice: {M: [1")
         undecodable = tmp_path / "undecodable.yaml"
         undecodable.write_bytes(b"lattice: {M: \xff}\n")
-        paths += [str(truncated), str(undecodable), str(tmp_path)]  # last: a directory
-        for path in paths:
-            assert cli.main(["pipeline", "--config", path, "--out",
+        runs += [("pipeline", str(truncated)), ("pipeline", str(undecodable)),
+                 ("pipeline", str(tmp_path))]  # last: a directory
+        # samples that admit no fit are rejected when `prony` runs, not at load
+        runs += [("prony", write_cfg(tmp_path, {"prony": {"samples": samples}}, f"p{i}.yaml"))
+                 for i, samples in enumerate([[[0, 0]] * 4, [[1, 0], [0, 0], [0, 0], [0, 0]]])]
+        for sub, path in runs:
+            assert cli.main([sub, "--config", path, "--out",
                              str(tmp_path / "o")]) == 2, path
             err = capsys.readouterr().err.splitlines()
             assert len(err) == 1 and err[0].startswith("configuration error: "), err
@@ -378,13 +396,13 @@ class TestCli:
 def test_demo_config_runs_and_is_deterministic(tmp_path, name):
     assert sorted(p.stem for p in DEMO_DIR.glob("*.yaml")) == sorted(DEMO_CONFIGS)
     argv = [DEMO_CONFIGS[name], "--config", str(DEMO_DIR / f"{name}.yaml")]
-    outs = [tmp_path / "a", tmp_path / "b"]
-    for out in outs:
+    for out in (tmp_path / "a", tmp_path / "b"):
         assert cli.main(argv + ["--out", str(out)]) == 0
-    files = sorted(p.relative_to(outs[0]) for p in outs[0].rglob("*.csv"))
-    assert Path("report.csv") in files
-    for rel in files + [Path("report.json")]:
-        assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes(), rel
+        got = {p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in out.rglob("*") if p.is_file()}
+        assert sorted(got) == sorted(DEMO_DIGESTS[name]), name
+        for rel, digest in DEMO_DIGESTS[name].items():
+            assert got[rel] == digest, f"{name}: {rel} differs from its committed digest"
 
 
 def test_runs_without_scipy(tmp_path):

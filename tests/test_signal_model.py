@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+from conftest import weighted_inner_exact
 from scipy.integrate import quad
 
 from ringlab import signal_model as sm
@@ -148,29 +149,26 @@ class TestWeightedInner:
 
     def test_rectangular_analytic_integral(self):
         setup = std_setup(taper="rectangular")
-        f = sm.sample_scene([sm.Mode(freq=-0.1j, amp=1.0)], sm.ZERO_TAIL,
-                            sm.ZERO_NOISE, setup)
+        mode = sm.Mode(freq=-0.1j, amp=1.0)
         want = (np.exp(-0.4) - np.exp(-1.8)) / 0.2
-        assert abs(sm.weighted_inner(f, f, setup) - want) < 1e-14
+        assert abs(weighted_inner_exact([mode], [mode], setup) - want) < 1e-14
 
     def test_cross_frequency_oracle_vs_trapezoid(self):
         setup = std_setup(taper="rectangular", dt=0.05)
-        f = sm.sample_scene([sm.Mode(freq=-1.0, amp=1.0)], sm.ZERO_TAIL,
-                            sm.ZERO_NOISE, setup)
-        g = sm.sample_scene([sm.Mode(freq=-2.0, amp=1.0)], sm.ZERO_TAIL,
-                            sm.ZERO_NOISE, setup)
-        exact = sm.weighted_inner(f, g, setup)
+        mode_f, mode_g = sm.Mode(freq=-1.0, amp=1.0), sm.Mode(freq=-2.0, amp=1.0)
+        f = sm.sample_scene([mode_f], sm.ZERO_TAIL, sm.ZERO_NOISE, setup)
+        g = sm.sample_scene([mode_g], sm.ZERO_TAIL, sm.ZERO_NOISE, setup)
+        exact = weighted_inner_exact([mode_f], [mode_g], setup)
         # f conj(g) = e^{it} e^{-2it} = e^{-it}: integral over the plateau [2, 9]
         want = (np.exp(-9j) - np.exp(-2j)) / (-1j)
         assert abs(exact - want) < 1e-13
-        trap = sm.weighted_inner(f, g, setup, method="trapezoid")
+        trap = sm.weighted_inner(f, g, setup)
         assert abs(trap - exact) < 5e-3  # O(dt^2)
 
     def test_raised_cosine_closed_form_vs_quadrature(self):
         setup = std_setup()
         mode = sm.Mode(freq=1.3 - 0.2j, amp=0.7 + 0.2j)
-        f = sm.sample_scene([mode], sm.ZERO_TAIL, sm.ZERO_NOISE, setup)
-        exact = sm.weighted_inner(f, f, setup)
+        exact = weighted_inner_exact([mode], [mode], setup)
         val, _ = quad(lambda t: sm.weight_eval(setup, t)
                       * abs(mode.eval(t)) ** 2, 1.0, 10.0, limit=400)
         assert abs(exact.real - val) < 1e-9
@@ -183,7 +181,7 @@ class TestWeightedInner:
         g = sm.SampledSignal(t_start=setup.t0, dt=setup.dt / 2,
                              values=np.ones(41))
         with pytest.raises(ConfigError):
-            sm.weighted_inner(f, g, setup, method="trapezoid")
+            sm.weighted_inner(f, g, setup)
 
 
 class TestShift:
@@ -235,7 +233,7 @@ class TestEnergyBounds:
             from conftest import make_setup, random_mode
             setup = make_setup(rng)
             mode = random_mode(rng)
-            actual = sm.weighted_inner_exact([mode], [mode], setup).real
+            actual = weighted_inner_exact([mode], [mode], setup).real
             bound = sm.mode_energy_lower_bound(mode.amp, mode.freq, setup)
             assert bound <= actual * (1 + 1e-12)
 
@@ -259,8 +257,8 @@ class TestResidualL2:
             modes = random_residual_modes(rng)
             r = sm.sample_scene(modes, sm.ZERO_TAIL, sm.ZERO_NOISE, setup)
             l2 = sm.residual_l2(r, setup)
-            w0 = sm.wnorm(r, setup, method="trapezoid")
-            w1 = sm.wnorm(sm.shift(r, setup.delta), setup, method="trapezoid")
+            w0 = sm.wnorm(r, setup)
+            w1 = sm.wnorm(sm.shift(r, setup.delta), setup)
             assert max(w0, w1) <= l2 * (1 + 1e-12)
 
 
