@@ -19,11 +19,11 @@ for p in resolvent.poles:
     print(f"  {p.omega:.3f}  order {p.order}")
 
 forcing = mt.ForcingSpec(k=6, payload=np.array([1.0, -0.5 + 0.3j]))
-fhat = mt.forcing_transform_callable(forcing)
+fhat = forcing.transform  # batched: (n,) frequencies -> (n, 2) values
 
 # the transform decays like |omega|^-(k+1) on horizontal lines
 sigma = np.geomspace(10, 1000, 200)
-vals = np.abs(fhat.eval_many(sigma - 0.5j)[:, 0])
+vals = np.abs(fhat(sigma - 0.5j)[:, 0])
 slope = np.polyfit(np.log(sigma), np.log(vals), 1)[0]
 print(f"\nforcing transform decay on Im omega = -0.5: sigma^{slope:.2f}")
 

@@ -118,6 +118,10 @@ _LIMITS = {
     ("pseudospectrum", "eps"): (lambda v: all(e > 0 for e in v), "a list of positive reals"),
     ("pseudospectrum", "grid_n"): (lambda v: v >= 2, "at least 2"),
     ("band_isolate", "max_order"): (lambda v: v >= 1, "at least 1"),
+    # the moment recurrence loses accuracy above k = 7 (ROADMAP item 3)
+    ("band_isolate", "forcing_k"): (
+        lambda v: 1 <= v <= 7,
+        "in 1..7 until the forcing transform is stabilised (ROADMAP item 3)"),
     ("pseudospectrum", "re_range"): _RANGE, ("pseudospectrum", "im_range"): _RANGE,
     ("inversion", "box", "M"): _RANGE, ("inversion", "box", "a"): _RANGE,
     ("inversion", "box", "Lambda"): _RANGE,

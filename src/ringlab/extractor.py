@@ -66,14 +66,13 @@ def rayleigh_quotient(y: SampledSignal, setup: ObservationSetup) -> complex:
     return num / den
 
 
-def residual_sizes(y0_modes: Sequence[Mode], r: SampledSignal,
+def residual_sizes(y0: SampledSignal, r: SampledSignal,
                    setup: ObservationSetup) -> dict:
     """Relative residual sizes eps0 = ||r||_w/||y0||_w, eps1 with r shifted.
 
-    y0_modes is the reference pure-exponential content; r is the residual
+    y0 is the sampled reference pure-exponential content; r is the residual
     signal on the same grid.
     """
-    y0 = sample_scene(y0_modes, ZERO_TAIL, ZERO_NOISE, setup)
     n0 = wnorm(y0, setup)
     if n0 <= 0.0:
         raise DegenerateSignalError("reference mode has zero weighted energy")
@@ -129,14 +128,13 @@ def extract(y: SampledSignal, cfg: ExtractionConfig,
     result carries bound_z = (eps0+eps1)(1+eps0)/(1-2 eps0) and
     bound_omega = (10/(delta |z|)) eps, plus the hypothesis flags
     eps_small: eps <= min(1/8, |z|/20) and branch_hyp (the branch-selection
-    hypotheses at the true z).
+    hypotheses at the true z).  Without a reference both flags stay None:
+    the hypotheses are about the true z, which is then unknown.
     """
     setup = cfg.setup
     z_hat = rayleigh_quotient(y, setup)
     omega_hat = branch_log(z_hat, cfg.prior, setup.delta)
     result = ExtractionResult(z_hat=z_hat, omega_hat=omega_hat)
-    z_sharp = np.exp(-1j * cfg.prior * setup.delta)
-    result.hypotheses_ok.branch_hyp = bool(abs(z_hat / z_sharp - 1.0) <= 0.625)
 
     if y0_reference is not None:
         modes = list(y0_reference)
@@ -148,10 +146,11 @@ def extract(y: SampledSignal, cfg: ExtractionConfig,
         y0 = sample_scene(modes, ZERO_TAIL, ZERO_NOISE, setup)
         r_vals = y.values - y0.values
         r = SampledSignal(t_start=y.t_start, dt=y.dt, values=r_vals)
-        sizes = residual_sizes(modes, r, setup)
+        sizes = residual_sizes(y0, r, setup)
         result.eps0, result.eps1 = sizes["eps0"], sizes["eps1"]
         result.eps = sizes["eps"]
         z = np.exp(-1j * mode.freq * setup.delta)
+        z_sharp = np.exp(-1j * cfg.prior * setup.delta)
         result.bound_omega = 10.0 * result.eps / (setup.delta * abs(z))
         result.hypotheses_ok.eps_small = bool(
             result.eps <= min(0.125, abs(z) / 20.0))

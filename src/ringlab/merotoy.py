@@ -6,6 +6,10 @@ Laplace line integrals, band isolation by contour subtraction, rank-one
 residue formulas with dual states, forcing-transform decay, and localized
 pseudospectrum scans.  Everything is small and explicit so that every
 contour identity can be checked against an independent residue oracle.
+
+Every function the contour code receives is batched: it maps an (n,) array
+of frequencies to an (n, ...) array, so each quantity has one evaluation
+path.
 """
 from __future__ import annotations
 
@@ -55,9 +59,6 @@ class RationalResolvent:
             raise ConfigError("poles must be pairwise distinct")
         hol = tuple(np.asarray(m, dtype=complex) for m in self.hol)
         object.__setattr__(self, "hol", hol)
-
-    def __call__(self, omega: complex) -> np.ndarray:
-        return self.eval_many(np.array([omega], dtype=complex))[0]
 
     def eval_many(self, omega: np.ndarray) -> np.ndarray:
         """Vectorized evaluation: (n,) frequencies -> (n, d, d) values."""
@@ -109,7 +110,8 @@ class ForcingSpec:
     """Smooth bump (t(1-t))^k e^{alpha t} on (0,1) carrying a payload vector.
 
     The bump vanishes to order k at both endpoints, so the transform decays
-    like |omega|^-(k+1) on horizontal lines.
+    like |omega|^-(k+1) on horizontal lines.  ``transform`` is the batched
+    F_hat that the contour code receives.
     """
 
     k: int
@@ -134,48 +136,19 @@ class ForcingSpec:
             c[self.k + i] = math.comb(self.k, i) * (-1.0) ** i
         return c
 
-    def scalar_transform_closed_form(self, omega: complex) -> complex:
-        """Exact integral of e^{i omega t} bump(t) over (0,1) via the moment recurrence."""
-        s = self.alpha + 1j * omega
-        coeffs = self.bump_coefficients()
-        moments = _exp_moments(s, len(coeffs) - 1)
-        return complex(np.dot(coeffs, moments))
+    def transform(self, omega: np.ndarray) -> np.ndarray:
+        """F_hat(omega) = payload * integral of e^{i omega t} bump(t) over (0,1).
 
-    def scalar_transform_many(self, omega: np.ndarray) -> np.ndarray:
+        Batched: (n,) frequencies -> (n, d) values, by the moment recurrence.
+        """
         s = self.alpha + 1j * np.asarray(omega, dtype=complex)
         coeffs = self.bump_coefficients()
-        return _exp_moments_many(s, len(coeffs) - 1) @ coeffs.astype(complex)
-
-
-def _exp_moments(s: complex, jmax: int) -> np.ndarray:
-    """Moments I_j = integral of t^j e^{s t} over [0,1], j = 0..jmax.
-
-    This scalar twin of :func:`_exp_moments_many` serves the residue side's
-    single-point calls: through the batched path, 30 one-model band-isolate
-    runs took 2.4-2.7 s instead of 1.6-2.0 s (2-vCPU Xeon, one BLAS thread).
-    """
-    out = np.empty(jmax + 1, dtype=complex)
-    if abs(s) < 0.5:
-        # series sum_p s^p / (p! (j+p+1)), fast and cancellation-free
-        for j in range(jmax + 1):
-            term = 1.0 / (j + 1.0)
-            total = term
-            p = 0
-            while abs(term) > 1e-18 * abs(total) and p < 60:
-                p += 1
-                term = term * s / p * (j + p) / (j + p + 1.0)
-                total += term
-            out[j] = total
-        return out
-    es = np.exp(s)
-    out[0] = (es - 1.0) / s
-    for j in range(1, jmax + 1):
-        out[j] = (es - j * out[j - 1]) / s
-    return out
+        scal = _exp_moments_many(s, len(coeffs) - 1) @ coeffs.astype(complex)
+        return scal[:, None] * self.payload
 
 
 def _exp_moments_many(s: np.ndarray, jmax: int) -> np.ndarray:
-    """Vectorized moments: (n,) exponents -> (n, jmax+1)."""
+    """Moments I_j = integral of t^j e^{s t} over [0,1]: (n,) exponents -> (n, jmax+1)."""
     s = np.asarray(s, dtype=complex)
     out = np.empty(s.shape + (jmax + 1,), dtype=complex)
     small = np.abs(s) < 0.5
@@ -202,25 +175,6 @@ def _exp_moments_many(s: np.ndarray, jmax: int) -> np.ndarray:
     return out
 
 
-class _ForcingTransform:
-    """Closed-form transform of a forcing spec, scalar and batched."""
-
-    def __init__(self, spec: ForcingSpec):
-        self.spec = spec
-
-    def __call__(self, omega: complex) -> np.ndarray:
-        return self.spec.payload * self.spec.scalar_transform_closed_form(omega)
-
-    def eval_many(self, omega: np.ndarray) -> np.ndarray:
-        scal = self.spec.scalar_transform_many(omega)
-        return scal[:, None] * self.spec.payload
-
-
-def forcing_transform_callable(f: ForcingSpec) -> Callable[[complex], np.ndarray]:
-    """Fast exact transform omega -> F_hat(omega) (closed-form moments)."""
-    return _ForcingTransform(f)
-
-
 # ---------------------------------------------------------------------------
 # derivatives of holomorphic callables
 # ---------------------------------------------------------------------------
@@ -229,18 +183,15 @@ def holomorphic_derivatives(fn: Callable, z0: complex, max_order: int,
                             radius: float = 5e-2, npts: int = 64) -> list:
     """Derivatives F^(r)(z0), r = 0..max_order, of a holomorphic callable.
 
-    Uses the trapezoid rule on a Cauchy circle, which converges spectrally
-    for holomorphic integrands.  Objects exposing ``derivative(z, r)`` (for
-    example window polynomials) are differentiated exactly instead.
+    fn is batched: it maps an (n,) array of points to an (n, ...) array.
+    Order 0 alone is fn at z0 itself; otherwise one call samples the
+    npts-point Cauchy circle, and the trapezoid rule on it converges
+    spectrally for holomorphic integrands.
     """
     if max_order == 0:
-        return [np.asarray(fn(z0))]
-    if hasattr(fn, "derivative"):
-        return [np.asarray(fn(z0))] + [
-            np.asarray(fn.derivative(z0, r)) for r in range(1, max_order + 1)]
+        return [np.asarray(fn(np.array([z0], dtype=complex)))[0]]
     theta = 2.0 * np.pi * np.arange(npts) / npts
-    ring = np.exp(1j * theta)
-    samples = np.stack([np.asarray(fn(z0 + radius * w), dtype=complex) for w in ring])
+    samples = np.asarray(fn(z0 + radius * np.exp(1j * theta)), dtype=complex)
     out = []
     for r in range(max_order + 1):
         phase = np.exp(-1j * r * theta)
@@ -259,7 +210,9 @@ def residue_time_term(pole: Pole, fn: Callable, t: float, *,
 
     i e^{-i omega0 t} sum_{q=1..m} sum_{r=0..q-1}
         (-i t)^(q-1-r) / ((q-1-r)! r!) Pi^[q] fn^(r)(omega0);
-    a simple pole reduces to i e^{-i omega0 t} Pi^[1] fn(omega0).
+    a simple pole reduces to i e^{-i omega0 t} Pi^[1] fn(omega0).  fn is
+    batched, (n,) frequencies -> (n, d) values, and is differentiated on a
+    Cauchy ring by :func:`holomorphic_derivatives`.
     """
     m = pole.order
     ders = holomorphic_derivatives(fn, pole.omega, m - 1, radius=radius, npts=npts)
@@ -280,12 +233,6 @@ def _check_line_clear(resolvent: RationalResolvent, nu: float):
     for p in resolvent.poles:
         if abs(p.omega.imag + nu) < _LINE_CLEARANCE:
             raise ContourError(f"pole at {p.omega} sits on the line Im(omega) = {-nu}")
-
-
-def _eval_fhat_many(f_hat: Callable, omega: np.ndarray) -> np.ndarray:
-    if hasattr(f_hat, "eval_many"):
-        return f_hat.eval_many(omega)
-    return np.stack([np.asarray(f_hat(w), dtype=complex) for w in omega])
 
 
 def _eval_g_many(g: Optional[Callable], omega: np.ndarray) -> np.ndarray:
@@ -319,7 +266,8 @@ def line_integral(resolvent: RationalResolvent, f_hat: Callable, g: Optional[Cal
     wavelength converges spectrally; a doubled-resolution pass guards the
     tolerance).  Returns (value, truncation estimate): the estimate
     extrapolates the integrand envelope beyond the truncation radius from
-    its measured algebraic decay.
+    its measured algebraic decay.  f_hat maps (n,) frequencies to (n, d)
+    values and g, when given, to (n,) values.
     """
     if t <= 0:
         raise ConfigError("line integral defined for t > 0")
@@ -327,8 +275,7 @@ def line_integral(resolvent: RationalResolvent, f_hat: Callable, g: Optional[Cal
 
     def batch(sigma):
         w = sigma - 1j * nu
-        rf = np.einsum("nij,nj->ni", resolvent.eval_many(w),
-                       _eval_fhat_many(f_hat, w))
+        rf = np.einsum("nij,nj->ni", resolvent.eval_many(w), f_hat(w))
         return (np.exp(-1j * w * t) * _eval_g_many(g, w))[:, None] * rf / (2.0 * np.pi)
 
     plen = min(4.0, 8.0 / max(t, 1.0))
@@ -347,14 +294,11 @@ def _tail_estimate(resolvent: RationalResolvent, f_hat: Callable,
                    g: Optional[Callable], nu: float, t: float,
                    sigma_max: float) -> float:
     """Envelope bound for the omitted |sigma| > sigma_max contribution."""
-    def envelope(sigma):
-        w = np.array([sigma - 1j * nu])
-        rf = np.einsum("nij,nj->ni", resolvent.eval_many(w),
-                       _eval_fhat_many(f_hat, w))
-        return float(np.linalg.norm(_eval_g_many(g, w)[0] * rf[0]))
-
-    e_half = envelope(sigma_max / 2.0) + envelope(-sigma_max / 2.0)
-    e_full = envelope(sigma_max) + envelope(-sigma_max)
+    w = np.array([0.5, -0.5, 1.0, -1.0]) * sigma_max - 1j * nu
+    rf = np.einsum("nij,nj->ni", resolvent.eval_many(w), f_hat(w))
+    env = np.linalg.norm(_eval_g_many(g, w)[:, None] * rf, axis=1)
+    e_half = float(env[0] + env[1])
+    e_full = float(env[2] + env[3])
     if e_full <= 0 or e_half <= 0:
         return 0.0
     p = np.log(e_half / e_full) / np.log(2.0)  # local algebraic decay exponent
@@ -399,31 +343,13 @@ def band_subtract(resolvent: RationalResolvent, f_hat: Callable,
     i2, tail2 = line_integral(resolvent, f_hat, g, nu2, t, sigma_max, tol)
     difference = i1 - i2
 
-    gfun = g if g is not None else (lambda w: 1.0)
-
     def windowed(w):
-        return complex(gfun(w)) * np.asarray(f_hat(w))
-
-    if g is not None and hasattr(g, "derivative"):
-        class _WithDeriv:
-            def __call__(self, w):
-                return windowed(w)
-
-            def derivative(self, w, r):
-                # Leibniz rule for g * f_hat using spectral derivatives of f_hat
-                ders_f = holomorphic_derivatives(f_hat, w, r)
-                total = np.zeros_like(np.asarray(ders_f[0]))
-                for j in range(r + 1):
-                    total += (math.comb(r, j) * complex(g.derivative(w, j) if j else g(w))
-                              * ders_f[r - j])
-                return total
-        wfun: Callable = _WithDeriv()
-    else:
-        wfun = windowed
+        # g is a polynomial, so g * F_hat is holomorphic and the ring applies
+        return _eval_g_many(g, w)[:, None] * f_hat(w)
 
     residue_sum = np.zeros(resolvent.dim, dtype=complex)
     for pole in resolvent.poles_in_strip(-nu2, -nu1):
-        residue_sum -= residue_time_term(pole, wfun, t)
+        residue_sum -= residue_time_term(pole, windowed, t)
     mismatch = float(np.linalg.norm(difference - residue_sum))
     return {"difference": difference, "residue_sum": residue_sum,
             "mismatch": mismatch, "sigma_max": sigma_max,
@@ -526,56 +452,31 @@ def amplitude_pairing(f_at_pole: np.ndarray, u0: np.ndarray, v0: np.ndarray,
 class PseudospectrumModel:
     """Scalar toy model: resolvent norm profile hol + E+ E- / |q(omega)|.
 
-    q defaults to the product over (omega - pole_j); c_q and r_q are the
-    linear lower-bound constant and its validity radius for
-    |q(omega)| >= c_q |omega - pole_j| near each zero.
+    q is the product over (omega - pole_j); c_q = 0.5 min_j |q'(pole_j)| is
+    the linear lower-bound constant for |q(omega)| >= c_q |omega - pole_j|
+    near each zero.
     """
 
     poles: tuple
     e_plus: float = 1.0
     e_minus: float = 1.0
     hol_bound: float = 0.0
-    q: Optional[Callable] = None
-    c_q: Optional[float] = None
-    r_q: Optional[float] = None
 
     def __post_init__(self):
         self.poles = tuple(complex(p) for p in self.poles)
-        if self.q is None:
-            self.q = self._default_q
-        if self.c_q is None or self.r_q is None:
-            c, r = self._default_constants()
-            self.c_q = c if self.c_q is None else self.c_q
-            self.r_q = r if self.r_q is None else self.r_q
-
-    def _default_q(self, omega):
-        omega = np.asarray(omega, dtype=complex)
-        val = np.ones(omega.shape, dtype=complex)
-        for p in self.poles:
-            val = val * (omega - p)
-        return val if val.shape else complex(val)
-
-    def _default_constants(self) -> Tuple[float, float]:
-        # c_* = min_j |q'(pole_j)|; quadratic remainder bounded by sup |q''|
-        # over disks of radius half the minimal pole separation
+        # |q'(pole_j)| is the product of the distances to the other poles
         prods = []
         for j, pj in enumerate(self.poles):
             others = [pj - pk for k, pk in enumerate(self.poles) if k != j]
             prods.append(np.prod([abs(d) for d in others]) if others else 1.0)
-        c_star = float(min(prods))
-        if len(self.poles) == 1:
-            return 0.5 * c_star, np.inf
-        sep = min(abs(a - b) for i, a in enumerate(self.poles)
-                  for b in self.poles[i + 1:])
-        r_cap = 0.25 * sep
-        sup_q2 = 0.0
-        for pj in self.poles:
-            for theta in np.linspace(0, 2 * np.pi, 16, endpoint=False):
-                w = pj + r_cap * np.exp(1j * theta)
-                ders = holomorphic_derivatives(self.q, w, 2, radius=0.1 * r_cap)
-                sup_q2 = max(sup_q2, abs(ders[2]))
-        r_q = min(r_cap, c_star / sup_q2) if sup_q2 > 0 else r_cap
-        return 0.5 * c_star, float(r_q)
+        self.c_q = 0.5 * float(min(prods))
+
+    def q(self, omega):
+        omega = np.asarray(omega, dtype=complex)
+        val = np.ones(omega.shape, dtype=complex)
+        for p in self.poles:
+            val = val * (omega - p)
+        return val
 
     def norm(self, omega):
         with np.errstate(divide="ignore"):

@@ -388,9 +388,8 @@ def run_band_isolate(cfg: ScenarioConfig) -> RunReport:
             max_order=sec["max_order"])
         forcing = mt.ForcingSpec(
             k=sec["forcing_k"], payload=rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
-        fhat = mt.forcing_transform_callable(forcing)
         for t in sec["times"]:
-            out = mt.band_subtract(resolvent, fhat, None, nu1, nu2, float(t))
+            out = mt.band_subtract(resolvent, forcing.transform, None, nu1, nu2, float(t))
             ok = out["mismatch"] < tol
             report.add_row({
                 "model": idx, "t": float(t), "dim": dim,

@@ -14,6 +14,11 @@ def std_setup(**kw):
     return sm.ObservationSetup(**base)
 
 
+def sampled(modes, setup):
+    """The reference content alone, as residual_sizes receives it."""
+    return sm.sample_scene(modes, sm.ZERO_TAIL, sm.ZERO_NOISE, setup)
+
+
 class TestRayleighQuotient:
     def test_pure_mode_closed_form_exact(self):
         setup = std_setup()
@@ -44,7 +49,7 @@ class TestRayleighQuotient:
         tail = sm.TailSpec(c_tail=0.05, nu=0.5)
         y = sm.sample_scene([mode], tail, sm.ZERO_NOISE, setup)
         r = sm.sample_scene([], tail, sm.ZERO_NOISE, setup)
-        sizes = ex.residual_sizes([mode], r, setup)
+        sizes = ex.residual_sizes(sampled([mode], setup), r, setup)
         z = np.exp(-1j * mode.freq * setup.delta)
         z_hat = ex.rayleigh_quotient(y, setup)
         assert abs(z_hat - z) <= 3.0 * sizes["eps"]
@@ -60,14 +65,15 @@ class TestResidualSizes:
     def test_zero_residual(self):
         setup = std_setup()
         r = sm.sample_scene([], sm.ZERO_TAIL, sm.ZERO_NOISE, setup)
-        sizes = ex.residual_sizes([sm.Mode(freq=1 - 0.1j, amp=1.0)], r, setup)
+        y0 = sampled([sm.Mode(freq=1 - 0.1j, amp=1.0)], setup)
+        sizes = ex.residual_sizes(y0, r, setup)
         assert sizes == {"eps0": 0.0, "eps1": 0.0, "eps": 0.0}
 
     def test_residual_equal_to_reference(self):
         setup = std_setup()
         mode = sm.Mode(freq=1 - 0.1j, amp=1.0)
         r = sm.sample_scene([mode], sm.ZERO_TAIL, sm.ZERO_NOISE, setup)
-        sizes = ex.residual_sizes([mode], r, setup)
+        sizes = ex.residual_sizes(sampled([mode], setup), r, setup)
         assert abs(sizes["eps0"] - 1.0) < 1e-12
 
     def test_eps1_below_l2_over_energy(self):
@@ -75,8 +81,8 @@ class TestResidualSizes:
         mode = sm.Mode(freq=1 - 0.1j, amp=1.0)
         tail = sm.TailSpec(c_tail=0.05, nu=0.5)
         r = sm.sample_scene([], tail, sm.ZERO_NOISE, setup)
-        sizes = ex.residual_sizes([mode], r, setup)
-        y0 = sm.sample_scene([mode], sm.ZERO_TAIL, sm.ZERO_NOISE, setup)
+        y0 = sampled([mode], setup)
+        sizes = ex.residual_sizes(y0, r, setup)
         bound = sm.residual_l2(r, setup) / sm.wnorm(y0, setup)
         assert sizes["eps1"] <= bound * (1 + 1e-12)
 
@@ -84,7 +90,7 @@ class TestResidualSizes:
         setup = std_setup()
         r = sm.sample_scene([], sm.ZERO_TAIL, sm.ZERO_NOISE, setup)
         with pytest.raises(DegenerateSignalError):
-            ex.residual_sizes([sm.Mode(freq=1.0, amp=0.0)], r, setup)
+            ex.residual_sizes(sampled([sm.Mode(freq=1.0, amp=0.0)], setup), r, setup)
 
 
 class TestStabilityBound:
@@ -167,6 +173,17 @@ class TestExtract:
         assert res.eps == 0.0 and res.bound_omega == 0.0
         assert res.hypotheses_ok.eps_small and res.hypotheses_ok.branch_hyp
 
+    def test_no_reference_leaves_flags_unknown(self):
+        # the hypotheses concern the true z, which only a reference supplies
+        setup = std_setup()
+        omega = 1 - 0.1j
+        y = sm.sample_scene([sm.Mode(freq=omega, amp=1.0)], sm.ZERO_TAIL,
+                            sm.ZERO_NOISE, setup)
+        res = ex.extract(y, ex.ExtractionConfig(setup=setup, prior=omega + 0.05))
+        assert abs(res.omega_hat - omega) < 1e-12
+        assert res.hypotheses_ok.branch_hyp is None
+        assert res.hypotheses_ok.eps_small is None
+
     def test_bound_omega_formula(self):
         # Delta=1, |z|=0.9, eps=0.05 -> 10/0.9*0.05
         got = 10.0 * 0.05 / (1.0 * 0.9)
@@ -227,7 +244,7 @@ class TestEpsilonBudget:
                                nu=rng.uniform(0.3, 1.0), m=int(rng.integers(0, 3)))
             setup = std_setup(t0=float(rng.uniform(1, 4)))
             r = sm.sample_scene([], tail, sm.ZERO_NOISE, setup)
-            sizes = ex.residual_sizes([mode], r, setup)
+            sizes = ex.residual_sizes(sampled([mode], setup), r, setup)
             b = ex.epsilon_budget(mode.amp, mode.freq, tail, 0.0, setup)
             assert sizes["eps"] <= b["eps_bound"]
 
@@ -255,7 +272,7 @@ class TestDiskCheck:
         eps_level = (c_sep / 40.0) * setup.delta * z_abs
         tail = sm.TailSpec(c_tail=0.05, nu=0.5)
         r = sm.sample_scene([], tail, sm.ZERO_NOISE, setup)
-        sizes = ex.residual_sizes([mode], r, setup)
+        sizes = ex.residual_sizes(sampled([mode], setup), r, setup)
         scale = eps_level / sizes["eps"]
         tail = sm.TailSpec(c_tail=0.05 * scale, nu=0.5)
         y = sm.sample_scene([mode], tail, sm.ZERO_NOISE, setup)
