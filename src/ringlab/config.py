@@ -118,6 +118,8 @@ _LIMITS = {
     ("pseudospectrum", "eps"): (lambda v: all(e > 0 for e in v), "a list of positive reals"),
     ("pseudospectrum", "grid_n"): (lambda v: v >= 2, "at least 2"),
     ("band_isolate", "max_order"): (lambda v: v >= 1, "at least 1"),
+    ("band_isolate", "times"): (lambda v: len(v) > 0 and all(t > 0 for t in v),
+                                "a nonempty list of positive times"),
     # the moment recurrence loses accuracy above k = 7 (ROADMAP item 3)
     ("band_isolate", "forcing_k"): (
         lambda v: 1 <= v <= 7,

@@ -204,26 +204,38 @@ def holomorphic_derivatives(fn: Callable, z0: complex, max_order: int,
 # residue dictionary and line integrals
 # ---------------------------------------------------------------------------
 
-def residue_time_term(pole: Pole, fn: Callable, t: float, *,
+def _as_times(times) -> np.ndarray:
+    """The times batch every contour function takes: a nonempty 1-D array, t > 0."""
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or times.size == 0:
+        raise ConfigError("times must be a nonempty 1-D array")
+    if not np.all(times > 0):
+        raise ConfigError("line integral defined for t > 0")
+    return times
+
+
+def residue_time_term(pole: Pole, fn: Callable, times, *,
                       radius: float = 5e-2, npts: int = 64) -> np.ndarray:
     """Time-domain contribution of one pole against a holomorphic d-vector fn.
 
     i e^{-i omega0 t} sum_{q=1..m} sum_{r=0..q-1}
         (-i t)^(q-1-r) / ((q-1-r)! r!) Pi^[q] fn^(r)(omega0);
     a simple pole reduces to i e^{-i omega0 t} Pi^[1] fn(omega0).  fn is
-    batched, (n,) frequencies -> (n, d) values, and is differentiated on a
-    Cauchy ring by :func:`holomorphic_derivatives`.
+    batched, (n,) frequencies -> (n, d) values, and is differentiated once,
+    on a Cauchy ring by :func:`holomorphic_derivatives`, for every time.
+    times is a (T,) array; the result is (T, d), one row per time.
     """
+    times = _as_times(times)
     m = pole.order
     ders = holomorphic_derivatives(fn, pole.omega, m - 1, radius=radius, npts=npts)
-    total = np.zeros(pole.laurent[0].shape[0], dtype=complex)
+    total = np.zeros((times.size, pole.laurent[0].shape[0]), dtype=complex)
     for q in range(1, m + 1):
         mat = pole.laurent[q - 1]
         for r in range(q):
-            coeff = ((-1j * t) ** (q - 1 - r)
+            coeff = ((-1j * times) ** (q - 1 - r)
                      / (math.factorial(q - 1 - r) * math.factorial(r)))
-            total += coeff * (mat @ ders[r])
-    return 1j * np.exp(-1j * pole.omega * t) * total
+            total += coeff[:, None] * (mat @ ders[r])
+    return 1j * np.exp(-1j * pole.omega * times)[:, None] * total
 
 
 _LINE_CLEARANCE = 1e-6
@@ -243,84 +255,112 @@ def _eval_g_many(g: Optional[Callable], omega: np.ndarray) -> np.ndarray:
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
 
+#: Nodes evaluated at once in one Gauss-Legendre pass: bounds the (n, d, d)
+#: resolvent values a pass holds, whatever the truncation radius.
+_GL_BLOCK = 8192
 
-def _gl_line_sum(batch: Callable, a: float, b: float, n_panels: int) -> np.ndarray:
+
+def _gl_line_sum(values: Callable, nu: float, times: np.ndarray, a: float, b: float,
+                 n_panels: int) -> np.ndarray:
+    """One composite Gauss-Legendre pass over sigma in [a, b] on Im(omega) = -nu.
+
+    values maps (n,) frequencies to (n, d); each block of nodes is evaluated
+    once and contracted with the (T, n) matrix e^{-i t omega} * weights, so
+    the pass returns the (T, d) integrals for every time.
+    """
     edges = np.linspace(a, b, n_panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1] - edges[0])
-    sigma = (mid[:, None] + half * _GL_NODES[None, :]).ravel()
+    omega = (mid[:, None] + half * _GL_NODES[None, :]).ravel() - 1j * nu
     wts = np.tile(half * _GL_WEIGHTS, n_panels)
-    vals = batch(sigma)
-    return np.tensordot(wts, vals, axes=(0, 0))
+    total = 0.0
+    for lo in range(0, omega.size, _GL_BLOCK):
+        w = omega[lo:lo + _GL_BLOCK]
+        phase = np.exp(-1j * np.multiply.outer(times, w)) * wts[lo:lo + _GL_BLOCK]
+        total = total + phase @ values(w)
+    return total
 
 
 def line_integral(resolvent: RationalResolvent, f_hat: Callable, g: Optional[Callable],
-                  nu: float, t: float, sigma_max: float = 200.0,
-                  tol: float = 1e-9) -> Tuple[np.ndarray, float]:
-    """Truncated inverse-Laplace integral on the shifted line Im(omega) = -nu.
+                  nu: float, times, sigma_max: float = 200.0,
+                  tol: float = 1e-9) -> Tuple[np.ndarray, np.ndarray]:
+    """Truncated inverse-Laplace integrals on the shifted line Im(omega) = -nu.
 
     (1/2 pi) * integral over |sigma| <= sigma_max of
         e^{-i omega t} g(omega) R(omega) F_hat(omega),  omega = sigma - i nu,
-    by composite Gauss-Legendre with panels sized to the e^{-i sigma t}
-    oscillation (the integrand is analytic, so a ten-point rule per half
-    wavelength converges spectrally; a doubled-resolution pass guards the
-    tolerance).  Returns (value, truncation estimate): the estimate
-    extrapolates the integrand envelope beyond the truncation radius from
-    its measured algebraic decay.  f_hat maps (n,) frequencies to (n, d)
-    values and g, when given, to (n,) values.
+    for every t of the (T,) array times, by composite Gauss-Legendre with
+    panels sized to the e^{-i sigma t} oscillation of the largest t (the
+    integrand is analytic, so a ten-point rule per half wavelength converges
+    spectrally).  Only the phase depends on t, so g R F_hat is evaluated once
+    per pass and shared by every time.  The passes use n, 2n, 8n, 16n and
+    32n panels and stop at the first whose change from the previous one is
+    at most tol for every time.  Returns ((T, d) values, (T,) truncation
+    estimates): an estimate extrapolates the integrand envelope beyond the
+    truncation radius from its measured algebraic decay.  f_hat maps (n,)
+    frequencies to (n, d) values and g, when given, to (n,) values.
     """
-    if t <= 0:
-        raise ConfigError("line integral defined for t > 0")
+    times = _as_times(times)
     _check_line_clear(resolvent, nu)
 
-    def batch(sigma):
-        w = sigma - 1j * nu
+    def values(w):
         rf = np.einsum("nij,nj->ni", resolvent.eval_many(w), f_hat(w))
-        return (np.exp(-1j * w * t) * _eval_g_many(g, w))[:, None] * rf / (2.0 * np.pi)
+        return _eval_g_many(g, w)[:, None] * rf / (2.0 * np.pi)
 
-    plen = min(4.0, 8.0 / max(t, 1.0))
+    def level(n):
+        return _gl_line_sum(values, nu, times, -sigma_max, sigma_max, n)
+
+    def change(fine, coarse):
+        return float(np.max(np.linalg.norm(fine - coarse, axis=1)))
+
+    plen = min(4.0, 8.0 / max(float(times.max()), 1.0))
     n_panels = max(8, int(np.ceil(2.0 * sigma_max / plen)))
-    coarse = _gl_line_sum(batch, -sigma_max, sigma_max, n_panels)
-    fine = _gl_line_sum(batch, -sigma_max, sigma_max, 2 * n_panels)
+    coarse = level(n_panels)
+    fine = level(2 * n_panels)
     step = 2
-    while float(np.linalg.norm(fine - coarse)) > max(tol, 1e-14) and step < 16:
+    while change(fine, coarse) > max(tol, 1e-14) and step < 16:
         coarse = fine
         step *= 2
-        fine = _gl_line_sum(batch, -sigma_max, sigma_max, step * 2 * n_panels)
-    return fine, _tail_estimate(resolvent, f_hat, g, nu, t, sigma_max)
+        fine = level(step * 2 * n_panels)
+    return fine, _tail_estimate(resolvent, f_hat, g, nu, times, sigma_max)
 
 
 def _tail_estimate(resolvent: RationalResolvent, f_hat: Callable,
-                   g: Optional[Callable], nu: float, t: float,
-                   sigma_max: float) -> float:
-    """Envelope bound for the omitted |sigma| > sigma_max contribution."""
+                   g: Optional[Callable], nu: float, times,
+                   sigma_max: float) -> np.ndarray:
+    """Envelope estimate of the omitted |sigma| > sigma_max contribution.
+
+    The envelope of g R F_hat does not depend on t, so four evaluations serve
+    every time; only the factor e^{-nu t} does.  Returns a (T,) array for the
+    (T,) array times.
+    """
+    times = _as_times(times)
     w = np.array([0.5, -0.5, 1.0, -1.0]) * sigma_max - 1j * nu
     rf = np.einsum("nij,nj->ni", resolvent.eval_many(w), f_hat(w))
     env = np.linalg.norm(_eval_g_many(g, w)[:, None] * rf, axis=1)
     e_half = float(env[0] + env[1])
     e_full = float(env[2] + env[3])
     if e_full <= 0 or e_half <= 0:
-        return 0.0
+        return np.zeros(times.size)
     p = np.log(e_half / e_full) / np.log(2.0)  # local algebraic decay exponent
-    return float(np.exp(-nu * t) * e_full * sigma_max
-                 / max(p - 1.0, 0.1) / (2.0 * np.pi))
+    return (np.exp(-nu * times) * e_full * sigma_max
+            / max(p - 1.0, 0.1) / (2.0 * np.pi))
 
 
 def choose_sigma_max(resolvent: RationalResolvent, f_hat: Callable,
-                     g: Optional[Callable], nu: float, t: float,
+                     g: Optional[Callable], nu: float, times,
                      tol: float, start: float = 50.0,
                      cap: float = 6400.0) -> float:
-    """Double the truncation radius until the envelope tail estimate < tol/10."""
+    """Double the truncation radius until every time's tail estimate < tol/10."""
     sigma = start
     while sigma < cap:
-        if _tail_estimate(resolvent, f_hat, g, nu, t, sigma) < tol / 10.0:
+        if _tail_estimate(resolvent, f_hat, g, nu, times, sigma).max() < tol / 10.0:
             return sigma
         sigma *= 2.0
     return cap
 
 
 def band_subtract(resolvent: RationalResolvent, f_hat: Callable,
-                  g: Optional[Callable], nu1: float, nu2: float, t: float,
+                  g: Optional[Callable], nu1: float, nu2: float, times,
                   sigma_max: Optional[float] = None, tol: float = 1e-8) -> dict:
     """Contour subtraction: poles strictly between the two lines are isolated.
 
@@ -331,26 +371,33 @@ def band_subtract(resolvent: RationalResolvent, f_hat: Callable,
     its positively oriented circle term (verified here against quadrature;
     the residue oracle below uses exactly that orientation).  The reported
     mismatch is the norm of the difference of the two computations.
+
+    times is a (T,) array and every time shares one truncation radius, one
+    node set per line and one Cauchy ring per strip pole: ``difference``
+    and ``residue_sum`` are (T, d), ``mismatch`` and ``truncation_estimate``
+    are (T,), and ``sigma_max`` is one float, the radius the most demanding
+    time and line need.
     """
     if not nu1 < nu2:
         raise ConfigError("need nu1 < nu2")
+    times = _as_times(times)
     _check_line_clear(resolvent, nu1)
     _check_line_clear(resolvent, nu2)
     if sigma_max is None:
-        sigma_max = max(choose_sigma_max(resolvent, f_hat, g, nu, t, tol)
+        sigma_max = max(choose_sigma_max(resolvent, f_hat, g, nu, times, tol)
                         for nu in (nu1, nu2))
-    i1, tail1 = line_integral(resolvent, f_hat, g, nu1, t, sigma_max, tol)
-    i2, tail2 = line_integral(resolvent, f_hat, g, nu2, t, sigma_max, tol)
+    i1, tail1 = line_integral(resolvent, f_hat, g, nu1, times, sigma_max, tol)
+    i2, tail2 = line_integral(resolvent, f_hat, g, nu2, times, sigma_max, tol)
     difference = i1 - i2
 
     def windowed(w):
         # g is a polynomial, so g * F_hat is holomorphic and the ring applies
         return _eval_g_many(g, w)[:, None] * f_hat(w)
 
-    residue_sum = np.zeros(resolvent.dim, dtype=complex)
+    residue_sum = np.zeros((times.size, resolvent.dim), dtype=complex)
     for pole in resolvent.poles_in_strip(-nu2, -nu1):
-        residue_sum -= residue_time_term(pole, windowed, t)
-    mismatch = float(np.linalg.norm(difference - residue_sum))
+        residue_sum -= residue_time_term(pole, windowed, times)
+    mismatch = np.linalg.norm(difference - residue_sum, axis=1)
     return {"difference": difference, "residue_sum": residue_sum,
             "mismatch": mismatch, "sigma_max": sigma_max,
             "truncation_estimate": tail1 + tail2}

@@ -253,11 +253,10 @@ def test_criterion_08_band_isolation():
             rng, dim=dim, n_poles=int(rng.integers(1, 6)), max_order=2)
         forcing = mt.ForcingSpec(k=6, payload=rng.standard_normal(dim)
                                  + 1j * rng.standard_normal(dim))
-        for t in (1.0, 2.0, 5.0):
-            out = mt.band_subtract(resolvent, forcing.transform, None, 0.3, 2.3, t)
-            worst = max(worst, out["mismatch"])
-            if out["mismatch"] >= 1e-6:
-                failures += 1
+        out = mt.band_subtract(resolvent, forcing.transform, None, 0.3, 2.3,
+                               (1.0, 2.0, 5.0))
+        worst = max(worst, float(out["mismatch"].max()))
+        failures += int(np.count_nonzero(out["mismatch"] >= 1e-6))
     elapsed = time.monotonic() - t_start
     verdict(8, "band-isolation", failures == 0 and elapsed < 120.0,
             f"(50 models x t in {{1,2,5}}, worst mismatch {worst:.2e} < 1e-6; "

@@ -60,14 +60,14 @@ class TestResidueTimeTerm:
     def test_simple_pole(self):
         pole = mt.Pole(omega=1 - 1j, order=1, laurent=(np.eye(2),))
         v = np.array([1.0, 2.0])
-        out = mt.residue_time_term(pole, constant(v), 1.0)
+        out = mt.residue_time_term(pole, constant(v), [1.0])[0]
         want = 1j * np.exp(-1j * (1 - 1j)) * v
         assert np.linalg.norm(out - want) < 1e-12
 
     def test_zero_forcing(self):
         pole = mt.Pole(omega=1 - 1j, order=2,
                        laurent=(np.eye(1), 0.5 * np.eye(1)))
-        out = mt.residue_time_term(pole, constant(np.zeros(1)), 2.0)
+        out = mt.residue_time_term(pole, constant(np.zeros(1)), [2.0])
         assert np.linalg.norm(out) == 0.0
 
     def test_order_two_linear_in_t(self):
@@ -77,7 +77,7 @@ class TestResidueTimeTerm:
         v = np.array([2.0])
         outs = {}
         for t in (1.0, 2.0):
-            out = mt.residue_time_term(pole, constant(v), t)
+            out = mt.residue_time_term(pole, constant(v), [t])[0]
             want = 1j * np.exp(-1j * pole.omega * t) * (a1 + a2 * (-1j * t)) @ v
             assert np.linalg.norm(out - want) < 1e-12
             outs[t] = out / (1j * np.exp(-1j * pole.omega * t))
@@ -86,10 +86,22 @@ class TestResidueTimeTerm:
         alpha = outs[1.0] - beta
         assert np.linalg.norm(alpha + 2 * beta - outs[2.0]) < 1e-12
 
+    def test_times_batch_equals_per_time(self):
+        a1 = np.array([[1.5, 0.2j], [0.0, -0.4]])
+        a2 = np.array([[0.7, 0.0], [0.3, 0.1 - 0.2j]])
+        pole = mt.Pole(omega=0.4 - 0.8j, order=2, laurent=(a1, a2))
+        fn = lambda w: np.stack([np.exp(1j * w), w**2], axis=1)
+        times = [0.5, 1.0, 2.0, 5.0]
+        batched = mt.residue_time_term(pole, fn, times)
+        assert batched.shape == (4, 2)
+        for row, t in zip(batched, times):
+            single = mt.residue_time_term(pole, fn, [t])[0]
+            assert np.linalg.norm(row - single) <= 1e-14 * np.linalg.norm(single)
+
     def test_order_two_with_derivative(self):
         pole = mt.Pole(omega=0.5 - 1j, order=2, laurent=(np.eye(1), 2 * np.eye(1)))
         fn = lambda w: np.exp(1j * w)[:, None]
-        out = mt.residue_time_term(pole, fn, 1.0)
+        out = mt.residue_time_term(pole, fn, [1.0])[0]
         w0 = pole.omega
         want = 1j * np.exp(-1j * w0) * (
             np.exp(1j * w0) + 2 * (-1j * np.exp(1j * w0) + 1j * np.exp(1j * w0)))
@@ -100,7 +112,7 @@ class TestLineIntegral:
     def test_zero_forcing(self):
         R = mt.RationalResolvent(
             poles=(mt.Pole(omega=1 - 1j, order=1, laurent=(np.eye(1),)),), dim=1)
-        val, _ = mt.line_integral(R, constant(np.zeros(1)), None, 0.5, 1.0)
+        val, _ = mt.line_integral(R, constant(np.zeros(1)), None, 0.5, [1.0])
         assert np.linalg.norm(val) == 0.0
 
     def test_envelope_bound_and_pole_rate(self):
@@ -112,11 +124,9 @@ class TestLineIntegral:
         fhat = f.transform
         nu = 0.5
         ts = np.array([2.0, 4.0, 6.0, 8.0])
-        vals = []
-        for t in ts:
-            v, _ = mt.line_integral(R, fhat, None, nu, float(t), sigma_max=100.0)
-            vals.append(np.linalg.norm(v))
-        weighted = np.exp(nu * ts) * np.asarray(vals)
+        v, _ = mt.line_integral(R, fhat, None, nu, ts, sigma_max=100.0)
+        vals = np.linalg.norm(v, axis=1)
+        weighted = np.exp(nu * ts) * vals
         assert np.all(np.diff(weighted) < 0)  # e^{nu t} envelope bounded
         slope = np.polyfit(ts, np.log(vals), 1)[0]
         assert abs(slope + 2.0) < 0.05  # pole at Im = -2 sets the rate
@@ -125,7 +135,7 @@ class TestLineIntegral:
         R = mt.RationalResolvent(
             poles=(mt.Pole(omega=1 - 1j, order=1, laurent=(np.eye(1),)),), dim=1)
         with pytest.raises(ContourError):
-            mt.line_integral(R, constant(np.ones(1)), None, 1.0, 1.0)
+            mt.line_integral(R, constant(np.ones(1)), None, 1.0, [1.0])
 
 
 class TestBandSubtract:
@@ -137,7 +147,7 @@ class TestBandSubtract:
     def test_empty_strip(self, rng):
         R = mt.RationalResolvent(
             poles=(mt.Pole(omega=1 - 3j, order=1, laurent=(np.eye(1),)),), dim=1)
-        out = mt.band_subtract(R, self._fhat(1, rng), None, 0.5, 2.0, 1.0)
+        out = mt.band_subtract(R, self._fhat(1, rng), None, 0.5, 2.0, [1.0])
         assert np.linalg.norm(out["difference"]) < 1e-8
         assert np.linalg.norm(out["residue_sum"]) == 0.0
 
@@ -147,23 +157,23 @@ class TestBandSubtract:
         R = mt.RationalResolvent(
             poles=(mt.Pole(omega=w0, order=1, laurent=(pi1,)),), dim=2)
         fhat = self._fhat(2, rng)
-        out = mt.band_subtract(R, fhat, None, 0.5, 2.0, 1.0)
+        out = mt.band_subtract(R, fhat, None, 0.5, 2.0, [1.0])
         want = -1j * np.exp(-1j * w0) * pi1 @ fhat(np.array([w0]))[0]
-        assert np.linalg.norm(out["difference"] - want) < 1e-7
-        assert out["mismatch"] < 1e-7
+        assert np.linalg.norm(out["difference"][0] - want) < 1e-7
+        assert out["mismatch"][0] < 1e-7
 
     def test_five_poles_mixed_orders(self, rng):
         R = mt.random_rational_resolvent(rng, dim=2, n_poles=5, max_order=2)
-        out = mt.band_subtract(R, self._fhat(2, rng), None, 0.3, 2.3, 2.0)
-        assert out["mismatch"] < 1e-6
+        out = mt.band_subtract(R, self._fhat(2, rng), None, 0.3, 2.3, [2.0])
+        assert out["mismatch"][0] < 1e-6
 
     def test_windowed_band(self, rng):
         from ringlab import analytic_window as aw
         R = mt.random_rational_resolvent(rng, dim=2, n_poles=4, max_order=2)
         nodes = aw.PseudopoleSet((1.0 - 0.5j, 1.0 - 1.5j))
         g = aw.modified_window(nodes, target=1, m0=1)
-        out = mt.band_subtract(R, self._fhat(2, rng), g, 0.3, 2.3, 1.0)
-        assert out["mismatch"] < 1e-6
+        out = mt.band_subtract(R, self._fhat(2, rng), g, 0.3, 2.3, [1.0])
+        assert out["mismatch"][0] < 1e-6
 
     def test_window_killing_only_pole(self, rng):
         # g vanishing at the only strip pole: band content ~ 0
@@ -173,8 +183,72 @@ class TestBandSubtract:
             poles=(mt.Pole(omega=w0, order=1, laurent=(np.eye(1),)),), dim=1)
         nodes = aw.PseudopoleSet((w0, 2.0 - 0.2j))
         g = aw.lagrange_weight(nodes, 1)  # zero at w0
-        out = mt.band_subtract(R, self._fhat(1, rng), g, 0.5, 1.5, 1.0)
+        out = mt.band_subtract(R, self._fhat(1, rng), g, 0.5, 1.5, [1.0])
         assert np.linalg.norm(out["difference"]) < 1e-7
+
+
+class TestTimesBatch:
+    """One band_subtract call serves every time from the same node sets.
+
+    The poles sit at least 0.5 below or above each line, so the integrand has
+    no sharp peak on either line and the refinement stops once the
+    e^{-i sigma t} oscillation of the largest time is resolved.
+    """
+
+    TIMES = [1.0, 2.0, 5.0]
+
+    def _model(self):
+        pi1 = np.array([[0.3, 0.1], [0.0, 0.5]], dtype=complex)
+        a2 = np.array([[0.2, -0.1j], [0.4, 0.1]], dtype=complex)
+        R = mt.RationalResolvent(poles=(
+            mt.Pole(omega=1 - 1j, order=1, laurent=(pi1,)),
+            mt.Pole(omega=-0.5 - 1.5j, order=2, laurent=(pi1.T, a2)),
+            mt.Pole(omega=0.3 - 3j, order=1, laurent=(a2,))), dim=2)
+        return R, mt.ForcingSpec(k=6, payload=np.array([1.0, -0.5 + 0.3j])).transform
+
+    def test_nodes_shared_across_times(self, monkeypatch):
+        R, fhat = self._model()
+        nodes = []
+        eval_many = mt.RationalResolvent.eval_many
+
+        def counting(self, omega):
+            nodes.append(len(omega))
+            return eval_many(self, omega)
+
+        monkeypatch.setattr(mt.RationalResolvent, "eval_many", counting)
+        counts = []
+        for times in (self.TIMES, [5.0]):
+            nodes.clear()
+            mt.band_subtract(R, fhat, None, 0.5, 2.0, times, sigma_max=100.0)
+            counts.append(sum(nodes))
+        assert counts[0] == counts[1] > 0
+
+    def test_rows_match_single_time_calls_and_oracle(self):
+        R, fhat = self._model()
+        out = mt.band_subtract(R, fhat, None, 0.5, 2.0, self.TIMES)
+        assert out["difference"].shape == out["residue_sum"].shape == (3, 2)
+        assert out["mismatch"].shape == out["truncation_estimate"].shape == (3,)
+        assert isinstance(out["sigma_max"], float)
+        for j, t in enumerate(self.TIMES):
+            single = mt.band_subtract(R, fhat, None, 0.5, 2.0, [t])
+            assert np.linalg.norm(out["difference"][j] - single["difference"][0]) < 1e-9
+            assert np.linalg.norm(out["difference"][j] - out["residue_sum"][j]) < 1e-9
+            assert out["mismatch"][j] < 1e-9
+
+    def test_one_radius_for_every_time(self):
+        # the smallest time carries the largest e^{-nu t} tail, so its radius
+        # serves every time
+        R, fhat = self._model()
+        batched = mt.band_subtract(R, fhat, None, 0.5, 2.0, self.TIMES)
+        per_time = [mt.band_subtract(R, fhat, None, 0.5, 2.0, [t])["sigma_max"]
+                    for t in self.TIMES]
+        assert batched["sigma_max"] == max(per_time)
+
+    @pytest.mark.parametrize("times", [1.0, [], [[1.0]], [1.0, 0.0], [-2.0]])
+    def test_bad_times_rejected(self, times):
+        R, fhat = self._model()
+        with pytest.raises(ConfigError):
+            mt.band_subtract(R, fhat, None, 0.5, 2.0, times)
 
 
 class TestRankOneResidue:

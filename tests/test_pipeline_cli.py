@@ -244,6 +244,8 @@ class TestCli:
             {"pseudospectrum": {"eps": [0.1, 0.0]}},
             {"pseudospectrum": {"poles": []}},
             {"band_isolate": {"max_order": 0}},
+            {"band_isolate": {"times": []}},
+            {"band_isolate": {"times": [1.0, 0.0]}},
             {"band_isolate": {"forcing_k": 8}},
             {"band_isolate": {"forcing_k": 0}},
             {"pseudospectrum": {"re_range": [0.0]}},
