@@ -499,9 +499,12 @@ def amplitude_pairing(f_at_pole: np.ndarray, u0: np.ndarray, v0: np.ndarray,
 class PseudospectrumModel:
     """Scalar toy model: resolvent norm profile hol + E+ E- / |q(omega)|.
 
-    q is the product over (omega - pole_j); c_q = 0.5 min_j |q'(pole_j)| is
-    the linear lower-bound constant for |q(omega)| >= c_q |omega - pole_j|
-    near each zero.
+    q is the product over (omega - pole_j) of N distinct poles with minimum
+    separation d.  c_q = min_j |q'(pole_j)| / 2^max(N-1, 1) is the linear
+    lower-bound constant |q(omega)| >= c_q r, r the distance to the nearest
+    pole, which holds wherever r <= d/2: there every other pole is at least
+    half its distance to the nearest one away.  Where r > d/2 every factor
+    is at least r, so |q(omega)| >= r^N.
     """
 
     poles: tuple
@@ -516,7 +519,9 @@ class PseudospectrumModel:
         for j, pj in enumerate(self.poles):
             others = [pj - pk for k, pk in enumerate(self.poles) if k != j]
             prods.append(np.prod([abs(d) for d in others]) if others else 1.0)
-        self.c_q = 0.5 * float(min(prods))
+        self.c_q = float(min(prods)) / 2.0 ** max(len(self.poles) - 1, 1)
+        self.min_sep = min((abs(pj - pk) for j, pj in enumerate(self.poles)
+                            for pk in self.poles[j + 1:]), default=np.inf)
 
     def q(self, omega):
         omega = np.asarray(omega, dtype=complex)
@@ -530,11 +535,21 @@ class PseudospectrumModel:
             return self.hol_bound + self.e_plus * self.e_minus / np.abs(self.q(omega))
 
     def disk_radius(self, eps: float) -> float:
-        """Certified confinement radius C(eps)*eps around each pole."""
+        """Certified confinement radius around the poles at level eps.
+
+        A point with norm > 1/eps has |q| < q_crit = eps E+ E- / (1 - eps hol).
+        By the two lower bounds on |q| (class docstring) its distance r to
+        the nearest pole satisfies r < q_crit/c_q when q_crit <= (d/2)^N,
+        and r <= max(d/2, q_crit^(1/N)) in every case.
+        """
         if eps * self.hol_bound >= 1.0:
             raise HypothesisError("eps too large: holomorphic part saturates 1/eps")
         q_crit = eps * self.e_plus * self.e_minus / (1.0 - eps * self.hol_bound)
-        return q_crit / self.c_q
+        n = len(self.poles)
+        half_sep = 0.5 * self.min_sep
+        if q_crit <= half_sep ** n:
+            return q_crit / self.c_q
+        return max(half_sep, q_crit ** (1.0 / n))
 
 
 def pseudospectrum_scan(model: PseudospectrumModel, re_grid: np.ndarray,

@@ -45,7 +45,8 @@ class Scenario:
     setup: sm.ObservationSetup
     tail: sm.TailSpec
     noise: sm.NoiseSpec
-    noise_l2: float  # the noise alone on the grid: both sectors' budgets use it
+    noise_samples: Optional[np.ndarray]  # the noise on the setup grid; None if zero
+    noise_l2: float  # its norm over the window: both sectors' budgets use it
 
 
 def _noise_from_config(noise: dict, setup: sm.ObservationSetup) -> sm.NoiseSpec:
@@ -66,13 +67,16 @@ def _scenario(cfg: ScenarioConfig) -> Scenario:
     model = pm.default_lattice(kappa=lat["kappa"], lam_kind=damping["kind"],
                                lam_value=damping["value"], n=lat["overtone"],
                                ell=lat["ell"])
-    noise = _noise_from_config(cfg["noise"], cfg.setup)
+    setup = cfg.setup
+    noise = _noise_from_config(cfg["noise"], setup)
+    samples = None if noise.is_zero else noise.eval(setup.grid())
+    noise_l2 = 0.0 if samples is None else sm.residual_l2(
+        sm.SampledSignal(t_start=setup.t0, dt=setup.dt, values=samples), setup)
     return Scenario(
         model=model, p_true=pm.ParameterPoint(m=lat["M"], a=lat["a"], lam=lat["Lambda"]),
-        setup=cfg.setup,
+        setup=setup,
         tail=sm.TailSpec(c_tail=tail["c"], nu=tail["nu"], m=tail["m"], leak=tail["leak"]),
-        noise=noise, noise_l2=sm.residual_l2(
-            sm.sample_scene([], sm.ZERO_TAIL, noise, cfg.setup), cfg.setup))
+        noise=noise, noise_samples=samples, noise_l2=noise_l2)
 
 
 @dataclass
@@ -83,6 +87,15 @@ class SectorResult:
     amp_ref: complex
     result: ex.ExtractionResult
     eps_budget: dict
+
+
+def _sample(modes, scn: Scenario) -> sm.SampledSignal:
+    """The scene on the setup grid, with the scenario's one noise sample added
+    last, as eval_scene adds it."""
+    y = sm.sample_scene(modes, scn.tail, sm.ZERO_NOISE, scn.setup)
+    if scn.noise_samples is None:
+        return y
+    return sm.SampledSignal(t_start=y.t_start, dt=y.dt, values=y.values + scn.noise_samples)
 
 
 def _sample_extended(modes, tail, noise, setup: sm.ObservationSetup,
@@ -126,13 +139,13 @@ def _run_sector(sign: int, cfg: ScenarioConfig, scn: Scenario) -> SectorResult:
         window_gain = complex(gpoly(omega_true))
         if win["path"] == "modal":
             modes = aw.apply_window_modal(modes, gpoly)
-            y = sm.sample_scene(modes, tail, noise, setup)
+            y = _sample(modes, scn)
         else:
             pad = aw.fd_trim(gpoly.degree, win["stencil_order"])
             raw = _sample_extended(modes, tail, noise, setup, pad)
             y = aw.apply_window_fd(raw, gpoly, stencil_order=win["stencil_order"])
     else:
-        y = sm.sample_scene(modes, tail, noise, setup)
+        y = _sample(modes, scn)
 
     amp_ref = amp * window_gain
     prior = pm.pseudopole(model, n, sign, p_true)

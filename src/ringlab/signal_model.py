@@ -8,13 +8,17 @@ the sampling step, so the time shift acts exactly on the grid and a pure
 mode is an exact eigenvector of the shift with eigenvalue exp(-i*omega*Delta).
 
 Weighted inner products are trapezoid sums on the sampling grid, the one
-path.  The raised-cosine weight has zero slope at its grid-node breakpoints,
-so the sums meet the continuum integral at order dt^4 (Trefethen & Weideman,
-SIAM Rev. 56, 2014); the tests hold the closed-form integral as the oracle.
+path.  The taper weights belong to the observation setup: each
+ObservationSetup computes its grid and its weights once, on first use, and
+every inner product on that setup reuses them.  The raised-cosine weight has
+zero slope at its grid-node breakpoints, so the sums meet the continuum
+integral at order dt^4 (Trefethen & Weideman, SIAM Rev. 56, 2014); the tests
+hold the closed-form integral as the oracle.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -160,6 +164,10 @@ class ObservationSetup:
     operator and the weight breakpoints land exactly on grid nodes.
     taper: 'raised-cosine' ramps of length delta on each side of the plateau
     [t0+delta, t0+t_len-2*delta], or 'rectangular' (plateau indicator).
+
+    The grid and the taper weights are computed once per instance, on first
+    use, and held as read-only arrays; they are not fields, so equality and
+    hashing see only the five parameters.
     """
 
     t0: float
@@ -192,9 +200,24 @@ class ObservationSetup:
     def n_samples(self) -> int:
         return int(round(self.t_len / self.dt))
 
+    @cached_property
+    def _grid(self) -> np.ndarray:
+        return _read_only(self.t0 + self.dt * np.arange(self.n_samples + 1))
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """Taper weights w on the grid nodes of [t0, t0+t_len-delta] (read-only)."""
+        nodes = self._grid[:self.n_samples - self.shift_steps + 1]
+        return _read_only(weight_eval(self, nodes))
+
     def grid(self) -> np.ndarray:
-        """Sampling nodes t0 + k*dt covering [t0, t0+t_len]."""
-        return self.t0 + self.dt * np.arange(self.n_samples + 1)
+        """Sampling nodes t0 + k*dt covering [t0, t0+t_len] (read-only)."""
+        return self._grid
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
@@ -267,11 +290,10 @@ def weight_eval(setup: ObservationSetup, t):
     return w if w.shape else float(w)
 
 
-def _slice_to_range(f: SampledSignal, t_lo: float, t_hi: float) -> np.ndarray:
-    """Samples of f on the grid nodes spanning [t_lo, t_hi] (must be covered)."""
+def _slice_to_range(f: SampledSignal, t_lo: float, npts: int) -> np.ndarray:
+    """npts samples of f from the grid node at t_lo on (must be covered)."""
     k0 = (t_lo - f.t_start) / f.dt
     k0i = int(round(k0))
-    npts = int(round((t_hi - t_lo) / f.dt)) + 1
     if (abs(k0 - k0i) > _GRID_RTOL * max(1.0, abs(k0))
             or k0i < 0 or k0i + npts > len(f)):
         raise ConfigError("grid does not cover the requested range on-node")
@@ -281,19 +303,21 @@ def _slice_to_range(f: SampledSignal, t_lo: float, t_hi: float) -> np.ndarray:
 def weighted_inner(f: SampledSignal, g: SampledSignal,
                    setup: ObservationSetup) -> complex:
     """Weighted inner product <f, g>_w: composite trapezoid of w f conj(g)
-    on the shared grid over [t0, t0+T-delta]."""
+    over [t0, t0+T-delta], with the weights the setup holds.
+
+    f and g must sit on the setup's grid nodes.  The rectangular weight
+    jumps exactly at grid nodes, so its sum runs over the plateau only.
+    """
     if abs(f.dt - g.dt) > _GRID_RTOL * f.dt:
         raise ConfigError("signals must share the sampling step")
-    lo, hi = setup.t0, setup.t0 + setup.t_len - setup.delta
+    w, lo = setup.weights, setup.t0
     if setup.taper == "rectangular":
-        # weight jumps exactly at grid nodes: integrate over the plateau only
-        lo, hi = lo + setup.delta, hi - setup.delta
-        if hi <= lo:
+        k = setup.shift_steps
+        if len(w) <= 2 * k + 1:
             return 0.0 + 0.0j
-    prod = _slice_to_range(f, lo, hi) * np.conj(_slice_to_range(g, lo, hi))
-    if setup.taper != "rectangular":
-        prod = weight_eval(setup, lo + f.dt * np.arange(len(prod))) * prod
-    return complex(np.trapezoid(prod, dx=f.dt))
+        w, lo = w[k:len(w) - k], lo + setup.delta
+    prod = _slice_to_range(f, lo, len(w)) * np.conj(_slice_to_range(g, lo, len(w)))
+    return complex(np.trapezoid(w * prod, dx=f.dt))
 
 
 def wnorm(f: SampledSignal, setup: ObservationSetup) -> float:
@@ -346,6 +370,6 @@ def residual_l2(r: SampledSignal, setup: ObservationSetup) -> float:
     Dominates both ||r||_w and ||S_delta r||_w since 0 <= w <= 1 and the
     shifted domain stays inside the window.
     """
-    vals = _slice_to_range(r, setup.t0, setup.t0 + setup.t_len)
+    vals = _slice_to_range(r, setup.t0, setup.n_samples + 1)
     val = np.trapezoid(np.abs(vals) ** 2, dx=r.dt)
     return float(np.sqrt(val))

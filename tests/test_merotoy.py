@@ -361,6 +361,25 @@ class TestPseudospectrum:
             assert scan["inclusion_holds"]
             assert scan["radius"] <= 2.5 * eps * 2.0  # C*eps with C = 2 E+E-/c_q
 
+    def test_radius_holds_on_random_models(self):
+        # the radius is proven for any number of poles, not only near each
+        # pole: no flagged point of a random 1-4 pole model lies outside it
+        rng = np.random.default_rng(0)
+        n_flagged = 0
+        for _ in range(200):
+            poles = tuple(complex(*rng.uniform(-1.5, 1.5, 2))
+                          for _ in range(int(rng.integers(1, 5))))
+            m = mt.PseudospectrumModel(poles=poles, e_plus=rng.uniform(0.5, 2.0),
+                                       e_minus=rng.uniform(0.5, 2.0),
+                                       hol_bound=rng.uniform(0.0, 0.3))
+            eps = 10.0 ** rng.uniform(-3.0, np.log10(3.0))
+            parts = [p.real for p in poles] + [p.imag for p in poles]
+            grid = np.linspace(min(parts) - 3.0, max(parts) + 3.0, 151)
+            scan = mt.pseudospectrum_scan(m, grid, grid, eps)
+            assert scan["inclusion_holds"], (poles, eps)
+            n_flagged += scan["n_flagged"] > 0
+        assert n_flagged > 100  # the check is not vacuous
+
     def test_resolution_error(self):
         m = mt.PseudospectrumModel(poles=(0.0 - 1j,))
         re = np.linspace(-2, 2, 10)

@@ -378,6 +378,18 @@ class TestCli:
         doc_out = json.loads(Path(out, "report.json").read_text())
         assert all(r["inclusion_holds"] for r in doc_out["rows"])
 
+    def test_pseudospectrum_three_poles_exit_0(self, tmp_path):
+        # three cube-root poles: |q(0)| = 1 lies below c_q * dist(0, poles)
+        # with the near-pole constant alone, so the radius needs the far bound
+        cfg = write_cfg(tmp_path, {"pseudospectrum": {
+            "poles": [[1.0, 0.0], [-0.5, 0.8660254037844386], [-0.5, -0.8660254037844386]],
+            "eps": [1.2], "grid_n": 201}})
+        out = str(tmp_path / "o")
+        assert cli.main(["pseudospectrum", "--config", cfg, "--out", out]) == 0
+        row = json.loads(Path(out, "report.json").read_text())["rows"][0]
+        assert row["inclusion_holds"] and row["n_flagged"] > 0
+        assert abs(row["radius"] - 1.2 ** (1.0 / 3.0)) < 1e-15
+
     def test_band_isolate_and_window_check(self, tmp_path):
         cfg = write_cfg(tmp_path, {"band_isolate": {"n_models": 2, "seed": 3}})
         assert cli.main(["band-isolate", "--config", cfg,

@@ -140,6 +140,23 @@ class TestWeight:
         assert sm.weight_eval(setup, 2.0) == 1.0
         assert sm.weight_eval(setup, 1.5) == 0.0
 
+    @pytest.mark.parametrize("taper", ["raised-cosine", "rectangular"])
+    @pytest.mark.parametrize("n", [201, 20001])
+    def test_setup_holds_grid_and_weights(self, taper, n):
+        setup = std_setup(dt=10.0 / (n - 1), taper=taper)
+        grid, weights = setup.grid(), setup.weights
+        assert np.array_equal(grid, setup.t0 + setup.dt * np.arange(n))
+        # the weights sit on the grid nodes of [t0, t0+T-delta]
+        nodes = setup.t0 + setup.dt * np.arange(n - setup.shift_steps)
+        assert np.array_equal(weights, sm.weight_eval(setup, nodes))
+        assert setup.grid() is grid and setup.weights is weights
+        for arr in (grid, weights):
+            with pytest.raises(ValueError):
+                arr[0] = 0.5
+        twin = std_setup(dt=10.0 / (n - 1), taper=taper)
+        twin.grid(), twin.weights  # fill the twin's caches too
+        assert twin == setup and hash(twin) == hash(setup)
+
 
 class TestWeightedInner:
     def test_zero(self):

@@ -4,18 +4,30 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parents[1] / "ringbench" / "spans.py"
+RINGBENCH = Path(__file__).resolve().parents[1] / "ringbench"
 
 
-def load_spans():
-    spec = importlib.util.spec_from_file_location("ringbench_spans", SPANS)
+def load_ringbench(name):
+    spec = importlib.util.spec_from_file_location(f"ringbench_{name}", RINGBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
+def traced_op(fn, *args):
+    """Run one op under the tracer; return its result and per-op metrics."""
+    spans = load_ringbench("spans")
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        result = tracer.run_op(fn, *args)
+    finally:
+        tracer.uninstall()
+    return result, spans.pass_metrics(tracer.labels, tracer.spans, 1)
+
+
 def test_targets_resolve_in_ringlab():
-    for module_name, path, _ in load_spans().TARGETS:
+    for module_name, path, _ in load_ringbench("spans").TARGETS:
         module = importlib.import_module(f"ringlab.{module_name}")
         if "." in path:
             # the tracer wraps the class's own __dict__ entry, so an
@@ -31,17 +43,41 @@ def test_band_isolate_op_counters():
     # each of whose Gauss-Legendre passes evaluates the resolvent
     from ringlab import pipeline
     from ringlab.config import ScenarioConfig
-    spans = load_spans()
     cfg = ScenarioConfig(raw={"band_isolate": {
         "n_models": 1, "seed": 11, "dim": 2, "n_poles": 3, "forcing_k": 6,
         "nu1": 0.3, "nu2": 2.3, "times": [1.0, 2.0, 5.0], "tol": 1e-6}})
-    tracer = spans.Tracer()
-    tracer.install()
-    try:
-        report = tracer.run_op(pipeline.run_band_isolate, cfg)
-    finally:
-        tracer.uninstall()
+    report, metrics = traced_op(pipeline.run_band_isolate, cfg)
     assert len(report.rows) == 3 and not report.violations
-    metrics = spans.pass_metrics(tracer.labels, tracer.spans, 1)
     assert metrics["merotoy.line_integrals"] == 2
     assert metrics["merotoy.resolvent_nodes"] > 0
+
+
+def test_noise_sampled_once_per_scenario():
+    # an lcg-long-grid op sweeps 4 scenarios; both sectors of a scenario add
+    # the one noise sample taken on the setup grid
+    workload = load_ringbench("workloads").make("lcg-long-grid")
+    workload.prepare(None)
+    report, metrics = traced_op(workload.run, workload.make_input(1, 0), None)
+    assert len(report.rows) == 4 and not report.violations
+    assert metrics["pipeline.scenarios"] == 4
+    assert metrics["signal_model.noise_evals"] == 4
+
+
+def test_weights_computed_once_per_setup(monkeypatch):
+    # every weighted inner product of a scenario uses its setup's weights
+    from ringlab import pipeline, signal_model
+    from ringlab.config import ScenarioConfig
+    calls = []
+    weight_eval = signal_model.weight_eval
+
+    def counted(setup, t):
+        calls.append(setup)
+        return weight_eval(setup, t)
+
+    monkeypatch.setattr(signal_model, "weight_eval", counted)
+    cfg = ScenarioConfig(raw={"noise": {"harmonics": [[0.001, 3.0, 0.4]]}})
+    report, metrics = traced_op(pipeline.run_pipeline, cfg)
+    assert len(report.rows) == 1 and not report.violations
+    assert metrics["signal_model.noise_evals"] == 1
+    assert metrics["signal_model.inner_calls"] > 1
+    assert calls == [cfg.setup]
