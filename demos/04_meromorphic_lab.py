@@ -29,9 +29,10 @@ print(f"\nforcing transform decay on Im omega = -0.5: sigma^{slope:.2f}")
 
 # --- band isolation: two contour heights bracket a pole band -----------------
 # one call serves every time: only e^{-i omega t} depends on t, so each line
-# evaluates R F_hat once and every time shares the nodes and sigma_max
+# evaluates F times R(omega) payload once and every time shares the nodes and
+# sigma_max
 times = np.array([1.0, 2.0, 5.0])
-out = mt.band_subtract(resolvent, fhat, None, nu1=0.3, nu2=2.3, times=times)
+out = mt.band_subtract(resolvent, forcing, None, nu1=0.3, nu2=2.3, times=times)
 strip = resolvent.poles_in_strip(-2.3, -0.3)
 print(f"\nband (-2.3, -0.3) holds {len(strip)} poles "
       f"(sigma_max = {out['sigma_max']:g} for every t)")

@@ -120,10 +120,8 @@ _LIMITS = {
     ("band_isolate", "max_order"): (lambda v: v >= 1, "at least 1"),
     ("band_isolate", "times"): (lambda v: len(v) > 0 and all(t > 0 for t in v),
                                 "a nonempty list of positive times"),
-    # the moment recurrence loses accuracy above k = 7 (ROADMAP item 3)
-    ("band_isolate", "forcing_k"): (
-        lambda v: 1 <= v <= 7,
-        "in 1..7 until the forcing transform is stabilised (ROADMAP item 3)"),
+    # the closed-form forcing transform is tested against mpmath for k <= 12
+    ("band_isolate", "forcing_k"): (lambda v: 1 <= v <= 12, "in 1..12"),
     ("pseudospectrum", "re_range"): _RANGE, ("pseudospectrum", "im_range"): _RANGE,
     ("inversion", "box", "M"): _RANGE, ("inversion", "box", "a"): _RANGE,
     ("inversion", "box", "Lambda"): _RANGE,

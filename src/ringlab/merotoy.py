@@ -9,12 +9,16 @@ contour identity can be checked against an independent residue oracle.
 
 Every function the contour code receives is batched: it maps an (n,) array
 of frequencies to an (n, ...) array, so each quantity has one evaluation
-path.
+path.  The band-isolation integrand is factored: the forcing is a scalar
+transform F(omega) times a fixed payload vector, so g R F_hat is the (n,)
+scalar g F times the (n, d) values R(omega) payload, and no (n, d, d)
+resolvent array is formed.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -60,16 +64,25 @@ class RationalResolvent:
         hol = tuple(np.asarray(m, dtype=complex) for m in self.hol)
         object.__setattr__(self, "hol", hol)
 
-    def eval_many(self, omega: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation: (n,) frequencies -> (n, d, d) values."""
+    def eval_many(self, omega: np.ndarray, vec: Optional[np.ndarray] = None) -> np.ndarray:
+        """Vectorized evaluation: (n,) frequencies -> (n, d) values of R(omega) vec.
+
+        Without vec it returns the (n, d, d) matrices R(omega).  The polynomial
+        part is Horner in omega and each pole Horner in 1/(omega - omega0),
+        over the fixed products hol_j vec and Pi^[q] vec.
+        """
         omega = np.asarray(omega, dtype=complex)
-        val = np.zeros(omega.shape + (self.dim, self.dim), dtype=complex)
-        for k, mat in enumerate(self.hol):
-            val += omega[:, None, None] ** k * mat
+        vec = np.eye(self.dim) if vec is None else np.asarray(vec, dtype=complex)
+        w = omega.reshape(omega.shape + (1,) * vec.ndim)
+        val = np.zeros(omega.shape + vec.shape, dtype=complex)
+        for mat in reversed(self.hol):
+            val = val * w + mat @ vec
         for p in self.poles:
-            dw = (omega - p.omega)[:, None, None]
-            for q, mat in enumerate(p.laurent, start=1):
-                val += mat / dw**q
+            inv = 1.0 / (w - p.omega)
+            acc = 0.0
+            for mat in reversed(p.laurent):
+                acc = (acc + mat @ vec) * inv
+            val += acc
         return val
 
     def poles_in_strip(self, im_lo: float, im_hi: float) -> list:
@@ -110,8 +123,9 @@ class ForcingSpec:
     """Smooth bump (t(1-t))^k e^{alpha t} on (0,1) carrying a payload vector.
 
     The bump vanishes to order k at both endpoints, so the transform decays
-    like |omega|^-(k+1) on horizontal lines.  ``transform`` is the batched
-    F_hat that the contour code receives.
+    like |omega|^-(k+1) on horizontal lines.  The contour code receives the
+    spec itself: F_hat is the batched closed-form ``scalar`` times the fixed
+    ``payload``.
     """
 
     k: int
@@ -129,50 +143,73 @@ class ForcingSpec:
         val = np.where(inside, (t * (1.0 - t)) ** self.k * np.exp(self.alpha * t), 0.0)
         return val
 
-    def bump_coefficients(self) -> np.ndarray:
-        """Coefficients c_j of (t(1-t))^k = sum_j c_j t^j (ascending)."""
-        c = np.zeros(2 * self.k + 1)
-        for i in range(self.k + 1):
-            c[self.k + i] = math.comb(self.k, i) * (-1.0) ** i
-        return c
+    @cached_property
+    def _series(self) -> np.ndarray:
+        """Taylor coefficients B(k+q+1, k+1)/q!, q < _SERIES_TERMS, of the scalar in s."""
+        k = self.k
+        num, den = math.factorial(k) ** 2, math.factorial(2 * k + 1)  # B(k+1, k+1)
+        out = []
+        for q in range(_SERIES_TERMS):
+            out.append(num / den)  # exact integers, one rounding
+            num, den = num * (k + q + 1), den * (2 * k + q + 2) * (q + 1)
+        return np.array(out)
+
+    @cached_property
+    def _parts(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Q_j = p^(k+j)(0) = (k+j)! (-1)^j C(k, j), j = 0..k, the nonzero
+        derivatives, split as Q(x) = E(x^2) + x O(x^2): (E, O) coefficients."""
+        k = self.k
+        q = np.array([float(math.factorial(k + j) * math.comb(k, j) * (-1) ** j)
+                      for j in range(k + 1)])
+        return q[0::2], q[1::2]
+
+    def scalar(self, omega: np.ndarray) -> np.ndarray:
+        """F(omega) = integral over (0,1) of (t(1-t))^k e^{s t} dt, s = alpha + i omega.
+
+        Batched: (n,) frequencies -> (n,) values, in closed form.  For
+        |s| <= max(10, 1.5k) it sums the Beta series sum_q s^q B(k+q+1, k+1)/q!
+        (Horner, _SERIES_TERMS terms).  Beyond, integration by parts
+        terminates, because p = (t(1-t))^k has p^(r)(1) = (-1)^r p^(r)(0) and
+        p^(r)(0) = 0 outside k <= r <= 2k: with x = 1/s,
+        F = x^(k+1) [e^s Q(x) - (-1)^k Q(-x)],  Q(x) = sum_j p^(k+j)(0) x^j.
+        For k <= 12 the relative error stays below 1e-11 against mpmath's
+        B(k+1, k+1) 1F1(k+1; 2k+2; s) (tests/test_merotoy.py).
+        """
+        s = self.alpha + 1j * np.asarray(omega, dtype=complex)
+        out = np.empty(s.shape, dtype=complex)
+        near = np.abs(s) <= max(10.0, 1.5 * self.k)
+        if near.any():
+            out[near] = _horner(self._series, s[near])
+        if not near.all():
+            far = s[~near]
+            x = 1.0 / far
+            even, odd = self._parts
+            x2 = x * x
+            e, xo = _horner(even, x2), x * _horner(odd, x2)
+            out[~near] = x ** (self.k + 1) * (
+                np.exp(far) * (e + xo) - (-1) ** self.k * (e - xo))
+        return out
 
     def transform(self, omega: np.ndarray) -> np.ndarray:
         """F_hat(omega) = payload * integral of e^{i omega t} bump(t) over (0,1).
 
-        Batched: (n,) frequencies -> (n, d) values, by the moment recurrence.
+        Batched: (n,) frequencies -> (n, d) values, ``scalar`` times payload.
         """
-        s = self.alpha + 1j * np.asarray(omega, dtype=complex)
-        coeffs = self.bump_coefficients()
-        scal = _exp_moments_many(s, len(coeffs) - 1) @ coeffs.astype(complex)
-        return scal[:, None] * self.payload
+        return self.scalar(omega)[:, None] * self.payload
 
 
-def _exp_moments_many(s: np.ndarray, jmax: int) -> np.ndarray:
-    """Moments I_j = integral of t^j e^{s t} over [0,1]: (n,) exponents -> (n, jmax+1)."""
-    s = np.asarray(s, dtype=complex)
-    out = np.empty(s.shape + (jmax + 1,), dtype=complex)
-    small = np.abs(s) < 0.5
-    if np.any(small):
-        ss = s[small]
-        for j in range(jmax + 1):
-            term = np.full(ss.shape, 1.0 / (j + 1.0), dtype=complex)
-            total = term.copy()
-            for p in range(1, 60):
-                term = term * ss / p * (j + p) / (j + p + 1.0)
-                total += term
-                if np.all(np.abs(term) <= 1e-18 * np.abs(total)):
-                    break
-            out[small, j] = total
-    big = ~small
-    if np.any(big):
-        sb = s[big]
-        es = np.exp(sb)
-        prev = (es - 1.0) / sb
-        out[big, 0] = prev
-        for j in range(1, jmax + 1):
-            prev = (es - j * prev) / sb
-            out[big, j] = prev
-    return out
+def _horner(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_j coeffs[j] x^j by Horner's rule, in place on one (n,) array."""
+    acc = np.full(x.shape, coeffs[-1], dtype=complex)
+    for c in coeffs[-2::-1]:
+        acc *= x
+        acc += c
+    return acc
+
+
+#: Terms of the Beta series: at |s| = 18, the largest radius it serves
+#: (k = 12), the last of them is below 1e-38 of the sum.
+_SERIES_TERMS = 96
 
 
 # ---------------------------------------------------------------------------
@@ -255,8 +292,8 @@ def _eval_g_many(g: Optional[Callable], omega: np.ndarray) -> np.ndarray:
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
 
-#: Nodes evaluated at once in one Gauss-Legendre pass: bounds the (n, d, d)
-#: resolvent values a pass holds, whatever the truncation radius.
+#: Nodes evaluated at once in one Gauss-Legendre pass: bounds the (T, n)
+#: phase matrix and (n, d) values a pass holds, whatever the truncation radius.
 _GL_BLOCK = 8192
 
 
@@ -281,7 +318,14 @@ def _gl_line_sum(values: Callable, nu: float, times: np.ndarray, a: float, b: fl
     return total
 
 
-def line_integral(resolvent: RationalResolvent, f_hat: Callable, g: Optional[Callable],
+def _integrand(resolvent: RationalResolvent, forcing: ForcingSpec,
+               g: Optional[Callable], omega: np.ndarray) -> np.ndarray:
+    """g R F_hat at (n,) frequencies: the (n,) scalar g F times R(omega) payload."""
+    scal = _eval_g_many(g, omega) * forcing.scalar(omega)
+    return scal[:, None] * resolvent.eval_many(omega, forcing.payload)
+
+
+def line_integral(resolvent: RationalResolvent, forcing: ForcingSpec, g: Optional[Callable],
                   nu: float, times, sigma_max: float = 200.0,
                   tol: float = 1e-9) -> Tuple[np.ndarray, np.ndarray]:
     """Truncated inverse-Laplace integrals on the shifted line Im(omega) = -nu.
@@ -296,15 +340,15 @@ def line_integral(resolvent: RationalResolvent, f_hat: Callable, g: Optional[Cal
     32n panels and stop at the first whose change from the previous one is
     at most tol for every time.  Returns ((T, d) values, (T,) truncation
     estimates): an estimate extrapolates the integrand envelope beyond the
-    truncation radius from its measured algebraic decay.  f_hat maps (n,)
-    frequencies to (n, d) values and g, when given, to (n,) values.
+    truncation radius from its measured algebraic decay.  F_hat is the
+    forcing's scalar times its payload; g, when given, maps (n,)
+    frequencies to (n,) values.
     """
     times = _as_times(times)
     _check_line_clear(resolvent, nu)
 
     def values(w):
-        rf = np.einsum("nij,nj->ni", resolvent.eval_many(w), f_hat(w))
-        return _eval_g_many(g, w)[:, None] * rf / (2.0 * np.pi)
+        return _integrand(resolvent, forcing, g, w) / (2.0 * np.pi)
 
     def level(n):
         return _gl_line_sum(values, nu, times, -sigma_max, sigma_max, n)
@@ -321,10 +365,10 @@ def line_integral(resolvent: RationalResolvent, f_hat: Callable, g: Optional[Cal
         coarse = fine
         step *= 2
         fine = level(step * 2 * n_panels)
-    return fine, _tail_estimate(resolvent, f_hat, g, nu, times, sigma_max)
+    return fine, _tail_estimate(resolvent, forcing, g, nu, times, sigma_max)
 
 
-def _tail_estimate(resolvent: RationalResolvent, f_hat: Callable,
+def _tail_estimate(resolvent: RationalResolvent, forcing: ForcingSpec,
                    g: Optional[Callable], nu: float, times,
                    sigma_max: float) -> np.ndarray:
     """Envelope estimate of the omitted |sigma| > sigma_max contribution.
@@ -335,8 +379,7 @@ def _tail_estimate(resolvent: RationalResolvent, f_hat: Callable,
     """
     times = _as_times(times)
     w = np.array([0.5, -0.5, 1.0, -1.0]) * sigma_max - 1j * nu
-    rf = np.einsum("nij,nj->ni", resolvent.eval_many(w), f_hat(w))
-    env = np.linalg.norm(_eval_g_many(g, w)[:, None] * rf, axis=1)
+    env = np.linalg.norm(_integrand(resolvent, forcing, g, w), axis=1)
     e_half = float(env[0] + env[1])
     e_full = float(env[2] + env[3])
     if e_full <= 0 or e_half <= 0:
@@ -346,20 +389,20 @@ def _tail_estimate(resolvent: RationalResolvent, f_hat: Callable,
             / max(p - 1.0, 0.1) / (2.0 * np.pi))
 
 
-def choose_sigma_max(resolvent: RationalResolvent, f_hat: Callable,
+def choose_sigma_max(resolvent: RationalResolvent, forcing: ForcingSpec,
                      g: Optional[Callable], nu: float, times,
                      tol: float, start: float = 50.0,
                      cap: float = 6400.0) -> float:
     """Double the truncation radius until every time's tail estimate < tol/10."""
     sigma = start
     while sigma < cap:
-        if _tail_estimate(resolvent, f_hat, g, nu, times, sigma).max() < tol / 10.0:
+        if _tail_estimate(resolvent, forcing, g, nu, times, sigma).max() < tol / 10.0:
             return sigma
         sigma *= 2.0
     return cap
 
 
-def band_subtract(resolvent: RationalResolvent, f_hat: Callable,
+def band_subtract(resolvent: RationalResolvent, forcing: ForcingSpec,
                   g: Optional[Callable], nu1: float, nu2: float, times,
                   sigma_max: Optional[float] = None, tol: float = 1e-8) -> dict:
     """Contour subtraction: poles strictly between the two lines are isolated.
@@ -384,15 +427,16 @@ def band_subtract(resolvent: RationalResolvent, f_hat: Callable,
     _check_line_clear(resolvent, nu1)
     _check_line_clear(resolvent, nu2)
     if sigma_max is None:
-        sigma_max = max(choose_sigma_max(resolvent, f_hat, g, nu, times, tol)
+        sigma_max = max(choose_sigma_max(resolvent, forcing, g, nu, times, tol)
                         for nu in (nu1, nu2))
-    i1, tail1 = line_integral(resolvent, f_hat, g, nu1, times, sigma_max, tol)
-    i2, tail2 = line_integral(resolvent, f_hat, g, nu2, times, sigma_max, tol)
+    i1, tail1 = line_integral(resolvent, forcing, g, nu1, times, sigma_max, tol)
+    i2, tail2 = line_integral(resolvent, forcing, g, nu2, times, sigma_max, tol)
     difference = i1 - i2
 
     def windowed(w):
-        # g is a polynomial, so g * F_hat is holomorphic and the ring applies
-        return _eval_g_many(g, w)[:, None] * f_hat(w)
+        # g is a polynomial, so g F is holomorphic and the ring applies; the
+        # payload is constant and rides along
+        return (_eval_g_many(g, w) * forcing.scalar(w))[:, None] * forcing.payload
 
     residue_sum = np.zeros((times.size, resolvent.dim), dtype=complex)
     for pole in resolvent.poles_in_strip(-nu2, -nu1):

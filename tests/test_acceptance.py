@@ -253,7 +253,7 @@ def test_criterion_08_band_isolation():
             rng, dim=dim, n_poles=int(rng.integers(1, 6)), max_order=2)
         forcing = mt.ForcingSpec(k=6, payload=rng.standard_normal(dim)
                                  + 1j * rng.standard_normal(dim))
-        out = mt.band_subtract(resolvent, forcing.transform, None, 0.3, 2.3,
+        out = mt.band_subtract(resolvent, forcing, None, 0.3, 2.3,
                                (1.0, 2.0, 5.0))
         worst = max(worst, float(out["mismatch"].max()))
         failures += int(np.count_nonzero(out["mismatch"] >= 1e-6))

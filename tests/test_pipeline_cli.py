@@ -246,7 +246,7 @@ class TestCli:
             {"band_isolate": {"max_order": 0}},
             {"band_isolate": {"times": []}},
             {"band_isolate": {"times": [1.0, 0.0]}},
-            {"band_isolate": {"forcing_k": 8}},
+            {"band_isolate": {"forcing_k": 13}},
             {"band_isolate": {"forcing_k": 0}},
             {"pseudospectrum": {"re_range": [0.0]}},
             {"pseudospectrum": {"re_range": [2.0, -1.0]}},
@@ -389,6 +389,24 @@ class TestCli:
         row = json.loads(Path(out, "report.json").read_text())["rows"][0]
         assert row["inclusion_holds"] and row["n_flagged"] > 0
         assert abs(row["radius"] - 1.2 ** (1.0 / 3.0)) < 1e-15
+
+    def test_band_isolate_truncation_flag(self, tmp_path):
+        # k = 1 decays too slowly for tol 1e-6 within the radius cap: the row
+        # says so in hyp_truncation, a hypothesis flag that leaves ok and the
+        # exit code to the mismatch
+        cfg = write_cfg(tmp_path, {"band_isolate": {
+            "n_models": 1, "seed": 100, "forcing_k": 1, "times": [1.0]}})
+        out = str(tmp_path / "o")
+        assert cli.main(["band-isolate", "--config", cfg, "--out", out]) == 0
+        rows = json.loads(Path(out, "report.json").read_text())["rows"]
+        row = rows[0]
+        assert row["sigma_max"] == 6400.0
+        assert row["truncation_estimate"] >= row["tol"]
+        assert row["hyp_truncation"] is False and row["ok"] is True
+        demo = pipeline.run_band_isolate(load_config(DEMO_DIR / "band_isolate.yaml"))
+        for r in rows + demo.rows:
+            assert r["hyp_truncation"] == (r["truncation_estimate"] < r["tol"])
+        assert all(r["hyp_truncation"] for r in demo.rows)
 
     def test_band_isolate_and_window_check(self, tmp_path):
         cfg = write_cfg(tmp_path, {"band_isolate": {"n_models": 2, "seed": 3}})
