@@ -220,11 +220,12 @@ class ScenarioConfig:
                 except ConfigError as exc:
                     raise ConfigError(f"sweep value {value!r}: {exc}") from None
 
-    def _check_physical(self):
+    def _check_physical(self, keep_setup: bool = False):
         data = self.data
-        obs = data["observation"]
-        self.setup = ObservationSetup(t0=obs["T0"], t_len=obs["T"], delta=obs["Delta"],
-                                      dt=obs["dt"], taper=obs["taper"])
+        if not keep_setup:
+            obs = data["observation"]
+            self.setup = ObservationSetup(t0=obs["T0"], t_len=obs["T"], delta=obs["Delta"],
+                                          dt=obs["dt"], taper=obs["taper"])
         if self.setup.t_len <= 3 * self.setup.delta:
             raise ConfigError("need T > 3*Delta for the energy lower bounds")
         _one_of("sweep.axis", data["sweep"]["axis"], (None, *_SWEEP_LEAVES))
@@ -242,7 +243,11 @@ class ScenarioConfig:
             raise ConfigError("pseudospectrum.hol_bound * max(eps) must be below 1")
 
     def point(self, value) -> "ScenarioConfig":
-        """This scenario at one value of its sweep axis, checked like the base."""
+        """This scenario at one value of its sweep axis, checked like the base.
+
+        A point off the observation axes keeps the base's setup object, so
+        every such point shares its grid and taper weights.
+        """
         section, key = _SWEEP_LEAVES[self.data["sweep"]["axis"]]
         sec = self.data[section]
         if key is None:
@@ -254,7 +259,7 @@ class ScenarioConfig:
             leaves = {key: type(default)(_leaf(f"{section}.{key}", value, default))}
         out = copy.copy(self)
         out.data = {**self.data, section: {**sec, **leaves}}
-        out._check_physical()
+        out._check_physical(keep_setup=section != "observation")
         return out
 
     def __getitem__(self, key: str):

@@ -13,27 +13,30 @@ eigenvector of that product, so the bounds hold without quadrature caveats.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import (BranchSelectionError, ConfigError, DegenerateSignalError,
-                     HypothesisError)
+                     HypothesisError, RinglabError)
 from .signal_model import (Mode, ObservationSetup, SampledSignal,
-                           mode_energy_lower_bound, sample_scene, shift,
-                           weighted_inner, wnorm, ZERO_NOISE, ZERO_TAIL,
-                           TailSpec)
+                           mode_energy_lower_bound, mode_rows, shift,
+                           weighted_inner, wnorm, TailSpec)
 
 
 @dataclass(frozen=True)
 class ExtractionConfig:
+    """The setup, the frequency prior (one complex, or one per row of a
+    batch) and the detectability floor of the reference amplitude."""
+
     setup: ObservationSetup
     prior: complex
     amp_floor: float = 0.0
 
     def __post_init__(self):
-        if not np.isfinite(self.prior):
+        if not np.all(np.isfinite(self.prior)):
             raise ConfigError("prior frequency must be finite")
         if self.amp_floor < 0:
             raise ConfigError("amp_floor must be nonnegative")
@@ -57,13 +60,34 @@ class ExtractionResult:
     hypotheses_ok: HypothesisFlags = field(default_factory=HypothesisFlags)
 
 
-def rayleigh_quotient(y: SampledSignal, setup: ObservationSetup) -> complex:
-    """Shift Rayleigh quotient <S_delta y, y>_w / <y, y>_w."""
-    num = weighted_inner(shift(y, setup.delta), y, setup)
-    den = weighted_inner(y, y, setup)
-    if not np.isfinite(den.real) or den.real <= 0.0:
+def _rows(val) -> list:
+    """A per-row reduction as a list of Python scalars (one for a 1-d input)."""
+    return np.atleast_1d(val).tolist()
+
+
+def _quotients(y: SampledSignal, setup: ObservationSetup) -> list:
+    """Each row's shift Rayleigh quotient, or None where the row has no
+    weighted energy.  The division is Python's complex one, row by row."""
+    num = _rows(weighted_inner(shift(y, setup.delta), y, setup))
+    den = _rows(weighted_inner(y, y, setup))
+    return [n / d if math.isfinite(d.real) and d.real > 0.0 else None
+            for n, d in zip(num, den)]
+
+
+def rayleigh_quotient(y: SampledSignal, setup: ObservationSetup):
+    """Shift Rayleigh quotient <S_delta y, y>_w / <y, y>_w, one per row of y
+    (a complex for a 1-d y)."""
+    z = _quotients(y, setup)
+    if None in z:
         raise DegenerateSignalError("zero weighted energy: Rayleigh quotient undefined")
-    return num / den
+    return z[0] if y.values.ndim == 1 else np.array(z)
+
+
+def _residual_norms(y0: SampledSignal, r: SampledSignal,
+                    setup: ObservationSetup) -> tuple:
+    """||y0||_w, ||r||_w and ||S_delta r||_w, each one per row."""
+    return (wnorm(y0, setup), wnorm(r, setup),
+            wnorm(shift(r, setup.delta), setup))
 
 
 def residual_sizes(y0: SampledSignal, r: SampledSignal,
@@ -71,14 +95,14 @@ def residual_sizes(y0: SampledSignal, r: SampledSignal,
     """Relative residual sizes eps0 = ||r||_w/||y0||_w, eps1 with r shifted.
 
     y0 is the sampled reference pure-exponential content; r is the residual
-    signal on the same grid.
+    signal on the same grid.  For (B, N) rows each size is a (B,) array.
     """
-    n0 = wnorm(y0, setup)
-    if n0 <= 0.0:
+    n0, nr, nr1 = _residual_norms(y0, r, setup)
+    if np.any(np.asarray(n0) <= 0.0):
         raise DegenerateSignalError("reference mode has zero weighted energy")
-    eps0 = wnorm(r, setup) / n0
-    eps1 = wnorm(shift(r, setup.delta), setup) / n0
-    return {"eps0": eps0, "eps1": eps1, "eps": max(eps0, eps1)}
+    eps0, eps1 = nr / n0, nr1 / n0
+    eps = np.maximum(eps0, eps1) if np.ndim(eps0) else max(eps0, eps1)
+    return {"eps0": eps0, "eps1": eps1, "eps": eps}
 
 
 def stability_bound(eps0: float, eps1: float) -> float:
@@ -120,7 +144,8 @@ def branch_log(z_hat: complex, prior: complex, delta: float) -> complex:
 
 
 def extract(y: SampledSignal, cfg: ExtractionConfig,
-            y0_reference: Optional[Sequence[Mode]] = None) -> ExtractionResult:
+            y0_reference: Optional[Sequence[Mode]] = None,
+            y0: Optional[SampledSignal] = None):
     """Run the extraction chain; certify bounds when a reference is supplied.
 
     With y0_reference (the known synthetic mode content, a single mode for
@@ -129,37 +154,79 @@ def extract(y: SampledSignal, cfg: ExtractionConfig,
     bound_omega = (10/(delta |z|)) eps, plus the hypothesis flags
     eps_small: eps <= min(1/8, |z|/20) and branch_hyp (the branch-selection
     hypotheses at the true z).  Without a reference both flags stay None:
-    the hypotheses are about the true z, which is then unknown.
-    """
-    setup = cfg.setup
-    z_hat = rayleigh_quotient(y, setup)
-    omega_hat = branch_log(z_hat, cfg.prior, setup.delta)
-    result = ExtractionResult(z_hat=z_hat, omega_hat=omega_hat)
+    the hypotheses are about the true z, which is then unknown.  ``y0``, the
+    reference's samples on the setup grid, spares their synthesis when the
+    caller already has them.
 
-    if y0_reference is not None:
-        modes = list(y0_reference)
-        if len(modes) != 1:
-            raise ConfigError("certified extraction requires a single reference mode")
-        mode = modes[0]
-        if cfg.amp_floor and abs(mode.amp) < cfg.amp_floor:
-            raise DegenerateSignalError("reference amplitude below detectability floor")
-        y0 = sample_scene(modes, ZERO_TAIL, ZERO_NOISE, setup)
-        r_vals = y.values - y0.values
-        r = SampledSignal(t_start=y.t_start, dt=y.dt, values=r_vals)
-        sizes = residual_sizes(y0, r, setup)
-        result.eps0, result.eps1 = sizes["eps0"], sizes["eps1"]
-        result.eps = sizes["eps"]
+    A (B, N) batch is B independent extractions in one pass: cfg.prior is
+    one prior or one per row, y0_reference one mode per row and y0 their
+    (B, N) samples.  It returns one entry per row, the ExtractionResult or
+    the RinglabError that extracting that row alone raises.
+    """
+    rows = _extract_rows(y, cfg, y0_reference, y0)
+    if y.values.ndim == 2:
+        return rows
+    if isinstance(rows[0], RinglabError):
+        raise rows[0]
+    return rows[0]
+
+
+def _extract_rows(y: SampledSignal, cfg: ExtractionConfig,
+                  y0_reference: Optional[Sequence[Mode]],
+                  y0: Optional[SampledSignal]) -> list:
+    """extract on every row; each step's checks run row by row in the
+    order a single extraction raises them."""
+    setup = cfg.setup
+    priors = np.broadcast_to(np.asarray(cfg.prior, dtype=complex),
+                             y.values.shape[:-1]).ravel().tolist()
+    out: list = []
+    for z_hat, prior in zip(_quotients(y, setup), priors):
+        if z_hat is None:
+            out.append(DegenerateSignalError(
+                "zero weighted energy: Rayleigh quotient undefined"))
+            continue
+        try:
+            omega_hat = branch_log(z_hat, prior, setup.delta)
+        except BranchSelectionError as exc:
+            out.append(exc)
+            continue
+        out.append(ExtractionResult(z_hat=z_hat, omega_hat=omega_hat))
+    if y0_reference is None or not any(isinstance(res, ExtractionResult) for res in out):
+        return out
+
+    modes = list(y0_reference)
+    if len(modes) != len(out):
+        raise ConfigError("certified extraction requires a single reference mode per row")
+    for i, mode in enumerate(modes):
+        if (cfg.amp_floor and abs(mode.amp) < cfg.amp_floor
+                and isinstance(out[i], ExtractionResult)):
+            out[i] = DegenerateSignalError("reference amplitude below detectability floor")
+    if y0 is None:
+        vals = mode_rows(modes, setup.grid())
+        y0 = SampledSignal(t_start=setup.t0, dt=setup.dt,
+                           values=vals if y.values.ndim == 2 else vals[0])
+    r = SampledSignal(t_start=y.t_start, dt=y.dt, values=y.values - y0.values)
+    norms = zip(*map(_rows, _residual_norms(y0, r, setup)))
+    for i, (mode, prior, (n0, nr, nr1)) in enumerate(zip(modes, priors, norms)):
+        result = out[i]
+        if not isinstance(result, ExtractionResult):
+            continue
+        if n0 <= 0.0:
+            out[i] = DegenerateSignalError("reference mode has zero weighted energy")
+            continue
+        result.eps0, result.eps1 = nr / n0, nr1 / n0
+        result.eps = max(result.eps0, result.eps1)
         z = np.exp(-1j * mode.freq * setup.delta)
-        z_sharp = np.exp(-1j * cfg.prior * setup.delta)
+        z_sharp = np.exp(-1j * prior * setup.delta)
         result.bound_omega = 10.0 * result.eps / (setup.delta * abs(z))
         result.hypotheses_ok.eps_small = bool(
             result.eps <= min(0.125, abs(z) / 20.0))
         result.hypotheses_ok.branch_hyp = bool(
             abs(z - z_sharp) <= 0.25 * abs(z_sharp)
-            and abs(z_hat - z) <= 0.5 * abs(z))
+            and abs(result.z_hat - z) <= 0.5 * abs(z))
         result.bound_z = (stability_bound(result.eps0, result.eps1)
                           if result.eps0 <= 0.25 else np.inf)
-    return result
+    return out
 
 
 def epsilon_budget(amp: complex, freq: complex, tail: TailSpec, noise_l2: float,

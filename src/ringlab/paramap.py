@@ -183,7 +183,8 @@ def invert_data(model: LatticeModel, data: dict, guess: ParameterPoint,
     x = guess.as_array(three)
     n_iter = 0
     res = fun(x)
-    while np.linalg.norm(res) > tol:
+    res_norm = np.linalg.norm(res)
+    while res_norm > tol:
         if n_iter >= max_iter:
             raise InversionError(f"Newton did not converge in {max_iter} iterations")
         jac = model.jacobian(ParameterPoint.from_array(x, lam_fixed=lam_fixed), three)
@@ -192,7 +193,6 @@ def invert_data(model: LatticeModel, data: dict, guess: ParameterPoint,
             raise InversionError("singular Jacobian of the data map")
         step = np.linalg.solve(jac, -res)
         lam_damp = 1.0
-        base = np.linalg.norm(res)
         while lam_damp > 1.0 / 1024.0:
             try:
                 trial = x + lam_damp * step
@@ -200,13 +200,14 @@ def invert_data(model: LatticeModel, data: dict, guess: ParameterPoint,
             except ConfigError:
                 lam_damp *= 0.5
                 continue
-            if np.linalg.norm(trial_res) < base:
+            trial_norm = np.linalg.norm(trial_res)
+            if trial_norm < res_norm:
                 break
             lam_damp *= 0.5
         else:
             raise InversionError("damped Newton stalled (no descent direction)")
-        x = x + lam_damp * step
-        res = fun(x)
+        # the accepted trial is the next iterate, its residual already known
+        x, res, res_norm = trial, trial_res, trial_norm
         n_iter += 1
     if box is not None:
         for val, (lo, hi) in zip(x, box):
@@ -214,7 +215,7 @@ def invert_data(model: LatticeModel, data: dict, guess: ParameterPoint,
                 raise InversionError(
                     f"converged point {x} leaves the parameter box")
     return {"point": ParameterPoint.from_array(x, lam_fixed=lam_fixed),
-            "iterations": n_iter, "residual": float(np.linalg.norm(res))}
+            "iterations": n_iter, "residual": float(res_norm)}
 
 
 def inverse_constants(model: LatticeModel,

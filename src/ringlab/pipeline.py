@@ -6,7 +6,10 @@ window (modal or finite-difference path), extract both frequencies with
 the shift Rayleigh quotient, form the estimated observables, invert the
 data map, and emit the full error-versus-bound ledger.  Every certified
 inequality is evaluated with its hypothesis flags; a violation with all
-hypotheses holding marks the run as failed (CLI exit code 1).
+hypotheses holding marks the run as failed (CLI exit code 1).  A sweep
+runs consecutive points on one observation setup as a batch: their sectors
+are synthesised and extracted as the rows of one array, each row bit for
+bit what its point gives alone.
 
 Inside a scenario every norm is taken in the discrete trapezoid-weighted
 inner product on the sampling grid.  The shift acts exactly on the grid,
@@ -60,14 +63,14 @@ def _noise_from_config(noise: dict, setup: sm.ObservationSetup) -> sm.NoiseSpec:
                         lcg_amplitude=lcg["amplitude"], lcg_dt=setup.dt)
 
 
-def _scenario(cfg: ScenarioConfig) -> Scenario:
-    """Lattice, true point, grid, tail, noise and its norm; ConfigErrors surface here."""
+def _scenario(cfg: ScenarioConfig, setup: sm.ObservationSetup) -> Scenario:
+    """Lattice, true point, tail, noise and its norm on ``setup`` (a setup
+    equal to cfg.setup); ConfigErrors surface here."""
     lat, tail = cfg["lattice"], cfg["tail"]
     damping = lat["damping"]
     model = pm.default_lattice(kappa=lat["kappa"], lam_kind=damping["kind"],
                                lam_value=damping["value"], n=lat["overtone"],
                                ell=lat["ell"])
-    setup = cfg.setup
     noise = _noise_from_config(cfg["noise"], setup)
     samples = None if noise.is_zero else noise.eval(setup.grid())
     noise_l2 = 0.0 if samples is None else sm.residual_l2(
@@ -89,13 +92,18 @@ class SectorResult:
     eps_budget: dict
 
 
-def _sample(modes, scn: Scenario) -> sm.SampledSignal:
-    """The scene on the setup grid, with the scenario's one noise sample added
-    last, as eval_scene adds it."""
-    y = sm.sample_scene(modes, scn.tail, sm.ZERO_NOISE, scn.setup)
-    if scn.noise_samples is None:
-        return y
-    return sm.SampledSignal(t_start=y.t_start, dt=y.dt, values=y.values + scn.noise_samples)
+@dataclass
+class _SectorScene:
+    """One sector of one scenario, up to its samples: the modes of the scene
+    (modes[0] the target, windowed on the modal path), the reference, the
+    prior and, on the fd path, the filtered samples."""
+
+    scn: Scenario
+    modes: list
+    omega_true: complex
+    amp_ref: complex
+    prior: complex
+    fd_signal: Optional[sm.SampledSignal]
 
 
 def _sample_extended(modes, tail, noise, setup: sm.ObservationSetup,
@@ -109,12 +117,13 @@ def _sample_extended(modes, tail, noise, setup: sm.ObservationSetup,
     return sm.SampledSignal(t_start=float(t[0]), dt=setup.dt, values=vals)
 
 
-def _run_sector(sign: int, cfg: ScenarioConfig, scn: Scenario) -> SectorResult:
+def _sector_scene(sign: int, cfg: ScenarioConfig, scn: Scenario) -> _SectorScene:
     win = cfg["window"]
-    model, p_true, setup, tail, noise = scn.model, scn.p_true, scn.setup, scn.tail, scn.noise
+    model, p_true, setup = scn.model, scn.p_true, scn.setup
     n = model.n
     pole_offset = cfg["lattice"]["pole_offset"]
-    omega_true = pm.pseudopole(model, n, sign, p_true) + pole_offset
+    pole = pm.pseudopole(model, n, sign, p_true)
+    omega_true = pole + pole_offset
     amp = cfg["modes"]["amp_plus" if sign > 0 else "amp_minus"]
     modes = [sm.Mode(freq=omega_true, amp=amp)]
     for cont in cfg["modes"]["contaminants"]:
@@ -124,6 +133,7 @@ def _run_sector(sign: int, cfg: ScenarioConfig, scn: Scenario) -> SectorResult:
                              amp=cont["amp"]))
 
     window_gain = 1.0 + 0.0j
+    fd_signal = None
     if win["enabled"]:
         if win["prior"] == "offset":
             d_m, d_a = win["prior_offset"]
@@ -139,31 +149,90 @@ def _run_sector(sign: int, cfg: ScenarioConfig, scn: Scenario) -> SectorResult:
         window_gain = complex(gpoly(omega_true))
         if win["path"] == "modal":
             modes = aw.apply_window_modal(modes, gpoly)
-            y = _sample(modes, scn)
         else:
             pad = aw.fd_trim(gpoly.degree, win["stencil_order"])
-            raw = _sample_extended(modes, tail, noise, setup, pad)
-            y = aw.apply_window_fd(raw, gpoly, stencil_order=win["stencil_order"])
-    else:
-        y = _sample(modes, scn)
+            raw = _sample_extended(modes, scn.tail, scn.noise, setup, pad)
+            fd_signal = aw.apply_window_fd(raw, gpoly, stencil_order=win["stencil_order"])
 
-    amp_ref = amp * window_gain
-    prior = pm.pseudopole(model, n, sign, p_true)
+    prior = pole
     if cfg["extraction"]["prior"] == "offset":
         prior = prior + cfg["extraction"]["prior_offset"]
-    ecfg = ex.ExtractionConfig(setup=setup, prior=prior,
-                               amp_floor=cfg["extraction"]["amp_floor"])
-    ref_mode = sm.Mode(freq=omega_true, amp=amp_ref)
-    result = ex.extract(y, ecfg, y0_reference=[ref_mode])
+    return _SectorScene(scn=scn, modes=modes, omega_true=omega_true,
+                        amp_ref=amp * window_gain, prior=prior, fd_signal=fd_signal)
 
-    known_l2 = scn.noise_l2  # plus the contaminants, known exactly (triangle inequality)
-    if len(modes) > 1:
-        known_l2 += sm.residual_l2(
-            sm.sample_scene(modes[1:], sm.ZERO_TAIL, sm.ZERO_NOISE, setup), setup)
-    budget = ex.epsilon_budget(amp_ref, omega_true, tail, known_l2, setup)
-    z_true = np.exp(-1j * omega_true * setup.delta)
-    return SectorResult(sign=sign, omega_true=omega_true, z_true=z_true,
-                        amp_ref=amp_ref, result=result, eps_budget=budget)
+
+def _run_sectors(sign: int, cfgs: list, scns: list,
+                 setup: sm.ObservationSetup) -> list:
+    """One sector of each scenario of a batch on ``setup``: a SectorResult,
+    or the RinglabError that ends it, per scenario.
+
+    The live rows are synthesised as one (B, N) array and extracted in one
+    call; every row comes out bit for bit as it would alone.  The reference
+    term of each row is synthesised once: the scene is built from it and
+    extract subtracts it.  Every step checks its rows in the order a single
+    sector raises its errors.  The scenarios of a batch share the config
+    sections no sweep varies, so the first one stands for all of them there.
+    """
+    out: list = []
+    for cfg, scn in zip(cfgs, scns):
+        try:
+            out.append(_sector_scene(sign, cfg, scn))
+        except RinglabError as exc:
+            out.append(exc)
+    live = [i for i, sec in enumerate(out) if isinstance(sec, _SectorScene)]
+    if not live:
+        return out
+    secs = [out[i] for i in live]
+    try:
+        ecfg = ex.ExtractionConfig(setup=setup, prior=[sec.prior for sec in secs],
+                                   amp_floor=cfgs[0]["extraction"]["amp_floor"])
+    except RinglabError as exc:
+        for i in live:
+            out[i] = exc
+        return out
+
+    t = setup.grid()
+    refs = [sm.Mode(freq=sec.omega_true, amp=sec.amp_ref) for sec in secs]
+    y0 = sm.mode_rows(refs, t)
+    others = [sm.mode_rows(column, t) for column in zip(*(sec.modes[1:] for sec in secs))]
+    if secs[0].fd_signal is not None:
+        y = sm.SampledSignal(t_start=secs[0].fd_signal.t_start, dt=setup.dt,
+                             values=np.stack([sec.fd_signal.values for sec in secs]))
+    else:
+        values = y0.copy()
+        for term in others:
+            values += term
+        tail = secs[0].scn.tail
+        if not tail.is_zero:
+            values += tail.eval(t)
+        for row, sec in zip(values, secs):
+            if sec.scn.noise_samples is not None:
+                row += sec.scn.noise_samples
+        y = sm.SampledSignal(t_start=setup.t0, dt=setup.dt, values=values)
+    results = ex.extract(y, ecfg, y0_reference=refs,
+                         y0=sm.SampledSignal(t_start=setup.t0, dt=setup.dt, values=y0))
+
+    # the contaminants are known exactly: their norm joins the noise budget
+    # (triangle inequality)
+    known = [sec.scn.noise_l2 for sec in secs]
+    if others:
+        l2 = sm.residual_l2(sm.SampledSignal(t_start=setup.t0, dt=setup.dt,
+                                             values=sum(others[1:], others[0])), setup)
+        known = [k + v for k, v in zip(known, l2.tolist())]
+    for i, sec, res, known_l2 in zip(live, secs, results, known):
+        if isinstance(res, RinglabError):
+            out[i] = res
+            continue
+        try:
+            budget = ex.epsilon_budget(sec.amp_ref, sec.omega_true, sec.scn.tail,
+                                       known_l2, setup)
+        except RinglabError as exc:
+            out[i] = exc
+            continue
+        z_true = np.exp(-1j * sec.omega_true * setup.delta)
+        out[i] = SectorResult(sign=sign, omega_true=sec.omega_true, z_true=z_true,
+                              amp_ref=sec.amp_ref, result=res, eps_budget=budget)
+    return out
 
 
 def _sector_ledger(sec: SectorResult) -> dict:
@@ -224,16 +293,67 @@ def _failed(report: RunReport, row: dict, prefix: str, exc: RinglabError) -> Run
     return report
 
 
+#: the most samples (rows times grid nodes) one batch of sweep points holds.
+#: Beyond it the per-call overhead is already amortised, and a larger batch
+#: only adds memory: four rows of a 20 001-node grid would add about 10 MiB
+#: to the peak RSS.
+_BATCH_SAMPLES = 2**15
+
+
+def _batches(points: list):
+    """(start, stop) of each run of consecutive points with equal observation
+    setups, at most _BATCH_SAMPLES samples each."""
+    start = 0
+    while start < len(points):
+        setup = points[start].setup
+        stop = start + 1
+        cap = max(1, _BATCH_SAMPLES // (setup.n_samples + 1))
+        while stop < len(points) and stop - start < cap and points[stop].setup == setup:
+            stop += 1
+        yield start, stop
+        start = stop
+
+
+def _run_batch(cfgs: list, setup: sm.ObservationSetup, signs=(+1, -1)) -> list:
+    """Each config's scenario on ``setup`` and its sectors, one batch per sign.
+
+    Per config: (Scenario, {sign: SectorResult}), with the RinglabError that
+    ended it in place of either.  The +1 sector runs first, and a scenario
+    whose +1 sector failed runs no -1 sector, as when it runs alone.
+    """
+    scns, outcome = [], []
+    for cfg in cfgs:
+        try:
+            scns.append(_scenario(cfg, setup))
+            outcome.append({})
+        except RinglabError as exc:
+            scns.append(exc)
+            outcome.append(exc)
+    for sign in signs:
+        live = [i for i, sectors in enumerate(outcome) if isinstance(sectors, dict)]
+        results = _run_sectors(sign, [cfgs[i] for i in live], [scns[i] for i in live], setup)
+        for i, sec in zip(live, results):
+            if isinstance(sec, SectorResult):
+                outcome[i][sign] = sec
+            else:
+                outcome[i] = sec
+    return list(zip(scns, outcome))
+
+
 def run_pipeline(cfg: ScenarioConfig, scenario_id: int = 0,
-                 report: Optional[RunReport] = None) -> RunReport:
+                 report: Optional[RunReport] = None, batched=None) -> RunReport:
     """End-to-end scenario: generate -> window -> extract -> invert -> bias ledger.
 
-    Rows and violations go to ``report`` (a new one if None).
+    Rows and violations go to ``report`` (a new one if None).  ``batched``
+    is this scenario's entry of a :func:`_run_batch` over several points;
+    without it the scenario runs as a batch of one.
     """
     if report is None:
         report = RunReport(metadata={"subcommand": "pipeline",
                                      **_REPORT_TOLERANCES})
-    scn = _scenario(cfg)
+    scn, sectors = batched if batched is not None else _run_batch([cfg], cfg.setup)[0]
+    if isinstance(scn, RinglabError):
+        raise scn
     model, p_true, setup = scn.model, scn.p_true, scn.setup
     label = f"scenario {scenario_id}"
 
@@ -241,10 +361,8 @@ def run_pipeline(cfg: ScenarioConfig, scenario_id: int = 0,
                  "T0": setup.t0, "T": setup.t_len, "Delta": setup.delta,
                  "dt": setup.dt, "M_true": p_true.m, "a_true": p_true.a,
                  "Lambda_true": p_true.lam}
-    try:
-        sectors = {sign: _run_sector(sign, cfg, scn) for sign in (+1, -1)}
-    except RinglabError as exc:
-        return _failed(report, row, f"{label}: ", exc)
+    if isinstance(sectors, RinglabError):
+        return _failed(report, row, f"{label}: ", sectors)
 
     inv_cfg = cfg["inversion"]
     three = inv_cfg["mode"] == "3p"
@@ -325,18 +443,27 @@ def run_pipeline(cfg: ScenarioConfig, scenario_id: int = 0,
 # ---------------------------------------------------------------------------
 
 def run_sweep(cfg: ScenarioConfig) -> RunReport:
-    """One pipeline scenario per sweep value, in order."""
+    """One pipeline scenario per sweep value, in order.
+
+    Consecutive points on equal observation setups (every point of an ell,
+    separation or noise_amp sweep) synthesise and extract their sectors as
+    the rows of one batch; each point's rows and violations are those it
+    gives alone.
+    """
     axis = cfg["sweep"]["axis"]
     values = cfg["sweep"]["values"]
     if axis is None or not values:
         raise ConfigError("sweep requires an axis and a nonempty value list")
     report = RunReport(metadata={"subcommand": "sweep", "axis": axis, **_REPORT_TOLERANCES})
-    for i, value in enumerate(values):
-        start = len(report.rows)
-        run_pipeline(cfg.point(value), scenario_id=i, report=report)
-        for row in report.rows[start:]:
-            row["sweep_axis"] = axis
-            row["sweep_value"] = float(value)
+    points = [cfg.point(value) for value in values]
+    for start, stop in _batches(points):
+        batch = _run_batch(points[start:stop], points[start].setup)
+        for i, batched in enumerate(batch, start):
+            first = len(report.rows)
+            run_pipeline(points[i], scenario_id=i, report=report, batched=batched)
+            for row in report.rows[first:]:
+                row["sweep_axis"] = axis
+                row["sweep_value"] = float(values[i])
     return report
 
 
@@ -347,11 +474,12 @@ def run_sweep(cfg: ScenarioConfig) -> RunReport:
 def run_extract(cfg: ScenarioConfig) -> RunReport:
     """One-sector extraction only: signal, Rayleigh quotient, bounds."""
     report = RunReport(metadata={"subcommand": "extract", **_REPORT_TOLERANCES})
-    scn = _scenario(cfg)
-    try:
-        sec = _run_sector(+1, cfg, scn)
-    except RinglabError as exc:
-        return _failed(report, {}, "", exc)
+    scn, sectors = _run_batch([cfg], cfg.setup, signs=(+1,))[0]
+    if isinstance(scn, RinglabError):
+        raise scn
+    if isinstance(sectors, RinglabError):
+        return _failed(report, {}, "", sectors)
+    sec = sectors[+1]
     ledger = _sector_ledger(sec)
     report.add_row({"omega_true": sec.omega_true, "z_true": sec.z_true, **ledger})
     _certify(report, "extract", _sector_checks(ledger, cfg["window"]))

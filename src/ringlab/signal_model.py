@@ -10,7 +10,10 @@ mode is an exact eigenvector of the shift with eigenvalue exp(-i*omega*Delta).
 Weighted inner products are trapezoid sums on the sampling grid, the one
 path.  The taper weights belong to the observation setup: each
 ObservationSetup computes its grid and its weights once, on first use, and
-every inner product on that setup reuses them.  The raised-cosine weight has
+every inner product on that setup reuses them.  A SampledSignal may hold B
+signals on one grid as the rows of a (B, N) array; the inner products and
+norms then reduce along the last axis, one value per row, each row's bit
+for bit the value it gives alone.  The raised-cosine weight has
 zero slope at its grid-node breakpoints, so the sums meet the continuum
 integral at order dt^4 (Trefethen & Weideman, SIAM Rev. 56, 2014); the tests
 hold the closed-form integral as the oracle.
@@ -222,7 +225,13 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SampledSignal:
-    """Complex samples on a uniform grid t_start + k*dt."""
+    """Complex samples on a uniform grid t_start + k*dt.
+
+    ``values`` is one signal of shape (N,) or a batch of B signals on the
+    same grid, shape (B, N): each row is one signal, and the functions below
+    that take a SampledSignal work along the last axis, returning one value
+    per row (a scalar for a 1-d signal).  ``len`` is the samples per row.
+    """
 
     t_start: float
     dt: float
@@ -231,16 +240,17 @@ class SampledSignal:
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=complex)
         object.__setattr__(self, "values", vals)
-        if vals.ndim != 1 or vals.size < 4:
-            raise ConfigError("sampled signal must be a 1-d array with >= 4 samples")
+        if vals.ndim not in (1, 2) or vals.shape[-1] < 4:
+            raise ConfigError("sampled signal must be a 1-d array with >= 4 samples "
+                              "or a 2-d array of such rows")
         if self.dt <= 0:
             raise ConfigError("dt must be positive")
 
     def grid(self) -> np.ndarray:
-        return self.t_start + self.dt * np.arange(len(self.values))
+        return self.t_start + self.dt * np.arange(len(self))
 
     def __len__(self) -> int:
-        return len(self.values)
+        return self.values.shape[-1]
 
 
 def eval_scene(modes: Sequence[Mode], tail: TailSpec, noise: NoiseSpec, t):
@@ -291,50 +301,80 @@ def weight_eval(setup: ObservationSetup, t):
 
 
 def _slice_to_range(f: SampledSignal, t_lo: float, npts: int) -> np.ndarray:
-    """npts samples of f from the grid node at t_lo on (must be covered)."""
+    """npts samples per row of f from the grid node at t_lo on (must be covered)."""
     k0 = (t_lo - f.t_start) / f.dt
     k0i = int(round(k0))
     if (abs(k0 - k0i) > _GRID_RTOL * max(1.0, abs(k0))
             or k0i < 0 or k0i + npts > len(f)):
         raise ConfigError("grid does not cover the requested range on-node")
-    return f.values[k0i:k0i + npts]
+    return f.values[..., k0i:k0i + npts]
+
+
+def _per_row(val: np.ndarray, scalar):
+    """A reduction's rows as an array, or ``scalar(val)`` for a 1-d input."""
+    return scalar(val) if val.ndim == 0 else val
 
 
 def weighted_inner(f: SampledSignal, g: SampledSignal,
-                   setup: ObservationSetup) -> complex:
+                   setup: ObservationSetup):
     """Weighted inner product <f, g>_w: composite trapezoid of w f conj(g)
     over [t0, t0+T-delta], with the weights the setup holds.
 
-    f and g must sit on the setup's grid nodes.  The rectangular weight
-    jumps exactly at grid nodes, so its sum runs over the plateau only.
+    f and g must sit on the setup's grid nodes.  Either may hold (B, N) rows:
+    the sum runs along the last axis and gives one complex per row, a
+    complex for two 1-d signals.  Every row's sum is the one its signal
+    alone would give, bit for bit.  The rectangular weight jumps exactly at
+    grid nodes, so its sum runs over the plateau only.
     """
     if abs(f.dt - g.dt) > _GRID_RTOL * f.dt:
         raise ConfigError("signals must share the sampling step")
     w, lo = setup.weights, setup.t0
+    rows = np.broadcast_shapes(f.values.shape[:-1], g.values.shape[:-1])
     if setup.taper == "rectangular":
         k = setup.shift_steps
         if len(w) <= 2 * k + 1:
-            return 0.0 + 0.0j
+            return _per_row(np.zeros(rows, dtype=complex), complex)
         w, lo = w[k:len(w) - k], lo + setup.delta
-    prod = _slice_to_range(f, lo, len(w)) * np.conj(_slice_to_range(g, lo, len(w)))
-    return complex(np.trapezoid(w * prod, dx=f.dt))
+    # explicit ufunc calls: a binary operator on a large temporary may run in
+    # place with its operands swapped, which moves the last bit of a complex
+    # product, so a row's result would depend on the size of its batch
+    prod = np.multiply(_slice_to_range(f, lo, len(w)),
+                       np.conj(_slice_to_range(g, lo, len(w))))
+    return _per_row(np.trapezoid(np.multiply(w, prod), dx=f.dt, axis=-1), complex)
 
 
-def wnorm(f: SampledSignal, setup: ObservationSetup) -> float:
-    """Weighted norm ||f||_w."""
-    val = weighted_inner(f, f, setup)
-    return float(np.sqrt(max(val.real, 0.0)))
+def wnorm(f: SampledSignal, setup: ObservationSetup):
+    """Weighted norm ||f||_w, one per row of f."""
+    val = np.asarray(weighted_inner(f, f, setup)).real
+    # max(val, 0.0) row by row, so a -0.0 stays -0.0 as Python's max keeps it
+    return _per_row(np.sqrt(np.where(0.0 > val, 0.0, val)), float)
 
 
 def shift(f: SampledSignal, delta: float) -> SampledSignal:
-    """Exact grid shift (S_delta f)(t) = f(t + delta); domain shortens by delta."""
+    """Exact grid shift (S_delta f)(t) = f(t + delta) of every row; the
+    domain shortens by delta."""
     k = delta / f.dt
     ki = int(round(k))
     if abs(k - ki) > _GRID_RTOL * max(1.0, abs(k)) or ki < 0:
         raise ConfigError("shift must be a nonnegative integer multiple of dt")
     if len(f) - ki < 4:
         raise ConfigError("shifted signal would have fewer than 4 samples")
-    return SampledSignal(t_start=f.t_start, dt=f.dt, values=f.values[ki:])
+    return SampledSignal(t_start=f.t_start, dt=f.dt, values=f.values[..., ki:])
+
+
+def mode_rows(modes: Sequence[Mode], t) -> np.ndarray:
+    """One mode per row: the (B, len(t)) array whose row b is
+    eval_scene([modes[b]], ZERO_TAIL, ZERO_NOISE, t) bit for bit, from one
+    exponential over the whole batch."""
+    t = np.asarray(t, dtype=float)
+    # -1j * freq in Python complex arithmetic, as Mode.eval forms it
+    phase = np.array([-1j * m.freq for m in modes], dtype=complex)[:, None]
+    amps = np.array([m.amp for m in modes], dtype=complex)[:, None]
+    vals = np.multiply(amps, np.exp(np.multiply(phase, t)))
+    for row, mode in zip(vals, modes):
+        if mode.poly_degree:
+            row *= t**mode.poly_degree
+    return 0.0j + vals  # eval_scene's sum starts from zeros: a -0.0 becomes 0.0
 
 
 def mode_energy_lower_bound(amp: complex, freq: complex,
@@ -364,12 +404,11 @@ def mode_energy_lower_bound_crude(amp: complex, freq: complex,
     return float(abs(amp) * np.exp(freq.imag * b) * np.sqrt(setup.t_len - 3 * setup.delta))
 
 
-def residual_l2(r: SampledSignal, setup: ObservationSetup) -> float:
-    """L2 norm of r over the full window [t0, t0+T] by trapezoid.
+def residual_l2(r: SampledSignal, setup: ObservationSetup):
+    """L2 norm of r over the full window [t0, t0+T] by trapezoid, one per row.
 
     Dominates both ||r||_w and ||S_delta r||_w since 0 <= w <= 1 and the
     shifted domain stays inside the window.
     """
     vals = _slice_to_range(r, setup.t0, setup.n_samples + 1)
-    val = np.trapezoid(np.abs(vals) ** 2, dx=r.dt)
-    return float(np.sqrt(val))
+    return _per_row(np.sqrt(np.trapezoid(np.abs(vals) ** 2, dx=r.dt, axis=-1)), float)

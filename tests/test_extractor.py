@@ -209,6 +209,37 @@ class TestExtract:
             ex.extract(y, cfg, y0_reference=[mode])
 
 
+    def test_rows_are_independent_extractions(self):
+        # one clean row, one without energy, one too far from its prior and
+        # one below the amplitude floor: each row gives what it gives alone
+        setup = std_setup()
+        tail = sm.TailSpec(c_tail=0.05, nu=0.5)
+        modes = [sm.Mode(freq=1 - 0.1j, amp=1.0), sm.Mode(freq=2 - 0.1j, amp=0.0),
+                 sm.Mode(freq=1.5 - 0.2j, amp=1.0), sm.Mode(freq=1 - 0.1j, amp=1e-6)]
+        priors = [1 - 0.1j, 2 - 0.1j, 1.5 - 0.2j + 2.5, 1 - 0.1j]
+        tails = [tail, sm.ZERO_TAIL, tail, sm.ZERO_TAIL]
+        scenes = [sm.sample_scene([m], t, sm.ZERO_NOISE, setup) for m, t in zip(modes, tails)]
+        y = sm.SampledSignal(t_start=setup.t0, dt=setup.dt,
+                             values=np.stack([sc.values for sc in scenes]))
+        cfg = ex.ExtractionConfig(setup=setup, prior=priors, amp_floor=1e-3)
+        rows = ex.extract(y, cfg, y0_reference=modes)
+        assert len(rows) == 4
+        alone = ex.extract(scenes[0], ex.ExtractionConfig(setup=setup, prior=priors[0],
+                                                          amp_floor=1e-3),
+                           y0_reference=[modes[0]])
+        assert vars(rows[0]) == vars(alone)
+        for row, scene, mode, prior, err in zip(
+                rows[1:], scenes[1:], modes[1:], priors[1:],
+                (DegenerateSignalError, BranchSelectionError, DegenerateSignalError)):
+            assert isinstance(row, err)
+            with pytest.raises(err, match=str(row).replace("|", r"\|")):
+                ex.extract(scene, ex.ExtractionConfig(setup=setup, prior=prior,
+                                                      amp_floor=1e-3),
+                           y0_reference=[mode])
+        with pytest.raises(ConfigError, match="reference mode per row"):
+            ex.extract(y, cfg, y0_reference=modes[:1])
+
+
 class TestEpsilonBudget:
     def test_zero_tail_and_noise(self):
         b = ex.epsilon_budget(1.0, 1 - 0.1j, sm.ZERO_TAIL, 0.0, std_setup())

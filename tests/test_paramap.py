@@ -178,6 +178,33 @@ class TestInvertData:
             err = np.hypot(out["point"].m - p.m, out["point"].a - p.a)
             assert err < 1e-10
 
+    def test_canonical_inversion_evaluates_each_iterate_once(self, monkeypatch):
+        # the canonical scenario's inversion: guess 1% off, three undamped
+        # steps.  Each accepted trial is the next iterate, so the data map runs
+        # once per iterate and each residual norm is taken once; only the
+        # singularity test's spectral norm adds one per step
+        model = lattice_2p()
+        p = pm.ParameterPoint(m=1.0, a=0.08, lam=0.02)
+        data = {"U": model.u_fn(p), "V": model.v_fn(p)}
+        guess = pm.ParameterPoint(m=1.01, a=0.08 * 1.01 + 0.001, lam=0.02)
+        counts = {"data_map": 0, "norm": 0}
+        data_map, norm = pm.LatticeModel.data_map, np.linalg.norm
+
+        def counted_map(*args, **kwargs):
+            counts["data_map"] += 1
+            return data_map(*args, **kwargs)
+
+        def counted_norm(*args, **kwargs):
+            counts["norm"] += 1
+            return norm(*args, **kwargs)
+
+        monkeypatch.setattr(pm.LatticeModel, "data_map", counted_map)
+        monkeypatch.setattr(np.linalg, "norm", counted_norm)
+        out = pm.invert_data(model, data, guess, box=[(0.9, 1.1), (0.0, 0.15)])
+        assert out["iterations"] == 3
+        assert counts == {"data_map": 4, "norm": 7}
+        assert abs(out["point"].m - p.m) < 1e-12 and abs(out["point"].a - p.a) < 1e-12
+
     def test_three_parameter_round_trip(self):
         model = lattice_3p()
         p = pm.ParameterPoint(m=1.0, a=0.08, lam=0.02)

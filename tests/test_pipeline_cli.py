@@ -57,6 +57,27 @@ SWEEPS = {
                    inversion={"mode": "3p", "box": {"M": [0.9, 1.1], "a": [0.02, 0.15],
                                                     "Lambda": [0.01, 0.03]}},
                    sweep={"axis": "ell", "values": [50, 100]}),
+    "ell_modal_window": dict(
+        with_section("lattice", overtone=1),
+        modes={"contaminants": [{"j": 0, "sign": 1, "amp": [0.5, 0.0]},
+                                {"j": 0, "sign": -1, "amp": [0.5, 0.0]}]},
+        window={"enabled": True, "n": 1, "m0": 3, "path": "modal"},
+        sweep={"axis": "ell", "values": [50, 100, 200]}),
+    "ell_fd_window": dict(
+        with_section("lattice", overtone=1),
+        observation={"T0": 4.0, "T": 10.0, "Delta": 1.0, "dt": 0.025},
+        modes={"contaminants": [{"j": 0, "sign": 1, "amp": [0.5, 0.0]}]},
+        tail={"c": 0.01, "nu": 0.5, "m": 0},
+        window={"enabled": True, "n": 1, "m0": 2, "path": "fd", "stencil_order": 8},
+        sweep={"axis": "ell", "values": [16, 20, 24]}),
+    # the middle value drowns the mode: its +1 sector fails branch selection
+    "noise_amp_branch_failure": dict(CANONICAL, noise={"harmonics": [[0.001, 3.0, 0.4]]},
+                                     sweep={"axis": "noise_amp", "values": [1.0, 1000.0, 2.0]}),
+    # 10 001 samples a row: the cap splits the four points into batches of 3 and 1
+    "noise_amp_long_grid": dict(
+        CANONICAL, observation={"T0": 4.0, "T": 10.0, "Delta": 1.0, "dt": 0.001},
+        noise={"lcg": {"seed": 5, "amplitude": 1e-3}},
+        sweep={"axis": "noise_amp", "values": [0.25, 1.0, 2.0, 4.0]}),
 }
 
 

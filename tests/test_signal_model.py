@@ -201,6 +201,44 @@ class TestWeightedInner:
             sm.weighted_inner(f, g, setup)
 
 
+class TestRows:
+    """(B, N) values are B signals on one grid: every reduction gives one value
+    per row, each equal bit for bit to that row's own 1-d result."""
+
+    @pytest.mark.parametrize("taper, dt, n_rows", [
+        ("raised-cosine", 0.05, 7), ("rectangular", 0.05, 3),
+        # 12 rows of 10 001 samples: well past the size at which numpy runs a
+        # binary operator on a temporary in place
+        ("raised-cosine", 0.001, 12)])
+    def test_rows_reduce_like_single_signals(self, taper, dt, n_rows):
+        setup = std_setup(taper=taper, dt=dt)
+        rng = np.random.default_rng(3)
+        modes = [sm.Mode(freq=complex(rng.uniform(-30, 30), -rng.uniform(0, 1)),
+                         amp=complex(*rng.standard_normal(2))) for _ in range(n_rows)]
+        rows = sm.mode_rows(modes, setup.grid())
+        singles = [sm.sample_scene([m], sm.ZERO_TAIL, sm.ZERO_NOISE, setup) for m in modes]
+        assert all(np.array_equal(row, one.values) for row, one in zip(rows, singles))
+        noise = 1e-3 * rng.standard_normal(rows.shape)
+        f = sm.SampledSignal(t_start=setup.t0, dt=setup.dt, values=rows + noise)
+        g = sm.SampledSignal(t_start=setup.t0, dt=setup.dt, values=rows)
+        f1 = [sm.SampledSignal(t_start=setup.t0, dt=setup.dt, values=v) for v in f.values]
+        shifted = sm.shift(f, setup.delta)
+        assert len(shifted) == len(f) - setup.shift_steps
+        batched = {
+            "inner": sm.weighted_inner(f, g, setup),
+            "shifted inner": sm.weighted_inner(shifted, f, setup),
+            "wnorm": sm.wnorm(f, setup), "l2": sm.residual_l2(f, setup)}
+        for b, (one, single) in enumerate(zip(f1, singles)):
+            alone = {
+                "inner": sm.weighted_inner(one, single, setup),
+                "shifted inner": sm.weighted_inner(sm.shift(one, setup.delta), one, setup),
+                "wnorm": sm.wnorm(one, setup), "l2": sm.residual_l2(one, setup)}
+            for name, value in alone.items():
+                assert np.isscalar(value), name
+                assert batched[name].shape == (n_rows,), name
+                assert batched[name][b] == value, (name, b)
+
+
 class TestShift:
     def test_constant(self):
         setup = std_setup()

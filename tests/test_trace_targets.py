@@ -81,3 +81,36 @@ def test_weights_computed_once_per_setup(monkeypatch):
     assert metrics["signal_model.noise_evals"] == 1
     assert metrics["signal_model.inner_calls"] > 1
     assert calls == [cfg.setup]
+
+
+def test_ell_sweep_op_is_one_batch():
+    # one ell-sweep op: 40 points on one 201-sample grid form one batch, so
+    # each sign is one extract call of five weighted inner products, while
+    # run_pipeline still runs once per point; each undamped Newton inversion
+    # evaluates the data map once per iterate
+    workload = load_ringbench("workloads").make("ell-sweep")
+    workload.prepare(None)
+    report, metrics = traced_op(workload.run, workload.make_input(1, 0), None)
+    assert len(report.rows) == 40 and not report.violations
+    assert metrics["pipeline.scenarios"] == 40
+    assert metrics["extractor.extract_calls"] == 2
+    assert metrics["signal_model.inner_calls"] == 10
+    assert metrics["paramap.data_map_evals"] == 160
+
+
+def test_weights_computed_once_per_sweep(monkeypatch):
+    # every point of an ell sweep keeps the base config's setup object
+    from ringlab import pipeline, signal_model
+    from ringlab.config import ScenarioConfig
+    calls = []
+    weight_eval = signal_model.weight_eval
+
+    def counted(setup, t):
+        calls.append(setup)
+        return weight_eval(setup, t)
+
+    monkeypatch.setattr(signal_model, "weight_eval", counted)
+    cfg = ScenarioConfig(raw=load_ringbench("workloads").ell_sweep_input(1, 0))
+    report = pipeline.run_sweep(cfg)
+    assert len(report.rows) == 40 and report.ok
+    assert calls == [cfg.setup]
