@@ -1,4 +1,4 @@
-"""Scenario configuration: a single YAML document, parsed once.
+"""Scenario configuration: a single YAML document, parsed and checked once.
 
 ``DEFAULTS`` is the one list of the document's keys: every section, every
 key, and its default.  A configured leaf must have its default's type: real
@@ -9,9 +9,14 @@ of an :class:`Items` default), a mapping item like a section.  A ``None``
 default marks a value the pipeline derives from other values; the pipeline
 checks such a leaf with :func:`resolve` where it derives it.
 
-Unknown keys are rejected, and the observation grid (delta < T, delta and T
-multiples of dt, T > 3*delta for the energy bounds) is checked for the base
-scenario and for every sweep point before any computation runs.  No
+Loading runs every check that needs no computation: keys and leaf types,
+the shape, range or choice of single leaves (``_LIMITS``), the rules across
+sections, and the scenario objects, each checked as it is built: the grid
+``setup`` (delta < T, delta and T multiples of dt, T > 3*delta for the
+energy bounds), the lattice ``model``, the true point ``p_true``, ``tail``
+and ``noise``.  Each sweep point is built once, into ``points``, rebuilding
+only its axis's section.  A check that needs computation (fd window padding,
+a box's inverse constants) raises ConfigError when a subcommand runs.  No
 environment overrides: the file is the complete record of a run.
 """
 from __future__ import annotations
@@ -22,8 +27,9 @@ from dataclasses import dataclass, field
 
 import yaml
 
+from . import paramap as pm
 from .errors import ConfigError
-from .signal_model import ObservationSetup
+from .signal_model import NoiseSpec, ObservationSetup, TailSpec
 
 
 class Items(list):
@@ -99,6 +105,11 @@ _RANGE = (lambda v: v is None or (isinstance(v, list) and len(v) == 2
           "a [lo, hi] pair with lo < hi")
 _DISTINCT = (lambda v: 0 < len(v) == len(set(v)), "a nonempty list of distinct values")
 
+
+def _choice(*allowed):
+    return (lambda v: v in allowed, f"one of {allowed}")
+
+
 #: leaves whose values a driver needs in a shape or range their type does
 #: not give: key path -> (test, what the leaf must be)
 _LIMITS = {
@@ -125,6 +136,12 @@ _LIMITS = {
     ("pseudospectrum", "re_range"): _RANGE, ("pseudospectrum", "im_range"): _RANGE,
     ("inversion", "box", "M"): _RANGE, ("inversion", "box", "a"): _RANGE,
     ("inversion", "box", "Lambda"): _RANGE,
+    ("sweep", "axis"): _choice(None, *_SWEEP_LEAVES),
+    ("window", "path"): _choice("modal", "fd"),
+    ("window", "prior"): _choice("exact", "offset"),
+    ("extraction", "prior"): _choice("exact", "offset"),
+    ("inversion", "mode"): _choice("2p", "3p"),
+    ("extraction", "amp_floor"): (lambda v: v >= 0, "nonnegative"),
 }
 
 _KINDS = {bool: "true or false", int: "an integer", float: "a finite real",
@@ -190,49 +207,26 @@ def _parse(raw, defaults: dict, path: str = "") -> dict:
     return out
 
 
-def _one_of(path: str, value, allowed: tuple):
-    if value not in allowed:
-        raise ConfigError(f"{path} must be one of {allowed}, got {value!r}")
-
-
 @dataclass
 class ScenarioConfig:
     """Parsed scenario document: every section, defaults filled in.
 
-    ``data`` holds the sections and ``setup`` the observation grid.
+    ``data`` holds the sections.  ``setup``, ``model``, ``p_true``, ``tail``
+    and ``noise`` are the scenario objects built from them, and ``points``
+    this scenario at each sweep value, in order (empty without a sweep).
     """
 
     raw: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.data = _parse(self.raw, DEFAULTS)
+        data = self.data = _parse(self.raw, DEFAULTS)
         for path, (holds, what) in _LIMITS.items():
-            value = self.data
+            value = data
             for key in path:
                 value = value[key]
             if not holds(value):
                 raise ConfigError(f"{'.'.join(path)} must be {what}, got {value!r}")
-        self._check_physical()
-        if self.data["sweep"]["axis"] is not None:
-            for value in self.data["sweep"]["values"]:
-                try:
-                    self.point(value)
-                except ConfigError as exc:
-                    raise ConfigError(f"sweep value {value!r}: {exc}") from None
-
-    def _check_physical(self, keep_setup: bool = False):
-        data = self.data
-        if not keep_setup:
-            obs = data["observation"]
-            self.setup = ObservationSetup(t0=obs["T0"], t_len=obs["T"], delta=obs["Delta"],
-                                          dt=obs["dt"], taper=obs["taper"])
-        if self.setup.t_len <= 3 * self.setup.delta:
-            raise ConfigError("need T > 3*Delta for the energy lower bounds")
-        _one_of("sweep.axis", data["sweep"]["axis"], (None, *_SWEEP_LEAVES))
-        _one_of("window.path", data["window"]["path"], ("modal", "fd"))
-        _one_of("window.prior", data["window"]["prior"], ("exact", "offset"))
-        _one_of("extraction.prior", data["extraction"]["prior"], ("exact", "offset"))
-        _one_of("inversion.mode", data["inversion"]["mode"], ("2p", "3p"))
+        self._build(("observation", "lattice", "tail", "noise"))
         overtone = data["lattice"]["overtone"]
         if resolve(data["window"]["n"], overtone, "window.n") != overtone:
             raise ConfigError("window.n must equal lattice.overtone, the window's target")
@@ -241,25 +235,63 @@ class ScenarioConfig:
             raise ConfigError("window_check.target must index window_check.nodes")
         if pseudo["hol_bound"] * max(pseudo["eps"], default=0.0) >= 1.0:
             raise ConfigError("pseudospectrum.hol_bound * max(eps) must be below 1")
+        kind = data["lattice"]["damping"]["kind"]  # any other makes DG singular in 3p
+        if data["inversion"]["mode"] == "3p" and kind != "gap_over_mass":
+            raise ConfigError("inversion.mode 3p needs lattice.damping.kind gap_over_mass, "
+                              f"got {kind!r}")
+        self.points = []
+        if data["sweep"]["axis"] is not None:
+            self.points = [self.point(value) for value in data["sweep"]["values"]]
+
+    def _build(self, sections):
+        """The scenario objects of ``sections``, each checked as it is built."""
+        data = self.data
+        if "observation" in sections:
+            obs = data["observation"]
+            self.setup = ObservationSetup(t0=obs["T0"], t_len=obs["T"], delta=obs["Delta"],
+                                          dt=obs["dt"], taper=obs["taper"])
+            if self.setup.t_len <= 3 * self.setup.delta:
+                raise ConfigError("need T > 3*Delta for the energy lower bounds")
+        if "lattice" in sections:
+            lat = data["lattice"]
+            self.model = pm.default_lattice(
+                kappa=lat["kappa"], lam_kind=lat["damping"]["kind"],
+                lam_value=lat["damping"]["value"], n=lat["overtone"], ell=lat["ell"])
+            self.p_true = pm.ParameterPoint(m=lat["M"], a=lat["a"], lam=lat["Lambda"])
+        if "tail" in sections:
+            tail = data["tail"]
+            self.tail = TailSpec(c_tail=tail["c"], nu=tail["nu"], m=tail["m"], leak=tail["leak"])
+        if "noise" in sections:
+            noise, seed = data["noise"], data["noise"]["lcg"]["seed"]
+            if seed is None and noise["lcg"]["amplitude"]:
+                raise ConfigError("noise.lcg.amplitude needs noise.lcg.seed")
+            self.noise = NoiseSpec(
+                harmonics=tuple(tuple(h) for h in noise["harmonics"]),
+                lcg_seed=None if seed is None else resolve(seed, 0, "noise.lcg.seed"),
+                lcg_amplitude=noise["lcg"]["amplitude"], lcg_dt=self.setup.dt)
 
     def point(self, value) -> "ScenarioConfig":
         """This scenario at one value of its sweep axis, checked like the base.
 
-        A point off the observation axes keeps the base's setup object, so
-        every such point shares its grid and taper weights.
+        Only the objects built from the swept section are rebuilt: a point
+        off the observation axes keeps the base's setup object, so every
+        such point shares its grid and taper weights.
         """
         section, key = _SWEEP_LEAVES[self.data["sweep"]["axis"]]
         sec = self.data[section]
-        if key is None:
-            scale = float(_leaf("sweep.values", value, 1.0))
-            leaves = {"harmonics": [[scale * c, mu, phi] for c, mu, phi in sec["harmonics"]],
-                      "lcg": {**sec["lcg"], "amplitude": scale * sec["lcg"]["amplitude"]}}
-        else:
-            default = DEFAULTS[section][key]
-            leaves = {key: type(default)(_leaf(f"{section}.{key}", value, default))}
         out = copy.copy(self)
-        out.data = {**self.data, section: {**sec, **leaves}}
-        out._check_physical(keep_setup=section != "observation")
+        try:
+            if key is None:
+                scale = float(_leaf("sweep.values", value, 1.0))
+                leaves = {"harmonics": [[scale * c, mu, phi] for c, mu, phi in sec["harmonics"]],
+                          "lcg": {**sec["lcg"], "amplitude": scale * sec["lcg"]["amplitude"]}}
+            else:
+                default = DEFAULTS[section][key]
+                leaves = {key: type(default)(_leaf(f"{section}.{key}", value, default))}
+            out.data = {**self.data, section: {**sec, **leaves}}
+            out._build((section,))
+        except ConfigError as exc:
+            raise ConfigError(f"sweep value {value!r}: {exc}") from None
         return out
 
     def __getitem__(self, key: str):

@@ -229,12 +229,15 @@ def _extract_rows(y: SampledSignal, cfg: ExtractionConfig,
     return out
 
 
+#: the detector and data norms in the tail bound: a scalar scene observes the signal itself
+DETECTOR_NORM = DATA_NORM = 1.0
+
+
 def epsilon_budget(amp: complex, freq: complex, tail: TailSpec, noise_l2: float,
-                   setup: ObservationSetup, detector_norm: float = 1.0,
-                   data_norm: float = 1.0) -> dict:
+                   setup: ObservationSetup) -> dict:
     """A-priori bounds on eps from the tail envelope and a noise L2 budget.
 
-    eps_tail_bound = envelope(t0) * detector_norm * data_norm * sqrt(T)
+    eps_tail_bound = envelope(t0) * DETECTOR_NORM * DATA_NORM * sqrt(T)
     divided by the plateau energy lower bound for the reference mode;
     eps_meas_bound = noise_l2 / (same denominator); eps_bound is the sum.
     The envelope is nonincreasing, so envelope(t0)*sqrt(T) dominates the
@@ -249,7 +252,7 @@ def epsilon_budget(amp: complex, freq: complex, tail: TailSpec, noise_l2: float,
     denom = float(np.sqrt(energy_sq))
     envelope_t0 = (tail.c_tail * np.exp(-tail.nu * setup.t0)
                    * (1.0 + setup.t0) ** (-tail.m) + tail.leak)
-    eps_tail = (envelope_t0 * detector_norm * data_norm
+    eps_tail = (envelope_t0 * DETECTOR_NORM * DATA_NORM
                 * np.sqrt(setup.t_len) / denom)
     eps_meas = noise_l2 / denom
     return {"eps_tail_bound": float(eps_tail), "eps_meas_bound": float(eps_meas),

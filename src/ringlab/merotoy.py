@@ -216,24 +216,28 @@ _SERIES_TERMS = 96
 # derivatives of holomorphic callables
 # ---------------------------------------------------------------------------
 
-def holomorphic_derivatives(fn: Callable, z0: complex, max_order: int,
-                            radius: float = 5e-2, npts: int = 64) -> list:
+#: radius and node count of the Cauchy circle holomorphic_derivatives samples
+_CAUCHY_RADIUS = 5e-2
+_CAUCHY_NPTS = 64
+
+
+def holomorphic_derivatives(fn: Callable, z0: complex, max_order: int) -> list:
     """Derivatives F^(r)(z0), r = 0..max_order, of a holomorphic callable.
 
     fn is batched: it maps an (n,) array of points to an (n, ...) array.
     Order 0 alone is fn at z0 itself; otherwise one call samples the
-    npts-point Cauchy circle, and the trapezoid rule on it converges
-    spectrally for holomorphic integrands.
+    _CAUCHY_NPTS-point Cauchy circle of radius _CAUCHY_RADIUS, and the
+    trapezoid rule on it converges spectrally for holomorphic integrands.
     """
     if max_order == 0:
         return [np.asarray(fn(np.array([z0], dtype=complex)))[0]]
-    theta = 2.0 * np.pi * np.arange(npts) / npts
-    samples = np.asarray(fn(z0 + radius * np.exp(1j * theta)), dtype=complex)
+    theta = 2.0 * np.pi * np.arange(_CAUCHY_NPTS) / _CAUCHY_NPTS
+    samples = np.asarray(fn(z0 + _CAUCHY_RADIUS * np.exp(1j * theta)), dtype=complex)
     out = []
     for r in range(max_order + 1):
         phase = np.exp(-1j * r * theta)
-        coeff = np.tensordot(phase, samples, axes=(0, 0)) / npts
-        out.append(math.factorial(r) * coeff / radius**r)
+        coeff = np.tensordot(phase, samples, axes=(0, 0)) / _CAUCHY_NPTS
+        out.append(math.factorial(r) * coeff / _CAUCHY_RADIUS**r)
     return out
 
 
@@ -251,8 +255,7 @@ def _as_times(times) -> np.ndarray:
     return times
 
 
-def residue_time_term(pole: Pole, fn: Callable, times, *,
-                      radius: float = 5e-2, npts: int = 64) -> np.ndarray:
+def residue_time_term(pole: Pole, fn: Callable, times) -> np.ndarray:
     """Time-domain contribution of one pole against a holomorphic d-vector fn.
 
     i e^{-i omega0 t} sum_{q=1..m} sum_{r=0..q-1}
@@ -264,7 +267,7 @@ def residue_time_term(pole: Pole, fn: Callable, times, *,
     """
     times = _as_times(times)
     m = pole.order
-    ders = holomorphic_derivatives(fn, pole.omega, m - 1, radius=radius, npts=npts)
+    ders = holomorphic_derivatives(fn, pole.omega, m - 1)
     total = np.zeros((times.size, pole.laurent[0].shape[0]), dtype=complex)
     for q in range(1, m + 1):
         mat = pole.laurent[q - 1]
@@ -483,8 +486,13 @@ class MatrixPencil:
         return self.p1 + 2.0 * (omega - self.center) * self.p2
 
 
-def rank_one_residue(pencil: MatrixPencil, omega0: complex,
-                     kernel_rtol: float = 1e-8) -> dict:
+#: rank_one_residue's kernel: the singular values at most _KERNEL_RTOL times
+#: the largest; cauchy_residue's circle: _RESIDUE_NPTS nodes
+_KERNEL_RTOL = 1e-8
+_RESIDUE_NPTS = 128
+
+
+def rank_one_residue(pencil: MatrixPencil, omega0: complex) -> dict:
     """Residue projector of P(omega)^-1 at a simple pole omega0.
 
     Pi f = <f, v0> u0 / <P'(omega0) u0, v0> with u0 spanning ker P(omega0)
@@ -496,9 +504,9 @@ def rank_one_residue(pencil: MatrixPencil, omega0: complex,
     u_svd, s, vh = np.linalg.svd(mat)
     if s[0] == 0:
         raise StructureError("pencil vanishes identically at omega0")
-    if s[-1] > kernel_rtol * s[0]:
+    if s[-1] > _KERNEL_RTOL * s[0]:
         raise StructureError("kernel dimension 0 at omega0 (not a pole)")
-    if len(s) > 1 and s[-2] <= kernel_rtol * s[0]:
+    if len(s) > 1 and s[-2] <= _KERNEL_RTOL * s[0]:
         raise StructureError("kernel dimension > 1 at omega0")
     u0 = vh[-1].conj()
     v0 = u_svd[:, -1]
@@ -509,16 +517,15 @@ def rank_one_residue(pencil: MatrixPencil, omega0: complex,
     return {"projector": projector, "u0": u0, "v0": v0, "denom": denom}
 
 
-def cauchy_residue(fn: Callable, omega0: complex, radius: float = 1e-3,
-                   npts: int = 128) -> np.ndarray:
+def cauchy_residue(fn: Callable, omega0: complex, radius: float = 1e-3) -> np.ndarray:
     """(1/2 pi i) contour integral of a matrix-valued fn around omega0."""
-    theta = 2.0 * np.pi * np.arange(npts) / npts
+    theta = 2.0 * np.pi * np.arange(_RESIDUE_NPTS) / _RESIDUE_NPTS
     ring = np.exp(1j * theta)
     total = None
     for w in ring:
         val = np.asarray(fn(omega0 + radius * w), dtype=complex) * w
         total = val if total is None else total + val
-    return radius * total / npts
+    return radius * total / _RESIDUE_NPTS
 
 
 def amplitude_pairing(f_at_pole: np.ndarray, u0: np.ndarray, v0: np.ndarray,

@@ -19,6 +19,10 @@ from .errors import ConfigError, InversionError
 SQRT2 = float(np.sqrt(2.0))
 SQRT3 = float(np.sqrt(3.0))
 
+#: invert_data's residual-norm tolerance and step limit
+NEWTON_TOL = 1e-12
+NEWTON_MAX_ITER = 50
+
 
 @dataclass(frozen=True)
 class ParameterPoint:
@@ -163,14 +167,13 @@ def data_map_error_bound(delta_omega_plus: complex, delta_omega_minus: complex,
 
 
 def invert_data(model: LatticeModel, data: dict, guess: ParameterPoint,
-                tol: float = 1e-12, max_iter: int = 50,
                 box: Optional[Sequence[Tuple[float, float]]] = None) -> dict:
     """Damped Newton inversion of the lattice data map.
 
     data holds U, V and optionally W (three-parameter mode).  The iteration
-    stops when the residual norm drops below tol; a singular Jacobian,
-    non-convergence within max_iter, or a converged point outside the box
-    raises InversionError.
+    stops when the residual norm drops below NEWTON_TOL; a singular Jacobian
+    (relative to its largest entry), non-convergence within NEWTON_MAX_ITER
+    steps, or a converged point outside the box raises InversionError.
     """
     three = "W" in data
     target = np.array([data["U"], data["V"]] + ([data["W"]] if three else []))
@@ -184,12 +187,12 @@ def invert_data(model: LatticeModel, data: dict, guess: ParameterPoint,
     n_iter = 0
     res = fun(x)
     res_norm = np.linalg.norm(res)
-    while res_norm > tol:
-        if n_iter >= max_iter:
-            raise InversionError(f"Newton did not converge in {max_iter} iterations")
+    while res_norm > NEWTON_TOL:
+        if n_iter >= NEWTON_MAX_ITER:
+            raise InversionError(f"Newton did not converge in {NEWTON_MAX_ITER} iterations")
         jac = model.jacobian(ParameterPoint.from_array(x, lam_fixed=lam_fixed), three)
         det = np.linalg.det(jac)
-        if not np.isfinite(det) or abs(det) < 1e-14 * np.linalg.norm(jac, 2) ** len(x):
+        if not np.isfinite(det) or abs(det) < 1e-14 * np.abs(jac).max() ** len(x):
             raise InversionError("singular Jacobian of the data map")
         step = np.linalg.solve(jac, -res)
         lam_damp = 1.0
@@ -218,9 +221,7 @@ def invert_data(model: LatticeModel, data: dict, guess: ParameterPoint,
             "iterations": n_iter, "residual": float(res_norm)}
 
 
-def inverse_constants(model: LatticeModel,
-                      box: Sequence[Tuple[float, float]],
-                      three_param: Optional[bool] = None) -> dict:
+def inverse_constants(model: LatticeModel, box: Sequence[Tuple[float, float]]) -> dict:
     """Inverse stability constants of the data map G over a parameter box.
 
     C_star = sup ||DG^-1||_2 (the Lipschitz constant of the local inverse)
@@ -248,10 +249,9 @@ def inverse_constants(model: LatticeModel,
     3p, photon_sphere or constant: the lam row of DG equals the u row or is
     zero, so DG is singular everywhere and InversionError is raised.
     """
-    if three_param is None:
-        three_param = len(box) == 3
-    if len(box) != (3 if three_param else 2):
-        raise ConfigError("box dimension must match the inversion mode")
+    if len(box) not in (2, 3):
+        raise ConfigError("box must hold the (M, a) or (M, a, Lambda) ranges")
+    three_param = len(box) == 3
     if three_param and model.lam_kind != "gap_over_mass":
         raise InversionError(f"singular data-map Jacobian: a {model.lam_kind} "
                              "damping scale does not separate M from Lambda")

@@ -41,53 +41,25 @@ from .report import RunReport
 
 @dataclass
 class Scenario:
-    """What both sectors of one scenario share, built once from its config."""
+    """A config and the noise both its sectors add, sampled once on the batch's grid."""
 
-    model: pm.LatticeModel
-    p_true: pm.ParameterPoint
-    setup: sm.ObservationSetup
-    tail: sm.TailSpec
-    noise: sm.NoiseSpec
-    noise_samples: Optional[np.ndarray]  # the noise on the setup grid; None if zero
+    cfg: ScenarioConfig
+    noise_samples: Optional[np.ndarray]  # None if zero
     noise_l2: float  # its norm over the window: both sectors' budgets use it
 
 
-def _noise_from_config(noise: dict, setup: sm.ObservationSetup) -> sm.NoiseSpec:
-    harmonics = tuple((c, mu, phi) for c, mu, phi in noise["harmonics"])
-    lcg = noise["lcg"]
-    if lcg["seed"] is None:
-        if lcg["amplitude"]:
-            raise ConfigError("noise.lcg.amplitude needs noise.lcg.seed")
-        return sm.NoiseSpec(harmonics=harmonics)
-    return sm.NoiseSpec(harmonics=harmonics, lcg_seed=resolve(lcg["seed"], 0, "noise.lcg.seed"),
-                        lcg_amplitude=lcg["amplitude"], lcg_dt=setup.dt)
-
-
 def _scenario(cfg: ScenarioConfig, setup: sm.ObservationSetup) -> Scenario:
-    """Lattice, true point, tail, noise and its norm on ``setup`` (a setup
-    equal to cfg.setup); ConfigErrors surface here."""
-    lat, tail = cfg["lattice"], cfg["tail"]
-    damping = lat["damping"]
-    model = pm.default_lattice(kappa=lat["kappa"], lam_kind=damping["kind"],
-                               lam_value=damping["value"], n=lat["overtone"],
-                               ell=lat["ell"])
-    noise = _noise_from_config(cfg["noise"], setup)
-    samples = None if noise.is_zero else noise.eval(setup.grid())
+    """``cfg`` with its noise sampled on ``setup``, a setup equal to cfg.setup."""
+    samples = None if cfg.noise.is_zero else cfg.noise.eval(setup.grid())
     noise_l2 = 0.0 if samples is None else sm.residual_l2(
         sm.SampledSignal(t_start=setup.t0, dt=setup.dt, values=samples), setup)
-    return Scenario(
-        model=model, p_true=pm.ParameterPoint(m=lat["M"], a=lat["a"], lam=lat["Lambda"]),
-        setup=setup,
-        tail=sm.TailSpec(c_tail=tail["c"], nu=tail["nu"], m=tail["m"], leak=tail["leak"]),
-        noise=noise, noise_samples=samples, noise_l2=noise_l2)
+    return Scenario(cfg=cfg, noise_samples=samples, noise_l2=noise_l2)
 
 
 @dataclass
 class SectorResult:
-    sign: int
     omega_true: complex
     z_true: complex
-    amp_ref: complex
     result: ex.ExtractionResult
     eps_budget: dict
 
@@ -117,9 +89,9 @@ def _sample_extended(modes, tail, noise, setup: sm.ObservationSetup,
     return sm.SampledSignal(t_start=float(t[0]), dt=setup.dt, values=vals)
 
 
-def _sector_scene(sign: int, cfg: ScenarioConfig, scn: Scenario) -> _SectorScene:
-    win = cfg["window"]
-    model, p_true, setup = scn.model, scn.p_true, scn.setup
+def _sector_scene(sign: int, scn: Scenario, setup: sm.ObservationSetup) -> _SectorScene:
+    cfg, win = scn.cfg, scn.cfg["window"]
+    model, p_true = cfg.model, cfg.p_true
     n = model.n
     pole_offset = cfg["lattice"]["pole_offset"]
     pole = pm.pseudopole(model, n, sign, p_true)
@@ -151,7 +123,7 @@ def _sector_scene(sign: int, cfg: ScenarioConfig, scn: Scenario) -> _SectorScene
             modes = aw.apply_window_modal(modes, gpoly)
         else:
             pad = aw.fd_trim(gpoly.degree, win["stencil_order"])
-            raw = _sample_extended(modes, scn.tail, scn.noise, setup, pad)
+            raw = _sample_extended(modes, cfg.tail, cfg.noise, setup, pad)
             fd_signal = aw.apply_window_fd(raw, gpoly, stencil_order=win["stencil_order"])
 
     prior = pole
@@ -161,8 +133,7 @@ def _sector_scene(sign: int, cfg: ScenarioConfig, scn: Scenario) -> _SectorScene
                         amp_ref=amp * window_gain, prior=prior, fd_signal=fd_signal)
 
 
-def _run_sectors(sign: int, cfgs: list, scns: list,
-                 setup: sm.ObservationSetup) -> list:
+def _run_sectors(sign: int, scns: list, setup: sm.ObservationSetup) -> list:
     """One sector of each scenario of a batch on ``setup``: a SectorResult,
     or the RinglabError that ends it, per scenario.
 
@@ -174,22 +145,17 @@ def _run_sectors(sign: int, cfgs: list, scns: list,
     sections no sweep varies, so the first one stands for all of them there.
     """
     out: list = []
-    for cfg, scn in zip(cfgs, scns):
+    for scn in scns:
         try:
-            out.append(_sector_scene(sign, cfg, scn))
+            out.append(_sector_scene(sign, scn, setup))
         except RinglabError as exc:
             out.append(exc)
     live = [i for i, sec in enumerate(out) if isinstance(sec, _SectorScene)]
     if not live:
         return out
     secs = [out[i] for i in live]
-    try:
-        ecfg = ex.ExtractionConfig(setup=setup, prior=[sec.prior for sec in secs],
-                                   amp_floor=cfgs[0]["extraction"]["amp_floor"])
-    except RinglabError as exc:
-        for i in live:
-            out[i] = exc
-        return out
+    ecfg = ex.ExtractionConfig(setup=setup, prior=[sec.prior for sec in secs],
+                               amp_floor=scns[0].cfg["extraction"]["amp_floor"])
 
     t = setup.grid()
     refs = [sm.Mode(freq=sec.omega_true, amp=sec.amp_ref) for sec in secs]
@@ -202,7 +168,7 @@ def _run_sectors(sign: int, cfgs: list, scns: list,
         values = y0.copy()
         for term in others:
             values += term
-        tail = secs[0].scn.tail
+        tail = secs[0].scn.cfg.tail
         if not tail.is_zero:
             values += tail.eval(t)
         for row, sec in zip(values, secs):
@@ -224,14 +190,14 @@ def _run_sectors(sign: int, cfgs: list, scns: list,
             out[i] = res
             continue
         try:
-            budget = ex.epsilon_budget(sec.amp_ref, sec.omega_true, sec.scn.tail,
+            budget = ex.epsilon_budget(sec.amp_ref, sec.omega_true, sec.scn.cfg.tail,
                                        known_l2, setup)
         except RinglabError as exc:
             out[i] = exc
             continue
         z_true = np.exp(-1j * sec.omega_true * setup.delta)
-        out[i] = SectorResult(sign=sign, omega_true=sec.omega_true, z_true=z_true,
-                              amp_ref=sec.amp_ref, result=res, eps_budget=budget)
+        out[i] = SectorResult(omega_true=sec.omega_true, z_true=z_true, result=res,
+                              eps_budget=budget)
     return out
 
 
@@ -278,7 +244,7 @@ def _certify(report: RunReport, label: str, checks):
 
 
 _REPORT_TOLERANCES = {
-    "newton_tol": 1e-12,
+    "newton_tol": pm.NEWTON_TOL,
     "certify_rtol": 1e-12,
     "certify_atol": _CERT_ATOL,
     "calibrated_c_hat": p2.CALIBRATED_C_HAT,
@@ -286,6 +252,10 @@ _REPORT_TOLERANCES = {
 
 
 def _failed(report: RunReport, row: dict, prefix: str, exc: RinglabError) -> RunReport:
+    """A failed row and its violation; a configuration error is no row but
+    ends the run, as at load."""
+    if isinstance(exc, ConfigError):
+        raise ConfigError(f"{prefix}{exc}") from None
     row["failed"] = True
     row["error"] = str(exc)
     report.add_row(row)
@@ -315,29 +285,23 @@ def _batches(points: list):
 
 
 def _run_batch(cfgs: list, setup: sm.ObservationSetup, signs=(+1, -1)) -> list:
-    """Each config's scenario on ``setup`` and its sectors, one batch per sign.
+    """Each config's sectors on ``setup``, one batch per sign.
 
-    Per config: (Scenario, {sign: SectorResult}), with the RinglabError that
-    ended it in place of either.  The +1 sector runs first, and a scenario
-    whose +1 sector failed runs no -1 sector, as when it runs alone.
+    Per config: {sign: SectorResult}, or the RinglabError that ended it.
+    The +1 sector runs first, and a scenario whose +1 sector failed runs no
+    -1 sector, as when it runs alone.
     """
-    scns, outcome = [], []
-    for cfg in cfgs:
-        try:
-            scns.append(_scenario(cfg, setup))
-            outcome.append({})
-        except RinglabError as exc:
-            scns.append(exc)
-            outcome.append(exc)
+    scns = [_scenario(cfg, setup) for cfg in cfgs]
+    outcome: list = [{} for _ in cfgs]
     for sign in signs:
         live = [i for i, sectors in enumerate(outcome) if isinstance(sectors, dict)]
-        results = _run_sectors(sign, [cfgs[i] for i in live], [scns[i] for i in live], setup)
+        results = _run_sectors(sign, [scns[i] for i in live], setup)
         for i, sec in zip(live, results):
             if isinstance(sec, SectorResult):
                 outcome[i][sign] = sec
             else:
                 outcome[i] = sec
-    return list(zip(scns, outcome))
+    return outcome
 
 
 def run_pipeline(cfg: ScenarioConfig, scenario_id: int = 0,
@@ -349,12 +313,9 @@ def run_pipeline(cfg: ScenarioConfig, scenario_id: int = 0,
     without it the scenario runs as a batch of one.
     """
     if report is None:
-        report = RunReport(metadata={"subcommand": "pipeline",
-                                     **_REPORT_TOLERANCES})
-    scn, sectors = batched if batched is not None else _run_batch([cfg], cfg.setup)[0]
-    if isinstance(scn, RinglabError):
-        raise scn
-    model, p_true, setup = scn.model, scn.p_true, scn.setup
+        report = RunReport(metadata={"subcommand": "pipeline", **_REPORT_TOLERANCES})
+    sectors = batched if batched is not None else _run_batch([cfg], cfg.setup)[0]
+    model, p_true, setup = cfg.model, cfg.p_true, cfg.setup
     label = f"scenario {scenario_id}"
 
     row: dict = {"scenario": scenario_id, "ell": model.ell,
@@ -400,7 +361,7 @@ def run_pipeline(cfg: ScenarioConfig, scenario_id: int = 0,
     target = {k: est[k] for k in keys}
     try:
         inv = pm.invert_data(model, target, guess, box=box)
-        consts = pm.inverse_constants(model, box, three_param=three)
+        consts = pm.inverse_constants(model, box)
     except RinglabError as exc:
         return _failed(report, row, f"{label}: ", exc)
 
@@ -455,12 +416,11 @@ def run_sweep(cfg: ScenarioConfig) -> RunReport:
     if axis is None or not values:
         raise ConfigError("sweep requires an axis and a nonempty value list")
     report = RunReport(metadata={"subcommand": "sweep", "axis": axis, **_REPORT_TOLERANCES})
-    points = [cfg.point(value) for value in values]
-    for start, stop in _batches(points):
-        batch = _run_batch(points[start:stop], points[start].setup)
+    for start, stop in _batches(cfg.points):
+        batch = _run_batch(cfg.points[start:stop], cfg.points[start].setup)
         for i, batched in enumerate(batch, start):
             first = len(report.rows)
-            run_pipeline(points[i], scenario_id=i, report=report, batched=batched)
+            run_pipeline(cfg.points[i], scenario_id=i, report=report, batched=batched)
             for row in report.rows[first:]:
                 row["sweep_axis"] = axis
                 row["sweep_value"] = float(values[i])
@@ -474,9 +434,7 @@ def run_sweep(cfg: ScenarioConfig) -> RunReport:
 def run_extract(cfg: ScenarioConfig) -> RunReport:
     """One-sector extraction only: signal, Rayleigh quotient, bounds."""
     report = RunReport(metadata={"subcommand": "extract", **_REPORT_TOLERANCES})
-    scn, sectors = _run_batch([cfg], cfg.setup, signs=(+1,))[0]
-    if isinstance(scn, RinglabError):
-        raise scn
+    sectors = _run_batch([cfg], cfg.setup, signs=(+1,))[0]
     if isinstance(sectors, RinglabError):
         return _failed(report, {}, "", sectors)
     sec = sectors[+1]

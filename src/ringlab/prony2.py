@@ -297,12 +297,11 @@ def separation_scaling_probe(separations: Sequence[float] = (0.4, 0.2, 0.1, 0.05
 
 
 def conditioning_report(a1: complex, a2: complex, z1: complex, z2: complex,
-                        eta: float, c_hat: float = CALIBRATED_C_HAT,
-                        probe: bool = True, n_directions: int = 32,
+                        eta: float, probe: bool = True, n_directions: int = 32,
                         seed: int = 0) -> dict:
     """Conditioning diagnostics for a two-node configuration.
 
-    bound = c_hat * eta / (|a1 a2| |z1 - z2|^3); smallness_ok is the gate
+    bound = CALIBRATED_C_HAT * eta / (|a1 a2| |z1 - z2|^3); smallness_ok is the gate
     eta <= c0 |a1 a2| |z1 - z2|^4 under which the bound is certified.  The
     optional probe reports the measured log-log slope of worst-case root
     error against separation (cubic law: slope near -3).
@@ -316,8 +315,8 @@ def conditioning_report(a1: complex, a2: complex, z1: complex, z2: complex,
     out = {
         "delta0_mag": abs(prod * sep**2),
         "smallness_ok": bool(eta <= SMALLNESS_C0 * prod * sep**4),
-        "bound": c_hat * eta / (prod * sep**3),
-        "c_hat": c_hat,
+        "bound": CALIBRATED_C_HAT * eta / (prod * sep**3),
+        "c_hat": CALIBRATED_C_HAT,
     }
     if probe:
         out["scaling_exponent_probe"] = separation_scaling_probe(

@@ -181,8 +181,8 @@ class TestInvertData:
     def test_canonical_inversion_evaluates_each_iterate_once(self, monkeypatch):
         # the canonical scenario's inversion: guess 1% off, three undamped
         # steps.  Each accepted trial is the next iterate, so the data map runs
-        # once per iterate and each residual norm is taken once; only the
-        # singularity test's spectral norm adds one per step
+        # once per iterate and each residual norm is taken once; the
+        # singularity test scales by the largest entry and takes no norm
         model = lattice_2p()
         p = pm.ParameterPoint(m=1.0, a=0.08, lam=0.02)
         data = {"U": model.u_fn(p), "V": model.v_fn(p)}
@@ -202,7 +202,7 @@ class TestInvertData:
         monkeypatch.setattr(np.linalg, "norm", counted_norm)
         out = pm.invert_data(model, data, guess, box=[(0.9, 1.1), (0.0, 0.15)])
         assert out["iterations"] == 3
-        assert counts == {"data_map": 4, "norm": 7}
+        assert counts == {"data_map": 4, "norm": 4}
         assert abs(out["point"].m - p.m) < 1e-12 and abs(out["point"].a - p.a) < 1e-12
 
     def test_three_parameter_round_trip(self):

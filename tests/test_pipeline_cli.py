@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -111,6 +112,7 @@ class TestConfig:
     @pytest.mark.parametrize("sweep", [
         {"axis": "Delta", "values": [1.0, 4.0]},  # T = 10 <= 3 * 4
         {"axis": "ell", "values": [50, 100.5]},
+        {"axis": "ell", "values": [50, 0]},  # a lattice check, at load
     ])
     def test_swept_values_checked_like_base_values(self, sweep):
         with pytest.raises(ConfigError, match="sweep value"):
@@ -285,9 +287,22 @@ class TestCli:
             {"pseudospectrum": {"hol_bound": 100.0}},
             {"prony": {"amps": [[1, 0], [1, 0]], "nodes": [[0.5, 0], [0.5, 0]]}},
             {"prony": {"amps": [[0, 0], [1, 0]], "nodes": [[0.5, 0], [0.7, 0]]}},
+            # 3p identifies Lambda only through a gap_over_mass damping scale
+            with_section("inversion", mode="3p"),
+            dict(with_section("inversion", mode="3p"),
+                 lattice=dict(CANONICAL["lattice"], damping={"kind": "photon_sphere"})),
+            # the inverse constants reject the box only once the pipeline computes them
+            with_section("inversion", box={"M": [-1.0, 1.1]}),
         ]
         runs = [("pipeline", write_cfg(tmp_path, doc, f"cfg{i}.yaml"))
                 for i, doc in enumerate(docs)]
+        # sector inputs, through pipeline and extract; the fd padding is found
+        # only once the window is built
+        sector_docs = [{"extraction": {"amp_floor": -1.0}},
+                       dict(with_section("observation", T0=0.0),
+                            window={"enabled": True, "path": "fd"})]
+        runs += [(sub, write_cfg(tmp_path, doc, f"{sub}{i}.yaml"))
+                 for sub in ("pipeline", "extract") for i, doc in enumerate(sector_docs)]
         truncated = tmp_path / "truncated.yaml"
         truncated.write_text("lattice: {M: [1")
         undecodable = tmp_path / "undecodable.yaml"
@@ -447,9 +462,24 @@ class TestCli:
         assert [r["ell"] for r in rows] == [50, 100]
 
 
+def test_demo_config_sets_agree():
+    # the shipped demo configs, their digests and the benchmark's copies of
+    # them name the same demos with the same documents, so a check that
+    # rejects a benchmark config fails here too
+    assert sorted(p.stem for p in DEMO_DIR.glob("*.yaml")) == sorted(DEMO_CONFIGS) \
+        == sorted(DEMO_DIGESTS)
+    spec = importlib.util.spec_from_file_location(
+        "ringbench_workloads", DEMO_DIR.parents[1] / "ringbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for name, (sub, text) in workloads.CLI_DEMOS.items():
+        assert sub == DEMO_CONFIGS[name], name
+        shipped = yaml.safe_load((DEMO_DIR / f"{name}.yaml").read_text(encoding="utf-8"))
+        assert yaml.safe_load(text) == shipped, name
+
+
 @pytest.mark.parametrize("name", sorted(DEMO_CONFIGS))
 def test_demo_config_runs_and_is_deterministic(tmp_path, name):
-    assert sorted(p.stem for p in DEMO_DIR.glob("*.yaml")) == sorted(DEMO_CONFIGS)
     argv = [DEMO_CONFIGS[name], "--config", str(DEMO_DIR / f"{name}.yaml")]
     for out in (tmp_path / "a", tmp_path / "b"):
         assert cli.main(argv + ["--out", str(out)]) == 0

@@ -114,3 +114,21 @@ def test_weights_computed_once_per_sweep(monkeypatch):
     report = pipeline.run_sweep(cfg)
     assert len(report.rows) == 40 and report.ok
     assert calls == [cfg.setup]
+
+
+def test_sweep_points_built_once(monkeypatch):
+    # ScenarioConfig builds each sweep point at load, and run_sweep runs those
+    from ringlab import pipeline
+    from ringlab.config import ScenarioConfig
+    calls = []
+    point = ScenarioConfig.point
+
+    def counted(self, value):
+        calls.append(value)
+        return point(self, value)
+
+    monkeypatch.setattr(ScenarioConfig, "point", counted)
+    raw = load_ringbench("workloads").ell_sweep_input(1, 0)
+    report = pipeline.run_sweep(ScenarioConfig(raw=raw))
+    assert len(report.rows) == 40 and report.ok
+    assert calls == raw["sweep"]["values"]
