@@ -64,8 +64,13 @@ class WindowPolynomial:
             raise ConfigError("target index out of range")
         if self.m0 < 0:
             raise ConfigError("m0 must be nonnegative")
-        if self.m0 > 0 and self.target_value == 0:
-            raise ConfigError("modified window normalizer vanishes (target node at 0)")
+        if self.m0 > 0 and self.target_power == 0:
+            raise ConfigError("modified window normalizer vanishes (target^m0 is 0)")
+
+    @property
+    def target_power(self) -> complex:
+        """target_value^m0; numpy's power overflows to inf where Python's raises."""
+        return complex(np.complex128(self.target_value) ** self.m0)
 
     @property
     def degree(self) -> int:
@@ -93,7 +98,7 @@ class WindowPolynomial:
         poly = np.array([1.0 + 0.0j])
         for r in roots:
             poly = np.convolve(poly, np.array([-r, 1.0], dtype=complex))
-        scale = 1.0 / (denom * self.target_value**self.m0)
+        scale = 1.0 / (denom * self.target_power)
         return poly * scale
 
     def derivative_coefficients(self, r: int) -> np.ndarray:

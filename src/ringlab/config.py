@@ -3,30 +3,31 @@
 ``DEFAULTS`` is the one list of the document's keys: every section, every
 key, and its default.  A configured leaf must have its default's type: real
 leaves take ints or floats and must be finite, int leaves reject floats and
-bools, complex leaves are ``[re, im]`` pairs (or a bare real), and a list
-leaf checks each item against the first item of its default (the template
-of an :class:`Items` default), a mapping item like a section.  A ``None``
-default marks a value the pipeline derives from other values; the pipeline
-checks such a leaf with :func:`resolve` where it derives it.
+bools, every number must lie within float range, complex leaves are
+``[re, im]`` pairs (or a bare real), and a list leaf checks each item
+against the first item of its default (the template of an :class:`Items`
+default), a mapping item like a section.  A ``None`` default marks a value
+that loading derives from other values unless it is set; :func:`resolve`
+checks a set one against the type of the derived one.
 
-Loading runs every check that needs no computation: keys and leaf types,
-the shape, range or choice of single leaves (``_LIMITS``), the rules across
-sections, and the scenario objects, each checked as it is built: the grid
-``setup`` (delta < T, delta and T multiples of dt, T > 3*delta for the
-energy bounds), the lattice ``model``, the true point ``p_true``, ``tail``
-and ``noise``.  Each sweep point is built once, into ``points``, rebuilding
-only its axis's section.  A check that needs computation (fd window padding,
-a box's inverse constants) raises ConfigError when a subcommand runs.  No
-environment overrides: the file is the complete record of a run.
+Loading runs every check: keys and leaf types, the shape, range or choice of
+single leaves (``_LIMITS``), the rules across sections, and the objects of
+:class:`ScenarioConfig`, each checked as it is built, for the base and for
+each sweep point.  A document that loads raises no ConfigError in a driver,
+except where one subcommand needs more (a sweep axis, prony input that
+admits a fit).  No environment overrides: the file is the complete record
+of a run.
 """
 from __future__ import annotations
 
 import copy
-import math
+import sys
 from dataclasses import dataclass, field
 
+import numpy as np
 import yaml
 
+from . import analytic_window as aw
 from . import paramap as pm
 from .errors import ConfigError
 from .signal_model import NoiseSpec, ObservationSetup, TailSpec
@@ -103,11 +104,16 @@ _SWEEP_LEAVES = {
 _RANGE = (lambda v: v is None or (isinstance(v, list) and len(v) == 2
                                   and all(_real(x) for x in v) and v[0] < v[1]),
           "a [lo, hi] pair with lo < hi")
+_NONNEGATIVE = (lambda v: v >= 0, "nonnegative")
 _DISTINCT = (lambda v: 0 < len(v) == len(set(v)), "a nonempty list of distinct values")
 
 
 def _choice(*allowed):
     return (lambda v: v in allowed, f"one of {allowed}")
+
+
+def _null_or_at_least(lo: int, path: str):
+    return (lambda v: v is None or resolve(v, lo, path) >= lo, f"null or an integer >= {lo}")
 
 
 #: leaves whose values a driver needs in a shape or range their type does
@@ -125,10 +131,18 @@ _LIMITS = {
                         "empty or two nonzero amplitudes"),
     ("prony", "nodes"): (lambda v: not v or len(v) == len(set(v)) == 2,
                          "empty or two distinct nodes"),
+    ("prony", "eta"): _NONNEGATIVE,
     ("pseudospectrum", "poles"): _DISTINCT, ("window_check", "nodes"): _DISTINCT,
     ("pseudospectrum", "eps"): (lambda v: all(e > 0 for e in v), "a list of positive reals"),
     ("pseudospectrum", "grid_n"): (lambda v: v >= 2, "at least 2"),
+    ("pseudospectrum", "e_plus"): _NONNEGATIVE, ("pseudospectrum", "e_minus"): _NONNEGATIVE,
+    ("pseudospectrum", "hol_bound"): _NONNEGATIVE,
+    ("window", "m0"): _null_or_at_least(0, "window.m0"),
+    ("window_check", "m0"): _null_or_at_least(0, "window_check.m0"),
+    ("band_isolate", "dim"): _null_or_at_least(1, "band_isolate.dim"),
+    ("band_isolate", "n_poles"): _null_or_at_least(0, "band_isolate.n_poles"),
     ("band_isolate", "max_order"): (lambda v: v >= 1, "at least 1"),
+    ("band_isolate", "seed"): _NONNEGATIVE, ("window_check", "seed"): _NONNEGATIVE,
     ("band_isolate", "times"): (lambda v: len(v) > 0 and all(t > 0 for t in v),
                                 "a nonempty list of positive times"),
     # the closed-form forcing transform is tested against mpmath for k <= 12
@@ -141,17 +155,18 @@ _LIMITS = {
     ("window", "prior"): _choice("exact", "offset"),
     ("extraction", "prior"): _choice("exact", "offset"),
     ("inversion", "mode"): _choice("2p", "3p"),
-    ("extraction", "amp_floor"): (lambda v: v >= 0, "nonnegative"),
+    ("extraction", "amp_floor"): _NONNEGATIVE,
 }
 
-_KINDS = {bool: "true or false", int: "an integer", float: "a finite real",
+_KINDS = {bool: "true or false", int: "an integer within float range", float: "a finite real",
           str: "a string"}
 
 
 def _real(x) -> bool:
+    """A finite float, or an int within float range: the arithmetic converts it."""
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         return False
-    return isinstance(x, int) or math.isfinite(x)
+    return abs(x) <= sys.float_info.max
 
 
 def _leaf(path: str, value, default):
@@ -174,7 +189,7 @@ def _leaf(path: str, value, default):
     if isinstance(default, (bool, str)):
         ok = type(value) is type(default)
     elif isinstance(default, int):
-        ok = isinstance(value, int) and not isinstance(value, bool)
+        ok = isinstance(value, int) and _real(value)
     else:
         ok = _real(value)
     if not ok:
@@ -186,6 +201,15 @@ def resolve(value, derived, path: str):
     """A leaf with a ``None`` default: ``derived`` when unset, else ``value``
     checked against the type of ``derived``."""
     return derived if value is None else _leaf(path, value, derived)
+
+
+def _named(path: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``; a ConfigError it raises, or a value out of
+    floating-point range, is a ConfigError that names ``path``."""
+    try:
+        return build(*args, **kwargs)
+    except (ConfigError, ArithmeticError, np.linalg.LinAlgError) as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def _parse(raw, defaults: dict, path: str = "") -> dict:
@@ -211,9 +235,11 @@ def _parse(raw, defaults: dict, path: str = "") -> dict:
 class ScenarioConfig:
     """Parsed scenario document: every section, defaults filled in.
 
-    ``data`` holds the sections.  ``setup``, ``model``, ``p_true``, ``tail``
-    and ``noise`` are the scenario objects built from them, and ``points``
-    this scenario at each sweep value, in order (empty without a sweep).
+    ``data`` holds the sections, and ``setup``, ``model``, ``p_true``,
+    ``guess``, ``box``, ``consts``, ``windows``, ``fd_pad``, ``tail``,
+    ``noise``, ``check_window``, ``re_range`` and ``im_range`` are the objects
+    built from them; ``points`` is this scenario at each sweep value, in
+    order (empty without a sweep).
     """
 
     raw: dict = field(default_factory=dict)
@@ -226,7 +252,6 @@ class ScenarioConfig:
                 value = value[key]
             if not holds(value):
                 raise ConfigError(f"{'.'.join(path)} must be {what}, got {value!r}")
-        self._build(("observation", "lattice", "tail", "noise"))
         overtone = data["lattice"]["overtone"]
         if resolve(data["window"]["n"], overtone, "window.n") != overtone:
             raise ConfigError("window.n must equal lattice.overtone, the window's target")
@@ -235,16 +260,28 @@ class ScenarioConfig:
             raise ConfigError("window_check.target must index window_check.nodes")
         if pseudo["hol_bound"] * max(pseudo["eps"], default=0.0) >= 1.0:
             raise ConfigError("pseudospectrum.hol_bound * max(eps) must be below 1")
+        if data["band_isolate"]["nu1"] >= data["band_isolate"]["nu2"]:
+            raise ConfigError("band_isolate.nu1 must be below band_isolate.nu2")
         kind = data["lattice"]["damping"]["kind"]  # any other makes DG singular in 3p
         if data["inversion"]["mode"] == "3p" and kind != "gap_over_mass":
             raise ConfigError("inversion.mode 3p needs lattice.damping.kind gap_over_mass, "
                               f"got {kind!r}")
+        self._build(("observation", "lattice", "tail", "noise"))
+        self.check_window = _named("window_check", aw.modified_window,
+                                   aw.PseudopoleSet(tuple(check["nodes"])),
+                                   target=check["target"], m0=check["m0"])
+        res, ims = [p.real for p in pseudo["poles"]], [p.imag for p in pseudo["poles"]]
+        self.re_range = resolve(pseudo["re_range"], [min(res) - 1.0, max(res) + 1.0],
+                                "pseudospectrum.re_range")
+        self.im_range = resolve(pseudo["im_range"], [min(ims) - 1.0, max(ims) + 1.0],
+                                "pseudospectrum.im_range")
         self.points = []
         if data["sweep"]["axis"] is not None:
             self.points = [self.point(value) for value in data["sweep"]["values"]]
 
     def _build(self, sections):
-        """The scenario objects of ``sections``, each checked as it is built."""
+        """The scenario objects of ``sections`` and the values derived from
+        them, each checked as it is built."""
         data = self.data
         if "observation" in sections:
             obs = data["observation"]
@@ -258,6 +295,8 @@ class ScenarioConfig:
                 kappa=lat["kappa"], lam_kind=lat["damping"]["kind"],
                 lam_value=lat["damping"]["value"], n=lat["overtone"], ell=lat["ell"])
             self.p_true = pm.ParameterPoint(m=lat["M"], a=lat["a"], lam=lat["Lambda"])
+            self._build_inversion()
+            self._build_windows()
         if "tail" in sections:
             tail = data["tail"]
             self.tail = TailSpec(c_tail=tail["c"], nu=tail["nu"], m=tail["m"], leak=tail["leak"])
@@ -269,6 +308,41 @@ class ScenarioConfig:
                 harmonics=tuple(tuple(h) for h in noise["harmonics"]),
                 lcg_seed=None if seed is None else resolve(seed, 0, "noise.lcg.seed"),
                 lcg_amplitude=noise["lcg"]["amplitude"], lcg_dt=self.setup.dt)
+        win = data["window"]
+        self.fd_pad = 0
+        if win["enabled"] and win["path"] == "fd":
+            self.fd_pad = aw.fd_trim(self.windows[+1].degree, win["stencil_order"])
+            if self.setup.t0 - self.fd_pad * self.setup.dt < -1e-12:
+                raise ConfigError("fd window padding would need samples at t < 0")
+
+    def _build_inversion(self):
+        """Unless set, the guess is 1% off p_true and the box M +- 10%,
+        a +- 0.05 and, in 3p, Lambda +- 50%."""
+        inv, p = self.data["inversion"], self.p_true
+        three = inv["mode"] == "3p"
+        guess = {"M": p.m * 1.01, "a": p.a * 1.01 + 0.001,
+                 "Lambda": p.lam * (1.01 if three else 1.0)}
+        box = {"M": [0.9 * p.m, 1.1 * p.m], "a": [p.a - 0.05, p.a + 0.05],
+               "Lambda": [0.5 * p.lam, 1.5 * p.lam]}
+        self.guess = _named("inversion.guess", pm.ParameterPoint, *(
+            resolve(inv["guess"][k], v, f"inversion.guess.{k}") for k, v in guess.items()))
+        self.box = [tuple(resolve(inv["box"][k], box[k], f"inversion.box.{k}"))
+                    for k in ("M", "a", "Lambda")[:3 if three else 2]]
+        self.consts = _named("inversion.box", pm.inverse_constants, self.model, self.box)
+
+    def _build_windows(self):
+        """Each sector's weight of overtone n among the pseudopoles 0..n at
+        the window's prior, times (omega/target)^m0 (m0 = n + 2 unless set)."""
+        win, model, p = self.data["window"], self.model, self.p_true
+        self.windows = {}
+        if win["enabled"]:
+            d_m, d_a = win["prior_offset"] if win["prior"] == "offset" else (0.0, 0.0)
+            p = _named("window.prior_offset", pm.ParameterPoint, p.m + d_m, p.a + d_a, p.lam)
+            for sign in (+1, -1):
+                nodes = aw.PseudopoleSet(tuple(pm.pseudopole(model, j, sign, p)
+                                               for j in range(model.n + 1)))
+                self.windows[sign] = _named("window", aw.modified_window, nodes,
+                                            target=model.n, m0=win["m0"])
 
     def point(self, value) -> "ScenarioConfig":
         """This scenario at one value of its sweep axis, checked like the base.

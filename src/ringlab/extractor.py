@@ -250,6 +250,8 @@ def epsilon_budget(amp: complex, freq: complex, tail: TailSpec, noise_l2: float,
         raise ConfigError("epsilon budget needs t_len > 3*delta")
     energy_sq = mode_energy_lower_bound(amp, freq, setup)
     denom = float(np.sqrt(energy_sq))
+    if not denom > 0:
+        raise DegenerateSignalError("plateau energy lower bound underflows to 0")
     envelope_t0 = (tail.c_tail * np.exp(-tail.nu * setup.t0)
                    * (1.0 + setup.t0) ** (-tail.m) + tail.leak)
     eps_tail = (envelope_t0 * DETECTOR_NORM * DATA_NORM

@@ -89,15 +89,18 @@ class RationalResolvent:
         return [p for p in self.poles if im_lo < p.omega.imag < im_hi]
 
 
+#: the real and the imaginary range random_rational_resolvent draws poles from
+RANDOM_POLE_RE = (-2.0, 2.0)
+RANDOM_POLE_IM = (-2.2, -0.4)
+
+
 def random_rational_resolvent(rng: np.random.Generator, dim: int = 2,
                               n_poles: int = 3, max_order: int = 2,
-                              im_range: Tuple[float, float] = (-2.2, -0.4),
-                              re_range: Tuple[float, float] = (-2.0, 2.0),
                               min_sep: float = 0.3) -> RationalResolvent:
     """Random small resolvent family with well-separated poles."""
     omegas: list = []
     while len(omegas) < n_poles:
-        w = complex(rng.uniform(*re_range), rng.uniform(*im_range))
+        w = complex(rng.uniform(*RANDOM_POLE_RE), rng.uniform(*RANDOM_POLE_IM))
         if all(abs(w - v) >= min_sep for v in omegas):
             omegas.append(w)
     poles = []
@@ -392,17 +395,21 @@ def _tail_estimate(resolvent: RationalResolvent, forcing: ForcingSpec,
             / max(p - 1.0, 0.1) / (2.0 * np.pi))
 
 
+#: the largest truncation radius choose_sigma_max returns
+SIGMA_MAX_CAP = 6400.0
+
+
 def choose_sigma_max(resolvent: RationalResolvent, forcing: ForcingSpec,
                      g: Optional[Callable], nu: float, times,
-                     tol: float, start: float = 50.0,
-                     cap: float = 6400.0) -> float:
-    """Double the truncation radius until every time's tail estimate < tol/10."""
+                     tol: float, start: float = 50.0) -> float:
+    """Double the truncation radius until every time's tail estimate < tol/10,
+    up to ``SIGMA_MAX_CAP``."""
     sigma = start
-    while sigma < cap:
+    while sigma < SIGMA_MAX_CAP:
         if _tail_estimate(resolvent, forcing, g, nu, times, sigma).max() < tol / 10.0:
             return sigma
         sigma *= 2.0
-    return cap
+    return SIGMA_MAX_CAP
 
 
 def band_subtract(resolvent: RationalResolvent, forcing: ForcingSpec,
@@ -598,7 +605,7 @@ class PseudospectrumModel:
         q_crit = eps * self.e_plus * self.e_minus / (1.0 - eps * self.hol_bound)
         n = len(self.poles)
         half_sep = 0.5 * self.min_sep
-        if q_crit <= half_sep ** n:
+        if q_crit <= np.float64(half_sep) ** n:  # inf, not OverflowError, when huge
             return q_crit / self.c_q
         return max(half_sep, q_crit ** (1.0 / n))
 

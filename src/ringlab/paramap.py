@@ -35,6 +35,8 @@ class ParameterPoint:
     def __post_init__(self):
         if self.m <= 0:
             raise ConfigError("mass must be positive")
+        if not 0.0 < self.m * self.m < math.inf:
+            raise ConfigError("M^2 must be a finite nonzero float")
         if self.lam < 0:
             raise ConfigError("lam must be nonnegative")
         if 9.0 * self.lam * self.m**2 >= 1.0:

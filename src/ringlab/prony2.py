@@ -31,6 +31,13 @@ CALIBRATED_C_HAT = 10.82
 #: smallness constant c0 in eta <= c0 |a1 a2| |z1 - z2|^4
 SMALLNESS_C0 = 1e-2
 
+#: midpoint of the node pairs of separation_scaling_probe and calibrate_c_hat
+Z_CENTER = 0.7
+#: amplitude moduli of calibrate_c_hat's reference grid
+AMP_MODULI = (0.5, 1.0, 2.0)
+#: perturbation directions of conditioning_report's slope probe (seed 0)
+REPORT_DIRECTIONS = 32
+
 
 @dataclass
 class PronyResult:
@@ -96,13 +103,12 @@ def two_node_fit(y0: complex, y1: complex, y2: complex, y3: complex) -> PronyRes
                        residual=resid)
 
 
-def confluent_fit(y0: complex, y1: complex, y2: complex, y3: complex,
-                  z_prior: Optional[complex] = None) -> PronyResult:
+def confluent_fit(y0: complex, y1: complex, y2: complex, y3: complex) -> PronyResult:
     """Fit the confluent model y_j = (b0 + b1 j) z^j.
 
     The double-root recurrence has s2 = (s1/2)^2, so s1 solves the quadratic
     (y0/4) s1^2 - y1 s1 + y2 = 0; among the two candidates the one with the
-    smaller recurrence residual on y3 wins (prior distance breaks ties).
+    smaller recurrence residual on y3 wins.
     (b0, b1) follow linearly from y0, y1; the residual on y2, y3 is reported.
     """
     if abs(y0) > 0:
@@ -127,8 +133,7 @@ def confluent_fit(y0: complex, y1: complex, y2: complex, y3: complex,
         return abs(y3 - (s1 * y2 - s2 * y1)) + abs(y2 - (s1 * y1 - s2 * y0))
 
     cands = [z for z in cands if z != 0] or cands
-    cands.sort(key=lambda z: (recur_resid(z),
-                              abs(z - z_prior) if z_prior is not None else 0.0))
+    cands.sort(key=recur_resid)
     z = cands[0]
     if z == 0:
         raise StructureError("confluent fit: degenerate node z = 0")
@@ -269,8 +274,7 @@ def worst_case_root_error_factored(a1: complex, a2: complex, z1: complex,
 
 def separation_scaling_probe(separations: Sequence[float] = (0.4, 0.2, 0.1, 0.05),
                              eta: float = 1e-8, a1: complex = 1.0,
-                             a2: complex = 1.0, z_center: complex = 0.7,
-                             n_directions: int = 64, seed: int = 0,
+                             a2: complex = 1.0, n_directions: int = 64, seed: int = 0,
                              protocol: str = "factored") -> dict:
     """Log-log slope of worst-case root error against node separation.
 
@@ -286,8 +290,8 @@ def separation_scaling_probe(separations: Sequence[float] = (0.4, 0.2, 0.1, 0.05
     seps = np.asarray(separations, dtype=float)
     errs = []
     for i, sep in enumerate(seps):
-        z1 = z_center + 0.5 * sep
-        z2 = z_center - 0.5 * sep
+        z1 = Z_CENTER + 0.5 * sep
+        z2 = Z_CENTER - 0.5 * sep
         errs.append(fn(a1, a2, z1, z2, eta, n_directions=n_directions,
                        seed=seed + i))
     errs = np.asarray(errs)
@@ -297,8 +301,7 @@ def separation_scaling_probe(separations: Sequence[float] = (0.4, 0.2, 0.1, 0.05
 
 
 def conditioning_report(a1: complex, a2: complex, z1: complex, z2: complex,
-                        eta: float, probe: bool = True, n_directions: int = 32,
-                        seed: int = 0) -> dict:
+                        eta: float, probe: bool = True) -> dict:
     """Conditioning diagnostics for a two-node configuration.
 
     bound = CALIBRATED_C_HAT * eta / (|a1 a2| |z1 - z2|^3); smallness_ok is the gate
@@ -321,14 +324,12 @@ def conditioning_report(a1: complex, a2: complex, z1: complex, z2: complex,
     if probe:
         out["scaling_exponent_probe"] = separation_scaling_probe(
             eta=max(eta, 1e-10), a1=a1, a2=a2,
-            n_directions=n_directions, seed=seed)["slope"]
+            n_directions=REPORT_DIRECTIONS, seed=0)["slope"]
     return out
 
 
 def calibrate_c_hat(separations: Sequence[float] = (0.1, 0.2, 0.3, 0.4, 0.5),
-                    amp_moduli: Sequence[float] = (0.5, 1.0, 2.0),
-                    eta: float = 1e-8, n_directions: int = 64,
-                    z_center: complex = 0.7, seed: int = 1) -> float:
+                    eta: float = 1e-8, n_directions: int = 64, seed: int = 1) -> float:
     """Calibrate the conditioning constant on the coarse reference grid.
 
     Returns 2x the maximum observed ratio of worst-case root error to
@@ -337,12 +338,12 @@ def calibrate_c_hat(separations: Sequence[float] = (0.1, 0.2, 0.3, 0.4, 0.5),
     rng = np.random.default_rng(seed)
     worst_ratio = 0.0
     for sep in separations:
-        for m1 in amp_moduli:
-            for m2 in amp_moduli:
+        for m1 in AMP_MODULI:
+            for m2 in AMP_MODULI:
                 a1 = m1 * np.exp(2j * np.pi * rng.random())
                 a2 = m2 * np.exp(2j * np.pi * rng.random())
-                z1 = z_center + 0.5 * sep
-                z2 = z_center - 0.5 * sep
+                z1 = Z_CENTER + 0.5 * sep
+                z2 = Z_CENTER - 0.5 * sep
                 err = worst_case_root_error(a1, a2, z1, z2, eta,
                                             n_directions=n_directions,
                                             seed=seed)

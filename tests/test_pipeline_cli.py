@@ -123,6 +123,33 @@ class TestConfig:
         assert cfg["observation"]["taper"] == "raised-cosine"
         assert cfg["window"]["enabled"] is False
 
+    @pytest.mark.parametrize("doc", [
+        with_section("inversion", box={"M": [-1.0, 1.1]}),
+        dict(with_section("observation", T0=0.0), window={"enabled": True, "path": "fd"}),
+        dict(CANONICAL, window={"enabled": True, "path": "fd"},
+             sweep={"axis": "T0", "values": [4.0, 0.0]}),
+        dict(CANONICAL, window={"enabled": True, "prior": "offset",
+                                "prior_offset": [-2.0, 0.0]}),
+        dict(CANONICAL, window={"m0": -1}),
+        {"band_isolate": {"dim": -1}},
+    ])
+    def test_derived_values_checked_at_load(self, doc):
+        # the box's inverse constants, the fd padding (at every sweep point)
+        # and the windows are derived and checked when the config loads,
+        # before any point runs
+        with pytest.raises(ConfigError):
+            ScenarioConfig(raw=doc)
+
+    def test_derived_values_built_at_load(self):
+        cfg = ScenarioConfig(raw=dict(CANONICAL, sweep={"axis": "separation",
+                                                        "values": [0.05, 0.12]}))
+        assert cfg.box == [(0.9, 1.1), (0.0, 0.15)] and cfg.windows == {}
+        # a separation point moves p_true, so its default guess moves with it
+        assert [round(p.guess.a, 12) for p in cfg.points] == [0.0515, 0.1222]
+        win = ScenarioConfig(raw=with_section("window", enabled=True, path="fd"))
+        assert sorted(win.windows) == [-1, 1] and win.windows[1].degree == 2
+        assert win.fd_pad == 4
+
 
 class TestPipeline:
     def test_clean_scene_bias_at_newton_tolerance(self):
@@ -271,6 +298,8 @@ class TestCli:
             {"band_isolate": {"times": [1.0, 0.0]}},
             {"band_isolate": {"forcing_k": 13}},
             {"band_isolate": {"forcing_k": 0}},
+            {"band_isolate": {"dim": -1, "n_models": 1}},
+            {"band_isolate": {"n_poles": -2, "n_models": 1}},
             {"pseudospectrum": {"re_range": [0.0]}},
             {"pseudospectrum": {"re_range": [2.0, -1.0]}},
             {"pseudospectrum": {"im_range": "x"}},
@@ -291,13 +320,13 @@ class TestCli:
             with_section("inversion", mode="3p"),
             dict(with_section("inversion", mode="3p"),
                  lattice=dict(CANONICAL["lattice"], damping={"kind": "photon_sphere"})),
-            # the inverse constants reject the box only once the pipeline computes them
+            # the inverse constants reject the box when the config loads
             with_section("inversion", box={"M": [-1.0, 1.1]}),
         ]
         runs = [("pipeline", write_cfg(tmp_path, doc, f"cfg{i}.yaml"))
                 for i, doc in enumerate(docs)]
-        # sector inputs, through pipeline and extract; the fd padding is found
-        # only once the window is built
+        # sector inputs, through pipeline and extract; the fd padding is
+        # checked when the config loads
         sector_docs = [{"extraction": {"amp_floor": -1.0}},
                        dict(with_section("observation", T0=0.0),
                             window={"enabled": True, "path": "fd"})]
@@ -328,6 +357,21 @@ class TestCli:
         assert "true" in cells and not {"True", "False"} & set(cells)
         row = json.loads((out / "report.json").read_text())["rows"][0]
         assert row["hyp_bias"] is True and row["hyp_bias_budget"] is True
+
+    def test_pole_offset_is_a_bias_hypothesis(self, tmp_path):
+        # a pole offset moves the true frequencies off the lattice data map, a
+        # term no bias bound covers: the bias hypotheses read false there, and
+        # only there, instead of the bounds failing
+        offset = {"pole_offset": [0.01, 0.0]}
+        cases = [({}, True), ({"lattice": offset}, False),
+                 ({"lattice": dict(offset, damping={"kind": "gap_over_mass"}),
+                   "inversion": {"mode": "3p"}}, False)]
+        for i, (doc, on_lattice) in enumerate(cases):
+            out = tmp_path / f"o{i}"
+            assert cli.main(["pipeline", "--config", write_cfg(tmp_path, doc), "--out",
+                             str(out)]) == 0
+            row = json.loads((out / "report.json").read_text())["rows"][0]
+            assert row["hyp_bias"] is row["hyp_bias_budget"] is on_lattice
 
     @pytest.mark.parametrize("sub", ["pipeline", "extract"])
     def test_contaminant_within_budget_exit_0(self, tmp_path, sub):
