@@ -159,11 +159,12 @@ def interp_robustness(nodes: PseudopoleSet, perturbed: Sequence[complex],
     with delta = max perturbation, d_sharp, and the hypothesis flag
     delta <= d_sharp / 8.  Deviations are computed regardless of the flag;
     the bound 4*(5/3)^n * delta/d_sharp is only guaranteed when it holds.
+    One node's weight is the constant 1, so its bound is 0.
     """
-    if len(perturbed) != len(nodes):
+    n = len(nodes) - 1
+    if len(perturbed) != n + 1:
         raise ConfigError("perturbed node count must match")
-    if m is None:
-        m = len(nodes) - 1
+    m = n if m is None else m
     g = lagrange_weight(nodes, m)
     pert = [complex(z) for z in perturbed]
     delta = max(abs(p - z) for p, z in zip(pert, nodes.nodes))
@@ -176,7 +177,7 @@ def interp_robustness(nodes: PseudopoleSet, perturbed: Sequence[complex],
         "delta": delta,
         "d_sharp": d_sharp,
         "hypothesis_ok": delta <= d_sharp / 8.0,
-        "bound": lagrange_robustness_constant(len(nodes) - 1) * delta / d_sharp,
+        "bound": lagrange_robustness_constant(n) * delta / d_sharp if n else 0.0,
     }
 
 

@@ -28,6 +28,7 @@ import numpy as np
 import yaml
 
 from . import analytic_window as aw
+from . import merotoy as mt
 from . import paramap as pm
 from .errors import ConfigError
 from .signal_model import NoiseSpec, ObservationSetup, TailSpec
@@ -108,6 +109,15 @@ _NONNEGATIVE = (lambda v: v >= 0, "nonnegative")
 _DISTINCT = (lambda v: 0 < len(v) == len(set(v)), "a nonempty list of distinct values")
 
 
+#: the most poles random_rational_resolvent places RANDOM_POLE_SEP apart: while
+#: n - 1 excluded disks cover less than its rectangle's area, a point of it is free
+_MAX_POLES = int(np.ceil(np.ptp(mt.RANDOM_POLE_RE) * np.ptp(mt.RANDOM_POLE_IM)
+                         / (np.pi * mt.RANDOM_POLE_SEP ** 2)))
+#: the most samples a row may hold (the fd-padded grid, or the LCG stream from
+#: t = 0): five times ringbench's 200 001-sample scaling grid, whose stream holds 280 001
+_MAX_SAMPLES = 2**20
+
+
 def _choice(*allowed):
     return (lambda v: v in allowed, f"one of {allowed}")
 
@@ -140,7 +150,9 @@ _LIMITS = {
     ("window", "m0"): _null_or_at_least(0, "window.m0"),
     ("window_check", "m0"): _null_or_at_least(0, "window_check.m0"),
     ("band_isolate", "dim"): _null_or_at_least(1, "band_isolate.dim"),
-    ("band_isolate", "n_poles"): _null_or_at_least(0, "band_isolate.n_poles"),
+    ("band_isolate", "n_poles"): (
+        lambda v: v is None or 0 <= resolve(v, 0, "band_isolate.n_poles") <= _MAX_POLES,
+        f"null or an integer in 0..{_MAX_POLES}"),
     ("band_isolate", "max_order"): (lambda v: v >= 1, "at least 1"),
     ("band_isolate", "seed"): _NONNEGATIVE, ("window_check", "seed"): _NONNEGATIVE,
     ("band_isolate", "times"): (lambda v: len(v) > 0 and all(t > 0 for t in v),
@@ -285,8 +297,8 @@ class ScenarioConfig:
         data = self.data
         if "observation" in sections:
             obs = data["observation"]
-            self.setup = ObservationSetup(t0=obs["T0"], t_len=obs["T"], delta=obs["Delta"],
-                                          dt=obs["dt"], taper=obs["taper"])
+            self.setup = _named("observation", ObservationSetup, t0=obs["T0"], t_len=obs["T"],
+                                delta=obs["Delta"], dt=obs["dt"], taper=obs["taper"])
             if self.setup.t_len <= 3 * self.setup.delta:
                 raise ConfigError("need T > 3*Delta for the energy lower bounds")
         if "lattice" in sections:
@@ -314,6 +326,11 @@ class ScenarioConfig:
             self.fd_pad = aw.fd_trim(self.windows[+1].degree, win["stencil_order"])
             if self.setup.t0 - self.fd_pad * self.setup.dt < -1e-12:
                 raise ConfigError("fd window padding would need samples at t < 0")
+        setup, stream = self.setup, 0.0
+        if self.noise.lcg_seed is not None:
+            stream = (setup.t0 + setup.t_len) / setup.dt + self.fd_pad + 1
+        if max(setup.n_samples + 1 + 2 * self.fd_pad, stream) > _MAX_SAMPLES:
+            raise ConfigError(f"observation: a row may hold at most {_MAX_SAMPLES} samples")
 
     def _build_inversion(self):
         """Unless set, the guess is 1% off p_true and the box M +- 10%,

@@ -119,6 +119,11 @@ def stability_bound_crude(eps: float) -> float:
     return 3.0 * eps
 
 
+def eps_small(eps: float, z: complex) -> bool:
+    """The hypothesis eps <= min(1/8, |z|/20) of the certified bounds."""
+    return bool(eps <= min(0.125, abs(z) / 20.0))
+
+
 def log_lip_bound(z: complex, z_hat: complex) -> float:
     """Logarithm Lipschitz bound (2/|z|)|z_hat - z|, valid for |z_hat - z| <= |z|/2."""
     dz = abs(z_hat - z)
@@ -219,8 +224,7 @@ def _extract_rows(y: SampledSignal, cfg: ExtractionConfig,
         z = np.exp(-1j * mode.freq * setup.delta)
         z_sharp = np.exp(-1j * prior * setup.delta)
         result.bound_omega = 10.0 * result.eps / (setup.delta * abs(z))
-        result.hypotheses_ok.eps_small = bool(
-            result.eps <= min(0.125, abs(z) / 20.0))
+        result.hypotheses_ok.eps_small = eps_small(result.eps, z)
         result.hypotheses_ok.branch_hyp = bool(
             abs(z - z_sharp) <= 0.25 * abs(z_sharp)
             and abs(result.z_hat - z) <= 0.5 * abs(z))

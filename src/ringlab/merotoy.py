@@ -92,16 +92,17 @@ class RationalResolvent:
 #: the real and the imaginary range random_rational_resolvent draws poles from
 RANDOM_POLE_RE = (-2.0, 2.0)
 RANDOM_POLE_IM = (-2.2, -0.4)
+#: and the least distance between two of its poles
+RANDOM_POLE_SEP = 0.3
 
 
 def random_rational_resolvent(rng: np.random.Generator, dim: int = 2,
-                              n_poles: int = 3, max_order: int = 2,
-                              min_sep: float = 0.3) -> RationalResolvent:
+                              n_poles: int = 3, max_order: int = 2) -> RationalResolvent:
     """Random small resolvent family with well-separated poles."""
     omegas: list = []
     while len(omegas) < n_poles:
         w = complex(rng.uniform(*RANDOM_POLE_RE), rng.uniform(*RANDOM_POLE_IM))
-        if all(abs(w - v) >= min_sep for v in omegas):
+        if all(abs(w - v) >= RANDOM_POLE_SEP for v in omegas):
             omegas.append(w)
     poles = []
     for w in omegas:
@@ -615,9 +616,9 @@ def pseudospectrum_scan(model: PseudospectrumModel, re_grid: np.ndarray,
                         require_resolved: bool = False) -> dict:
     """Mark grid points where the model norm exceeds 1/eps; check confinement.
 
-    Returns the boolean region mask, the certified disk radius, and whether
-    every flagged point lies within that radius of some pole.  With
-    require_resolved, a grid coarser than the predicted radius raises.
+    Returns the boolean region mask, the certified disk radius, and how many
+    flagged points lie farther than that radius from every pole (the inclusion
+    needs none); with require_resolved, a grid coarser than it raises.
     """
     re_grid = np.asarray(re_grid, dtype=float)
     im_grid = np.asarray(im_grid, dtype=float)
@@ -633,5 +634,4 @@ def pseudospectrum_scan(model: PseudospectrumModel, re_grid: np.ndarray,
         dist = np.minimum(dist, np.abs(omega - p))
     violations = int(np.count_nonzero(mask & (dist > radius)))
     return {"mask": mask, "radius": radius, "violations": violations,
-            "inclusion_holds": violations == 0, "spacing": float(spacing),
-            "n_flagged": int(np.count_nonzero(mask))}
+            "spacing": float(spacing), "n_flagged": int(np.count_nonzero(mask))}

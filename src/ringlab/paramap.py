@@ -266,46 +266,34 @@ def inverse_constants(model: LatticeModel, box: Sequence[Tuple[float, float]]) -
             "C_star": max(float(np.linalg.norm(np.linalg.inv(j), 2)) for j in jacs)}
 
 
-def _check_eps_flags(eps_plus: float, eps_minus: float,
-                     z_plus: complex, z_minus: complex) -> bool:
-    return bool(eps_plus <= min(0.125, abs(z_plus) / 20.0)
-                and eps_minus <= min(0.125, abs(z_minus) / 20.0))
-
-
 def bias_bound_2p(eps_plus: float, eps_minus: float, z_plus: complex,
                   z_minus: complex, delta: float, ell: int,
-                  c_star: float) -> dict:
+                  c_star: float) -> float:
     """Two-parameter bias bound (5 sqrt2 C*/(Delta ell)) (e+/|z+| + e-/|z-|).
 
-    The certifying hypothesis eps <= min(1/8, |z|/20) is reported as a flag,
-    never enforced.
+    It certifies while each sector's eps meets the extractor's hypothesis
+    eps <= min(1/8, |z|/20), which this function does not check.
     """
-    bound = (5.0 * SQRT2 * c_star / (delta * ell)
-             * (eps_plus / abs(z_plus) + eps_minus / abs(z_minus)))
-    return {"bound": float(bound),
-            "eps_small": _check_eps_flags(eps_plus, eps_minus, z_plus, z_minus)}
+    return float(5.0 * SQRT2 * c_star / (delta * ell)
+                 * (eps_plus / abs(z_plus) + eps_minus / abs(z_minus)))
 
 
 def bias_bound_split(eps_tail: Tuple[float, float], eps_meas: Tuple[float, float],
                      z_plus: complex, z_minus: complex, delta: float, ell: int,
                      c_star: float) -> dict:
     """Tail/measurement split of the two-parameter bias bound."""
-    pref = 5.0 * SQRT2 * c_star / (delta * ell)
-    b_tail = pref * (eps_tail[0] / abs(z_plus) + eps_tail[1] / abs(z_minus))
-    b_meas = pref * (eps_meas[0] / abs(z_plus) + eps_meas[1] / abs(z_minus))
-    return {"bound_tail": float(b_tail), "bound_meas": float(b_meas),
-            "bound": float(b_tail + b_meas)}
+    b_tail = bias_bound_2p(*eps_tail, z_plus, z_minus, delta, ell, c_star)
+    b_meas = bias_bound_2p(*eps_meas, z_plus, z_minus, delta, ell, c_star)
+    return {"bound_tail": b_tail, "bound_meas": b_meas, "bound": b_tail + b_meas}
 
 
 def bias_bound_3p(eps_plus: float, eps_minus: float, z_plus: complex,
                   z_minus: complex, delta: float, ell: int, n: int,
-                  c_star3: float) -> dict:
+                  c_star3: float) -> float:
     """Three-parameter bias bound: the 2p term plus the damping-channel term
-    (10 C*3/(Delta (n+1/2))) e+/|z+|."""
+    (10 C*3/(Delta (n+1/2))) e+/|z+|, under the 2p bound's hypothesis."""
     if n < 0:
         raise ConfigError("overtone index must be nonnegative")
-    base = (5.0 * SQRT2 * c_star3 / (delta * ell)
-            * (eps_plus / abs(z_plus) + eps_minus / abs(z_minus)))
+    base = bias_bound_2p(eps_plus, eps_minus, z_plus, z_minus, delta, ell, c_star3)
     extra = 10.0 * c_star3 / (delta * (n + 0.5)) * eps_plus / abs(z_plus)
-    return {"bound": float(base + extra),
-            "eps_small": _check_eps_flags(eps_plus, eps_minus, z_plus, z_minus)}
+    return float(base + extra)

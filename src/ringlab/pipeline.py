@@ -4,12 +4,12 @@ One scenario is: build the two one-mode sector signals from the lattice at
 the true parameters, add tail and noise, optionally apply the analytic
 window (modal or finite-difference path), extract both frequencies with
 the shift Rayleigh quotient, form the estimated observables, invert the
-data map, and emit the full error-versus-bound ledger.  Every certified
-inequality is evaluated with its hypothesis flags; a violation with all
-hypotheses holding marks the run as failed (CLI exit code 1).  A sweep
-runs consecutive points on one observation setup as a batch: their sectors
-are synthesised and extracted as the rows of one array, each row bit for
-bit what its point gives alone.
+data map, and emit the full error-versus-bound ledger.  Every driver hands
+its certified inequalities to one function as (name, hypothesis, value,
+bound) records; a violation with its hypothesis holding marks the run as
+failed (CLI exit code 1).  A sweep runs consecutive points on one
+observation setup as a batch: their sectors are synthesised and extracted
+as the rows of one array, each row bit for bit what its point gives alone.
 
 Inside a scenario every norm is taken in the discrete trapezoid-weighted
 inner product on the sampling grid.  The shift acts exactly on the grid,
@@ -197,34 +197,41 @@ def _sector_ledger(sec: SectorResult) -> dict:
     }
 
 
+#: relative and absolute rounding floor of a scenario's checks (quantities are O(1))
+_CERT_RTOL, _CERT_ATOL = 1e-12, 1e-13
+
+
+def _record(name: str, hyp: bool, value: float, bound: float) -> tuple:
+    """A scenario's certified inequality, its bound raised by the rounding floor."""
+    return (name, hyp, value, bound * (1.0 + _CERT_RTOL) + _CERT_ATOL)
+
+
 def _sector_checks(led: dict, win: dict) -> list:
     """The sector's certified inequalities.  The eps budget bounds the tail,
     the noise and the contaminants, not an fd window's stencil error, so
     budget_soundness has a hypothesis that fails on the fd path."""
     hyp = led["hyp_eps_small"]
     fd_window = win["enabled"] and win["path"] == "fd"
-    return [("z_stability", hyp, led["z_err"], led["bound_z_crude"]),
-            ("z_stability_sharp", hyp, led["z_err"], led["bound_z"]),
-            ("omega_error", hyp, led["omega_err"], led["bound_omega"]),
-            ("budget_soundness", not fd_window, led["eps"], led["eps_budget"])]
+    return [_record("z_stability", hyp, led["z_err"], led["bound_z_crude"]),
+            _record("z_stability_sharp", hyp, led["z_err"], led["bound_z"]),
+            _record("omega_error", hyp, led["omega_err"], led["bound_omega"]),
+            _record("budget_soundness", not fd_window, led["eps"], led["eps_budget"])]
 
 
-#: absolute rounding floor for certified comparisons (quantities are O(1))
-_CERT_ATOL = 1e-13
-
-
-def _certify(report: RunReport, label: str, checks):
-    """Record a violation for each (name, hypothesis, value, bound) whose
-    hypothesis holds and whose value exceeds its bound beyond rounding."""
-    for name, hyp, value, bound in checks:
-        if hyp and value > bound * (1.0 + 1e-12) + _CERT_ATOL:
-            report.add_violation(
-                f"{label}: {name} violated ({value:.6e} > {bound:.6e})")
+def _certify(report: RunReport, label: str, checks) -> bool:
+    """Decide each (name, hypothesis, value, bound) record: it fails when its
+    hypothesis holds and not value <= bound, so a NaN never certifies.  Each
+    failure is a violation; True when none failed."""
+    failed = [(name, value, bound) for name, hyp, value, bound in checks
+              if hyp and not value <= bound]
+    for name, value, bound in failed:
+        report.add_violation(f"{label}: {name} violated ({value:.6e} > {bound:.6e})")
+    return not failed
 
 
 _REPORT_TOLERANCES = {
     "newton_tol": pm.NEWTON_TOL,
-    "certify_rtol": 1e-12,
+    "certify_rtol": _CERT_RTOL,
     "certify_atol": _CERT_ATOL,
     "calibrated_c_hat": p2.CALIBRATED_C_HAT,
 }
@@ -328,32 +335,32 @@ def run_pipeline(cfg: ScenarioConfig, scenario_id: int = 0,
     param_err = float(np.linalg.norm(p_hat.as_array(three) - p_true.as_array(three)))
     eps_pair = (sp.result.eps, sm_.result.eps)
     eps_budget_pair = (sp.eps_budget["eps_bound"], sm_.eps_budget["eps_bound"])
-    b2 = pm.bias_bound_2p(eps_pair[0], eps_pair[1], sp.z_true, sm_.z_true,
-                          setup.delta, model.ell, consts["C_star"])
-    b2_budget = pm.bias_bound_2p(eps_budget_pair[0], eps_budget_pair[1],
-                                 sp.z_true, sm_.z_true, setup.delta,
+    b2 = pm.bias_bound_2p(*eps_pair, sp.z_true, sm_.z_true, setup.delta, model.ell,
+                          consts["C_star"])
+    b2_budget = pm.bias_bound_2p(*eps_budget_pair, sp.z_true, sm_.z_true, setup.delta,
                                  model.ell, consts["C_star"])
     # the bias bounds cover the data error only: a pole offset moves the true
     # frequencies off the lattice data map by a term that none of them bounds
     on_lattice = cfg["lattice"]["pole_offset"] == 0
-    hyp, hyp_budget = b2["eps_small"] and on_lattice, b2_budget["eps_small"] and on_lattice
+    hyp = all(led["hyp_eps_small"] for led in ledgers.values()) and on_lattice
+    hyp_budget = all(map(ex.eps_small, eps_budget_pair, (sp.z_true, sm_.z_true))) and on_lattice
     row.update({
         "data_err": data_err, "data_bound": data_bound,
         "M_hat": p_hat.m, "a_hat": p_hat.a, "Lambda_hat": p_hat.lam,
         "param_err": param_err,
         "newton_iterations": inv["iterations"],
         "c_star": consts["c_star"], "C_star": consts["C_star"],
-        "bias_bound_2p": b2["bound"], "bias_bound_2p_budget": b2_budget["bound"],
+        "bias_bound_2p": b2, "bias_bound_2p_budget": b2_budget,
         "hyp_bias": hyp, "hyp_bias_budget": hyp_budget,
     })
-    checks = [("data-map bound", True, data_err, data_bound),
-              ("2p bias bound", hyp, param_err, b2["bound"]),
-              ("budget bias bound", hyp_budget, param_err, b2_budget["bound"])]
+    checks = [_record("data-map bound", True, data_err, data_bound),
+              _record("2p bias bound", hyp, param_err, b2),
+              _record("budget bias bound", hyp_budget, param_err, b2_budget)]
     if three:
         b3 = pm.bias_bound_3p(eps_pair[0], eps_pair[1], sp.z_true, sm_.z_true,
                               setup.delta, model.ell, model.n, consts["C_star"])
-        row["bias_bound_3p"] = b3["bound"]
-        checks.append(("3p bias bound", b3["eps_small"] and on_lattice, param_err, b3["bound"]))
+        row["bias_bound_3p"] = b3
+        checks.append(_record("3p bias bound", hyp, param_err, b3))
 
     for tag, led in ledgers.items():
         _certify(report, f"{label} {tag}", _sector_checks(led, cfg["window"]))
@@ -450,7 +457,8 @@ def run_band_isolate(cfg: ScenarioConfig) -> RunReport:
         out = mt.band_subtract(resolvent, forcing, None, nu1, nu2, sec["times"])
         for t, mismatch, tail in zip(sec["times"], out["mismatch"],
                                      out["truncation_estimate"]):
-            ok = bool(mismatch < tol)
+            ok = _certify(report, f"model {idx}, t={t}",
+                          [("band isolation", True, float(mismatch), tol)])
             report.add_row({
                 "model": idx, "t": float(t), "dim": dim,
                 "n_poles": len(resolvent.poles),
@@ -461,10 +469,6 @@ def run_band_isolate(cfg: ScenarioConfig) -> RunReport:
                 # a hypothesis flag, not a check: ok reads only the mismatch
                 "hyp_truncation": bool(tail < tol), "ok": ok,
             })
-            if not ok:
-                report.add_violation(
-                    f"band isolation mismatch {mismatch:.3e} >= {tol:.1e} "
-                    f"(model {idx}, t={t})")
     return report
 
 
@@ -479,15 +483,13 @@ def run_pseudospectrum(cfg: ScenarioConfig) -> RunReport:
     im_grid = np.linspace(*cfg.im_range, sec["grid_n"])
     for i, eps in enumerate(sec["eps"]):
         scan = mt.pseudospectrum_scan(model, re_grid, im_grid, float(eps))
+        holds = _certify(report, f"pseudospectrum eps={eps}",
+                         [("inclusion", True, scan["violations"], 0)])
         report.add_row({
             "eps": float(eps), "n_flagged": scan["n_flagged"],
             "violations": scan["violations"], "radius": scan["radius"],
-            "inclusion_holds": scan["inclusion_holds"],
-            "grid_spacing": scan["spacing"],
+            "inclusion_holds": holds, "grid_spacing": scan["spacing"],
         })
-        if not scan["inclusion_holds"]:
-            report.add_violation(
-                f"pseudospectrum inclusion failed at eps={eps}")
         flagged = np.argwhere(scan["mask"])
         rows = [(re_grid[j], im_grid[i2]) for i2, j in flagged]
         report.plotdata[f"pseudospectrum_eps{i}"] = (["re", "im"], rows)
@@ -502,26 +504,25 @@ def run_window_check(cfg: ScenarioConfig) -> RunReport:
     for j, node in enumerate(nodes.nodes):
         want = 1.0 if j == target else 0.0
         dev = abs(complex(gpoly(node)) - want)
+        ok = _certify(report, f"window-check node {j}", [("identity", True, dev, 1e-12)])
         report.add_row({"check": "identity", "node": j, "deviation": dev,
-                        "tol": 1e-12, "ok": dev <= 1e-12})
-        if dev > 1e-12:
-            report.add_violation(f"window identity at node {j}: dev {dev:.2e}")
+                        "tol": 1e-12, "ok": ok})
     rng = np.random.default_rng(sec["seed"])
     n_draws = sec["n_draws"]
     delta_scale = float(sec["delta_scale"])
     d_sharp = nodes.min_sep
-    worst = 0.0
-    for _ in range(n_draws):
+    draws = []
+    for k in range(n_draws):
         delta = delta_scale * d_sharp * rng.random()
         pert = [z + delta * np.exp(2j * np.pi * rng.random())
                 for z in nodes.nodes]
         rob = aw.interp_robustness(nodes, pert, m=target)
-        devs = [rob["dev_target"]] + list(rob["dev_off"])
-        if rob["hypothesis_ok"] and max(devs) > rob["bound"]:
-            report.add_violation("window robustness bound exceeded")
-        worst = max(worst, max(devs) / rob["bound"] if rob["bound"] > 0 else 0.0)
+        dev = max([rob["dev_target"], *rob["dev_off"]])
+        draws.append((f"draw {k}", rob["hypothesis_ok"], dev, rob["bound"]))
+    ok = _certify(report, "window-check robustness", draws)
+    worst = max([0.0] + [dev / bound for _, hyp, dev, bound in draws if hyp and bound > 0])
     report.add_row({"check": "robustness", "n_draws": n_draws,
-                    "worst_ratio_to_bound": worst, "ok": worst <= 1.0})
+                    "worst_ratio_to_bound": worst, "ok": ok})
     sig_max = float(sec["sigma_max"])
     sigma = np.linspace(-sig_max, sig_max, 201)
     prof = aw.growth_profile(gpoly, float(sec["nu"]), sigma)

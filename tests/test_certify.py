@@ -1,0 +1,118 @@
+"""One check path: every driver's certified inequalities are (name,
+hypothesis, value, bound) records that ``pipeline._certify`` alone decides,
+and each row's ``ok`` column is its decision."""
+import ast
+import json
+import math
+import re
+from pathlib import Path
+
+import numpy as np
+import pytest
+import yaml
+
+from ringlab import analytic_window as aw
+from ringlab import cli, pipeline
+from ringlab import paramap as pm
+from ringlab.config import ScenarioConfig
+from ringlab.report import RunReport
+
+SRC = Path(pipeline.__file__).resolve().parent
+DEMO_DIR = Path(__file__).resolve().parents[1] / "demos" / "configs"
+VIOLATION = re.compile(r"(.+): (.+) violated \((\S+) > (\S+)\)")
+
+
+def run_cli(tmp_path, sub, doc):
+    """Exit code and report.json of one CLI run on ``doc``."""
+    path, out = tmp_path / "cfg.yaml", tmp_path / "o"
+    path.write_text(yaml.safe_dump(doc))
+    code = cli.main([sub, "--config", str(path), "--out", str(out)])
+    return code, json.loads((out / "report.json").read_text())
+
+
+def test_only_certify_and_failed_add_violations():
+    def callers(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from callers(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                if getattr(func, "attr", getattr(func, "id", None)) == "add_violation":
+                    yield owner
+            yield from callers(child, owner)
+
+    found = {(path.name, owner) for path in sorted(SRC.rglob("*.py"))
+             for owner in callers(ast.parse(path.read_text(encoding="utf-8")), None)}
+    assert found == {("pipeline.py", "_certify"), ("pipeline.py", "_failed")}
+
+
+def test_certify_fails_a_nan_under_a_holding_hypothesis():
+    report = RunReport()
+    nan = float("nan")
+    assert pipeline._certify(report, "x", [("a", True, 1.0, 1.0), ("b", False, nan, 0.0)])
+    assert not pipeline._certify(report, "x", [("c", True, nan, 1.0), ("d", True, 0.0, nan)])
+    assert report.violations == ["x: c violated (nan > 1.000000e+00)",
+                                 "x: d violated (0.000000e+00 > nan)"]
+
+
+def _row_label(row):
+    if "model" in row:
+        return f"model {row['model']}, t={row['t']}"
+    if row["check"] == "identity":
+        return f"window-check node {row['node']}"
+    return "window-check robustness"
+
+
+@pytest.mark.parametrize("sub, doc", [
+    ("band-isolate", {"band_isolate": {"n_models": 2, "tol": 1.0e-20}}),
+    ("window-check", {}),
+    # most draws break the robustness hypothesis: ok reads the others only
+    ("window-check", {"window_check": {"delta_scale": 20.0}}),
+])
+def test_ok_is_the_rows_certification(tmp_path, sub, doc):
+    code, report = run_cli(tmp_path, sub, doc)
+    violations = report["violations"]
+    assert all(VIOLATION.fullmatch(v) for v in violations), violations
+    for row in report["rows"]:
+        label = _row_label(row) + ": "
+        assert row["ok"] == (not any(v.startswith(label) for v in violations)), row
+        if row.get("check") == "robustness":
+            assert row["ok"] == (row["worst_ratio_to_bound"] <= 1.0)
+    assert code == (0 if all(row["ok"] for row in report["rows"]) else 1)
+
+
+@pytest.mark.parametrize("bound, printed", [
+    (float("nan"), "nan"),
+    # a violation prints the bound with the rounding floor it was checked against
+    (0.0, "1.000000e-13"),
+])
+def test_bias_bound_violation(tmp_path, monkeypatch, bound, printed):
+    # canonical.yaml certifies; with this bias bound its two bias checks fail
+    monkeypatch.setattr(pm, "bias_bound_2p", lambda *args: bound)
+    code, report = run_cli(tmp_path, "pipeline",
+                           yaml.safe_load((DEMO_DIR / "canonical.yaml").read_text()))
+    assert code == 1
+    assert [VIOLATION.fullmatch(v).group(1, 2, 4) for v in report["violations"]] == [
+        ("scenario 0", "2p bias bound", printed), ("scenario 0", "budget bias bound", printed)]
+
+
+def test_band_isolation_passes_at_tol():
+    doc = {"band_isolate": {"n_models": 1, "seed": 3}}
+    first = pipeline.run_band_isolate(ScenarioConfig(raw=doc))
+    doc["band_isolate"]["tol"] = max(row["mismatch"] for row in first.rows)
+    report = pipeline.run_band_isolate(ScenarioConfig(raw=doc))
+    assert [row["mismatch"] for row in report.rows] == [row["mismatch"] for row in first.rows]
+    assert report.ok and all(row["ok"] for row in report.rows)
+
+
+def test_one_node_window_bound_is_zero(tmp_path):
+    # one node's weight is the constant 1: its deviations are 0 at any
+    # perturbation, an infinite one too, and so is its bound
+    rob = aw.interp_robustness(aw.PseudopoleSet((2.0 - 0.1j,)), [complex(math.inf, 0.0)])
+    assert rob["hypothesis_ok"] and rob["dev_target"] == 0.0 and rob["bound"] == 0.0
+    code, report = run_cli(tmp_path, "window-check",
+                           {"window_check": {"nodes": [[2.0, -0.1]], "n_draws": 20}})
+    assert code == 0 and not report["violations"]
+    assert report["rows"][-1]["ok"] and report["rows"][-1]["worst_ratio_to_bound"] == 0.0
+    assert np.isfinite(report["rows"][0]["deviation"])

@@ -421,7 +421,7 @@ class TestPseudospectrum:
         w = re[None, :] + 1j * im[:, None]
         exact = np.abs(w - (0.5 - 1j)) < 4.0 * eps
         assert np.array_equal(scan["mask"], exact)
-        assert scan["inclusion_holds"]
+        assert scan["violations"] == 0
 
     def test_shrinks_to_poles(self):
         m = mt.PseudospectrumModel(poles=(0.0 - 1j, 1.0 - 1j))
@@ -440,7 +440,7 @@ class TestPseudospectrum:
             im = np.linspace(pole.imag - 0.1, pole.imag + 0.1, 400)
             scan = mt.pseudospectrum_scan(m, re, im, eps, require_resolved=True)
             assert scan["n_flagged"] > 0
-            assert scan["inclusion_holds"]
+            assert scan["violations"] == 0
             assert scan["radius"] <= 2.5 * eps * 2.0  # C*eps with C = 2 E+E-/c_q
 
     def test_radius_holds_on_random_models(self):
@@ -458,7 +458,7 @@ class TestPseudospectrum:
             parts = [p.real for p in poles] + [p.imag for p in poles]
             grid = np.linspace(min(parts) - 3.0, max(parts) + 3.0, 151)
             scan = mt.pseudospectrum_scan(m, grid, grid, eps)
-            assert scan["inclusion_holds"], (poles, eps)
+            assert scan["violations"] == 0, (poles, eps)
             n_flagged += scan["n_flagged"] > 0
         assert n_flagged > 100  # the check is not vacuous
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ringlab import extractor as ex
 from ringlab import paramap as pm
 from ringlab.errors import ConfigError, InversionError
 
@@ -292,27 +293,27 @@ class TestInverseConstants:
 
 class TestBiasBounds:
     def test_zero_eps(self):
-        assert pm.bias_bound_2p(0.0, 0.0, 1.0, 1.0, 1.0, 100, 2.0)["bound"] == 0.0
-        assert pm.bias_bound_3p(0.0, 0.0, 1.0, 1.0, 1.0, 100, 0, 2.0)["bound"] == 0.0
+        assert pm.bias_bound_2p(0.0, 0.0, 1.0, 1.0, 1.0, 100, 2.0) == 0.0
+        assert pm.bias_bound_3p(0.0, 0.0, 1.0, 1.0, 1.0, 100, 0, 2.0) == 0.0
 
     def test_explicit_values(self):
         b2 = pm.bias_bound_2p(0.01, 0.01, 0.9, 0.9, 1.0, 100, 2.0)
         want2 = 5 * np.sqrt(2) * 2.0 / 100 * (0.02 / 0.9)
-        assert abs(b2["bound"] - want2) < 1e-15
+        assert abs(b2 - want2) < 1e-15
         assert abs(want2 - 0.0031427) < 1e-7
         b3 = pm.bias_bound_3p(0.01, 0.01, 0.9, 0.9, 1.0, 100, 0, 2.0)
         want3 = want2 + (10 * 2.0 / 0.5) * 0.01 / 0.9
-        assert abs(b3["bound"] - want3) < 1e-15
+        assert abs(b3 - want3) < 1e-15
         assert abs(want3 - 0.447587) < 1e-6
 
     def test_ell_scaling(self):
-        b1 = pm.bias_bound_2p(0.01, 0.01, 0.9, 0.9, 1.0, 100, 2.0)["bound"]
-        b2 = pm.bias_bound_2p(0.01, 0.01, 0.9, 0.9, 1.0, 200, 2.0)["bound"]
+        b1 = pm.bias_bound_2p(0.01, 0.01, 0.9, 0.9, 1.0, 100, 2.0)
+        b2 = pm.bias_bound_2p(0.01, 0.01, 0.9, 0.9, 1.0, 200, 2.0)
         assert abs(b2 - b1 / 2) < 1e-15
 
     def test_3p_large_overtone_limit(self):
-        b2 = pm.bias_bound_2p(0.01, 0.01, 0.9, 0.9, 1.0, 100, 2.0)["bound"]
-        b3s = [pm.bias_bound_3p(0.01, 0.01, 0.9, 0.9, 1.0, 100, n, 2.0)["bound"]
+        b2 = pm.bias_bound_2p(0.01, 0.01, 0.9, 0.9, 1.0, 100, 2.0)
+        b3s = [pm.bias_bound_3p(0.01, 0.01, 0.9, 0.9, 1.0, 100, n, 2.0)
                for n in (10, 10**3, 10**6)]
         assert b3s[0] > b3s[1] > b3s[2] > b2  # damping term shrinks to zero
         assert abs(b3s[-1] - b2) < 1e-6
@@ -321,10 +322,11 @@ class TestBiasBounds:
         out = pm.bias_bound_split((0.01, 0.02), (0.003, 0.001), 0.9, 0.8,
                                   1.0, 100, 2.0)
         direct = pm.bias_bound_2p(0.013, 0.021, 0.9, 0.8, 1.0, 100, 2.0)
-        assert abs(out["bound"] - direct["bound"]) < 1e-15
+        assert abs(out["bound"] - direct) < 1e-15
 
     def test_flags(self):
-        assert not pm.bias_bound_2p(0.2, 0.01, 0.9, 0.9, 1.0, 100, 2.0)["eps_small"]
+        # the bounds' hypothesis is the extractor's, checked per sector
+        assert not ex.eps_small(0.2, 0.9) and ex.eps_small(0.01, 0.9)
 
 
 class TestCertifiedBias:

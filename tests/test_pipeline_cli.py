@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import yaml
 
-from ringlab import cli, pipeline
+from ringlab import cli, config, pipeline
 from ringlab.config import ScenarioConfig, load_config
 from ringlab.errors import ConfigError
 from ringlab.pipeline import run_pipeline, run_subcommand, run_sweep
@@ -82,6 +82,15 @@ SWEEPS = {
 }
 
 
+def load_workloads():
+    """ringbench/workloads.py, the benchmark's inputs."""
+    spec = importlib.util.spec_from_file_location(
+        "ringbench_workloads", DEMO_DIR.parents[1] / "ringbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
 def write_cfg(tmp_path, doc, name="cfg.yaml"):
     path = tmp_path / name
     path.write_text(yaml.safe_dump(doc))
@@ -139,6 +148,15 @@ class TestConfig:
         # before any point runs
         with pytest.raises(ConfigError):
             ScenarioConfig(raw=doc)
+
+    def test_size_bounds_admit_their_limits(self):
+        # the most poles the sampler can place, and the benchmark's longest grid
+        assert config._MAX_POLES == 26
+        cfg = ScenarioConfig(raw={"band_isolate": {
+            "n_models": 1, "dim": 1, "n_poles": 26, "max_order": 1, "times": [5.0]}})
+        assert [row["n_poles"] for row in pipeline.run_band_isolate(cfg).rows] == [26]
+        lcg = ScenarioConfig(raw=load_workloads().lcg_input(0, 0, samples=200000))
+        assert lcg.setup.n_samples == 200000
 
     def test_derived_values_built_at_load(self):
         cfg = ScenarioConfig(raw=dict(CANONICAL, sweep={"axis": "separation",
@@ -322,6 +340,12 @@ class TestCli:
                  lattice=dict(CANONICAL["lattice"], damping={"kind": "photon_sphere"})),
             # the inverse constants reject the box when the config loads
             with_section("inversion", box={"M": [-1.0, 1.1]}),
+            # more poles than the sampler can place apart, and rows too long
+            # to synthesise: 10**10 grid samples, and an LCG stream of 2*10**10
+            {"band_isolate": {"n_models": 1, "n_poles": 200}},
+            with_section("observation", dt=1.0e-9),
+            dict(with_section("observation", T0=1.0e9),
+                 noise={"lcg": {"seed": 1, "amplitude": 1.0e-3}}),
         ]
         runs = [("pipeline", write_cfg(tmp_path, doc, f"cfg{i}.yaml"))
                 for i, doc in enumerate(docs)]
@@ -512,11 +536,7 @@ def test_demo_config_sets_agree():
     # rejects a benchmark config fails here too
     assert sorted(p.stem for p in DEMO_DIR.glob("*.yaml")) == sorted(DEMO_CONFIGS) \
         == sorted(DEMO_DIGESTS)
-    spec = importlib.util.spec_from_file_location(
-        "ringbench_workloads", DEMO_DIR.parents[1] / "ringbench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    for name, (sub, text) in workloads.CLI_DEMOS.items():
+    for name, (sub, text) in load_workloads().CLI_DEMOS.items():
         assert sub == DEMO_CONFIGS[name], name
         shipped = yaml.safe_load((DEMO_DIR / f"{name}.yaml").read_text(encoding="utf-8"))
         assert yaml.safe_load(text) == shipped, name
