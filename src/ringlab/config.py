@@ -21,6 +21,7 @@ of a run.
 from __future__ import annotations
 
 import copy
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -116,6 +117,10 @@ _MAX_POLES = int(np.ceil(np.ptp(mt.RANDOM_POLE_RE) * np.ptp(mt.RANDOM_POLE_IM)
 #: the most samples a row may hold (the fd-padded grid, or the LCG stream from
 #: t = 0): five times ringbench's 200 001-sample scaling grid, whose stream holds 280 001
 _MAX_SAMPLES = 2**20
+#: the longest pseudospectrum grid side: its square grid holds at most _MAX_SAMPLES points
+_MAX_GRID_N = math.isqrt(_MAX_SAMPLES)
+#: the most window-check draws: each keeps one record, and 10^5 draws run in seconds
+_MAX_DRAWS = 10**5
 
 
 def _choice(*allowed):
@@ -144,7 +149,9 @@ _LIMITS = {
     ("prony", "eta"): _NONNEGATIVE,
     ("pseudospectrum", "poles"): _DISTINCT, ("window_check", "nodes"): _DISTINCT,
     ("pseudospectrum", "eps"): (lambda v: all(e > 0 for e in v), "a list of positive reals"),
-    ("pseudospectrum", "grid_n"): (lambda v: v >= 2, "at least 2"),
+    ("pseudospectrum", "grid_n"): (lambda v: 2 <= v <= _MAX_GRID_N,
+                                   f"an integer in 2..{_MAX_GRID_N}"),
+    ("window_check", "n_draws"): (lambda v: 0 <= v <= _MAX_DRAWS, f"an integer in 0..{_MAX_DRAWS}"),
     ("pseudospectrum", "e_plus"): _NONNEGATIVE, ("pseudospectrum", "e_minus"): _NONNEGATIVE,
     ("pseudospectrum", "hol_bound"): _NONNEGATIVE,
     ("window", "m0"): _null_or_at_least(0, "window.m0"),
@@ -345,7 +352,13 @@ class ScenarioConfig:
             resolve(inv["guess"][k], v, f"inversion.guess.{k}") for k, v in guess.items()))
         self.box = [tuple(resolve(inv["box"][k], box[k], f"inversion.box.{k}"))
                     for k in ("M", "a", "Lambda")[:3 if three else 2]]
-        self.consts = _named("inversion.box", pm.inverse_constants, self.model, self.box)
+        # DG depends on none of a, ell and n: a sweep point with the base's
+        # kappa, damping and M and Lambda ranges keeps the base's constants
+        model = self.model
+        key = (model.kappa, model.lam_kind, model.lam_value, self.box[0], self.box[2:])
+        if key != getattr(self, "_consts_key", None):
+            self.consts = _named("inversion.box", pm.inverse_constants, model, self.box)
+            self._consts_key = key
 
     def _build_windows(self):
         """Each sector's weight of overtone n among the pseudopoles 0..n at
@@ -366,7 +379,9 @@ class ScenarioConfig:
 
         Only the objects built from the swept section are rebuilt: a point
         off the observation axes keeps the base's setup object, so every
-        such point shares its grid and taper weights.
+        such point shares its grid and taper weights, and a point that keeps
+        the map and the M and Lambda box ranges keeps the base's inverse
+        constants.
         """
         section, key = _SWEEP_LEAVES[self.data["sweep"]["axis"]]
         sec = self.data[section]

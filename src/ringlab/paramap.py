@@ -24,6 +24,26 @@ NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50
 
 
+def _pow(x: np.ndarray, k: int) -> np.ndarray:
+    """x**k per element through numpy's scalar power, which calls libm's pow
+    as a Python float's ** does (and gives inf where that would overflow); an
+    array's ** multiplies or calls a SIMD pow, and either can differ from
+    libm's in the last bit."""
+    return np.array([v ** k for v in x], dtype=float)
+
+
+def _row_norms(r: np.ndarray) -> np.ndarray:
+    """np.linalg.norm of each row of a real (B, d) array, bit for bit.  norm
+    takes sqrt(r.dot(r)), and a stacked (1, d) @ (d, 1) matmul makes that same
+    dot call per row; einsum, (r * r).sum(1) and norm(axis=1) round otherwise."""
+    return np.sqrt(np.matmul(r[:, None, :], r[:, :, None])[:, 0, 0])
+
+
+def _photon_u(m, s):
+    """sqrt(s) / (3 sqrt3 M), s = 1 - 9 Lambda M^2, for floats or arrays."""
+    return np.sqrt(s) / (3.0 * SQRT3 * m)
+
+
 @dataclass(frozen=True)
 class ParameterPoint:
     """Mass M > 0, rotation a, cosmological constant lam > 0 (9*lam*M^2 < 1)."""
@@ -62,7 +82,7 @@ def photon_sphere_frequency(m: float, lam: float = 0.0) -> float:
     x = 9.0 * lam * m**2
     if x >= 1.0:
         raise ConfigError("extremal or over-extremal: 9*lam*M^2 >= 1")
-    return float(np.sqrt(1.0 - x) / (3.0 * np.sqrt(3.0) * m))
+    return float(_photon_u(m, 1.0 - x))
 
 
 @dataclass(frozen=True)
@@ -109,19 +129,41 @@ class LatticeModel:
             return np.array([self.u_fn(p), self.v_fn(p), self.lam_fn(p)])
         return np.array([self.u_fn(p), self.v_fn(p)])
 
+    def data_rows(self, m: np.ndarray, a: np.ndarray, s: np.ndarray,
+                  three_param: bool) -> np.ndarray:
+        """:meth:`data_map` at the points (m, a[, Lambda]) with s = 1 - 9 Lambda M^2:
+        (B, 2 or 3).  The points are not checked; ParameterPoint says where
+        the map is defined."""
+        out = np.empty((len(m), 3 if three_param else 2))
+        out[:, 0] = u = _photon_u(m, s)
+        out[:, 1] = self.kappa * a
+        if three_param:
+            out[:, 2] = (u if self.lam_kind == "photon_sphere" else s / m
+                         if self.lam_kind == "gap_over_mass" else self.lam_value)
+        return out
+
     def jacobian(self, p: ParameterPoint, three_param: bool) -> np.ndarray:
         """D data_map at p: rows (u, v[, lam]), columns (M, a[, Lambda])."""
-        m, lam = p.m, p.lam
-        r = math.sqrt(1.0 - 9.0 * lam * m**2)
-        u_m = -1.0 / (3.0 * SQRT3 * m**2 * r)
-        if not three_param:
-            return np.array([[u_m, 0.0], [0.0, self.kappa]])
-        u_lam = -0.5 * SQRT3 * m / r
-        lam_m, lam_lam = {"photon_sphere": (u_m, u_lam),
-                          "gap_over_mass": (-1.0 / m**2 - 9.0 * lam, -9.0 * m),
-                          "constant": (0.0, 0.0)}[self.lam_kind]
-        return np.array([[u_m, 0.0, u_lam], [0.0, self.kappa, 0.0],
-                         [lam_m, 0.0, lam_lam]])
+        m, lam = np.array([float(p.m)]), np.array([float(p.lam)])
+        m2 = _pow(m, 2)
+        return self.jacobian_rows(m, lam, m2, 1.0 - 9.0 * lam * m2, three_param)[0]
+
+    def jacobian_rows(self, m: np.ndarray, lam: np.ndarray, m2: np.ndarray, s: np.ndarray,
+                      three_param: bool) -> np.ndarray:
+        """:meth:`jacobian` at the points with mass m and Lambda lam, m2 = M**2
+        (by _pow) and s = 1 - 9 Lambda M^2: (B, d, d)."""
+        r = np.sqrt(s)
+        d = 3 if three_param else 2
+        jac = np.zeros((len(m), d, d))
+        jac[:, 0, 0] = u_m = -1.0 / (3.0 * SQRT3 * m2 * r)
+        jac[:, 1, 1] = self.kappa
+        if three_param:
+            jac[:, 0, 2] = u_lam = -0.5 * SQRT3 * m / r
+            if self.lam_kind == "photon_sphere":
+                jac[:, 2, 0], jac[:, 2, 2] = u_m, u_lam
+            elif self.lam_kind == "gap_over_mass":
+                jac[:, 2, 0], jac[:, 2, 2] = -1.0 / m2 - 9.0 * lam, -9.0 * m
+        return jac
 
 
 def default_lattice(kappa: float = 0.3, lam_kind: str = "photon_sphere",
@@ -170,57 +212,122 @@ def data_map_error_bound(delta_omega_plus: complex, delta_omega_minus: complex,
 
 def invert_data(model: LatticeModel, data: dict, guess: ParameterPoint,
                 box: Optional[Sequence[Tuple[float, float]]] = None) -> dict:
-    """Damped Newton inversion of the lattice data map.
+    """Damped Newton inversion of the lattice data map: :func:`invert_rows`
+    on one row, whose InversionError it raises.
 
-    data holds U, V and optionally W (three-parameter mode).  The iteration
-    stops when the residual norm drops below NEWTON_TOL; a singular Jacobian
-    (relative to its largest entry), non-convergence within NEWTON_MAX_ITER
-    steps, or a converged point outside the box raises InversionError.
+    data holds U, V and optionally W (three-parameter mode).
     """
-    three = "W" in data
-    target = np.array([data["U"], data["V"]] + ([data["W"]] if three else []))
-    lam_fixed = guess.lam
+    target = [data["U"], data["V"]] + ([data["W"]] if "W" in data else [])
+    out = invert_rows(model, np.array([target], dtype=float), [guess], [box])[0]
+    if isinstance(out, InversionError):
+        raise out
+    return out
 
-    def fun(x: np.ndarray) -> np.ndarray:
-        p = ParameterPoint.from_array(x, lam_fixed=lam_fixed)
-        return model.data_map(p, three) - target
 
-    x = guess.as_array(three)
-    n_iter = 0
-    res = fun(x)
-    res_norm = np.linalg.norm(res)
-    while res_norm > NEWTON_TOL:
-        if n_iter >= NEWTON_MAX_ITER:
-            raise InversionError(f"Newton did not converge in {NEWTON_MAX_ITER} iterations")
-        jac = model.jacobian(ParameterPoint.from_array(x, lam_fixed=lam_fixed), three)
-        det = np.linalg.det(jac)
-        if not np.isfinite(det) or abs(det) < 1e-14 * np.abs(jac).max() ** len(x):
-            raise InversionError("singular Jacobian of the data map")
-        step = np.linalg.solve(jac, -res)
-        lam_damp = 1.0
-        while lam_damp > 1.0 / 1024.0:
-            try:
-                trial = x + lam_damp * step
-                trial_res = fun(trial)
-            except ConfigError:
-                lam_damp *= 0.5
-                continue
-            trial_norm = np.linalg.norm(trial_res)
-            if trial_norm < res_norm:
+def invert_rows(model: LatticeModel, targets: np.ndarray, guesses: Sequence[ParameterPoint],
+                boxes: Sequence[Optional[Sequence[Tuple[float, float]]]]) -> list:
+    """Damped Newton inversion of the lattice data map, one point per row.
+
+    targets is (B, d): rows (U, V) or, in three-parameter mode, (U, V, W).
+    Each row starts from its guess (whose Lambda stays fixed in 2p) and ends
+    with {"point", "iterations", "residual"} or its InversionError: its
+    residual norm below NEWTON_TOL stops it, and non-convergence within
+    NEWTON_MAX_ITER steps, a singular Jacobian (relative to its largest
+    entry), ten halvings of the step without descent, or a converged point
+    outside its box (None: no box) end it.  The rows share model's data map;
+    ell and n do not enter it.  The rows still iterating take each step
+    together, each halving its own step until it descends, in the operations
+    one row takes alone, so every row ends bit for bit as it would alone.
+    """
+    n_rows, d = targets.shape
+    three = d == 3
+    x = np.array([[g.m, g.a, g.lam][:d] for g in guesses], dtype=float).reshape(n_rows, d)
+    out: list = [None] * n_rows
+    iters = np.zeros(n_rows, dtype=int)
+    norm = np.empty(n_rows)
+
+    def evaluate(xs, lam, tgt) -> list:
+        """[M**2, s = 1 - 9 Lambda M^2, residual, its norm] at the rows xs
+        (Lambda: lam in 2p)."""
+        m = xs[:, 0]
+        if three:
+            lam = xs[:, 2]
+        m2 = _pow(m, 2)
+        s = 1.0 - 9.0 * lam * m2
+        res = model.data_rows(m, xs[:, 1], s, three) - tgt
+        return [m2, s, res, _row_norms(res)]
+
+    def valid(xs, lam, s):
+        """Where ParameterPoint accepts the rows xs, NaN as there: its raise
+        conditions, negated (9 Lambda M^2 >= 1 is s <= 0)."""
+        m, mm = xs[:, 0], xs[:, 0] * xs[:, 0]
+        if three:
+            lam = xs[:, 2]
+        return ~(m <= 0) & (0.0 < mm) & (mm < math.inf) & ~((lam < 0) | (s <= 0.0))
+
+    # the rows compute in arrays what a point computes in Python floats,
+    # which overflow and divide silently
+    with np.errstate(all="ignore"):
+        # the rows still iterating: their rows of x (ids) and their state
+        rows = [np.arange(n_rows), x, np.array([g.lam for g in guesses], dtype=float), targets]
+        rows += evaluate(*rows[1:])
+        for it in range(NEWTON_MAX_ITER + 1):
+            ids, xs, lam, tgt, m2, s, res, nrm = rows
+            going = nrm > NEWTON_TOL
+            n_going = np.count_nonzero(going)
+            if not n_going:
+                x[ids], norm[ids], iters[ids] = xs, nrm, it
                 break
-            lam_damp *= 0.5
+            if n_going < len(ids):
+                stop = ~going
+                x[ids[stop]], norm[ids[stop]], iters[ids[stop]] = xs[stop], nrm[stop], it
+                rows = [v[going] for v in rows]
+                ids, xs, lam, tgt, m2, s, res, nrm = rows
+            if it == NEWTON_MAX_ITER:
+                for i in ids:
+                    out[i] = InversionError(f"Newton did not converge in {NEWTON_MAX_ITER} iterations")
+                break
+            jac = model.jacobian_rows(xs[:, 0], xs[:, 2] if three else lam, m2, s, three)
+            det = np.abs(np.linalg.det(jac))
+            regular = (det < math.inf) & ~(det < 1e-14 * _pow(np.abs(jac).max(axis=(1, 2)), d))
+            if np.count_nonzero(regular) < len(ids):
+                for i in ids[~regular]:
+                    out[i] = InversionError("singular Jacobian of the data map")
+                rows, jac = [v[regular] for v in rows], jac[regular]
+                ids, xs, lam, tgt, m2, s, res, nrm = rows
+            step = np.linalg.solve(jac, -res[:, :, None])[:, :, 0]
+            # every row tries the full step (1.0 * step is step); a row that
+            # does not descend halves its step, down to 1/512, and stalls then
+            trial = xs + step
+            new = evaluate(trial, lam, tgt)
+            moved = valid(trial, lam, new[1]) & (new[-1] < nrm)
+            todo = np.flatnonzero(~moved)
+            damp = 1.0
+            while todo.size:
+                damp *= 0.5
+                if damp <= 1.0 / 1024.0:
+                    for i in ids[todo]:
+                        out[i] = InversionError("damped Newton stalled (no descent direction)")
+                    break
+                t = xs[todo] + damp * step[todo]
+                t_new = evaluate(t, lam[todo], tgt[todo])
+                down = valid(t, lam[todo], t_new[1]) & (t_new[-1] < nrm[todo])
+                for v, w in zip([trial, *new], [t, *t_new]):
+                    v[todo[down]] = w[down]
+                moved[todo[down]] = True
+                todo = todo[~down]
+            rows = [ids, trial, lam, tgt, *new]
+            if np.count_nonzero(moved) < len(ids):
+                rows = [v[moved] for v in rows]
+    for i, (row, n_iter, res_norm) in enumerate(zip(x.tolist(), iters.tolist(), norm.tolist())):
+        if out[i] is not None:
+            continue
+        if boxes[i] is not None and not all(lo <= v <= hi for v, (lo, hi) in zip(row, boxes[i])):
+            out[i] = InversionError(f"converged point {x[i]} leaves the parameter box")
         else:
-            raise InversionError("damped Newton stalled (no descent direction)")
-        # the accepted trial is the next iterate, its residual already known
-        x, res, res_norm = trial, trial_res, trial_norm
-        n_iter += 1
-    if box is not None:
-        for val, (lo, hi) in zip(x, box):
-            if not (lo <= val <= hi):
-                raise InversionError(
-                    f"converged point {x} leaves the parameter box")
-    return {"point": ParameterPoint.from_array(x, lam_fixed=lam_fixed),
-            "iterations": n_iter, "residual": float(res_norm)}
+            out[i] = {"point": ParameterPoint.from_array(row, lam_fixed=guesses[i].lam),
+                      "iterations": n_iter, "residual": res_norm}
+    return out
 
 
 def inverse_constants(model: LatticeModel, box: Sequence[Tuple[float, float]]) -> dict:

@@ -9,7 +9,8 @@ its certified inequalities to one function as (name, hypothesis, value,
 bound) records; a violation with its hypothesis holding marks the run as
 failed (CLI exit code 1).  A sweep runs consecutive points on one
 observation setup as a batch: their sectors are synthesised and extracted
-as the rows of one array, each row bit for bit what its point gives alone.
+as the rows of one array, and then every point's data are inverted in one
+damped-Newton pass, each row bit for bit what its point gives alone.
 
 Inside a scenario every norm is taken in the discrete trapezoid-weighted
 inner product on the sampling grid.  The shift acts exactly on the grid,
@@ -206,16 +207,21 @@ def _record(name: str, hyp: bool, value: float, bound: float) -> tuple:
     return (name, hyp, value, bound * (1.0 + _CERT_RTOL) + _CERT_ATOL)
 
 
-def _sector_checks(led: dict, win: dict) -> list:
-    """The sector's certified inequalities.  The eps budget bounds the tail,
-    the noise and the contaminants, not an fd window's stencil error, so
-    budget_soundness has a hypothesis that fails on the fd path."""
+def _fd_window(cfg: ScenarioConfig) -> bool:
+    """Whether the scene is windowed on the fd path.  The eps budget bounds
+    the tail, the noise and the contaminants, not an fd window's stencil
+    error, so every check that reads the budget has a hypothesis that fails
+    there."""
+    return cfg["window"]["enabled"] and cfg["window"]["path"] == "fd"
+
+
+def _sector_checks(led: dict, cfg: ScenarioConfig) -> list:
+    """The sector's certified inequalities."""
     hyp = led["hyp_eps_small"]
-    fd_window = win["enabled"] and win["path"] == "fd"
     return [_record("z_stability", hyp, led["z_err"], led["bound_z_crude"]),
             _record("z_stability_sharp", hyp, led["z_err"], led["bound_z"]),
             _record("omega_error", hyp, led["omega_err"], led["bound_omega"]),
-            _record("budget_soundness", not fd_window, led["eps"], led["eps_budget"])]
+            _record("budget_soundness", not _fd_window(cfg), led["eps"], led["eps_budget"])]
 
 
 def _certify(report: RunReport, label: str, checks) -> bool:
@@ -287,17 +293,55 @@ def _run_batch(cfgs: list, setup: sm.ObservationSetup, signs=(+1, -1)) -> list:
     return outcome
 
 
+def _data_keys(cfg: ScenarioConfig) -> tuple:
+    """The observables the inversion reads."""
+    return ("U", "V", "W") if cfg["inversion"]["mode"] == "3p" else ("U", "V")
+
+
+def _estimate(cfg: ScenarioConfig, sectors: dict) -> dict:
+    """The observables of a scenario's two extracted frequencies."""
+    return pm.observables(sectors[+1].result.omega_hat, sectors[-1].result.omega_hat,
+                          cfg.model.ell, cfg.model.n)
+
+
+def _run_points(cfgs: list) -> list:
+    """Each config's scenario up to the bias ledger: its sectors, run in
+    batches (:func:`_batches`), and under "inversion" the result of its data
+    inversion or the InversionError that ends it; or the RinglabError that
+    ended its sectors.
+
+    Every scenario whose sectors succeeded is inverted in one
+    :func:`paramap.invert_rows` call: its arrays are (rows, 2 or 3), so the
+    sample bound of a batch does not concern it.  The configs share the
+    lattice map and the inversion mode, which no sweep varies, so the first
+    one stands for all of them there.
+    """
+    outcome: list = []
+    for start, stop in _batches(cfgs):
+        outcome += _run_batch(cfgs[start:stop], cfgs[start].setup)
+    live = [i for i, sectors in enumerate(outcome) if isinstance(sectors, dict)]
+    if live:
+        keys = _data_keys(cfgs[0])
+        estimates = [_estimate(cfgs[i], outcome[i]) for i in live]
+        targets = np.array([[est[k] for k in keys] for est in estimates])
+        inverted = pm.invert_rows(cfgs[0].model, targets, [cfgs[i].guess for i in live],
+                                  [cfgs[i].box for i in live])
+        for i, inv in zip(live, inverted):
+            outcome[i]["inversion"] = inv
+    return outcome
+
+
 def run_pipeline(cfg: ScenarioConfig, scenario_id: int = 0,
                  report: Optional[RunReport] = None, batched=None) -> RunReport:
     """End-to-end scenario: generate -> window -> extract -> invert -> bias ledger.
 
     Rows and violations go to ``report`` (a new one if None).  ``batched``
-    is this scenario's entry of a :func:`_run_batch` over several points;
-    without it the scenario runs as a batch of one.
+    is this scenario's entry of a :func:`_run_points` over several points;
+    without it the scenario runs as the only point.
     """
     if report is None:
         report = RunReport(metadata={"subcommand": "pipeline", **_REPORT_TOLERANCES})
-    sectors = batched if batched is not None else _run_batch([cfg], cfg.setup)[0]
+    sectors = batched if batched is not None else _run_points([cfg])[0]
     model, p_true, setup = cfg.model, cfg.p_true, cfg.setup
     label = f"scenario {scenario_id}"
 
@@ -310,26 +354,23 @@ def run_pipeline(cfg: ScenarioConfig, scenario_id: int = 0,
 
     three = cfg["inversion"]["mode"] == "3p"
     ledgers = {}
-    for sign, sec in sectors.items():
+    for sign in (+1, -1):
         tag = "plus" if sign > 0 else "minus"
-        ledgers[tag] = _sector_ledger(sec)
+        ledgers[tag] = _sector_ledger(sectors[sign])
         row.update({f"{k}_{tag}": v for k, v in ledgers[tag].items()})
 
     sp, sm_ = sectors[+1], sectors[-1]
-    est = pm.observables(sp.result.omega_hat, sm_.result.omega_hat,
-                         model.ell, model.n)
+    est = _estimate(cfg, sectors)
     truth = pm.observables(sp.omega_true, sm_.omega_true, model.ell, model.n)
-    keys = ("U", "V", "W") if three else ("U", "V")
-    data_err = float(np.linalg.norm([est[k] - truth[k] for k in keys]))
+    data_err = float(np.linalg.norm([est[k] - truth[k] for k in _data_keys(cfg)]))
     dw = (sp.result.omega_hat - sp.omega_true,
           sm_.result.omega_hat - sm_.omega_true)
     data_bound = pm.data_map_error_bound(dw[0], dw[1], model.ell,
                                          n=model.n if three else None)
 
-    try:
-        inv = pm.invert_data(model, {k: est[k] for k in keys}, cfg.guess, box=cfg.box)
-    except RinglabError as exc:
-        return _failed(report, row, f"{label}: ", exc)
+    inv = sectors["inversion"]
+    if isinstance(inv, RinglabError):
+        return _failed(report, row, f"{label}: ", inv)
 
     consts, p_hat = cfg.consts, inv["point"]
     param_err = float(np.linalg.norm(p_hat.as_array(three) - p_true.as_array(three)))
@@ -343,7 +384,8 @@ def run_pipeline(cfg: ScenarioConfig, scenario_id: int = 0,
     # frequencies off the lattice data map by a term that none of them bounds
     on_lattice = cfg["lattice"]["pole_offset"] == 0
     hyp = all(led["hyp_eps_small"] for led in ledgers.values()) and on_lattice
-    hyp_budget = all(map(ex.eps_small, eps_budget_pair, (sp.z_true, sm_.z_true))) and on_lattice
+    hyp_budget = (all(map(ex.eps_small, eps_budget_pair, (sp.z_true, sm_.z_true)))
+                  and on_lattice and not _fd_window(cfg))
     row.update({
         "data_err": data_err, "data_bound": data_bound,
         "M_hat": p_hat.m, "a_hat": p_hat.a, "Lambda_hat": p_hat.lam,
@@ -363,7 +405,7 @@ def run_pipeline(cfg: ScenarioConfig, scenario_id: int = 0,
         checks.append(_record("3p bias bound", hyp, param_err, b3))
 
     for tag, led in ledgers.items():
-        _certify(report, f"{label} {tag}", _sector_checks(led, cfg["window"]))
+        _certify(report, f"{label} {tag}", _sector_checks(led, cfg))
     _certify(report, label, checks)
     report.add_row(row)
     return report
@@ -378,22 +420,20 @@ def run_sweep(cfg: ScenarioConfig) -> RunReport:
 
     Consecutive points on equal observation setups (every point of an ell,
     separation or noise_amp sweep) synthesise and extract their sectors as
-    the rows of one batch; each point's rows and violations are those it
-    gives alone.
+    the rows of one batch, and all points invert their data in one call;
+    each point's rows and violations are those it gives alone.
     """
     axis = cfg["sweep"]["axis"]
     values = cfg["sweep"]["values"]
     if axis is None or not values:
         raise ConfigError("sweep requires an axis and a nonempty value list")
     report = RunReport(metadata={"subcommand": "sweep", "axis": axis, **_REPORT_TOLERANCES})
-    for start, stop in _batches(cfg.points):
-        batch = _run_batch(cfg.points[start:stop], cfg.points[start].setup)
-        for i, batched in enumerate(batch, start):
-            first = len(report.rows)
-            run_pipeline(cfg.points[i], scenario_id=i, report=report, batched=batched)
-            for row in report.rows[first:]:
-                row["sweep_axis"] = axis
-                row["sweep_value"] = float(values[i])
+    for i, batched in enumerate(_run_points(cfg.points)):
+        first = len(report.rows)
+        run_pipeline(cfg.points[i], scenario_id=i, report=report, batched=batched)
+        for row in report.rows[first:]:
+            row["sweep_axis"] = axis
+            row["sweep_value"] = float(values[i])
     return report
 
 
@@ -410,7 +450,7 @@ def run_extract(cfg: ScenarioConfig) -> RunReport:
     sec = sectors[+1]
     ledger = _sector_ledger(sec)
     report.add_row({"omega_true": sec.omega_true, "z_true": sec.z_true, **ledger})
-    _certify(report, "extract", _sector_checks(ledger, cfg["window"]))
+    _certify(report, "extract", _sector_checks(ledger, cfg))
     return report
 
 

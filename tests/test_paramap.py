@@ -181,29 +181,29 @@ class TestInvertData:
 
     def test_canonical_inversion_evaluates_each_iterate_once(self, monkeypatch):
         # the canonical scenario's inversion: guess 1% off, three undamped
-        # steps.  Each accepted trial is the next iterate, so the data map runs
-        # once per iterate and each residual norm is taken once; the
-        # singularity test scales by the largest entry and takes no norm
+        # steps.  Each accepted trial is the next iterate, so the batched data
+        # map runs once per iterate, and the residual norms are stacked dot
+        # products: no np.linalg.norm call is made
         model = lattice_2p()
         p = pm.ParameterPoint(m=1.0, a=0.08, lam=0.02)
         data = {"U": model.u_fn(p), "V": model.v_fn(p)}
         guess = pm.ParameterPoint(m=1.01, a=0.08 * 1.01 + 0.001, lam=0.02)
-        counts = {"data_map": 0, "norm": 0}
-        data_map, norm = pm.LatticeModel.data_map, np.linalg.norm
+        counts = {"data_rows": 0, "norm": 0}
+        data_rows, norm = pm.LatticeModel.data_rows, np.linalg.norm
 
-        def counted_map(*args, **kwargs):
-            counts["data_map"] += 1
-            return data_map(*args, **kwargs)
+        def counted_rows(*args, **kwargs):
+            counts["data_rows"] += 1
+            return data_rows(*args, **kwargs)
 
         def counted_norm(*args, **kwargs):
             counts["norm"] += 1
             return norm(*args, **kwargs)
 
-        monkeypatch.setattr(pm.LatticeModel, "data_map", counted_map)
+        monkeypatch.setattr(pm.LatticeModel, "data_rows", counted_rows)
         monkeypatch.setattr(np.linalg, "norm", counted_norm)
         out = pm.invert_data(model, data, guess, box=[(0.9, 1.1), (0.0, 0.15)])
         assert out["iterations"] == 3
-        assert counts == {"data_map": 4, "norm": 4}
+        assert counts == {"data_rows": 4, "norm": 0}
         assert abs(out["point"].m - p.m) < 1e-12 and abs(out["point"].a - p.a) < 1e-12
 
     def test_three_parameter_round_trip(self):
@@ -233,6 +233,152 @@ class TestInvertData:
         with pytest.raises(InversionError):
             pm.invert_data(model, data,
                            pm.ParameterPoint(m=1.01, a=0.081, lam=0.021))
+
+
+def seeded_rows(model, three, n, rng):
+    """n random inversion rows (targets, guesses, boxes): data on the map, near
+    it and far from it, guesses near and far (some with a mass so small that
+    the Jacobian is singular), with and without a box."""
+    keys = ("U", "V", "W") if three else ("U", "V")
+    targets, guesses, boxes = [], [], []
+    while len(targets) < n:
+        m = rng.uniform(0.5, 1.5)
+        p = pm.ParameterPoint(m=m, a=rng.uniform(-0.2, 0.3), lam=rng.uniform(0.0, 0.9) / (9 * m * m))
+        data = model.data_map(p, three)
+        kind = rng.random()
+        if kind < 0.25:
+            data = rng.uniform(-1.0, 1.0, len(keys)) * 10 ** rng.uniform(-4.0, 0.0, len(keys))
+        elif kind < 0.5:
+            data = data + rng.normal(0.0, 0.05, len(keys))
+        try:
+            if rng.random() < 0.1:
+                guess = pm.ParameterPoint(m=10 ** rng.uniform(-9, -7), a=p.a, lam=0.0)
+            else:
+                gm = m * np.exp(rng.normal(0.0, 0.3))
+                lam = 0.0 if rng.random() < 0.3 else rng.uniform(0.0, 0.9) / (9 * gm * gm)
+                guess = pm.ParameterPoint(m=gm, a=p.a + rng.normal(0.0, 0.05), lam=lam)
+        except ConfigError:
+            continue
+        targets.append(data)
+        guesses.append(guess)
+        boxes.append(None if rng.random() < 0.3 else
+                     [(0.9 * m, 1.1 * m), (p.a - 0.05, p.a + 0.05), (0.0, 1.0)])
+    return np.array(targets, dtype=float), guesses, boxes
+
+
+def scalar_newton(model, data, guess, box):
+    """The per-point damped Newton loop that invert_rows replaced, kept as its
+    reference: Python floats, ParameterPoint's checks and one numpy call per
+    determinant, solve and norm."""
+    three = "W" in data
+    target = np.array([data["U"], data["V"]] + ([data["W"]] if three else []))
+
+    def fun(x):
+        p = pm.ParameterPoint.from_array(x, lam_fixed=guess.lam)
+        return model.data_map(p, three) - target
+
+    def jacobian(x):
+        p = pm.ParameterPoint.from_array(x, lam_fixed=guess.lam)
+        m, lam = p.m, p.lam
+        r = np.sqrt(1.0 - 9.0 * lam * m**2)
+        u_m = -1.0 / (3.0 * pm.SQRT3 * m**2 * r)
+        if not three:
+            return np.array([[u_m, 0.0], [0.0, model.kappa]])
+        u_lam = -0.5 * pm.SQRT3 * m / r
+        lam_m, lam_lam = {"photon_sphere": (u_m, u_lam),
+                          "gap_over_mass": (-1.0 / m**2 - 9.0 * lam, -9.0 * m),
+                          "constant": (0.0, 0.0)}[model.lam_kind]
+        return np.array([[u_m, 0.0, u_lam], [0.0, model.kappa, 0.0], [lam_m, 0.0, lam_lam]])
+
+    x = guess.as_array(three)
+    n_iter, res = 0, fun(x)
+    res_norm = np.linalg.norm(res)
+    while res_norm > pm.NEWTON_TOL:
+        if n_iter >= pm.NEWTON_MAX_ITER:
+            raise InversionError(f"Newton did not converge in {pm.NEWTON_MAX_ITER} iterations")
+        jac = jacobian(x)
+        det = np.linalg.det(jac)
+        if not np.isfinite(det) or abs(det) < 1e-14 * np.abs(jac).max() ** len(x):
+            raise InversionError("singular Jacobian of the data map")
+        step = np.linalg.solve(jac, -res)
+        lam_damp = 1.0
+        while lam_damp > 1.0 / 1024.0:
+            try:
+                trial = x + lam_damp * step
+                trial_res = fun(trial)
+            except ConfigError:
+                lam_damp *= 0.5
+                continue
+            trial_norm = np.linalg.norm(trial_res)
+            if trial_norm < res_norm:
+                break
+            lam_damp *= 0.5
+        else:
+            raise InversionError("damped Newton stalled (no descent direction)")
+        x, res, res_norm = trial, trial_res, trial_norm
+        n_iter += 1
+    if box is not None and not all(lo <= v <= hi for v, (lo, hi) in zip(x, box)):
+        raise InversionError(f"converged point {x} leaves the parameter box")
+    return {"point": pm.ParameterPoint.from_array(x, lam_fixed=guess.lam),
+            "iterations": n_iter, "residual": float(res_norm)}
+
+
+def outcome(result):
+    """A row's point, iteration count and residual, or its error text."""
+    if isinstance(result, InversionError):
+        return str(result)
+    p = result["point"]
+    return (p.m, p.a, p.lam, result["iterations"], result["residual"])
+
+
+class TestInvertRows:
+    @pytest.mark.parametrize("three", [False, True])
+    def test_rows_equal_their_batches_of_one(self, rng, three):
+        # random batches of seeded rows: each row ends exactly as invert_data
+        # ends it alone, whichever rows share its batch, and invert_data
+        # exactly as the per-point loop it replaced
+        model = lattice_3p() if three else lattice_2p()
+        targets, guesses, boxes = seeded_rows(model, three, 240, rng)
+        alone = []
+        for target, guess, box in zip(targets, guesses, boxes):
+            data = dict(zip("UVW", target))
+            ends = []
+            for invert in (pm.invert_data, scalar_newton):
+                with np.errstate(all="ignore"):  # the reference warns where it overflows
+                    try:
+                        ends.append(outcome(invert(model, data, guess, box)))
+                    except InversionError as exc:
+                        ends.append(str(exc))
+            assert ends[0] == ends[1]
+            alone.append(ends[0])
+        order = rng.permutation(len(targets))
+        start = 0
+        while start < len(order):
+            idx = order[start:start + int(rng.integers(1, 41))]
+            batch = pm.invert_rows(model, targets[idx], [guesses[i] for i in idx],
+                                   [boxes[i] for i in idx])
+            assert [outcome(r) for r in batch] == [alone[i] for i in idx]
+            start += len(idx)
+        kinds = {o if isinstance(o, tuple) else o.split(" [")[0] for o in alone}
+        errors = {k for k in kinds if isinstance(k, str)}
+        assert len(kinds) > len(errors)  # some rows converge
+        assert {"singular Jacobian of the data map", "converged point",
+                "damped Newton stalled (no descent direction)"} <= errors
+        if three:
+            assert f"Newton did not converge in {pm.NEWTON_MAX_ITER} iterations" in errors
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_row_norms_are_numpy_norms(self, rng, d):
+        # np.linalg.norm of a 1-d real vector is sqrt(v.dot(v)); the stacked
+        # rows must round exactly as it does
+        rows = rng.normal(size=(20000, d)) * 10 ** rng.uniform(-8, 8, (20000, 1))
+        assert pm._row_norms(rows).tolist() == [np.linalg.norm(r) for r in rows]
+
+    def test_pow_is_python_pow(self, rng):
+        # the rows square the mass as a Python float's ** does, through libm's pow
+        x = rng.uniform(0.5, 2.0, 20000) * 2.0 ** rng.integers(-30, 30, 20000)
+        for k in (2, 3):
+            assert pm._pow(x, k).tolist() == [v ** k for v in x.tolist()]
 
 
 class TestInverseConstants:

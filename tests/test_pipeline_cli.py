@@ -44,8 +44,9 @@ def with_section(section, **leaves):
     return dict(CANONICAL, **{section: dict(CANONICAL.get(section, {}), **leaves)})
 
 
-#: one sweep per axis; separation leaves the box to its default, so the box
-#: (and with it the inverse constants) moves from point to point
+#: one sweep per axis; separation leaves the box to its default, so the box's
+#: a range moves from point to point (and the inverse constants, which do not
+#: depend on a, stay the base's)
 SWEEPS = {
     "ell": dict(CANONICAL, sweep={"axis": "ell", "values": [50, 100, 200]}),
     "T0": dict(CANONICAL, sweep={"axis": "T0", "values": [2.0, 4.0, 8.0]}),
@@ -157,6 +158,10 @@ class TestConfig:
         assert [row["n_poles"] for row in pipeline.run_band_isolate(cfg).rows] == [26]
         lcg = ScenarioConfig(raw=load_workloads().lcg_input(0, 0, samples=200000))
         assert lcg.setup.n_samples == 200000
+        # a 2**20-point pseudospectrum grid, and the most window-check draws
+        assert config._MAX_GRID_N == 1024
+        ScenarioConfig(raw={"pseudospectrum": {"grid_n": 1024},
+                            "window_check": {"n_draws": config._MAX_DRAWS}})
 
     def test_derived_values_built_at_load(self):
         cfg = ScenarioConfig(raw=dict(CANONICAL, sweep={"axis": "separation",
@@ -164,6 +169,10 @@ class TestConfig:
         assert cfg.box == [(0.9, 1.1), (0.0, 0.15)] and cfg.windows == {}
         # a separation point moves p_true, so its default guess moves with it
         assert [round(p.guess.a, 12) for p in cfg.points] == [0.0515, 0.1222]
+        # DG depends on neither a nor ell: the points keep the base's constants
+        ell = ScenarioConfig(raw=SWEEPS["ell"])
+        assert all(p.consts is cfg.consts for p in cfg.points)
+        assert all(p.consts is ell.consts for p in ell.points)
         win = ScenarioConfig(raw=with_section("window", enabled=True, path="fd"))
         assert sorted(win.windows) == [-1, 1] and win.windows[1].degree == 2
         assert win.fd_pad == 4
@@ -346,6 +355,9 @@ class TestCli:
             with_section("observation", dt=1.0e-9),
             dict(with_section("observation", T0=1.0e9),
                  noise={"lcg": {"seed": 1, "amplitude": 1.0e-3}}),
+            # a 10**10-point pseudospectrum grid, and 10**9 window-check draws
+            {"pseudospectrum": {"grid_n": 100000}},
+            {"window_check": {"n_draws": 1000000000}},
         ]
         runs = [("pipeline", write_cfg(tmp_path, doc, f"cfg{i}.yaml"))
                 for i, doc in enumerate(docs)]
@@ -396,6 +408,26 @@ class TestCli:
                              str(out)]) == 0
             row = json.loads((out / "report.json").read_text())["rows"][0]
             assert row["hyp_bias"] is row["hyp_bias_budget"] is on_lattice
+
+    def test_fd_window_budget_bias_is_not_certified(self, tmp_path):
+        # the eps budget does not bound an fd window's stencil error (eps_plus
+        # 9.2 against a budget of 3.5e-4 here), so the budget bias bound has
+        # the fd path as a failed hypothesis, as budget_soundness does; it
+        # exited 1 with "budget bias bound violated (4.538143e-04 >
+        # 2.431475e-04)" while the hypothesis read true
+        doc = yaml.safe_load((DEMO_DIR / "canonical.yaml").read_text())
+        doc["lattice"].update({"M": 1.0622313890533548, "a": 0.1451189019880067,
+                               "Lambda": 0.024738062815739644, "ell": 172, "overtone": 1})
+        doc["tail"]["c"] = 0.0
+        doc["observation"]["T0"] = 2.0
+        doc["window"] = {"enabled": True, "path": "fd", "n": 1}
+        doc["noise"] = {"lcg": {"seed": 1559020772, "amplitude": 1.0e-4}}
+        out = tmp_path / "o"
+        assert cli.main(["pipeline", "--config", write_cfg(tmp_path, doc), "--out",
+                         str(out)]) == 0
+        row = json.loads((out / "report.json").read_text())["rows"][0]
+        assert row["hyp_bias_budget"] is False
+        assert row["param_err"] > row["bias_bound_2p_budget"]
 
     @pytest.mark.parametrize("sub", ["pipeline", "extract"])
     def test_contaminant_within_budget_exit_0(self, tmp_path, sub):

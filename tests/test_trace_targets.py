@@ -83,11 +83,20 @@ def test_weights_computed_once_per_setup(monkeypatch):
     assert calls == [cfg.setup]
 
 
-def test_ell_sweep_op_is_one_batch():
+def test_ell_sweep_op_is_one_batch(monkeypatch):
     # one ell-sweep op: 40 points on one 201-sample grid form one batch, so
     # each sign is one extract call of five weighted inner products, while
-    # run_pipeline still runs once per point; each undamped Newton inversion
-    # evaluates the data map once per iterate
+    # run_pipeline still runs once per point.  The 40 inversions are one
+    # batched call of three undamped Newton steps per row, and the inverse
+    # constants are built once, at load, since no point moves the map or the
+    # M and Lambda box ranges
+    from ringlab import paramap
+    calls = {"invert_rows": 0, "inverse_constants": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(paramap, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(paramap, name, counted)
     workload = load_ringbench("workloads").make("ell-sweep")
     workload.prepare(None)
     report, metrics = traced_op(workload.run, workload.make_input(1, 0), None)
@@ -95,7 +104,8 @@ def test_ell_sweep_op_is_one_batch():
     assert metrics["pipeline.scenarios"] == 40
     assert metrics["extractor.extract_calls"] == 2
     assert metrics["signal_model.inner_calls"] == 10
-    assert metrics["paramap.data_map_evals"] == 160
+    assert calls == {"invert_rows": 1, "inverse_constants": 1}
+    assert sum(row["newton_iterations"] for row in report.rows) == 120
 
 
 def test_weights_computed_once_per_sweep(monkeypatch):
