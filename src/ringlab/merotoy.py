@@ -64,15 +64,16 @@ class RationalResolvent:
         hol = tuple(np.asarray(m, dtype=complex) for m in self.hol)
         object.__setattr__(self, "hol", hol)
 
-    def eval_many(self, omega: np.ndarray, vec: Optional[np.ndarray] = None) -> np.ndarray:
-        """Vectorized evaluation: (n,) frequencies -> (n, d) values of R(omega) vec.
+    def eval_many(self, omega: np.ndarray, vec: np.ndarray) -> np.ndarray:
+        """Vectorized evaluation: (n,) frequencies -> values of R(omega) vec.
 
-        Without vec it returns the (n, d, d) matrices R(omega).  The polynomial
-        part is Horner in omega and each pole Horner in 1/(omega - omega0),
-        over the fixed products hol_j vec and Pi^[q] vec.
+        A (d,) vec gives (n, d) values; a (d, m) vec, such as the identity,
+        gives (n, d, m) ones.  The polynomial part is Horner in omega and each
+        pole Horner in 1/(omega - omega0), over the fixed products hol_j vec
+        and Pi^[q] vec.
         """
         omega = np.asarray(omega, dtype=complex)
-        vec = np.eye(self.dim) if vec is None else np.asarray(vec, dtype=complex)
+        vec = np.asarray(vec, dtype=complex)
         w = omega.reshape(omega.shape + (1,) * vec.ndim)
         val = np.zeros(omega.shape + vec.shape, dtype=complex)
         for mat in reversed(self.hol):
@@ -141,19 +142,14 @@ class ForcingSpec:
             raise ConfigError("smoothness order k must be >= 1")
         object.__setattr__(self, "payload", np.asarray(self.payload, dtype=complex))
 
-    def bump(self, t):
-        t = np.asarray(t, dtype=float)
-        inside = (t > 0.0) & (t < 1.0)
-        val = np.where(inside, (t * (1.0 - t)) ** self.k * np.exp(self.alpha * t), 0.0)
-        return val
-
     @cached_property
     def _series(self) -> np.ndarray:
-        """Taylor coefficients B(k+q+1, k+1)/q!, q < _SERIES_TERMS, of the scalar in s."""
+        """Taylor coefficients B(k+q+1, k+1)/q! of the scalar in s, as many as
+        the Beta series takes at the largest |s| it serves."""
         k = self.k
         num, den = math.factorial(k) ** 2, math.factorial(2 * k + 1)  # B(k+1, k+1)
         out = []
-        for q in range(_SERIES_TERMS):
+        for q in range(_series_terms(_series_radius(k))):
             out.append(num / den)  # exact integers, one rounding
             num, den = num * (k + q + 1), den * (2 * k + q + 2) * (q + 1)
         return np.array(out)
@@ -172,7 +168,8 @@ class ForcingSpec:
 
         Batched: (n,) frequencies -> (n,) values, in closed form.  For
         |s| <= max(10, 1.5k) it sums the Beta series sum_q s^q B(k+q+1, k+1)/q!
-        (Horner, _SERIES_TERMS terms).  Beyond, integration by parts
+        by Horner, over the terms ``_series_terms`` takes at the batch's largest
+        such |s|.  Beyond, integration by parts
         terminates, because p = (t(1-t))^k has p^(r)(1) = (-1)^r p^(r)(0) and
         p^(r)(0) = 0 outside k <= r <= 2k: with x = 1/s,
         F = x^(k+1) [e^s Q(x) - (-1)^k Q(-x)],  Q(x) = sum_j p^(k+j)(0) x^j.
@@ -181,9 +178,11 @@ class ForcingSpec:
         """
         s = self.alpha + 1j * np.asarray(omega, dtype=complex)
         out = np.empty(s.shape, dtype=complex)
-        near = np.abs(s) <= max(10.0, 1.5 * self.k)
+        mag = np.abs(s)
+        near = mag <= _series_radius(self.k)
         if near.any():
-            out[near] = _horner(self._series, s[near])
+            n_terms = _series_terms(float(mag[near].max()))
+            out[near] = _horner(self._series[:n_terms], s[near])
         if not near.all():
             far = s[~near]
             x = 1.0 / far
@@ -195,7 +194,8 @@ class ForcingSpec:
         return out
 
     def transform(self, omega: np.ndarray) -> np.ndarray:
-        """F_hat(omega) = payload * integral of e^{i omega t} bump(t) over (0,1).
+        """F_hat(omega) = payload * integral over (0,1) of
+        e^{i omega t} (t(1-t))^k e^{alpha t} dt.
 
         Batched: (n,) frequencies -> (n, d) values, ``scalar`` times payload.
         """
@@ -211,9 +211,28 @@ def _horner(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
     return acc
 
 
-#: Terms of the Beta series: at |s| = 18, the largest radius it serves
-#: (k = 12), the last of them is below 1e-38 of the sum.
-_SERIES_TERMS = 96
+def _series_radius(k: int) -> float:
+    """The largest |s| at which ``ForcingSpec.scalar`` sums the Beta series."""
+    return max(10.0, 1.5 * k)
+
+
+#: the Beta series' truncation error, in units of its first term c_0 = F(s = 0)
+_SERIES_TAIL = 2.0 ** -60
+
+
+def _series_terms(radius: float) -> int:
+    """Fewest Beta-series terms n whose omitted tail is below _SERIES_TAIL c_0
+    at every |s| <= radius.
+
+    c_q = B(k+q+1, k+1)/q! <= c_0/q!, because B(k+q+1, k+1) <= B(k+1, k+1),
+    so the terms from q = n on sum to at most c_0 r^n/n! (n+1)/(n+1-r) at
+    |s| <= r, once n + 1 > r.
+    """
+    n, term = 0, 1.0  # term = radius^n / n!
+    while n + 1 <= radius or term * (n + 1) / (n + 1 - radius) > _SERIES_TAIL:
+        n += 1
+        term *= radius / n
+    return n
 
 
 # ---------------------------------------------------------------------------
@@ -297,32 +316,67 @@ def _eval_g_many(g: Optional[Callable], omega: np.ndarray) -> np.ndarray:
     return np.asarray(g(omega), dtype=complex)
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
+#: QUADPACK's qk21 rule on [-1, 1] (Piessens et al., 1983): the abscissae
+#: x >= 0 of the 21-point Kronrod rule, its weights, and the weights of the
+#: 10-point Gauss rule whose nodes are the abscissae _XGK[1::2]
+_XGK = (0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+        0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+        0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+        0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+        0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+        0.0)
+_WGK = (0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+        0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+        0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+        0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
+        0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+        0.149445554002916905664936468389821)
+_WG = (0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+       0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+       0.295524224714752870173892994651338)
 
-#: Nodes evaluated at once in one Gauss-Legendre pass: bounds the (T, n)
+
+def _gk21() -> Tuple[np.ndarray, np.ndarray]:
+    """qk21's 21 nodes, ascending, and its (2, 21) weight table: the K21
+    weights and the G10 weights, which are zero at the 11 Kronrod-only nodes."""
+    g10 = np.zeros(11)
+    g10[1::2] = _WG
+    half = np.array([_XGK, _WGK, g10])
+    full = np.concatenate([half[:, :-1], half[:, ::-1]], axis=1)
+    full[0, :10] *= -1.0
+    return full[0], full[1:]
+
+
+_GK_NODES, _GK_WEIGHTS = _gk21()
+
+#: Nodes evaluated at once in one Gauss-Kronrod pass: bounds the (T, n)
 #: phase matrix and (n, d) values a pass holds, whatever the truncation radius.
 _GL_BLOCK = 8192
 
 
 def _gl_line_sum(values: Callable, nu: float, times: np.ndarray, a: float, b: float,
-                 n_panels: int) -> np.ndarray:
-    """One composite Gauss-Legendre pass over sigma in [a, b] on Im(omega) = -nu.
+                 n_panels: int) -> Tuple[np.ndarray, np.ndarray]:
+    """One composite Gauss-Kronrod pass over sigma in [a, b] on Im(omega) = -nu.
 
-    values maps (n,) frequencies to (n, d); each block of nodes is evaluated
-    once and contracted with the (T, n) matrix e^{-i t omega} * weights, so
-    the pass returns the (T, d) integrals for every time.
+    values maps (n,) frequencies to (n, d); it is evaluated once at the 21
+    Kronrod nodes of every panel, block by block, and each block is
+    contracted with its (T, n) phase matrix e^{-i t omega} against both
+    weight sets of ``_GK_WEIGHTS``.  Returns the (T, d) K21 integrals for
+    every time and their (T,) distances from the embedded G10 integrals,
+    the error estimate of the less accurate rule.
     """
     edges = np.linspace(a, b, n_panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1] - edges[0])
-    omega = (mid[:, None] + half * _GL_NODES[None, :]).ravel() - 1j * nu
-    wts = np.tile(half * _GL_WEIGHTS, n_panels)
+    omega = (mid[:, None] + half * _GK_NODES[None, :]).ravel() - 1j * nu
+    wts = np.tile(half * _GK_WEIGHTS, n_panels)
     total = 0.0
     for lo in range(0, omega.size, _GL_BLOCK):
         w = omega[lo:lo + _GL_BLOCK]
-        phase = np.exp(-1j * np.multiply.outer(times, w)) * wts[lo:lo + _GL_BLOCK]
-        total = total + phase @ values(w)
-    return total
+        phase = np.exp(-1j * np.multiply.outer(times, w))
+        total = total + phase @ (wts[:, lo:lo + _GL_BLOCK, None] * values(w))
+    kronrod, gauss = total
+    return kronrod, np.linalg.norm(kronrod - gauss, axis=1)
 
 
 def _integrand(resolvent: RationalResolvent, forcing: ForcingSpec,
@@ -339,17 +393,18 @@ def line_integral(resolvent: RationalResolvent, forcing: ForcingSpec, g: Optiona
 
     (1/2 pi) * integral over |sigma| <= sigma_max of
         e^{-i omega t} g(omega) R(omega) F_hat(omega),  omega = sigma - i nu,
-    for every t of the (T,) array times, by composite Gauss-Legendre with
-    panels sized to the e^{-i sigma t} oscillation of the largest t (the
-    integrand is analytic, so a ten-point rule per half wavelength converges
-    spectrally).  Only the phase depends on t, so g R F_hat is evaluated once
-    per pass and shared by every time.  The passes use n, 2n, 8n, 16n and
-    32n panels and stop at the first whose change from the previous one is
-    at most tol for every time.  Returns ((T, d) values, (T,) truncation
-    estimates): an estimate extrapolates the integrand envelope beyond the
-    truncation radius from its measured algebraic decay.  F_hat is the
-    forcing's scalar times its payload; g, when given, maps (n,)
-    frequencies to (n,) values.
+    for every t of the (T,) array times, by a composite G10/K21 Gauss-Kronrod
+    pair with panels sized to the e^{-i sigma t} oscillation of the largest t
+    (the integrand is analytic, so the rules converge spectrally).  Only the
+    phase depends on t, so g R F_hat is evaluated once per pass and shared by
+    every time, and one set of 21 nodes per panel gives both the K21 value
+    and its error estimate, the distance to the embedded G10 value.  The
+    passes use n, 2n, 4n, 8n and 16n panels and stop at the first whose
+    estimate is at most tol for every time; the last pass's K21 value is
+    returned.  Returns ((T, d) values, (T,) truncation estimates): an
+    estimate extrapolates the integrand envelope beyond the truncation radius
+    from its measured algebraic decay.  F_hat is the forcing's scalar times
+    its payload; g, when given, maps (n,) frequencies to (n,) values.
     """
     times = _as_times(times)
     _check_line_clear(resolvent, nu)
@@ -357,22 +412,14 @@ def line_integral(resolvent: RationalResolvent, forcing: ForcingSpec, g: Optiona
     def values(w):
         return _integrand(resolvent, forcing, g, w) / (2.0 * np.pi)
 
-    def level(n):
-        return _gl_line_sum(values, nu, times, -sigma_max, sigma_max, n)
-
-    def change(fine, coarse):
-        return float(np.max(np.linalg.norm(fine - coarse, axis=1)))
-
     plen = min(4.0, 8.0 / max(float(times.max()), 1.0))
     n_panels = max(8, int(np.ceil(2.0 * sigma_max / plen)))
-    coarse = level(n_panels)
-    fine = level(2 * n_panels)
-    step = 2
-    while change(fine, coarse) > max(tol, 1e-14) and step < 16:
-        coarse = fine
-        step *= 2
-        fine = level(step * 2 * n_panels)
-    return fine, _tail_estimate(resolvent, forcing, g, nu, times, sigma_max)
+    for step in (1, 2, 4, 8, 16):
+        value, error = _gl_line_sum(values, nu, times, -sigma_max, sigma_max,
+                                    step * n_panels)
+        if error.max() <= max(tol, 1e-14):
+            break
+    return value, _tail_estimate(resolvent, forcing, g, nu, times, sigma_max)
 
 
 def _tail_estimate(resolvent: RationalResolvent, forcing: ForcingSpec,

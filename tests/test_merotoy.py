@@ -8,11 +8,18 @@ from ringlab import merotoy as mt
 from ringlab.errors import ConfigError, ContourError, ResolutionError, StructureError
 
 
+def bump(f: mt.ForcingSpec, t):
+    """The forcing's profile (t(1-t))^k e^{alpha t} on (0,1), zero outside."""
+    t = np.asarray(t, dtype=float)
+    inside = (t > 0.0) & (t < 1.0)
+    return np.where(inside, (t * (1.0 - t)) ** f.k * np.exp(f.alpha * t), 0.0)
+
+
 def forcing_transform(f: mt.ForcingSpec, omega: complex, tol: float = 1e-10) -> np.ndarray:
     """F_hat(omega) = payload * integral of e^{i omega t} bump(t) dt, by adaptive
     quadrature: the oracle for the closed-form transform."""
     def integrand(t):
-        return np.exp(1j * omega * t) * f.bump(t)
+        return np.exp(1j * omega * t) * bump(f, t)
 
     val, _ = quad(integrand, 0.0, 1.0, epsabs=1e-15, epsrel=tol,
                   limit=200, complex_func=True)
@@ -95,7 +102,7 @@ class TestFactoredResolvent:
                 vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
                 omega = rng.uniform(-30.0, 30.0, 200) - 1j * rng.uniform(0.0, 3.0, 200)
                 got = R.eval_many(omega, vec)
-                want = R.eval_many(omega) @ vec
+                want = R.eval_many(omega, np.eye(dim)) @ vec
                 assert got.shape == (200, dim)
                 err = np.linalg.norm(got - want, axis=1) / np.linalg.norm(want, axis=1)
                 assert err.max() < 1e-13
@@ -109,7 +116,7 @@ class TestFactoredResolvent:
             mt.Pole(omega=-0.5 - 1.5j, order=2, laurent=(pi1.T, a2))),
             hol=(h0, h1), dim=2)
         omega = np.array([0.3 - 0.2j, 4.0 + 0.0j, -2.5 - 3.0j])
-        got = R.eval_many(omega)
+        got = R.eval_many(omega, np.eye(2))
         for w, val in zip(omega, got):
             want = (h0 + w * h1 + pi1 / (w - (1 - 1j))
                     + pi1.T / (w - (-0.5 - 1.5j)) + a2 / (w - (-0.5 - 1.5j)) ** 2)
@@ -196,6 +203,65 @@ class TestLineIntegral:
             poles=(mt.Pole(omega=1 - 1j, order=1, laurent=(np.eye(1),)),), dim=1)
         with pytest.raises(ContourError):
             mt.line_integral(R, mt.ForcingSpec(k=6, payload=np.ones(1)), None, 1.0, [1.0])
+
+
+class TestGaussKronrod:
+    """The hand-copied qk21 constants and the stop rule they serve."""
+
+    @staticmethod
+    def moment_errors(weights, degree):
+        # |sum_i w_i x_i^j - integral of x^j over [-1, 1]|, j = 0..degree
+        j = np.arange(degree + 1)
+        exact = np.where(j % 2 == 0, 2.0 / (j + 1), 0.0)
+        return np.abs(mt._GK_NODES[None, :] ** j[:, None] @ weights - exact)
+
+    def test_k21_exact_to_degree_31(self):
+        assert self.moment_errors(mt._GK_WEIGHTS[0], 31).max() < 1e-14
+
+    def test_embedded_g10_exact_to_degree_19(self):
+        assert self.moment_errors(mt._GK_WEIGHTS[1], 19).max() < 1e-14
+
+    def test_embedded_g10_is_gauss_legendre(self):
+        x, w = np.polynomial.legendre.leggauss(10)
+        gauss = mt._GK_WEIGHTS[1] != 0.0
+        assert np.count_nonzero(gauss) == 10
+        assert np.abs(mt._GK_NODES[gauss] - x).max() < 1e-15
+        assert np.abs(mt._GK_WEIGHTS[1][gauss] - w).max() < 1e-15
+
+    def test_accepted_pass_within_tol_of_finer_one(self, monkeypatch):
+        # criterion 08's models: on every line the K21 value the stop rule
+        # accepts is within tol, at every time, of the K21 value on four
+        # times as many panels
+        tol = 1e-8
+        lines = []
+        line_integral, line_sum = mt.line_integral, mt._gl_line_sum
+
+        def tracked_line(*args, **kwargs):
+            lines.append([])
+            return line_integral(*args, **kwargs)
+
+        def tracked_sum(values, nu, times, a, b, n_panels):
+            out = line_sum(values, nu, times, a, b, n_panels)
+            lines[-1].append(((values, nu, times, a, b, n_panels), out[0]))
+            return out
+
+        monkeypatch.setattr(mt, "line_integral", tracked_line)
+        monkeypatch.setattr(mt, "_gl_line_sum", tracked_sum)
+        for idx in range(50):
+            rng = np.random.default_rng(800 + idx)
+            dim = int(rng.integers(1, 4))
+            resolvent = mt.random_rational_resolvent(
+                rng, dim=dim, n_poles=int(rng.integers(1, 6)), max_order=2)
+            forcing = mt.ForcingSpec(k=6, payload=rng.standard_normal(dim)
+                                     + 1j * rng.standard_normal(dim))
+            mt.band_subtract(resolvent, forcing, None, 0.3, 2.3, (1.0, 2.0, 5.0), tol=tol)
+        assert len(lines) == 100
+        worst = 0.0
+        for passes in lines:
+            (values, nu, times, a, b, n_panels), accepted = passes[-1]
+            reference, _ = line_sum(values, nu, times, a, b, 4 * n_panels)
+            worst = max(worst, float(np.linalg.norm(accepted - reference, axis=1).max()))
+        assert worst <= tol
 
 
 class TestBandSubtract:
@@ -305,8 +371,8 @@ class TestTimesBatch:
 
     def test_refinement_stops_on_convergence_not_noise(self, monkeypatch):
         # poles close to the line nu = 0.3: an F_hat with a rounding error of
-        # about 1e-8 made the t = 1 refinement stop at a random level, and
-        # [1, 2, 5] evaluated 77 508 nodes against 37 508 for [5] alone
+        # about 1e-8 made the t = 1 refinement stop at a random level, so
+        # [1, 2, 5] evaluated more nodes than [5] alone
         rng = np.random.default_rng(1)
         R = mt.random_rational_resolvent(rng, dim=2, n_poles=4, max_order=2)
         forcing = mt.ForcingSpec(k=6, payload=rng.standard_normal(2)
@@ -324,7 +390,7 @@ class TestTimesBatch:
             nodes.clear()
             mt.band_subtract(R, forcing, None, 0.3, 2.3, times, sigma_max=100.0)
             counts.append(sum(nodes))
-        assert counts == [37508, 37508]
+        assert counts == [21008, 21008]
 
     @pytest.mark.parametrize("times", [1.0, [], [[1.0]], [1.0, 0.0], [-2.0]])
     def test_bad_times_rejected(self, times):
