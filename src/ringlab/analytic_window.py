@@ -52,12 +52,11 @@ class PseudopoleSet:
 
 @dataclass(frozen=True)
 class WindowPolynomial:
-    """(omega/target_value)^m0 times the Lagrange weight of the target node."""
+    """(omega/z_target)^m0 times the Lagrange weight of the target node z_target."""
 
     nodes: PseudopoleSet
     target: int
     m0: int = 0
-    target_value: complex = 1.0 + 0.0j
 
     def __post_init__(self):
         if not (0 <= self.target < len(self.nodes)):
@@ -69,8 +68,8 @@ class WindowPolynomial:
 
     @property
     def target_power(self) -> complex:
-        """target_value^m0; numpy's power overflows to inf where Python's raises."""
-        return complex(np.complex128(self.target_value) ** self.m0)
+        """z_target^m0; numpy's power overflows to inf where Python's raises."""
+        return complex(np.complex128(self.nodes.nodes[self.target]) ** self.m0)
 
     @property
     def degree(self) -> int:
@@ -86,7 +85,7 @@ class WindowPolynomial:
                 continue
             val = val * (omega - zj) / (zt - zj)
         if self.m0:
-            val = val * (omega / self.target_value) ** self.m0
+            val = val * (omega / zt) ** self.m0
         return val if val.shape else complex(val)
 
     def coefficients(self) -> np.ndarray:
@@ -121,8 +120,7 @@ class WindowPolynomial:
 
 def lagrange_weight(nodes: PseudopoleSet, m: int) -> WindowPolynomial:
     """Degree-n Lagrange weight: 1 at node m, 0 at the other nodes."""
-    return WindowPolynomial(nodes=nodes, target=m, m0=0,
-                            target_value=nodes.nodes[m])
+    return WindowPolynomial(nodes=nodes, target=m, m0=0)
 
 
 def modified_window(nodes: PseudopoleSet, target: Optional[int] = None,
@@ -136,12 +134,7 @@ def modified_window(nodes: PseudopoleSet, target: Optional[int] = None,
     n = len(nodes) - 1
     target = n if target is None else target
     m0 = n + 2 if m0 is None else m0
-    if not 0 <= target <= n:
-        raise ConfigError("target index out of range")
-    zt = nodes.nodes[target]
-    if zt == 0:
-        raise ConfigError("target node at omega = 0: normalizer vanishes")
-    return WindowPolynomial(nodes=nodes, target=target, m0=m0, target_value=zt)
+    return WindowPolynomial(nodes=nodes, target=target, m0=m0)
 
 
 def growth_profile(w: WindowPolynomial, nu: float, sigma_grid: Sequence[float],

@@ -313,8 +313,10 @@ class ScenarioConfig:
             self.model = pm.default_lattice(
                 kappa=lat["kappa"], lam_kind=lat["damping"]["kind"],
                 lam_value=lat["damping"]["value"], n=lat["overtone"], ell=lat["ell"])
-            self.p_true = pm.ParameterPoint(m=lat["M"], a=lat["a"], lam=lat["Lambda"])
-            self._build_inversion()
+            p_true = pm.ParameterPoint(m=lat["M"], a=lat["a"], lam=lat["Lambda"])
+            if p_true != getattr(self, "p_true", None):
+                self.p_true = p_true
+                self._build_inversion()
             self._build_windows()
         if "tail" in sections:
             tail = data["tail"]
@@ -379,9 +381,9 @@ class ScenarioConfig:
 
         Only the objects built from the swept section are rebuilt: a point
         off the observation axes keeps the base's setup object, so every
-        such point shares its grid and taper weights, and a point that keeps
-        the map and the M and Lambda box ranges keeps the base's inverse
-        constants.
+        such point shares its grid and taper weights; an ell point keeps the
+        base's true point, guess and box; and a point that keeps the map and
+        the M and Lambda box ranges keeps the base's inverse constants.
         """
         section, key = _SWEEP_LEAVES[self.data["sweep"]["axis"]]
         sec = self.data[section]

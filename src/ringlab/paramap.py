@@ -111,35 +111,25 @@ class LatticeModel:
         if self.n < 0 or self.ell < 1:
             raise ConfigError("need overtone n >= 0 and ell >= 1")
 
-    def u_fn(self, p: ParameterPoint) -> float:
-        return photon_sphere_frequency(p.m, p.lam)
-
-    def v_fn(self, p: ParameterPoint) -> float:
-        return self.kappa * p.a
-
-    def lam_fn(self, p: ParameterPoint) -> float:
-        if self.lam_kind == "photon_sphere":
-            return self.u_fn(p)
-        if self.lam_kind == "gap_over_mass":
-            return (1.0 - 9.0 * p.lam * p.m**2) / p.m
-        return self.lam_value
+    def uvl(self, m, a, s) -> tuple:
+        """(u, v, lam) at mass m, rotation a and s = 1 - 9 Lambda M^2, as floats
+        or as arrays: the one statement of the lattice formula.  The values
+        are not checked; ParameterPoint says where the map is defined."""
+        u = _photon_u(m, s)
+        lam = (u if self.lam_kind == "photon_sphere" else s / m
+               if self.lam_kind == "gap_over_mass" else self.lam_value)
+        return u, self.kappa * a, lam
 
     def data_map(self, p: ParameterPoint, three_param: bool) -> np.ndarray:
-        if three_param:
-            return np.array([self.u_fn(p), self.v_fn(p), self.lam_fn(p)])
-        return np.array([self.u_fn(p), self.v_fn(p)])
+        return np.array(self.uvl(p.m, p.a, 1.0 - 9.0 * p.lam * p.m**2)[:3 if three_param else 2])
 
     def data_rows(self, m: np.ndarray, a: np.ndarray, s: np.ndarray,
                   three_param: bool) -> np.ndarray:
         """:meth:`data_map` at the points (m, a[, Lambda]) with s = 1 - 9 Lambda M^2:
-        (B, 2 or 3).  The points are not checked; ParameterPoint says where
-        the map is defined."""
+        (B, 2 or 3)."""
         out = np.empty((len(m), 3 if three_param else 2))
-        out[:, 0] = u = _photon_u(m, s)
-        out[:, 1] = self.kappa * a
-        if three_param:
-            out[:, 2] = (u if self.lam_kind == "photon_sphere" else s / m
-                         if self.lam_kind == "gap_over_mass" else self.lam_value)
+        for col, val in zip(out.T, self.uvl(m, a, s)):
+            col[:] = val
         return out
 
     def jacobian(self, p: ParameterPoint, three_param: bool) -> np.ndarray:
@@ -178,8 +168,8 @@ def pseudopole(model: LatticeModel, j: int, sign: int, p: ParameterPoint) -> com
         raise ConfigError("sign must be +1 or -1")
     if j < 0:
         raise ConfigError("overtone index must be nonnegative")
-    u, v, lam = model.u_fn(p), model.v_fn(p), model.lam_fn(p)
-    return model.ell * (u + sign * v) - 1j * (j + 0.5) * lam
+    u, v, lam = model.uvl(p.m, p.a, 1.0 - 9.0 * p.lam * p.m**2)
+    return complex(model.ell * (u + sign * v) - 1j * (j + 0.5) * lam)
 
 
 def observables(omega_plus: complex, omega_minus: complex, ell: int, n: int) -> dict:

@@ -42,19 +42,26 @@ from .report import RunReport
 
 @dataclass
 class Scenario:
-    """A config and the noise both its sectors add, sampled once on the batch's grid."""
+    """A config, its scene grid and the noise both its sectors add, sampled
+    once on that grid."""
 
     cfg: ScenarioConfig
+    grid: np.ndarray
     noise_samples: Optional[np.ndarray]  # None if zero
     noise_l2: float  # its norm over the window: both sectors' budgets use it
 
 
 def _scenario(cfg: ScenarioConfig, setup: sm.ObservationSetup) -> Scenario:
-    """``cfg`` with its noise sampled on ``setup``, a setup equal to cfg.setup."""
-    samples = None if cfg.noise.is_zero else cfg.noise.eval(setup.grid())
+    """``cfg`` with its noise sampled on its scene grid: the grid of ``setup``
+    (a setup equal to cfg.setup) widened by cfg.fd_pad steps on each side,
+    which the fd window trims.  Off the fd path that is setup.grid() itself."""
+    t, pad = setup.grid(), cfg.fd_pad
+    if pad:
+        t = max(setup.t0 - pad * setup.dt, 0.0) + setup.dt * np.arange(len(t) + 2 * pad)
+    samples = None if cfg.noise.is_zero else cfg.noise.eval(t)
     noise_l2 = 0.0 if samples is None else sm.residual_l2(
-        sm.SampledSignal(t_start=setup.t0, dt=setup.dt, values=samples), setup)
-    return Scenario(cfg=cfg, noise_samples=samples, noise_l2=noise_l2)
+        sm.SampledSignal(t_start=float(t[0]), dt=setup.dt, values=samples), setup)
+    return Scenario(cfg=cfg, grid=t, noise_samples=samples, noise_l2=noise_l2)
 
 
 @dataclass
@@ -68,26 +75,17 @@ class SectorResult:
 @dataclass
 class _SectorScene:
     """One sector of one scenario, up to its samples: the modes of the scene
-    (modes[0] the target, windowed on the modal path), the reference, the
-    prior and, on the fd path, the filtered samples."""
+    (modes[0] the target, windowed on the modal path), the reference and the
+    prior."""
 
     scn: Scenario
     modes: list
     omega_true: complex
     amp_ref: complex
     prior: complex
-    fd_signal: Optional[sm.SampledSignal]
 
 
-def _sample_extended(modes, tail, noise, setup: sm.ObservationSetup,
-                     pad_steps: int) -> sm.SampledSignal:
-    n = setup.n_samples + 2 * pad_steps
-    t = max(setup.t0 - pad_steps * setup.dt, 0.0) + setup.dt * np.arange(n + 1)
-    vals = np.atleast_1d(sm.eval_scene(modes, tail, noise, t))
-    return sm.SampledSignal(t_start=float(t[0]), dt=setup.dt, values=vals)
-
-
-def _sector_scene(sign: int, scn: Scenario, setup: sm.ObservationSetup) -> _SectorScene:
+def _sector_scene(sign: int, scn: Scenario) -> _SectorScene:
     cfg, win = scn.cfg, scn.cfg["window"]
     model, p_true = cfg.model, cfg.p_true
     pole_offset = cfg["lattice"]["pole_offset"]
@@ -102,21 +100,17 @@ def _sector_scene(sign: int, scn: Scenario, setup: sm.ObservationSetup) -> _Sect
                              amp=cont["amp"]))
 
     window_gain = 1.0 + 0.0j
-    fd_signal = None
     if win["enabled"]:
         gpoly = cfg.windows[sign]
         window_gain = complex(gpoly(omega_true))
         if win["path"] == "modal":
             modes = aw.apply_window_modal(modes, gpoly)
-        else:
-            raw = _sample_extended(modes, cfg.tail, cfg.noise, setup, cfg.fd_pad)
-            fd_signal = aw.apply_window_fd(raw, gpoly, stencil_order=win["stencil_order"])
 
     prior = pole
     if cfg["extraction"]["prior"] == "offset":
         prior = prior + cfg["extraction"]["prior_offset"]
     return _SectorScene(scn=scn, modes=modes, omega_true=omega_true,
-                        amp_ref=amp * window_gain, prior=prior, fd_signal=fd_signal)
+                        amp_ref=amp * window_gain, prior=prior)
 
 
 def _run_sectors(sign: int, scns: list, setup: sm.ObservationSetup) -> list:
@@ -124,36 +118,40 @@ def _run_sectors(sign: int, scns: list, setup: sm.ObservationSetup) -> list:
     or the RinglabError that ends it, per scenario.
 
     The rows are synthesised as one (B, N) array and extracted in one call;
-    every row comes out bit for bit as it would alone.  The reference
-    term of each row is synthesised once: the scene is built from it and
-    extract subtracts it.  Every step checks its rows in the order a single
+    every row comes out bit for bit as it would alone.  Off the fd path the
+    reference term of each row is synthesised once: the scene is built from
+    it and extract subtracts it.  Every step checks its rows in the order a single
     sector raises its errors.  The scenarios of a batch share the config
     sections no sweep varies, so the first one stands for all of them there.
     """
     if not scns:
         return []
-    secs = [_sector_scene(sign, scn, setup) for scn in scns]
+    cfg = scns[0].cfg
+    secs = [_sector_scene(sign, scn) for scn in scns]
     ecfg = ex.ExtractionConfig(setup=setup, prior=[sec.prior for sec in secs],
-                               amp_floor=scns[0].cfg["extraction"]["amp_floor"])
+                               amp_floor=cfg["extraction"]["amp_floor"])
 
-    t = setup.grid()
+    t, scene_t = setup.grid(), scns[0].grid
     refs = [sm.Mode(freq=sec.omega_true, amp=sec.amp_ref) for sec in secs]
     y0 = sm.mode_rows(refs, t)
-    others = [sm.mode_rows(column, t) for column in zip(*(sec.modes[1:] for sec in secs))]
-    if secs[0].fd_signal is not None:
-        y = sm.SampledSignal(t_start=secs[0].fd_signal.t_start, dt=setup.dt,
-                             values=np.stack([sec.fd_signal.values for sec in secs]))
-    else:
-        values = y0.copy()
-        for term in others:
-            values += term
-        tail = secs[0].scn.cfg.tail
-        if not tail.is_zero:
-            values += tail.eval(t)
-        for row, sec in zip(values, secs):
-            if sec.scn.noise_samples is not None:
-                row += sec.scn.noise_samples
-        y = sm.SampledSignal(t_start=setup.t0, dt=setup.dt, values=values)
+    columns = list(zip(*(sec.modes[1:] for sec in secs)))
+    others = [sm.mode_rows(column, t) for column in columns]
+    # the fd window filters the scene of the unwindowed target on the padded
+    # grid; elsewhere the target term is the reference
+    fd = _fd_window(cfg)
+    values = sm.mode_rows([sec.modes[0] for sec in secs], scene_t) if fd else y0.copy()
+    for column, term in zip(columns, others):
+        values += sm.mode_rows(column, scene_t) if fd else term
+    if not cfg.tail.is_zero:
+        values += cfg.tail.eval(scene_t)
+    for row, sec in zip(values, secs):
+        if sec.scn.noise_samples is not None:
+            row += sec.scn.noise_samples
+    y = sm.SampledSignal(t_start=float(scene_t[0]), dt=setup.dt, values=values)
+    if fd:  # each row through its own point's window: the pseudopoles move with ell
+        rows = [aw.apply_window_fd(sm.SampledSignal(y.t_start, y.dt, row), sec.scn.cfg.windows[sign],
+                                   cfg["window"]["stencil_order"]) for row, sec in zip(values, secs)]
+        y = sm.SampledSignal(rows[0].t_start, y.dt, np.stack([row.values for row in rows]))
     results = ex.extract(y, ecfg, y0_reference=refs,
                          y0=sm.SampledSignal(t_start=setup.t0, dt=setup.dt, values=y0))
 

@@ -53,11 +53,7 @@ class Mode:
             raise ConfigError("poly_degree must be a nonnegative integer")
 
     def eval(self, t):
-        t = np.asarray(t, dtype=float)
-        val = self.amp * np.exp(-1j * self.freq * t)
-        if self.poly_degree:
-            val = val * t**self.poly_degree
-        return val
+        return mode_rows([self], t)[0]
 
 
 @dataclass(frozen=True)
@@ -259,8 +255,8 @@ def eval_scene(modes: Sequence[Mode], tail: TailSpec, noise: NoiseSpec, t):
     if np.any(t < 0):
         raise ConfigError("scenes are defined for t >= 0")
     val = np.zeros(t.shape, dtype=complex)
-    for mode in modes:
-        val = val + mode.eval(t)
+    for row in mode_rows(modes, t):
+        val = val + row
     if not tail.is_zero:
         val = val + tail.eval(t)
     if not noise.is_zero:
@@ -363,18 +359,20 @@ def shift(f: SampledSignal, delta: float) -> SampledSignal:
 
 
 def mode_rows(modes: Sequence[Mode], t) -> np.ndarray:
-    """One mode per row: the (B, len(t)) array whose row b is
-    eval_scene([modes[b]], ZERO_TAIL, ZERO_NOISE, t) bit for bit, from one
-    exponential over the whole batch."""
+    """The one evaluator of damped exponentials (Mode.eval and eval_scene call
+    it): the (B, *t.shape) array whose row b is modes[b] at t, from one
+    exponential over the whole batch.  Its operations keep the committed
+    report digests: -1j * freq in Python complex arithmetic, the amplitude
+    multiplied last, and 0.0j added, so a -0.0 part reads 0.0."""
     t = np.asarray(t, dtype=float)
-    # -1j * freq in Python complex arithmetic, as Mode.eval forms it
-    phase = np.array([-1j * m.freq for m in modes], dtype=complex)[:, None]
-    amps = np.array([m.amp for m in modes], dtype=complex)[:, None]
+    shape = (len(modes),) + (1,) * t.ndim
+    phase = np.array([-1j * m.freq for m in modes], dtype=complex).reshape(shape)
+    amps = np.array([m.amp for m in modes], dtype=complex).reshape(shape)
     vals = np.multiply(amps, np.exp(np.multiply(phase, t)))
-    for row, mode in zip(vals, modes):
+    for b, mode in enumerate(modes):
         if mode.poly_degree:
-            row *= t**mode.poly_degree
-    return 0.0j + vals  # eval_scene's sum starts from zeros: a -0.0 becomes 0.0
+            vals[b] *= t**mode.poly_degree
+    return 0.0j + vals
 
 
 def mode_energy_lower_bound(amp: complex, freq: complex,

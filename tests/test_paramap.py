@@ -124,9 +124,37 @@ class TestObservables:
             wp = pm.pseudopole(model, model.n, +1, p)
             wm = pm.pseudopole(model, model.n, -1, p)
             obs = pm.observables(wp, wm, model.ell, model.n)
-            assert abs(obs["U"] - model.u_fn(p)) < 1e-12
-            assert abs(obs["V"] - model.v_fn(p)) < 1e-12
-            assert abs(obs["W"] - model.lam_fn(p)) < 1e-12
+            u, v, lam = model.data_map(p, True)
+            assert abs(obs["U"] - u) < 1e-12
+            assert abs(obs["V"] - v) < 1e-12
+            assert abs(obs["W"] - lam) < 1e-12
+
+
+class TestLatticeFormula:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_data_map_rows_and_pseudopoles_agree(self, kind):
+        # one formula: the map that places the pseudopoles is, bit for bit,
+        # the map that Newton inverts
+        rng = np.random.default_rng(KINDS.index(kind))
+        model = pm.default_lattice(kappa=rng.uniform(0.1, 2.0), lam_kind=kind,
+                                   lam_value=rng.uniform(0.05, 0.5), n=2,
+                                   ell=int(rng.integers(1, 300)))
+        points = []
+        for _ in range(50):
+            m = rng.uniform(0.1, 3.0)
+            points.append(pm.ParameterPoint(m=m, a=rng.uniform(-0.3, 0.3),
+                                            lam=rng.uniform(0.0, 0.99) / (9.0 * m * m)))
+        m, a = np.array([p.m for p in points]), np.array([p.a for p in points])
+        s = np.array([1.0 - 9.0 * p.lam * p.m**2 for p in points])
+        rows3, rows2 = model.data_rows(m, a, s, True), model.data_rows(m, a, s, False)
+        for p, row3, row2 in zip(points, rows3, rows2):
+            u, v, lam = model.data_map(p, True)
+            assert row3.tolist() == [u, v, lam] and row2.tolist() == [u, v]
+            assert model.data_map(p, False).tolist() == [u, v]
+            for j in range(model.n + 1):
+                for sign in (+1, -1):
+                    assert pm.pseudopole(model, j, sign, p) == \
+                        complex(model.ell * (u + sign * v), -(j + 0.5) * lam)
 
 
 class TestEstimatedData:
@@ -163,7 +191,7 @@ class TestInvertData:
     def test_fixed_point(self):
         model = lattice_2p()
         p = pm.ParameterPoint(m=1.0, a=0.08, lam=0.02)
-        data = {"U": model.u_fn(p), "V": model.v_fn(p)}
+        data = dict(zip("UV", model.data_map(p, True)))
         out = pm.invert_data(model, data, p)
         assert out["iterations"] <= 1
         assert abs(out["point"].m - p.m) < 1e-12
@@ -173,7 +201,7 @@ class TestInvertData:
         for _ in range(20):
             p = pm.ParameterPoint(m=rng.uniform(0.9, 1.1),
                                   a=rng.uniform(0.02, 0.12), lam=0.02)
-            data = {"U": model.u_fn(p), "V": model.v_fn(p)}
+            data = dict(zip("UV", model.data_map(p, True)))
             guess = pm.ParameterPoint(m=p.m * 1.01, a=p.a * 1.01, lam=0.02)
             out = pm.invert_data(model, data, guess)
             err = np.hypot(out["point"].m - p.m, out["point"].a - p.a)
@@ -186,7 +214,7 @@ class TestInvertData:
         # products: no np.linalg.norm call is made
         model = lattice_2p()
         p = pm.ParameterPoint(m=1.0, a=0.08, lam=0.02)
-        data = {"U": model.u_fn(p), "V": model.v_fn(p)}
+        data = dict(zip("UV", model.data_map(p, True)))
         guess = pm.ParameterPoint(m=1.01, a=0.08 * 1.01 + 0.001, lam=0.02)
         counts = {"data_rows": 0, "norm": 0}
         data_rows, norm = pm.LatticeModel.data_rows, np.linalg.norm
@@ -209,7 +237,7 @@ class TestInvertData:
     def test_three_parameter_round_trip(self):
         model = lattice_3p()
         p = pm.ParameterPoint(m=1.0, a=0.08, lam=0.02)
-        data = {"U": model.u_fn(p), "V": model.v_fn(p), "W": model.lam_fn(p)}
+        data = dict(zip("UVW", model.data_map(p, True)))
         guess = pm.ParameterPoint(m=1.02, a=0.081, lam=0.021)
         out = pm.invert_data(model, data, guess)
         assert abs(out["point"].m - 1.0) < 1e-10
@@ -220,7 +248,7 @@ class TestInvertData:
         # |a| >= a1 restriction of the three-parameter regime
         model = lattice_2p()
         p = pm.ParameterPoint(m=1.0, a=0.0, lam=0.02)
-        data = {"U": model.u_fn(p), "V": -1e-3}  # perturbed split, a < 0
+        data = {"U": model.data_map(p, True)[0], "V": -1e-3}  # perturbed split, a < 0
         guess = pm.ParameterPoint(m=1.0, a=0.01, lam=0.02)
         with pytest.raises(InversionError):
             pm.invert_data(model, data, guess, box=[(0.9, 1.1), (0.0, 0.2)])
@@ -229,7 +257,7 @@ class TestInvertData:
         # default lam = photon-sphere frequency duplicates U: singular 3p map
         model = pm.default_lattice(kappa=0.3, lam_kind="photon_sphere")
         p = pm.ParameterPoint(m=1.0, a=0.08, lam=0.02)
-        data = {"U": model.u_fn(p), "V": model.v_fn(p), "W": model.lam_fn(p) + 1e-4}
+        data = dict(zip("UVW", model.data_map(p, True) + [0.0, 0.0, 1e-4]))
         with pytest.raises(InversionError):
             pm.invert_data(model, data,
                            pm.ParameterPoint(m=1.01, a=0.081, lam=0.021))
@@ -421,7 +449,7 @@ class TestInverseConstants:
         with pytest.raises(InversionError):
             pm.inverse_constants(model, box)
         p = pm.ParameterPoint(m=1.0, a=0.08, lam=0.02)
-        data = {"U": model.u_fn(p), "V": model.v_fn(p), "W": model.lam_fn(p) + 1e-4}
+        data = dict(zip("UVW", model.data_map(p, True) + [0.0, 0.0, 1e-4]))
         with pytest.raises(InversionError):
             pm.invert_data(model, data, pm.ParameterPoint(m=1.01, a=0.081, lam=0.021))
 

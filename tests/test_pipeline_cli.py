@@ -11,6 +11,7 @@ import pytest
 import yaml
 
 from ringlab import cli, config, pipeline
+from ringlab import signal_model as sm
 from ringlab.config import ScenarioConfig, load_config
 from ringlab.errors import ConfigError
 from ringlab.pipeline import run_pipeline, run_subcommand, run_sweep
@@ -70,6 +71,15 @@ SWEEPS = {
         observation={"T0": 4.0, "T": 10.0, "Delta": 1.0, "dt": 0.025},
         modes={"contaminants": [{"j": 0, "sign": 1, "amp": [0.5, 0.0]}]},
         tail={"c": 0.01, "nu": 0.5, "m": 0},
+        window={"enabled": True, "n": 1, "m0": 2, "path": "fd", "stencil_order": 8},
+        sweep={"axis": "ell", "values": [16, 20, 24]}),
+    # batched fd rows with noise: each row is filtered by its own point's window
+    "ell_fd_window_noise": dict(
+        with_section("lattice", overtone=1),
+        observation={"T0": 4.0, "T": 10.0, "Delta": 1.0, "dt": 0.025},
+        modes={"contaminants": [{"j": 0, "amp": [0.5, 0.0]}]},
+        tail={"c": 0.01, "nu": 0.5, "m": 0},
+        noise={"harmonics": [[0.001, 3.0, 0.4]]},
         window={"enabled": True, "n": 1, "m0": 2, "path": "fd", "stencil_order": 8},
         sweep={"axis": "ell", "values": [16, 20, 24]}),
     # the middle value drowns the mode: its +1 sector fails branch selection
@@ -173,6 +183,14 @@ class TestConfig:
         ell = ScenarioConfig(raw=SWEEPS["ell"])
         assert all(p.consts is cfg.consts for p in cfg.points)
         assert all(p.consts is ell.consts for p in ell.points)
+        # ell moves only the lattice map: an ell point keeps the base's true
+        # point, guess and box, and a separation point rebuilds them
+        for name in ("p_true", "guess", "box"):
+            assert all(getattr(p, name) is getattr(ell, name) for p in ell.points)
+            assert not any(getattr(p, name) is getattr(cfg, name) for p in cfg.points)
+        # the windows move with ell, as the pseudopoles do
+        fd_ell = ScenarioConfig(raw=SWEEPS["ell_fd_window"])
+        assert len({p.windows[1].nodes for p in fd_ell.points}) == len(fd_ell.points)
         win = ScenarioConfig(raw=with_section("window", enabled=True, path="fd"))
         assert sorted(win.windows) == [-1, 1] and win.windows[1].degree == 2
         assert win.fd_pad == 4
@@ -242,6 +260,26 @@ class TestPipeline:
                          "stencil_order": 8}
         report = run_pipeline(ScenarioConfig(raw=doc))
         assert report.ok, report.violations
+
+    def test_fd_path_samples_noise_once(self, monkeypatch):
+        # the noise is sampled once per scenario, on the padded scene grid:
+        # both sectors' scenes and the eps budget read those samples
+        calls = []
+        noise_eval = sm.NoiseSpec.eval
+
+        def counted_eval(self, t):
+            calls.append(len(t))
+            return noise_eval(self, t)
+
+        monkeypatch.setattr(sm.NoiseSpec, "eval", counted_eval)
+        cfg = ScenarioConfig(raw=dict(CANONICAL, window={"enabled": True, "path": "fd"},
+                                      noise={"harmonics": [[0.001, 3.0, 0.4]]}))
+        run_pipeline(cfg)
+        assert calls == [cfg.setup.n_samples + 1 + 2 * cfg.fd_pad]
+        calls.clear()
+        sweep = ScenarioConfig(raw=SWEEPS["ell_fd_window_noise"])
+        run_sweep(sweep)
+        assert len(calls) == len(sweep.points)
 
     def test_failed_scenario_reports_violation(self):
         doc = dict(CANONICAL)
@@ -339,6 +377,8 @@ class TestCli:
             {"modes": {"contaminants": [{"j": -1, "amp": [0.1, 0.0]}]}},
             {"modes": {"contaminants": [{"j": 1, "sign": 2, "amp": [0.1, 0.0]}]}},
             {"window_check": {"target": 5}},
+            # a target node at omega = 0 makes the normalizer target^m0 vanish
+            {"window_check": {"nodes": [[0, 0], [1, -0.5]], "target": 0, "m0": 1}},
             {"pseudospectrum": {"poles": [[0.0, -1.0], [0.0, -1.0]]}},
             {"pseudospectrum": {"hol_bound": 100.0}},
             {"prony": {"amps": [[1, 0], [1, 0]], "nodes": [[0.5, 0], [0.5, 0]]}},
@@ -551,6 +591,17 @@ class TestCli:
         cfg2 = write_cfg(tmp_path, {"window_check": {"n_draws": 50}}, "w.yaml")
         assert cli.main(["window-check", "--config", cfg2,
                          "--out", str(tmp_path / "w")]) == 0
+
+    def test_window_check_zero_target_at_m0_zero(self, tmp_path):
+        # without the factor (omega/target)^m0 the Lagrange weight is defined
+        # at a target node omega = 0: 1 there and 0 at the other node
+        cfg = write_cfg(tmp_path, {"window_check": {"nodes": [[0, 0], [1, -0.5]],
+                                                    "target": 0, "m0": 0}})
+        out = tmp_path / "o"
+        assert cli.main(["window-check", "--config", cfg, "--out", str(out)]) == 0
+        rows = json.loads((out / "report.json").read_text())["rows"]
+        identity = [r for r in rows if r["check"] == "identity"]
+        assert len(identity) == 2 and all(r["ok"] for r in identity)
 
     def test_sweep_cli(self, tmp_path):
         doc = dict(CANONICAL)
