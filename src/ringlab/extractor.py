@@ -6,10 +6,12 @@ eps0, eps1 and the explicit stability constants that bound |z_hat - z| and
 |omega_hat - omega|.
 
 All certified inequalities are exact statements about one inner product
-space: the discrete trapezoid-weighted product on the sampling grid, in
-which z_hat and the residual sizes eps0, eps1 are all measured.  Because
-the shift step is an exact multiple of dt, a pure mode is an exact shift
-eigenvector of that product, so the bounds hold without quadrature caveats.
+space: the discrete trapezoid-weighted product on the sampling grid,
+sum_k q_k f_k conj(g_k) with the setup's one quadrature vector q (dt x
+trapezoid end-halves x taper), in which z_hat and the residual sizes eps0,
+eps1 are all measured.  Because the shift step is an exact multiple of dt,
+a pure mode is an exact shift eigenvector of that product, so the bounds
+hold without quadrature caveats.
 """
 from __future__ import annotations
 

@@ -13,10 +13,11 @@ as the rows of one array, and then every point's data are inverted in one
 damped-Newton pass, each row bit for bit what its point gives alone.
 
 Inside a scenario every norm is taken in the discrete trapezoid-weighted
-inner product on the sampling grid.  The shift acts exactly on the grid,
-so the stability lemmas hold verbatim for the discrete quantities; the
-a-priori budget bounds are continuum envelopes and are checked against the
-discrete residual sizes for soundness.
+inner product on the sampling grid, the bilinear form sum_k q_k f_k conj(g_k)
+whose weights the setup folds into one quadrature vector q.  The shift acts
+exactly on the grid, so the stability lemmas hold verbatim for the discrete
+quantities; the a-priori budget bounds are continuum envelopes and are
+checked against the discrete residual sizes for soundness.
 """
 from __future__ import annotations
 
@@ -113,9 +114,11 @@ def _sector_scene(sign: int, scn: Scenario) -> _SectorScene:
                         amp_ref=amp * window_gain, prior=prior)
 
 
-def _run_sectors(sign: int, scns: list, setup: sm.ObservationSetup) -> list:
+def _run_sectors(sign: int, scns: list, setup: sm.ObservationSetup,
+                 tail: Optional[np.ndarray]) -> list:
     """One sector of each scenario of a batch on ``setup``: a SectorResult,
-    or the RinglabError that ends it, per scenario.
+    or the RinglabError that ends it, per scenario.  ``tail`` is the batch's
+    tail sampled on its scene grid (None if zero), which both signs add.
 
     The rows are synthesised as one (B, N) array and extracted in one call;
     every row comes out bit for bit as it would alone.  Off the fd path the
@@ -142,8 +145,8 @@ def _run_sectors(sign: int, scns: list, setup: sm.ObservationSetup) -> list:
     values = sm.mode_rows([sec.modes[0] for sec in secs], scene_t) if fd else y0.copy()
     for column, term in zip(columns, others):
         values += sm.mode_rows(column, scene_t) if fd else term
-    if not cfg.tail.is_zero:
-        values += cfg.tail.eval(scene_t)
+    if tail is not None:
+        values += tail
     for row, sec in zip(values, secs):
         if sec.scn.noise_samples is not None:
             row += sec.scn.noise_samples
@@ -276,13 +279,15 @@ def _run_batch(cfgs: list, setup: sm.ObservationSetup, signs=(+1, -1)) -> list:
 
     Per config: {sign: SectorResult}, or the RinglabError that ended it.
     The +1 sector runs first, and a scenario whose +1 sector failed runs no
-    -1 sector, as when it runs alone.
+    -1 sector, as when it runs alone.  The tail, which no sweep varies, is
+    sampled once on the scene grid for both signs.
     """
     scns = [_scenario(cfg, setup) for cfg in cfgs]
+    tail = None if cfgs[0].tail.is_zero else cfgs[0].tail.eval(scns[0].grid)
     outcome: list = [{} for _ in cfgs]
     for sign in signs:
         live = [i for i, sectors in enumerate(outcome) if isinstance(sectors, dict)]
-        results = _run_sectors(sign, [scns[i] for i in live], setup)
+        results = _run_sectors(sign, [scns[i] for i in live], setup, tail)
         for i, sec in zip(live, results):
             if isinstance(sec, SectorResult):
                 outcome[i][sign] = sec

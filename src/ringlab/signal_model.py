@@ -8,15 +8,17 @@ the sampling step, so the time shift acts exactly on the grid and a pure
 mode is an exact eigenvector of the shift with eigenvalue exp(-i*omega*Delta).
 
 Weighted inner products are trapezoid sums on the sampling grid, the one
-path.  The taper weights belong to the observation setup: each
-ObservationSetup computes its grid and its weights once, on first use, and
-every inner product on that setup reuses them.  A SampledSignal may hold B
-signals on one grid as the rows of a (B, N) array; the inner products and
-norms then reduce along the last axis, one value per row, each row's bit
-for bit the value it gives alone.  The raised-cosine weight has
-zero slope at its grid-node breakpoints, so the sums meet the continuum
-integral at order dt^4 (Trefethen & Weideman, SIAM Rev. 56, 2014); the tests
-hold the closed-form integral as the oracle.
+path: <f, g>_w = sum_k q_k f_k conj(g_k), a bilinear form whose weights
+(dt, the trapezoid end-halves and the taper) are folded into one
+quadrature vector q.  Each ObservationSetup computes its grid, its taper
+weights and q once, on first use, and every inner product on that setup
+reuses them.  A SampledSignal may hold B signals on one grid as the rows of
+a (B, N) array; the inner products and norms then reduce along the last
+axis, one BLAS dot per row, each row's value bit for bit the one it gives
+alone.  The raised-cosine weight has zero slope at its grid-node
+breakpoints, so the sums meet the continuum integral at order dt^4
+(Trefethen & Weideman, SIAM Rev. 56, 2014); the tests hold the closed-form
+integral as the oracle.
 """
 from __future__ import annotations
 
@@ -34,6 +36,11 @@ _LCG_MASK = (1 << 64) - 1
 
 #: tolerance for "delta is an exact integer multiple of dt" checks
 _GRID_RTOL = 1e-9
+
+#: the most terms one BLAS dot sums.  OpenBLAS splits a dot of more than
+#: 10 000 terms across its threads, and the split moves the last bits of the
+#: sum, so a longer row is summed in runs of this length, added in order
+_DOT_RUN = 8192
 
 
 @dataclass(frozen=True)
@@ -164,9 +171,9 @@ class ObservationSetup:
     taper: 'raised-cosine' ramps of length delta on each side of the plateau
     [t0+delta, t0+t_len-2*delta], or 'rectangular' (plateau indicator).
 
-    The grid and the taper weights are computed once per instance, on first
-    use, and held as read-only arrays; they are not fields, so equality and
-    hashing see only the five parameters.
+    The grid, the taper weights and the quadrature vector are computed once
+    per instance, on first use, and held as read-only arrays; they are not
+    fields, so equality and hashing see only the five parameters.
     """
 
     t0: float
@@ -212,6 +219,37 @@ class ObservationSetup:
     def grid(self) -> np.ndarray:
         """Sampling nodes t0 + k*dt covering [t0, t0+t_len] (read-only)."""
         return self._grid
+
+    @cached_property
+    def _quadrature_pairs(self) -> np.ndarray:
+        """The quadrature vector with each weight twice, the weights of
+        complex samples read as (re, im) float pairs (read-only)."""
+        w = self.weights
+        if self.taper == "rectangular":
+            # its weight jumps exactly at grid nodes: the sum runs over the
+            # plateau only
+            k = self.shift_steps
+            w = w[k:len(w) - k]
+        q = self.dt * w if len(w) > 1 else np.zeros(0)
+        if len(q):
+            q[[0, -1]] *= 0.5
+        pairs = np.empty((len(q), 2))
+        pairs[:, 0] = pairs[:, 1] = q
+        return _read_only(pairs.reshape(-1))
+
+    @property
+    def quadrature(self) -> np.ndarray:
+        """The weighted product's quadrature vector q = dt x trapezoid
+        end-halves x taper weights (read-only), so that
+        <f, g>_w = sum_k q_k f(t_k) conj(g(t_k)) over the grid nodes t_k of
+        [t0, t0+t_len-delta], of the plateau alone for the rectangular
+        taper; empty when the plateau holds fewer than two nodes."""
+        return self._quadrature_pairs[::2]
+
+    @property
+    def _quadrature_t0(self) -> float:
+        """The first node of the quadrature."""
+        return self.t0 + self.delta if self.taper == "rectangular" else self.t0
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -311,39 +349,55 @@ def _per_row(val: np.ndarray, scalar):
     return scalar(val) if val.ndim == 0 else val
 
 
+def _float_pairs(vals: np.ndarray) -> np.ndarray:
+    """Complex samples as (re, im) float pairs along the last axis."""
+    if vals.strides[-1] != vals.itemsize:
+        vals = np.ascontiguousarray(vals)
+    return vals.view(float)
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_k a[..., k] b[..., k], one per row: a stacked (1, n) @ (n, 1)
+    matmul, which makes one BLAS dot call per row (a (B, n) @ (n,) gemv would
+    round by B), in runs of at most _DOT_RUN terms added in order.  So every
+    row's sum is the one it gives alone, whatever its batch or BLAS's thread
+    count."""
+    a, b = a[..., None, :], b[..., :, None]
+    total = a[..., :_DOT_RUN] @ b[..., :_DOT_RUN, :]
+    for k in range(_DOT_RUN, a.shape[-1], _DOT_RUN):
+        total = total + a[..., k:k + _DOT_RUN] @ b[..., k:k + _DOT_RUN, :]
+    return total[..., 0, 0]
+
+
 def weighted_inner(f: SampledSignal, g: SampledSignal,
                    setup: ObservationSetup):
-    """Weighted inner product <f, g>_w: composite trapezoid of w f conj(g)
-    over [t0, t0+T-delta], with the weights the setup holds.
+    """Weighted inner product <f, g>_w = sum_k q_k f_k conj(g_k) with the
+    setup's quadrature vector q (:attr:`ObservationSetup.quadrature`): the
+    composite trapezoid of w f conj(g) over [t0, t0+T-delta], over the
+    plateau alone for the rectangular taper.
 
     f and g must sit on the setup's grid nodes.  Either may hold (B, N) rows:
     the sum runs along the last axis and gives one complex per row, a
     complex for two 1-d signals.  Every row's sum is the one its signal
-    alone would give, bit for bit.  The rectangular weight jumps exactly at
-    grid nodes, so its sum runs over the plateau only.
+    alone would give, bit for bit.  Each row is one dot: f against q conj(g),
+    which is the only temporary; for ``f is g`` (a norm), the real
+    sum_k q_k |f_k|^2, whose imaginary part is exactly 0.
     """
     if abs(f.dt - g.dt) > _GRID_RTOL * f.dt:
         raise ConfigError("signals must share the sampling step")
-    w, lo = setup.weights, setup.t0
-    rows = np.broadcast_shapes(f.values.shape[:-1], g.values.shape[:-1])
-    if setup.taper == "rectangular":
-        k = setup.shift_steps
-        if len(w) <= 2 * k + 1:
-            return _per_row(np.zeros(rows, dtype=complex), complex)
-        w, lo = w[k:len(w) - k], lo + setup.delta
-    # explicit ufunc calls: a binary operator on a large temporary may run in
-    # place with its operands swapped, which moves the last bit of a complex
-    # product, so a row's result would depend on the size of its batch
-    prod = np.multiply(_slice_to_range(f, lo, len(w)),
-                       np.conj(_slice_to_range(g, lo, len(w))))
-    return _per_row(np.trapezoid(np.multiply(w, prod), dx=f.dt, axis=-1), complex)
+    pairs, t_lo = setup._quadrature_pairs, setup._quadrature_t0
+    f_vals = _slice_to_range(f, t_lo, len(pairs) // 2)
+    if f is g:  # sum_k q_k (re_k^2 + im_k^2): real and nonnegative
+        x = _float_pairs(f_vals)
+        return _per_row(_row_dots(np.multiply(x, x), pairs) + 0j, complex)
+    q_conj_g = np.multiply(_float_pairs(_slice_to_range(g, t_lo, len(pairs) // 2)), pairs)
+    np.negative(q_conj_g[..., 1::2], out=q_conj_g[..., 1::2])
+    return _per_row(_row_dots(f_vals, q_conj_g.view(complex)), complex)
 
 
 def wnorm(f: SampledSignal, setup: ObservationSetup):
     """Weighted norm ||f||_w, one per row of f."""
-    val = np.asarray(weighted_inner(f, f, setup)).real
-    # max(val, 0.0) row by row, so a -0.0 stays -0.0 as Python's max keeps it
-    return _per_row(np.sqrt(np.where(0.0 > val, 0.0, val)), float)
+    return _per_row(np.sqrt(np.asarray(weighted_inner(f, f, setup)).real), float)
 
 
 def shift(f: SampledSignal, delta: float) -> SampledSignal:
@@ -403,10 +457,15 @@ def mode_energy_lower_bound_crude(amp: complex, freq: complex,
 
 
 def residual_l2(r: SampledSignal, setup: ObservationSetup):
-    """L2 norm of r over the full window [t0, t0+T] by trapezoid, one per row.
+    """L2 norm of r over the full window [t0, t0+T] by trapezoid, one per row:
+    sqrt(dt (|r_0|^2 / 2 + |r_1|^2 + ... + |r_{N-1}|^2 + |r_N|^2 / 2)), the
+    interior as one dot of the samples, read as (re, im) float pairs, with
+    themselves.
 
     Dominates both ||r||_w and ||S_delta r||_w since 0 <= w <= 1 and the
     shifted domain stays inside the window.
     """
-    vals = _slice_to_range(r, setup.t0, setup.n_samples + 1)
-    return _per_row(np.sqrt(np.trapezoid(np.abs(vals) ** 2, dx=r.dt, axis=-1)), float)
+    x = _float_pairs(_slice_to_range(r, setup.t0, setup.n_samples + 1))
+    inner, ends = x[..., 2:-2], x[..., [0, 1, -2, -1]]
+    total = _row_dots(inner, inner) + 0.5 * _row_dots(ends, ends)
+    return _per_row(np.sqrt(setup.dt * total), float)

@@ -39,9 +39,12 @@ def grid_extrema(model, box, three, n=201):
     from 0 to the box's Lambda_hi, since the 2p constants claim every
     Lambda >= 0."""
     lam_lo, lam_hi = box[2]
-    lams = np.linspace(lam_lo if three else 0.0, lam_hi, n)
-    jacs = np.array([model.jacobian(pm.ParameterPoint(m=m, a=box[1][0], lam=lam), three)
-                     for m in np.linspace(*box[0], n) for lam in lams])
+    m, lam = (axis.ravel() for axis in np.meshgrid(
+        np.linspace(*box[0], n), np.linspace(lam_lo if three else 0.0, lam_hi, n),
+        indexing="ij"))
+    # model.jacobian at every grid point, as one call on the rows
+    m2 = pm._pow(m, 2)
+    jacs = model.jacobian_rows(m, lam, m2, 1.0 - 9.0 * lam * m2, three)
     return (np.linalg.norm(np.linalg.inv(jacs), 2, axis=(1, 2)).max(),
             np.abs(np.linalg.det(jacs)).min())
 

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -237,6 +241,129 @@ class TestRows:
                 assert np.isscalar(value), name
                 assert batched[name].shape == (n_rows,), name
                 assert batched[name][b] == value, (name, b)
+
+
+def trapezoid_inner(f, g, setup):
+    """The weighted product as np.trapezoid of w f conj(g), the formula whose
+    weights the setup's quadrature vector folds into one per node: the
+    oracle of the library's one dot per row."""
+    w, lo = setup.weights, setup.t0
+    if setup.taper == "rectangular":
+        k = setup.shift_steps
+        w, lo = w[k:len(w) - k], lo + setup.delta
+    return np.trapezoid(w * on_nodes(f, lo, len(w)) * np.conj(on_nodes(g, lo, len(w))),
+                        dx=setup.dt, axis=-1)
+
+
+def trapezoid_l2(r, setup):
+    """residual_l2's oracle: sqrt of np.trapezoid of |r|^2 over [t0, t0+T]."""
+    vals = on_nodes(r, setup.t0, setup.n_samples + 1)
+    return np.sqrt(np.trapezoid(np.abs(vals) ** 2, dx=setup.dt, axis=-1))
+
+
+def on_nodes(f, t_lo, n):
+    k0 = int(round((t_lo - f.t_start) / f.dt))
+    return f.values[..., k0:k0 + n]
+
+
+def gamma(k):
+    """Higham's gamma_k = k u / (1 - k u): |prod (1 + d_i)^(+-1) - 1| <= gamma_k
+    for k roundings of relative size at most u = 2^-53."""
+    u = 2.0 ** -53
+    return k * u / (1.0 - k * u)
+
+
+class TestQuadrature:
+    """The setup's one quadrature vector q = dt x trapezoid end-halves x taper
+    weights, and the reductions that sum against it.
+
+    Each sum of m real terms, in any order and with up to four roundings in
+    a term (the weight, the product, the trapezoid's pair sum and its dx),
+    is within gamma_{m+4} sum |terms| of its exact value.  A real or
+    imaginary part of <f, g>_w sums n = 2N real terms (the dot runs over
+    (re, im) pairs) with sum |terms| <= sum q |f| |g|, so the dot and the
+    trapezoid formula differ by at most 2 gamma_{n+4} sum q |f| |g| in
+    each part."""
+
+    @pytest.mark.parametrize("taper", ["raised-cosine", "rectangular"])
+    @pytest.mark.parametrize("n", [201, 20001])
+    def test_quadrature_vector(self, taper, n):
+        setup = std_setup(dt=10.0 / (n - 1), taper=taper)
+        k = setup.shift_steps if taper == "rectangular" else 0
+        want = setup.dt * setup.weights[k:len(setup.weights) - k]
+        want[0], want[-1] = want[0] / 2, want[-1] / 2
+        q = setup.quadrature
+        assert np.array_equal(q, want)
+        assert np.shares_memory(q, setup.quadrature)  # computed once
+        with pytest.raises(ValueError):
+            q[1] = 0.5
+
+    def test_empty_plateau_sums_to_zero(self):
+        # t_len = 3 delta: the rectangular plateau is one node, its trapezoid 0
+        setup = sm.ObservationSetup(t0=1.0, t_len=3.0, delta=1.0, dt=0.5,
+                                    taper="rectangular")
+        f = sm.SampledSignal(t_start=1.0, dt=0.5, values=np.ones((2, 7)))
+        assert len(setup.quadrature) == 0
+        assert sm.weighted_inner(f, f, setup).tolist() == [0.0, 0.0]
+        assert trapezoid_inner(f, f, setup).tolist() == [0.0, 0.0]
+
+    @pytest.mark.parametrize("taper", ["raised-cosine", "rectangular"])
+    @pytest.mark.parametrize("n", [201, 20001])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_dot_matches_trapezoid_oracle(self, taper, n, seed):
+        setup = std_setup(dt=10.0 / (n - 1), taper=taper)
+        rng = np.random.default_rng(seed)
+        # 3 rows of seeded noise, each of its own magnitude, plus a damped mode
+        vals = (rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))) \
+            * np.exp(rng.uniform(-3, 3, (3, 1))) + np.exp((0.7j - 0.3) * setup.grid())
+        f = sm.SampledSignal(t_start=setup.t0, dt=setup.dt, values=vals)
+        g = sm.SampledSignal(t_start=setup.t0, dt=setup.dt, values=vals[::-1].copy())
+        q = setup.quadrature
+        lo = setup.t0 + (setup.delta if taper == "rectangular" else 0.0)
+        for rows in (slice(None), 0):  # (B, N) and one 1-d row
+            f1, g1 = (sm.SampledSignal(s.t_start, s.dt, s.values[rows]) for s in (f, g))
+            for a, b in [(f1, g1), (sm.shift(f1, setup.delta), f1), (f1, f1)]:
+                got, want = sm.weighted_inner(a, b, setup), trapezoid_inner(a, b, setup)
+                size = np.sum(q * np.abs(on_nodes(a, lo, len(q)))
+                              * np.abs(on_nodes(b, lo, len(q))), axis=-1)
+                bound = 2 * gamma(2 * len(q) + 4) * size
+                assert np.all(np.abs((got - want).real) <= bound)
+                assert np.all(np.abs((got - want).imag) <= bound)
+            # a norm is real and nonnegative, and wnorm its root
+            energy = sm.weighted_inner(f1, f1, setup)
+            assert np.all(np.imag(energy) == 0.0) and np.all(np.real(energy) >= 0.0)
+            norm_sq = np.asarray(sm.wnorm(f1, setup)) ** 2
+            assert np.all(np.abs(norm_sq - np.real(energy)) <= gamma(3) * np.real(energy))
+            # residual_l2 against sqrt(trapezoid(|r|^2)), compared as squares:
+            # the roots and the squares add four roundings to each side
+            size = np.sum(setup.dt * np.abs(f1.values) ** 2, axis=-1)
+            got, want = sm.residual_l2(f1, setup), trapezoid_l2(f1, setup)
+            assert np.all(np.abs(got ** 2 - want ** 2) <= 2 * gamma(2 * n + 8) * size)
+
+    def test_sums_do_not_depend_on_blas_threads(self):
+        # OpenBLAS splits a dot of over 10 000 terms across its threads; the
+        # rows of a 20 001-sample grid are summed in shorter runs, so one and
+        # two BLAS threads give the same bits
+        script = (
+            "import numpy as np\n"
+            "from ringlab import signal_model as sm\n"
+            "setup = sm.ObservationSetup(t0=1.0, t_len=10.0, delta=1.0, dt=0.0005)\n"
+            "rng = np.random.default_rng(7)\n"
+            "v = rng.standard_normal((2, 20001)) + 1j * rng.standard_normal((2, 20001))\n"
+            "f = sm.SampledSignal(1.0, 0.0005, v)\n"
+            "vals = [sm.weighted_inner(sm.shift(f, 1.0), f, setup), sm.wnorm(f, setup),\n"
+            "        sm.residual_l2(f, setup)]\n"
+            "print([x.tobytes().hex() for x in vals])\n")
+        src = str(Path(sm.__file__).resolve().parents[1])
+        outs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+                p for p in (src, os.environ.get("PYTHONPATH")) if p))
+            proc = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1]
 
 
 class TestShift:

@@ -111,6 +111,34 @@ def test_ell_sweep_op_is_one_batch(monkeypatch):
     assert sum(row["newton_iterations"] for row in report.rows) == 120
 
 
+def test_lcg_long_grid_op_counts(monkeypatch):
+    # one lcg-long-grid op: 4 points of 20 001 samples, one point per batch
+    # (the sample cap), so 8 extract calls of five weighted inner products;
+    # one residual_l2 per scenario, for its noise norm (no contaminants); and
+    # one tail evaluation per batch, which both signs add
+    from ringlab import pipeline, signal_model
+    calls = {"residual_l2": 0, "tail": 0}
+
+    def counted_l2(*args, _fn=signal_model.residual_l2):
+        calls["residual_l2"] += 1
+        return _fn(*args)
+
+    def counted_tail(self, t, _fn=signal_model.TailSpec.eval):
+        calls["tail"] += 1
+        return _fn(self, t)
+
+    monkeypatch.setattr(signal_model, "residual_l2", counted_l2)
+    monkeypatch.setattr(signal_model.TailSpec, "eval", counted_tail)
+    workload = load_ringbench("workloads").make("lcg-long-grid")
+    workload.prepare(None)
+    report, metrics = traced_op(workload.run, workload.make_input(1, 0), None)
+    assert len(report.rows) == 4 and not report.violations
+    assert pipeline._BATCH_SAMPLES // 20001 == 1
+    assert metrics["extractor.extract_calls"] == 8
+    assert metrics["signal_model.inner_calls"] == 40
+    assert calls == {"residual_l2": 4, "tail": 4}
+
+
 def test_weights_computed_once_per_sweep(monkeypatch):
     # every point of an ell sweep keeps the base config's setup object
     from ringlab import pipeline, signal_model
