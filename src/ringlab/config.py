@@ -343,7 +343,7 @@ class ScenarioConfig:
 
     def _build_inversion(self):
         """Unless set, the guess is 1% off p_true and the box M +- 10%,
-        a +- 0.05 and, in 3p, Lambda +- 50%."""
+        a +- 0.05 and, in 3p, Lambda +- 50%.  A box must hold p_true."""
         inv, p = self.data["inversion"], self.p_true
         three = inv["mode"] == "3p"
         guess = {"M": p.m * 1.01, "a": p.a * 1.01 + 0.001,
@@ -354,6 +354,9 @@ class ScenarioConfig:
             resolve(inv["guess"][k], v, f"inversion.guess.{k}") for k, v in guess.items()))
         self.box = [tuple(resolve(inv["box"][k], box[k], f"inversion.box.{k}"))
                     for k in ("M", "a", "Lambda")[:3 if three else 2]]
+        for k, (lo, hi), v in zip(("M", "a", "Lambda"), self.box, (p.m, p.a, p.lam)):
+            if not lo <= v <= hi:
+                raise ConfigError(f"inversion.box.{k}: [{lo}, {hi}] excludes the true value {v}")
         # DG depends on none of a, ell and n: a sweep point with the base's
         # kappa, damping and M and Lambda ranges keeps the base's constants
         model = self.model

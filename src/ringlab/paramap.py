@@ -19,7 +19,7 @@ from .errors import ConfigError, InversionError
 SQRT2 = float(np.sqrt(2.0))
 SQRT3 = float(np.sqrt(3.0))
 
-#: invert_data's residual-norm tolerance and step limit
+#: invert_rows's residual-norm tolerance and step limit
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50
 

@@ -7,10 +7,11 @@ the shift Rayleigh quotient, form the estimated observables, invert the
 data map, and emit the full error-versus-bound ledger.  Every driver hands
 its certified inequalities to one function as (name, hypothesis, value,
 bound) records; a violation with its hypothesis holding marks the run as
-failed (CLI exit code 1).  A sweep runs consecutive points on one
-observation setup as a batch: their sectors are synthesised and extracted
-as the rows of one array, and then every point's data are inverted in one
-damped-Newton pass, each row bit for bit what its point gives alone.
+failed (CLI exit code 1).  Scenarios form one table, built by one loop:
+``pipeline`` is its one row, ``sweep`` a row per point.  Consecutive points
+on one observation setup synthesise and extract their sectors as the rows
+of one array, every point's data are inverted in one damped-Newton pass,
+and each row is bit for bit what its point gives alone.
 
 Inside a scenario every norm is taken in the discrete trapezoid-weighted
 inner product on the sampling grid, the bilinear form sum_k q_k f_k conj(g_k)
@@ -182,24 +183,9 @@ def _run_sectors(sign: int, scns: list, setup: sm.ObservationSetup,
     return out
 
 
-def _sector_ledger(sec: SectorResult) -> dict:
-    """One sector's error-versus-bound columns, in report order."""
-    res = sec.result
-    return {
-        "z_hat": res.z_hat, "omega_hat": res.omega_hat,
-        "omega_true": sec.omega_true,
-        "omega_err": abs(res.omega_hat - sec.omega_true),
-        "z_err": abs(res.z_hat - sec.z_true),
-        "eps0": res.eps0, "eps1": res.eps1, "eps": res.eps,
-        "eps_budget": sec.eps_budget["eps_bound"],
-        "bound_z": res.bound_z, "bound_z_crude": 3.0 * res.eps,
-        "bound_omega": res.bound_omega,
-        "hyp_eps_small": res.hypotheses_ok.eps_small,
-        "hyp_branch": res.hypotheses_ok.branch_hyp,
-    }
-
-
-#: relative and absolute rounding floor of a scenario's checks (quantities are O(1))
+#: relative and absolute rounding floor of a scenario's checks.  It assumes
+#: the quantities are O(1), which fails at large ell: phases |omega| t of about
+#: 1e4 round to more than 1e-13 (ROADMAP item 14)
 _CERT_RTOL, _CERT_ATOL = 1e-12, 1e-13
 
 
@@ -216,13 +202,28 @@ def _fd_window(cfg: ScenarioConfig) -> bool:
     return cfg["window"]["enabled"] and cfg["window"]["path"] == "fd"
 
 
-def _sector_checks(led: dict, cfg: ScenarioConfig) -> list:
-    """The sector's certified inequalities."""
+def _sector_ledger(sec: SectorResult, cfg: ScenarioConfig) -> tuple:
+    """One sector's error-versus-bound columns, in report order, and its
+    certified inequalities."""
+    res = sec.result
+    led = {
+        "z_hat": res.z_hat, "omega_hat": res.omega_hat,
+        "omega_true": sec.omega_true,
+        "omega_err": abs(res.omega_hat - sec.omega_true),
+        "z_err": abs(res.z_hat - sec.z_true),
+        "eps0": res.eps0, "eps1": res.eps1, "eps": res.eps,
+        "eps_budget": sec.eps_budget["eps_bound"],
+        "bound_z": res.bound_z, "bound_z_crude": 3.0 * res.eps,
+        "bound_omega": res.bound_omega,
+        "hyp_eps_small": res.hypotheses_ok.eps_small,
+        "hyp_branch": res.hypotheses_ok.branch_hyp,
+    }
     hyp = led["hyp_eps_small"]
-    return [_record("z_stability", hyp, led["z_err"], led["bound_z_crude"]),
-            _record("z_stability_sharp", hyp, led["z_err"], led["bound_z"]),
-            _record("omega_error", hyp, led["omega_err"], led["bound_omega"]),
-            _record("budget_soundness", not _fd_window(cfg), led["eps"], led["eps_budget"])]
+    return led, [_record("z_stability", hyp, led["z_err"], led["bound_z_crude"]),
+                 _record("z_stability_sharp", hyp, led["z_err"], led["bound_z"]),
+                 _record("omega_error", hyp, led["omega_err"], led["bound_omega"]),
+                 _record("budget_soundness", not _fd_window(cfg), led["eps"],
+                         led["eps_budget"])]
 
 
 def _certify(report: RunReport, label: str, checks) -> bool:
@@ -309,9 +310,9 @@ def _estimate(cfg: ScenarioConfig, sectors: dict) -> dict:
 
 def _run_points(cfgs: list) -> list:
     """Each config's scenario up to the bias ledger: its sectors, run in
-    batches (:func:`_batches`), and under "inversion" the result of its data
-    inversion or the InversionError that ends it; or the RinglabError that
-    ended its sectors.
+    batches (:func:`_batches`), and under "estimate" and "inversion" its
+    observables and the result of their inversion or the InversionError that
+    ends it; or the RinglabError that ended its sectors.
 
     Every scenario whose sectors succeeded is inverted in one
     :func:`paramap.invert_rows` call: its arrays are (rows, 2 or 3), so the
@@ -329,54 +330,24 @@ def _run_points(cfgs: list) -> list:
         targets = np.array([[est[k] for k in keys] for est in estimates])
         inverted = pm.invert_rows(cfgs[0].model, targets, [cfgs[i].guess for i in live],
                                   [cfgs[i].box for i in live])
-        for i, inv in zip(live, inverted):
-            outcome[i]["inversion"] = inv
+        for i, est, inv in zip(live, estimates, inverted):
+            outcome[i].update(estimate=est, inversion=inv)
     return outcome
 
 
-def run_pipeline(cfg: ScenarioConfig, scenario_id: int = 0,
-                 report: Optional[RunReport] = None, batched=None) -> RunReport:
-    """End-to-end scenario: generate -> window -> extract -> invert -> bias ledger.
-
-    Rows and violations go to ``report`` (a new one if None).  ``batched``
-    is this scenario's entry of a :func:`_run_points` over several points;
-    without it the scenario runs as the only point.
-    """
-    if report is None:
-        report = RunReport(metadata={"subcommand": "pipeline", **_REPORT_TOLERANCES})
-    sectors = batched if batched is not None else _run_points([cfg])[0]
-    model, p_true, setup = cfg.model, cfg.p_true, cfg.setup
-    label = f"scenario {scenario_id}"
-
-    row: dict = {"scenario": scenario_id, "ell": model.ell,
-                 "T0": setup.t0, "T": setup.t_len, "Delta": setup.delta,
-                 "dt": setup.dt, "M_true": p_true.m, "a_true": p_true.a,
-                 "Lambda_true": p_true.lam}
-    if isinstance(sectors, RinglabError):
-        return _failed(report, row, f"{label}: ", sectors)
-
+def _bias_ledger(cfg: ScenarioConfig, point: dict) -> tuple:
+    """A scenario's data-error, inversion and bias-bound columns, in report
+    order, and its certified inequalities, from its :func:`_run_points` entry."""
+    model, setup, inv = cfg.model, cfg.setup, point["inversion"]
     three = cfg["inversion"]["mode"] == "3p"
-    ledgers = {}
-    for sign in (+1, -1):
-        tag = "plus" if sign > 0 else "minus"
-        ledgers[tag] = _sector_ledger(sectors[sign])
-        row.update({f"{k}_{tag}": v for k, v in ledgers[tag].items()})
-
-    sp, sm_ = sectors[+1], sectors[-1]
-    est = _estimate(cfg, sectors)
+    sp, sm_ = point[+1], point[-1]
     truth = pm.observables(sp.omega_true, sm_.omega_true, model.ell, model.n)
-    data_err = float(np.linalg.norm([est[k] - truth[k] for k in _data_keys(cfg)]))
-    dw = (sp.result.omega_hat - sp.omega_true,
-          sm_.result.omega_hat - sm_.omega_true)
-    data_bound = pm.data_map_error_bound(dw[0], dw[1], model.ell,
+    data_err = float(np.linalg.norm([point["estimate"][k] - truth[k] for k in _data_keys(cfg)]))
+    data_bound = pm.data_map_error_bound(sp.result.omega_hat - sp.omega_true,
+                                         sm_.result.omega_hat - sm_.omega_true, model.ell,
                                          n=model.n if three else None)
-
-    inv = sectors["inversion"]
-    if isinstance(inv, RinglabError):
-        return _failed(report, row, f"{label}: ", inv)
-
     consts, p_hat = cfg.consts, inv["point"]
-    param_err = float(np.linalg.norm(p_hat.as_array(three) - p_true.as_array(three)))
+    param_err = float(np.linalg.norm(p_hat.as_array(three) - cfg.p_true.as_array(three)))
     eps_pair = (sp.result.eps, sm_.result.eps)
     eps_budget_pair = (sp.eps_budget["eps_bound"], sm_.eps_budget["eps_bound"])
     b2 = pm.bias_bound_2p(*eps_pair, sp.z_true, sm_.z_true, setup.delta, model.ell,
@@ -386,10 +357,10 @@ def run_pipeline(cfg: ScenarioConfig, scenario_id: int = 0,
     # the bias bounds cover the data error only: a pole offset moves the true
     # frequencies off the lattice data map by a term that none of them bounds
     on_lattice = cfg["lattice"]["pole_offset"] == 0
-    hyp = all(led["hyp_eps_small"] for led in ledgers.values()) and on_lattice
+    hyp = sp.result.hypotheses_ok.eps_small and sm_.result.hypotheses_ok.eps_small and on_lattice
     hyp_budget = (all(map(ex.eps_small, eps_budget_pair, (sp.z_true, sm_.z_true)))
                   and on_lattice and not _fd_window(cfg))
-    row.update({
+    columns = {
         "data_err": data_err, "data_bound": data_bound,
         "M_hat": p_hat.m, "a_hat": p_hat.a, "Lambda_hat": p_hat.lam,
         "param_err": param_err,
@@ -397,47 +368,69 @@ def run_pipeline(cfg: ScenarioConfig, scenario_id: int = 0,
         "c_star": consts["c_star"], "C_star": consts["C_star"],
         "bias_bound_2p": b2, "bias_bound_2p_budget": b2_budget,
         "hyp_bias": hyp, "hyp_bias_budget": hyp_budget,
-    })
-    checks = [_record("data-map bound", True, data_err, data_bound),
-              _record("2p bias bound", hyp, param_err, b2),
-              _record("budget bias bound", hyp_budget, param_err, b2_budget)]
+    }
+    records = [_record("data-map bound", True, data_err, data_bound),
+               _record("2p bias bound", hyp, param_err, b2),
+               _record("budget bias bound", hyp_budget, param_err, b2_budget)]
     if three:
-        b3 = pm.bias_bound_3p(eps_pair[0], eps_pair[1], sp.z_true, sm_.z_true,
-                              setup.delta, model.ell, model.n, consts["C_star"])
-        row["bias_bound_3p"] = b3
-        checks.append(_record("3p bias bound", hyp, param_err, b3))
+        columns["bias_bound_3p"] = pm.bias_bound_3p(*eps_pair, sp.z_true, sm_.z_true,
+                                                    setup.delta, model.ell, model.n,
+                                                    consts["C_star"])
+        records.append(_record("3p bias bound", hyp, param_err, columns["bias_bound_3p"]))
+    return columns, records
 
-    for tag, led in ledgers.items():
-        _certify(report, f"{label} {tag}", _sector_checks(led, cfg))
-    _certify(report, label, checks)
-    report.add_row(row)
+
+def _scenario_rows(report: RunReport, cfgs: list, tags: list) -> RunReport:
+    """The scenario table: row i is config i run by one :func:`_run_points`
+    call over all of them, its truth and setup, each sector's columns and the
+    bias ledger (or ``failed`` and ``error``), then ``tags[i]``.  Its records
+    are certified in order: plus sector, minus sector, then the scenario's."""
+    for i, (cfg, point, tag) in enumerate(zip(cfgs, _run_points(cfgs), tags)):
+        model, p_true, setup, label = cfg.model, cfg.p_true, cfg.setup, f"scenario {i}"
+        row: dict = {"scenario": i, "ell": model.ell,
+                     "T0": setup.t0, "T": setup.t_len, "Delta": setup.delta,
+                     "dt": setup.dt, "M_true": p_true.m, "a_true": p_true.a,
+                     "Lambda_true": p_true.lam}
+        failure, checks = point, []
+        if isinstance(point, dict):
+            for sign, side in ((+1, "plus"), (-1, "minus")):
+                columns, records = _sector_ledger(point[sign], cfg)
+                row.update({f"{k}_{side}": v for k, v in columns.items()})
+                checks.append((f"{label} {side}", records))
+            failure = point["inversion"]
+        if isinstance(failure, RinglabError):
+            _failed(report, row, f"{label}: ", failure)
+        else:
+            columns, records = _bias_ledger(cfg, point)
+            row.update(columns)
+            for name, recs in checks + [(label, records)]:
+                _certify(report, name, recs)
+            report.add_row(row)
+        report.rows[-1].update(tag)
     return report
 
 
-# ---------------------------------------------------------------------------
-# sweeps
-# ---------------------------------------------------------------------------
+def run_pipeline(cfg: ScenarioConfig) -> RunReport:
+    """End-to-end scenario: the scenario table of one row."""
+    report = RunReport(metadata={"subcommand": "pipeline", **_REPORT_TOLERANCES})
+    return _scenario_rows(report, [cfg], [{}])
+
 
 def run_sweep(cfg: ScenarioConfig) -> RunReport:
-    """One pipeline scenario per sweep value, in order.
+    """The scenario table of the sweep's points (``cfg.points``), in order,
+    each row tagged with the axis and its value.
 
     Consecutive points on equal observation setups (every point of an ell,
     separation or noise_amp sweep) synthesise and extract their sectors as
     the rows of one batch, and all points invert their data in one call;
-    each point's rows and violations are those it gives alone.
+    each point's row and violations are those it gives alone.
     """
-    axis = cfg["sweep"]["axis"]
-    values = cfg["sweep"]["values"]
+    axis, values = cfg["sweep"]["axis"], cfg["sweep"]["values"]
     if axis is None or not values:
         raise ConfigError("sweep requires an axis and a nonempty value list")
     report = RunReport(metadata={"subcommand": "sweep", "axis": axis, **_REPORT_TOLERANCES})
-    for i, batched in enumerate(_run_points(cfg.points)):
-        first = len(report.rows)
-        run_pipeline(cfg.points[i], scenario_id=i, report=report, batched=batched)
-        for row in report.rows[first:]:
-            row["sweep_axis"] = axis
-            row["sweep_value"] = float(values[i])
-    return report
+    return _scenario_rows(report, cfg.points,
+                          [{"sweep_axis": axis, "sweep_value": float(v)} for v in values])
 
 
 # ---------------------------------------------------------------------------
@@ -451,9 +444,9 @@ def run_extract(cfg: ScenarioConfig) -> RunReport:
     if isinstance(sectors, RinglabError):
         return _failed(report, {}, "", sectors)
     sec = sectors[+1]
-    ledger = _sector_ledger(sec)
+    ledger, records = _sector_ledger(sec, cfg)
     report.add_row({"omega_true": sec.omega_true, "z_true": sec.z_true, **ledger})
-    _certify(report, "extract", _sector_checks(ledger, cfg))
+    _certify(report, "extract", records)
     return report
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import importlib.util
+import inspect
 import json
 import os
 import subprocess
@@ -91,6 +92,10 @@ SWEEPS = {
         noise={"lcg": {"seed": 5, "amplitude": 1e-3}},
         sweep={"axis": "noise_amp", "values": [0.25, 1.0, 2.0, 4.0]}),
 }
+
+#: an inversion box that holds CANONICAL's true point (M 1, a 0.08) but not
+#: its estimate
+TIGHT_BOX = {"mode": "2p", "box": {"M": [0.999, 1.001], "a": [0.07999999, 0.08000001]}}
 
 
 def load_workloads():
@@ -282,14 +287,12 @@ class TestPipeline:
         assert len(calls) == len(sweep.points)
 
     def test_failed_scenario_reports_violation(self):
-        doc = dict(CANONICAL)
-        # guess far outside and a tight box: inversion leaves the box
-        doc["inversion"] = {"mode": "2p", "box": {"M": [0.999, 1.001],
-                                                  "a": [0.0799, 0.0801]},
-                            "guess": {"M": 1.0005, "a": 0.08}}
-        doc["lattice"] = dict(CANONICAL["lattice"], a=0.2)
-        report = run_pipeline(ScenarioConfig(raw=doc))
+        # the box holds the true a = 0.08, but the tail moves the estimate
+        # about 4e-8 off it: the inversion converges outside the box
+        report = run_pipeline(ScenarioConfig(raw=dict(CANONICAL, inversion=TIGHT_BOX)))
         assert not report.ok
+        assert report.rows[0]["failed"]
+        assert report.violations[0].endswith("leaves the parameter box")
 
 
 class TestSweep:
@@ -306,14 +309,26 @@ class TestSweep:
         axis, values = cfg["sweep"]["axis"], cfg["sweep"]["values"]
         rows, violations = [], []
         for i, value in enumerate(values):
-            point = run_pipeline(cfg.point(value), scenario_id=i)
-            rows += [dict(row, sweep_axis=axis, sweep_value=float(value))
+            # a lone point is scenario 0 of its own table
+            point = run_pipeline(cfg.point(value))
+            rows += [dict(row, scenario=i, sweep_axis=axis, sweep_value=float(value))
                      for row in point.rows]
-            violations += point.violations
+            violations += [v.replace("scenario 0", f"scenario {i}", 1)
+                           for v in point.violations]
         sweep = run_sweep(cfg)
         assert [list(row.items()) for row in sweep.rows] == \
             [list(row.items()) for row in rows]
         assert sweep.violations == violations
+
+    def test_observables_estimated_once_per_point(self, monkeypatch):
+        # the inversion's estimate is the one the ledger reads
+        calls = []
+        estimate = pipeline._estimate
+        monkeypatch.setattr(pipeline, "_estimate",
+                            lambda cfg, sectors: calls.append(cfg) or estimate(cfg, sectors))
+        cfg = ScenarioConfig(raw=SWEEPS["ell"])
+        assert run_sweep(cfg).ok
+        assert list(map(id, calls)) == list(map(id, cfg.points))
 
     def test_tail_start_time_decay(self):
         doc = dict(CANONICAL)
@@ -489,17 +504,20 @@ class TestCli:
         assert run_subcommand("pipeline", cfg) == "run_pipeline"
         assert run_subcommand("sweep", cfg) == "run_sweep"
 
+    @pytest.mark.parametrize("name", sorted(pipeline.SUBCOMMANDS))
+    def test_drivers_take_cfg_only(self, name):
+        # a subcommand's driver reads the config and nothing else
+        entry = pipeline.SUBCOMMANDS[name]
+        (driver,) = entry.__code__.co_names
+        for fn in (entry, getattr(pipeline, driver)):
+            assert list(inspect.signature(fn).parameters) == ["cfg"], (name, fn)
+
     def test_missing_file_exit_2(self, tmp_path):
         assert cli.main(["pipeline", "--config", str(tmp_path / "nope.yaml"),
                          "--out", str(tmp_path / "o")]) == 2
 
     def test_violation_exit_1(self, tmp_path):
-        doc = dict(CANONICAL)
-        doc["inversion"] = {"mode": "2p",
-                            "box": {"M": [0.999, 1.001], "a": [0.0799, 0.0801]},
-                            "guess": {"M": 1.0005, "a": 0.08}}
-        doc["lattice"] = dict(CANONICAL["lattice"], a=0.2)
-        cfg = write_cfg(tmp_path, doc)
+        cfg = write_cfg(tmp_path, dict(CANONICAL, inversion=TIGHT_BOX))
         assert cli.main(["pipeline", "--config", cfg, "--out",
                          str(tmp_path / "o")]) == 1
 

@@ -56,13 +56,12 @@ def test_band_isolate_op_counters():
 
 
 def test_noise_sampled_once_per_scenario():
-    # an lcg-long-grid op sweeps 4 scenarios; both sectors of a scenario add
-    # the one noise sample taken on the setup grid
+    # an lcg-long-grid op sweeps 4 scenarios, one table row each; both
+    # sectors of a scenario add the one noise sample taken on the setup grid
     workload = load_ringbench("workloads").make("lcg-long-grid")
     workload.prepare(None)
     report, metrics = traced_op(workload.run, workload.make_input(1, 0), None)
     assert len(report.rows) == 4 and not report.violations
-    assert metrics["pipeline.scenarios"] == 4
     assert metrics["signal_model.noise_evals"] == 4
 
 
@@ -88,8 +87,8 @@ def test_weights_computed_once_per_setup(monkeypatch):
 
 def test_ell_sweep_op_is_one_batch(monkeypatch):
     # one ell-sweep op: 40 points on one 201-sample grid form one batch, so
-    # each sign is one extract call of five weighted inner products, while
-    # run_pipeline still runs once per point.  The 40 inversions are one
+    # each sign is one extract call of five weighted inner products, and the
+    # table has one row per point.  The 40 inversions are one
     # batched call of three undamped Newton steps per row, and the inverse
     # constants are built once, at load, since no point moves the map or the
     # M and Lambda box ranges
@@ -104,7 +103,6 @@ def test_ell_sweep_op_is_one_batch(monkeypatch):
     workload.prepare(None)
     report, metrics = traced_op(workload.run, workload.make_input(1, 0), None)
     assert len(report.rows) == 40 and not report.violations
-    assert metrics["pipeline.scenarios"] == 40
     assert metrics["extractor.extract_calls"] == 2
     assert metrics["signal_model.inner_calls"] == 10
     assert calls == {"invert_rows": 1, "inverse_constants": 1}
