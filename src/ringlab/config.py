@@ -340,6 +340,22 @@ class ScenarioConfig:
             stream = (setup.t0 + setup.t_len) / setup.dt + self.fd_pad + 1
         if max(setup.n_samples + 1 + 2 * self.fd_pad, stream) > _MAX_SAMPLES:
             raise ConfigError(f"observation: a row may hold at most {_MAX_SAMPLES} samples")
+        if not {"observation", "tail", "noise"}.isdisjoint(sections):
+            self._check_energy()
+
+    def _check_energy(self):
+        """A decaying scene's samples are at most the sum of its amplitudes,
+        so each energy the extraction sums, weighted (over at most T) or per
+        sample (residual_l2), of the scene or of a difference of its terms,
+        is at most twice that sum, squared, times the larger of T and the
+        sample count: that bound must be finite."""
+        modes, tail, noise, setup = self.data["modes"], self.tail, self.noise, self.setup
+        amps = [modes["amp_plus"], modes["amp_minus"], *(c["amp"] for c in modes["contaminants"])]
+        peak = sum([tail.c_tail, tail.leak, abs(noise.lcg_amplitude),
+                    *(abs(c) for c, _, _ in noise.harmonics),
+                    *(math.hypot(a.real, a.imag) for a in amps)])  # inf, where abs raises
+        if not math.isfinite(4.0 * peak * peak * max(setup.t_len, setup.n_samples + 1)):
+            raise ConfigError(f"scene energy bound overflows: the amplitudes sum to {peak:.6g}")
 
     def _build_inversion(self):
         """Unless set, the guess is 1% off p_true and the box M +- 10%,

@@ -11,7 +11,12 @@ failed (CLI exit code 1).  Scenarios form one table, built by one loop:
 ``pipeline`` is its one row, ``sweep`` a row per point.  Consecutive points
 on one observation setup synthesise and extract their sectors as the rows
 of one array, every point's data are inverted in one damped-Newton pass,
-and each row is bit for bit what its point gives alone.
+and each row is bit for bit what its point gives alone.  What consecutive
+points share is synthesised once per table: a mode row that every point
+of a batch holds, and that later batches reuse while it recurs, the tail
+on one grid, and the unscaled LCG stream of one seed, which every noise
+amplitude scales (a noise_amp sweep synthesises its references, tail and
+stream once).
 
 Inside a scenario every norm is taken in the discrete trapezoid-weighted
 inner product on the sampling grid, the bilinear form sum_k q_k f_k conj(g_k)
@@ -53,14 +58,70 @@ class Scenario:
     noise_l2: float  # its norm over the window: both sectors' budgets use it
 
 
-def _scenario(cfg: ScenarioConfig, setup: sm.ObservationSetup) -> Scenario:
-    """``cfg`` with its noise sampled on its scene grid: the grid of ``setup``
-    (a setup equal to cfg.setup) widened by cfg.fd_pad steps on each side,
-    which the fd window trims.  Off the fd path that is setup.grid() itself."""
-    t, pad = setup.grid(), cfg.fd_pad
-    if pad:
-        t = max(setup.t0 - pad * setup.dt, 0.0) + setup.dt * np.arange(len(t) + 2 * pad)
-    samples = None if cfg.noise.is_zero else cfg.noise.eval(t)
+class _Carry:
+    """What the batches of one :func:`_run_points` call share, each built
+    once and kept while the next batch asks for it again: the padded scene
+    grid of an observation setup, the tail sampled on a grid, the unscaled
+    LCG stream at a grid's nodes (:meth:`signal_model.NoiseSpec.lcg_unit`,
+    one per seed and hold step) and, per row slot (sector sign and term),
+    the last mode row that a whole batch shared on a grid.  Each slot keeps
+    only its latest entry, so across batches the carry holds one grid, one
+    tail, one stream and one row per slot.  Every value is the one a point
+    builds alone, bit for bit: its operations are elementwise."""
+
+    def __init__(self):
+        self._kept: dict = {}
+
+    def _latest(self, slot, grid, key, build):
+        """The value kept in ``slot`` if it was built on ``grid`` (the same
+        array) for an equal ``key``; else ``build()``, kept there."""
+        kept = self._kept.get(slot)
+        if kept is None or kept[0] is not grid or kept[1] != key:
+            kept = self._kept[slot] = (grid, key, build())
+        return kept[2]
+
+    def grid(self, setup: sm.ObservationSetup, pad: int) -> np.ndarray:
+        """The grid of ``setup`` widened by ``pad`` steps on each side."""
+        if not pad:
+            return setup.grid()
+        return self._latest("grid", None, (setup, pad), lambda: (
+            max(setup.t0 - pad * setup.dt, 0.0)
+            + setup.dt * np.arange(setup.n_samples + 1 + 2 * pad)))
+
+    def tail(self, tail: sm.TailSpec, t: np.ndarray) -> Optional[np.ndarray]:
+        """``tail`` sampled on ``t``, or None if it is zero."""
+        return None if tail.is_zero else self._latest("tail", t, tail, lambda: tail.eval(t))
+
+    def lcg_unit(self, noise: sm.NoiseSpec, t: np.ndarray) -> Optional[np.ndarray]:
+        """The unscaled LCG stream of ``noise`` at the nodes of ``t``, or None
+        without a stream."""
+        if noise.lcg_seed is None:
+            return None
+        return self._latest("lcg", t, (noise.lcg_seed, noise.lcg_dt), lambda: noise.lcg_unit(t))
+
+    def mode_rows(self, slot, modes: list, t: np.ndarray) -> np.ndarray:
+        """``signal_model.mode_rows(modes, t)``, not to be written to.  When
+        every mode has one (freq, amp, degree) the rows are one row repeated:
+        the last row of ``slot`` if it was built on ``t`` for that key, else
+        one synthesised and kept there.  Equal values that differ in the sign
+        of a zero part give equal rows, since mode_rows adds 0.0j last.
+        Modes that differ are synthesised in one call, as without the carry."""
+        key = (modes[0].freq, modes[0].amp, modes[0].poly_degree)
+        if any((m.freq, m.amp, m.poly_degree) != key for m in modes[1:]):
+            return sm.mode_rows(modes, t)
+        rows = self._latest(slot, t, key, lambda: sm.mode_rows(modes[:1], t))
+        rows.flags.writeable = False
+        return rows if len(modes) == 1 else np.repeat(rows, len(modes), axis=0)
+
+
+def _scenario(cfg: ScenarioConfig, setup: sm.ObservationSetup, t: np.ndarray,
+              carry: _Carry) -> Scenario:
+    """``cfg`` with its noise sampled on its scene grid ``t``: the grid of
+    ``setup`` (a setup equal to cfg.setup) widened by cfg.fd_pad steps on
+    each side, which the fd window trims.  Off the fd path that is
+    setup.grid() itself."""
+    noise = cfg.noise
+    samples = None if noise.is_zero else noise.eval(t, carry.lcg_unit(noise, t))
     noise_l2 = 0.0 if samples is None else sm.residual_l2(
         sm.SampledSignal(t_start=float(t[0]), dt=setup.dt, values=samples), setup)
     return Scenario(cfg=cfg, grid=t, noise_samples=samples, noise_l2=noise_l2)
@@ -116,17 +177,22 @@ def _sector_scene(sign: int, scn: Scenario) -> _SectorScene:
 
 
 def _run_sectors(sign: int, scns: list, setup: sm.ObservationSetup,
-                 tail: Optional[np.ndarray]) -> list:
+                 tail: Optional[np.ndarray], carry: _Carry) -> list:
     """One sector of each scenario of a batch on ``setup``: a SectorResult,
     or the RinglabError that ends it, per scenario.  ``tail`` is the batch's
     tail sampled on its scene grid (None if zero), which both signs add.
 
     The rows are synthesised as one (B, N) array and extracted in one call;
-    every row comes out bit for bit as it would alone.  Off the fd path the
-    reference term of each row is synthesised once: the scene is built from
-    it and extract subtracts it.  Every step checks its rows in the order a single
-    sector raises its errors.  The scenarios of a batch share the config
-    sections no sweep varies, so the first one stands for all of them there.
+    every row comes out bit for bit as it would alone.  Each term's rows
+    (reference, each contaminant, and on the fd path the target and the
+    contaminants on the padded grid) come from ``carry``: a row that every
+    point of the batch holds is synthesised once, or reused from the batch
+    before, so a noise_amp sweep synthesises its references once per sign.
+    Off the fd path the reference term of each row is synthesised once: the
+    scene is built from it and extract subtracts it.  Every step checks its
+    rows in the order a single sector raises its errors.  The scenarios of a
+    batch share the config sections no sweep varies, so the first one stands
+    for all of them there.
     """
     if not scns:
         return []
@@ -137,15 +203,20 @@ def _run_sectors(sign: int, scns: list, setup: sm.ObservationSetup,
 
     t, scene_t = setup.grid(), scns[0].grid
     refs = [sm.Mode(freq=sec.omega_true, amp=sec.amp_ref) for sec in secs]
-    y0 = sm.mode_rows(refs, t)
+    y0 = carry.mode_rows((sign, "reference"), refs, t)
     columns = list(zip(*(sec.modes[1:] for sec in secs)))
-    others = [sm.mode_rows(column, t) for column in columns]
+    others = [carry.mode_rows((sign, j), column, t) for j, column in enumerate(columns)]
     # the fd window filters the scene of the unwindowed target on the padded
     # grid; elsewhere the target term is the reference
     fd = _fd_window(cfg)
-    values = sm.mode_rows([sec.modes[0] for sec in secs], scene_t) if fd else y0.copy()
-    for column, term in zip(columns, others):
-        values += sm.mode_rows(column, scene_t) if fd else term
+    if fd:
+        values = carry.mode_rows((sign, "target"), [sec.modes[0] for sec in secs], scene_t).copy()
+        for j, column in enumerate(columns):
+            values += carry.mode_rows((sign, j, "scene"), column, scene_t)
+    else:
+        values = y0.copy()
+        for term in others:
+            values += term
     if tail is not None:
         values += tail
     for row, sec in zip(values, secs):
@@ -257,7 +328,9 @@ def _failed(report: RunReport, row: dict, prefix: str, exc: RinglabError) -> Run
 #: the most samples (rows times grid nodes) one batch of sweep points holds.
 #: Beyond it the per-call overhead is already amortised, and a larger batch
 #: only adds memory: four rows of a 20 001-node grid would add about 10 MiB
-#: to the peak RSS.
+#: to the peak RSS.  Across batches the carry (:class:`_Carry`) adds one
+#: padded grid, one tail, one LCG stream and the last row of each term and
+#: sign that a whole batch shared: about 1 MiB on a 20 001-node grid.
 _BATCH_SAMPLES = 2**15
 
 
@@ -275,20 +348,22 @@ def _batches(points: list):
         start = stop
 
 
-def _run_batch(cfgs: list, setup: sm.ObservationSetup, signs=(+1, -1)) -> list:
+def _run_batch(cfgs: list, setup: sm.ObservationSetup, carry: _Carry, signs=(+1, -1)) -> list:
     """Each config's sectors on ``setup``, one batch per sign.
 
     Per config: {sign: SectorResult}, or the RinglabError that ended it.
     The +1 sector runs first, and a scenario whose +1 sector failed runs no
-    -1 sector, as when it runs alone.  The tail, which no sweep varies, is
-    sampled once on the scene grid for both signs.
+    -1 sector, as when it runs alone.  The scene grid and the tail, which
+    no sweep varies (the grid's padding neither), come from ``carry`` for
+    every config and both signs.
     """
-    scns = [_scenario(cfg, setup) for cfg in cfgs]
-    tail = None if cfgs[0].tail.is_zero else cfgs[0].tail.eval(scns[0].grid)
+    t = carry.grid(setup, cfgs[0].fd_pad)
+    scns = [_scenario(cfg, setup, t, carry) for cfg in cfgs]
+    tail = carry.tail(cfgs[0].tail, t)
     outcome: list = [{} for _ in cfgs]
     for sign in signs:
         live = [i for i, sectors in enumerate(outcome) if isinstance(sectors, dict)]
-        results = _run_sectors(sign, [scns[i] for i in live], setup, tail)
+        results = _run_sectors(sign, [scns[i] for i in live], setup, tail, carry)
         for i, sec in zip(live, results):
             if isinstance(sec, SectorResult):
                 outcome[i][sign] = sec
@@ -321,8 +396,9 @@ def _run_points(cfgs: list) -> list:
     one stands for all of them there.
     """
     outcome: list = []
+    carry = _Carry()
     for start, stop in _batches(cfgs):
-        outcome += _run_batch(cfgs[start:stop], cfgs[start].setup)
+        outcome += _run_batch(cfgs[start:stop], cfgs[start].setup, carry)
     live = [i for i, sectors in enumerate(outcome) if isinstance(sectors, dict)]
     if live:
         keys = _data_keys(cfgs[0])
@@ -440,7 +516,7 @@ def run_sweep(cfg: ScenarioConfig) -> RunReport:
 def run_extract(cfg: ScenarioConfig) -> RunReport:
     """One-sector extraction only: signal, Rayleigh quotient, bounds."""
     report = RunReport(metadata={"subcommand": "extract", **_REPORT_TOLERANCES})
-    sectors = _run_batch([cfg], cfg.setup, signs=(+1,))[0]
+    sectors = _run_batch([cfg], cfg.setup, _Carry(), signs=(+1,))[0]
     if isinstance(sectors, RinglabError):
         return _failed(report, {}, "", sectors)
     sec = sectors[+1]

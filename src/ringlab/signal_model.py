@@ -112,6 +112,11 @@ class NoiseSpec:
       "Random number generation with arbitrary strides", Trans. Am. Nucl.
       Soc. 1994) and is bit-identical to the sequential recurrence.
 
+    The unscaled stream 2*(x_k / 2**64) - 1 at the nodes of a grid
+    (:meth:`lcg_unit`) depends on the seed and hold step alone, so specs that
+    differ only in amplitude can share it: ``eval(t, lcg_unit)`` takes it
+    and scales it by the amplitude, the samples the spec draws alone.
+
     Identical specs produce bit-identical samples on the same grid.
     """
 
@@ -130,10 +135,16 @@ class NoiseSpec:
     def is_zero(self) -> bool:
         return not self.harmonics and self.lcg_seed is None
 
-    def _lcg_samples(self, n: int) -> np.ndarray:
+    def lcg_unit(self, t) -> np.ndarray:
+        """The unscaled LCG stream 2*(x_k / 2**64) - 1 at the node of each t,
+        shaped like t."""
+        idx = np.rint(np.asarray(t, dtype=float) / self.lcg_dt).astype(int)
+        if np.any(idx < 0):
+            raise ConfigError("LCG noise is defined for t >= 0 only")
         # x[m + j] = A_m * x[j] + C_m mod 2**64, with A_m = a**m and
         # C_m = c * (1 + a + ... + a**(m-1)); uint64 arrays wrap silently but
         # numpy scalars warn, so A_m and C_m advance as masked Python ints
+        n = int(idx.max()) + 1 if idx.size else 0
         x = np.empty(n, dtype=np.uint64)
         if n:
             x[0] = (_LCG_MULT * (self.lcg_seed & _LCG_MASK) + _LCG_INC) & _LCG_MASK
@@ -142,20 +153,18 @@ class NoiseSpec:
             k = min(m, n - m)
             x[m:m + k] = np.uint64(a_m) * x[:k] + np.uint64(c_m)
             a_m, c_m, m = (a_m * a_m) & _LCG_MASK, (a_m * c_m + c_m) & _LCG_MASK, 2 * m
-        return self.lcg_amplitude * (2.0 * (x / 2.0**64) - 1.0)
+        return (2.0 * (x / 2.0**64) - 1.0)[idx]
 
-    def eval(self, t):
+    def eval(self, t, lcg_unit: Optional[np.ndarray] = None):
+        """eta(t); ``lcg_unit``, if given, is :meth:`lcg_unit` of t."""
         t = np.asarray(t, dtype=float)
         val = np.zeros(t.shape, dtype=float)
         for c, mu, phi in self.harmonics:
             val = val + c * np.cos(mu * t + phi)
         if self.lcg_seed is not None:
-            idx = np.rint(t / self.lcg_dt).astype(int)
-            nmax = int(idx.max()) + 1 if idx.size else 0
-            if np.any(idx < 0):
-                raise ConfigError("LCG noise is defined for t >= 0 only")
-            stream = self._lcg_samples(nmax)
-            val = val + stream[idx]
+            if lcg_unit is None:
+                lcg_unit = self.lcg_unit(t)
+            val = val + self.lcg_amplitude * lcg_unit
         return val
 
 
@@ -325,12 +334,17 @@ def weight_eval(setup: ObservationSetup, t):
     if setup.taper == "rectangular":
         w = ((t >= p_lo) & (t <= p_hi)).astype(float)
     else:
-        inside = (t >= lo) & (t <= hi)
-        s_l = np.clip((t - lo) / setup.delta, 0.0, 1.0)
-        s_r = np.clip((t - p_hi) / setup.delta, 0.0, 1.0)
-        ramp_l = 0.5 * (1.0 - np.cos(np.pi * s_l))
-        ramp_r = 0.5 * (1.0 + np.cos(np.pi * s_r))
-        w = np.where(inside, np.minimum(ramp_l, ramp_r), 0.0)
+        t1 = t.reshape(-1)
+        inside = (t1 >= lo) & (t1 <= hi)
+        s_l = np.clip((t1 - lo) / setup.delta, 0.0, 1.0)
+        s_r = np.clip((t1 - p_hi) / setup.delta, 0.0, 1.0)
+        # off the ramps s_l = 1 and s_r = 0, where 0.5 (1 -+ cos) is exactly 1,
+        # so the cosines are taken on the ramp nodes alone
+        w = inside.astype(float)
+        ramp = inside & ((s_l < 1.0) | (s_r > 0.0))
+        w[ramp] = np.minimum(0.5 * (1.0 - np.cos(np.pi * s_l[ramp])),
+                             0.5 * (1.0 + np.cos(np.pi * s_r[ramp])))
+        w = w.reshape(t.shape)
     return w if w.shape else float(w)
 
 

@@ -211,6 +211,13 @@ FOUND = [
                   "inversion": {"mode": "3p", "box": {"Lambda": [0.03, 0.05]}}}, 2),
     ("sweep", {"inversion": {"box": {"a": [0.0, 0.1]}},
                "sweep": {"axis": "separation", "values": [0.05, 0.12]}}, 2),
+    # finite amplitudes whose scene energy overflows, in the base and at a
+    # sweep point
+    ("pipeline", {"noise": {"lcg": {"seed": 3, "amplitude": 1.0e+300}}}, 2),
+    ("pipeline", {"noise": {"harmonics": [[1.0e+200, 3.0, 0.4]]}}, 2),
+    ("pipeline", {"tail": {"c": 1.0e+300, "nu": 0.5, "m": 2}}, 2),
+    ("sweep", {"noise": {"lcg": {"seed": 3, "amplitude": 1.0e-3}},
+               "sweep": {"axis": "noise_amp", "values": [1.0, 1.0e+300]}}, 2),
 ]
 
 

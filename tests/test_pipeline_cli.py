@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -91,6 +92,31 @@ SWEEPS = {
         CANONICAL, observation={"T0": 4.0, "T": 10.0, "Delta": 1.0, "dt": 0.001},
         noise={"lcg": {"seed": 5, "amplitude": 1e-3}},
         sweep={"axis": "noise_amp", "values": [0.25, 1.0, 2.0, 4.0]}),
+    # batches of 3, 3 and 1 points on one grid: rows that differ within a
+    # batch, then a batch of one repeated row, then a row that differs from it
+    "ell_long_grid": dict(
+        CANONICAL, observation={"T0": 4.0, "T": 10.0, "Delta": 1.0, "dt": 0.001},
+        noise={"lcg": {"seed": 7, "amplitude": 1e-3}},
+        sweep={"axis": "ell", "values": [50, 100, 100, 100, 100, 100, 200]}),
+    # rows shared across batches of 3 and 2 points: the windowed references
+    # and contaminants of every point are equal
+    "noise_amp_modal_window": dict(
+        with_section("lattice", overtone=1),
+        observation={"T0": 4.0, "T": 10.0, "Delta": 1.0, "dt": 0.001},
+        modes={"contaminants": [{"j": 0, "sign": 1, "amp": [0.5, 0.0]},
+                                {"j": 0, "amp": [0.25, 0.0]}]},
+        noise={"lcg": {"seed": 11, "amplitude": 1e-3}},
+        window={"enabled": True, "n": 1, "m0": 3, "path": "modal"},
+        sweep={"axis": "noise_amp", "values": [0.25, 1.0, 1.0, 2.0, 4.0]}),
+    # the same on the fd path, whose scene grid is padded
+    "noise_amp_fd_window": dict(
+        with_section("lattice", overtone=1),
+        observation={"T0": 4.0, "T": 10.0, "Delta": 1.0, "dt": 0.001},
+        modes={"contaminants": [{"j": 0, "amp": [0.5, 0.0]}]},
+        tail={"c": 0.01, "nu": 0.5, "m": 0},
+        noise={"lcg": {"seed": 12, "amplitude": 1e-11}},
+        window={"enabled": True, "n": 1, "m0": 2, "path": "fd", "stencil_order": 8},
+        sweep={"axis": "noise_amp", "values": [0.5, 1.0, 2.0, 4.0]}),
 }
 
 #: an inversion box that holds CANONICAL's true point (M 1, a 0.08) but not
@@ -272,9 +298,9 @@ class TestPipeline:
         calls = []
         noise_eval = sm.NoiseSpec.eval
 
-        def counted_eval(self, t):
+        def counted_eval(self, t, *rest):
             calls.append(len(t))
-            return noise_eval(self, t)
+            return noise_eval(self, t, *rest)
 
         monkeypatch.setattr(sm.NoiseSpec, "eval", counted_eval)
         cfg = ScenarioConfig(raw=dict(CANONICAL, window={"enabled": True, "path": "fd"},
@@ -319,6 +345,26 @@ class TestSweep:
         assert [list(row.items()) for row in sweep.rows] == \
             [list(row.items()) for row in rows]
         assert sweep.violations == violations
+
+    def test_sweep_peak_memory_bounded(self):
+        # what one batch hands the next is bounded: a 24-point sweep (8
+        # batches of 3 rows of 10 001 samples, each batch one ell, so each
+        # shares its reference rows) peaks within 5% of a 6-point one
+        def peak(points):
+            cfg = ScenarioConfig(raw=dict(
+                CANONICAL, observation={"T0": 4.0, "T": 10.0, "Delta": 1.0, "dt": 0.001},
+                sweep={"axis": "ell", "values": [50 + 10 * (i // 3) for i in range(points)]}))
+            tracemalloc.start()
+            try:
+                report = run_sweep(cfg)
+                used = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(report.rows) == points and report.ok
+            return used
+
+        few, many = peak(6), peak(24)
+        assert many <= 1.05 * few, (few, many)
 
     def test_observables_estimated_once_per_point(self, monkeypatch):
         # the inversion's estimate is the one the ledger reads

@@ -96,7 +96,7 @@ class TestNoise:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for n in (0, 1, 2, 3, 7, 1000, 20_001, 100_000):
-                got = spec._lcg_samples(n)
+                got = spec.eval(np.arange(n, dtype=float))  # node k at t = k
                 want = lcg_reference(seed, 0.37, n)
                 assert got.dtype == np.float64 and got.shape == (n,)
                 assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
@@ -104,7 +104,7 @@ class TestNoise:
     def test_lcg_pinned_samples(self):
         want = [0.13646065328781543, -0.5490731421044972, -0.17432336234097634]
         assert lcg_reference(42, 1.0, 3).tolist() == want
-        assert sm.NoiseSpec(lcg_seed=42, lcg_amplitude=1.0)._lcg_samples(3).tolist() == want
+        assert sm.NoiseSpec(lcg_seed=42, lcg_amplitude=1.0).eval(np.arange(3.0)).tolist() == want
 
     def test_harmonic_noise(self):
         spec = sm.NoiseSpec(harmonics=((0.2, 1.5, 0.3),))
@@ -114,6 +114,20 @@ class TestNoise:
     def test_exclusive_forms(self):
         with pytest.raises(ConfigError):
             sm.NoiseSpec(harmonics=((1.0, 1.0, 0.0),), lcg_seed=3)
+
+
+def full_grid_weight(setup, t):
+    """weight_eval's raised-cosine formula with both ramps on every node: the
+    oracle of the library's cosines on the ramp nodes alone."""
+    t = np.asarray(t, dtype=float)
+    lo, hi = setup.t0, setup.t0 + setup.t_len - setup.delta
+    p_hi = setup.t0 + setup.t_len - 2 * setup.delta
+    inside = (t >= lo) & (t <= hi)
+    s_l = np.clip((t - lo) / setup.delta, 0.0, 1.0)
+    s_r = np.clip((t - p_hi) / setup.delta, 0.0, 1.0)
+    ramp_l = 0.5 * (1.0 - np.cos(np.pi * s_l))
+    ramp_r = 0.5 * (1.0 + np.cos(np.pi * s_r))
+    return np.where(inside, np.minimum(ramp_l, ramp_r), 0.0)
 
 
 class TestWeight:
@@ -160,6 +174,28 @@ class TestWeight:
         twin = std_setup(dt=10.0 / (n - 1), taper=taper)
         twin.grid(), twin.weights  # fill the twin's caches too
         assert twin == setup and hash(twin) == hash(setup)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_ramp_only_cosines_match_full_grid(self, seed):
+        # seeded setups, some with overlapping ramps (t_len < 3 delta), on
+        # their grids widened past both ends, plus random off-grid times
+        rng = np.random.default_rng(seed)
+        dt = float(rng.choice([0.5, 0.05, 0.001]))
+        steps = int(rng.integers(2, 400))
+        setup = sm.ObservationSetup(t0=float(rng.integers(0, 6)),
+                                    t_len=dt * steps * int(rng.integers(2, 6)),
+                                    delta=dt * steps, dt=dt, taper="raised-cosine")
+        pad = 3 * setup.shift_steps
+        t = setup.t0 + setup.dt * np.arange(-pad, setup.n_samples + 1 + pad)
+        t = np.concatenate([t, rng.uniform(t[0], t[-1], 500)])
+        got, want = sm.weight_eval(setup, t), full_grid_weight(setup, t)
+        assert np.any(got == 0.0) and np.any((got > 0.0) & (got < 1.0))
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        for ti in t[::97]:  # scalars take the same path
+            assert sm.weight_eval(setup, float(ti)) == want[np.flatnonzero(t == ti)[0]]
+        rect = sm.ObservationSetup(setup.t0, setup.t_len, setup.delta, dt, "rectangular")
+        plateau = (t >= rect.t0 + rect.delta) & (t <= rect.t0 + rect.t_len - 2 * rect.delta)
+        assert np.array_equal(sm.weight_eval(rect, t), plateau.astype(float))
 
 
 class TestWeightedInner:

@@ -112,21 +112,25 @@ def test_ell_sweep_op_is_one_batch(monkeypatch):
 def test_lcg_long_grid_op_counts(monkeypatch):
     # one lcg-long-grid op: 4 points of 20 001 samples, one point per batch
     # (the sample cap), so 8 extract calls of five weighted inner products;
-    # one residual_l2 per scenario, for its noise norm (no contaminants); and
-    # one tail evaluation per batch, which both signs add
+    # one residual_l2 per scenario, for its noise norm (no contaminants).
+    # The points differ only in noise amplitude, so the op samples its tail
+    # once, draws its LCG stream once and synthesises one reference row per
+    # sign, which every later batch reuses
     from ringlab import pipeline, signal_model
-    calls = {"residual_l2": 0, "tail": 0}
+    calls = {"residual_l2": 0, "tail": 0, "mode_rows": 0, "lcg_unit": 0}
 
-    def counted_l2(*args, _fn=signal_model.residual_l2):
-        calls["residual_l2"] += 1
-        return _fn(*args)
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
 
-    def counted_tail(self, t, _fn=signal_model.TailSpec.eval):
-        calls["tail"] += 1
-        return _fn(self, t)
-
-    monkeypatch.setattr(signal_model, "residual_l2", counted_l2)
-    monkeypatch.setattr(signal_model.TailSpec, "eval", counted_tail)
+    monkeypatch.setattr(signal_model, "residual_l2",
+                        counted("residual_l2", signal_model.residual_l2))
+    monkeypatch.setattr(signal_model, "mode_rows", counted("mode_rows", signal_model.mode_rows))
+    monkeypatch.setattr(signal_model.TailSpec, "eval", counted("tail", signal_model.TailSpec.eval))
+    monkeypatch.setattr(signal_model.NoiseSpec, "lcg_unit",
+                        counted("lcg_unit", signal_model.NoiseSpec.lcg_unit))
     workload = load_ringbench("workloads").make("lcg-long-grid")
     workload.prepare(None)
     report, metrics = traced_op(workload.run, workload.make_input(1, 0), None)
@@ -134,7 +138,8 @@ def test_lcg_long_grid_op_counts(monkeypatch):
     assert pipeline._BATCH_SAMPLES // 20001 == 1
     assert metrics["extractor.extract_calls"] == 8
     assert metrics["signal_model.inner_calls"] == 40
-    assert calls == {"residual_l2": 4, "tail": 4}
+    assert metrics["signal_model.noise_evals"] == 4
+    assert calls == {"residual_l2": 4, "tail": 1, "mode_rows": 2, "lcg_unit": 1}
 
 
 def test_weights_computed_once_per_sweep(monkeypatch):
