@@ -3,7 +3,9 @@
 A synthetic pseudopole lattice over (M, a[, Lambda]) generates the labeled
 frequency pair; the normalized observables invert it exactly, so the whole
 error chain  eps -> |delta omega| -> data-map error -> parameter bias
-can be checked against its explicit constants end to end.
+can be checked against its explicit constants end to end: each link's bound
+feeds the next, the bias bound being C* times the data-map bound of the two
+frequency-error bounds.
 """
 import numpy as np
 
@@ -28,14 +30,14 @@ print("observables (U, V, W):", obs, " = (u, v, lam) exactly")
 setup = sm.ObservationSetup(t0=4.0, t_len=10.0, delta=1.0, dt=0.05)
 tail = sm.TailSpec(c_tail=1.0, nu=0.5, m=2)
 omega_hat = {}
-eps = {}
+bound_omega = {}
 eps_small = {}
 for sign, w in ((+1, w_plus), (-1, w_minus)):
     mode = sm.Mode(freq=w, amp=1.0)
     y = sm.sample_scene([mode], tail, sm.ZERO_NOISE, setup)
     res = ex.extract(y, ex.ExtractionConfig(setup=setup, prior=w), y0_reference=[mode])
     omega_hat[sign] = res.omega_hat
-    eps[sign] = res.eps
+    bound_omega[sign] = res.bound_omega
     eps_small[sign] = res.hypotheses_ok.eps_small
     print(f"  sector {sign:+d}: eps = {res.eps:.4e}, "
           f"|domega| = {abs(res.omega_hat - w):.3e} <= {res.bound_omega:.3e}")
@@ -51,17 +53,13 @@ print(f"\ninverted point: M = {p_hat.m:.8f}, a = {p_hat.a:.8f} "
 
 # --- the certified bias bound with closed-form inverse constants -------------
 consts = pm.inverse_constants(model, box)  # extrema at proven box vertices
-z_plus = np.exp(-1j * w_plus * setup.delta)
-z_minus = np.exp(-1j * w_minus * setup.delta)
-bound = pm.bias_bound_2p(eps[+1], eps[-1], z_plus, z_minus,
-                         setup.delta, model.ell, consts["C_star"])
+bound = pm.bias_bound_2p(consts["C_star"], bound_omega[+1], bound_omega[-1], model.ell)
 print(f"c* = {consts['c_star']:.4f}, C* = {consts['C_star']:.4f}")
 print(f"parameter bias {param_err:.3e} <= certified bound {bound:.3e} "
       f"(hypotheses hold: {eps_small[+1] and eps_small[-1]})")
 
 # --- the 1/ell conditioning gain ----------------------------------------------
-print("\nbias bound vs ell (eps held fixed):")
+print("\nbias bound vs ell (frequency-error bounds held fixed):")
 for ell in (50, 100, 200):
-    b = pm.bias_bound_2p(eps[+1], eps[-1], z_plus, z_minus, setup.delta,
-                         ell, consts["C_star"])
+    b = pm.bias_bound_2p(consts["C_star"], bound_omega[+1], bound_omega[-1], ell)
     print(f"  ell = {ell:3d}: bound {b:.4e}")

@@ -317,6 +317,7 @@ class ScenarioConfig:
             if p_true != getattr(self, "p_true", None):
                 self.p_true = p_true
                 self._build_inversion()
+                self._check_decay()
             self._build_windows()
         if "tail" in sections:
             tail = data["tail"]
@@ -356,6 +357,19 @@ class ScenarioConfig:
                     *(math.hypot(a.real, a.imag) for a in amps)])  # inf, where abs raises
         if not math.isfinite(4.0 * peak * peak * max(setup.t_len, setup.n_samples + 1)):
             raise ConfigError(f"scene energy bound overflows: the amplitudes sum to {peak:.6g}")
+
+    def _check_decay(self):
+        """Every scene mode (the target and each contaminant, in each sector
+        that holds it) must decay, as the eps budget and energy bounds need.
+        Im(pseudopole) does not depend on ell, so an ell point keeps the base's."""
+        modes, offset = self.data["modes"], self.data["lattice"]["pole_offset"]
+        terms = [(self.model.n, None), *((c["j"], c["sign"]) for c in modes["contaminants"])]
+        for j, only in terms:
+            for sign in (+1, -1) if only is None else (only,):
+                im = (_named("lattice", pm.pseudopole, self.model, j, sign, self.p_true) + offset).imag
+                if not im < 0.0:
+                    raise ConfigError(f"lattice.pole_offset: the mode j={j}, sign {sign:+d} has "
+                                      f"Im(pole + offset) = {im:.6g} >= 0; a scene mode must decay")
 
     def _build_inversion(self):
         """Unless set, the guess is 1% off p_true and the box M +- 10%,

@@ -126,12 +126,20 @@ def eps_small(eps: float, z: complex) -> bool:
     return bool(eps <= min(0.125, abs(z) / 20.0))
 
 
-def log_lip_bound(z: complex, z_hat: complex) -> float:
-    """Logarithm Lipschitz bound (2/|z|)|z_hat - z|, valid for |z_hat - z| <= |z|/2."""
-    dz = abs(z_hat - z)
-    if dz > 0.5 * abs(z):
-        raise HypothesisError("log Lipschitz bound requires |z_hat - z| <= |z|/2")
-    return 2.0 * dz / abs(z)
+def omega_bound(eps0: float, eps1: float, z_abs: float, delta: float) -> float:
+    """Bound -log(1 - bound_z/|z|)/delta for |omega_hat - omega|, bound_z the
+    sharp :func:`stability_bound`; inf where eps0 > 1/4 or bound_z >= |z|.
+
+    Proof: the series of Log gives |Log w| <= -log(1 - |w - 1|) for |w - 1| < 1,
+    and on the prior's branch (assumed by the crude 10 eps/(delta |z|) too)
+    omega_hat - omega = (i/delta) Log(z_hat/z), |z_hat/z - 1| <= bound_z/|z|.
+    eps_small gives bound_z <= 3 eps <= 3|z|/20, so the bound is at most
+    (20/17) 3 eps/(delta |z|).  bound_z increases in eps0 and eps1 for eps0 <
+    1/2, so a budget eps bounding both enters as eps0 = eps1 = eps."""
+    bound_z = stability_bound(eps0, eps1) if eps0 <= 0.25 else math.inf
+    if not bound_z < z_abs:
+        return math.inf
+    return -math.log1p(-bound_z / z_abs) / delta
 
 
 def branch_log(z_hat: complex, prior: complex, delta: float) -> complex:
@@ -158,7 +166,7 @@ def extract(y: SampledSignal, cfg: ExtractionConfig,
     With y0_reference (the known synthetic mode content, a single mode for
     the certified one-mode bounds) the residual sizes are evaluated and the
     result carries bound_z = (eps0+eps1)(1+eps0)/(1-2 eps0) and
-    bound_omega = (10/(delta |z|)) eps, plus the hypothesis flags
+    bound_omega = :func:`omega_bound`, plus the hypothesis flags
     eps_small: eps <= min(1/8, |z|/20) and branch_hyp (the branch-selection
     hypotheses at the true z).  Without a reference both flags stay None:
     the hypotheses are about the true z, which is then unknown.  ``y0``, the
@@ -225,13 +233,13 @@ def _extract_rows(y: SampledSignal, cfg: ExtractionConfig,
         result.eps = max(result.eps0, result.eps1)
         z = np.exp(-1j * mode.freq * setup.delta)
         z_sharp = np.exp(-1j * prior * setup.delta)
-        result.bound_omega = 10.0 * result.eps / (setup.delta * abs(z))
         result.hypotheses_ok.eps_small = eps_small(result.eps, z)
         result.hypotheses_ok.branch_hyp = bool(
             abs(z - z_sharp) <= 0.25 * abs(z_sharp)
             and abs(result.z_hat - z) <= 0.5 * abs(z))
         result.bound_z = (stability_bound(result.eps0, result.eps1)
                           if result.eps0 <= 0.25 else np.inf)
+        result.bound_omega = omega_bound(result.eps0, result.eps1, abs(z), setup.delta)
     return out
 
 

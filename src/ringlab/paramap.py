@@ -5,6 +5,8 @@ for explicit smooth functions (u, v, lam) of the parameter point, so that
 the normalized observables U, V, W-tilde invert it exactly.  The bias
 theorems are map-agnostic given the inverse stability constant C*, a proven
 extremum of the closed-form Jacobian over a parameter box, not a sample.
+The bias bound ends one chain: C* times the data-map bound of the sectors'
+frequency-error bounds (:func:`extractor.omega_bound`).
 """
 from __future__ import annotations
 
@@ -189,15 +191,11 @@ def observables(omega_plus: complex, omega_minus: complex, ell: int, n: int) -> 
 
 def data_map_error_bound(delta_omega_plus: complex, delta_omega_minus: complex,
                          ell: int, n: Optional[int] = None) -> float:
-    """Bound for the data-map perturbation from frequency errors.
-
-    Two components: sqrt(2)/(2 ell) (|dw+| + |dw-|); with the damping
-    observable (n given) the extra term |dw+|/(n + 1/2) is added.
-    """
+    """Bound sqrt(2)/(2 ell) (|dw+| + |dw-|) for the data-map perturbation from
+    frequency errors (or their bounds); with the damping observable (n given)
+    the term |dw+|/(n + 1/2) is added."""
     base = SQRT2 / (2.0 * ell) * (abs(delta_omega_plus) + abs(delta_omega_minus))
-    if n is None:
-        return base
-    return base + abs(delta_omega_plus) / (n + 0.5)
+    return base if n is None else base + abs(delta_omega_plus) / (n + 0.5)
 
 
 def invert_data(model: LatticeModel, data: dict, guess: ParameterPoint,
@@ -363,34 +361,11 @@ def inverse_constants(model: LatticeModel, box: Sequence[Tuple[float, float]]) -
             "C_star": max(float(np.linalg.norm(np.linalg.inv(j), 2)) for j in jacs)}
 
 
-def bias_bound_2p(eps_plus: float, eps_minus: float, z_plus: complex,
-                  z_minus: complex, delta: float, ell: int,
-                  c_star: float) -> float:
-    """Two-parameter bias bound (5 sqrt2 C*/(Delta ell)) (e+/|z+| + e-/|z-|).
-
-    It certifies while each sector's eps meets the extractor's hypothesis
-    eps <= min(1/8, |z|/20), which this function does not check.
-    """
-    return float(5.0 * SQRT2 * c_star / (delta * ell)
-                 * (eps_plus / abs(z_plus) + eps_minus / abs(z_minus)))
-
-
-def bias_bound_split(eps_tail: Tuple[float, float], eps_meas: Tuple[float, float],
-                     z_plus: complex, z_minus: complex, delta: float, ell: int,
-                     c_star: float) -> dict:
-    """Tail/measurement split of the two-parameter bias bound."""
-    b_tail = bias_bound_2p(*eps_tail, z_plus, z_minus, delta, ell, c_star)
-    b_meas = bias_bound_2p(*eps_meas, z_plus, z_minus, delta, ell, c_star)
-    return {"bound_tail": b_tail, "bound_meas": b_meas, "bound": b_tail + b_meas}
-
-
-def bias_bound_3p(eps_plus: float, eps_minus: float, z_plus: complex,
-                  z_minus: complex, delta: float, ell: int, n: int,
-                  c_star3: float) -> float:
-    """Three-parameter bias bound: the 2p term plus the damping-channel term
-    (10 C*3/(Delta (n+1/2))) e+/|z+|, under the 2p bound's hypothesis."""
-    if n < 0:
-        raise ConfigError("overtone index must be nonnegative")
-    base = bias_bound_2p(eps_plus, eps_minus, z_plus, z_minus, delta, ell, c_star3)
-    extra = 10.0 * c_star3 / (delta * (n + 0.5)) * eps_plus / abs(z_plus)
-    return float(base + extra)
+def bias_bound_2p(c_star: float, bound_omega_plus: float, bound_omega_minus: float,
+                  ell: int, n: Optional[int] = None) -> float:
+    """C* (the inverse's Lipschitz bound over the box) times the
+    :func:`data_map_error_bound` of the sectors' frequency-error bounds: the 2p
+    bias bound, or with n the 3p one.  Each bound_omega is
+    :func:`extractor.omega_bound`, which holds while its sector's eps meets
+    eps <= min(1/8, |z|/20); this function does not check it."""
+    return float(c_star * data_map_error_bound(bound_omega_plus, bound_omega_minus, ell, n))

@@ -424,12 +424,12 @@ def _bias_ledger(cfg: ScenarioConfig, point: dict) -> tuple:
                                          n=model.n if three else None)
     consts, p_hat = cfg.consts, inv["point"]
     param_err = float(np.linalg.norm(p_hat.as_array(three) - cfg.p_true.as_array(three)))
-    eps_pair = (sp.result.eps, sm_.result.eps)
     eps_budget_pair = (sp.eps_budget["eps_bound"], sm_.eps_budget["eps_bound"])
-    b2 = pm.bias_bound_2p(*eps_pair, sp.z_true, sm_.z_true, setup.delta, model.ell,
-                          consts["C_star"])
-    b2_budget = pm.bias_bound_2p(*eps_budget_pair, sp.z_true, sm_.z_true, setup.delta,
-                                 model.ell, consts["C_star"])
+    bound_omega = (sp.result.bound_omega, sm_.result.bound_omega)
+    bound_omega_budget = [ex.omega_bound(e, e, abs(sec.z_true), setup.delta)  # e bounds eps0, eps1
+                          for e, sec in zip(eps_budget_pair, (sp, sm_))]
+    b2 = pm.bias_bound_2p(consts["C_star"], *bound_omega, model.ell)
+    b2_budget = pm.bias_bound_2p(consts["C_star"], *bound_omega_budget, model.ell)
     # the bias bounds cover the data error only: a pole offset moves the true
     # frequencies off the lattice data map by a term that none of them bounds
     on_lattice = cfg["lattice"]["pole_offset"] == 0
@@ -444,14 +444,16 @@ def _bias_ledger(cfg: ScenarioConfig, point: dict) -> tuple:
         "c_star": consts["c_star"], "C_star": consts["C_star"],
         "bias_bound_2p": b2, "bias_bound_2p_budget": b2_budget,
         "hyp_bias": hyp, "hyp_bias_budget": hyp_budget,
+        # the 2p bounds cover an inversion with Lambda known: a 3p inversion
+        # passes the damping channel's error, which has no 1/ell, into M
+        "hyp_inversion_2p": not three,
     }
     records = [_record("data-map bound", True, data_err, data_bound),
-               _record("2p bias bound", hyp, param_err, b2),
-               _record("budget bias bound", hyp_budget, param_err, b2_budget)]
+               _record("2p bias bound", hyp and not three, param_err, b2),
+               _record("budget bias bound", hyp_budget and not three, param_err, b2_budget)]
     if three:
-        columns["bias_bound_3p"] = pm.bias_bound_3p(*eps_pair, sp.z_true, sm_.z_true,
-                                                    setup.delta, model.ell, model.n,
-                                                    consts["C_star"])
+        columns["bias_bound_3p"] = pm.bias_bound_2p(consts["C_star"], *bound_omega,
+                                                    model.ell, model.n)
         records.append(_record("3p bias bound", hyp, param_err, columns["bias_bound_3p"]))
     return columns, records
 

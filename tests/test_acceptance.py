@@ -74,7 +74,7 @@ def test_criterion_02_frequency_extraction():
         z_hat = rayleigh_exact(mode, residual, setup)
         omega_hat = ex.branch_log(z_hat, mode.freq, setup.delta)
         err = abs(omega_hat - mode.freq)
-        bound = 10.0 * eps / (setup.delta * abs(z))
+        bound = ex.omega_bound(eps0, eps1, abs(z), setup.delta)
         if err > bound * (1 + 1e-12):
             violations += 1
         if eps > 0:

@@ -129,3 +129,20 @@ def test_one_node_window_bound_is_zero(tmp_path):
 def test_noise_free_large_ell_certifies(tmp_path, ell):
     code, report = run_cli(tmp_path, "pipeline", {"lattice": {"ell": ell}})
     assert code == 0, report["violations"]
+
+
+#: three_param.yaml at large ell exited 1 with "2p bias bound violated
+#: (1.089120e-04 > 1.028542e-04)" at 25 600: a 3p inversion passes the damping
+#: channel's error, which has no 1/ell, into M, so the 2p bounds, which cover
+#: an inversion with Lambda known, do not hold for it; at 3 200 the sharp
+#: frequency-error bound alone would have failed it (3.90e-4 > 1.23e-4)
+@pytest.mark.parametrize("ell", [3200, 25600, 51200])
+def test_3p_run_certifies_the_3p_bias_bound_only(tmp_path, ell):
+    doc = yaml.safe_load((DEMO_DIR / "three_param.yaml").read_text())
+    doc["lattice"]["ell"] = ell
+    code, report = run_cli(tmp_path, "pipeline", doc)
+    assert code == 0, report["violations"]
+    row = report["rows"][0]
+    assert row["hyp_bias"] is True and row["hyp_inversion_2p"] is False
+    assert row["param_err"] > row["bias_bound_2p"]
+    assert row["param_err"] <= row["bias_bound_3p"]

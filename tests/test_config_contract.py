@@ -218,6 +218,10 @@ FOUND = [
     ("pipeline", {"tail": {"c": 1.0e+300, "nu": 0.5, "m": 2}}, 2),
     ("sweep", {"noise": {"lcg": {"seed": 3, "amplitude": 1.0e-3}},
                "sweep": {"axis": "noise_amp", "values": [1.0, 1.0e+300]}}, 2),
+    # a growing scene mode: it exited 1 with "zero weighted energy" (and
+    # overflow warnings) and with "epsilon budget needs a damped mode"
+    ("pipeline", {"lattice": {"pole_offset": [0.0, 5.0]}, "observation": {"T": 200.0}}, 2),
+    ("pipeline", {"lattice": {"pole_offset": [0.0, 0.2]}}, 2),
 ]
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from conftest import rayleigh_exact, scaled_scene, weighted_inner_exact
 
 from ringlab import extractor as ex
@@ -111,21 +113,46 @@ class TestStabilityBound:
             ex.stability_bound_crude(0.2)
 
 
-class TestLogLip:
-    def test_equal_points(self):
-        assert ex.log_lip_bound(1.0 + 0j, 1.0 + 0j) == 0.0
+class TestOmegaBound:
+    def test_zero(self):
+        assert ex.omega_bound(0.0, 0.0, 0.9, 1.0) == 0.0
 
-    def test_values(self):
-        b = ex.log_lip_bound(1.0, 1.1)
-        assert abs(b - 0.2) < 1e-15
-        assert abs(np.log(1.1)) <= b
-        b2 = ex.log_lip_bound(0.5, 0.6)
-        assert abs(b2 - 0.4) < 1e-15
-        assert abs(np.log(0.6) - np.log(0.5)) <= b2
+    def test_closed_form(self):
+        # eps0 = eps1 = 0.01: bound_z = 0.02 * 1.01 / 0.98 = 0.0206122..., and
+        # with |z| = 0.9, Delta = 0.5 the bound is -2 log(1 - bound_z/0.9)
+        bound_z = 0.02 * 1.01 / 0.98
+        want = -2.0 * np.log(1.0 - bound_z / 0.9)
+        assert ex.omega_bound(0.01, 0.01, 0.9, 0.5) == pytest.approx(want, rel=1e-14)
+        assert abs(want - 0.04633766) < 1e-8
 
-    def test_hypothesis(self):
-        with pytest.raises(HypothesisError):
-            ex.log_lip_bound(1.0, 2.0)
+    def test_bounds_every_ratio_on_its_circle(self):
+        # |Log w|/Delta <= omega_bound for every w with |w - 1| = bound_z/|z|,
+        # with equality at the real point below 1
+        eps0, eps1, z_abs, delta = 0.02, 0.03, 0.8, 0.5
+        rho = ex.stability_bound(eps0, eps1) / z_abs
+        bound = ex.omega_bound(eps0, eps1, z_abs, delta)
+        for w in 1.0 + rho * np.exp(2j * np.pi * np.arange(64) / 64):
+            assert abs(np.log(w)) / delta <= bound * (1 + 1e-14)
+        assert abs(np.log(1.0 - rho)) / delta == pytest.approx(bound, rel=1e-14)
+
+    def test_infinite_outside_the_disk(self):
+        # bound_z >= |z|, or eps0 > 1/4 (no stability bound), is no bound
+        assert ex.omega_bound(0.3, 0.0, 0.9, 1.0) == np.inf
+        assert ex.omega_bound(0.2, 0.2, 0.5, 1.0) == np.inf
+        assert ex.omega_bound(float("nan"), 0.0, 0.9, 1.0) == np.inf
+
+    def test_below_the_crude_bound_under_eps_small(self):
+        @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+        @given(st.floats(1e-3, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+               st.floats(0.01, 10.0))
+        def check(z_abs, s0, s1, delta):
+            cap = min(0.125, z_abs / 20.0)
+            eps0, eps1 = s0 * cap, s1 * cap
+            eps = max(eps0, eps1)
+            assert ex.eps_small(eps, z_abs)
+            assert ex.omega_bound(eps0, eps1, z_abs, delta) <= 10.0 * eps / (delta * z_abs)
+
+        check()
 
 
 class TestBranchLog:
@@ -185,9 +212,16 @@ class TestExtract:
         assert res.hypotheses_ok.eps_small is None
 
     def test_bound_omega_formula(self):
-        # Delta=1, |z|=0.9, eps=0.05 -> 10/0.9*0.05
-        got = 10.0 * 0.05 / (1.0 * 0.9)
-        assert abs(got - 0.5555555555555556) < 1e-15
+        # extract reports omega_bound of its residual sizes and the true |z|
+        setup = std_setup()
+        mode = sm.Mode(freq=1 - 0.1j, amp=1.0)
+        tail = sm.TailSpec(c_tail=0.05, nu=0.5)
+        y = sm.sample_scene([mode], tail, sm.ZERO_NOISE, setup)
+        res = ex.extract(y, ex.ExtractionConfig(setup=setup, prior=1 - 0.1j),
+                         y0_reference=[mode])
+        z_abs = abs(np.exp(-1j * mode.freq * setup.delta))
+        assert 0.0 < res.eps0 and res.bound_omega == ex.omega_bound(
+            res.eps0, res.eps1, z_abs, setup.delta)
 
     def test_certified_scenario(self):
         setup = std_setup()
@@ -348,4 +382,5 @@ class TestCertifiedInequalities:
             count += 1
             z_hat = rayleigh_exact(mode, residual, setup)
             omega_hat = ex.branch_log(z_hat, mode.freq, setup.delta)
-            assert abs(omega_hat - mode.freq) <= 10.0 * eps / (setup.delta * abs(z)) * (1 + 1e-12)
+            bound = ex.omega_bound(eps0, eps1, abs(z), setup.delta)
+            assert abs(omega_hat - mode.freq) <= bound * (1 + 1e-12)

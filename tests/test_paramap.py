@@ -470,36 +470,36 @@ class TestInverseConstants:
 
 class TestBiasBounds:
     def test_zero_eps(self):
-        assert pm.bias_bound_2p(0.0, 0.0, 1.0, 1.0, 1.0, 100, 2.0) == 0.0
-        assert pm.bias_bound_3p(0.0, 0.0, 1.0, 1.0, 1.0, 100, 0, 2.0) == 0.0
+        assert pm.bias_bound_2p(2.0, 0.0, 0.0, 100) == 0.0
+        assert pm.bias_bound_2p(2.0, 0.0, 0.0, 100, 0) == 0.0
 
     def test_explicit_values(self):
-        b2 = pm.bias_bound_2p(0.01, 0.01, 0.9, 0.9, 1.0, 100, 2.0)
-        want2 = 5 * np.sqrt(2) * 2.0 / 100 * (0.02 / 0.9)
+        b2 = pm.bias_bound_2p(2.0, 0.05, 0.03, 100)
+        want2 = 2.0 * np.sqrt(2) / 200 * 0.08
         assert abs(b2 - want2) < 1e-15
-        assert abs(want2 - 0.0031427) < 1e-7
-        b3 = pm.bias_bound_3p(0.01, 0.01, 0.9, 0.9, 1.0, 100, 0, 2.0)
-        want3 = want2 + (10 * 2.0 / 0.5) * 0.01 / 0.9
+        assert b2 == 2.0 * pm.data_map_error_bound(0.05, 0.03, 100)
+        b3 = pm.bias_bound_2p(2.0, 0.05, 0.03, 100, 0)
+        want3 = want2 + 2.0 * 0.05 / 0.5
         assert abs(b3 - want3) < 1e-15
-        assert abs(want3 - 0.447587) < 1e-6
+        assert b3 == 2.0 * pm.data_map_error_bound(0.05, 0.03, 100, n=0)
 
     def test_ell_scaling(self):
-        b1 = pm.bias_bound_2p(0.01, 0.01, 0.9, 0.9, 1.0, 100, 2.0)
-        b2 = pm.bias_bound_2p(0.01, 0.01, 0.9, 0.9, 1.0, 200, 2.0)
+        b1 = pm.bias_bound_2p(2.0, 0.05, 0.03, 100)
+        b2 = pm.bias_bound_2p(2.0, 0.05, 0.03, 200)
         assert abs(b2 - b1 / 2) < 1e-15
 
     def test_3p_large_overtone_limit(self):
-        b2 = pm.bias_bound_2p(0.01, 0.01, 0.9, 0.9, 1.0, 100, 2.0)
-        b3s = [pm.bias_bound_3p(0.01, 0.01, 0.9, 0.9, 1.0, 100, n, 2.0)
-               for n in (10, 10**3, 10**6)]
+        b2 = pm.bias_bound_2p(2.0, 0.05, 0.03, 100)
+        b3s = [pm.bias_bound_2p(2.0, 0.05, 0.03, 100, n) for n in (10, 10**3, 10**6)]
         assert b3s[0] > b3s[1] > b3s[2] > b2  # damping term shrinks to zero
         assert abs(b3s[-1] - b2) < 1e-6
 
     def test_split_adds_up(self):
-        out = pm.bias_bound_split((0.01, 0.02), (0.003, 0.001), 0.9, 0.8,
-                                  1.0, 100, 2.0)
-        direct = pm.bias_bound_2p(0.013, 0.021, 0.9, 0.8, 1.0, 100, 2.0)
-        assert abs(out["bound"] - direct) < 1e-15
+        # a tail part and a measurement part of each sector's bound give
+        # bias bounds that add up to the bound of their sum
+        tail, meas = (0.04, 0.02), (0.01, 0.01)
+        parts = [pm.bias_bound_2p(2.0, *b, 100) for b in (tail, meas)]
+        assert sum(parts) == pytest.approx(pm.bias_bound_2p(2.0, 0.05, 0.03, 100), rel=1e-15)
 
     def test_flags(self):
         # the bounds' hypothesis is the extractor's, checked per sector
@@ -524,5 +524,5 @@ class TestCertifiedBias:
             guess = pm.ParameterPoint(m=p.m, a=p.a, lam=0.02)
             out = pm.invert_data(model, {"U": est["U"], "V": est["V"]}, guess)
             err = np.hypot(out["point"].m - p.m, out["point"].a - p.a)
-            bound = consts["C_star"] * pm.data_map_error_bound(dwp, dwm, model.ell)
+            bound = pm.bias_bound_2p(consts["C_star"], abs(dwp), abs(dwm), model.ell)
             assert err <= bound * (1 + 1e-9)
