@@ -123,6 +123,18 @@ SWEEPS = {
 #: its estimate
 TIGHT_BOX = {"mode": "2p", "box": {"M": [0.999, 1.001], "a": [0.07999999, 0.08000001]}}
 
+#: a 3p modal-window scene at ell 3 491 whose plus sector's omega_error check
+#: fails by rounding alone (1.136877e-13 > 1.000000e-13; ROADMAP item 14)
+ELL_3491_3P_MODAL = {
+    "lattice": {"M": 1.0174712587382981, "a": 0.09340466282344494,
+                "Lambda": 0.013920144559861885, "kappa": 0.35698815097165393,
+                "damping": {"kind": "gap_over_mass"}, "ell": 3491, "overtone": 1},
+    "modes": {"contaminants": [{"j": 0, "amp": [0.06825496430356284, 0.0]}]},
+    "observation": {"T0": 5.0, "T": 14.5, "Delta": 0.5, "dt": 0.025},
+    "window": {"enabled": True, "path": "modal"},
+    "inversion": {"mode": "3p"},
+}
+
 
 def load_workloads():
     """ringbench/workloads.py, the benchmark's inputs."""
@@ -137,6 +149,44 @@ def write_cfg(tmp_path, doc, name="cfg.yaml"):
     path = tmp_path / name
     path.write_text(yaml.safe_dump(doc))
     return str(path)
+
+
+def table_digest(driver, doc) -> str:
+    """sha256 of a run's rows (``json.dumps(rows, sort_keys=True, default=repr)``,
+    as the benchmark serialises them), its column order and its violations."""
+    report = driver(ScenarioConfig(raw=doc))
+    text = "\n".join([json.dumps(report.rows, sort_keys=True, default=repr),
+                      json.dumps(report.columns()), json.dumps(report.violations)])
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _table_cases() -> dict:
+    """name -> a thunk giving (driver, document): every SWEEPS entry as a
+    sweep, its base document as a pipeline and an extract run, two runs that
+    fail or violate, and the benchmark's ell-sweep and lcg-long-grid inputs."""
+    cases = {}
+    for name, doc in SWEEPS.items():
+        base = {k: v for k, v in doc.items() if k != "sweep"}
+        cases[f"sweep-{name}"] = lambda doc=doc: (run_sweep, doc)
+        cases[f"pipeline-{name}"] = lambda base=base: (run_pipeline, base)
+        cases[f"extract-{name}"] = lambda base=base: (pipeline.run_extract, base)
+    # a failed row, and a row with a violation (ROADMAP item 14)
+    cases["pipeline-tight-box"] = lambda: (run_pipeline, dict(CANONICAL, inversion=TIGHT_BOX))
+    cases["pipeline-3p-modal-ell-3491"] = lambda: (run_pipeline, ELL_3491_3P_MODAL)
+    for i in range(5):
+        cases[f"ell-sweep-1-{i}"] = lambda i=i: (run_sweep, load_workloads().ell_sweep_input(1, i))
+    for i in range(2):
+        cases[f"lcg-long-grid-1-{i}"] = lambda i=i: (run_sweep, load_workloads().lcg_input(1, i))
+    return cases
+
+
+TABLE_CASES = _table_cases()
+#: case -> table_digest.  Generated before the scenario table became columns
+#: (``python tests/test_pipeline_cli.py`` rewrites it); a change that alters
+#: a row on purpose regenerates it and says which rows changed.
+TABLE_DIGESTS_PATH = Path(__file__).with_name("table_digests.json")
+TABLE_DIGESTS = (json.loads(TABLE_DIGESTS_PATH.read_text(encoding="utf-8"))
+                 if TABLE_DIGESTS_PATH.exists() else {})
 
 
 class TestConfig:
@@ -386,6 +436,11 @@ class TestSweep:
     def test_missing_axis_rejected(self):
         with pytest.raises(ConfigError):
             run_sweep(ScenarioConfig(raw=dict(CANONICAL)))
+
+    @pytest.mark.parametrize("name", sorted(TABLE_CASES))
+    def test_table_matches_pinned_digest(self, name):
+        assert table_digest(*TABLE_CASES[name]()) == TABLE_DIGESTS[name]
+
 
 
 class TestCli:
@@ -715,3 +770,9 @@ def test_runs_without_scipy(tmp_path):
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == [[0, 0], False]
+
+
+if __name__ == "__main__":
+    TABLE_DIGESTS_PATH.write_text(json.dumps(
+        {name: table_digest(*case()) for name, case in sorted(TABLE_CASES.items())},
+        indent=1, sort_keys=True) + "\n", encoding="utf-8")
