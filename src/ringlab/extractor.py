@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import (BranchSelectionError, ConfigError, DegenerateSignalError,
                      HypothesisError, RinglabError)
-from .signal_model import (Mode, ObservationSetup, SampledSignal,
+from .signal_model import (Mode, ObservationSetup, SampledSignal, _abs,
                            mode_energy_lower_bound, mode_rows, shift,
                            weighted_inner, wnorm, TailSpec)
 
@@ -60,6 +60,42 @@ class ExtractionResult:
     bound_z: float = np.nan
     bound_omega: float = np.nan
     hypotheses_ok: HypothesisFlags = field(default_factory=HypothesisFlags)
+
+
+@dataclass
+class Extraction:
+    """The extractions of a batch as (B,) columns, NaN (flags False) in a
+    row that ``errors`` ends: None, or the RinglabError that extracting that
+    row alone raises.  Without a reference the residual sizes and bounds
+    stay NaN and both flags None.  As a sequence it is its rows: each an
+    ExtractionResult or that error."""
+
+    z_hat: np.ndarray
+    omega_hat: np.ndarray
+    eps0: np.ndarray
+    eps1: np.ndarray
+    eps: np.ndarray
+    bound_z: np.ndarray
+    bound_omega: np.ndarray
+    eps_small: Optional[np.ndarray]
+    branch_hyp: Optional[np.ndarray]
+    errors: list
+
+    def __len__(self) -> int:
+        return len(self.errors)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(len(self))[i]]
+        if self.errors[i] is not None:
+            return self.errors[i]
+        flags = HypothesisFlags()
+        if self.eps_small is not None:
+            flags = HypothesisFlags(bool(self.eps_small[i]), bool(self.branch_hyp[i]))
+        return ExtractionResult(
+            z_hat=complex(self.z_hat[i]), omega_hat=self.omega_hat[i], eps0=float(self.eps0[i]),
+            eps1=float(self.eps1[i]), eps=float(self.eps[i]), bound_z=float(self.bound_z[i]),
+            bound_omega=float(self.bound_omega[i]), hypotheses_ok=flags)
 
 
 def _rows(val) -> list:
@@ -107,28 +143,41 @@ def residual_sizes(y0: SampledSignal, r: SampledSignal,
     return {"eps0": eps0, "eps1": eps1, "eps": eps}
 
 
+def _sharp(eps0, eps1):
+    """(eps0+eps1)(1+eps0)/(1-2 eps0) where eps0 <= 1/4, else inf (NaN
+    too): floats or columns."""
+    eps0, eps1 = np.asarray(eps0, dtype=float), np.asarray(eps1, dtype=float)
+    with np.errstate(all="ignore"):
+        out = np.where(eps0 <= 0.25, (eps0 + eps1) * (1.0 + eps0) / (1.0 - 2.0 * eps0), np.inf)
+    return out if out.ndim else float(out)
+
+
 def stability_bound(eps0: float, eps1: float) -> float:
     """Sharp bound (eps0+eps1)(1+eps0)/(1-2 eps0) for |z_hat - z|; needs eps0 <= 1/4."""
     if eps0 > 0.25:
         raise HypothesisError("stability bound requires eps0 <= 1/4")
-    return (eps0 + eps1) * (1.0 + eps0) / (1.0 - 2.0 * eps0)
+    return _sharp(eps0, eps1)
 
 
-def stability_bound_crude(eps: float) -> float:
-    """Crude companion 3*eps, valid for eps <= 1/8."""
-    if eps > 0.125:
-        raise HypothesisError("crude stability bound requires eps <= 1/8")
+def stability_bound_crude(eps):
+    """Crude companion 3*eps of the sharp bound, a float or a column.  It
+    holds for eps <= 1/8, which :func:`eps_small` implies; it is not checked
+    here, as the hypothesis of the record that reads it."""
     return 3.0 * eps
 
 
-def eps_small(eps: float, z: complex) -> bool:
-    """The hypothesis eps <= min(1/8, |z|/20) of the certified bounds."""
-    return bool(eps <= min(0.125, abs(z) / 20.0))
+def eps_small(eps, z):
+    """The hypothesis eps <= min(1/8, |z|/20) of the certified bounds: a
+    bool, or a bool column for columns."""
+    z20 = _abs(z) / 20.0
+    held = eps <= np.where(z20 < 0.125, z20, 0.125)  # Python's min(0.125, z20)
+    return held if np.ndim(held) else bool(held)
 
 
-def omega_bound(eps0: float, eps1: float, z_abs: float, delta: float) -> float:
+def omega_bound(eps0, eps1, z_abs, delta):
     """Bound -log(1 - bound_z/|z|)/delta for |omega_hat - omega|, bound_z the
     sharp :func:`stability_bound`; inf where eps0 > 1/4 or bound_z >= |z|.
+    Floats, or columns for columns; log1p is libm's, row by row.
 
     Proof: the series of Log gives |Log w| <= -log(1 - |w - 1|) for |w - 1| < 1,
     and on the prior's branch (assumed by the crude 10 eps/(delta |z|) too)
@@ -136,10 +185,13 @@ def omega_bound(eps0: float, eps1: float, z_abs: float, delta: float) -> float:
     eps_small gives bound_z <= 3 eps <= 3|z|/20, so the bound is at most
     (20/17) 3 eps/(delta |z|).  bound_z increases in eps0 and eps1 for eps0 <
     1/2, so a budget eps bounding both enters as eps0 = eps1 = eps."""
-    bound_z = stability_bound(eps0, eps1) if eps0 <= 0.25 else math.inf
-    if not bound_z < z_abs:
-        return math.inf
-    return -math.log1p(-bound_z / z_abs) / delta
+    bound_z = np.asarray(_sharp(eps0, eps1))
+    with np.errstate(all="ignore"):
+        ratio = -bound_z / z_abs
+        below = bound_z < z_abs
+        log = np.array([math.log1p(v) for v in np.where(below, ratio, 0.0).ravel().tolist()])
+        out = np.where(below, -log.reshape(below.shape) / delta, np.inf)
+    return out if out.ndim else float(out)
 
 
 def branch_log(z_hat: complex, prior: complex, delta: float) -> complex:
@@ -150,12 +202,22 @@ def branch_log(z_hat: complex, prior: complex, delta: float) -> complex:
     the ratio to stay in the disk |zeta - 1| <= 5/8, which keeps it off the
     principal cut.  By construction exp(-i * omega_hat * delta) = z_hat.
     """
-    z_sharp = np.exp(-1j * prior * delta)
-    ratio = z_hat / z_sharp
-    if abs(ratio - 1.0) > 0.625:
-        raise BranchSelectionError(
-            f"|z_hat/z_prior - 1| = {abs(ratio - 1.0):.3g} > 5/8: prior too far")
-    return (1j / delta) * (np.log(ratio) - 1j * prior * delta)
+    omega, far = _branch_rows(np.array([z_hat]), np.array([prior], dtype=complex), delta)
+    if far[0] is not None:
+        raise far[0]
+    return omega[0]
+
+
+def _branch_rows(z_hat: np.ndarray, prior: np.ndarray, delta: float) -> tuple:
+    """:func:`branch_log` of each row: omega_hat, and per row None or the
+    BranchSelectionError that ends it."""
+    with np.errstate(all="ignore"):
+        ratio = z_hat / np.exp(-1j * prior * delta)
+        dist = _abs(ratio - 1.0)
+        omega = (1j / delta) * (np.log(ratio) - 1j * prior * delta)
+    far = [None if not d > 0.625 else BranchSelectionError(
+        f"|z_hat/z_prior - 1| = {d:.3g} > 5/8: prior too far") for d in dist.tolist()]
+    return omega, far
 
 
 def extract(y: SampledSignal, cfg: ExtractionConfig,
@@ -175,8 +237,9 @@ def extract(y: SampledSignal, cfg: ExtractionConfig,
 
     A (B, N) batch is B independent extractions in one pass: cfg.prior is
     one prior or one per row, y0_reference one mode per row and y0 their
-    (B, N) samples.  It returns one entry per row, the ExtractionResult or
-    the RinglabError that extracting that row alone raises.
+    (B, N) samples.  It returns their :class:`Extraction`, whose row i is
+    the ExtractionResult or the RinglabError that extracting row i alone
+    gives.  A 1-d y returns that ExtractionResult or raises that error.
     """
     rows = _extract_rows(y, cfg, y0_reference, y0)
     if y.values.ndim == 2:
@@ -188,67 +251,59 @@ def extract(y: SampledSignal, cfg: ExtractionConfig,
 
 def _extract_rows(y: SampledSignal, cfg: ExtractionConfig,
                   y0_reference: Optional[Sequence[Mode]],
-                  y0: Optional[SampledSignal]) -> list:
-    """extract on every row; each step's checks run row by row in the
-    order a single extraction raises them."""
-    setup = cfg.setup
-    priors = np.broadcast_to(np.asarray(cfg.prior, dtype=complex),
-                             y.values.shape[:-1]).ravel().tolist()
-    out: list = []
-    for z_hat, prior in zip(_quotients(y, setup), priors):
-        if z_hat is None:
-            out.append(DegenerateSignalError(
-                "zero weighted energy: Rayleigh quotient undefined"))
-            continue
-        try:
-            omega_hat = branch_log(z_hat, prior, setup.delta)
-        except BranchSelectionError as exc:
-            out.append(exc)
-            continue
-        out.append(ExtractionResult(z_hat=z_hat, omega_hat=omega_hat))
-    if y0_reference is None or not any(isinstance(res, ExtractionResult) for res in out):
+                  y0: Optional[SampledSignal]) -> Extraction:
+    """extract on every row, as columns; a row keeps the first error that a
+    single extraction raises, in the order it checks them."""
+    setup, delta = cfg.setup, cfg.setup.delta
+    priors = np.broadcast_to(np.asarray(cfg.prior, dtype=complex), y.values.shape[:-1]).ravel()
+    quotients = _quotients(y, setup)
+    z_hat = np.array([np.nan if q is None else q for q in quotients], dtype=complex)
+    omega_hat, errors = _branch_rows(z_hat, priors, delta)
+    errors = [DegenerateSignalError("zero weighted energy: Rayleigh quotient undefined")
+              if q is None else exc for q, exc in zip(quotients, errors)]
+    n = len(errors)
+    nan = np.full(n, np.nan)
+    out = Extraction(z_hat, omega_hat, nan, nan, nan, nan, nan, None, None, errors)
+    if y0_reference is None or all(errors):
         return out
 
     modes = list(y0_reference)
-    if len(modes) != len(out):
+    if len(modes) != n:
         raise ConfigError("certified extraction requires a single reference mode per row")
-    for i, mode in enumerate(modes):
-        if (cfg.amp_floor and abs(mode.amp) < cfg.amp_floor
-                and isinstance(out[i], ExtractionResult)):
-            out[i] = DegenerateSignalError("reference amplitude below detectability floor")
+    freq = np.array([mode.freq for mode in modes], dtype=complex)
+    if cfg.amp_floor:
+        low = _abs([mode.amp for mode in modes]) < cfg.amp_floor
+        errors = [DegenerateSignalError("reference amplitude below detectability floor")
+                  if exc is None and below else exc for exc, below in zip(errors, low.tolist())]
     if y0 is None:
         vals = mode_rows(modes, setup.grid())
         y0 = SampledSignal(t_start=setup.t0, dt=setup.dt,
                            values=vals if y.values.ndim == 2 else vals[0])
     r = SampledSignal(t_start=y.t_start, dt=y.dt, values=y.values - y0.values)
-    norms = zip(*map(_rows, _residual_norms(y0, r, setup)))
-    for i, (mode, prior, (n0, nr, nr1)) in enumerate(zip(modes, priors, norms)):
-        result = out[i]
-        if not isinstance(result, ExtractionResult):
-            continue
-        if n0 <= 0.0:
-            out[i] = DegenerateSignalError("reference mode has zero weighted energy")
-            continue
-        result.eps0, result.eps1 = nr / n0, nr1 / n0
-        result.eps = max(result.eps0, result.eps1)
-        z = np.exp(-1j * mode.freq * setup.delta)
-        z_sharp = np.exp(-1j * prior * setup.delta)
-        result.hypotheses_ok.eps_small = eps_small(result.eps, z)
-        result.hypotheses_ok.branch_hyp = bool(
-            abs(z - z_sharp) <= 0.25 * abs(z_sharp)
-            and abs(result.z_hat - z) <= 0.5 * abs(z))
-        result.bound_z = (stability_bound(result.eps0, result.eps1)
-                          if result.eps0 <= 0.25 else np.inf)
-        result.bound_omega = omega_bound(result.eps0, result.eps1, abs(z), setup.delta)
-    return out
+    n0, nr, nr1 = (np.atleast_1d(v) for v in _residual_norms(y0, r, setup))
+    errors = [DegenerateSignalError("reference mode has zero weighted energy")
+              if exc is None and empty else exc
+              for exc, empty in zip(errors, (n0 <= 0.0).tolist())]
+    with np.errstate(all="ignore"):
+        eps0, eps1 = nr / n0, nr1 / n0
+        eps = np.where(eps1 > eps0, eps1, eps0)  # Python's max(eps0, eps1)
+        z = np.exp(-1j * freq * delta)
+        z_sharp = np.exp(-1j * priors * delta)
+        z_abs = _abs(z)
+        branch_hyp = ((_abs(z - z_sharp) <= 0.25 * _abs(z_sharp))
+                      & (_abs(z_hat - z) <= 0.5 * z_abs))
+    live = np.array([exc is None for exc in errors])
+    return Extraction(z_hat, omega_hat, np.where(live, eps0, np.nan), np.where(live, eps1, np.nan),
+                      np.where(live, eps, np.nan), np.where(live, _sharp(eps0, eps1), np.nan),
+                      np.where(live, omega_bound(eps0, eps1, z_abs, delta), np.nan),
+                      live & eps_small(eps, z), live & branch_hyp, errors)
 
 
 #: the detector and data norms in the tail bound: a scalar scene observes the signal itself
 DETECTOR_NORM = DATA_NORM = 1.0
 
 
-def epsilon_budget(amp: complex, freq: complex, tail: TailSpec, noise_l2: float,
-                   setup: ObservationSetup) -> dict:
+def epsilon_budget(amp, freq, tail: TailSpec, noise_l2, setup: ObservationSetup) -> dict:
     """A-priori bounds on eps from the tail envelope and a noise L2 budget.
 
     eps_tail_bound = envelope(t0) * DETECTOR_NORM * DATA_NORM * sqrt(T)
@@ -257,22 +312,36 @@ def epsilon_budget(amp: complex, freq: complex, tail: TailSpec, noise_l2: float,
     The envelope is nonincreasing, so envelope(t0)*sqrt(T) dominates the
     tail's L2 norm over the window, which in turn dominates both weighted
     residual norms.
+
+    With (B,) columns of amp, freq and noise_l2 every bound is a (B,)
+    column, and "errors" holds per row None or the DegenerateSignalError
+    that a call on that row's floats raises (its bounds NaN).
     """
-    if freq.imag >= 0:
-        raise DegenerateSignalError("epsilon budget needs a damped mode (Im omega < 0)")
     if setup.t_len <= 3 * setup.delta:
         raise ConfigError("epsilon budget needs t_len > 3*delta")
-    energy_sq = mode_energy_lower_bound(amp, freq, setup)
-    denom = float(np.sqrt(energy_sq))
-    if not denom > 0:
-        raise DegenerateSignalError("plateau energy lower bound underflows to 0")
+    freq = np.asarray(freq, dtype=complex)
+    damped = freq.imag < 0
+    energy_sq = mode_energy_lower_bound(amp, np.where(damped, freq, -1j), setup)
+    denom = np.sqrt(energy_sq)
+    errors = [None if ok else DegenerateSignalError(
+        "plateau energy lower bound underflows to 0" if up else
+        "epsilon budget needs a damped mode (Im omega < 0)")
+        for ok, up in zip(np.atleast_1d(damped & (denom > 0)).tolist(),
+                          np.atleast_1d(damped).tolist())]
     envelope_t0 = (tail.c_tail * np.exp(-tail.nu * setup.t0)
                    * (1.0 + setup.t0) ** (-tail.m) + tail.leak)
-    eps_tail = (envelope_t0 * DETECTOR_NORM * DATA_NORM
-                * np.sqrt(setup.t_len) / denom)
-    eps_meas = noise_l2 / denom
-    return {"eps_tail_bound": float(eps_tail), "eps_meas_bound": float(eps_meas),
-            "eps_bound": float(eps_tail + eps_meas)}
+    with np.errstate(all="ignore"):
+        eps_tail = (envelope_t0 * DETECTOR_NORM * DATA_NORM
+                    * np.sqrt(setup.t_len) / denom)
+        eps_meas = noise_l2 / denom
+    out = {"eps_tail_bound": eps_tail, "eps_meas_bound": eps_meas,
+           "eps_bound": eps_tail + eps_meas}
+    if np.ndim(freq):
+        live = np.array([exc is None for exc in errors])
+        return {**{k: np.where(live, v, np.nan) for k, v in out.items()}, "errors": errors}
+    if errors[0] is not None:
+        raise errors[0]
+    return {k: float(v) for k, v in out.items()}
 
 
 def disk_check(omega_hat: complex, prior: complex, c_sep: float,

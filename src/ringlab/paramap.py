@@ -17,6 +17,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ConfigError, InversionError
+from .signal_model import _pow
 
 SQRT2 = float(np.sqrt(2.0))
 SQRT3 = float(np.sqrt(3.0))
@@ -24,14 +25,6 @@ SQRT3 = float(np.sqrt(3.0))
 #: invert_rows's residual-norm tolerance and step limit
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50
-
-
-def _pow(x: np.ndarray, k: int) -> np.ndarray:
-    """x**k per element through numpy's scalar power, which calls libm's pow
-    as a Python float's ** does (and gives inf where that would overflow); an
-    array's ** multiplies or calls a SIMD pow, and either can differ from
-    libm's in the last bit."""
-    return np.array([v ** k for v in x], dtype=float)
 
 
 def _row_norms(r: np.ndarray) -> np.ndarray:
@@ -170,17 +163,30 @@ def pseudopole(model: LatticeModel, j: int, sign: int, p: ParameterPoint) -> com
         raise ConfigError("sign must be +1 or -1")
     if j < 0:
         raise ConfigError("overtone index must be nonnegative")
-    u, v, lam = model.uvl(p.m, p.a, 1.0 - 9.0 * p.lam * p.m**2)
-    return complex(model.ell * (u + sign * v) - 1j * (j + 0.5) * lam)
+    return complex(_pole(model, j, sign, p.m, p.a, p.lam, p.m**2, model.ell))
 
 
-def observables(omega_plus: complex, omega_minus: complex, ell: int, n: int) -> dict:
+def pseudopole_rows(model: LatticeModel, j: int, sign: int, m: np.ndarray, a: np.ndarray,
+                    lam: np.ndarray, ell: np.ndarray) -> np.ndarray:
+    """:func:`pseudopole` of each row: the points (m, a, lam) on model's map
+    at ell per row (model's own ell unused), bit for bit."""
+    return _pole(model, j, sign, m, a, lam, _pow(m, 2), ell)
+
+
+def _pole(model: LatticeModel, j, sign, m, a, lam, m2, ell):
+    """ell*(u + sign*v) - i (j + 1/2) lam at mass m (m2 = M**2), rotation a
+    and Lambda lam: floats, or columns."""
+    u, v, damping = model.uvl(m, a, 1.0 - 9.0 * lam * m2)
+    return ell * (u + sign * v) - 1j * (j + 0.5) * damping
+
+
+def observables(omega_plus, omega_minus, ell, n: int) -> dict:
     """Normalized observables U, V and the damping observable W_tilde.
 
     U = Re(w+ + w-)/(2 ell), V = Re(w+ - w-)/(2 ell),
-    W_tilde = -Im(w+)/(n + 1/2).
+    W_tilde = -Im(w+)/(n + 1/2); floats, or columns for columns.
     """
-    if ell < 1:
+    if np.any(np.less(ell, 1)):
         raise ConfigError("ell must be >= 1")
     return {
         "U": (omega_plus + omega_minus).real / (2.0 * ell),
@@ -189,11 +195,11 @@ def observables(omega_plus: complex, omega_minus: complex, ell: int, n: int) -> 
     }
 
 
-def data_map_error_bound(delta_omega_plus: complex, delta_omega_minus: complex,
-                         ell: int, n: Optional[int] = None) -> float:
+def data_map_error_bound(delta_omega_plus, delta_omega_minus, ell, n: Optional[int] = None):
     """Bound sqrt(2)/(2 ell) (|dw+| + |dw-|) for the data-map perturbation from
     frequency errors (or their bounds); with the damping observable (n given)
-    the term |dw+|/(n + 1/2) is added."""
+    the term |dw+|/(n + 1/2) is added.  Floats, or columns for columns (of
+    real sizes: numpy's complex abs rounds otherwise than Python's)."""
     base = SQRT2 / (2.0 * ell) * (abs(delta_omega_plus) + abs(delta_omega_minus))
     return base if n is None else base + abs(delta_omega_plus) / (n + 0.5)
 
@@ -218,7 +224,8 @@ def invert_rows(model: LatticeModel, targets: np.ndarray, guesses: Sequence[Para
 
     targets is (B, d): rows (U, V) or, in three-parameter mode, (U, V, W).
     Each row starts from its guess (whose Lambda stays fixed in 2p) and ends
-    with {"point", "iterations", "residual"} or its InversionError: its
+    with its point, iteration count and residual norm (an :class:`Inversion`
+    row) or its InversionError: its
     residual norm below NEWTON_TOL stops it, and non-convergence within
     NEWTON_MAX_ITER steps, a singular Jacobian (relative to its largest
     entry), ten halvings of the step without descent, or a converged point
@@ -307,15 +314,41 @@ def invert_rows(model: LatticeModel, targets: np.ndarray, guesses: Sequence[Para
             rows = [ids, trial, lam, tgt, *new]
             if np.count_nonzero(moved) < len(ids):
                 rows = [v[moved] for v in rows]
-    for i, (row, n_iter, res_norm) in enumerate(zip(x.tolist(), iters.tolist(), norm.tolist())):
-        if out[i] is not None:
-            continue
-        if boxes[i] is not None and not all(lo <= v <= hi for v, (lo, hi) in zip(row, boxes[i])):
-            out[i] = InversionError(f"converged point {x[i]} leaves the parameter box")
-        else:
-            out[i] = {"point": ParameterPoint.from_array(row, lam_fixed=guesses[i].lam),
-                      "iterations": n_iter, "residual": res_norm}
-    return out
+    boxed = [i for i, box in enumerate(boxes) if box is not None]
+    if boxed:
+        lo, hi = np.moveaxis(np.array([boxes[i][:d] for i in boxed], dtype=float), 2, 0)
+        xb = x[boxed][:, :lo.shape[1]]
+        inside = np.all((lo <= xb) & (xb <= hi), axis=1)
+        for i in np.array(boxed)[~inside].tolist():
+            if out[i] is None:
+                out[i] = InversionError(f"converged point {x[i]} leaves the parameter box")
+    lam = x[:, 2] if three else np.array([g.lam for g in guesses], dtype=float)
+    return Inversion(m=x[:, 0], a=x[:, 1], lam=lam, iterations=iters, residual=norm, errors=out)
+
+
+@dataclass
+class Inversion:
+    """:func:`invert_rows`'s rows as (B,) columns: the point (m, a, lam;
+    lam the guess's in 2p), the Newton steps and the residual norm, which a
+    row that ``errors`` ends (None, or its InversionError) holds as it
+    stopped.  As a sequence it is its rows: each {"point", "iterations",
+    "residual"} or that error."""
+
+    m: np.ndarray
+    a: np.ndarray
+    lam: np.ndarray
+    iterations: np.ndarray
+    residual: np.ndarray
+    errors: list
+
+    def __len__(self) -> int:
+        return len(self.errors)
+
+    def __getitem__(self, i: int):
+        if self.errors[i] is not None:
+            return self.errors[i]
+        return {"point": ParameterPoint(float(self.m[i]), float(self.a[i]), float(self.lam[i])),
+                "iterations": int(self.iterations[i]), "residual": float(self.residual[i])}
 
 
 def inverse_constants(model: LatticeModel, box: Sequence[Tuple[float, float]]) -> dict:
@@ -361,11 +394,10 @@ def inverse_constants(model: LatticeModel, box: Sequence[Tuple[float, float]]) -
             "C_star": max(float(np.linalg.norm(np.linalg.inv(j), 2)) for j in jacs)}
 
 
-def bias_bound_2p(c_star: float, bound_omega_plus: float, bound_omega_minus: float,
-                  ell: int, n: Optional[int] = None) -> float:
+def bias_bound_2p(c_star, bound_omega_plus, bound_omega_minus, ell, n: Optional[int] = None):
     """C* (the inverse's Lipschitz bound over the box) times the
     :func:`data_map_error_bound` of the sectors' frequency-error bounds: the 2p
-    bias bound, or with n the 3p one.  Each bound_omega is
-    :func:`extractor.omega_bound`, which holds while its sector's eps meets
-    eps <= min(1/8, |z|/20); this function does not check it."""
-    return float(c_star * data_map_error_bound(bound_omega_plus, bound_omega_minus, ell, n))
+    bias bound, or with n the 3p one; floats, or columns for columns.  Each
+    bound_omega is :func:`extractor.omega_bound`, which holds while its
+    sector's eps meets eps <= min(1/8, |z|/20); this function does not check it."""
+    return c_star * data_map_error_bound(bound_omega_plus, bound_omega_minus, ell, n)

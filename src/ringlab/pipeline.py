@@ -127,90 +127,93 @@ def _scenario(cfg: ScenarioConfig, setup: sm.ObservationSetup, t: np.ndarray,
     return Scenario(cfg=cfg, grid=t, noise_samples=samples, noise_l2=noise_l2)
 
 
-@dataclass
-class SectorResult:
-    omega_true: complex
-    z_true: complex
-    result: ex.ExtractionResult
-    eps_budget: dict
+#: a sector's columns and their types: the scene, the extraction and the eps budget
+_SECTOR_COLUMNS = {**dict.fromkeys(("omega_true", "z_true", "amp_ref", "prior", "z_hat",
+                                    "omega_hat"), complex),
+                   **dict.fromkeys(("eps0", "eps1", "eps", "bound_z", "bound_omega"), float),
+                   "eps_small": bool, "branch_hyp": bool, "eps_bound": float}
 
 
-@dataclass
-class _SectorScene:
-    """One sector of one scenario, up to its samples: the modes of the scene
-    (modes[0] the target, windowed on the modal path), the reference and the
-    prior."""
-
-    scn: Scenario
-    modes: list
-    omega_true: complex
-    amp_ref: complex
-    prior: complex
+def _modes(freq: np.ndarray, amp: np.ndarray) -> list:
+    """One Mode per row of the frequency and amplitude columns."""
+    return [sm.Mode(freq=f, amp=a) for f, a in zip(freq.tolist(), amp.tolist())]
 
 
-def _sector_scene(sign: int, scn: Scenario) -> _SectorScene:
-    cfg, win = scn.cfg, scn.cfg["window"]
-    model, p_true = cfg.model, cfg.p_true
-    pole_offset = cfg["lattice"]["pole_offset"]
-    pole = pm.pseudopole(model, model.n, sign, p_true)
-    omega_true = pole + pole_offset
+def _sector_scene(sign: int, cfgs: list) -> dict:
+    """One sector of each config of a batch, up to its samples, as columns:
+    the true frequency, the reference amplitude (the target's times its
+    window gain), the prior, the target's own amplitude and per contaminant
+    in the sector its (frequency, amplitude) columns, windowed on the modal
+    path.  The configs share the sections no sweep varies (modes, window,
+    the damping and kappa of the map), so the first stands for all there;
+    ell and the true point are read per row.  A window, which moves with
+    ell, is evaluated row by row."""
+    cfg = cfgs[0]
+    win, model = cfg["window"], cfg.model
+    offset = cfg["lattice"]["pole_offset"]
+    m, a, lam = (np.array([getattr(c.p_true, k) for c in cfgs]) for k in ("m", "a", "lam"))
+    ell = np.array([c.model.ell for c in cfgs])
+
+    def pole(j):
+        return pm.pseudopole_rows(model, j, sign, m, a, lam, ell)
+
+    prior = pole(model.n)
+    omega_true = prior + offset
     amp = cfg["modes"]["amp_plus" if sign > 0 else "amp_minus"]
-    modes = [sm.Mode(freq=omega_true, amp=amp)]
-    for cont in cfg["modes"]["contaminants"]:
-        if cont["sign"] not in (None, sign):
-            continue
-        modes.append(sm.Mode(freq=pm.pseudopole(model, cont["j"], sign, p_true) + pole_offset,
-                             amp=cont["amp"]))
-
-    window_gain = 1.0 + 0.0j
+    conts = [(pole(c["j"]) + offset, c["amp"]) for c in cfg["modes"]["contaminants"]
+             if c["sign"] in (None, sign)]
+    n = len(cfgs)
+    amp_ref = np.full(n, amp * (1.0 + 0.0j))
+    amps = [np.full(n, c_amp, dtype=complex) for _, c_amp in conts]
     if win["enabled"]:
-        gpoly = cfg.windows[sign]
-        window_gain = complex(gpoly(omega_true))
-        if win["path"] == "modal":
-            modes = aw.apply_window_modal(modes, gpoly)
+        gpolys = [c.windows[sign] for c in cfgs]
 
-    prior = pole
+        def gains(amp_, freq):  # amp_ times each row's window gain, in Python
+            return np.array([amp_ * complex(g(f)) for g, f in zip(gpolys, freq.tolist())])
+
+        amp_ref = gains(amp, omega_true)
+        if win["path"] == "modal":
+            amps = [gains(c_amp, freq) for freq, c_amp in conts]
     if cfg["extraction"]["prior"] == "offset":
         prior = prior + cfg["extraction"]["prior_offset"]
-    return _SectorScene(scn=scn, modes=modes, omega_true=omega_true,
-                        amp_ref=amp * window_gain, prior=prior)
+    return {"omega_true": omega_true, "amp_ref": amp_ref, "prior": prior, "amp": amp,
+            "contaminants": [(freq, c_amp) for (freq, _), c_amp in zip(conts, amps)]}
 
 
 def _run_sectors(sign: int, scns: list, setup: sm.ObservationSetup,
-                 tail: Optional[np.ndarray], carry: _Carry) -> list:
-    """One sector of each scenario of a batch on ``setup``: a SectorResult,
-    or the RinglabError that ends it, per scenario.  ``tail`` is the batch's
-    tail sampled on its scene grid (None if zero), which both signs add.
+                 tail: Optional[np.ndarray], carry: _Carry) -> dict:
+    """One sector of each scenario of a batch on ``setup``, as columns (the
+    keys of _SECTOR_KEYS) and "errors": per scenario None or the RinglabError
+    that ends its sector.  ``tail`` is the batch's tail sampled on its scene
+    grid (None if zero), which both signs add.
 
-    The rows are synthesised as one (B, N) array and extracted in one call;
-    every row comes out bit for bit as it would alone.  Each term's rows
-    (reference, each contaminant, and on the fd path the target and the
-    contaminants on the padded grid) come from ``carry``: a row that every
-    point of the batch holds is synthesised once, or reused from the batch
-    before, so a noise_amp sweep synthesises its references once per sign.
-    Off the fd path the reference term of each row is synthesised once: the
-    scene is built from it and extract subtracts it.  Every step checks its
-    rows in the order a single sector raises its errors.  The scenarios of a
-    batch share the config sections no sweep varies, so the first one stands
-    for all of them there.
+    The rows are synthesised as one (B, N) array, extracted in one call and
+    budgeted in one call; every row comes out bit for bit as it would alone.
+    Each term's rows (reference, each contaminant, and on the fd path the
+    target and the contaminants on the padded grid) come from ``carry``: a
+    row that every point of the batch holds is synthesised once, or reused
+    from the batch before, so a noise_amp sweep synthesises its references
+    once per sign.  Off the fd path the reference term of each row is
+    synthesised once: the scene is built from it and extract subtracts it.
+    A row keeps the first error its single sector raises.
     """
-    if not scns:
-        return []
-    cfg = scns[0].cfg
-    secs = [_sector_scene(sign, scn) for scn in scns]
-    ecfg = ex.ExtractionConfig(setup=setup, prior=[sec.prior for sec in secs],
+    cfgs = [scn.cfg for scn in scns]
+    cfg = cfgs[0]
+    sec = _sector_scene(sign, cfgs)
+    ecfg = ex.ExtractionConfig(setup=setup, prior=sec["prior"],
                                amp_floor=cfg["extraction"]["amp_floor"])
 
     t, scene_t = setup.grid(), scns[0].grid
-    refs = [sm.Mode(freq=sec.omega_true, amp=sec.amp_ref) for sec in secs]
+    refs = _modes(sec["omega_true"], sec["amp_ref"])
     y0 = carry.mode_rows((sign, "reference"), refs, t)
-    columns = list(zip(*(sec.modes[1:] for sec in secs)))
+    columns = [_modes(*cont) for cont in sec["contaminants"]]
     others = [carry.mode_rows((sign, j), column, t) for j, column in enumerate(columns)]
     # the fd window filters the scene of the unwindowed target on the padded
     # grid; elsewhere the target term is the reference
     fd = _fd_window(cfg)
     if fd:
-        values = carry.mode_rows((sign, "target"), [sec.modes[0] for sec in secs], scene_t).copy()
+        targets = _modes(sec["omega_true"], np.full(len(scns), sec["amp"], dtype=complex))
+        values = carry.mode_rows((sign, "target"), targets, scene_t).copy()
         for j, column in enumerate(columns):
             values += carry.mode_rows((sign, j, "scene"), column, scene_t)
     else:
@@ -219,39 +222,36 @@ def _run_sectors(sign: int, scns: list, setup: sm.ObservationSetup,
             values += term
     if tail is not None:
         values += tail
-    for row, sec in zip(values, secs):
-        if sec.scn.noise_samples is not None:
-            row += sec.scn.noise_samples
+    for row, scn in zip(values, scns):
+        if scn.noise_samples is not None:
+            row += scn.noise_samples
     y = sm.SampledSignal(t_start=float(scene_t[0]), dt=setup.dt, values=values)
     if fd:  # each row through its own point's window: the pseudopoles move with ell
-        rows = [aw.apply_window_fd(sm.SampledSignal(y.t_start, y.dt, row), sec.scn.cfg.windows[sign],
-                                   cfg["window"]["stencil_order"]) for row, sec in zip(values, secs)]
+        rows = [aw.apply_window_fd(sm.SampledSignal(y.t_start, y.dt, row), c.windows[sign],
+                                   cfg["window"]["stencil_order"]) for row, c in zip(values, cfgs)]
         y = sm.SampledSignal(rows[0].t_start, y.dt, np.stack([row.values for row in rows]))
-    results = ex.extract(y, ecfg, y0_reference=refs,
-                         y0=sm.SampledSignal(t_start=setup.t0, dt=setup.dt, values=y0))
+    res = ex.extract(y, ecfg, y0_reference=refs,
+                     y0=sm.SampledSignal(t_start=setup.t0, dt=setup.dt, values=y0))
 
     # the contaminants are known exactly: their norm joins the noise budget
     # (triangle inequality)
-    known = [sec.scn.noise_l2 for sec in secs]
+    known = np.array([scn.noise_l2 for scn in scns])
     if others:
-        l2 = sm.residual_l2(sm.SampledSignal(t_start=setup.t0, dt=setup.dt,
-                                             values=sum(others[1:], others[0])), setup)
-        known = [k + v for k, v in zip(known, l2.tolist())]
-    out: list = []
-    for sec, res, known_l2 in zip(secs, results, known):
-        if isinstance(res, RinglabError):
-            out.append(res)
-            continue
-        try:
-            budget = ex.epsilon_budget(sec.amp_ref, sec.omega_true, sec.scn.cfg.tail,
-                                       known_l2, setup)
-        except RinglabError as exc:
-            out.append(exc)
-            continue
-        z_true = np.exp(-1j * sec.omega_true * setup.delta)
-        out.append(SectorResult(omega_true=sec.omega_true, z_true=z_true, result=res,
-                                eps_budget=budget))
-    return out
+        known = known + sm.residual_l2(sm.SampledSignal(
+            t_start=setup.t0, dt=setup.dt, values=sum(others[1:], others[0])), setup)
+    budget = ex.epsilon_budget(sec["amp_ref"], sec["omega_true"], cfg.tail, known, setup)
+
+    def flags(col):  # extract leaves them None where no row got that far
+        return np.zeros(len(scns), dtype=bool) if col is None else col
+
+    return {"omega_true": sec["omega_true"],
+            "z_true": np.exp(-1j * sec["omega_true"] * setup.delta),
+            "amp_ref": sec["amp_ref"], "prior": sec["prior"],
+            "z_hat": res.z_hat, "omega_hat": res.omega_hat, "eps0": res.eps0,
+            "eps1": res.eps1, "eps": res.eps, "bound_z": res.bound_z,
+            "bound_omega": res.bound_omega, "eps_small": flags(res.eps_small),
+            "branch_hyp": flags(res.branch_hyp), "eps_bound": budget["eps_bound"],
+            "errors": [e or b for e, b in zip(res.errors, budget["errors"])]}
 
 
 #: relative and absolute rounding floor of a scenario's checks.  It assumes
@@ -260,8 +260,9 @@ def _run_sectors(sign: int, scns: list, setup: sm.ObservationSetup,
 _CERT_RTOL, _CERT_ATOL = 1e-12, 1e-13
 
 
-def _record(name: str, hyp: bool, value: float, bound: float) -> tuple:
-    """A scenario's certified inequality, its bound raised by the rounding floor."""
+def _record(name: str, hyp, value, bound) -> tuple:
+    """A scenario's certified inequality, its bound raised by the rounding
+    floor: floats, or one column per row."""
     return (name, hyp, value, bound * (1.0 + _CERT_RTOL) + _CERT_ATOL)
 
 
@@ -273,39 +274,62 @@ def _fd_window(cfg: ScenarioConfig) -> bool:
     return cfg["window"]["enabled"] and cfg["window"]["path"] == "fd"
 
 
-def _sector_ledger(sec: SectorResult, cfg: ScenarioConfig) -> tuple:
-    """One sector's error-versus-bound columns, in report order, and its
-    certified inequalities."""
-    res = sec.result
+def _sector_ledger(sec: dict, cfg: ScenarioConfig) -> tuple:
+    """One sector's error-versus-bound columns over a table, in report
+    order, and its certified inequalities as column records."""
+    omega_err = sm._abs(sec["omega_hat"] - sec["omega_true"])
     led = {
-        "z_hat": res.z_hat, "omega_hat": res.omega_hat,
-        "omega_true": sec.omega_true,
-        "omega_err": abs(res.omega_hat - sec.omega_true),
-        "z_err": abs(res.z_hat - sec.z_true),
-        "eps0": res.eps0, "eps1": res.eps1, "eps": res.eps,
-        "eps_budget": sec.eps_budget["eps_bound"],
-        "bound_z": res.bound_z, "bound_z_crude": 3.0 * res.eps,
-        "bound_omega": res.bound_omega,
-        "hyp_eps_small": res.hypotheses_ok.eps_small,
-        "hyp_branch": res.hypotheses_ok.branch_hyp,
+        "z_hat": sec["z_hat"], "omega_hat": sec["omega_hat"],
+        "omega_true": sec["omega_true"],
+        "omega_err": omega_err,
+        "z_err": sm._abs(sec["z_hat"] - sec["z_true"]),
+        "eps0": sec["eps0"], "eps1": sec["eps1"], "eps": sec["eps"],
+        "eps_budget": sec["eps_bound"],
+        "bound_z": sec["bound_z"], "bound_z_crude": ex.stability_bound_crude(sec["eps"]),
+        "bound_omega": sec["bound_omega"],
+        "hyp_eps_small": sec["eps_small"],
+        "hyp_branch": sec["branch_hyp"],
     }
     hyp = led["hyp_eps_small"]
     return led, [_record("z_stability", hyp, led["z_err"], led["bound_z_crude"]),
                  _record("z_stability_sharp", hyp, led["z_err"], led["bound_z"]),
-                 _record("omega_error", hyp, led["omega_err"], led["bound_omega"]),
+                 _record("omega_error", hyp, omega_err, led["bound_omega"]),
                  _record("budget_soundness", not _fd_window(cfg), led["eps"],
                          led["eps_budget"])]
 
 
-def _certify(report: RunReport, label: str, checks) -> bool:
-    """Decide each (name, hypothesis, value, bound) record: it fails when its
-    hypothesis holds and not value <= bound, so a NaN never certifies.  Each
-    failure is a violation; True when none failed."""
-    failed = [(name, value, bound) for name, hyp, value, bound in checks
-              if hyp and not value <= bound]
-    for name, value, bound in failed:
-        report.add_violation(f"{label}: {name} violated ({value:.6e} > {bound:.6e})")
-    return not failed
+def _certify(report: RunReport, checks: list, failed: Optional[dict] = None) -> list:
+    """Decide each (name, hypothesis, value, bound) record: it fails where its
+    hypothesis holds and not value <= bound, so a NaN never certifies.
+
+    ``checks`` holds (labels, records) groups over one table: labels has one
+    label per row (a str: the table is one row), and a record's entries are
+    scalars or one column per row.  Row by row, then group by group and
+    record by record, each failure is the violation "label: name violated
+    (value > bound)".  ``failed`` maps a row to the (row, prefix, error) of a
+    row that a RinglabError ended: it certifies nothing, and :func:`_failed`
+    writes it in its turn.  Returns per row whether nothing failed."""
+    failed = failed or {}
+    groups = [([labels] if isinstance(labels, str) else labels, records)
+              for labels, records in checks]
+    bad = np.zeros(len(groups[0][0]), dtype=bool)
+    with np.errstate(invalid="ignore"):
+        decided = [[bad | np.logical_and(hyp, ~np.less_equal(value, bound))
+                    for _, hyp, value, bound in records] for _, records in groups]
+    for fail in (f for group in decided for f in group):
+        bad |= fail
+    bad[list(failed)] = True
+    for i in np.flatnonzero(bad).tolist():
+        if i in failed:
+            _failed(report, *failed[i])
+            continue
+        for (labels, records), group in zip(groups, decided):
+            for (name, _, value, bound), fail in zip(records, group):
+                if fail[i]:
+                    value, bound = (np.ravel(v)[i] if np.ndim(v) else v for v in (value, bound))
+                    report.add_violation(
+                        f"{labels[i]}: {name} violated ({value:.6e} > {bound:.6e})")
+    return (~bad).tolist()
 
 
 _REPORT_TOLERANCES = {
@@ -316,13 +340,11 @@ _REPORT_TOLERANCES = {
 }
 
 
-def _failed(report: RunReport, row: dict, prefix: str, exc: RinglabError) -> RunReport:
-    """A failed row and its violation."""
+def _failed(report: RunReport, row: dict, prefix: str, exc: RinglabError):
+    """Mark a row failed by ``exc``, and write its violation."""
     row["failed"] = True
     row["error"] = str(exc)
-    report.add_row(row)
     report.add_violation(f"{prefix}{exc}")
-    return report
 
 
 #: the most samples (rows times grid nodes) one batch of sweep points holds.
@@ -348,28 +370,38 @@ def _batches(points: list):
         start = stop
 
 
-def _run_batch(cfgs: list, setup: sm.ObservationSetup, carry: _Carry, signs=(+1, -1)) -> list:
-    """Each config's sectors on ``setup``, one batch per sign.
+def _placed(sec: Optional[dict], rows: list, n: int) -> dict:
+    """Sector columns of ``rows`` of a batch of n (none: sec None), each
+    widened to n rows: NaN (False for a flag) elsewhere."""
+    if len(rows) == n:
+        return {key: sec[key] for key in _SECTOR_COLUMNS}
+    out = {}
+    for key, kind in _SECTOR_COLUMNS.items():
+        out[key] = np.zeros(n, dtype=bool) if kind is bool else np.full(n, np.nan, dtype=kind)
+        if sec is not None:
+            out[key][rows] = sec[key]
+    return out
 
-    Per config: {sign: SectorResult}, or the RinglabError that ended it.
-    The +1 sector runs first, and a scenario whose +1 sector failed runs no
-    -1 sector, as when it runs alone.  The scene grid and the tail, which
-    no sweep varies (the grid's padding neither), come from ``carry`` for
-    every config and both signs.
+
+def _run_batch(cfgs: list, setup: sm.ObservationSetup, carry: _Carry, signs=(+1, -1)) -> dict:
+    """Each config's sectors on ``setup``, one batch per sign: per sign its
+    columns (:func:`_run_sectors`), and "errors", per config None or the
+    RinglabError that ended it.  The +1 sector runs first, and a scenario
+    whose +1 sector failed runs no -1 sector, as when it runs alone.  The
+    scene grid and the tail, which no sweep varies (the grid's padding
+    neither), come from ``carry`` for every config and both signs.
     """
     t = carry.grid(setup, cfgs[0].fd_pad)
     scns = [_scenario(cfg, setup, t, carry) for cfg in cfgs]
     tail = carry.tail(cfgs[0].tail, t)
-    outcome: list = [{} for _ in cfgs]
+    out: dict = {"errors": [None] * len(cfgs)}
     for sign in signs:
-        live = [i for i, sectors in enumerate(outcome) if isinstance(sectors, dict)]
-        results = _run_sectors(sign, [scns[i] for i in live], setup, tail, carry)
-        for i, sec in zip(live, results):
-            if isinstance(sec, SectorResult):
-                outcome[i][sign] = sec
-            else:
-                outcome[i] = sec
-    return outcome
+        live = [i for i, exc in enumerate(out["errors"]) if exc is None]
+        sec = _run_sectors(sign, [scns[i] for i in live], setup, tail, carry) if live else None
+        out[sign] = _placed(sec, live, len(cfgs))
+        for i, exc in zip(live, sec["errors"] if live else []):
+            out["errors"][i] = exc
+    return out
 
 
 def _data_keys(cfg: ScenarioConfig) -> tuple:
@@ -377,121 +409,173 @@ def _data_keys(cfg: ScenarioConfig) -> tuple:
     return ("U", "V", "W") if cfg["inversion"]["mode"] == "3p" else ("U", "V")
 
 
-def _estimate(cfg: ScenarioConfig, sectors: dict) -> dict:
-    """The observables of a scenario's two extracted frequencies."""
-    return pm.observables(sectors[+1].result.omega_hat, sectors[-1].result.omega_hat,
-                          cfg.model.ell, cfg.model.n)
+def _estimate(cfgs: list, table: dict) -> dict:
+    """The observables of each scenario's two extracted frequencies, as columns."""
+    return pm.observables(table[+1]["omega_hat"], table[-1]["omega_hat"],
+                          table["ell"], cfgs[0].model.n)
 
 
-def _run_points(cfgs: list) -> list:
-    """Each config's scenario up to the bias ledger: its sectors, run in
-    batches (:func:`_batches`), and under "estimate" and "inversion" its
-    observables and the result of their inversion or the InversionError that
-    ends it; or the RinglabError that ended its sectors.
+def _run_points(cfgs: list, signs=(+1, -1)) -> dict:
+    """The scenario table of the configs up to its ledgers, as columns: per
+    sign its sector columns, run in batches (:func:`_batches`), "ell", and
+    "errors", per config None or the RinglabError that ended it.  With both
+    signs, "estimate" holds the observables of each scenario, "live" lists
+    the scenarios whose sectors succeeded and "inversion" is the
+    :class:`paramap.Inversion` of those (the others' rows NaN); an
+    InversionError ends its row.
 
-    Every scenario whose sectors succeeded is inverted in one
-    :func:`paramap.invert_rows` call: its arrays are (rows, 2 or 3), so the
-    sample bound of a batch does not concern it.  The configs share the
-    lattice map and the inversion mode, which no sweep varies, so the first
-    one stands for all of them there.
+    Those scenarios are inverted in one :func:`paramap.invert_rows` call:
+    its arrays are (rows, 2 or 3), so the sample bound of a batch does not
+    concern it.  The configs share the lattice map and the inversion mode,
+    which no sweep varies, so the first one stands for all of them there.
     """
-    outcome: list = []
     carry = _Carry()
-    for start, stop in _batches(cfgs):
-        outcome += _run_batch(cfgs[start:stop], cfgs[start].setup, carry)
-    live = [i for i, sectors in enumerate(outcome) if isinstance(sectors, dict)]
+    parts = [_run_batch(cfgs[start:stop], cfgs[start].setup, carry, signs)
+             for start, stop in _batches(cfgs)]
+    table: dict = {sign: parts[0][sign] if len(parts) == 1 else
+                   {k: np.concatenate([p[sign][k] for p in parts]) for k in _SECTOR_COLUMNS}
+                   for sign in signs}
+    table["errors"] = errors = [exc for p in parts for exc in p["errors"]]
+    table["ell"] = np.array([cfg.model.ell for cfg in cfgs])
+    if len(signs) == 1:
+        return table
+    table["estimate"] = est = _estimate(cfgs, table)
+    table["live"] = live = [i for i, exc in enumerate(errors) if exc is None]
+    n = len(cfgs)
+    inv = pm.Inversion(m=np.full(n, np.nan), a=np.full(n, np.nan), lam=np.full(n, np.nan),
+                       iterations=np.zeros(n, dtype=int), residual=np.full(n, np.nan),
+                       errors=list(errors))
     if live:
-        keys = _data_keys(cfgs[0])
-        estimates = [_estimate(cfgs[i], outcome[i]) for i in live]
-        targets = np.array([[est[k] for k in keys] for est in estimates])
-        inverted = pm.invert_rows(cfgs[0].model, targets, [cfgs[i].guess for i in live],
-                                  [cfgs[i].box for i in live])
-        for i, est, inv in zip(live, estimates, inverted):
-            outcome[i].update(estimate=est, inversion=inv)
-    return outcome
+        targets = np.column_stack([est[k][live] for k in _data_keys(cfgs[0])])
+        got = pm.invert_rows(cfgs[0].model, targets, [cfgs[i].guess for i in live],
+                             [cfgs[i].box for i in live])
+        for name in ("m", "a", "lam", "iterations", "residual"):
+            getattr(inv, name)[live] = getattr(got, name)
+        for i, exc in zip(live, got.errors):
+            errors[i] = inv.errors[i] = exc
+    table["inversion"] = inv
+    return table
 
 
-def _bias_ledger(cfg: ScenarioConfig, point: dict) -> tuple:
-    """A scenario's data-error, inversion and bias-bound columns, in report
-    order, and its certified inequalities, from its :func:`_run_points` entry."""
-    model, setup, inv = cfg.model, cfg.setup, point["inversion"]
+def _bias_ledger(cfgs: list, table: dict) -> tuple:
+    """The scenarios' data-error, inversion and bias-bound columns, in report
+    order, and their certified inequalities as column records, from their
+    :func:`_run_points` table."""
+    cfg = cfgs[0]
+    model, inv, ell = cfg.model, table["inversion"], table["ell"]
     three = cfg["inversion"]["mode"] == "3p"
-    sp, sm_ = point[+1], point[-1]
-    truth = pm.observables(sp.omega_true, sm_.omega_true, model.ell, model.n)
-    data_err = float(np.linalg.norm([point["estimate"][k] - truth[k] for k in _data_keys(cfg)]))
-    data_bound = pm.data_map_error_bound(sp.result.omega_hat - sp.omega_true,
-                                         sm_.result.omega_hat - sm_.omega_true, model.ell,
+    keys, d = _data_keys(cfg), 3 if three else 2
+    sp, sm_ = table[+1], table[-1]
+    delta = np.array([c.setup.delta for c in cfgs])
+    p_true = np.array([(c.p_true.m, c.p_true.a, c.p_true.lam) for c in cfgs])
+    consts = [c.consts for c in cfgs]
+    c_star = np.array([k["C_star"] for k in consts])
+    truth = pm.observables(sp["omega_true"], sm_["omega_true"], ell, model.n)
+    data_err = pm._row_norms(np.column_stack([table["estimate"][k] - truth[k] for k in keys]))
+    data_bound = pm.data_map_error_bound(sm._abs(sp["omega_hat"] - sp["omega_true"]),
+                                         sm._abs(sm_["omega_hat"] - sm_["omega_true"]), ell,
                                          n=model.n if three else None)
-    consts, p_hat = cfg.consts, inv["point"]
-    param_err = float(np.linalg.norm(p_hat.as_array(three) - cfg.p_true.as_array(three)))
-    eps_budget_pair = (sp.eps_budget["eps_bound"], sm_.eps_budget["eps_bound"])
-    bound_omega = (sp.result.bound_omega, sm_.result.bound_omega)
-    bound_omega_budget = [ex.omega_bound(e, e, abs(sec.z_true), setup.delta)  # e bounds eps0, eps1
-                          for e, sec in zip(eps_budget_pair, (sp, sm_))]
-    b2 = pm.bias_bound_2p(consts["C_star"], *bound_omega, model.ell)
-    b2_budget = pm.bias_bound_2p(consts["C_star"], *bound_omega_budget, model.ell)
+    p_hat = np.column_stack([inv.m, inv.a, inv.lam])
+    param_err = pm._row_norms(p_hat[:, :d] - p_true[:, :d])
+    bound_omega = (sp["bound_omega"], sm_["bound_omega"])
+    # each budget eps bounds eps0 and eps1
+    bound_omega_budget = [ex.omega_bound(sec["eps_bound"], sec["eps_bound"],
+                                         sm._abs(sec["z_true"]), delta) for sec in (sp, sm_)]
+    b2 = np.broadcast_to(pm.bias_bound_2p(c_star, *bound_omega, ell), ell.shape)
+    b2_budget = np.broadcast_to(pm.bias_bound_2p(c_star, *bound_omega_budget, ell), ell.shape)
     # the bias bounds cover the data error only: a pole offset moves the true
     # frequencies off the lattice data map by a term that none of them bounds
     on_lattice = cfg["lattice"]["pole_offset"] == 0
-    hyp = sp.result.hypotheses_ok.eps_small and sm_.result.hypotheses_ok.eps_small and on_lattice
-    hyp_budget = (all(map(ex.eps_small, eps_budget_pair, (sp.z_true, sm_.z_true)))
-                  and on_lattice and not _fd_window(cfg))
+    hyp = sp["eps_small"] & sm_["eps_small"] & on_lattice
+    hyp_budget = (ex.eps_small(sp["eps_bound"], sp["z_true"])
+                  & ex.eps_small(sm_["eps_bound"], sm_["z_true"])
+                  & (on_lattice and not _fd_window(cfg)))
     columns = {
         "data_err": data_err, "data_bound": data_bound,
-        "M_hat": p_hat.m, "a_hat": p_hat.a, "Lambda_hat": p_hat.lam,
+        "M_hat": inv.m, "a_hat": inv.a, "Lambda_hat": inv.lam,
         "param_err": param_err,
-        "newton_iterations": inv["iterations"],
-        "c_star": consts["c_star"], "C_star": consts["C_star"],
+        "newton_iterations": inv.iterations,
+        "c_star": np.array([k["c_star"] for k in consts]), "C_star": c_star,
         "bias_bound_2p": b2, "bias_bound_2p_budget": b2_budget,
         "hyp_bias": hyp, "hyp_bias_budget": hyp_budget,
         # the 2p bounds cover an inversion with Lambda known: a 3p inversion
         # passes the damping channel's error, which has no 1/ell, into M
-        "hyp_inversion_2p": not three,
+        "hyp_inversion_2p": np.full(len(cfgs), not three),
     }
     records = [_record("data-map bound", True, data_err, data_bound),
-               _record("2p bias bound", hyp and not three, param_err, b2),
-               _record("budget bias bound", hyp_budget and not three, param_err, b2_budget)]
+               _record("2p bias bound", hyp & (not three), param_err, b2),
+               _record("budget bias bound", hyp_budget & (not three), param_err, b2_budget)]
     if three:
-        columns["bias_bound_3p"] = pm.bias_bound_2p(consts["C_star"], *bound_omega,
-                                                    model.ell, model.n)
+        columns["bias_bound_3p"] = np.broadcast_to(
+            pm.bias_bound_2p(c_star, *bound_omega, ell, model.n), ell.shape)
         records.append(_record("3p bias bound", hyp, param_err, columns["bias_bound_3p"]))
     return columns, records
 
 
-def _scenario_rows(report: RunReport, cfgs: list, tags: list) -> RunReport:
-    """The scenario table: row i is config i run by one :func:`_run_points`
-    call over all of them, its truth and setup, each sector's columns and the
-    bias ledger (or ``failed`` and ``error``), then ``tags[i]``.  Its records
-    are certified in order: plus sector, minus sector, then the scenario's."""
-    for i, (cfg, point, tag) in enumerate(zip(cfgs, _run_points(cfgs), tags)):
-        model, p_true, setup, label = cfg.model, cfg.p_true, cfg.setup, f"scenario {i}"
-        row: dict = {"scenario": i, "ell": model.ell,
-                     "T0": setup.t0, "T": setup.t_len, "Delta": setup.delta,
-                     "dt": setup.dt, "M_true": p_true.m, "a_true": p_true.a,
-                     "Lambda_true": p_true.lam}
-        failure, checks = point, []
-        if isinstance(point, dict):
-            for sign, side in ((+1, "plus"), (-1, "minus")):
-                columns, records = _sector_ledger(point[sign], cfg)
-                row.update({f"{k}_{side}": v for k, v in columns.items()})
-                checks.append((f"{label} {side}", records))
-            failure = point["inversion"]
-        if isinstance(failure, RinglabError):
-            _failed(report, row, f"{label}: ", failure)
+def _flat(columns: dict) -> tuple:
+    """Report column names and per-row Python values of (B,) columns, a
+    complex column split into its _re and _im columns."""
+    names, values = [], []
+    for key, col in columns.items():
+        if isinstance(col, list):  # values kept as configured: an int stays an int
+            names.append(key)
+            values.append(col)
+        elif col.dtype.kind == "c":
+            names += [key + "_re", key + "_im"]
+            values += [col.real.tolist(), col.imag.tolist()]
         else:
-            columns, records = _bias_ledger(cfg, point)
-            row.update(columns)
-            for name, recs in checks + [(label, records)]:
-                _certify(report, name, recs)
-            report.add_row(row)
-        report.rows[-1].update(tag)
+            names.append(key)
+            values.append(col.tolist())
+    return names, values
+
+
+def _table_rows(blocks: list, widths: list) -> list:
+    """One dict per row from blocks of columns in report order: row i holds
+    the first widths[i] blocks."""
+    flat = [_flat(block) for block in blocks]
+    ends = np.cumsum([0] + [len(names) for names, _ in flat]).tolist()
+    names = [name for block_names, _ in flat for name in block_names]
+    values = [col for _, block_values in flat for col in block_values]
+    return [dict(zip(names[:ends[width]], row)) for width, row in zip(widths, zip(*values))]
+
+
+def _scenario_rows(report: RunReport, cfgs: list, tags: dict) -> RunReport:
+    """The scenario table: row i is config i, run by one :func:`_run_points`
+    call over all of them: its truth and setup, each sector's columns and the
+    bias ledger (or ``failed`` and ``error``), then the ``tags`` columns.
+    Its records are certified row by row: plus sector, minus sector, then
+    the scenario's."""
+    table = _run_points(cfgs)
+    labels = [f"scenario {i}" for i in range(len(cfgs))]
+    base = {"scenario": list(range(len(cfgs))), "ell": table["ell"],
+            **{key: [getattr(c.setup, attr) for c in cfgs] for key, attr in
+               (("T0", "t0"), ("T", "t_len"), ("Delta", "delta"), ("dt", "dt"))},
+            **{key: [getattr(c.p_true, attr) for c in cfgs] for key, attr in
+               (("M_true", "m"), ("a_true", "a"), ("Lambda_true", "lam"))}}
+    blocks, checks = [base], []
+    for sign, side in ((+1, "plus"), (-1, "minus")):
+        columns, records = _sector_ledger(table[sign], cfgs[0])
+        blocks.append({f"{k}_{side}": v for k, v in columns.items()})
+        checks.append(([f"{label} {side}" for label in labels], records))
+    columns, records = _bias_ledger(cfgs, table)
+    blocks.append(columns)
+    checks.append((labels, records))
+    widths = [1] * len(cfgs)
+    for i in table["live"]:
+        widths[i] = 4 if table["errors"][i] is None else 3
+    rows = _table_rows(blocks, widths)
+    _certify(report, checks, {i: (row, f"{label}: ", exc) for i, (row, label, exc)
+                              in enumerate(zip(rows, labels, table["errors"])) if exc is not None})
+    for row, tag in zip(rows, _table_rows([tags], [1] * len(rows)) if tags else [{}] * len(rows)):
+        row.update(tag)
+    report.rows += rows
     return report
 
 
 def run_pipeline(cfg: ScenarioConfig) -> RunReport:
     """End-to-end scenario: the scenario table of one row."""
     report = RunReport(metadata={"subcommand": "pipeline", **_REPORT_TOLERANCES})
-    return _scenario_rows(report, [cfg], [{}])
+    return _scenario_rows(report, [cfg], {})
 
 
 def run_sweep(cfg: ScenarioConfig) -> RunReport:
@@ -507,8 +591,8 @@ def run_sweep(cfg: ScenarioConfig) -> RunReport:
     if axis is None or not values:
         raise ConfigError("sweep requires an axis and a nonempty value list")
     report = RunReport(metadata={"subcommand": "sweep", "axis": axis, **_REPORT_TOLERANCES})
-    return _scenario_rows(report, cfg.points,
-                          [{"sweep_axis": axis, "sweep_value": float(v)} for v in values])
+    return _scenario_rows(report, cfg.points, {
+        "sweep_axis": [axis] * len(values), "sweep_value": np.array(values, dtype=float)})
 
 
 # ---------------------------------------------------------------------------
@@ -516,15 +600,16 @@ def run_sweep(cfg: ScenarioConfig) -> RunReport:
 # ---------------------------------------------------------------------------
 
 def run_extract(cfg: ScenarioConfig) -> RunReport:
-    """One-sector extraction only: signal, Rayleigh quotient, bounds."""
+    """One-sector extraction only: signal, Rayleigh quotient, bounds; the
+    one-row table of the +1 sector."""
     report = RunReport(metadata={"subcommand": "extract", **_REPORT_TOLERANCES})
-    sectors = _run_batch([cfg], cfg.setup, _Carry(), signs=(+1,))[0]
-    if isinstance(sectors, RinglabError):
-        return _failed(report, {}, "", sectors)
-    sec = sectors[+1]
+    table = _run_points([cfg], signs=(+1,))
+    sec, exc = table[+1], table["errors"][0]
     ledger, records = _sector_ledger(sec, cfg)
-    report.add_row({"omega_true": sec.omega_true, "z_true": sec.z_true, **ledger})
-    _certify(report, "extract", records)
+    row, = _table_rows([{"omega_true": sec["omega_true"], "z_true": sec["z_true"], **ledger}],
+                       [0 if exc else 1])
+    _certify(report, [("extract", records)], {0: (row, "", exc)} if exc else None)
+    report.rows.append(row)
     return report
 
 
@@ -571,8 +656,8 @@ def run_band_isolate(cfg: ScenarioConfig) -> RunReport:
         out = mt.band_subtract(resolvent, forcing, None, nu1, nu2, sec["times"])
         for t, mismatch, tail in zip(sec["times"], out["mismatch"],
                                      out["truncation_estimate"]):
-            ok = _certify(report, f"model {idx}, t={t}",
-                          [("band isolation", True, float(mismatch), tol)])
+            ok, = _certify(report, [(f"model {idx}, t={t}",
+                                     [("band isolation", True, float(mismatch), tol)])])
             report.add_row({
                 "model": idx, "t": float(t), "dim": dim,
                 "n_poles": len(resolvent.poles),
@@ -597,8 +682,8 @@ def run_pseudospectrum(cfg: ScenarioConfig) -> RunReport:
     im_grid = np.linspace(*cfg.im_range, sec["grid_n"])
     for i, eps in enumerate(sec["eps"]):
         scan = mt.pseudospectrum_scan(model, re_grid, im_grid, float(eps))
-        holds = _certify(report, f"pseudospectrum eps={eps}",
-                         [("inclusion", True, scan["violations"], 0)])
+        holds, = _certify(report, [(f"pseudospectrum eps={eps}",
+                                    [("inclusion", True, scan["violations"], 0)])])
         report.add_row({
             "eps": float(eps), "n_flagged": scan["n_flagged"],
             "violations": scan["violations"], "radius": scan["radius"],
@@ -618,7 +703,7 @@ def run_window_check(cfg: ScenarioConfig) -> RunReport:
     for j, node in enumerate(nodes.nodes):
         want = 1.0 if j == target else 0.0
         dev = abs(complex(gpoly(node)) - want)
-        ok = _certify(report, f"window-check node {j}", [("identity", True, dev, 1e-12)])
+        ok, = _certify(report, [(f"window-check node {j}", [("identity", True, dev, 1e-12)])])
         report.add_row({"check": "identity", "node": j, "deviation": dev,
                         "tol": 1e-12, "ok": ok})
     rng = np.random.default_rng(sec["seed"])
@@ -633,7 +718,7 @@ def run_window_check(cfg: ScenarioConfig) -> RunReport:
         rob = aw.interp_robustness(nodes, pert, m=target)
         dev = max([rob["dev_target"], *rob["dev_off"]])
         draws.append((f"draw {k}", rob["hypothesis_ok"], dev, rob["bound"]))
-    ok = _certify(report, "window-check robustness", draws)
+    ok, = _certify(report, [("window-check robustness", draws)])
     worst = max([0.0] + [dev / bound for _, hyp, dev, bound in draws if hyp and bound > 0])
     report.add_row({"check": "robustness", "n_draws": n_draws,
                     "worst_ratio_to_bound": worst, "ok": ok})

@@ -261,6 +261,20 @@ class ObservationSetup:
         return self.t0 + self.delta if self.taper == "rectangular" else self.t0
 
 
+def _abs(z) -> np.ndarray:
+    """|z| of complex values, as Python's abs gives it: numpy's complex
+    absolute rounds otherwise in the last bit, its hypot does not."""
+    return np.hypot(np.real(z), np.imag(z))
+
+
+def _pow(x, k: int) -> np.ndarray:
+    """x**k per element through numpy's scalar power, which calls libm's pow
+    as a Python float's ** does (and gives inf where that would overflow); an
+    array's ** multiplies or calls a SIMD pow, and either can differ from
+    libm's in the last bit."""
+    return np.array([v ** k for v in np.atleast_1d(np.asarray(x, dtype=float))], dtype=float)
+
+
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
@@ -443,22 +457,22 @@ def mode_rows(modes: Sequence[Mode], t) -> np.ndarray:
     return 0.0j + vals
 
 
-def mode_energy_lower_bound(amp: complex, freq: complex,
-                            setup: ObservationSetup) -> float:
+def mode_energy_lower_bound(amp, freq, setup: ObservationSetup):
     """Plateau lower bound for ||a e^{-i omega t}||_w^2.
 
     Equals |a|^2 (e^{2 Im(omega) (t0+delta)} - e^{2 Im(omega) (t0+T-2 delta)}) /
-    (-2 Im(omega)); requires Im(omega) < 0 and a nonempty plateau.
+    (-2 Im(omega)); requires Im(omega) < 0 and a nonempty plateau.  A float,
+    or a column for columns of amp and freq.
     """
-    im = freq.imag
-    if im >= 0:
+    im = np.imag(freq)
+    if np.any(im >= 0):
         raise DegenerateSignalError("energy lower bound needs Im(omega) < 0")
     a = setup.t0 + setup.delta
     b = setup.t0 + setup.t_len - 2 * setup.delta
     if b < a:
         raise ConfigError("empty plateau: need t_len >= 3*delta")
-    val = abs(amp) ** 2 * (np.exp(2 * im * a) - np.exp(2 * im * b)) / (-2 * im)
-    return float(val)
+    val = _pow(_abs(amp), 2) * (np.exp(2 * im * a) - np.exp(2 * im * b)) / (-2 * im)
+    return val if np.ndim(freq) else float(val[0])
 
 
 def mode_energy_lower_bound_crude(amp: complex, freq: complex,

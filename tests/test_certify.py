@@ -15,6 +15,7 @@ from ringlab import analytic_window as aw
 from ringlab import cli, pipeline
 from ringlab import paramap as pm
 from ringlab.config import ScenarioConfig
+from ringlab.errors import InversionError
 from ringlab.report import RunReport
 
 SRC = Path(pipeline.__file__).resolve().parent
@@ -50,10 +51,29 @@ def test_only_certify_and_failed_add_violations():
 def test_certify_fails_a_nan_under_a_holding_hypothesis():
     report = RunReport()
     nan = float("nan")
-    assert pipeline._certify(report, "x", [("a", True, 1.0, 1.0), ("b", False, nan, 0.0)])
-    assert not pipeline._certify(report, "x", [("c", True, nan, 1.0), ("d", True, 0.0, nan)])
+    assert pipeline._certify(report, [("x", [("a", True, 1.0, 1.0), ("b", False, nan, 0.0)])]) \
+        == [True]
+    assert pipeline._certify(report, [("x", [("c", True, nan, 1.0), ("d", True, 0.0, nan)])]) \
+        == [False]
     assert report.violations == ["x: c violated (nan > 1.000000e+00)",
                                  "x: d violated (0.000000e+00 > nan)"]
+
+
+def test_certify_writes_a_table_row_by_row():
+    # column records over three rows in two groups, the middle row ended by
+    # an error: violations come row by row, then group by group, and the
+    # failed row certifies nothing
+    report = RunReport()
+    hyp = np.array([True, True, False])
+    rows = [{}, {}, {}]
+    ok = pipeline._certify(report, [
+        (["r0 plus", "r1 plus", "r2 plus"], [("p", hyp, np.array([2.0, 2.0, 2.0]), 1.0)]),
+        (["r0", "r1", "r2"], [("s", True, np.array([0.0, 5.0, 3.0]), np.array([1.0, 1.0, 1.0]))]),
+    ], {1: (rows[1], "r1: ", InversionError("no"))})
+    assert ok == [False, False, False]
+    assert report.violations == ["r0 plus: p violated (2.000000e+00 > 1.000000e+00)", "r1: no",
+                                 "r2: s violated (3.000000e+00 > 1.000000e+00)"]
+    assert rows == [{}, {"failed": True, "error": "no"}, {}]
 
 
 def _row_label(row):

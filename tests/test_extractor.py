@@ -109,8 +109,10 @@ class TestStabilityBound:
     def test_hypothesis_errors(self):
         with pytest.raises(HypothesisError):
             ex.stability_bound(0.3, 0.0)
-        with pytest.raises(HypothesisError):
-            ex.stability_bound_crude(0.2)
+        # the crude bound's eps <= 1/8 is the hypothesis of the record that
+        # reads it (eps_small implies it): it is 3 eps on any input, columns too
+        assert ex.stability_bound_crude(0.2) == 3.0 * 0.2
+        assert ex.stability_bound_crude(np.array([0.1, 0.2])).tolist() == [3.0 * 0.1, 3.0 * 0.2]
 
 
 class TestOmegaBound:

@@ -417,14 +417,15 @@ class TestSweep:
         assert many <= 1.05 * few, (few, many)
 
     def test_observables_estimated_once_per_point(self, monkeypatch):
-        # the inversion's estimate is the one the ledger reads
+        # the inversion's estimate is the one the ledger reads: one column
+        # per observable, estimated once for the whole table
         calls = []
         estimate = pipeline._estimate
         monkeypatch.setattr(pipeline, "_estimate",
-                            lambda cfg, sectors: calls.append(cfg) or estimate(cfg, sectors))
+                            lambda cfgs, table: calls.append(cfgs) or estimate(cfgs, table))
         cfg = ScenarioConfig(raw=SWEEPS["ell"])
         assert run_sweep(cfg).ok
-        assert list(map(id, calls)) == list(map(id, cfg.points))
+        assert [list(map(id, cfgs)) for cfgs in calls] == [list(map(id, cfg.points))]
 
     def test_tail_start_time_decay(self):
         doc = dict(CANONICAL)
