@@ -146,9 +146,9 @@ def residual_sizes(y0: SampledSignal, r: SampledSignal,
 def _sharp(eps0, eps1):
     """(eps0+eps1)(1+eps0)/(1-2 eps0) where eps0 <= 1/4, else inf (NaN
     too): floats or columns."""
-    eps0, eps1 = np.asarray(eps0, dtype=float), np.asarray(eps1, dtype=float)
-    with np.errstate(all="ignore"):
-        out = np.where(eps0 <= 0.25, (eps0 + eps1) * (1.0 + eps0) / (1.0 - 2.0 * eps0), np.inf)
+    holds = np.less_equal(eps0, 0.25)
+    e0 = np.where(holds, eps0, 0.0)  # the other rows divide by nothing near 0
+    out = np.where(holds, (e0 + eps1) * (1.0 + e0) / (1.0 - 2.0 * e0), np.inf)
     return out if out.ndim else float(out)
 
 
@@ -169,7 +169,7 @@ def stability_bound_crude(eps):
 def eps_small(eps, z):
     """The hypothesis eps <= min(1/8, |z|/20) of the certified bounds: a
     bool, or a bool column for columns."""
-    z20 = _abs(z) / 20.0
+    z20 = _abs(np.asarray(z, dtype=complex)) / 20.0
     held = eps <= np.where(z20 < 0.125, z20, 0.125)  # Python's min(0.125, z20)
     return held if np.ndim(held) else bool(held)
 
@@ -185,12 +185,15 @@ def omega_bound(eps0, eps1, z_abs, delta):
     eps_small gives bound_z <= 3 eps <= 3|z|/20, so the bound is at most
     (20/17) 3 eps/(delta |z|).  bound_z increases in eps0 and eps1 for eps0 <
     1/2, so a budget eps bounding both enters as eps0 = eps1 = eps."""
-    bound_z = np.asarray(_sharp(eps0, eps1))
-    with np.errstate(all="ignore"):
-        ratio = -bound_z / z_abs
-        below = bound_z < z_abs
-        log = np.array([math.log1p(v) for v in np.where(below, ratio, 0.0).ravel().tolist()])
-        out = np.where(below, -log.reshape(below.shape) / delta, np.inf)
+    return _omega_rows(_sharp(eps0, eps1), z_abs, delta)
+
+
+def _omega_rows(bound_z, z_abs, delta):
+    """:func:`omega_bound` of the sharp bounds ``bound_z``."""
+    below = np.less(bound_z, z_abs)
+    ratio = -np.where(below, bound_z, 0.0) / np.where(below, z_abs, 1.0)
+    log = np.array([math.log1p(v) for v in np.ravel(ratio).tolist()]).reshape(below.shape)
+    out = np.where(below, -log / delta, np.inf)
     return out if out.ndim else float(out)
 
 
@@ -202,22 +205,25 @@ def branch_log(z_hat: complex, prior: complex, delta: float) -> complex:
     the ratio to stay in the disk |zeta - 1| <= 5/8, which keeps it off the
     principal cut.  By construction exp(-i * omega_hat * delta) = z_hat.
     """
-    omega, far = _branch_rows(np.array([z_hat]), np.array([prior], dtype=complex), delta)
+    omega, far, _ = _branch_rows(np.array([z_hat]), np.array([prior], dtype=complex), delta)
     if far[0] is not None:
         raise far[0]
     return omega[0]
 
 
 def _branch_rows(z_hat: np.ndarray, prior: np.ndarray, delta: float) -> tuple:
-    """:func:`branch_log` of each row: omega_hat, and per row None or the
-    BranchSelectionError that ends it."""
-    with np.errstate(all="ignore"):
-        ratio = z_hat / np.exp(-1j * prior * delta)
-        dist = _abs(ratio - 1.0)
-        omega = (1j / delta) * (np.log(ratio) - 1j * prior * delta)
-    far = [None if not d > 0.625 else BranchSelectionError(
-        f"|z_hat/z_prior - 1| = {d:.3g} > 5/8: prior too far") for d in dist.tolist()]
-    return omega, far
+    """:func:`branch_log` of each row: omega_hat, per row None or the
+    BranchSelectionError that ends it, and z_prior."""
+    z_sharp = np.exp(-1j * prior * delta)
+    ratio = z_hat / z_sharp
+    dist = _abs(ratio - 1.0)
+    near = ~(dist > 0.625)
+    # a row too far from its prior, or without a quotient (NaN), takes no log
+    omega = (1j / delta) * (np.log(np.where(near, ratio, 1.0)) - 1j * prior * delta)
+    far = [None if ok else BranchSelectionError(
+        f"|z_hat/z_prior - 1| = {d:.3g} > 5/8: prior too far")
+        for ok, d in zip(near.tolist(), dist.tolist())]
+    return omega, far, z_sharp
 
 
 def extract(y: SampledSignal, cfg: ExtractionConfig,
@@ -255,24 +261,25 @@ def _extract_rows(y: SampledSignal, cfg: ExtractionConfig,
     """extract on every row, as columns; a row keeps the first error that a
     single extraction raises, in the order it checks them."""
     setup, delta = cfg.setup, cfg.setup.delta
-    priors = np.broadcast_to(np.asarray(cfg.prior, dtype=complex), y.values.shape[:-1]).ravel()
     quotients = _quotients(y, setup)
+    n = len(quotients)
+    priors = np.asarray(cfg.prior, dtype=complex)
+    if priors.shape != (n,):
+        priors = np.full(n, priors)
     z_hat = np.array([np.nan if q is None else q for q in quotients], dtype=complex)
-    omega_hat, errors = _branch_rows(z_hat, priors, delta)
+    omega_hat, errors, z_sharp = _branch_rows(z_hat, priors, delta)
     errors = [DegenerateSignalError("zero weighted energy: Rayleigh quotient undefined")
               if q is None else exc for q, exc in zip(quotients, errors)]
-    n = len(errors)
-    nan = np.full(n, np.nan)
-    out = Extraction(z_hat, omega_hat, nan, nan, nan, nan, nan, None, None, errors)
     if y0_reference is None or all(errors):
-        return out
+        nan = np.full(n, np.nan)
+        return Extraction(z_hat, omega_hat, nan, nan, nan, nan, nan, None, None, errors)
 
     modes = list(y0_reference)
     if len(modes) != n:
         raise ConfigError("certified extraction requires a single reference mode per row")
     freq = np.array([mode.freq for mode in modes], dtype=complex)
     if cfg.amp_floor:
-        low = _abs([mode.amp for mode in modes]) < cfg.amp_floor
+        low = _abs(np.array([mode.amp for mode in modes], dtype=complex)) < cfg.amp_floor
         errors = [DegenerateSignalError("reference amplitude below detectability floor")
                   if exc is None and below else exc for exc, below in zip(errors, low.tolist())]
     if y0 is None:
@@ -280,23 +287,24 @@ def _extract_rows(y: SampledSignal, cfg: ExtractionConfig,
         y0 = SampledSignal(t_start=setup.t0, dt=setup.dt,
                            values=vals if y.values.ndim == 2 else vals[0])
     r = SampledSignal(t_start=y.t_start, dt=y.dt, values=y.values - y0.values)
-    n0, nr, nr1 = (np.atleast_1d(v) for v in _residual_norms(y0, r, setup))
+    n0, nr, nr1 = np.atleast_1d(*_residual_norms(y0, r, setup))
+    empty = n0 <= 0.0
     errors = [DegenerateSignalError("reference mode has zero weighted energy")
-              if exc is None and empty else exc
-              for exc, empty in zip(errors, (n0 <= 0.0).tolist())]
-    with np.errstate(all="ignore"):
-        eps0, eps1 = nr / n0, nr1 / n0
-        eps = np.where(eps1 > eps0, eps1, eps0)  # Python's max(eps0, eps1)
-        z = np.exp(-1j * freq * delta)
-        z_sharp = np.exp(-1j * priors * delta)
-        z_abs = _abs(z)
-        branch_hyp = ((_abs(z - z_sharp) <= 0.25 * _abs(z_sharp))
-                      & (_abs(z_hat - z) <= 0.5 * z_abs))
-    live = np.array([exc is None for exc in errors])
-    return Extraction(z_hat, omega_hat, np.where(live, eps0, np.nan), np.where(live, eps1, np.nan),
-                      np.where(live, eps, np.nan), np.where(live, _sharp(eps0, eps1), np.nan),
-                      np.where(live, omega_bound(eps0, eps1, z_abs, delta), np.nan),
-                      live & eps_small(eps, z), live & branch_hyp, errors)
+              if exc is None and no_energy else exc
+              for exc, no_energy in zip(errors, empty.tolist())]
+    n0 = np.where(empty, 1.0, n0)  # rows without energy end above: no 0/0 here
+    eps0, eps1 = nr / n0, nr1 / n0
+    eps = np.where(eps1 > eps0, eps1, eps0)  # Python's max(eps0, eps1)
+    z = np.exp(-1j * freq * delta)
+    z_abs = _abs(z)
+    bound_z = _sharp(eps0, eps1)
+    cols = [eps0, eps1, eps, bound_z, _omega_rows(bound_z, z_abs, delta),
+            eps_small(eps, z), (_abs(z - z_sharp) <= 0.25 * _abs(z_sharp))
+            & (_abs(z_hat - z) <= 0.5 * z_abs)]
+    if any(errors):
+        live = np.array([exc is None for exc in errors])
+        cols = [np.where(live, c, np.nan) for c in cols[:5]] + [live & c for c in cols[5:]]
+    return Extraction(z_hat, omega_hat, *cols, errors)
 
 
 #: the detector and data norms in the tail bound: a scalar scene observes the signal itself
@@ -315,33 +323,33 @@ def epsilon_budget(amp, freq, tail: TailSpec, noise_l2, setup: ObservationSetup)
 
     With (B,) columns of amp, freq and noise_l2 every bound is a (B,)
     column, and "errors" holds per row None or the DegenerateSignalError
-    that a call on that row's floats raises (its bounds NaN).
+    that a call on that row's floats raises (its bounds NaN).  On floats
+    it returns floats and raises that error.
     """
     if setup.t_len <= 3 * setup.delta:
         raise ConfigError("epsilon budget needs t_len > 3*delta")
-    freq = np.asarray(freq, dtype=complex)
+    rows = np.ndim(freq) == 1
+    freq = np.atleast_1d(np.asarray(freq, dtype=complex))
     damped = freq.imag < 0
-    energy_sq = mode_energy_lower_bound(amp, np.where(damped, freq, -1j), setup)
-    denom = np.sqrt(energy_sq)
+    denom = np.sqrt(mode_energy_lower_bound(amp, np.where(damped, freq, -1j), setup))
+    live = damped & (denom > 0)
     errors = [None if ok else DegenerateSignalError(
         "plateau energy lower bound underflows to 0" if up else
         "epsilon budget needs a damped mode (Im omega < 0)")
-        for ok, up in zip(np.atleast_1d(damped & (denom > 0)).tolist(),
-                          np.atleast_1d(damped).tolist())]
+        for ok, up in zip(live.tolist(), damped.tolist())]
+    denom = np.where(live, denom, np.nan)
     envelope_t0 = (tail.c_tail * np.exp(-tail.nu * setup.t0)
                    * (1.0 + setup.t0) ** (-tail.m) + tail.leak)
-    with np.errstate(all="ignore"):
-        eps_tail = (envelope_t0 * DETECTOR_NORM * DATA_NORM
-                    * np.sqrt(setup.t_len) / denom)
-        eps_meas = noise_l2 / denom
+    eps_tail = (envelope_t0 * DETECTOR_NORM * DATA_NORM
+                * np.sqrt(setup.t_len) / denom)
+    eps_meas = noise_l2 / denom
     out = {"eps_tail_bound": eps_tail, "eps_meas_bound": eps_meas,
            "eps_bound": eps_tail + eps_meas}
-    if np.ndim(freq):
-        live = np.array([exc is None for exc in errors])
-        return {**{k: np.where(live, v, np.nan) for k, v in out.items()}, "errors": errors}
+    if rows:
+        return {**out, "errors": errors}
     if errors[0] is not None:
         raise errors[0]
-    return {k: float(v) for k, v in out.items()}
+    return {k: float(v[0]) for k, v in out.items()}
 
 
 def disk_check(omega_hat: complex, prior: complex, c_sep: float,

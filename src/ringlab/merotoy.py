@@ -95,6 +95,10 @@ RANDOM_POLE_RE = (-2.0, 2.0)
 RANDOM_POLE_IM = (-2.2, -0.4)
 #: and the least distance between two of its poles
 RANDOM_POLE_SEP = 0.3
+#: the most poles it places RANDOM_POLE_SEP apart: while n - 1 excluded
+#: disks cover less than its rectangle's area, a point of it is free
+RANDOM_MAX_POLES = int(np.ceil(np.ptp(RANDOM_POLE_RE) * np.ptp(RANDOM_POLE_IM)
+                               / (np.pi * RANDOM_POLE_SEP ** 2)))
 
 
 def random_rational_resolvent(rng: np.random.Generator, dim: int = 2,

@@ -163,21 +163,22 @@ def pseudopole(model: LatticeModel, j: int, sign: int, p: ParameterPoint) -> com
         raise ConfigError("sign must be +1 or -1")
     if j < 0:
         raise ConfigError("overtone index must be nonnegative")
-    return complex(_pole(model, j, sign, p.m, p.a, p.lam, p.m**2, model.ell))
+    u, v, lam = model.uvl(p.m, p.a, 1.0 - 9.0 * p.lam * p.m**2)
+    return complex(_pole(j, sign, u, v, lam, model.ell))
 
 
-def pseudopole_rows(model: LatticeModel, j: int, sign: int, m: np.ndarray, a: np.ndarray,
-                    lam: np.ndarray, ell: np.ndarray) -> np.ndarray:
-    """:func:`pseudopole` of each row: the points (m, a, lam) on model's map
-    at ell per row (model's own ell unused), bit for bit."""
-    return _pole(model, j, sign, m, a, lam, _pow(m, 2), ell)
+def pseudopole_rows(model: LatticeModel, js: Sequence[int], sign: int, m: np.ndarray,
+                    a: np.ndarray, lam: np.ndarray, ell: np.ndarray) -> list:
+    """:func:`pseudopole` of overtone j in js, each a column over the rows:
+    the points (m, a, lam) on model's map at ell per row (model's own ell
+    unused), bit for bit."""
+    u, v, damping = model.uvl(m, a, 1.0 - 9.0 * lam * _pow(m, 2))
+    return [_pole(j, sign, u, v, damping, ell) for j in js]
 
 
-def _pole(model: LatticeModel, j, sign, m, a, lam, m2, ell):
-    """ell*(u + sign*v) - i (j + 1/2) lam at mass m (m2 = M**2), rotation a
-    and Lambda lam: floats, or columns."""
-    u, v, damping = model.uvl(m, a, 1.0 - 9.0 * lam * m2)
-    return ell * (u + sign * v) - 1j * (j + 0.5) * damping
+def _pole(j, sign, u, v, lam, ell):
+    """ell*(u + sign*v) - i (j + 1/2) lam: floats, or columns."""
+    return ell * (u + sign * v) - 1j * (j + 0.5) * lam
 
 
 def observables(omega_plus, omega_minus, ell, n: int) -> dict:
@@ -316,7 +317,8 @@ def invert_rows(model: LatticeModel, targets: np.ndarray, guesses: Sequence[Para
                 rows = [v[moved] for v in rows]
     boxed = [i for i, box in enumerate(boxes) if box is not None]
     if boxed:
-        lo, hi = np.moveaxis(np.array([boxes[i][:d] for i in boxed], dtype=float), 2, 0)
+        ranges = np.array([boxes[i][:d] for i in boxed], dtype=float)
+        lo, hi = ranges[..., 0], ranges[..., 1]
         xb = x[boxed][:, :lo.shape[1]]
         inside = np.all((lo <= xb) & (xb <= hi), axis=1)
         for i in np.array(boxed)[~inside].tolist():

@@ -32,11 +32,10 @@ from typing import Optional
 
 import numpy as np
 
+from . import CALIBRATED_C_HAT
 from . import analytic_window as aw
 from . import extractor as ex
-from . import merotoy as mt
 from . import paramap as pm
-from . import prony2 as p2
 from . import signal_model as sm
 from .config import ScenarioConfig
 from .errors import ConfigError, RinglabError, StructureError
@@ -127,11 +126,10 @@ def _scenario(cfg: ScenarioConfig, setup: sm.ObservationSetup, t: np.ndarray,
     return Scenario(cfg=cfg, grid=t, noise_samples=samples, noise_l2=noise_l2)
 
 
-#: a sector's columns and their types: the scene, the extraction and the eps budget
-_SECTOR_COLUMNS = {**dict.fromkeys(("omega_true", "z_true", "amp_ref", "prior", "z_hat",
-                                    "omega_hat"), complex),
-                   **dict.fromkeys(("eps0", "eps1", "eps", "bound_z", "bound_omega"), float),
-                   "eps_small": bool, "branch_hyp": bool, "eps_bound": float}
+#: the columns extraction gives a sector, and their types
+_EXTRACTION_COLUMNS = {"z_hat": complex, "omega_hat": complex, "eps0": float, "eps1": float,
+                       "eps": float, "bound_z": float, "bound_omega": float,
+                       "eps_small": bool, "branch_hyp": bool}
 
 
 def _modes(freq: np.ndarray, amp: np.ndarray) -> list:
@@ -140,28 +138,25 @@ def _modes(freq: np.ndarray, amp: np.ndarray) -> list:
 
 
 def _sector_scene(sign: int, cfgs: list) -> dict:
-    """One sector of each config of a batch, up to its samples, as columns:
+    """One sector of every config of a table, up to its samples, as columns:
     the true frequency, the reference amplitude (the target's times its
-    window gain), the prior, the target's own amplitude and per contaminant
-    in the sector its (frequency, amplitude) columns, windowed on the modal
-    path.  The configs share the sections no sweep varies (modes, window,
-    the damping and kappa of the map), so the first stands for all there;
-    ell and the true point are read per row.  A window, which moves with
-    ell, is evaluated row by row."""
+    window gain), the prior, and per contaminant in the sector its
+    (frequency, amplitude) columns, windowed on the modal path ("amp" is the
+    target's own amplitude).  The configs share the sections no sweep varies
+    (modes, window, the damping and kappa of the map), so the first stands
+    for all there; ell and the true point are read per row.  A window, which
+    moves with ell, is evaluated row by row."""
     cfg = cfgs[0]
     win, model = cfg["window"], cfg.model
     offset = cfg["lattice"]["pole_offset"]
-    m, a, lam = (np.array([getattr(c.p_true, k) for c in cfgs]) for k in ("m", "a", "lam"))
+    m, a, lam = np.array([(c.p_true.m, c.p_true.a, c.p_true.lam) for c in cfgs], dtype=float).T
     ell = np.array([c.model.ell for c in cfgs])
-
-    def pole(j):
-        return pm.pseudopole_rows(model, j, sign, m, a, lam, ell)
-
-    prior = pole(model.n)
+    held = [c for c in cfg["modes"]["contaminants"] if c["sign"] in (None, sign)]
+    prior, *poles = pm.pseudopole_rows(model, [model.n, *(c["j"] for c in held)],
+                                       sign, m, a, lam, ell)
     omega_true = prior + offset
     amp = cfg["modes"]["amp_plus" if sign > 0 else "amp_minus"]
-    conts = [(pole(c["j"]) + offset, c["amp"]) for c in cfg["modes"]["contaminants"]
-             if c["sign"] in (None, sign)]
+    conts = [(pole + offset, c["amp"]) for pole, c in zip(poles, held)]
     n = len(cfgs)
     amp_ref = np.full(n, amp * (1.0 + 0.0j))
     amps = [np.full(n, c_amp, dtype=complex) for _, c_amp in conts]
@@ -180,39 +175,40 @@ def _sector_scene(sign: int, cfgs: list) -> dict:
             "contaminants": [(freq, c_amp) for (freq, _), c_amp in zip(conts, amps)]}
 
 
-def _run_sectors(sign: int, scns: list, setup: sm.ObservationSetup,
-                 tail: Optional[np.ndarray], carry: _Carry) -> dict:
-    """One sector of each scenario of a batch on ``setup``, as columns (the
-    keys of _SECTOR_KEYS) and "errors": per scenario None or the RinglabError
-    that ends its sector.  ``tail`` is the batch's tail sampled on its scene
-    grid (None if zero), which both signs add.
+def _run_sectors(sign: int, sec: dict, rows: list, scns: list, setup: sm.ObservationSetup,
+                 tail: Optional[np.ndarray], carry: _Carry) -> list:
+    """One sector of the scenarios ``scns`` of a batch on ``setup``, rows
+    ``rows`` of the table: their extraction columns and the norm of their
+    known terms ("known": noise and contaminants, which the eps budget
+    bounds) are written into the sector's columns ``sec``; returns per row
+    None or the RinglabError that ends its extraction.  ``tail`` is the
+    batch's tail sampled on its scene grid (None if zero), which both signs
+    add.
 
-    The rows are synthesised as one (B, N) array, extracted in one call and
-    budgeted in one call; every row comes out bit for bit as it would alone.
-    Each term's rows (reference, each contaminant, and on the fd path the
-    target and the contaminants on the padded grid) come from ``carry``: a
-    row that every point of the batch holds is synthesised once, or reused
-    from the batch before, so a noise_amp sweep synthesises its references
-    once per sign.  Off the fd path the reference term of each row is
-    synthesised once: the scene is built from it and extract subtracts it.
-    A row keeps the first error its single sector raises.
+    The rows are synthesised as one (B, N) array and extracted in one call;
+    every row comes out bit for bit as it would alone.  Each term's rows
+    (reference, each contaminant, and on the fd path the target and the
+    contaminants on the padded grid) come from ``carry``: a row that every
+    point of the batch holds is synthesised once, or reused from the batch
+    before, so a noise_amp sweep synthesises its references once per sign.
+    Off the fd path the reference term of each row is synthesised once: the
+    scene is built from it and extract subtracts it.
     """
-    cfgs = [scn.cfg for scn in scns]
-    cfg = cfgs[0]
-    sec = _sector_scene(sign, cfgs)
-    ecfg = ex.ExtractionConfig(setup=setup, prior=sec["prior"],
+    cfg = scns[0].cfg
+    scene = {k: sec[k][rows] for k in ("omega_true", "amp_ref", "prior")}
+    ecfg = ex.ExtractionConfig(setup=setup, prior=scene["prior"],
                                amp_floor=cfg["extraction"]["amp_floor"])
 
     t, scene_t = setup.grid(), scns[0].grid
-    refs = _modes(sec["omega_true"], sec["amp_ref"])
+    refs = _modes(scene["omega_true"], scene["amp_ref"])
     y0 = carry.mode_rows((sign, "reference"), refs, t)
-    columns = [_modes(*cont) for cont in sec["contaminants"]]
+    columns = [_modes(freq[rows], amp[rows]) for freq, amp in sec["contaminants"]]
     others = [carry.mode_rows((sign, j), column, t) for j, column in enumerate(columns)]
     # the fd window filters the scene of the unwindowed target on the padded
     # grid; elsewhere the target term is the reference
     fd = _fd_window(cfg)
     if fd:
-        targets = _modes(sec["omega_true"], np.full(len(scns), sec["amp"], dtype=complex))
+        targets = _modes(scene["omega_true"], np.full(len(rows), sec["amp"], dtype=complex))
         values = carry.mode_rows((sign, "target"), targets, scene_t).copy()
         for j, column in enumerate(columns):
             values += carry.mode_rows((sign, j, "scene"), column, scene_t)
@@ -227,11 +223,16 @@ def _run_sectors(sign: int, scns: list, setup: sm.ObservationSetup,
             row += scn.noise_samples
     y = sm.SampledSignal(t_start=float(scene_t[0]), dt=setup.dt, values=values)
     if fd:  # each row through its own point's window: the pseudopoles move with ell
-        rows = [aw.apply_window_fd(sm.SampledSignal(y.t_start, y.dt, row), c.windows[sign],
-                                   cfg["window"]["stencil_order"]) for row, c in zip(values, cfgs)]
-        y = sm.SampledSignal(rows[0].t_start, y.dt, np.stack([row.values for row in rows]))
+        filtered = [aw.apply_window_fd(sm.SampledSignal(y.t_start, y.dt, row),
+                                       scn.cfg.windows[sign], cfg["window"]["stencil_order"])
+                    for row, scn in zip(values, scns)]
+        y = sm.SampledSignal(filtered[0].t_start, y.dt, np.stack([f.values for f in filtered]))
     res = ex.extract(y, ecfg, y0_reference=refs,
                      y0=sm.SampledSignal(t_start=setup.t0, dt=setup.dt, values=y0))
+    for key in _EXTRACTION_COLUMNS:
+        col = getattr(res, key)
+        if col is not None:  # extract leaves the flags None where no row got that far
+            sec[key][rows] = col
 
     # the contaminants are known exactly: their norm joins the noise budget
     # (triangle inequality)
@@ -239,19 +240,8 @@ def _run_sectors(sign: int, scns: list, setup: sm.ObservationSetup,
     if others:
         known = known + sm.residual_l2(sm.SampledSignal(
             t_start=setup.t0, dt=setup.dt, values=sum(others[1:], others[0])), setup)
-    budget = ex.epsilon_budget(sec["amp_ref"], sec["omega_true"], cfg.tail, known, setup)
-
-    def flags(col):  # extract leaves them None where no row got that far
-        return np.zeros(len(scns), dtype=bool) if col is None else col
-
-    return {"omega_true": sec["omega_true"],
-            "z_true": np.exp(-1j * sec["omega_true"] * setup.delta),
-            "amp_ref": sec["amp_ref"], "prior": sec["prior"],
-            "z_hat": res.z_hat, "omega_hat": res.omega_hat, "eps0": res.eps0,
-            "eps1": res.eps1, "eps": res.eps, "bound_z": res.bound_z,
-            "bound_omega": res.bound_omega, "eps_small": flags(res.eps_small),
-            "branch_hyp": flags(res.branch_hyp), "eps_bound": budget["eps_bound"],
-            "errors": [e or b for e, b in zip(res.errors, budget["errors"])]}
+    sec["known"][rows] = known
+    return res.errors
 
 
 #: relative and absolute rounding floor of a scenario's checks.  It assumes
@@ -313,9 +303,8 @@ def _certify(report: RunReport, checks: list, failed: Optional[dict] = None) -> 
     groups = [([labels] if isinstance(labels, str) else labels, records)
               for labels, records in checks]
     bad = np.zeros(len(groups[0][0]), dtype=bool)
-    with np.errstate(invalid="ignore"):
-        decided = [[bad | np.logical_and(hyp, ~np.less_equal(value, bound))
-                    for _, hyp, value, bound in records] for _, records in groups]
+    decided = [[np.logical_and(hyp, np.logical_not(np.less_equal(value, bound)))
+                for _, hyp, value, bound in records] for _, records in groups]
     for fail in (f for group in decided for f in group):
         bad |= fail
     bad[list(failed)] = True
@@ -325,7 +314,7 @@ def _certify(report: RunReport, checks: list, failed: Optional[dict] = None) -> 
             continue
         for (labels, records), group in zip(groups, decided):
             for (name, _, value, bound), fail in zip(records, group):
-                if fail[i]:
+                if np.ravel(fail)[i] if fail.ndim else fail:
                     value, bound = (np.ravel(v)[i] if np.ndim(v) else v for v in (value, bound))
                     report.add_violation(
                         f"{labels[i]}: {name} violated ({value:.6e} > {bound:.6e})")
@@ -336,7 +325,7 @@ _REPORT_TOLERANCES = {
     "newton_tol": pm.NEWTON_TOL,
     "certify_rtol": _CERT_RTOL,
     "certify_atol": _CERT_ATOL,
-    "calibrated_c_hat": p2.CALIBRATED_C_HAT,
+    "calibrated_c_hat": CALIBRATED_C_HAT,
 }
 
 
@@ -370,38 +359,25 @@ def _batches(points: list):
         start = stop
 
 
-def _placed(sec: Optional[dict], rows: list, n: int) -> dict:
-    """Sector columns of ``rows`` of a batch of n (none: sec None), each
-    widened to n rows: NaN (False for a flag) elsewhere."""
-    if len(rows) == n:
-        return {key: sec[key] for key in _SECTOR_COLUMNS}
+def _empty_columns(kinds: dict, n: int) -> dict:
+    """A column of n rows per key, of its type: NaN, or False for a flag."""
     out = {}
-    for key, kind in _SECTOR_COLUMNS.items():
-        out[key] = np.zeros(n, dtype=bool) if kind is bool else np.full(n, np.nan, dtype=kind)
-        if sec is not None:
-            out[key][rows] = sec[key]
+    for kind in (complex, float, bool):
+        keys = [key for key, k in kinds.items() if k is kind]
+        block = np.zeros((len(keys), n), dtype=bool) if kind is bool else \
+            np.full((len(keys), n), np.nan, dtype=kind)
+        out.update(zip(keys, block))
     return out
 
 
-def _run_batch(cfgs: list, setup: sm.ObservationSetup, carry: _Carry, signs=(+1, -1)) -> dict:
-    """Each config's sectors on ``setup``, one batch per sign: per sign its
-    columns (:func:`_run_sectors`), and "errors", per config None or the
-    RinglabError that ended it.  The +1 sector runs first, and a scenario
-    whose +1 sector failed runs no -1 sector, as when it runs alone.  The
-    scene grid and the tail, which no sweep varies (the grid's padding
-    neither), come from ``carry`` for every config and both signs.
-    """
-    t = carry.grid(setup, cfgs[0].fd_pad)
-    scns = [_scenario(cfg, setup, t, carry) for cfg in cfgs]
-    tail = carry.tail(cfgs[0].tail, t)
-    out: dict = {"errors": [None] * len(cfgs)}
-    for sign in signs:
-        live = [i for i, exc in enumerate(out["errors"]) if exc is None]
-        sec = _run_sectors(sign, [scns[i] for i in live], setup, tail, carry) if live else None
-        out[sign] = _placed(sec, live, len(cfgs))
-        for i, exc in zip(live, sec["errors"] if live else []):
-            out["errors"][i] = exc
-    return out
+def _setup_runs(points: list):
+    """(start, stop) of each run of consecutive points with equal observation
+    setups."""
+    start = 0
+    for stop in range(1, len(points) + 1):
+        if stop == len(points) or points[stop].setup != points[start].setup:
+            yield start, stop
+            start = stop
 
 
 def _data_keys(cfg: ScenarioConfig) -> tuple:
@@ -417,31 +393,71 @@ def _estimate(cfgs: list, table: dict) -> dict:
 
 def _run_points(cfgs: list, signs=(+1, -1)) -> dict:
     """The scenario table of the configs up to its ledgers, as columns: per
-    sign its sector columns, run in batches (:func:`_batches`), "ell", and
-    "errors", per config None or the RinglabError that ended it.  With both
-    signs, "estimate" holds the observables of each scenario, "live" lists
-    the scenarios whose sectors succeeded and "inversion" is the
-    :class:`paramap.Inversion` of those (the others' rows NaN); an
-    InversionError ends its row.
+    sign its sector columns (the scene, the extraction, "z_true" and the
+    budget's "eps_bound"), "ell", and "errors", per config None or the
+    RinglabError that ended it.  With both signs, "estimate" holds the
+    observables of each scenario, "live" lists the scenarios whose sectors
+    succeeded and "inversion" is the :class:`paramap.Inversion` of those
+    (the other rows NaN); an InversionError ends its row.
 
-    Those scenarios are inverted in one :func:`paramap.invert_rows` call:
-    its arrays are (rows, 2 or 3), so the sample bound of a batch does not
-    concern it.  The configs share the lattice map and the inversion mode,
-    which no sweep varies, so the first one stands for all of them there.
+    Each sector's scene is one set of columns over the table, its samples
+    are synthesised and extracted in batches (:func:`_batches`), both signs
+    of a batch in turn, and its eps budget is one call per run of equal
+    setups.  A row keeps the first error a lone scenario raises: its +1
+    extraction, its +1 budget, its -1 extraction, its -1 budget, its
+    inversion.  Its -1 sector is extracted only if its +1 extraction
+    succeeded (a +1 budget error, found later, discards it).  The batches
+    share one carry (:class:`_Carry`), for the scene grid and the tail,
+    which no sweep varies (the grid's padding neither), and the rows a
+    batch shares.  All scenarios whose sectors succeeded are inverted in
+    one :func:`paramap.invert_rows` call: its arrays are (rows, 2 or 3), so
+    the sample bound of a batch does not concern it.  The configs share the
+    lattice map and the inversion mode, which no sweep varies, so the first
+    one stands for all of them there.
     """
-    carry = _Carry()
-    parts = [_run_batch(cfgs[start:stop], cfgs[start].setup, carry, signs)
-             for start, stop in _batches(cfgs)]
-    table: dict = {sign: parts[0][sign] if len(parts) == 1 else
-                   {k: np.concatenate([p[sign][k] for p in parts]) for k in _SECTOR_COLUMNS}
-                   for sign in signs}
-    table["errors"] = errors = [exc for p in parts for exc in p["errors"]]
-    table["ell"] = np.array([cfg.model.ell for cfg in cfgs])
+    n, carry = len(cfgs), _Carry()
+    table: dict = {"ell": np.array([cfg.model.ell for cfg in cfgs])}
+    failed = {sign: [None] * n for sign in signs}  # each sector's extraction errors
+    for sign in signs:
+        table[sign] = _sector_scene(sign, cfgs)
+        table[sign].update(_empty_columns({**_EXTRACTION_COLUMNS, "known": float}, n))
+    for start, stop in _batches(cfgs):
+        setup = cfgs[start].setup
+        t = carry.grid(setup, cfgs[start].fd_pad)
+        scns = [_scenario(cfg, setup, t, carry) for cfg in cfgs[start:stop]]
+        tail = carry.tail(cfgs[start].tail, t)
+        rows = list(range(start, stop))
+        for sign in signs:
+            if sign < 0:
+                rows = [i for i in rows if failed[+1][i] is None]
+            if rows:
+                errors = _run_sectors(sign, table[sign], rows, [scns[i - start] for i in rows],
+                                      setup, tail, carry)
+                for i, exc in zip(rows, errors):
+                    failed[sign][i] = exc
+    # one eps budget per run of equal setups, over the rows of every sign
+    delta = np.array([cfg.setup.delta for cfg in cfgs])
+    stacked = [np.array([table[sign][key] for sign in signs])
+               for key in ("amp_ref", "omega_true", "known")]
+    eps_bound = np.full((len(signs), n), np.nan)
+    errors = [None] * n
+    for start, stop in _setup_runs(cfgs):
+        budget = ex.epsilon_budget(*(col[:, start:stop].ravel() for col in stacked[:2]),
+                                   cfgs[start].tail, stacked[2][:, start:stop].ravel(),
+                                   cfgs[start].setup)
+        eps_bound[:, start:stop] = budget["eps_bound"].reshape(len(signs), -1)
+        found = iter(budget["errors"])
+        for sign in signs:
+            for i, exc in zip(range(start, stop), found):
+                errors[i] = errors[i] or failed[sign][i] or exc
+    for sign, col in zip(signs, eps_bound):
+        table[sign]["eps_bound"] = col
+        table[sign]["z_true"] = np.exp(-1j * table[sign]["omega_true"] * delta)
+    table["errors"] = errors
     if len(signs) == 1:
         return table
     table["estimate"] = est = _estimate(cfgs, table)
     table["live"] = live = [i for i, exc in enumerate(errors) if exc is None]
-    n = len(cfgs)
     inv = pm.Inversion(m=np.full(n, np.nan), a=np.full(n, np.nan), lam=np.full(n, np.nan),
                        iterations=np.zeros(n, dtype=int), residual=np.full(n, np.nan),
                        errors=list(errors))
@@ -449,12 +465,22 @@ def _run_points(cfgs: list, signs=(+1, -1)) -> dict:
         targets = np.column_stack([est[k][live] for k in _data_keys(cfgs[0])])
         got = pm.invert_rows(cfgs[0].model, targets, [cfgs[i].guess for i in live],
                              [cfgs[i].box for i in live])
-        for name in ("m", "a", "lam", "iterations", "residual"):
-            getattr(inv, name)[live] = getattr(got, name)
+        if len(live) == n:
+            inv = got
+        else:
+            for name in ("m", "a", "lam", "iterations", "residual"):
+                getattr(inv, name)[live] = getattr(got, name)
+            for i, exc in zip(live, got.errors):
+                inv.errors[i] = exc
         for i, exc in zip(live, got.errors):
-            errors[i] = inv.errors[i] = exc
+            errors[i] = exc
     table["inversion"] = inv
     return table
+
+
+def _column(value, n: int) -> np.ndarray:
+    """``value`` as a column of n rows: a column stays, a scalar repeats."""
+    return value if np.ndim(value) else np.full(n, value)
 
 
 def _bias_ledger(cfgs: list, table: dict) -> tuple:
@@ -475,21 +501,18 @@ def _bias_ledger(cfgs: list, table: dict) -> tuple:
     data_bound = pm.data_map_error_bound(sm._abs(sp["omega_hat"] - sp["omega_true"]),
                                          sm._abs(sm_["omega_hat"] - sm_["omega_true"]), ell,
                                          n=model.n if three else None)
-    p_hat = np.column_stack([inv.m, inv.a, inv.lam])
-    param_err = pm._row_norms(p_hat[:, :d] - p_true[:, :d])
+    param_err = pm._row_norms(np.column_stack([inv.m, inv.a, inv.lam][:d]) - p_true[:, :d])
     bound_omega = (sp["bound_omega"], sm_["bound_omega"])
-    # each budget eps bounds eps0 and eps1
-    bound_omega_budget = [ex.omega_bound(sec["eps_bound"], sec["eps_bound"],
-                                         sm._abs(sec["z_true"]), delta) for sec in (sp, sm_)]
-    b2 = np.broadcast_to(pm.bias_bound_2p(c_star, *bound_omega, ell), ell.shape)
-    b2_budget = np.broadcast_to(pm.bias_bound_2p(c_star, *bound_omega_budget, ell), ell.shape)
+    # each budget eps bounds eps0 and eps1; rows plus, minus
+    budget_eps, z_true = (np.array([sp[key], sm_[key]]) for key in ("eps_bound", "z_true"))
+    bound_omega_budget = ex.omega_bound(budget_eps, budget_eps, sm._abs(z_true), delta)
+    b2 = _column(pm.bias_bound_2p(c_star, *bound_omega, ell), len(cfgs))
+    b2_budget = _column(pm.bias_bound_2p(c_star, *bound_omega_budget, ell), len(cfgs))
     # the bias bounds cover the data error only: a pole offset moves the true
     # frequencies off the lattice data map by a term that none of them bounds
     on_lattice = cfg["lattice"]["pole_offset"] == 0
     hyp = sp["eps_small"] & sm_["eps_small"] & on_lattice
-    hyp_budget = (ex.eps_small(sp["eps_bound"], sp["z_true"])
-                  & ex.eps_small(sm_["eps_bound"], sm_["z_true"])
-                  & (on_lattice and not _fd_window(cfg)))
+    hyp_budget = ex.eps_small(budget_eps, z_true).all(axis=0) & (on_lattice and not _fd_window(cfg))
     columns = {
         "data_err": data_err, "data_bound": data_bound,
         "M_hat": inv.m, "a_hat": inv.a, "Lambda_hat": inv.lam,
@@ -506,8 +529,8 @@ def _bias_ledger(cfgs: list, table: dict) -> tuple:
                _record("2p bias bound", hyp & (not three), param_err, b2),
                _record("budget bias bound", hyp_budget & (not three), param_err, b2_budget)]
     if three:
-        columns["bias_bound_3p"] = np.broadcast_to(
-            pm.bias_bound_2p(c_star, *bound_omega, ell, model.n), ell.shape)
+        columns["bias_bound_3p"] = _column(pm.bias_bound_2p(c_star, *bound_omega, ell, model.n),
+                                           len(cfgs))
         records.append(_record("3p bias bound", hyp, param_err, columns["bias_bound_3p"]))
     return columns, records
 
@@ -614,6 +637,7 @@ def run_extract(cfg: ScenarioConfig) -> RunReport:
 
 
 def run_prony(cfg: ScenarioConfig) -> RunReport:
+    from . import prony2 as p2
     report = RunReport(metadata={"subcommand": "prony", **_REPORT_TOLERANCES})
     sec = cfg["prony"]
     a, z = sec["amps"], sec["nodes"]
@@ -640,6 +664,7 @@ def run_prony(cfg: ScenarioConfig) -> RunReport:
 
 
 def run_band_isolate(cfg: ScenarioConfig) -> RunReport:
+    from . import merotoy as mt
     report = RunReport(metadata={"subcommand": "band-isolate", **_REPORT_TOLERANCES})
     sec = cfg["band_isolate"]
     nu1, nu2, tol = float(sec["nu1"]), float(sec["nu2"]), float(sec["tol"])
@@ -672,6 +697,7 @@ def run_band_isolate(cfg: ScenarioConfig) -> RunReport:
 
 
 def run_pseudospectrum(cfg: ScenarioConfig) -> RunReport:
+    from . import merotoy as mt
     report = RunReport(metadata={"subcommand": "pseudospectrum", **_REPORT_TOLERANCES})
     sec = cfg["pseudospectrum"]
     poles = tuple(sec["poles"])

@@ -17,16 +17,11 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import CALIBRATED_C_HAT  # noqa: F401  (its statement and calibration)
 from .errors import ConfigError, StructureError
 
 #: route to the confluent fit below this relative Hankel determinant size
 CONFLUENCE_THRESHOLD = 1e-8
-
-#: calibrated conditioning constant: 2x the max observed ratio of worst-case
-#: root error to eta/(|a1 a2| |z1-z2|^3) on the coarse reference grid
-#: (separations 0.1..0.5, amplitude moduli 0.5..2, |z| <= 1, eta = 1e-8);
-#: recomputed, persisted, and validated on a disjoint grid by the test suite
-CALIBRATED_C_HAT = 10.82
 
 #: smallness constant c0 in eta <= c0 |a1 a2| |z1 - z2|^4
 SMALLNESS_C0 = 1e-2

@@ -262,17 +262,17 @@ class ObservationSetup:
 
 
 def _abs(z) -> np.ndarray:
-    """|z| of complex values, as Python's abs gives it: numpy's complex
+    """|z| of a complex array, as Python's abs gives it: numpy's complex
     absolute rounds otherwise in the last bit, its hypot does not."""
-    return np.hypot(np.real(z), np.imag(z))
+    return np.hypot(z.real, z.imag)
 
 
-def _pow(x, k: int) -> np.ndarray:
+def _pow(x: np.ndarray, k: int) -> np.ndarray:
     """x**k per element through numpy's scalar power, which calls libm's pow
     as a Python float's ** does (and gives inf where that would overflow); an
     array's ** multiplies or calls a SIMD pow, and either can differ from
     libm's in the last bit."""
-    return np.array([v ** k for v in np.atleast_1d(np.asarray(x, dtype=float))], dtype=float)
+    return np.array([v ** k for v in x], dtype=float)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -464,15 +464,16 @@ def mode_energy_lower_bound(amp, freq, setup: ObservationSetup):
     (-2 Im(omega)); requires Im(omega) < 0 and a nonempty plateau.  A float,
     or a column for columns of amp and freq.
     """
-    im = np.imag(freq)
-    if np.any(im >= 0):
+    freq, amp = np.asarray(freq, dtype=complex), np.asarray(amp, dtype=complex)
+    im = freq.imag
+    if (im >= 0).any():
         raise DegenerateSignalError("energy lower bound needs Im(omega) < 0")
     a = setup.t0 + setup.delta
     b = setup.t0 + setup.t_len - 2 * setup.delta
     if b < a:
         raise ConfigError("empty plateau: need t_len >= 3*delta")
-    val = _pow(_abs(amp), 2) * (np.exp(2 * im * a) - np.exp(2 * im * b)) / (-2 * im)
-    return val if np.ndim(freq) else float(val[0])
+    val = _pow(_abs(amp.reshape(-1)), 2) * (np.exp(2 * im * a) - np.exp(2 * im * b)) / (-2 * im)
+    return val if freq.ndim else float(val[0])
 
 
 def mode_energy_lower_bound_crude(amp: complex, freq: complex,

@@ -151,6 +151,27 @@ def test_noise_free_large_ell_certifies(tmp_path, ell):
     assert code == 0, report["violations"]
 
 
+#: a 3p modal-window scene at ell 3 491, below the noise-free cases above
+#: and with a contaminant, which a seeded search found: the window kills the
+#: contaminant, and the plus sector's omega_error check fails by rounding
+#: alone (1.136877e-13 > 1.000000e-13)
+ELL_3491_3P_MODAL = {
+    "lattice": {"M": 1.0174712587382981, "a": 0.09340466282344494,
+                "Lambda": 0.013920144559861885, "kappa": 0.35698815097165393,
+                "damping": {"kind": "gap_over_mass"}, "ell": 3491, "overtone": 1},
+    "modes": {"contaminants": [{"j": 0, "amp": [0.06825496430356284, 0.0]}]},
+    "observation": {"T0": 5.0, "T": 14.5, "Delta": 0.5, "dt": 0.025},
+    "window": {"enabled": True, "path": "modal"},
+    "inversion": {"mode": "3p"},
+}
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 14")
+def test_3p_modal_window_at_ell_3491_certifies(tmp_path):
+    code, report = run_cli(tmp_path, "pipeline", ELL_3491_3P_MODAL)
+    assert code == 0, report["violations"]
+
+
 #: three_param.yaml at large ell exited 1 with "2p bias bound violated
 #: (1.089120e-04 > 1.028542e-04)" at 25 600: a 3p inversion passes the damping
 #: channel's error, which has no 1/ell, into M, so the 2p bounds, which cover

@@ -22,13 +22,14 @@ import contextlib
 import copy
 import io
 import warnings
+from pathlib import Path
 
 import pytest
 import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ringlab import cli, pipeline
+from ringlab import cli, config, pipeline
 from ringlab.config import DEFAULTS, Items
 from ringlab.errors import ConfigError
 
@@ -228,6 +229,35 @@ FOUND = [
 @pytest.mark.parametrize("sub, doc, code", FOUND)
 def test_found_counterexamples(contract, sub, doc, code):
     assert contract(sub, doc) == code
+
+
+def _load_with(monkeypatch, loader, path):
+    """load_config of ``path`` under ``loader``: its sections, or its exit-2 line."""
+    monkeypatch.setattr(config, "LOADER", loader)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # extreme leaves overflow by design
+            return config.load_config(str(path)).data
+    except ConfigError as exc:
+        return f"configuration error: {exc}"
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
+def test_libyaml_loader_reads_what_the_python_one_reads(tmp_path, monkeypatch):
+    # the demo configs, and every counterexample's document, parse to equal
+    # documents under both safe loaders and load to equal configs or exit-2 lines
+    demos = sorted((Path(__file__).resolve().parents[1] / "demos" / "configs").glob("*.yaml"))
+    found = []
+    for i, (_, doc, _) in enumerate(FOUND):
+        found.append(tmp_path / f"found{i}.yaml")
+        found[-1].write_text(yaml.safe_dump(doc))
+    assert len(demos) == 10
+    assert config.LOADER is yaml.CSafeLoader
+    for path in demos + found:
+        text = path.read_bytes()
+        assert yaml.load(text, Loader=yaml.CSafeLoader) == yaml.load(text, Loader=yaml.SafeLoader)
+        assert _load_with(monkeypatch, yaml.CSafeLoader, path) == \
+            _load_with(monkeypatch, yaml.SafeLoader, path), path.name
 
 
 def test_leaves_cover_every_section():

@@ -13,10 +13,12 @@ import pytest
 import yaml
 
 from ringlab import cli, config, pipeline
+from ringlab import merotoy as mt
 from ringlab import signal_model as sm
 from ringlab.config import ScenarioConfig, load_config
 from ringlab.errors import ConfigError
 from ringlab.pipeline import run_pipeline, run_subcommand, run_sweep
+from test_certify import ELL_3491_3P_MODAL
 
 CANONICAL = {
     "lattice": {"M": 1.0, "a": 0.08, "Lambda": 0.02,
@@ -122,18 +124,6 @@ SWEEPS = {
 #: an inversion box that holds CANONICAL's true point (M 1, a 0.08) but not
 #: its estimate
 TIGHT_BOX = {"mode": "2p", "box": {"M": [0.999, 1.001], "a": [0.07999999, 0.08000001]}}
-
-#: a 3p modal-window scene at ell 3 491 whose plus sector's omega_error check
-#: fails by rounding alone (1.136877e-13 > 1.000000e-13; ROADMAP item 14)
-ELL_3491_3P_MODAL = {
-    "lattice": {"M": 1.0174712587382981, "a": 0.09340466282344494,
-                "Lambda": 0.013920144559861885, "kappa": 0.35698815097165393,
-                "damping": {"kind": "gap_over_mass"}, "ell": 3491, "overtone": 1},
-    "modes": {"contaminants": [{"j": 0, "amp": [0.06825496430356284, 0.0]}]},
-    "observation": {"T0": 5.0, "T": 14.5, "Delta": 0.5, "dt": 0.025},
-    "window": {"enabled": True, "path": "modal"},
-    "inversion": {"mode": "3p"},
-}
 
 
 def load_workloads():
@@ -243,7 +233,7 @@ class TestConfig:
 
     def test_size_bounds_admit_their_limits(self):
         # the most poles the sampler can place, and the benchmark's longest grid
-        assert config._MAX_POLES == 26
+        assert mt.RANDOM_MAX_POLES == 26
         cfg = ScenarioConfig(raw={"band_isolate": {
             "n_models": 1, "dim": 1, "n_poles": 26, "max_order": 1, "times": [5.0]}})
         assert [row["n_poles"] for row in pipeline.run_band_isolate(cfg).rows] == [26]
@@ -771,6 +761,25 @@ def test_runs_without_scipy(tmp_path):
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == [[0, 0], False]
+
+
+def test_pipeline_run_loads_no_contour_or_prony_code(tmp_path):
+    # a pipeline or sweep run imports neither merotoy nor prony2: only the
+    # drivers that run them load them
+    runs = [[sub, "--config", str(DEMO_DIR / f"{name}.yaml"), "--out", str(tmp_path / name)]
+            for name, sub in (("canonical", "pipeline"), ("sweep_ell", "sweep"),
+                              ("extract", "extract"))]
+    script = ("import json, sys\nfrom ringlab import cli\n"
+              f"codes = [cli.main(argv) for argv in {runs!r}]\n"
+              "print(json.dumps([codes, sorted(m for m in sys.modules\n"
+              "                               if m in ('ringlab.merotoy', 'ringlab.prony2'))]))")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[0, 0, 0], []]
 
 
 if __name__ == "__main__":
