@@ -7,16 +7,23 @@ the shift Rayleigh quotient, form the estimated observables, invert the
 data map, and emit the full error-versus-bound ledger.  Every driver hands
 its certified inequalities to one function as (name, hypothesis, value,
 bound) records; a violation with its hypothesis holding marks the run as
-failed (CLI exit code 1).  Scenarios form one table, built by one loop:
-``pipeline`` is its one row, ``sweep`` a row per point.  Consecutive points
-on one observation setup synthesise and extract their sectors as the rows
-of one array, every point's data are inverted in one damped-Newton pass,
-and each row is bit for bit what its point gives alone.  What consecutive
-points share is synthesised once per table: a mode row that every point
-of a batch holds, and that later batches reuse while it recurs, the tail
-on one grid, and the unscaled LCG stream of one seed, which every noise
-amplitude scales (a noise_amp sweep synthesises its references, tail and
-stream once).
+failed (CLI exit code 1).  Scenarios form one table, held as columns:
+``pipeline`` and ``extract`` are tables of one row, ``sweep`` a row per
+point.  Each sector's scene (true frequency, reference amplitude, prior,
+contaminants) is one set of columns over the table; consecutive points on
+one observation setup synthesise and extract their sectors as the rows of
+one array; each run of equal setups is one eps-budget call; every point's
+data are inverted in one damped-Newton pass; and the ledgers, the checks
+and the report rows are computed once per column, the rows built once at
+the end.  Each row is bit for bit what its point gives alone: the columns
+use only elementwise kernels that round as the scalar code did (|z| is
+hypot, never numpy's complex abs; Python's complex division and libm's
+log1p and pow stay scalar calls, row by row).  What consecutive points
+share is synthesised once per table: a mode row that every point of a
+batch holds, and that later batches reuse while it recurs, the tail on one
+grid, and the unscaled LCG stream of one seed, which every noise amplitude
+scales (a noise_amp sweep synthesises its references, tail and stream
+once).
 
 Inside a scenario every norm is taken in the discrete trapezoid-weighted
 inner product on the sampling grid, the bilinear form sum_k q_k f_k conj(g_k)
@@ -346,17 +353,12 @@ _BATCH_SAMPLES = 2**15
 
 
 def _batches(points: list):
-    """(start, stop) of each run of consecutive points with equal observation
-    setups, at most _BATCH_SAMPLES samples each."""
-    start = 0
-    while start < len(points):
-        setup = points[start].setup
-        stop = start + 1
-        cap = max(1, _BATCH_SAMPLES // (setup.n_samples + 1))
-        while stop < len(points) and stop - start < cap and points[stop].setup == setup:
-            stop += 1
-        yield start, stop
-        start = stop
+    """(start, stop) of each batch: a run of consecutive points with equal
+    observation setups (:func:`_setup_runs`), cut at _BATCH_SAMPLES samples."""
+    for start, stop in _setup_runs(points):
+        cap = max(1, _BATCH_SAMPLES // (points[start].setup.n_samples + 1))
+        for first in range(start, stop, cap):
+            yield first, min(first + cap, stop)
 
 
 def _empty_columns(kinds: dict, n: int) -> dict:
@@ -589,8 +591,9 @@ def _scenario_rows(report: RunReport, cfgs: list, tags: dict) -> RunReport:
     rows = _table_rows(blocks, widths)
     _certify(report, checks, {i: (row, f"{label}: ", exc) for i, (row, label, exc)
                               in enumerate(zip(rows, labels, table["errors"])) if exc is not None})
-    for row, tag in zip(rows, _table_rows([tags], [1] * len(rows)) if tags else [{}] * len(rows)):
-        row.update(tag)
+    if tags:
+        for row, tag in zip(rows, _table_rows([tags], [1] * len(rows))):
+            row.update(tag)
     report.rows += rows
     return report
 
