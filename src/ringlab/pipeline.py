@@ -460,23 +460,24 @@ def _run_points(cfgs: list, signs=(+1, -1)) -> dict:
         return table
     table["estimate"] = est = _estimate(cfgs, table)
     table["live"] = live = [i for i, exc in enumerate(errors) if exc is None]
-    inv = pm.Inversion(m=np.full(n, np.nan), a=np.full(n, np.nan), lam=np.full(n, np.nan),
-                       iterations=np.zeros(n, dtype=int), residual=np.full(n, np.nan),
-                       errors=list(errors))
+    got = None
     if live:
         targets = np.column_stack([est[k][live] for k in _data_keys(cfgs[0])])
         got = pm.invert_rows(cfgs[0].model, targets, [cfgs[i].guess for i in live],
                              [cfgs[i].box for i in live])
-        if len(live) == n:
-            inv = got
-        else:
+    if len(live) < n:  # the inversion's columns over every row
+        inv = pm.Inversion(m=np.full(n, np.nan), a=np.full(n, np.nan), lam=np.full(n, np.nan),
+                           iterations=np.zeros(n, dtype=int), residual=np.full(n, np.nan),
+                           errors=list(errors))
+        if got is not None:
             for name in ("m", "a", "lam", "iterations", "residual"):
                 getattr(inv, name)[live] = getattr(got, name)
             for i, exc in zip(live, got.errors):
                 inv.errors[i] = exc
-        for i, exc in zip(live, got.errors):
-            errors[i] = exc
-    table["inversion"] = inv
+        got = inv
+    for i in live:
+        errors[i] = got.errors[i]
+    table["inversion"] = got
     return table
 
 
