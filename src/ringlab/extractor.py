@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -64,22 +65,54 @@ class ExtractionResult:
 
 @dataclass
 class Extraction:
-    """The extractions of a batch as (B,) columns, NaN (flags False) in a
-    row that ``errors`` ends: None, or the RinglabError that extracting that
-    row alone raises.  Without a reference the residual sizes and bounds
-    stay NaN and both flags None.  As a sequence it is its rows: each an
-    ExtractionResult or that error."""
+    """The extractions of a batch as (B,) columns: the quotient z_hat, the
+    frequency omega_hat and, with a reference, the residual sizes eps0 and
+    eps1 and the shift eigenvalues z of the reference and z_prior of the
+    prior, at shift step delta (a float or a column); NaN in a row that
+    ``errors`` ends (None, or the RinglabError that extracting that row
+    alone raises).  The certified columns eps, bound_z, bound_omega and the
+    flags eps_small and branch_hyp are derived from those on first use, so
+    the columns of several batches, joined, derive them once.  Without a
+    reference the residual sizes and bounds are NaN and both flags None.  As
+    a sequence it is its rows: each an ExtractionResult or that error."""
 
     z_hat: np.ndarray
     omega_hat: np.ndarray
-    eps0: np.ndarray
-    eps1: np.ndarray
-    eps: np.ndarray
-    bound_z: np.ndarray
-    bound_omega: np.ndarray
-    eps_small: Optional[np.ndarray]
-    branch_hyp: Optional[np.ndarray]
     errors: list
+    delta: float
+    eps0: Optional[np.ndarray] = None
+    eps1: Optional[np.ndarray] = None
+    z: Optional[np.ndarray] = None
+    z_prior: Optional[np.ndarray] = None
+
+    def _certified(self, derive):
+        """``derive()``, or NaN in every row without a reference."""
+        if self.eps0 is None:
+            return np.full(len(self.errors), np.nan)
+        return derive()
+
+    @cached_property
+    def eps(self) -> np.ndarray:  # Python's max(eps0, eps1)
+        return self._certified(lambda: np.where(self.eps1 > self.eps0, self.eps1, self.eps0))
+
+    @cached_property
+    def bound_z(self) -> np.ndarray:
+        return self._certified(lambda: _sharp(self.eps0, self.eps1))
+
+    @cached_property
+    def bound_omega(self) -> np.ndarray:
+        return self._certified(lambda: _omega_rows(self.bound_z, _abs(self.z), self.delta))
+
+    @cached_property
+    def eps_small(self) -> Optional[np.ndarray]:
+        return None if self.eps0 is None else eps_small(self.eps, self.z)
+
+    @cached_property
+    def branch_hyp(self) -> Optional[np.ndarray]:
+        if self.eps0 is None:
+            return None
+        return ((_abs(self.z - self.z_prior) <= 0.25 * _abs(self.z_prior))
+                & (_abs(self.z_hat - self.z) <= 0.5 * _abs(self.z)) & ~np.isnan(self.eps0))
 
     def __len__(self) -> int:
         return len(self.errors)
@@ -89,13 +122,13 @@ class Extraction:
             return [self[k] for k in range(len(self))[i]]
         if self.errors[i] is not None:
             return self.errors[i]
-        flags = HypothesisFlags()
-        if self.eps_small is not None:
-            flags = HypothesisFlags(bool(self.eps_small[i]), bool(self.branch_hyp[i]))
+        if self.eps0 is None:
+            return ExtractionResult(z_hat=complex(self.z_hat[i]), omega_hat=self.omega_hat[i])
         return ExtractionResult(
             z_hat=complex(self.z_hat[i]), omega_hat=self.omega_hat[i], eps0=float(self.eps0[i]),
             eps1=float(self.eps1[i]), eps=float(self.eps[i]), bound_z=float(self.bound_z[i]),
-            bound_omega=float(self.bound_omega[i]), hypotheses_ok=flags)
+            bound_omega=float(self.bound_omega[i]),
+            hypotheses_ok=HypothesisFlags(bool(self.eps_small[i]), bool(self.branch_hyp[i])))
 
 
 def _rows(val) -> list:
@@ -267,12 +300,11 @@ def _extract_rows(y: SampledSignal, cfg: ExtractionConfig,
     if priors.shape != (n,):
         priors = np.full(n, priors)
     z_hat = np.array([np.nan if q is None else q for q in quotients], dtype=complex)
-    omega_hat, errors, z_sharp = _branch_rows(z_hat, priors, delta)
+    omega_hat, errors, z_prior = _branch_rows(z_hat, priors, delta)
     errors = [DegenerateSignalError("zero weighted energy: Rayleigh quotient undefined")
               if q is None else exc for q, exc in zip(quotients, errors)]
     if y0_reference is None or all(errors):
-        nan = np.full(n, np.nan)
-        return Extraction(z_hat, omega_hat, nan, nan, nan, nan, nan, None, None, errors)
+        return Extraction(z_hat, omega_hat, errors, delta)
 
     modes = list(y0_reference)
     if len(modes) != n:
@@ -294,17 +326,11 @@ def _extract_rows(y: SampledSignal, cfg: ExtractionConfig,
               for exc, no_energy in zip(errors, empty.tolist())]
     n0 = np.where(empty, 1.0, n0)  # rows without energy end above: no 0/0 here
     eps0, eps1 = nr / n0, nr1 / n0
-    eps = np.where(eps1 > eps0, eps1, eps0)  # Python's max(eps0, eps1)
-    z = np.exp(-1j * freq * delta)
-    z_abs = _abs(z)
-    bound_z = _sharp(eps0, eps1)
-    cols = [eps0, eps1, eps, bound_z, _omega_rows(bound_z, z_abs, delta),
-            eps_small(eps, z), (_abs(z - z_sharp) <= 0.25 * _abs(z_sharp))
-            & (_abs(z_hat - z) <= 0.5 * z_abs)]
-    if any(errors):
-        live = np.array([exc is None for exc in errors])
-        cols = [np.where(live, c, np.nan) for c in cols[:5]] + [live & c for c in cols[5:]]
-    return Extraction(z_hat, omega_hat, *cols, errors)
+    if any(errors):  # an ended row has no sizes, so no bounds and no hypothesis
+        ended = np.array([exc is not None for exc in errors])
+        eps0, eps1 = np.where(ended, np.nan, eps0), np.where(ended, np.nan, eps1)
+    return Extraction(z_hat, omega_hat, errors, delta, eps0, eps1,
+                      np.exp(-1j * freq * delta), z_prior)
 
 
 #: the detector and data norms in the tail bound: a scalar scene observes the signal itself

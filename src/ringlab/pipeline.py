@@ -133,10 +133,9 @@ def _scenario(cfg: ScenarioConfig, setup: sm.ObservationSetup, t: np.ndarray,
     return Scenario(cfg=cfg, grid=t, noise_samples=samples, noise_l2=noise_l2)
 
 
-#: the columns extraction gives a sector, and their types
+#: the columns each batch's extraction gives a sector, and their types
 _EXTRACTION_COLUMNS = {"z_hat": complex, "omega_hat": complex, "eps0": float, "eps1": float,
-                       "eps": float, "bound_z": float, "bound_omega": float,
-                       "eps_small": bool, "branch_hyp": bool}
+                       "z": complex, "z_prior": complex}
 
 
 def _modes(freq: np.ndarray, amp: np.ndarray) -> list:
@@ -182,15 +181,15 @@ def _sector_scene(sign: int, cfgs: list) -> dict:
             "contaminants": [(freq, c_amp) for (freq, _), c_amp in zip(conts, amps)]}
 
 
-def _run_sectors(sign: int, sec: dict, rows: list, scns: list, setup: sm.ObservationSetup,
+def _run_sectors(sign: int, sec: dict, rows, scns: list, setup: sm.ObservationSetup,
                  tail: Optional[np.ndarray], carry: _Carry) -> list:
     """One sector of the scenarios ``scns`` of a batch on ``setup``, rows
-    ``rows`` of the table: their extraction columns and the norm of their
-    known terms ("known": noise and contaminants, which the eps budget
-    bounds) are written into the sector's columns ``sec``; returns per row
-    None or the RinglabError that ends its extraction.  ``tail`` is the
-    batch's tail sampled on its scene grid (None if zero), which both signs
-    add.
+    ``rows`` (a slice or indices) of the table: their extraction columns and
+    the norm of their known terms ("known": noise and contaminants, which
+    the eps budget bounds) are written into the sector's columns ``sec``;
+    returns per row None or the RinglabError that ends its extraction.
+    ``tail`` is the batch's tail sampled on its scene grid (None if zero),
+    which both signs add.
 
     The rows are synthesised as one (B, N) array and extracted in one call;
     every row comes out bit for bit as it would alone.  Each term's rows
@@ -215,7 +214,7 @@ def _run_sectors(sign: int, sec: dict, rows: list, scns: list, setup: sm.Observa
     # grid; elsewhere the target term is the reference
     fd = _fd_window(cfg)
     if fd:
-        targets = _modes(scene["omega_true"], np.full(len(rows), sec["amp"], dtype=complex))
+        targets = _modes(scene["omega_true"], np.full(len(scns), sec["amp"], dtype=complex))
         values = carry.mode_rows((sign, "target"), targets, scene_t).copy()
         for j, column in enumerate(columns):
             values += carry.mode_rows((sign, j, "scene"), column, scene_t)
@@ -238,7 +237,7 @@ def _run_sectors(sign: int, sec: dict, rows: list, scns: list, setup: sm.Observa
                      y0=sm.SampledSignal(t_start=setup.t0, dt=setup.dt, values=y0))
     for key in _EXTRACTION_COLUMNS:
         col = getattr(res, key)
-        if col is not None:  # extract leaves the flags None where no row got that far
+        if col is not None:  # extract leaves the sizes None where no row got that far
             sec[key][rows] = col
 
     # the contaminants are known exactly: their norm joins the noise budget
@@ -433,7 +432,9 @@ def _run_points(cfgs: list, signs=(+1, -1)) -> dict:
             if sign < 0:
                 rows = [i for i in rows if failed[+1][i] is None]
             if rows:
-                errors = _run_sectors(sign, table[sign], rows, [scns[i - start] for i in rows],
+                # a run of consecutive rows is a slice: a view, not a gather
+                at = slice(rows[0], rows[-1] + 1) if rows[-1] - rows[0] < len(rows) else rows
+                errors = _run_sectors(sign, table[sign], at, [scns[i - start] for i in rows],
                                       setup, tail, carry)
                 for i, exc in zip(rows, errors):
                     failed[sign][i] = exc
@@ -453,8 +454,14 @@ def _run_points(cfgs: list, signs=(+1, -1)) -> dict:
             for i, exc in zip(range(start, stop), found):
                 errors[i] = errors[i] or failed[sign][i] or exc
     for sign, col in zip(signs, eps_bound):
-        table[sign]["eps_bound"] = col
-        table[sign]["z_true"] = np.exp(-1j * table[sign]["omega_true"] * delta)
+        sec = table[sign]
+        sec["eps_bound"] = col
+        sec["z_true"] = np.exp(-1j * sec["omega_true"] * delta)
+        # the certified columns of every batch's extraction, derived once
+        joined = ex.Extraction(sec["z_hat"], sec["omega_hat"], failed[sign], delta,
+                               sec["eps0"], sec["eps1"], sec["z"], sec["z_prior"])
+        sec.update({key: getattr(joined, key)
+                    for key in ("eps", "bound_z", "bound_omega", "eps_small", "branch_hyp")})
     table["errors"] = errors
     if len(signs) == 1:
         return table
