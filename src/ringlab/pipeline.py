@@ -162,23 +162,21 @@ def _sector_scene(sign: int, cfgs: list) -> dict:
                                        sign, m, a, lam, ell)
     omega_true = prior + offset
     amp = cfg["modes"]["amp_plus" if sign > 0 else "amp_minus"]
-    conts = [(pole + offset, c["amp"]) for pole, c in zip(poles, held)]
     n = len(cfgs)
-    amp_ref = np.full(n, amp * (1.0 + 0.0j))
-    amps = [np.full(n, c_amp, dtype=complex) for _, c_amp in conts]
-    if win["enabled"]:
+    freqs = [omega_true, *(pole + offset for pole in poles)]
+    amps = [np.full(n, a_, dtype=complex) for a_ in (amp, *(c["amp"] for c in held))]
+    amp_ref = amps[0] * (1.0 + 0.0j)
+    if win["enabled"]:  # a window moves with ell, so it acts row by row
         gpolys = [c.windows[sign] for c in cfgs]
-
-        def gains(amp_, freq):  # amp_ times each row's window gain, in Python
-            return np.array([amp_ * complex(g(f)) for g, f in zip(gpolys, freq.tolist())])
-
-        amp_ref = gains(amp, omega_true)
-        if win["path"] == "modal":
-            amps = [gains(c_amp, freq) for freq, c_amp in conts]
+        amp_ref = np.array([amp * complex(g(f)) for g, f in zip(gpolys, omega_true.tolist())])
+        if win["path"] == "modal":  # the target's windowed amplitude is amp_ref
+            scenes = zip(*(_modes(f, a_) for f, a_ in zip(freqs, amps)))
+            windowed = [aw.apply_window_modal(modes, g) for modes, g in zip(scenes, gpolys)]
+            amps = [np.array([mode.amp for mode in term]) for term in zip(*windowed)]
     if cfg["extraction"]["prior"] == "offset":
         prior = prior + cfg["extraction"]["prior_offset"]
     return {"omega_true": omega_true, "amp_ref": amp_ref, "prior": prior, "amp": amp,
-            "contaminants": [(freq, c_amp) for (freq, _), c_amp in zip(conts, amps)]}
+            "contaminants": list(zip(freqs[1:], amps[1:]))}
 
 
 def _run_sectors(sign: int, sec: dict, rows, scns: list, setup: sm.ObservationSetup,
@@ -273,11 +271,10 @@ def _fd_window(cfg: ScenarioConfig) -> bool:
 def _sector_ledger(sec: dict, cfg: ScenarioConfig) -> tuple:
     """One sector's error-versus-bound columns over a table, in report
     order, and its certified inequalities as column records."""
-    omega_err = sm._abs(sec["omega_hat"] - sec["omega_true"])
     led = {
         "z_hat": sec["z_hat"], "omega_hat": sec["omega_hat"],
         "omega_true": sec["omega_true"],
-        "omega_err": omega_err,
+        "omega_err": sm._abs(sec["omega_hat"] - sec["omega_true"]),
         "z_err": sm._abs(sec["z_hat"] - sec["z_true"]),
         "eps0": sec["eps0"], "eps1": sec["eps1"], "eps": sec["eps"],
         "eps_budget": sec["eps_bound"],
@@ -289,7 +286,7 @@ def _sector_ledger(sec: dict, cfg: ScenarioConfig) -> tuple:
     hyp = led["hyp_eps_small"]
     return led, [_record("z_stability", hyp, led["z_err"], led["bound_z_crude"]),
                  _record("z_stability_sharp", hyp, led["z_err"], led["bound_z"]),
-                 _record("omega_error", hyp, omega_err, led["bound_omega"]),
+                 _record("omega_error", hyp, led["omega_err"], led["bound_omega"]),
                  _record("budget_soundness", not _fd_window(cfg), led["eps"],
                          led["eps_budget"])]
 
