@@ -433,7 +433,6 @@ class TestSweep:
         assert table_digest(*TABLE_CASES[name]()) == TABLE_DIGESTS[name]
 
 
-
 class TestCli:
     def test_pipeline_roundtrip_and_determinism(self, tmp_path):
         cfg = write_cfg(tmp_path, CANONICAL)
