@@ -125,6 +125,36 @@ SWEEPS = {
 #: its estimate
 TIGHT_BOX = {"mode": "2p", "box": {"M": [0.999, 1.001], "a": [0.07999999, 0.08000001]}}
 
+#: a damping of 20 with no tail: an amplitude of 1e-140 extracts, but its
+#: plateau energy lower bound underflows, so its eps budget fails
+_STEEP = dict(CANONICAL, tail={"c": 0.0},
+              lattice=dict(CANONICAL["lattice"], damping={"kind": "constant", "value": 20.0}))
+_NOISE = {"harmonics": [[0.001, 3.0, 0.4]]}
+
+#: runs whose rows end at each stage a lone scenario checks, in its order
+#: (+1 extraction, +1 budget, -1 extraction, -1 budget, inversion), where
+#: a row's later stages would raise another error: the row reports the first
+FAILURE_STAGES = {
+    # a zero -1 amplitude: only the -1 extraction fails
+    "pipeline-minus-zero-amp": dict(CANONICAL, modes={"amp_minus": [0.0, 0.0]}),
+    # +1 budget before -1 extraction, and +1 extraction before -1 budget
+    "pipeline-plus-budget-minus-extraction": dict(
+        _STEEP, modes={"amp_plus": [1e-140, 0.0], "amp_minus": [0.0, 0.0]}),
+    "pipeline-plus-extraction-minus-budget": dict(
+        _STEEP, modes={"amp_plus": [0.0, 0.0], "amp_minus": [1e-140, 0.0]}),
+    # a weak -1 mode: row 1 fails only its -1 extraction, row 2 its +1
+    # extraction first (its -1 one fails too, at another distance)
+    "sweep-noise-amp-minus-weak": dict(
+        CANONICAL, noise=_NOISE, modes={"amp_minus": [0.01, 0.0]},
+        sweep={"axis": "noise_amp", "values": [1.0, 30.0, 1000.0, 2.0]}),
+    # inversion failures beside rows that invert
+    "sweep-tight-box-T0": dict(CANONICAL, inversion=TIGHT_BOX,
+                               sweep={"axis": "T0", "values": [4.0, 20.0, 40.0]}),
+    "sweep-tight-box-noise-amp": dict(
+        CANONICAL, inversion=TIGHT_BOX, tail={"c": 0.0}, noise=_NOISE,
+        sweep={"axis": "noise_amp", "values": [0.0001, 1.0, 0.001, 1000.0]}),
+}
+
 
 def load_workloads():
     """ringbench/workloads.py, the benchmark's inputs."""
@@ -152,8 +182,9 @@ def table_digest(driver, doc) -> str:
 
 def _table_cases() -> dict:
     """name -> a thunk giving (driver, document): every SWEEPS entry as a
-    sweep, its base document as a pipeline and an extract run, two runs that
-    fail or violate, and the benchmark's ell-sweep and lcg-long-grid inputs."""
+    sweep, its base document as a pipeline and an extract run, runs that
+    fail or violate (every FAILURE_STAGES run, and two of them through
+    extract), and the benchmark's ell-sweep and lcg-long-grid inputs."""
     cases = {}
     for name, doc in SWEEPS.items():
         base = {k: v for k, v in doc.items() if k != "sweep"}
@@ -163,6 +194,12 @@ def _table_cases() -> dict:
     # a failed row, and a row with a violation (ROADMAP item 14)
     cases["pipeline-tight-box"] = lambda: (run_pipeline, dict(CANONICAL, inversion=TIGHT_BOX))
     cases["pipeline-3p-modal-ell-3491"] = lambda: (run_pipeline, ELL_3491_3P_MODAL)
+    for name, doc in FAILURE_STAGES.items():
+        cases[name] = lambda doc=doc: (run_sweep if "sweep" in doc else run_pipeline, doc)
+    cases["extract-plus-zero-amp"] = lambda: (pipeline.run_extract, FAILURE_STAGES[
+        "pipeline-plus-extraction-minus-budget"])
+    cases["extract-plus-budget"] = lambda: (pipeline.run_extract, FAILURE_STAGES[
+        "pipeline-plus-budget-minus-extraction"])
     for i in range(5):
         cases[f"ell-sweep-1-{i}"] = lambda i=i: (run_sweep, load_workloads().ell_sweep_input(1, i))
     for i in range(2):

@@ -176,3 +176,16 @@ def test_sweep_points_built_once(monkeypatch):
     report = pipeline.run_sweep(ScenarioConfig(raw=raw))
     assert len(report.rows) == 40 and report.ok
     assert calls == raw["sweep"]["values"]
+
+
+def test_invert_data_feeds_newton_iterations():
+    # the tracer's paramap.invert_data hook reads the "iterations" entry of
+    # the dict invert_data returns, so that dict is part of its contract
+    from ringlab import paramap
+    model = paramap.default_lattice(lam_kind="constant")
+    data = {k: float(v) for k, v in zip(
+        "UV", model.data_map(paramap.ParameterPoint(m=1.0, a=0.08, lam=0.02), False))}
+    guess = paramap.ParameterPoint(m=1.03, a=0.07, lam=0.02)
+    result, metrics = traced_op(lambda: paramap.invert_data(model, data, guess))
+    assert set(result) == {"point", "iterations", "residual"} and result["iterations"] > 0
+    assert metrics["paramap.newton_iterations"] == result["iterations"]
