@@ -33,21 +33,22 @@ print("max |S_delta y - z y| on grid:",
 # --- extraction with certified bounds ---------------------------------------
 y = sm.sample_scene([mode], tail, sm.ZERO_NOISE, setup)
 cfg = ex.ExtractionConfig(setup=setup, prior=omega + 0.05)  # imperfect prior
-res = ex.extract(y, cfg, y0_reference=[mode])
+res = ex.extract(y, cfg, y0_reference=[mode])  # a one-row Extraction: its columns' row 0
+z_hat, omega_hat = res.z_hat[0], res.omega_hat[0]
 
 print("\nextraction ledger:")
-print(f"  z_hat          = {res.z_hat:.12f}")
-print(f"  |z_hat - z|    = {abs(res.z_hat - z):.3e}  (<= 3 eps = {3*res.eps:.3e})")
-print(f"  omega_hat      = {res.omega_hat:.12f}")
-print(f"  |omega error|  = {abs(res.omega_hat - omega):.3e}  "
-      f"(<= bound {res.bound_omega:.3e})")
-print(f"  eps0, eps1     = {res.eps0:.4e}, {res.eps1:.4e}")
-print(f"  hypotheses     = {res.hypotheses_ok}")
+print(f"  z_hat          = {z_hat:.12f}")
+print(f"  |z_hat - z|    = {abs(z_hat - z):.3e}  (<= 3 eps = {3*res.eps[0]:.3e})")
+print(f"  omega_hat      = {omega_hat:.12f}")
+print(f"  |omega error|  = {abs(omega_hat - omega):.3e}  "
+      f"(<= bound {res.bound_omega[0]:.3e})")
+print(f"  eps0, eps1     = {res.eps0[0]:.4e}, {res.eps1[0]:.4e}")
+print(f"  hypotheses     = eps_small {res.eps_small[0]}, branch {res.branch_hyp[0]}")
 
 # --- a-priori budget: bound eps before seeing any data ----------------------
 budget = ex.epsilon_budget(mode.amp, omega, tail, 0.0, setup)
 print(f"\nbudget: eps <= {budget['eps_bound']:.4e} "
-      f"(measured {res.eps:.4e})")
+      f"(measured {res.eps[0]:.4e})")
 
 # pushing the start time later improves the tail-to-signal ratio exponentially
 for t0 in (1.0, 4.0, 8.0):

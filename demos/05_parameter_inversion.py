@@ -36,11 +36,11 @@ for sign, w in ((+1, w_plus), (-1, w_minus)):
     mode = sm.Mode(freq=w, amp=1.0)
     y = sm.sample_scene([mode], tail, sm.ZERO_NOISE, setup)
     res = ex.extract(y, ex.ExtractionConfig(setup=setup, prior=w), y0_reference=[mode])
-    omega_hat[sign] = res.omega_hat
-    bound_omega[sign] = res.bound_omega
-    eps_small[sign] = res.hypotheses_ok.eps_small
-    print(f"  sector {sign:+d}: eps = {res.eps:.4e}, "
-          f"|domega| = {abs(res.omega_hat - w):.3e} <= {res.bound_omega:.3e}")
+    omega_hat[sign] = res.omega_hat[0]
+    bound_omega[sign] = res.bound_omega[0]
+    eps_small[sign] = res.eps_small[0]
+    print(f"  sector {sign:+d}: eps = {res.eps[0]:.4e}, "
+          f"|domega| = {abs(omega_hat[sign] - w):.3e} <= {bound_omega[sign]:.3e}")
 
 est = pm.observables(omega_hat[+1], omega_hat[-1], model.ell, model.n)
 guess = pm.ParameterPoint(m=1.01, a=0.082, lam=0.02)

@@ -189,18 +189,10 @@ def prior_mismatch(nodes_p: PseudopoleSet, nodes_ptilde: PseudopoleSet) -> dict:
 
 
 def apply_window_modal(modes: Sequence[Mode], w: WindowPolynomial) -> list:
-    """Exact modal action: each amplitude is scaled by w(omega_j).
-
-    Valid for simple poles only; polynomial-in-time prefactors would mix
-    with window derivatives and are handled in the meromorphic laboratory.
-    """
-    out = []
-    for mode in modes:
-        if mode.poly_degree != 0:
-            raise ConfigError("modal window path requires pure exponentials")
-        out.append(Mode(freq=mode.freq, amp=mode.amp * complex(w(mode.freq)),
-                        poly_degree=0))
-    return out
+    """Exact modal action: each amplitude is scaled by w(omega_j).  A Mode is
+    a simple pole's term; a higher-order pole's polynomial prefactor would mix
+    with window derivatives."""
+    return [Mode(freq=mode.freq, amp=mode.amp * complex(w(mode.freq))) for mode in modes]
 
 
 def centered_stencil(deriv_order: int, accuracy: int, dt: float) -> np.ndarray:

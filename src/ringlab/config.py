@@ -66,7 +66,7 @@ DEFAULTS: dict = {
         "prior": "exact", "prior_offset": [0.0, 0.0],  # [dM, da]
         "path": "modal", "stencil_order": 8,
     },
-    "extraction": {"prior": "exact", "prior_offset": 0j, "amp_floor": 0.0},
+    "extraction": {"prior_offset": 0j, "amp_floor": 0.0},
     "inversion": {
         "mode": "2p",
         "guess": {"M": None, "a": None, "Lambda": None},
@@ -164,7 +164,6 @@ _LIMITS = {
     ("sweep", "axis"): _choice(None, *_SWEEP_LEAVES),
     ("window", "path"): _choice("modal", "fd"),
     ("window", "prior"): _choice("exact", "offset"),
-    ("extraction", "prior"): _choice("exact", "offset"),
     ("inversion", "mode"): _choice("2p", "3p"),
     ("extraction", "amp_floor"): _NONNEGATIVE,
 }

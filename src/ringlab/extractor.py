@@ -16,14 +16,13 @@ hold without quadrature caveats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import (BranchSelectionError, ConfigError, DegenerateSignalError,
-                     HypothesisError, RinglabError)
+from .errors import BranchSelectionError, ConfigError, DegenerateSignalError
 from .signal_model import (Mode, ObservationSetup, SampledSignal, _abs,
                            mode_energy_lower_bound, mode_rows, shift,
                            weighted_inner, wnorm, TailSpec)
@@ -46,35 +45,17 @@ class ExtractionConfig:
 
 
 @dataclass
-class HypothesisFlags:
-    eps_small: Optional[bool] = None
-    branch_hyp: Optional[bool] = None
-
-
-@dataclass
-class ExtractionResult:
-    z_hat: complex
-    omega_hat: complex
-    eps0: float = np.nan
-    eps1: float = np.nan
-    eps: float = np.nan
-    bound_z: float = np.nan
-    bound_omega: float = np.nan
-    hypotheses_ok: HypothesisFlags = field(default_factory=HypothesisFlags)
-
-
-@dataclass
 class Extraction:
-    """The extractions of a batch as (B,) columns: the quotient z_hat, the
-    frequency omega_hat and, with a reference, the residual sizes eps0 and
-    eps1 and the shift eigenvalues z of the reference and z_prior of the
-    prior, at shift step delta (a float or a column); NaN in a row that
-    ``errors`` ends (None, or the RinglabError that extracting that row
-    alone raises).  The certified columns eps, bound_z, bound_omega and the
+    """The extractions of a batch as (B,) columns, the one form of
+    :func:`extract`'s result: the quotient z_hat, the frequency omega_hat
+    and, with a reference, the residual sizes eps0 and eps1 and the shift
+    eigenvalues z of the reference and z_prior of the prior, at shift step
+    delta (a float or a column).  ``errors`` holds per row None or the
+    RinglabError that extracting that row alone raises; such a row has NaN
+    residual sizes.  The certified columns eps, bound_z, bound_omega and the
     flags eps_small and branch_hyp are derived from those on first use, so
     the columns of several batches, joined, derive them once.  Without a
-    reference the residual sizes and bounds are NaN and both flags None.  As
-    a sequence it is its rows: each an ExtractionResult or that error."""
+    reference the residual sizes and bounds are NaN and both flags None."""
 
     z_hat: np.ndarray
     omega_hat: np.ndarray
@@ -97,7 +78,7 @@ class Extraction:
 
     @cached_property
     def bound_z(self) -> np.ndarray:
-        return self._certified(lambda: _sharp(self.eps0, self.eps1))
+        return self._certified(lambda: stability_bound(self.eps0, self.eps1))
 
     @cached_property
     def bound_omega(self) -> np.ndarray:
@@ -113,22 +94,6 @@ class Extraction:
             return None
         return ((_abs(self.z - self.z_prior) <= 0.25 * _abs(self.z_prior))
                 & (_abs(self.z_hat - self.z) <= 0.5 * _abs(self.z)) & ~np.isnan(self.eps0))
-
-    def __len__(self) -> int:
-        return len(self.errors)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[k] for k in range(len(self))[i]]
-        if self.errors[i] is not None:
-            return self.errors[i]
-        if self.eps0 is None:
-            return ExtractionResult(z_hat=complex(self.z_hat[i]), omega_hat=self.omega_hat[i])
-        return ExtractionResult(
-            z_hat=complex(self.z_hat[i]), omega_hat=self.omega_hat[i], eps0=float(self.eps0[i]),
-            eps1=float(self.eps1[i]), eps=float(self.eps[i]), bound_z=float(self.bound_z[i]),
-            bound_omega=float(self.bound_omega[i]),
-            hypotheses_ok=HypothesisFlags(bool(self.eps_small[i]), bool(self.branch_hyp[i])))
 
 
 def _rows(val) -> list:
@@ -176,20 +141,14 @@ def residual_sizes(y0: SampledSignal, r: SampledSignal,
     return {"eps0": eps0, "eps1": eps1, "eps": eps}
 
 
-def _sharp(eps0, eps1):
-    """(eps0+eps1)(1+eps0)/(1-2 eps0) where eps0 <= 1/4, else inf (NaN
-    too): floats or columns."""
+def stability_bound(eps0, eps1):
+    """Sharp bound (eps0+eps1)(1+eps0)/(1-2 eps0) for |z_hat - z|, which
+    needs eps0 <= 1/4: inf where that fails (NaN too).  Floats, or columns
+    for columns."""
     holds = np.less_equal(eps0, 0.25)
     e0 = np.where(holds, eps0, 0.0)  # the other rows divide by nothing near 0
     out = np.where(holds, (e0 + eps1) * (1.0 + e0) / (1.0 - 2.0 * e0), np.inf)
     return out if out.ndim else float(out)
-
-
-def stability_bound(eps0: float, eps1: float) -> float:
-    """Sharp bound (eps0+eps1)(1+eps0)/(1-2 eps0) for |z_hat - z|; needs eps0 <= 1/4."""
-    if eps0 > 0.25:
-        raise HypothesisError("stability bound requires eps0 <= 1/4")
-    return _sharp(eps0, eps1)
 
 
 def stability_bound_crude(eps):
@@ -218,7 +177,7 @@ def omega_bound(eps0, eps1, z_abs, delta):
     eps_small gives bound_z <= 3 eps <= 3|z|/20, so the bound is at most
     (20/17) 3 eps/(delta |z|).  bound_z increases in eps0 and eps1 for eps0 <
     1/2, so a budget eps bounding both enters as eps0 = eps1 = eps."""
-    return _omega_rows(_sharp(eps0, eps1), z_abs, delta)
+    return _omega_rows(stability_bound(eps0, eps1), z_abs, delta)
 
 
 def _omega_rows(bound_z, z_abs, delta):
@@ -269,30 +228,32 @@ def extract(y: SampledSignal, cfg: ExtractionConfig,
     result carries bound_z = (eps0+eps1)(1+eps0)/(1-2 eps0) and
     bound_omega = :func:`omega_bound`, plus the hypothesis flags
     eps_small: eps <= min(1/8, |z|/20) and branch_hyp (the branch-selection
-    hypotheses at the true z).  Without a reference both flags stay None:
-    the hypotheses are about the true z, which is then unknown.  ``y0``, the
+    hypotheses at the true z); eps0 and eps1 are NaN in every row an error
+    ends.  Without a reference both flags stay None: the hypotheses are
+    about the true z, which is then unknown.  ``y0``, the
     reference's samples on the setup grid, spares their synthesis when the
     caller already has them.
 
     A (B, N) batch is B independent extractions in one pass: cfg.prior is
     one prior or one per row, y0_reference one mode per row and y0 their
-    (B, N) samples.  It returns their :class:`Extraction`, whose row i is
-    the ExtractionResult or the RinglabError that extracting row i alone
-    gives.  A 1-d y returns that ExtractionResult or raises that error.
+    (B, N) samples.  It returns their :class:`Extraction`, in which a row
+    keeps the first error that extracting it alone raises, in the order the
+    chain checks them.  A 1-d y is run as a batch of one: it returns that
+    one-row Extraction or raises that row's error.
     """
-    rows = _extract_rows(y, cfg, y0_reference, y0)
     if y.values.ndim == 2:
-        return rows
-    if isinstance(rows[0], RinglabError):
-        raise rows[0]
-    return rows[0]
+        return _extract_rows(y, cfg, y0_reference, y0)
+    y, y0 = (None if s is None else SampledSignal(s.t_start, s.dt, s.values[None]) for s in (y, y0))
+    res = _extract_rows(y, cfg, y0_reference, y0)
+    if res.errors[0] is not None:
+        raise res.errors[0]
+    return res
 
 
 def _extract_rows(y: SampledSignal, cfg: ExtractionConfig,
                   y0_reference: Optional[Sequence[Mode]],
                   y0: Optional[SampledSignal]) -> Extraction:
-    """extract on every row, as columns; a row keeps the first error that a
-    single extraction raises, in the order it checks them."""
+    """:func:`extract` of a (B, N) batch."""
     setup, delta = cfg.setup, cfg.setup.delta
     quotients = _quotients(y, setup)
     n = len(quotients)
@@ -303,7 +264,7 @@ def _extract_rows(y: SampledSignal, cfg: ExtractionConfig,
     omega_hat, errors, z_prior = _branch_rows(z_hat, priors, delta)
     errors = [DegenerateSignalError("zero weighted energy: Rayleigh quotient undefined")
               if q is None else exc for q, exc in zip(quotients, errors)]
-    if y0_reference is None or all(errors):
+    if y0_reference is None:
         return Extraction(z_hat, omega_hat, errors, delta)
 
     modes = list(y0_reference)
@@ -315,20 +276,18 @@ def _extract_rows(y: SampledSignal, cfg: ExtractionConfig,
         errors = [DegenerateSignalError("reference amplitude below detectability floor")
                   if exc is None and below else exc for exc, below in zip(errors, low.tolist())]
     if y0 is None:
-        vals = mode_rows(modes, setup.grid())
-        y0 = SampledSignal(t_start=setup.t0, dt=setup.dt,
-                           values=vals if y.values.ndim == 2 else vals[0])
+        y0 = SampledSignal(t_start=setup.t0, dt=setup.dt, values=mode_rows(modes, setup.grid()))
     r = SampledSignal(t_start=y.t_start, dt=y.dt, values=y.values - y0.values)
-    n0, nr, nr1 = np.atleast_1d(*_residual_norms(y0, r, setup))
+    n0, nr, nr1 = _residual_norms(y0, r, setup)
     empty = n0 <= 0.0
     errors = [DegenerateSignalError("reference mode has zero weighted energy")
               if exc is None and no_energy else exc
               for exc, no_energy in zip(errors, empty.tolist())]
     n0 = np.where(empty, 1.0, n0)  # rows without energy end above: no 0/0 here
     eps0, eps1 = nr / n0, nr1 / n0
-    if any(errors):  # an ended row has no sizes, so no bounds and no hypothesis
-        ended = np.array([exc is not None for exc in errors])
-        eps0, eps1 = np.where(ended, np.nan, eps0), np.where(ended, np.nan, eps1)
+    # an ended row has no sizes, so no bounds and no hypothesis
+    ended = np.array([exc is not None for exc in errors])
+    eps0, eps1 = np.where(ended, np.nan, eps0), np.where(ended, np.nan, eps1)
     return Extraction(z_hat, omega_hat, errors, delta, eps0, eps1,
                       np.exp(-1j * freq * delta), z_prior)
 

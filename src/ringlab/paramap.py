@@ -208,25 +208,27 @@ def data_map_error_bound(delta_omega_plus, delta_omega_minus, ell, n: Optional[i
 def invert_data(model: LatticeModel, data: dict, guess: ParameterPoint,
                 box: Optional[Sequence[Tuple[float, float]]] = None) -> dict:
     """Damped Newton inversion of the lattice data map: :func:`invert_rows`
-    on one row, whose InversionError it raises.
+    on one row, whose InversionError it raises.  Returns that row as
+    {"point", "iterations", "residual"}.
 
     data holds U, V and optionally W (three-parameter mode).
     """
     target = [data["U"], data["V"]] + ([data["W"]] if "W" in data else [])
-    out = invert_rows(model, np.array([target], dtype=float), [guess], [box])[0]
-    if isinstance(out, InversionError):
-        raise out
-    return out
+    inv = invert_rows(model, np.array([target], dtype=float), [guess], [box])
+    if inv.errors[0] is not None:
+        raise inv.errors[0]
+    return {"point": ParameterPoint(float(inv.m[0]), float(inv.a[0]), float(inv.lam[0])),
+            "iterations": int(inv.iterations[0]), "residual": float(inv.residual[0])}
 
 
 def invert_rows(model: LatticeModel, targets: np.ndarray, guesses: Sequence[ParameterPoint],
-                boxes: Sequence[Optional[Sequence[Tuple[float, float]]]]) -> list:
+                boxes: Sequence[Optional[Sequence[Tuple[float, float]]]]) -> Inversion:
     """Damped Newton inversion of the lattice data map, one point per row.
 
     targets is (B, d): rows (U, V) or, in three-parameter mode, (U, V, W).
     Each row starts from its guess (whose Lambda stays fixed in 2p) and ends
-    with its point, iteration count and residual norm (an :class:`Inversion`
-    row) or its InversionError: its
+    with its point, iteration count and residual norm (the row of the
+    returned :class:`Inversion`) or its InversionError: its
     residual norm below NEWTON_TOL stops it, and non-convergence within
     NEWTON_MAX_ITER steps, a singular Jacobian (relative to its largest
     entry), ten halvings of the step without descent, or a converged point
@@ -330,11 +332,10 @@ def invert_rows(model: LatticeModel, targets: np.ndarray, guesses: Sequence[Para
 
 @dataclass
 class Inversion:
-    """:func:`invert_rows`'s rows as (B,) columns: the point (m, a, lam;
-    lam the guess's in 2p), the Newton steps and the residual norm, which a
-    row that ``errors`` ends (None, or its InversionError) holds as it
-    stopped.  As a sequence it is its rows: each {"point", "iterations",
-    "residual"} or that error."""
+    """:func:`invert_rows`'s rows as (B,) columns, the one form of its
+    result: the point (m, a, lam; lam the guess's in 2p), the Newton steps
+    and the residual norm, which a row that ``errors`` ends (None, or its
+    InversionError) holds as it stopped."""
 
     m: np.ndarray
     a: np.ndarray
@@ -342,15 +343,6 @@ class Inversion:
     iterations: np.ndarray
     residual: np.ndarray
     errors: list
-
-    def __len__(self) -> int:
-        return len(self.errors)
-
-    def __getitem__(self, i: int):
-        if self.errors[i] is not None:
-            return self.errors[i]
-        return {"point": ParameterPoint(float(self.m[i]), float(self.a[i]), float(self.lam[i])),
-                "iterations": int(self.iterations[i]), "residual": float(self.residual[i])}
 
 
 def inverse_constants(model: LatticeModel, box: Sequence[Tuple[float, float]]) -> dict:

@@ -9,21 +9,22 @@ its certified inequalities to one function as (name, hypothesis, value,
 bound) records; a violation with its hypothesis holding marks the run as
 failed (CLI exit code 1).  Scenarios form one table, held as columns:
 ``pipeline`` and ``extract`` are tables of one row, ``sweep`` a row per
-point.  Each sector's scene (true frequency, reference amplitude, prior,
-contaminants) is one set of columns over the table; consecutive points on
-one observation setup synthesise and extract their sectors as the rows of
-one array; each run of equal setups is one eps-budget call; every point's
-data are inverted in one damped-Newton pass; and the ledgers, the checks
-and the report rows are computed once per column, the rows built once at
-the end.  Each row is bit for bit what its point gives alone: the columns
-use only elementwise kernels that round as the scalar code did (|z| is
-hypot, never numpy's complex abs; Python's complex division and libm's
-log1p and pow stay scalar calls, row by row).  What consecutive points
-share is synthesised once per table: a mode row that every point of a
-batch holds, and that later batches reuse while it recurs, the tail on one
-grid, and the unscaled LCG stream of one seed, which every noise amplitude
-scales (a noise_amp sweep synthesises its references, tail and stream
-once).
+point.  Every row runs every stage, and a row that fails reports the first
+error its point raises alone.  Each sector's scene (true frequency,
+reference amplitude, prior, contaminants) is one set of columns over the
+table; consecutive points on one observation setup synthesise and extract
+their sectors as the rows of one array; each run of equal setups is one
+eps-budget call; every point's data are inverted in one damped-Newton pass;
+and the ledgers, the checks and the report rows are computed once per
+column, the rows built once at the end.  Each row is bit for bit what its
+point gives alone: the columns use only elementwise kernels that round as
+the scalar code did (|z| is hypot, never numpy's complex abs; Python's
+complex division and libm's log1p and pow stay scalar calls, row by row).
+What consecutive points share is synthesised once per table: a mode row
+that every point of a batch holds, and that later batches reuse while it
+recurs, the tail on one grid, and the unscaled LCG stream of one seed,
+which every noise amplitude scales (a noise_amp sweep synthesises its
+references, tail and stream once).
 
 Inside a scenario every norm is taken in the discrete trapezoid-weighted
 inner product on the sampling grid, the bilinear form sum_k q_k f_k conj(g_k)
@@ -107,13 +108,13 @@ class _Carry:
 
     def mode_rows(self, slot, modes: list, t: np.ndarray) -> np.ndarray:
         """``signal_model.mode_rows(modes, t)``, not to be written to.  When
-        every mode has one (freq, amp, degree) the rows are one row repeated:
+        every mode has one (freq, amp) the rows are one row repeated:
         the last row of ``slot`` if it was built on ``t`` for that key, else
         one synthesised and kept there.  Equal values that differ in the sign
         of a zero part give equal rows, since mode_rows adds 0.0j last.
         Modes that differ are synthesised in one call, as without the carry."""
-        key = (modes[0].freq, modes[0].amp, modes[0].poly_degree)
-        if any((m.freq, m.amp, m.poly_degree) != key for m in modes[1:]):
+        key = (modes[0].freq, modes[0].amp)
+        if any((m.freq, m.amp) != key for m in modes[1:]):
             return sm.mode_rows(modes, t)
         rows = self._latest(slot, t, key, lambda: sm.mode_rows(modes[:1], t))
         rows.flags.writeable = False
@@ -133,9 +134,8 @@ def _scenario(cfg: ScenarioConfig, setup: sm.ObservationSetup, t: np.ndarray,
     return Scenario(cfg=cfg, grid=t, noise_samples=samples, noise_l2=noise_l2)
 
 
-#: the columns each batch's extraction gives a sector, and their types
-_EXTRACTION_COLUMNS = {"z_hat": complex, "omega_hat": complex, "eps0": float, "eps1": float,
-                       "z": complex, "z_prior": complex}
+#: the columns each batch's extraction gives a sector
+_EXTRACTION_COLUMNS = ("z_hat", "omega_hat", "eps0", "eps1", "z", "z_prior")
 
 
 def _modes(freq: np.ndarray, amp: np.ndarray) -> list:
@@ -173,21 +173,19 @@ def _sector_scene(sign: int, cfgs: list) -> dict:
             scenes = zip(*(_modes(f, a_) for f, a_ in zip(freqs, amps)))
             windowed = [aw.apply_window_modal(modes, g) for modes, g in zip(scenes, gpolys)]
             amps = [np.array([mode.amp for mode in term]) for term in zip(*windowed)]
-    if cfg["extraction"]["prior"] == "offset":
-        prior = prior + cfg["extraction"]["prior_offset"]
+    # 0 by default, which leaves the prior's bits: no part of it is a signed zero
+    prior = prior + cfg["extraction"]["prior_offset"]
     return {"omega_true": omega_true, "amp_ref": amp_ref, "prior": prior, "amp": amp,
             "contaminants": list(zip(freqs[1:], amps[1:]))}
 
 
-def _run_sectors(sign: int, sec: dict, rows, scns: list, setup: sm.ObservationSetup,
-                 tail: Optional[np.ndarray], carry: _Carry) -> list:
+def _run_sectors(sign: int, sec: dict, rows: slice, scns: list, setup: sm.ObservationSetup,
+                 tail: Optional[np.ndarray], carry: _Carry) -> tuple:
     """One sector of the scenarios ``scns`` of a batch on ``setup``, rows
-    ``rows`` (a slice or indices) of the table: their extraction columns and
-    the norm of their known terms ("known": noise and contaminants, which
-    the eps budget bounds) are written into the sector's columns ``sec``;
-    returns per row None or the RinglabError that ends its extraction.
-    ``tail`` is the batch's tail sampled on its scene grid (None if zero),
-    which both signs add.
+    ``rows`` of the table, whose scene columns are ``sec``: their
+    :class:`extractor.Extraction` and the norm of their known terms (noise
+    and contaminants, which the eps budget bounds).  ``tail`` is the batch's
+    tail sampled on its scene grid (None if zero), which both signs add.
 
     The rows are synthesised as one (B, N) array and extracted in one call;
     every row comes out bit for bit as it would alone.  Each term's rows
@@ -233,19 +231,13 @@ def _run_sectors(sign: int, sec: dict, rows, scns: list, setup: sm.ObservationSe
         y = sm.SampledSignal(filtered[0].t_start, y.dt, np.stack([f.values for f in filtered]))
     res = ex.extract(y, ecfg, y0_reference=refs,
                      y0=sm.SampledSignal(t_start=setup.t0, dt=setup.dt, values=y0))
-    for key in _EXTRACTION_COLUMNS:
-        col = getattr(res, key)
-        if col is not None:  # extract leaves the sizes None where no row got that far
-            sec[key][rows] = col
-
     # the contaminants are known exactly: their norm joins the noise budget
     # (triangle inequality)
     known = np.array([scn.noise_l2 for scn in scns])
     if others:
         known = known + sm.residual_l2(sm.SampledSignal(
             t_start=setup.t0, dt=setup.dt, values=sum(others[1:], others[0])), setup)
-    sec["known"][rows] = known
-    return res.errors
+    return res, known
 
 
 #: relative and absolute rounding floor of a scenario's checks.  It assumes
@@ -357,17 +349,6 @@ def _batches(points: list):
             yield first, min(first + cap, stop)
 
 
-def _empty_columns(kinds: dict, n: int) -> dict:
-    """A column of n rows per key, of its type: NaN, or False for a flag."""
-    out = {}
-    for kind in (complex, float, bool):
-        keys = [key for key, k in kinds.items() if k is kind]
-        block = np.zeros((len(keys), n), dtype=bool) if kind is bool else \
-            np.full((len(keys), n), np.nan, dtype=kind)
-        out.update(zip(keys, block))
-    return out
-
-
 def _setup_runs(points: list):
     """(start, stop) of each run of consecutive points with equal observation
     setups."""
@@ -391,52 +372,55 @@ def _estimate(cfgs: list, table: dict) -> dict:
 
 def _run_points(cfgs: list, signs=(+1, -1)) -> dict:
     """The scenario table of the configs up to its ledgers, as columns: per
-    sign its sector columns (the scene, the extraction, "z_true" and the
-    budget's "eps_bound"), "ell", and "errors", per config None or the
-    RinglabError that ended it.  With both signs, "estimate" holds the
-    observables of each scenario, "live" lists the scenarios whose sectors
-    succeeded and "inversion" is the :class:`paramap.Inversion` of those
-    (the other rows NaN); an InversionError ends its row.
+    sign its sector columns (the scene, the extraction, "known", "z_true"
+    and the budget's "eps_bound"), "ell", and "errors", per config None or
+    the RinglabError that ended it.  With both signs, "estimate" holds the
+    observables of each scenario, "inversion" is their
+    :class:`paramap.Inversion` and "live" lists the scenarios whose sectors
+    succeeded; an InversionError ends its row.
 
-    Each sector's scene is one set of columns over the table, its samples
-    are synthesised and extracted in batches (:func:`_batches`), both signs
-    of a batch in turn, and its eps budget is one call per run of equal
-    setups.  A row keeps the first error a lone scenario raises: its +1
-    extraction, its +1 budget, its -1 extraction, its -1 budget, its
-    inversion.  Its -1 sector is extracted only if its +1 extraction
-    succeeded (a +1 budget error, found later, discards it).  The batches
-    share one carry (:class:`_Carry`), for the scene grid and the tail,
-    which no sweep varies (the grid's padding neither), and the rows a
-    batch shares.  All scenarios whose sectors succeeded are inverted in
-    one :func:`paramap.invert_rows` call: its arrays are (rows, 2 or 3), so
-    the sample bound of a batch does not concern it.  The configs share the
+    Every row runs every stage.  Each sector's scene is one set of columns
+    over the table, its samples are synthesised and extracted in batches
+    (:func:`_batches`), both signs of a batch in turn, and its eps budget is
+    one call per run of equal setups.  A row keeps the first error a lone
+    scenario raises: its +1 extraction, its +1 budget, its -1 extraction,
+    its -1 budget, its inversion; what its later stages compute is not
+    reported.  The batches share one carry (:class:`_Carry`), for the scene
+    grid and the tail, which no sweep varies (the grid's padding neither),
+    and the rows a batch shares.  All scenarios are inverted in one
+    :func:`paramap.invert_rows` call: its arrays are (rows, 2 or 3), so the
+    sample bound of a batch does not concern it.  The configs share the
     lattice map and the inversion mode, which no sweep varies, so the first
     one stands for all of them there.
     """
     n, carry = len(cfgs), _Carry()
     table: dict = {"ell": np.array([cfg.model.ell for cfg in cfgs])}
-    failed = {sign: [None] * n for sign in signs}  # each sector's extraction errors
+    parts = {sign: [] for sign in signs}  # each batch's (extraction, known norms)
     for sign in signs:
         table[sign] = _sector_scene(sign, cfgs)
-        table[sign].update(_empty_columns({**_EXTRACTION_COLUMNS, "known": float}, n))
     for start, stop in _batches(cfgs):
         setup = cfgs[start].setup
         t = carry.grid(setup, cfgs[start].fd_pad)
         scns = [_scenario(cfg, setup, t, carry) for cfg in cfgs[start:stop]]
         tail = carry.tail(cfgs[start].tail, t)
-        rows = list(range(start, stop))
         for sign in signs:
-            if sign < 0:
-                rows = [i for i in rows if failed[+1][i] is None]
-            if rows:
-                # a run of consecutive rows is a slice: a view, not a gather
-                at = slice(rows[0], rows[-1] + 1) if rows[-1] - rows[0] < len(rows) else rows
-                errors = _run_sectors(sign, table[sign], at, [scns[i - start] for i in rows],
-                                      setup, tail, carry)
-                for i, exc in zip(rows, errors):
-                    failed[sign][i] = exc
-    # one eps budget per run of equal setups, over the rows of every sign
+            parts[sign].append(_run_sectors(sign, table[sign], slice(start, stop), scns,
+                                            setup, tail, carry))
     delta = np.array([cfg.setup.delta for cfg in cfgs])
+    failed = {}  # each sector's extraction errors
+    for sign in signs:
+        sec = table[sign]
+        # the certified columns of every batch's extraction, derived once
+        joined = ex.Extraction(
+            errors=[exc for res, _ in parts[sign] for exc in res.errors], delta=delta,
+            **{key: np.concatenate([getattr(res, key) for res, _ in parts[sign]])
+               for key in _EXTRACTION_COLUMNS})
+        failed[sign] = joined.errors
+        sec.update({key: getattr(joined, key) for key in (
+            *_EXTRACTION_COLUMNS, "eps", "bound_z", "bound_omega", "eps_small", "branch_hyp")})
+        sec["known"] = np.concatenate([known for _, known in parts[sign]])
+        sec["z_true"] = np.exp(-1j * sec["omega_true"] * delta)
+    # one eps budget per run of equal setups, over the rows of every sign
     stacked = [np.array([table[sign][key] for sign in signs])
                for key in ("amp_ref", "omega_true", "known")]
     eps_bound = np.full((len(signs), n), np.nan)
@@ -451,43 +435,17 @@ def _run_points(cfgs: list, signs=(+1, -1)) -> dict:
             for i, exc in zip(range(start, stop), found):
                 errors[i] = errors[i] or failed[sign][i] or exc
     for sign, col in zip(signs, eps_bound):
-        sec = table[sign]
-        sec["eps_bound"] = col
-        sec["z_true"] = np.exp(-1j * sec["omega_true"] * delta)
-        # the certified columns of every batch's extraction, derived once
-        joined = ex.Extraction(sec["z_hat"], sec["omega_hat"], failed[sign], delta,
-                               sec["eps0"], sec["eps1"], sec["z"], sec["z_prior"])
-        sec.update({key: getattr(joined, key)
-                    for key in ("eps", "bound_z", "bound_omega", "eps_small", "branch_hyp")})
+        table[sign]["eps_bound"] = col
     table["errors"] = errors
     if len(signs) == 1:
         return table
     table["estimate"] = est = _estimate(cfgs, table)
-    table["live"] = live = [i for i, exc in enumerate(errors) if exc is None]
-    got = None
-    if live:
-        targets = np.column_stack([est[k][live] for k in _data_keys(cfgs[0])])
-        got = pm.invert_rows(cfgs[0].model, targets, [cfgs[i].guess for i in live],
-                             [cfgs[i].box for i in live])
-    if len(live) < n:  # the inversion's columns over every row
-        inv = pm.Inversion(m=np.full(n, np.nan), a=np.full(n, np.nan), lam=np.full(n, np.nan),
-                           iterations=np.zeros(n, dtype=int), residual=np.full(n, np.nan),
-                           errors=list(errors))
-        if got is not None:
-            for name in ("m", "a", "lam", "iterations", "residual"):
-                getattr(inv, name)[live] = getattr(got, name)
-            for i, exc in zip(live, got.errors):
-                inv.errors[i] = exc
-        got = inv
-    for i in live:
-        errors[i] = got.errors[i]
-    table["inversion"] = got
+    table["live"] = [i for i, exc in enumerate(errors) if exc is None]
+    table["inversion"] = inv = pm.invert_rows(
+        cfgs[0].model, np.column_stack([est[k] for k in _data_keys(cfgs[0])]),
+        [cfg.guess for cfg in cfgs], [cfg.box for cfg in cfgs])
+    table["errors"] = [exc or inv_exc for exc, inv_exc in zip(errors, inv.errors)]
     return table
-
-
-def _column(value, n: int) -> np.ndarray:
-    """``value`` as a column of n rows: a column stays, a scalar repeats."""
-    return value if np.ndim(value) else np.full(n, value)
 
 
 def _bias_ledger(cfgs: list, table: dict) -> tuple:
@@ -513,8 +471,8 @@ def _bias_ledger(cfgs: list, table: dict) -> tuple:
     # each budget eps bounds eps0 and eps1; rows plus, minus
     budget_eps, z_true = (np.array([sp[key], sm_[key]]) for key in ("eps_bound", "z_true"))
     bound_omega_budget = ex.omega_bound(budget_eps, budget_eps, sm._abs(z_true), delta)
-    b2 = _column(pm.bias_bound_2p(c_star, *bound_omega, ell), len(cfgs))
-    b2_budget = _column(pm.bias_bound_2p(c_star, *bound_omega_budget, ell), len(cfgs))
+    b2 = pm.bias_bound_2p(c_star, *bound_omega, ell)
+    b2_budget = pm.bias_bound_2p(c_star, *bound_omega_budget, ell)
     # the bias bounds cover the data error only: a pole offset moves the true
     # frequencies off the lattice data map by a term that none of them bounds
     on_lattice = cfg["lattice"]["pole_offset"] == 0
@@ -536,8 +494,7 @@ def _bias_ledger(cfgs: list, table: dict) -> tuple:
                _record("2p bias bound", hyp & (not three), param_err, b2),
                _record("budget bias bound", hyp_budget & (not three), param_err, b2_budget)]
     if three:
-        columns["bias_bound_3p"] = _column(pm.bias_bound_2p(c_star, *bound_omega, ell, model.n),
-                                           len(cfgs))
+        columns["bias_bound_3p"] = pm.bias_bound_2p(c_star, *bound_omega, ell, model.n)
         records.append(_record("3p bias bound", hyp, param_err, columns["bias_bound_3p"]))
     return columns, records
 

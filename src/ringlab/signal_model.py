@@ -45,19 +45,11 @@ _DOT_RUN = 8192
 
 @dataclass(frozen=True)
 class Mode:
-    """One damped complex exponential amp * t**poly_degree * exp(-i*freq*t).
-
-    freq.imag <= 0 is the ringdown (decaying) convention; poly_degree >= 1
-    only arises for higher-order / confluent poles.
-    """
+    """One damped complex exponential amp * exp(-i*freq*t); freq.imag <= 0
+    is the ringdown (decaying) convention."""
 
     freq: complex
     amp: complex
-    poly_degree: int = 0
-
-    def __post_init__(self):
-        if self.poly_degree < 0:
-            raise ConfigError("poly_degree must be a nonnegative integer")
 
     def eval(self, t):
         return mode_rows([self], t)[0]
@@ -450,11 +442,7 @@ def mode_rows(modes: Sequence[Mode], t) -> np.ndarray:
     shape = (len(modes),) + (1,) * t.ndim
     phase = np.array([-1j * m.freq for m in modes], dtype=complex).reshape(shape)
     amps = np.array([m.amp for m in modes], dtype=complex).reshape(shape)
-    vals = np.multiply(amps, np.exp(np.multiply(phase, t)))
-    for b, mode in enumerate(modes):
-        if mode.poly_degree:
-            vals[b] *= t**mode.poly_degree
-    return 0.0j + vals
+    return 0.0j + np.multiply(amps, np.exp(np.multiply(phase, t)))
 
 
 def mode_energy_lower_bound(amp, freq, setup: ObservationSetup):

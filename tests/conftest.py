@@ -61,8 +61,6 @@ def weighted_inner_exact(modes_f: Sequence[sm.Mode], modes_g: Sequence[sm.Mode],
     total = 0.0 + 0.0j
     for mf in modes_f:
         for mg in modes_g:
-            if mf.poly_degree or mg.poly_degree:
-                raise ConfigError("closed-form inner products require pure exponentials")
             s = -1j * mf.freq + 1j * np.conj(mg.freq)
             total += mf.amp * np.conj(mg.amp) * _weighted_exp_integral(s, setup)
     return total

@@ -348,7 +348,7 @@ def _trend_scene(ell, seed):
         y = sm.sample_scene([mode], sm.ZERO_TAIL, noise, setup)
         cfg = ex.ExtractionConfig(setup=setup, prior=w)
         res = ex.extract(y, cfg, y0_reference=[mode])
-        omega_hat[sign] = res.omega_hat
+        omega_hat[sign] = res.omega_hat[0]
     est = pm.observables(omega_hat[1], omega_hat[-1], ell, 0)
     guess = pm.ParameterPoint(m=p.m * 1.005, a=p.a * 1.005, lam=0.02)
     inv = pm.invert_data(model, {"U": est["U"], "V": est["V"]}, guess)

@@ -210,11 +210,6 @@ class TestApplyWindowModal:
         deriv = w.derivative(target, 1)
         assert abs(out[0].amp - (1.0 + eps * deriv)) < 1e-10
 
-    def test_poly_degree_rejected(self):
-        g = aw.lagrange_weight(aw.PseudopoleSet((1.0,)), 0)
-        with pytest.raises(ConfigError):
-            aw.apply_window_modal([sm.Mode(freq=1.0, amp=1.0, poly_degree=1)], g)
-
 
 class TestApplyWindowFd:
     def _mode_signal(self, omega, dt, t0=0.0, n=400):

@@ -109,7 +109,7 @@ def test_ok_is_the_rows_certification(tmp_path, sub, doc):
 ])
 def test_bias_bound_violation(tmp_path, monkeypatch, bound, printed):
     # canonical.yaml certifies; with this bias bound its two bias checks fail
-    monkeypatch.setattr(pm, "bias_bound_2p", lambda *args: bound)
+    monkeypatch.setattr(pm, "bias_bound_2p", lambda c_star, *args: np.full_like(c_star, bound))
     code, report = run_cli(tmp_path, "pipeline",
                            yaml.safe_load((DEMO_DIR / "canonical.yaml").read_text()))
     assert code == 1

@@ -6,8 +6,7 @@ from conftest import rayleigh_exact, scaled_scene, weighted_inner_exact
 
 from ringlab import extractor as ex
 from ringlab import signal_model as sm
-from ringlab.errors import (BranchSelectionError, ConfigError,
-                            DegenerateSignalError, HypothesisError)
+from ringlab.errors import BranchSelectionError, ConfigError, DegenerateSignalError
 
 
 def std_setup(**kw):
@@ -107,8 +106,10 @@ class TestStabilityBound:
         assert ex.stability_bound(0.1, 0.1) <= ex.stability_bound_crude(0.1)
 
     def test_hypothesis_errors(self):
-        with pytest.raises(HypothesisError):
-            ex.stability_bound(0.3, 0.0)
+        # eps0 > 1/4 fails the sharp bound's hypothesis: it bounds nothing
+        assert ex.stability_bound(0.3, 0.0) == np.inf
+        assert ex.stability_bound(np.array([0.1, 0.3, np.nan]), 0.1).tolist() == [
+            ex.stability_bound(0.1, 0.1), np.inf, np.inf]
         # the crude bound's eps <= 1/8 is the hypothesis of the record that
         # reads it (eps_small implies it): it is 3 eps on any input, columns too
         assert ex.stability_bound_crude(0.2) == 3.0 * 0.2
@@ -198,9 +199,9 @@ class TestExtract:
         y = sm.sample_scene([mode], sm.ZERO_TAIL, sm.ZERO_NOISE, setup)
         cfg = ex.ExtractionConfig(setup=setup, prior=omega + 0.05)
         res = ex.extract(y, cfg, y0_reference=[mode])
-        assert abs(res.omega_hat - omega) < 1e-12
-        assert res.eps == 0.0 and res.bound_omega == 0.0
-        assert res.hypotheses_ok.eps_small and res.hypotheses_ok.branch_hyp
+        assert abs(res.omega_hat[0] - omega) < 1e-12
+        assert res.eps[0] == 0.0 and res.bound_omega[0] == 0.0
+        assert res.eps_small[0] and res.branch_hyp[0]
 
     def test_no_reference_leaves_flags_unknown(self):
         # the hypotheses concern the true z, which only a reference supplies
@@ -209,9 +210,9 @@ class TestExtract:
         y = sm.sample_scene([sm.Mode(freq=omega, amp=1.0)], sm.ZERO_TAIL,
                             sm.ZERO_NOISE, setup)
         res = ex.extract(y, ex.ExtractionConfig(setup=setup, prior=omega + 0.05))
-        assert abs(res.omega_hat - omega) < 1e-12
-        assert res.hypotheses_ok.branch_hyp is None
-        assert res.hypotheses_ok.eps_small is None
+        assert abs(res.omega_hat[0] - omega) < 1e-12
+        assert res.branch_hyp is None
+        assert res.eps_small is None
 
     def test_bound_omega_formula(self):
         # extract reports omega_bound of its residual sizes and the true |z|
@@ -232,9 +233,9 @@ class TestExtract:
         y = sm.sample_scene([mode], tail, sm.ZERO_NOISE, setup)
         cfg = ex.ExtractionConfig(setup=setup, prior=1 - 0.1j)
         res = ex.extract(y, cfg, y0_reference=[mode])
-        assert res.hypotheses_ok.eps_small
-        assert abs(res.omega_hat - mode.freq) <= res.bound_omega
-        assert abs(np.exp(-1j * res.omega_hat * setup.delta) - res.z_hat) < 1e-12
+        assert res.eps_small[0]
+        assert abs(res.omega_hat[0] - mode.freq) <= res.bound_omega[0]
+        assert abs(np.exp(-1j * res.omega_hat[0] * setup.delta) - res.z_hat[0]) < 1e-12
 
     def test_amp_floor(self):
         setup = std_setup()
@@ -259,16 +260,20 @@ class TestExtract:
                              values=np.stack([sc.values for sc in scenes]))
         cfg = ex.ExtractionConfig(setup=setup, prior=priors, amp_floor=1e-3)
         rows = ex.extract(y, cfg, y0_reference=modes)
-        assert len(rows) == 4
+        assert len(rows.errors) == 4 and rows.errors[0] is None
         alone = ex.extract(scenes[0], ex.ExtractionConfig(setup=setup, prior=priors[0],
                                                           amp_floor=1e-3),
                            y0_reference=[modes[0]])
-        assert vars(rows[0]) == vars(alone)
-        for row, scene, mode, prior, err in zip(
-                rows[1:], scenes[1:], modes[1:], priors[1:],
+        for key in ("z_hat", "omega_hat", "eps0", "eps1", "z", "z_prior", "eps", "bound_z",
+                    "bound_omega", "eps_small", "branch_hyp"):
+            assert getattr(rows, key)[0] == getattr(alone, key)[0], key
+        # an ended row has no residual sizes
+        assert np.isnan(rows.eps0[1:]).all() and np.isnan(rows.eps1[1:]).all()
+        for exc, scene, mode, prior, err in zip(
+                rows.errors[1:], scenes[1:], modes[1:], priors[1:],
                 (DegenerateSignalError, BranchSelectionError, DegenerateSignalError)):
-            assert isinstance(row, err)
-            with pytest.raises(err, match=str(row).replace("|", r"\|")):
+            assert isinstance(exc, err)
+            with pytest.raises(err, match=str(exc).replace("|", r"\|")):
                 ex.extract(scene, ex.ExtractionConfig(setup=setup, prior=prior,
                                                       amp_floor=1e-3),
                            y0_reference=[mode])

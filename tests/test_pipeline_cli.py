@@ -246,6 +246,16 @@ class TestConfig:
         with pytest.raises(ConfigError, match="sweep value"):
             ScenarioConfig(raw=dict(CANONICAL, sweep=sweep))
 
+    def test_extraction_prior_offset_applies_when_set(self):
+        # a set offset moves both sectors' priors; no switch gates it
+        base = pipeline._run_points([ScenarioConfig(raw=CANONICAL)])
+        moved = pipeline._run_points([ScenarioConfig(
+            raw=dict(CANONICAL, extraction={"prior_offset": [0.3, -0.01]}))])
+        for sign in (+1, -1):
+            assert moved[sign]["prior"].tolist() == (base[sign]["prior"] + (0.3 - 0.01j)).tolist()
+        with pytest.raises(ConfigError, match="unknown key 'extraction.prior'"):
+            ScenarioConfig(raw={"extraction": {"prior": "exact"}})
+
     def test_defaults_filled(self):
         cfg = ScenarioConfig(raw={})
         assert cfg["observation"]["taper"] == "raised-cosine"

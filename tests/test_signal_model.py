@@ -45,11 +45,6 @@ class TestEvalScene:
         want = np.exp(-2j - 0.2) + 0.05 * np.exp(-1.0)
         assert abs(got - want) < 1e-15
 
-    def test_poly_degree_prefactor(self):
-        mode = sm.Mode(freq=-0.5j, amp=2.0, poly_degree=1)
-        got = sm.eval_scene([mode], sm.ZERO_TAIL, sm.ZERO_NOISE, 3.0)
-        assert abs(got - 2.0 * 3.0 * np.exp(-1.5)) < 1e-14
-
     def test_negative_time_rejected(self):
         with pytest.raises(ConfigError):
             sm.eval_scene([], sm.ZERO_TAIL, sm.ZERO_NOISE, -1.0)
