@@ -268,9 +268,12 @@ class ScenarioConfig:
             if not 0 <= resolve(n_poles, 0, "band_isolate.n_poles") <= RANDOM_MAX_POLES:
                 raise ConfigError("band_isolate.n_poles must be null or an integer in "
                                   f"0..{RANDOM_MAX_POLES}, got {n_poles!r}")
-        overtone = data["lattice"]["overtone"]
-        if resolve(data["window"]["n"], overtone, "window.n") != overtone:
+        overtone, win = data["lattice"]["overtone"], data["window"]
+        if resolve(win["n"], overtone, "window.n") != overtone:
             raise ConfigError("window.n must equal lattice.overtone, the window's target")
+        if win["prior"] == "exact" and any(win["prior_offset"]):
+            raise ConfigError("window.prior_offset must be [0, 0] with window.prior exact "
+                              f"(set window.prior: offset to apply it), got {win['prior_offset']!r}")
         check, pseudo = data["window_check"], data["pseudospectrum"]
         if not 0 <= resolve(check["target"], 0, "window_check.target") < len(check["nodes"]):
             raise ConfigError("window_check.target must index window_check.nodes")
@@ -398,7 +401,7 @@ class ScenarioConfig:
         win, model, p = self.data["window"], self.model, self.p_true
         self.windows = {}
         if win["enabled"]:
-            d_m, d_a = win["prior_offset"] if win["prior"] == "offset" else (0.0, 0.0)
+            d_m, d_a = win["prior_offset"]  # [0, 0] unless the prior is offset
             p = _named("window.prior_offset", pm.ParameterPoint, p.m + d_m, p.a + d_a, p.lam)
             for sign in (+1, -1):
                 nodes = aw.PseudopoleSet(tuple(pm.pseudopole(model, j, sign, p)

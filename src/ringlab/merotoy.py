@@ -353,34 +353,43 @@ def _gk21() -> Tuple[np.ndarray, np.ndarray]:
 
 _GK_NODES, _GK_WEIGHTS = _gk21()
 
-#: Nodes evaluated at once in one Gauss-Kronrod pass: bounds the (T, n)
-#: phase matrix and (n, d) values a pass holds, whatever the truncation radius.
+#: Nodes evaluated at once in one Gauss-Kronrod pass: bounds the (n, d)
+#: values and per-panel sums a pass holds, whatever the truncation radius.
 _GL_BLOCK = 8192
 
 
-def _gl_line_sum(values: Callable, nu: float, times: np.ndarray, a: float, b: float,
-                 n_panels: int) -> Tuple[np.ndarray, np.ndarray]:
-    """One composite Gauss-Kronrod pass over sigma in [a, b] on Im(omega) = -nu.
+def _gl_line_sum(values: Callable, nu: float, times: np.ndarray, mids: np.ndarray,
+                 half: float, allowance: float) -> Tuple[np.ndarray, np.ndarray]:
+    """One Gauss-Kronrod pass over the panels [m - half, m + half] of sigma,
+    m in mids, on Im(omega) = -nu.
 
     values maps (n,) frequencies to (n, d); it is evaluated once at the 21
-    Kronrod nodes of every panel, block by block, and each block is
-    contracted with its (T, n) phase matrix e^{-i t omega} against both
-    weight sets of ``_GK_WEIGHTS``.  Returns the (T, d) K21 integrals for
-    every time and their (T,) distances from the embedded G10 integrals,
-    the error estimate of the less accurate rule.
+    Kronrod nodes of every panel, block by block.  At the node x of the panel
+    m, omega = (m - i nu) + half x, so the phase e^{-i t omega} is the panel's
+    e^{-i t (m - i nu)} times e^{-i t half x}, which every panel of the pass
+    shares: one (2T, 21) table, the K21 and K21 - G10 weights times that
+    shared phase, contracts the 21 values of every panel at once, and each
+    panel's own phase scales the result.  A panel's error estimate is its
+    largest distance, over the times, between its K21 and embedded G10
+    integrals.  Returns the (T, d) sum of the K21 integrals of the panels
+    whose estimate is at most allowance, and the (P,) mask of the others.
     """
-    edges = np.linspace(a, b, n_panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1] - edges[0])
-    omega = (mid[:, None] + half * _GK_NODES[None, :]).ravel() - 1j * nu
-    wts = np.tile(half * _GK_WEIGHTS, n_panels)
-    total = 0.0
-    for lo in range(0, omega.size, _GL_BLOCK):
-        w = omega[lo:lo + _GL_BLOCK]
-        phase = np.exp(-1j * np.multiply.outer(times, w))
-        total = total + phase @ (wts[:, lo:lo + _GL_BLOCK, None] * values(w))
-    kronrod, gauss = total
-    return kronrod, np.linalg.norm(kronrod - gauss, axis=1)
+    n_times, n_nodes = times.size, _GK_NODES.size
+    weights = half * np.stack([_GK_WEIGHTS[0], _GK_WEIGHTS[0] - _GK_WEIGHTS[1]])
+    rule = (weights[:, None, :] * np.exp(-1j * half * np.multiply.outer(times, _GK_NODES))
+            ).reshape(2 * n_times, n_nodes)
+    step = _GL_BLOCK // n_nodes
+    total, refine = 0.0, []
+    for lo in range(0, mids.size, step):
+        base = mids[lo:lo + step] - 1j * nu
+        vals = values((base[:, None] + half * _GK_NODES).ravel())
+        sums = np.tensordot(rule, vals.reshape(base.size, n_nodes, -1), axes=(1, 1))
+        kronrod, error = (sums.reshape(2, n_times, base.size, -1)
+                          * np.exp(-1j * np.multiply.outer(times, base))[:, :, None])
+        rough = np.linalg.norm(error, axis=2).max(axis=0) > allowance
+        total = total + kronrod[:, ~rough].sum(axis=1)
+        refine.append(rough)
+    return total, np.concatenate(refine)
 
 
 def _integrand(resolvent: RationalResolvent, forcing: ForcingSpec,
@@ -390,6 +399,11 @@ def _integrand(resolvent: RationalResolvent, forcing: ForcingSpec,
     return scal[:, None] * resolvent.eval_many(omega, forcing.payload)
 
 
+#: the most times line_integral bisects a panel: its finest panels are those
+#: of 16 times the first pass's uniform panel count
+_MAX_BISECTIONS = 4
+
+
 def line_integral(resolvent: RationalResolvent, forcing: ForcingSpec, g: Optional[Callable],
                   nu: float, times, sigma_max: float = 200.0,
                   tol: float = 1e-9) -> Tuple[np.ndarray, np.ndarray]:
@@ -397,15 +411,21 @@ def line_integral(resolvent: RationalResolvent, forcing: ForcingSpec, g: Optiona
 
     (1/2 pi) * integral over |sigma| <= sigma_max of
         e^{-i omega t} g(omega) R(omega) F_hat(omega),  omega = sigma - i nu,
-    for every t of the (T,) array times, by a composite G10/K21 Gauss-Kronrod
-    pair with panels sized to the e^{-i sigma t} oscillation of the largest t
-    (the integrand is analytic, so the rules converge spectrally).  Only the
-    phase depends on t, so g R F_hat is evaluated once per pass and shared by
-    every time, and one set of 21 nodes per panel gives both the K21 value
-    and its error estimate, the distance to the embedded G10 value.  The
-    passes use n, 2n, 4n, 8n and 16n panels and stop at the first whose
-    estimate is at most tol for every time; the last pass's K21 value is
-    returned.  Returns ((T, d) values, (T,) truncation estimates): an
+    for every t of the (T,) array times, by QUADPACK's G10/K21 Gauss-Kronrod
+    pair, adaptively (after its qag: Piessens et al., 1983).  The first pass
+    covers the line with n uniform panels sized to the e^{-i sigma t}
+    oscillation of the largest t.  Every pass accepts each panel whose error
+    estimate (the largest distance, over the times, between its K21 and
+    embedded G10 values) is at most max(tol, 1e-14) times its share
+    width / (2 sigma_max) of the line, adds its K21 value to the result, and
+    bisects the others; the next pass evaluates only their halves, so no node
+    is evaluated twice.  The estimates of the panels accepted this way sum to
+    at most tol; after _MAX_BISECTIONS bisections (16n-panel widths) every
+    panel is accepted.  Since a panel's estimate is its worst over the times,
+    the panels of a batch of times are the union of each time's own.  Only the
+    phase depends on t, so g R F_hat is evaluated once per node and shared by
+    every time, and the integrand is analytic, so the rules converge
+    spectrally.  Returns ((T, d) values, (T,) truncation estimates): an
     estimate extrapolates the integrand envelope beyond the truncation radius
     from its measured algebraic decay.  F_hat is the forcing's scalar times
     its payload; g, when given, maps (n,) frequencies to (n,) values.
@@ -417,11 +437,17 @@ def line_integral(resolvent: RationalResolvent, forcing: ForcingSpec, g: Optiona
         return _integrand(resolvent, forcing, g, w) / (2.0 * np.pi)
 
     plen = min(4.0, 8.0 / max(float(times.max()), 1.0))
-    n_panels = max(8, int(np.ceil(2.0 * sigma_max / plen)))
-    for step in (1, 2, 4, 8, 16):
-        value, error = _gl_line_sum(values, nu, times, -sigma_max, sigma_max,
-                                    step * n_panels)
-        if error.max() <= max(tol, 1e-14):
+    edges = np.linspace(-sigma_max, sigma_max, max(8, int(np.ceil(2.0 * sigma_max / plen))) + 1)
+    mids, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1] - edges[0])
+    rate = max(tol, 1e-14) / sigma_max  # a panel's error allowance per unit half width
+    value = 0.0
+    for depth in range(_MAX_BISECTIONS + 1):
+        allowance = rate * half if depth < _MAX_BISECTIONS else np.inf
+        accepted, refine = _gl_line_sum(values, nu, times, mids, half, allowance)
+        value = value + accepted
+        half *= 0.5
+        mids = (mids[refine, None] + np.array([-half, half])).ravel()
+        if not mids.size:
             break
     return value, _tail_estimate(resolvent, forcing, g, nu, times, sigma_max)
 

@@ -223,6 +223,8 @@ FOUND = [
     # overflow warnings) and with "epsilon budget needs a damped mode"
     ("pipeline", {"lattice": {"pole_offset": [0.0, 5.0]}, "observation": {"T": 200.0}}, 2),
     ("pipeline", {"lattice": {"pole_offset": [0.0, 0.2]}}, 2),
+    # a window prior offset that the exact prior ignored: it exited 0
+    ("pipeline", {"window": {"enabled": True, "prior_offset": [0.05, 0.0]}}, 2),
 ]
 
 

@@ -246,6 +246,17 @@ class TestConfig:
         with pytest.raises(ConfigError, match="sweep value"):
             ScenarioConfig(raw=dict(CANONICAL, sweep=sweep))
 
+    def test_window_prior_offset_needs_offset_prior(self):
+        # the offset moves the window's prior only under prior: offset; under
+        # the exact prior a nonzero offset is refused, naming both keys
+        window = {"enabled": True, "prior_offset": [0.05, -0.01]}
+        with pytest.raises(ConfigError, match="window.prior_offset .* window.prior"):
+            ScenarioConfig(raw=with_section("window", **window))
+        exact = ScenarioConfig(raw=with_section("window", enabled=True)).windows
+        moved = ScenarioConfig(raw=with_section("window", prior="offset", **window)).windows
+        zero = ScenarioConfig(raw=with_section("window", prior="offset", enabled=True)).windows
+        assert zero == exact and moved[+1] != exact[+1] and moved[-1] != exact[-1]
+
     def test_extraction_prior_offset_applies_when_set(self):
         # a set offset moves both sectors' priors; no switch gates it
         base = pipeline._run_points([ScenarioConfig(raw=CANONICAL)])

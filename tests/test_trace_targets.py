@@ -41,8 +41,9 @@ def test_targets_resolve_in_ringlab():
 def test_band_isolate_op_counters():
     # one band-isolate op: one call per model, so one line integral per line,
     # each of whose Gauss-Kronrod passes evaluates the resolvent: the nu1
-    # line stops after one pass of 2 625 nodes, the nu2 line after two, of
-    # 2 625 and 5 250
+    # line accepts all 125 panels (2 625 nodes) of its first pass; the nu2
+    # line bisects 2 of them and then 1 of their 4 halves, so its passes
+    # evaluate 2 625, 84 and 42 nodes
     from ringlab import pipeline
     from ringlab.config import ScenarioConfig
     cfg = ScenarioConfig(raw={"band_isolate": {
@@ -51,8 +52,8 @@ def test_band_isolate_op_counters():
     report, metrics = traced_op(pipeline.run_band_isolate, cfg)
     assert len(report.rows) == 3 and not report.violations
     assert metrics["merotoy.line_integrals"] == 2
-    assert metrics["merotoy.gl_passes"] == 3
-    assert metrics["merotoy.resolvent_nodes"] == 10500
+    assert metrics["merotoy.gl_passes"] == 4
+    assert metrics["merotoy.resolvent_nodes"] == 5376
 
 
 def test_noise_sampled_once_per_scenario():
