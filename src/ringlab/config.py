@@ -156,6 +156,8 @@ _LIMITS = {
     ("band_isolate", "seed"): _NONNEGATIVE, ("window_check", "seed"): _NONNEGATIVE,
     ("band_isolate", "times"): (lambda v: len(v) > 0 and all(t > 0 for t in v),
                                 "a nonempty list of positive times"),
+    # no mismatch can meet a bound <= 0
+    ("band_isolate", "tol"): (lambda v: v > 0, "positive"),
     # the closed-form forcing transform is tested against mpmath for k <= 12
     ("band_isolate", "forcing_k"): (lambda v: 1 <= v <= 12, "in 1..12"),
     ("pseudospectrum", "re_range"): _RANGE, ("pseudospectrum", "im_range"): _RANGE,

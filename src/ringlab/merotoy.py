@@ -17,6 +17,7 @@ resolvent array is formed.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional, Tuple
@@ -314,10 +315,11 @@ def _check_line_clear(resolvent: RationalResolvent, nu: float):
             raise ContourError(f"pole at {p.omega} sits on the line Im(omega) = {-nu}")
 
 
-def _eval_g_many(g: Optional[Callable], omega: np.ndarray) -> np.ndarray:
+def _g_times(g: Optional[Callable], omega: np.ndarray, scalar: np.ndarray) -> np.ndarray:
+    """g F at (n,) frequencies, given F there: F itself when g is None."""
     if g is None:
-        return np.ones(omega.shape, dtype=complex)
-    return np.asarray(g(omega), dtype=complex)
+        return scalar
+    return np.asarray(g(omega), dtype=complex) * scalar
 
 
 #: QUADPACK's qk21 rule on [-1, 1] (Piessens et al., 1983): the abscissae
@@ -358,34 +360,108 @@ _GK_NODES, _GK_WEIGHTS = _gk21()
 _GL_BLOCK = 8192
 
 
+def _gk_rule(times: np.ndarray, half: float) -> np.ndarray:
+    """The (2T, 21) table of a pass whose panels have half width half: the K21
+    and K21 - G10 weights times the phase e^{-i t half x} at each node x."""
+    weights = half * np.stack([_GK_WEIGHTS[0], _GK_WEIGHTS[0] - _GK_WEIGHTS[1]])
+    return (weights[:, None, :] * np.exp(-1j * half * np.multiply.outer(times, _GK_NODES))
+            ).reshape(2 * times.size, _GK_NODES.size)
+
+
+def _panel_blocks(nu: float, times: np.ndarray, mids: np.ndarray, half: float):
+    """Per block of at most _GL_BLOCK nodes of the panels [m - half, m + half]
+    of sigma on Im(omega) = -nu: the (n,) Kronrod nodes, panel by panel, and
+    the (T, panels) panel phases e^{-i t (m - i nu)}."""
+    step = _GL_BLOCK // _GK_NODES.size
+    for lo in range(0, mids.size, step):
+        base = mids[lo:lo + step] - 1j * nu
+        yield ((base[:, None] + half * _GK_NODES).ravel(),
+               np.exp(-1j * np.multiply.outer(times, base)))
+
+
+def _table_bytes(n_panels: int, n_times: int) -> int:
+    """The bytes a first-pass table of n_panels panels and n_times times holds:
+    its panel midpoints, rule table, nodes, F values and panel phases."""
+    n_nodes = _GK_NODES.size
+    return 8 * n_panels + 16 * (2 * n_times * n_nodes + n_panels * (2 * n_nodes + n_times))
+
+
+#: the most bytes of first-pass tables _first_pass keeps, least recently used
+#: dropped first; a line whose table alone exceeds it is not tabulated
+_FIRST_PASS_BYTES = 1 << 23
+#: key -> (mids, half, table, its bytes), least recently used first
+_FIRST_PASSES: OrderedDict = OrderedDict()
+
+
+def _first_pass(forcing: ForcingSpec, nu: float, times: np.ndarray,
+                sigma_max: float) -> Tuple[np.ndarray, float, Optional[tuple]]:
+    """The uniform panels (mids, half) of line_integral's first pass and their
+    table, or None for a table that alone would exceed _FIRST_PASS_BYTES.
+
+    The panels cover |sigma| <= sigma_max, sized to the e^{-i sigma t}
+    oscillation of the largest time.  The table is (rule, blocks): the pass's
+    (2T, 21) rule table and, per block of panels, its (n,) nodes, the forcing
+    scalar F at them and the (T, panels) panel phases, all read-only.  None
+    of it depends on the resolvent, g or the payload, so it is built once per
+    line nu, radius, times and forcing shape (k, alpha), the key it is kept
+    under, and every model on that line reads it.  F is evaluated block by
+    block, exactly as a pass without the table evaluates it.
+    """
+    key = (np.array([nu, sigma_max, forcing.alpha]).tobytes(), forcing.k, times.tobytes())
+    entry = _FIRST_PASSES.pop(key, None)
+    if entry is None:
+        plen = min(4.0, 8.0 / max(float(times.max()), 1.0))
+        edges = np.linspace(-sigma_max, sigma_max,
+                            max(8, int(np.ceil(2.0 * sigma_max / plen))) + 1)
+        mids, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1] - edges[0])
+        size = _table_bytes(mids.size, times.size)
+        if size > _FIRST_PASS_BYTES:
+            return mids, half, None
+        blocks = tuple((omega, forcing.scalar(omega), phase)
+                       for omega, phase in _panel_blocks(nu, times, mids, half))
+        rule = _gk_rule(times, half)
+        for arr in (mids, rule, *(a for block in blocks for a in block)):
+            arr.flags.writeable = False
+        entry = (mids, half, (rule, blocks), size)
+    _FIRST_PASSES[key] = entry
+    while sum(kept[-1] for kept in _FIRST_PASSES.values()) > _FIRST_PASS_BYTES:
+        _FIRST_PASSES.popitem(last=False)
+    return entry[:3]
+
+
 def _gl_line_sum(values: Callable, nu: float, times: np.ndarray, mids: np.ndarray,
-                 half: float, allowance: float) -> Tuple[np.ndarray, np.ndarray]:
+                 half: float, allowance: float,
+                 first: Optional[tuple] = None) -> Tuple[np.ndarray, np.ndarray]:
     """One Gauss-Kronrod pass over the panels [m - half, m + half] of sigma,
     m in mids, on Im(omega) = -nu.
 
-    values maps (n,) frequencies to (n, d); it is evaluated once at the 21
-    Kronrod nodes of every panel, block by block.  At the node x of the panel
-    m, omega = (m - i nu) + half x, so the phase e^{-i t omega} is the panel's
+    values maps (n,) frequencies and the forcing scalar F at them, or None,
+    to (n, d) values; it is evaluated once at the 21 Kronrod nodes of every
+    panel, block by block.  At the node x of the panel m,
+    omega = (m - i nu) + half x, so the phase e^{-i t omega} is the panel's
     e^{-i t (m - i nu)} times e^{-i t half x}, which every panel of the pass
     shares: one (2T, 21) table, the K21 and K21 - G10 weights times that
     shared phase, contracts the 21 values of every panel at once, and each
-    panel's own phase scales the result.  A panel's error estimate is its
-    largest distance, over the times, between its K21 and embedded G10
-    integrals.  Returns the (T, d) sum of the K21 integrals of the panels
-    whose estimate is at most allowance, and the (P,) mask of the others.
+    panel's own phase scales the result.  first, the ``_first_pass`` table
+    of these very panels, supplies the nodes, phases, rule table and F, so
+    values receives F; without it the pass forms the first three and passes
+    None for F.  A panel's error estimate is its largest distance, over the
+    times, between its K21 and embedded G10 integrals.  Returns the (T, d)
+    sum of the K21 integrals of the panels whose estimate is at most
+    allowance, and the (P,) mask of the others.
     """
+    if first is None:
+        rule = _gk_rule(times, half)
+        blocks = ((omega, None, phase) for omega, phase in _panel_blocks(nu, times, mids, half))
+    else:
+        rule, blocks = first
     n_times, n_nodes = times.size, _GK_NODES.size
-    weights = half * np.stack([_GK_WEIGHTS[0], _GK_WEIGHTS[0] - _GK_WEIGHTS[1]])
-    rule = (weights[:, None, :] * np.exp(-1j * half * np.multiply.outer(times, _GK_NODES))
-            ).reshape(2 * n_times, n_nodes)
-    step = _GL_BLOCK // n_nodes
     total, refine = 0.0, []
-    for lo in range(0, mids.size, step):
-        base = mids[lo:lo + step] - 1j * nu
-        vals = values((base[:, None] + half * _GK_NODES).ravel())
-        sums = np.tensordot(rule, vals.reshape(base.size, n_nodes, -1), axes=(1, 1))
-        kronrod, error = (sums.reshape(2, n_times, base.size, -1)
-                          * np.exp(-1j * np.multiply.outer(times, base))[:, :, None])
+    for omega, scalar, phase in blocks:
+        n_panels = phase.shape[1]
+        vals = values(omega, scalar)
+        sums = np.tensordot(rule, vals.reshape(n_panels, n_nodes, -1), axes=(1, 1))
+        kronrod, error = sums.reshape(2, n_times, n_panels, -1) * phase[:, :, None]
         rough = np.linalg.norm(error, axis=2).max(axis=0) > allowance
         total = total + kronrod[:, ~rough].sum(axis=1)
         refine.append(rough)
@@ -393,10 +469,14 @@ def _gl_line_sum(values: Callable, nu: float, times: np.ndarray, mids: np.ndarra
 
 
 def _integrand(resolvent: RationalResolvent, forcing: ForcingSpec,
-               g: Optional[Callable], omega: np.ndarray) -> np.ndarray:
-    """g R F_hat at (n,) frequencies: the (n,) scalar g F times R(omega) payload."""
-    scal = _eval_g_many(g, omega) * forcing.scalar(omega)
-    return scal[:, None] * resolvent.eval_many(omega, forcing.payload)
+               g: Optional[Callable], omega: np.ndarray,
+               scalar: Optional[np.ndarray] = None) -> np.ndarray:
+    """g R F_hat at (n,) frequencies: the (n,) scalar g F times R(omega) payload.
+    scalar is F at omega, when a first-pass table holds it; otherwise F is
+    evaluated here."""
+    if scalar is None:
+        scalar = forcing.scalar(omega)
+    return _g_times(g, omega, scalar)[:, None] * resolvent.eval_many(omega, forcing.payload)
 
 
 #: the most times line_integral bisects a panel: its finest panels are those
@@ -414,7 +494,12 @@ def line_integral(resolvent: RationalResolvent, forcing: ForcingSpec, g: Optiona
     for every t of the (T,) array times, by QUADPACK's G10/K21 Gauss-Kronrod
     pair, adaptively (after its qag: Piessens et al., 1983).  The first pass
     covers the line with n uniform panels sized to the e^{-i sigma t}
-    oscillation of the largest t.  Every pass accepts each panel whose error
+    oscillation of the largest t.  Its nodes, panel phases, rule table and
+    forcing scalar F depend only on nu, sigma_max, the times and the forcing's
+    (k, alpha): ``_first_pass`` builds them once per such key and keeps them,
+    read-only, in a memo of at most _FIRST_PASS_BYTES, so every model that
+    shares the line, radius, times and forcing shape reads them and evaluates
+    only g and R itself.  Every pass accepts each panel whose error
     estimate (the largest distance, over the times, between its K21 and
     embedded G10 values) is at most max(tol, 1e-14) times its share
     width / (2 sigma_max) of the line, adds its K21 value to the result, and
@@ -433,23 +518,46 @@ def line_integral(resolvent: RationalResolvent, forcing: ForcingSpec, g: Optiona
     times = _as_times(times)
     _check_line_clear(resolvent, nu)
 
-    def values(w):
-        return _integrand(resolvent, forcing, g, w) / (2.0 * np.pi)
+    def values(w, scalar):
+        return _integrand(resolvent, forcing, g, w, scalar) / (2.0 * np.pi)
 
-    plen = min(4.0, 8.0 / max(float(times.max()), 1.0))
-    edges = np.linspace(-sigma_max, sigma_max, max(8, int(np.ceil(2.0 * sigma_max / plen))) + 1)
-    mids, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1] - edges[0])
+    mids, half, first = _first_pass(forcing, nu, times, sigma_max)
     rate = max(tol, 1e-14) / sigma_max  # a panel's error allowance per unit half width
     value = 0.0
     for depth in range(_MAX_BISECTIONS + 1):
         allowance = rate * half if depth < _MAX_BISECTIONS else np.inf
-        accepted, refine = _gl_line_sum(values, nu, times, mids, half, allowance)
+        accepted, refine = _gl_line_sum(values, nu, times, mids, half, allowance, first)
         value = value + accepted
         half *= 0.5
         mids = (mids[refine, None] + np.array([-half, half])).ravel()
+        first = None
         if not mids.size:
             break
     return value, _tail_estimate(resolvent, forcing, g, nu, times, sigma_max)
+
+
+#: where the tail envelope is sampled, in units of the truncation radius
+_TAIL_NODES = np.array([0.5, -0.5, 1.0, -1.0])
+
+
+def _envelope(resolvent: RationalResolvent, forcing: ForcingSpec,
+              g: Optional[Callable], nu: float, sigmas: np.ndarray) -> np.ndarray:
+    """|g R F_hat| at sigma_max _TAIL_NODES on Im(omega) = -nu, for each of
+    the (L,) radii sigmas: an (L, 4) array from one evaluation."""
+    w = np.multiply.outer(sigmas, _TAIL_NODES).ravel() - 1j * nu
+    return np.linalg.norm(_integrand(resolvent, forcing, g, w), axis=1).reshape(-1, 4)
+
+
+def _tail_from_envelope(env: np.ndarray, nu: float, times: np.ndarray,
+                        sigma_max: float) -> np.ndarray:
+    """The (T,) tail estimates at radius sigma_max from its 4 envelope values."""
+    e_half = float(env[0] + env[1])
+    e_full = float(env[2] + env[3])
+    if e_full <= 0 or e_half <= 0:
+        return np.zeros(times.size)
+    p = np.log(e_half / e_full) / np.log(2.0)  # local algebraic decay exponent
+    return (np.exp(-nu * times) * e_full * sigma_max
+            / max(p - 1.0, 0.1) / (2.0 * np.pi))
 
 
 def _tail_estimate(resolvent: RationalResolvent, forcing: ForcingSpec,
@@ -462,15 +570,8 @@ def _tail_estimate(resolvent: RationalResolvent, forcing: ForcingSpec,
     (T,) array times.
     """
     times = _as_times(times)
-    w = np.array([0.5, -0.5, 1.0, -1.0]) * sigma_max - 1j * nu
-    env = np.linalg.norm(_integrand(resolvent, forcing, g, w), axis=1)
-    e_half = float(env[0] + env[1])
-    e_full = float(env[2] + env[3])
-    if e_full <= 0 or e_half <= 0:
-        return np.zeros(times.size)
-    p = np.log(e_half / e_full) / np.log(2.0)  # local algebraic decay exponent
-    return (np.exp(-nu * times) * e_full * sigma_max
-            / max(p - 1.0, 0.1) / (2.0 * np.pi))
+    env = _envelope(resolvent, forcing, g, nu, np.array([sigma_max]))
+    return _tail_from_envelope(env[0], nu, times, sigma_max)
 
 
 #: the largest truncation radius choose_sigma_max returns
@@ -481,12 +582,24 @@ def choose_sigma_max(resolvent: RationalResolvent, forcing: ForcingSpec,
                      g: Optional[Callable], nu: float, times,
                      tol: float, start: float = 50.0) -> float:
     """Double the truncation radius until every time's tail estimate < tol/10,
-    up to ``SIGMA_MAX_CAP``."""
-    sigma = start
+    up to ``SIGMA_MAX_CAP``.
+
+    The radii start, 2 start, ... below the cap are tried in order, but one
+    ``_integrand`` call evaluates the envelope of every one of them.  Its
+    values equal those of one call per radius bit for bit when every envelope
+    node lies beyond the Beta-series radius of ``ForcingSpec.scalar``, whose
+    closed form is then elementwise: with the default start every node has
+    |s| >= 25 > max(10, 1.5k) for k <= 12.
+    """
+    times = _as_times(times)
+    sigmas, sigma = [], start
     while sigma < SIGMA_MAX_CAP:
-        if _tail_estimate(resolvent, forcing, g, nu, times, sigma).max() < tol / 10.0:
-            return sigma
+        sigmas.append(sigma)
         sigma *= 2.0
+    envelope = _envelope(resolvent, forcing, g, nu, np.array(sigmas))
+    for sigma, env in zip(sigmas, envelope):
+        if _tail_from_envelope(env, nu, times, sigma).max() < tol / 10.0:
+            return sigma
     return SIGMA_MAX_CAP
 
 
@@ -524,7 +637,7 @@ def band_subtract(resolvent: RationalResolvent, forcing: ForcingSpec,
     def windowed(w):
         # g is a polynomial, so g F is holomorphic and the ring applies; the
         # payload is constant and rides along
-        return (_eval_g_many(g, w) * forcing.scalar(w))[:, None] * forcing.payload
+        return _g_times(g, w, forcing.scalar(w))[:, None] * forcing.payload
 
     residue_sum = np.zeros((times.size, resolvent.dim), dtype=complex)
     for pole in resolvent.poles_in_strip(-nu2, -nu1):

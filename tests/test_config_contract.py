@@ -225,6 +225,9 @@ FOUND = [
     ("pipeline", {"lattice": {"pole_offset": [0.0, 0.2]}}, 2),
     # a window prior offset that the exact prior ignored: it exited 0
     ("pipeline", {"window": {"enabled": True, "prior_offset": [0.05, 0.0]}}, 2),
+    # a band tolerance no mismatch can meet: it exited 1 with a violation
+    ("band-isolate", {"band_isolate": {"n_models": 1, "times": [1.0], "tol": -1.0}}, 2),
+    ("band-isolate", {"band_isolate": {"n_models": 1, "times": [1.0], "tol": 0.0}}, 2),
 ]
 
 

@@ -242,8 +242,8 @@ class TestGaussKronrod:
         mids = np.arange(-1598.0, 1600.0, 2.0 * half)
         assert mids.size * mt._GK_NODES.size > 2 * mt._GL_BLOCK
 
-        def values(w):
-            return mt._integrand(R, forcing, None, w)
+        def values(w, scalar=None):
+            return mt._integrand(R, forcing, None, w, scalar)
 
         omega = (mids[:, None] + half * mt._GK_NODES).ravel() - 1j * nu
         terms = (np.exp(-1j * np.multiply.outer(times, omega))[:, :, None]
@@ -267,8 +267,8 @@ class TestGaussKronrod:
     @pytest.fixture(scope="class")
     def criterion_08_lines(self):
         """Criterion 08's 50 models at tol 1e-8: for each of their 100 lines,
-        its sigma_max, the (values, nu, times, mids, half, allowance) of each
-        of its passes, and the value it returns."""
+        its sigma_max, the (values, nu, times, mids, half, allowance, first)
+        of each of its passes, and the value it returns."""
         lines = []
         line_integral, line_sum = mt.line_integral, mt._gl_line_sum
 
@@ -303,7 +303,7 @@ class TestGaussKronrod:
         # its finest accepted panel (those of its last pass)
         worst = 0.0
         for sigma_max, passes, accepted in criterion_08_lines:
-            values, nu, times, _, half, _ = passes[-1]
+            values, nu, times, _, half, _, _ = passes[-1]
             edges = np.linspace(-sigma_max, sigma_max,
                                 int(round(4.0 * sigma_max / half)) + 1)
             reference, _ = mt._gl_line_sum(values, nu, times, 0.5 * (edges[:-1] + edges[1:]),
@@ -321,6 +321,157 @@ class TestGaussKronrod:
             evaluated += sum(counts)
             accepted += sum(p - nxt // 2 for p, nxt in zip(counts, counts[1:]))
         assert accepted >= 0.9 * evaluated
+
+
+class TestFirstPassMemo:
+    """The first pass's model-independent table, shared through a bounded memo.
+
+    Every model on one line, radius, times and forcing shape reads one table;
+    the results equal, bit for bit, those of a cold memo and of a first pass
+    built with no table at all.
+    """
+
+    TIMES = (1.0, 2.0, 5.0)
+    KEYS = ("difference", "mismatch", "truncation_estimate")
+
+    @pytest.fixture(autouse=True)
+    def cold_memo(self, monkeypatch):
+        monkeypatch.setattr(mt, "_FIRST_PASSES", type(mt._FIRST_PASSES)())
+
+    @staticmethod
+    def model(seed, k=6, alpha=1.0):
+        rng = np.random.default_rng(seed)
+        dim = int(rng.integers(1, 4))
+        resolvent = mt.random_rational_resolvent(rng, dim=dim, n_poles=4, max_order=2)
+        return resolvent, mt.ForcingSpec(k=k, alpha=alpha, payload=rng.standard_normal(dim)
+                                         + 1j * rng.standard_normal(dim))
+
+    def run(self, seed, k=6, alpha=1.0, nu1=0.3, times=TIMES, sigma_max=None):
+        resolvent, forcing = self.model(seed, k, alpha)
+        return mt.band_subtract(resolvent, forcing, None, nu1, 2.3, times,
+                                sigma_max=sigma_max, tol=1e-8)
+
+    def assert_equal(self, a, b):
+        assert a["sigma_max"] == b["sigma_max"]
+        for key in self.KEYS:
+            assert np.array_equal(a[key], b[key]), key
+
+    def test_warm_table_equals_cold_and_untabulated(self, monkeypatch):
+        forcing_nodes = []
+        scalar = mt.ForcingSpec.scalar
+
+        def counting(self, omega):
+            forcing_nodes.append(len(omega))
+            return scalar(self, omega)
+
+        monkeypatch.setattr(mt.ForcingSpec, "scalar", counting)
+        cold = self.run(3)
+        cold_nodes = sum(forcing_nodes)
+        assert len(mt._FIRST_PASSES) == 2  # one table per line
+        forcing_nodes.clear()
+        warm = self.run(3)
+        # the warm run evaluates F everywhere but on its two first passes
+        tabulated = sum(omega.size for _, _, (_, blocks), _ in mt._FIRST_PASSES.values()
+                        for omega, _, _ in blocks)
+        assert tabulated == 2 * 21 * 125
+        assert sum(forcing_nodes) == cold_nodes - tabulated
+        self.assert_equal(warm, cold)
+        monkeypatch.setattr(mt, "_FIRST_PASS_BYTES", 0)
+        mt._FIRST_PASSES.clear()
+        untabulated = self.run(3)
+        assert not mt._FIRST_PASSES
+        self.assert_equal(untabulated, cold)
+
+    @pytest.mark.parametrize("change", [
+        {"times": (1.0, 2.0, 4.0)}, {"times": (0.5, 5.0)}, {"k": 5}, {"alpha": 0.5},
+        {"nu1": 0.35}, {"sigma_max": 200.0}])
+    def test_other_key_builds_its_own_table(self, change):
+        # a warm memo of another line, radius, times or forcing shape is not
+        # read: the changed line builds its own table, which equals a cold one
+        for seed in (3, 4):
+            self.run(seed, sigma_max=100.0)
+        before = set(mt._FIRST_PASSES)
+        warm = self.run(5, **{"sigma_max": 100.0, **change})
+        assert len(set(mt._FIRST_PASSES) - before) == (1 if "nu1" in change else 2)
+        mt._FIRST_PASSES.clear()
+        self.assert_equal(warm, self.run(5, **{"sigma_max": 100.0, **change}))
+
+    def test_models_share_one_table_per_line(self):
+        for seed in range(6):
+            self.run(seed, sigma_max=100.0)
+        assert len(mt._FIRST_PASSES) == 2
+
+    def test_memo_bounded_and_read_only(self, monkeypatch):
+        for nu in (0.3, 0.4, 0.5, 0.6):
+            mids, _, (rule, blocks) = mt._first_pass(self.model(1)[1], nu,
+                                                     np.array(self.TIMES), 100.0)
+        size = mt._table_bytes(mids.size, len(self.TIMES))
+        arrays = [mids, rule, *(a for block in blocks for a in block)]
+        assert size == sum(a.nbytes for a in arrays)
+        for arr in arrays:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[...] = 0
+        # a memo of two and a half tables keeps the two used last: the nu2
+        # line, which every run uses, keeps its one table
+        monkeypatch.setattr(mt, "_FIRST_PASS_BYTES", 5 * size // 2)
+        mt._FIRST_PASSES.clear()
+        nu2_tables = set()
+        for seed, nu in enumerate((0.3, 0.4, 0.3, 0.5, 0.6, 0.4)):
+            self.run(seed, nu1=nu, sigma_max=100.0)
+            assert sum(kept[-1] for kept in mt._FIRST_PASSES.values()) <= mt._FIRST_PASS_BYTES
+            assert len(mt._FIRST_PASSES) == 2
+            nu2_tables.add(id(mt._first_pass(self.model(seed)[1], 2.3,
+                                              np.array(self.TIMES), 100.0)[2]))
+        assert len(nu2_tables) == 1
+        # a table larger than the memo is built for its line and not kept
+        monkeypatch.setattr(mt, "_FIRST_PASS_BYTES", size - 1)
+        mt._FIRST_PASSES.clear()
+        assert mt._first_pass(self.model(1)[1], 0.3, np.array(self.TIMES), 100.0)[2] is None
+        assert not mt._FIRST_PASSES
+
+
+class TestChooseSigmaMax:
+    @staticmethod
+    def by_level(resolvent, forcing, nu, times, tol):
+        """The radius search one level at a time, each envelope its own call:
+        the oracle the one-call search must equal bit for bit."""
+        sigma, envelopes = 50.0, []
+        while sigma < mt.SIGMA_MAX_CAP:
+            w = np.array([0.5, -0.5, 1.0, -1.0]) * sigma - 1j * nu
+            env = np.linalg.norm(mt._integrand(resolvent, forcing, None, w), axis=1)
+            envelopes.append(env)
+            e_half, e_full = float(env[0] + env[1]), float(env[2] + env[3])
+            tail = np.zeros(len(times))
+            if e_full > 0 and e_half > 0:
+                p = np.log(e_half / e_full) / np.log(2.0)
+                tail = (np.exp(-nu * np.asarray(times)) * e_full * sigma
+                        / max(p - 1.0, 0.1) / (2.0 * np.pi))
+            if tail.max() < tol / 10.0:
+                return sigma, envelopes
+            sigma *= 2.0
+        return mt.SIGMA_MAX_CAP, envelopes
+
+    def test_one_call_equals_level_by_level(self):
+        times, chosen = (1.0, 2.0, 5.0), set()
+        for k in range(1, 13):
+            for seed in range(3):
+                rng = np.random.default_rng(40 + seed)
+                dim = int(rng.integers(1, 4))
+                resolvent = mt.random_rational_resolvent(rng, dim=dim, n_poles=3)
+                forcing = mt.ForcingSpec(k=k, payload=rng.standard_normal(dim)
+                                         + 1j * rng.standard_normal(dim))
+                for nu in (0.3, 2.3):
+                    for tol in (1e-6, 1e-8):
+                        want, envelopes = self.by_level(resolvent, forcing, nu, times, tol)
+                        got = mt.choose_sigma_max(resolvent, forcing, None, nu, times, tol)
+                        assert type(got) is float and got == want
+                        sigmas = 50.0 * 2.0 ** np.arange(len(envelopes))
+                        batch = mt._envelope(resolvent, forcing, None, nu, sigmas)
+                        assert np.array_equal(batch, np.array(envelopes))
+                        chosen.add(got)
+        # the cap, the start and the levels between are all reached
+        assert {50.0, 100.0, mt.SIGMA_MAX_CAP} <= chosen
 
 
 class TestBandSubtract:
