@@ -110,35 +110,14 @@ def _quotients(y: SampledSignal, setup: ObservationSetup) -> list:
             for n, d in zip(num, den)]
 
 
-def rayleigh_quotient(y: SampledSignal, setup: ObservationSetup):
-    """Shift Rayleigh quotient <S_delta y, y>_w / <y, y>_w, one per row of y
-    (a complex for a 1-d y)."""
-    z = _quotients(y, setup)
-    if None in z:
-        raise DegenerateSignalError("zero weighted energy: Rayleigh quotient undefined")
-    return z[0] if y.values.ndim == 1 else np.array(z)
-
-
-def _residual_norms(y0: SampledSignal, r: SampledSignal,
+def _residual_norms(y: SampledSignal, y0: SampledSignal,
                     setup: ObservationSetup) -> tuple:
-    """||y0||_w, ||r||_w and ||S_delta r||_w, each one per row."""
-    return (wnorm(y0, setup), wnorm(r, setup),
-            wnorm(shift(r, setup.delta), setup))
-
-
-def residual_sizes(y0: SampledSignal, r: SampledSignal,
-                   setup: ObservationSetup) -> dict:
-    """Relative residual sizes eps0 = ||r||_w/||y0||_w, eps1 with r shifted.
-
-    y0 is the sampled reference pure-exponential content; r is the residual
-    signal on the same grid.  For (B, N) rows each size is a (B,) array.
-    """
-    n0, nr, nr1 = _residual_norms(y0, r, setup)
-    if np.any(np.asarray(n0) <= 0.0):
-        raise DegenerateSignalError("reference mode has zero weighted energy")
-    eps0, eps1 = nr / n0, nr1 / n0
-    eps = np.maximum(eps0, eps1) if np.ndim(eps0) else max(eps0, eps1)
-    return {"eps0": eps0, "eps1": eps1, "eps": eps}
+    """||y0||_w, ||y - y0||_w and ||S_delta (y - y0)||_w, each one per row.
+    The residual y - y0 is formed run by run inside the norms (at y's node
+    indices, y0's samples aligned with y's), never as a whole array."""
+    delta = setup.delta
+    return (wnorm(y0, setup), wnorm(y, setup, minus=y0),
+            wnorm(shift(y, delta), setup, minus=shift(y0, delta)))
 
 
 def stability_bound(eps0, eps1):
@@ -277,8 +256,7 @@ def _extract_rows(y: SampledSignal, cfg: ExtractionConfig,
                   if exc is None and below else exc for exc, below in zip(errors, low.tolist())]
     if y0 is None:
         y0 = SampledSignal(t_start=setup.t0, dt=setup.dt, values=mode_rows(modes, setup.grid()))
-    r = SampledSignal(t_start=y.t_start, dt=y.dt, values=y.values - y0.values)
-    n0, nr, nr1 = _residual_norms(y0, r, setup)
+    n0, nr, nr1 = _residual_norms(y, y0, setup)
     empty = n0 <= 0.0
     errors = [DegenerateSignalError("reference mode has zero weighted energy")
               if exc is None and no_energy else exc
@@ -335,21 +313,3 @@ def epsilon_budget(amp, freq, tail: TailSpec, noise_l2, setup: ObservationSetup)
     if errors[0] is not None:
         raise errors[0]
     return {k: float(v[0]) for k, v in out.items()}
-
-
-def disk_check(omega_hat: complex, prior: complex, c_sep: float,
-               eps: Optional[float] = None, delta: Optional[float] = None,
-               z_abs: Optional[float] = None) -> dict:
-    """Membership of omega_hat in the labeled disk of radius c_sep/2 at the prior.
-
-    When eps (with delta and |z|) is supplied, also evaluates the sufficient
-    residual condition eps <= (c_sep/40) * delta * |z| that guarantees disk
-    membership whenever the true pole sits within c_sep/4 of the prior.
-    """
-    in_disk = bool(abs(omega_hat - prior) <= 0.5 * c_sep)
-    out = {"in_disk": in_disk}
-    if eps is not None:
-        if delta is None or z_abs is None:
-            raise ConfigError("sufficient condition needs delta and |z|")
-        out["eps_sufficient"] = bool(eps <= (c_sep / 40.0) * delta * z_abs)
-    return out

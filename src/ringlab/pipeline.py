@@ -334,9 +334,12 @@ def _failed(report: RunReport, row: dict, prefix: str, exc: RinglabError):
 #: the most samples (rows times grid nodes) one batch of sweep points holds.
 #: Beyond it the per-call overhead is already amortised, and a larger batch
 #: only adds memory: four rows of a 20 001-node grid would add about 10 MiB
-#: to the peak RSS.  Across batches the carry (:class:`_Carry`) adds one
-#: padded grid, one tail, one LCG stream and the last row of each term and
-#: sign that a whole batch shared: about 1 MiB on a 20 001-node grid.
+#: to the peak RSS.  A batch holds its scene rows and reference rows whole;
+#: its extraction adds only run buffers of at most 8 192 terms per row
+#: (signal_model._DOT_RUN), whatever the grid's length.  Across batches the
+#: carry (:class:`_Carry`) adds one padded grid, one tail, one LCG stream and
+#: the last row of each term and sign that a whole batch shared: about 1 MiB
+#: on a 20 001-node grid.
 _BATCH_SAMPLES = 2**15
 
 

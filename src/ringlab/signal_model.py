@@ -14,8 +14,12 @@ quadrature vector q.  Each ObservationSetup computes its grid, its taper
 weights and q once, on first use, and every inner product on that setup
 reuses them.  A SampledSignal may hold B signals on one grid as the rows of
 a (B, N) array; the inner products and norms then reduce along the last
-axis, one BLAS dot per row, each row's value bit for bit the one it gives
-alone.  The raised-cosine weight has zero slope at its grid-node
+axis, each row's value bit for bit the one it gives alone.  A row's sum is
+one BLAS dot per run of at most _DOT_RUN terms, the runs added in order,
+and the elementwise factors of a dot (q conj(g), q |f|^2, the difference of
+a residual norm) are formed one run at a time, so a long grid makes no
+temporary of its own length.  Synthesis works in its output array.  The
+raised-cosine weight has zero slope at its grid-node
 breakpoints, so the sums meet the continuum integral at order dt^4
 (Trefethen & Weideman, SIAM Rev. 56, 2014); the tests hold the closed-form
 integral as the oracle.
@@ -74,10 +78,15 @@ class TailSpec:
 
     def eval(self, t):
         t = np.asarray(t, dtype=float)
-        env = self.c_tail * np.exp(-self.nu * t)
+        env = np.multiply(-self.nu, t, out=np.empty(t.shape))  # in place from here on
+        np.exp(env, out=env)
+        env *= self.c_tail
         if self.m:
-            env = env * (1.0 + t) ** (-self.m)
-        return env + self.leak
+            decay = np.add(1.0, t)
+            decay **= -self.m
+            env *= decay
+        env += self.leak
+        return env[()]  # a scalar for a 0-d t
 
     @property
     def is_zero(self) -> bool:
@@ -145,18 +154,27 @@ class NoiseSpec:
             k = min(m, n - m)
             x[m:m + k] = np.uint64(a_m) * x[:k] + np.uint64(c_m)
             a_m, c_m, m = (a_m * a_m) & _LCG_MASK, (a_m * c_m + c_m) & _LCG_MASK, 2 * m
-        return (2.0 * (x / 2.0**64) - 1.0)[idx]
+        unit = np.divide(x, 2.0**64)
+        unit *= 2.0
+        unit -= 1.0
+        return unit[idx]
 
     def eval(self, t, lcg_unit: Optional[np.ndarray] = None):
         """eta(t); ``lcg_unit``, if given, is :meth:`lcg_unit` of t."""
         t = np.asarray(t, dtype=float)
+        if self.lcg_seed is not None:  # 0.0 + amplitude x stream, in one array
+            val = np.multiply(self.lcg_amplitude,
+                              self.lcg_unit(t) if lcg_unit is None else lcg_unit)
+            val += 0.0  # the sum's start: a -0.0 reads 0.0
+            return val
         val = np.zeros(t.shape, dtype=float)
-        for c, mu, phi in self.harmonics:
-            val = val + c * np.cos(mu * t + phi)
-        if self.lcg_seed is not None:
-            if lcg_unit is None:
-                lcg_unit = self.lcg_unit(t)
-            val = val + self.lcg_amplitude * lcg_unit
+        term = np.empty(t.shape, dtype=float)
+        for c, mu, phi in self.harmonics:  # val + c cos(mu t + phi), term by term
+            np.multiply(mu, t, out=term)
+            term += phi
+            np.cos(term, out=term)
+            term *= c
+            val += term
         return val
 
 
@@ -309,11 +327,11 @@ def eval_scene(modes: Sequence[Mode], tail: TailSpec, noise: NoiseSpec, t):
         raise ConfigError("scenes are defined for t >= 0")
     val = np.zeros(t.shape, dtype=complex)
     for row in mode_rows(modes, t):
-        val = val + row
+        val += row
     if not tail.is_zero:
-        val = val + tail.eval(t)
+        val += tail.eval(t)
     if not noise.is_zero:
-        val = val + noise.eval(t)
+        val += noise.eval(t)
     return val if val.shape else complex(val)
 
 
@@ -354,14 +372,14 @@ def weight_eval(setup: ObservationSetup, t):
     return w if w.shape else float(w)
 
 
-def _slice_to_range(f: SampledSignal, t_lo: float, npts: int) -> np.ndarray:
-    """npts samples per row of f from the grid node at t_lo on (must be covered)."""
+def _nodes(f: SampledSignal, t_lo: float, npts: int) -> slice:
+    """The npts grid nodes of f from the node at t_lo on (must be covered)."""
     k0 = (t_lo - f.t_start) / f.dt
     k0i = int(round(k0))
     if (abs(k0 - k0i) > _GRID_RTOL * max(1.0, abs(k0))
             or k0i < 0 or k0i + npts > len(f)):
         raise ConfigError("grid does not cover the requested range on-node")
-    return f.values[..., k0i:k0i + npts]
+    return slice(k0i, k0i + npts)
 
 
 def _per_row(val: np.ndarray, scalar):
@@ -376,21 +394,30 @@ def _float_pairs(vals: np.ndarray) -> np.ndarray:
     return vals.view(float)
 
 
-def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """sum_k a[..., k] b[..., k], one per row: a stacked (1, n) @ (n, 1)
     matmul, which makes one BLAS dot call per row (a (B, n) @ (n,) gemv would
-    round by B), in runs of at most _DOT_RUN terms added in order.  So every
-    row's sum is the one it gives alone, whatever its batch or BLAS's thread
-    count."""
-    a, b = a[..., None, :], b[..., :, None]
-    total = a[..., :_DOT_RUN] @ b[..., :_DOT_RUN, :]
-    for k in range(_DOT_RUN, a.shape[-1], _DOT_RUN):
-        total = total + a[..., k:k + _DOT_RUN] @ b[..., k:k + _DOT_RUN, :]
-    return total[..., 0, 0]
+    round by B)."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _run_sum(dot, n: int):
+    """``dot(lo, hi)`` summed over the runs [lo, hi) of at most _DOT_RUN
+    terms that cover range(n), added in order.  So a row's sum is the one it
+    gives alone, whatever its batch or BLAS's thread count."""
+    total = dot(0, min(n, _DOT_RUN))
+    for lo in range(_DOT_RUN, n, _DOT_RUN):
+        total = total + dot(lo, min(lo + _DOT_RUN, n))
+    return total
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_k a[..., k] b[..., k], one per row, in runs (:func:`_run_sum`)."""
+    return _run_sum(lambda lo, hi: _dot(a[..., lo:hi], b[..., lo:hi]), a.shape[-1])
 
 
 def weighted_inner(f: SampledSignal, g: SampledSignal,
-                   setup: ObservationSetup):
+                   setup: ObservationSetup, minus: Optional[SampledSignal] = None):
     """Weighted inner product <f, g>_w = sum_k q_k f_k conj(g_k) with the
     setup's quadrature vector q (:attr:`ObservationSetup.quadrature`): the
     composite trapezoid of w f conj(g) over [t0, t0+T-delta], over the
@@ -399,25 +426,55 @@ def weighted_inner(f: SampledSignal, g: SampledSignal,
     f and g must sit on the setup's grid nodes.  Either may hold (B, N) rows:
     the sum runs along the last axis and gives one complex per row, a
     complex for two 1-d signals.  Every row's sum is the one its signal
-    alone would give, bit for bit.  Each row is one dot: f against q conj(g),
-    which is the only temporary; for ``f is g`` (a norm), the real
-    sum_k q_k |f_k|^2, whose imaginary part is exactly 0.
+    alone would give, bit for bit.  It is one dot per run of _DOT_RUN terms:
+    f against q conj(g), or for ``f is g`` (a norm) the real
+    sum_k q_k |f_k|^2, whose imaginary part is exactly 0.  The factor
+    q conj(g), or |f|^2 as (re, im) squares, is formed one run at a time in
+    one run-sized buffer, the call's only temporary.
+
+    ``minus``, for a norm only, makes it <f - minus, f - minus>_w: minus's
+    samples at f's node indices are subtracted run by run, bit for bit the
+    norm of the formed difference ``f.values - minus.values``.
     """
     if abs(f.dt - g.dt) > _GRID_RTOL * f.dt:
         raise ConfigError("signals must share the sampling step")
+    if minus is not None and f is not g:
+        raise ConfigError("a subtrahend is taken by a norm only (f is g)")
     pairs, t_lo = setup._quadrature_pairs, setup._quadrature_t0
-    f_vals = _slice_to_range(f, t_lo, len(pairs) // 2)
+    n = len(pairs)
+    nodes = _nodes(f, t_lo, n // 2)
     if f is g:  # sum_k q_k (re_k^2 + im_k^2): real and nonnegative
-        x = _float_pairs(f_vals)
-        return _per_row(_row_dots(np.multiply(x, x), pairs) + 0j, complex)
-    q_conj_g = np.multiply(_float_pairs(_slice_to_range(g, t_lo, len(pairs) // 2)), pairs)
-    np.negative(q_conj_g[..., 1::2], out=q_conj_g[..., 1::2])
-    return _per_row(_row_dots(f_vals, q_conj_g.view(complex)), complex)
+        x = _float_pairs(f.values[..., nodes])
+        m = None if minus is None else _float_pairs(minus.values[..., nodes])
+        buf = np.empty(x.shape[:-1] + (min(n, _DOT_RUN),))
+
+        def squares(lo, hi):
+            run, x_run = buf[..., :hi - lo], x[..., lo:hi]
+            if m is None:
+                np.multiply(x_run, x_run, out=run)
+            else:
+                np.subtract(x_run, m[..., lo:hi], out=run)
+                np.multiply(run, run, out=run)
+            return _dot(run, pairs[lo:hi])
+        return _per_row(_run_sum(squares, n) + 0j, complex)
+    f_vals = f.values[..., nodes]
+    g_pairs = _float_pairs(g.values[..., _nodes(g, t_lo, n // 2)])
+    buf = np.empty(g_pairs.shape[:-1] + (min(n // 2, _DOT_RUN),), dtype=complex)
+
+    def against_q_conj_g(lo, hi):
+        run = buf[..., :hi - lo]
+        q_conj_g = run.view(float)
+        np.multiply(g_pairs[..., 2 * lo:2 * hi], pairs[2 * lo:2 * hi], out=q_conj_g)
+        np.negative(q_conj_g[..., 1::2], out=q_conj_g[..., 1::2])
+        return _dot(f_vals[..., lo:hi], run)
+    return _per_row(_run_sum(against_q_conj_g, n // 2), complex)
 
 
-def wnorm(f: SampledSignal, setup: ObservationSetup):
-    """Weighted norm ||f||_w, one per row of f."""
-    return _per_row(np.sqrt(np.asarray(weighted_inner(f, f, setup)).real), float)
+def wnorm(f: SampledSignal, setup: ObservationSetup,
+          minus: Optional[SampledSignal] = None):
+    """Weighted norm ||f||_w, one per row of f; ||f - minus||_w with
+    ``minus`` (:func:`weighted_inner`)."""
+    return _per_row(np.sqrt(np.asarray(weighted_inner(f, f, setup, minus)).real), float)
 
 
 def shift(f: SampledSignal, delta: float) -> SampledSignal:
@@ -435,14 +492,19 @@ def shift(f: SampledSignal, delta: float) -> SampledSignal:
 def mode_rows(modes: Sequence[Mode], t) -> np.ndarray:
     """The one evaluator of damped exponentials (Mode.eval and eval_scene call
     it): the (B, *t.shape) array whose row b is modes[b] at t, from one
-    exponential over the whole batch.  Its operations keep the committed
-    report digests: -1j * freq in Python complex arithmetic, the amplitude
-    multiplied last, and 0.0j added, so a -0.0 part reads 0.0."""
+    exponential over the whole batch, computed in its output array.  Its
+    operations keep the committed report digests: -1j * freq in Python
+    complex arithmetic, the amplitude multiplied last, and 0.0j added, so a
+    -0.0 part reads 0.0."""
     t = np.asarray(t, dtype=float)
     shape = (len(modes),) + (1,) * t.ndim
     phase = np.array([-1j * m.freq for m in modes], dtype=complex).reshape(shape)
     amps = np.array([m.amp for m in modes], dtype=complex).reshape(shape)
-    return 0.0j + np.multiply(amps, np.exp(np.multiply(phase, t)))
+    out = np.multiply(phase, t)  # every later step works in this one array
+    np.exp(out, out=out)
+    np.multiply(amps, out, out=out)
+    out += 0.0j
+    return out
 
 
 def mode_energy_lower_bound(amp, freq, setup: ObservationSetup):
@@ -482,7 +544,7 @@ def residual_l2(r: SampledSignal, setup: ObservationSetup):
     Dominates both ||r||_w and ||S_delta r||_w since 0 <= w <= 1 and the
     shifted domain stays inside the window.
     """
-    x = _float_pairs(_slice_to_range(r, setup.t0, setup.n_samples + 1))
+    x = _float_pairs(r.values[..., _nodes(r, setup.t0, setup.n_samples + 1)])
     inner, ends = x[..., 2:-2], x[..., [0, 1, -2, -1]]
     total = _row_dots(inner, inner) + 0.5 * _row_dots(ends, ends)
     return _per_row(np.sqrt(setup.dt * total), float)

@@ -16,8 +16,9 @@ from typing import Sequence
 import numpy as np
 import pytest
 
+from ringlab import extractor as ex
 from ringlab import signal_model as sm
-from ringlab.errors import ConfigError
+from ringlab.errors import ConfigError, DegenerateSignalError
 
 
 def _exp_integral(s: complex, a: float, b: float) -> complex:
@@ -133,6 +134,50 @@ def rayleigh_exact(mode: sm.Mode, residual_modes: list,
     num = weighted_inner_exact(shifted(y, setup.delta), y, setup)
     den = weighted_inner_exact(y, y, setup)
     return num / den
+
+
+def rayleigh_quotient(y: sm.SampledSignal, setup: sm.ObservationSetup):
+    """Shift Rayleigh quotient <S_delta y, y>_w / <y, y>_w on the grid, one
+    per row of y (a complex for a 1-d y): extract's quotients, a row without
+    weighted energy an error."""
+    z = ex._quotients(y, setup)
+    if None in z:
+        raise DegenerateSignalError("zero weighted energy: Rayleigh quotient undefined")
+    return z[0] if y.values.ndim == 1 else np.array(z)
+
+
+def residual_sizes(y0: sm.SampledSignal, r: sm.SampledSignal,
+                   setup: sm.ObservationSetup) -> dict:
+    """Relative residual sizes eps0 = ||r||_w/||y0||_w, eps1 with r shifted.
+
+    y0 is the sampled reference pure-exponential content; r is the residual
+    signal on the same grid, formed whole (extract forms it run by run).
+    For (B, N) rows each size is a (B,) array.
+    """
+    n0 = sm.wnorm(y0, setup)
+    nr, nr1 = sm.wnorm(r, setup), sm.wnorm(sm.shift(r, setup.delta), setup)
+    if np.any(np.asarray(n0) <= 0.0):
+        raise DegenerateSignalError("reference mode has zero weighted energy")
+    eps0, eps1 = nr / n0, nr1 / n0
+    eps = np.maximum(eps0, eps1) if np.ndim(eps0) else max(eps0, eps1)
+    return {"eps0": eps0, "eps1": eps1, "eps": eps}
+
+
+def disk_check(omega_hat: complex, prior: complex, c_sep: float,
+               eps=None, delta=None, z_abs=None) -> dict:
+    """Membership of omega_hat in the labeled disk of radius c_sep/2 at the prior.
+
+    When eps (with delta and |z|) is supplied, also evaluates the sufficient
+    residual condition eps <= (c_sep/40) * delta * |z| that guarantees disk
+    membership whenever the true pole sits within c_sep/4 of the prior.
+    """
+    in_disk = bool(abs(omega_hat - prior) <= 0.5 * c_sep)
+    out = {"in_disk": in_disk}
+    if eps is not None:
+        if delta is None or z_abs is None:
+            raise ConfigError("sufficient condition needs delta and |z|")
+        out["eps_sufficient"] = bool(eps <= (c_sep / 40.0) * delta * z_abs)
+    return out
 
 
 def fit_decay_order(sigma: np.ndarray, vals: np.ndarray, n_bins: int = 10) -> float:

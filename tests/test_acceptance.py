@@ -9,8 +9,8 @@ import time
 import numpy as np
 import pytest
 from conftest import (fit_decay_order, make_setup, random_mode,
-                      random_residual_modes, rayleigh_exact, scaled_scene,
-                      weighted_inner_exact)
+                      random_residual_modes, rayleigh_exact, rayleigh_quotient,
+                      residual_sizes, scaled_scene, weighted_inner_exact)
 
 from ringlab import analytic_window as aw
 from ringlab import extractor as ex
@@ -97,7 +97,7 @@ def test_criterion_03_pure_mode_exactness():
         y = sm.sample_scene([mode], sm.ZERO_TAIL, sm.ZERO_NOISE, setup)
         z = np.exp(-1j * mode.freq * setup.delta)
         worst_closed = max(worst_closed, abs(rayleigh_exact(mode, [], setup) - z))
-        worst_trap = max(worst_trap, abs(ex.rayleigh_quotient(y, setup) - z))
+        worst_trap = max(worst_trap, abs(rayleigh_quotient(y, setup) - z))
     # The shift acts exactly on the grid, so the trapezoid-path quotient is
     # exact on pure modes too (<= C dt^2 trivially).  The dt^2 convergence
     # of the trapezoid path is measured on its underlying quadrature: the
@@ -387,7 +387,7 @@ def test_criterion_12_tail_start_time_law():
             setup = sm.ObservationSetup(t0=float(t0), t_len=10.0, delta=1.0,
                                         dt=0.01)
             r = sm.sample_scene([], tail, sm.ZERO_NOISE, setup)
-            sizes = ex.residual_sizes(
+            sizes = residual_sizes(
                 sm.sample_scene([sm.Mode(freq=mode_freq, amp=1.0)], sm.ZERO_TAIL,
                                 sm.ZERO_NOISE, setup), r, setup)
             eps_vals.append(sizes["eps"])

@@ -1,8 +1,12 @@
+import resource
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from conftest import rayleigh_exact, scaled_scene, weighted_inner_exact
+from conftest import (disk_check, rayleigh_exact, rayleigh_quotient, residual_sizes,
+                      scaled_scene, weighted_inner_exact)
 
 from ringlab import extractor as ex
 from ringlab import signal_model as sm
@@ -31,7 +35,7 @@ class TestRayleighQuotient:
         setup = std_setup()
         y = sm.sample_scene([sm.Mode(freq=0.0, amp=1.0)], sm.ZERO_TAIL,
                             sm.ZERO_NOISE, setup)
-        assert abs(ex.rayleigh_quotient(y, setup) - 1.0) < 1e-14
+        assert abs(rayleigh_quotient(y, setup) - 1.0) < 1e-14
 
     def test_trapezoid_pure_mode_exact_on_grid(self):
         # the shift eigenrelation is exact on the grid, so even the
@@ -41,7 +45,7 @@ class TestRayleighQuotient:
         y = sm.sample_scene([sm.Mode(freq=omega, amp=0.7)], sm.ZERO_TAIL,
                             sm.ZERO_NOISE, setup)
         z = np.exp(-1j * omega * setup.delta)
-        got = ex.rayleigh_quotient(y, setup)
+        got = rayleigh_quotient(y, setup)
         assert abs(got - z) < 1e-13
 
     def test_tail_scene_within_crude_bound(self):
@@ -50,16 +54,16 @@ class TestRayleighQuotient:
         tail = sm.TailSpec(c_tail=0.05, nu=0.5)
         y = sm.sample_scene([mode], tail, sm.ZERO_NOISE, setup)
         r = sm.sample_scene([], tail, sm.ZERO_NOISE, setup)
-        sizes = ex.residual_sizes(sampled([mode], setup), r, setup)
+        sizes = residual_sizes(sampled([mode], setup), r, setup)
         z = np.exp(-1j * mode.freq * setup.delta)
-        z_hat = ex.rayleigh_quotient(y, setup)
+        z_hat = rayleigh_quotient(y, setup)
         assert abs(z_hat - z) <= 3.0 * sizes["eps"]
 
     def test_zero_signal_rejected(self):
         setup = std_setup()
         y = sm.sample_scene([], sm.ZERO_TAIL, sm.ZERO_NOISE, setup)
         with pytest.raises(DegenerateSignalError):
-            ex.rayleigh_quotient(y, setup)
+            rayleigh_quotient(y, setup)
 
 
 class TestResidualSizes:
@@ -67,14 +71,14 @@ class TestResidualSizes:
         setup = std_setup()
         r = sm.sample_scene([], sm.ZERO_TAIL, sm.ZERO_NOISE, setup)
         y0 = sampled([sm.Mode(freq=1 - 0.1j, amp=1.0)], setup)
-        sizes = ex.residual_sizes(y0, r, setup)
+        sizes = residual_sizes(y0, r, setup)
         assert sizes == {"eps0": 0.0, "eps1": 0.0, "eps": 0.0}
 
     def test_residual_equal_to_reference(self):
         setup = std_setup()
         mode = sm.Mode(freq=1 - 0.1j, amp=1.0)
         r = sm.sample_scene([mode], sm.ZERO_TAIL, sm.ZERO_NOISE, setup)
-        sizes = ex.residual_sizes(sampled([mode], setup), r, setup)
+        sizes = residual_sizes(sampled([mode], setup), r, setup)
         assert abs(sizes["eps0"] - 1.0) < 1e-12
 
     def test_eps1_below_l2_over_energy(self):
@@ -83,7 +87,7 @@ class TestResidualSizes:
         tail = sm.TailSpec(c_tail=0.05, nu=0.5)
         r = sm.sample_scene([], tail, sm.ZERO_NOISE, setup)
         y0 = sampled([mode], setup)
-        sizes = ex.residual_sizes(y0, r, setup)
+        sizes = residual_sizes(y0, r, setup)
         bound = sm.residual_l2(r, setup) / sm.wnorm(y0, setup)
         assert sizes["eps1"] <= bound * (1 + 1e-12)
 
@@ -91,7 +95,7 @@ class TestResidualSizes:
         setup = std_setup()
         r = sm.sample_scene([], sm.ZERO_TAIL, sm.ZERO_NOISE, setup)
         with pytest.raises(DegenerateSignalError):
-            ex.residual_sizes(sampled([sm.Mode(freq=1.0, amp=0.0)], setup), r, setup)
+            residual_sizes(sampled([sm.Mode(freq=1.0, amp=0.0)], setup), r, setup)
 
 
 class TestStabilityBound:
@@ -281,6 +285,36 @@ class TestExtract:
             ex.extract(y, cfg, y0_reference=modes[:1])
 
 
+class TestTransientMemory:
+    def test_long_grid_extract_holds_no_grid_temporary(self):
+        # a (1, 20 001) batch with its reference samples: one of its rows is
+        # 320 kB, and a full-grid product of its (re, im) pairs 313 kB.  The
+        # largest transient is one run buffer of 8 192 complex (128 KiB);
+        # the residual y - y0 is never formed whole
+        setup = sm.ObservationSetup(t0=4.0, t_len=10.0, delta=1.0, dt=10.0 / 20000)
+        t = setup.grid()
+        mode = sm.Mode(freq=1.6 - 0.2j, amp=1.0)
+        y0 = sm.SampledSignal(setup.t0, setup.dt, sm.mode_rows([mode], t))
+        noise = sm.NoiseSpec(lcg_seed=5, lcg_amplitude=1e-3, lcg_dt=setup.dt).eval(t)
+        y = sm.SampledSignal(setup.t0, setup.dt, y0.values + noise)
+        cfg = ex.ExtractionConfig(setup=setup, prior=mode.freq)
+        ex.extract(y, cfg, [mode], y0)  # the setup's quadrature, computed once
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        ex.extract(y, cfg, [mode], y0)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            res = ex.extract(y, cfg, [mode], y0)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # the fault count depends on the allocator and the OS: reported only
+        print(f"extract of (1, 20001): peak {peak} B above its inputs, {faults} minor faults")
+        assert res.errors == [None] and 0.0 < res.eps0[0] < 1e-2
+        assert peak < 160 * 1024
+
+
 class TestEpsilonBudget:
     def test_zero_tail_and_noise(self):
         b = ex.epsilon_budget(1.0, 1 - 0.1j, sm.ZERO_TAIL, 0.0, std_setup())
@@ -316,7 +350,7 @@ class TestEpsilonBudget:
                                nu=rng.uniform(0.3, 1.0), m=int(rng.integers(0, 3)))
             setup = std_setup(t0=float(rng.uniform(1, 4)))
             r = sm.sample_scene([], tail, sm.ZERO_NOISE, setup)
-            sizes = ex.residual_sizes(sampled([mode], setup), r, setup)
+            sizes = residual_sizes(sampled([mode], setup), r, setup)
             b = ex.epsilon_budget(mode.amp, mode.freq, tail, 0.0, setup)
             assert sizes["eps"] <= b["eps_bound"]
 
@@ -327,10 +361,10 @@ class TestEpsilonBudget:
 
 class TestDiskCheck:
     def test_prior_itself(self):
-        assert ex.disk_check(1.0 - 0.1j, 1.0 - 0.1j, 0.2)["in_disk"]
+        assert disk_check(1.0 - 0.1j, 1.0 - 0.1j, 0.2)["in_disk"]
 
     def test_boundary_exceeded(self):
-        assert not ex.disk_check(1.2, 1.0, 0.2)["in_disk"]
+        assert not disk_check(1.2, 1.0, 0.2)["in_disk"]
 
     def test_sufficient_condition_scenario(self):
         # eps exactly at the sufficient level, true pole within c_sep/4 of
@@ -344,13 +378,13 @@ class TestDiskCheck:
         eps_level = (c_sep / 40.0) * setup.delta * z_abs
         tail = sm.TailSpec(c_tail=0.05, nu=0.5)
         r = sm.sample_scene([], tail, sm.ZERO_NOISE, setup)
-        sizes = ex.residual_sizes(sampled([mode], setup), r, setup)
+        sizes = residual_sizes(sampled([mode], setup), r, setup)
         scale = eps_level / sizes["eps"]
         tail = sm.TailSpec(c_tail=0.05 * scale, nu=0.5)
         y = sm.sample_scene([mode], tail, sm.ZERO_NOISE, setup)
         cfg = ex.ExtractionConfig(setup=setup, prior=prior)
         res = ex.extract(y, cfg, y0_reference=[mode])
-        out = ex.disk_check(res.omega_hat, prior, c_sep, eps=res.eps,
+        out = disk_check(res.omega_hat, prior, c_sep, eps=res.eps,
                             delta=setup.delta, z_abs=z_abs)
         assert out["eps_sufficient"]
         assert out["in_disk"]

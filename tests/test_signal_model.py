@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -395,6 +396,168 @@ class TestQuadrature:
             assert proc.returncode == 0, proc.stderr
             outs.append(proc.stdout)
         assert outs[0] == outs[1]
+
+
+def traced_peak(fn):
+    """fn()'s result and the peak of the memory it held under tracemalloc,
+    above what was held when it started."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestSynthesisInPlace:
+    """mode_rows, the tail and the noise work in their output array.  Their
+    bits are those of the out-of-place formulas they replaced, which this
+    class keeps as the oracle.  Beside the output a call may hold numpy's own
+    iteration buffer, at most 8 192 elements of 16 bytes (it casts t to
+    complex there), never an array of the grid's length."""
+
+    t = np.linspace(0.0, 12.0, 20_001)
+
+    def test_mode_rows(self):
+        modes = [sm.Mode(1.3 - 0.2j, 0.7 + 0.2j), sm.Mode(-0.4 - 0.05j, -1.0),
+                 sm.Mode(0.0, 0.0), sm.Mode(2.0 - 0.0j, 1e-300j)]
+        phase = np.array([-1j * m.freq for m in modes]).reshape(-1, 1)
+        amps = np.array([m.amp for m in modes], dtype=complex).reshape(-1, 1)
+        want = 0.0j + np.multiply(amps, np.exp(np.multiply(phase, self.t)))
+        got, peak = traced_peak(lambda: sm.mode_rows(modes, self.t))
+        assert got.tobytes() == want.tobytes()
+        assert peak < got.nbytes + 8192 * 16 + 4096
+        assert sm.mode_rows(modes, 0.5).tobytes() == (0.0j + amps[:, 0] * np.exp(phase[:, 0] * 0.5)).tobytes()
+
+    def test_tail(self):
+        for tail in (sm.TailSpec(c_tail=1.0, nu=0.5, m=2, leak=1e-3), sm.TailSpec(c_tail=0.3, nu=2.0),
+                     sm.TailSpec(c_tail=2.0, nu=0.1, m=1)):
+            env = tail.c_tail * np.exp(-tail.nu * self.t)
+            if tail.m:
+                env = env * (1.0 + self.t) ** (-tail.m)
+            got, peak = traced_peak(lambda: tail.eval(self.t))
+            assert got.tobytes() == (env + tail.leak).tobytes()
+            assert peak < 2 * got.nbytes + 4096  # the output and (1 + t)^-m
+            assert type(tail.eval(4.0)) is np.float64  # a scalar for a scalar t, as before
+            assert tail.eval(4.0) == tail.eval(np.array([4.0]))[0]
+
+    @pytest.mark.parametrize("spec", [
+        sm.NoiseSpec(lcg_seed=9, lcg_amplitude=1e-3, lcg_dt=12.0 / 20_000),
+        sm.NoiseSpec(lcg_seed=9, lcg_amplitude=-0.5, lcg_dt=12.0 / 20_000),
+        sm.NoiseSpec(harmonics=((0.2, 1.5, 0.3), (-0.01, 40.0, 2.0)))])
+    def test_noise(self, spec):
+        want = np.zeros(self.t.shape)
+        for c, mu, phi in spec.harmonics:
+            want = want + c * np.cos(mu * self.t + phi)
+        unit = None
+        if spec.lcg_seed is not None:
+            unit = spec.lcg_unit(self.t)
+            want = want + spec.lcg_amplitude * unit
+        got, peak = traced_peak(lambda: spec.eval(self.t, unit))
+        assert got.tobytes() == want.tobytes()
+        assert peak < 2 * got.nbytes + 4096  # harmonics: the output and one term
+        if unit is not None:
+            assert spec.eval(self.t).tobytes() == want.tobytes()
+            _, peak = traced_peak(lambda: spec.eval(self.t, unit))
+            assert peak < got.nbytes + 4096  # a stream is scaled into the output
+
+
+def full_grid_inner(f, g, setup):
+    """weighted_inner as it was before its run blocking, kept as the oracle
+    of the blocked kernel: q conj(g), or for a norm the squares, formed over
+    the whole grid at once and summed in runs of 8 192 terms added in order."""
+    def row_dots(a, b):
+        a, b = a[..., None, :], b[..., :, None]
+        total = a[..., :8192] @ b[..., :8192, :]
+        for k in range(8192, a.shape[-1], 8192):
+            total = total + a[..., k:k + 8192] @ b[..., k:k + 8192, :]
+        return total[..., 0, 0]
+
+    pairs = setup._quadrature_pairs
+    nodes = slice(int(round((setup._quadrature_t0 - f.t_start) / f.dt)), None)
+    f_vals = f.values[..., nodes][..., :len(pairs) // 2]
+    if f is g:
+        x = np.ascontiguousarray(f_vals).view(float)
+        out = row_dots(np.multiply(x, x), pairs) + 0j
+    else:
+        g_vals = g.values[..., nodes][..., :len(pairs) // 2]
+        q_conj_g = np.multiply(np.ascontiguousarray(g_vals).view(float), pairs)
+        np.negative(q_conj_g[..., 1::2], out=q_conj_g[..., 1::2])
+        out = row_dots(f_vals, q_conj_g.view(complex))
+    return complex(out) if out.ndim == 0 else out
+
+
+def same_bits(got, want):
+    """Equal values of the same kind (a scalar or an array), bit for bit."""
+    assert np.ndim(got) == np.ndim(want) and type(got) is type(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+class TestRunBlocking:
+    """weighted_inner forms its factors one _DOT_RUN run at a time; every sum
+    keeps the bits of the full-grid products it replaced.  A norm sums
+    2 x nodes floats in runs of 8 192 floats (4 096 nodes) and a cross
+    product nodes complex terms in runs of 8 192, so the node counts put a
+    run boundary just before, at and just after each kind of run."""
+
+    @staticmethod
+    def setup_with(nodes, taper):
+        # dt = 2**-7 and delta = 64 steps are exact in binary
+        dt, steps = 2.0**-7, 64
+        length = nodes - 1 + (3 * steps if taper == "rectangular" else steps)
+        setup = sm.ObservationSetup(t0=1.0, t_len=length * dt, delta=steps * dt,
+                                    dt=dt, taper=taper)
+        assert len(setup.quadrature) == nodes
+        return setup
+
+    @staticmethod
+    def signals(setup, n_rows, seed):
+        rng = np.random.default_rng(seed)
+        n = setup.n_samples + 1
+        shape = (n_rows, n) if n_rows else (n,)
+        vals = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) \
+            * np.exp(rng.uniform(-4, 4, shape)) + np.exp((0.7j - 0.05) * setup.grid())
+        ref = 0.9 * vals + 1e-3 * rng.standard_normal(shape)
+        return (sm.SampledSignal(setup.t0, setup.dt, v) for v in (vals, ref))
+
+    @pytest.mark.parametrize("taper", ["raised-cosine", "rectangular"])
+    @pytest.mark.parametrize("nodes", [4095, 4096, 4097, 8191, 8192, 8193, 16385])
+    @pytest.mark.parametrize("n_rows", [0, 1, 3])  # 0: one 1-d signal
+    def test_blocked_sums_equal_full_grid_ones(self, taper, nodes, n_rows):
+        setup = self.setup_with(nodes, taper)
+        f, g = self.signals(setup, n_rows, nodes + n_rows)
+        shifted = sm.shift(f, setup.delta)
+        for a, b in [(f, g), (shifted, f), (f, f), (shifted, shifted)]:
+            same_bits(sm.weighted_inner(a, b, setup), full_grid_inner(a, b, setup))
+
+    @pytest.mark.parametrize("taper", ["raised-cosine", "rectangular"])
+    @pytest.mark.parametrize("nodes", [4097, 8193, 16385])
+    @pytest.mark.parametrize("n_rows", [0, 1, 3])
+    def test_difference_norm_equals_norm_of_formed_difference(self, taper, nodes, n_rows):
+        # at offset 0 and at shift_steps: the norms extract takes of y - y0
+        setup = self.setup_with(nodes, taper)
+        y, y0 = self.signals(setup, n_rows, nodes)
+        r = sm.SampledSignal(y.t_start, y.dt, y.values - y0.values)
+        for k in (0, setup.shift_steps):
+            a, a0, ar = (sm.shift(s, k * setup.dt) for s in (y, y0, r))
+            same_bits(sm.weighted_inner(a, a, setup, minus=a0), full_grid_inner(ar, ar, setup))
+            same_bits(sm.wnorm(a, setup, minus=a0), sm.wnorm(ar, setup))
+
+    def test_empty_plateau(self):
+        setup = sm.ObservationSetup(t0=1.0, t_len=3.0, delta=1.0, dt=0.5, taper="rectangular")
+        f, g = (sm.SampledSignal(1.0, 0.5, v * np.ones((3, 7))) for v in (1.0 + 1.0j, 2.0))
+        assert len(setup.quadrature) == 0
+        for a, b, minus in [(f, g, None), (f, f, None), (f, f, g)]:
+            got = sm.weighted_inner(a, b, setup, minus=minus)
+            assert got.tolist() == [0.0, 0.0, 0.0]
+            same_bits(got, full_grid_inner(a, b, setup))
+
+    def test_subtrahend_needs_a_norm(self):
+        setup = std_setup()
+        f, g = self.signals(setup, 2, 0)
+        with pytest.raises(ConfigError):
+            sm.weighted_inner(f, g, setup, minus=g)
 
 
 class TestShift:
