@@ -1,7 +1,7 @@
 """Command line entry point: ``ringlab <subcommand> --config <path>``.
 
 Exit codes: 0 all certified inequalities hold, 1 at least one violation,
-2 configuration error.
+2 configuration error, or an output directory that cannot be written.
 """
 from __future__ import annotations
 
@@ -38,7 +38,11 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    paths = report.write(args.out)
+    try:
+        paths = report.write(args.out)
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 2
     print(f"wrote {paths['csv']} ({len(report.rows)} rows)")
     for violation in report.violations:
         print(f"VIOLATION: {violation}", file=sys.stderr)

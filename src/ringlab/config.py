@@ -112,6 +112,9 @@ _DISTINCT = (lambda v: 0 < len(v) == len(set(v)), "a nonempty list of distinct v
 #: the most samples a row may hold (the fd-padded grid, or the LCG stream from
 #: t = 0): five times ringbench's 200 001-sample scaling grid, whose stream holds 280 001
 _MAX_SAMPLES = 2**20
+#: the latest band-isolation time: at the widest radius (merotoy.SIGMA_MAX_CAP,
+#: 6 400) the first pass of a line has ceil(1 600 t) panels, at most 2**20
+_MAX_BAND_TIME = _MAX_SAMPLES / 1600.0
 #: the longest pseudospectrum grid side: its square grid holds at most _MAX_SAMPLES points
 _MAX_GRID_N = math.isqrt(_MAX_SAMPLES)
 #: the most window-check draws: each keeps one record, and 10^5 draws run in seconds
@@ -154,8 +157,8 @@ _LIMITS = {
     ("band_isolate", "dim"): _null_or_at_least(1, "band_isolate.dim"),
     ("band_isolate", "max_order"): (lambda v: v >= 1, "at least 1"),
     ("band_isolate", "seed"): _NONNEGATIVE, ("window_check", "seed"): _NONNEGATIVE,
-    ("band_isolate", "times"): (lambda v: len(v) > 0 and all(t > 0 for t in v),
-                                "a nonempty list of positive times"),
+    ("band_isolate", "times"): (lambda v: len(v) > 0 and all(0 < t <= _MAX_BAND_TIME for t in v),
+                                f"a nonempty list of times in (0, {_MAX_BAND_TIME}]"),
     # no mismatch can meet a bound <= 0
     ("band_isolate", "tol"): (lambda v: v > 0, "positive"),
     # the closed-form forcing transform is tested against mpmath for k <= 12

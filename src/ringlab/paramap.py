@@ -57,18 +57,6 @@ class ParameterPoint:
         if 9.0 * self.lam * self.m**2 >= 1.0:
             raise ConfigError("need 9*lam*M^2 < 1 (photon-sphere frequency real)")
 
-    def as_array(self, three_param: bool) -> np.ndarray:
-        if three_param:
-            return np.array([self.m, self.a, self.lam])
-        return np.array([self.m, self.a])
-
-    @staticmethod
-    def from_array(x: np.ndarray, lam_fixed: Optional[float] = None) -> "ParameterPoint":
-        if len(x) == 3:
-            return ParameterPoint(m=float(x[0]), a=float(x[1]), lam=float(x[2]))
-        return ParameterPoint(m=float(x[0]), a=float(x[1]),
-                              lam=0.0 if lam_fixed is None else lam_fixed)
-
 
 def photon_sphere_frequency(m: float, lam: float = 0.0) -> float:
     """Coordinate-time orbital frequency sqrt(1 - 9 lam M^2) / (3 sqrt(3) M)."""

@@ -20,11 +20,12 @@ column, the rows built once at the end.  Each row is bit for bit what its
 point gives alone: the columns use only elementwise kernels that round as
 the scalar code did (|z| is hypot, never numpy's complex abs; Python's
 complex division and libm's log1p and pow stay scalar calls, row by row).
-What consecutive points share is synthesised once per table: a mode row
-that every point of a batch holds, and that later batches reuse while it
-recurs, the tail on one grid, and the unscaled LCG stream of one seed,
-which every noise amplitude scales (a noise_amp sweep synthesises its
-references, tail and stream once).
+What no point of a run of equal setups varies is built once, before its
+batches: the scene grid, the tail on it, the unscaled LCG stream of its
+seed, which every noise amplitude scales, and each mode row that every
+point of the run holds (a noise_amp sweep synthesises its references, tail
+and stream once).  A row that only the points of one batch share is
+synthesised once for that batch.
 
 Inside a scenario every norm is taken in the discrete trapezoid-weighted
 inner product on the sampling grid, the bilinear form sum_k q_k f_k conj(g_k)
@@ -35,7 +36,6 @@ checked against the discrete residual sizes for soundness.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -54,86 +54,6 @@ from .report import RunReport
 # scenario assembly
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Scenario:
-    """A config, its scene grid and the noise both its sectors add, sampled
-    once on that grid."""
-
-    cfg: ScenarioConfig
-    grid: np.ndarray
-    noise_samples: Optional[np.ndarray]  # None if zero
-    noise_l2: float  # its norm over the window: both sectors' budgets use it
-
-
-class _Carry:
-    """What the batches of one :func:`_run_points` call share, each built
-    once and kept while the next batch asks for it again: the padded scene
-    grid of an observation setup, the tail sampled on a grid, the unscaled
-    LCG stream at a grid's nodes (:meth:`signal_model.NoiseSpec.lcg_unit`,
-    one per seed and hold step) and, per row slot (sector sign and term),
-    the last mode row that a whole batch shared on a grid.  Each slot keeps
-    only its latest entry, so across batches the carry holds one grid, one
-    tail, one stream and one row per slot.  Every value is the one a point
-    builds alone, bit for bit: its operations are elementwise."""
-
-    def __init__(self):
-        self._kept: dict = {}
-
-    def _latest(self, slot, grid, key, build):
-        """The value kept in ``slot`` if it was built on ``grid`` (the same
-        array) for an equal ``key``; else ``build()``, kept there."""
-        kept = self._kept.get(slot)
-        if kept is None or kept[0] is not grid or kept[1] != key:
-            kept = self._kept[slot] = (grid, key, build())
-        return kept[2]
-
-    def grid(self, setup: sm.ObservationSetup, pad: int) -> np.ndarray:
-        """The grid of ``setup`` widened by ``pad`` steps on each side."""
-        if not pad:
-            return setup.grid()
-        return self._latest("grid", None, (setup, pad), lambda: (
-            max(setup.t0 - pad * setup.dt, 0.0)
-            + setup.dt * np.arange(setup.n_samples + 1 + 2 * pad)))
-
-    def tail(self, tail: sm.TailSpec, t: np.ndarray) -> Optional[np.ndarray]:
-        """``tail`` sampled on ``t``, or None if it is zero."""
-        return None if tail.is_zero else self._latest("tail", t, tail, lambda: tail.eval(t))
-
-    def lcg_unit(self, noise: sm.NoiseSpec, t: np.ndarray) -> Optional[np.ndarray]:
-        """The unscaled LCG stream of ``noise`` at the nodes of ``t``, or None
-        without a stream."""
-        if noise.lcg_seed is None:
-            return None
-        return self._latest("lcg", t, (noise.lcg_seed, noise.lcg_dt), lambda: noise.lcg_unit(t))
-
-    def mode_rows(self, slot, modes: list, t: np.ndarray) -> np.ndarray:
-        """``signal_model.mode_rows(modes, t)``, not to be written to.  When
-        every mode has one (freq, amp) the rows are one row repeated:
-        the last row of ``slot`` if it was built on ``t`` for that key, else
-        one synthesised and kept there.  Equal values that differ in the sign
-        of a zero part give equal rows, since mode_rows adds 0.0j last.
-        Modes that differ are synthesised in one call, as without the carry."""
-        key = (modes[0].freq, modes[0].amp)
-        if any((m.freq, m.amp) != key for m in modes[1:]):
-            return sm.mode_rows(modes, t)
-        rows = self._latest(slot, t, key, lambda: sm.mode_rows(modes[:1], t))
-        rows.flags.writeable = False
-        return rows if len(modes) == 1 else np.repeat(rows, len(modes), axis=0)
-
-
-def _scenario(cfg: ScenarioConfig, setup: sm.ObservationSetup, t: np.ndarray,
-              carry: _Carry) -> Scenario:
-    """``cfg`` with its noise sampled on its scene grid ``t``: the grid of
-    ``setup`` (a setup equal to cfg.setup) widened by cfg.fd_pad steps on
-    each side, which the fd window trims.  Off the fd path that is
-    setup.grid() itself."""
-    noise = cfg.noise
-    samples = None if noise.is_zero else noise.eval(t, carry.lcg_unit(noise, t))
-    noise_l2 = 0.0 if samples is None else sm.residual_l2(
-        sm.SampledSignal(t_start=float(t[0]), dt=setup.dt, values=samples), setup)
-    return Scenario(cfg=cfg, grid=t, noise_samples=samples, noise_l2=noise_l2)
-
-
 #: the columns each batch's extraction gives a sector
 _EXTRACTION_COLUMNS = ("z_hat", "omega_hat", "eps0", "eps1", "z", "z_prior")
 
@@ -148,10 +68,10 @@ def _sector_scene(sign: int, cfgs: list) -> dict:
     the true frequency, the reference amplitude (the target's times its
     window gain), the prior, and per contaminant in the sector its
     (frequency, amplitude) columns, windowed on the modal path ("amp" is the
-    target's own amplitude).  The configs share the sections no sweep varies
-    (modes, window, the damping and kappa of the map), so the first stands
-    for all there; ell and the true point are read per row.  A window, which
-    moves with ell, is evaluated row by row."""
+    column of the target's own amplitude).  The configs share the sections
+    no sweep varies (modes, window, the damping and kappa of the map), so the
+    first stands for all there; ell and the true point are read per row.  A
+    window, which moves with ell, is evaluated row by row."""
     cfg = cfgs[0]
     win, model = cfg["window"], cfg.model
     offset = cfg["lattice"]["pole_offset"]
@@ -175,65 +95,98 @@ def _sector_scene(sign: int, cfgs: list) -> dict:
             amps = [np.array([mode.amp for mode in term]) for term in zip(*windowed)]
     # 0 by default, which leaves the prior's bits: no part of it is a signed zero
     prior = prior + cfg["extraction"]["prior_offset"]
-    return {"omega_true": omega_true, "amp_ref": amp_ref, "prior": prior, "amp": amp,
-            "contaminants": list(zip(freqs[1:], amps[1:]))}
+    return {"omega_true": omega_true, "amp_ref": amp_ref, "prior": prior,
+            "amp": np.full(n, amp, dtype=complex), "contaminants": list(zip(freqs[1:], amps[1:]))}
 
 
-def _run_sectors(sign: int, sec: dict, rows: slice, scns: list, setup: sm.ObservationSetup,
-                 tail: Optional[np.ndarray], carry: _Carry) -> tuple:
-    """One sector of the scenarios ``scns`` of a batch on ``setup``, rows
-    ``rows`` of the table, whose scene columns are ``sec``: their
-    :class:`extractor.Extraction` and the norm of their known terms (noise
-    and contaminants, which the eps budget bounds).  ``tail`` is the batch's
-    tail sampled on its scene grid (None if zero), which both signs add.
+def _shared_row(freq: np.ndarray, amp: np.ndarray, t: np.ndarray) -> Optional[np.ndarray]:
+    """The one row that the (B,) columns freq and amp synthesise on t, not to
+    be written to, if every row has one (freq, amp); else None.  Equal values
+    that differ in the sign of a zero part give equal rows, since mode_rows
+    adds 0.0j last."""
+    if (freq != freq[0]).any() or (amp != amp[0]).any():
+        return None
+    row = sm.mode_rows(_modes(freq[:1], amp[:1]), t)
+    row.flags.writeable = False
+    return row
+
+
+def _term_rows(freq: np.ndarray, amp: np.ndarray, t: np.ndarray, row: Optional[np.ndarray],
+               modes: Optional[list] = None) -> np.ndarray:
+    """``signal_model.mode_rows`` of the (B,) columns freq and amp on t, not to
+    be written to: ``row`` (the row of every point of their run) or, if None,
+    the row every point of the batch holds, repeated (a batch of one uses the
+    row itself); else every row in one call, from ``modes`` if given (the
+    columns' Modes)."""
+    row = _shared_row(freq, amp, t) if row is None else row
+    if row is None:
+        return sm.mode_rows(modes or _modes(freq, amp), t)
+    return row if len(freq) == 1 else np.repeat(row, len(freq), axis=0)
+
+
+def _sector_terms(sec: dict, run: slice, grid: np.ndarray, t: np.ndarray, fd: bool) -> list:
+    """(frequency column, amplitude column, grid, shared row) of each term that
+    one sector synthesises over the run ``run`` of the table: the reference
+    and each contaminant on the setup's ``grid``, then on the fd path the
+    unwindowed target and each contaminant on the padded scene grid ``t``.
+    The shared row is the one every point of the run holds
+    (:func:`_shared_row`), or None."""
+    terms = [(sec["omega_true"], sec["amp_ref"], grid),
+             *((freq, amp, grid) for freq, amp in sec["contaminants"])]
+    if fd:
+        terms += [(sec["omega_true"], sec["amp"], t),
+                  *((freq, amp, t) for freq, amp in sec["contaminants"])]
+    return [(freq, amp, g, _shared_row(freq[run], amp[run], g)) for freq, amp, g in terms]
+
+
+def _run_sectors(sign: int, sec: dict, rows: slice, cfgs: list, terms: list, t: np.ndarray,
+                 tail: Optional[np.ndarray], noise: list, noise_l2: np.ndarray) -> tuple:
+    """One sector of the points ``cfgs`` of a batch, rows ``rows`` of the
+    table, whose scene columns are ``sec`` and whose terms are ``terms``
+    (:func:`_sector_terms`): their :class:`extractor.Extraction` and the norm
+    of their known terms (noise and contaminants, which the eps budget
+    bounds).  ``t`` is the scene grid, on which ``tail`` (None if zero) and
+    each point's ``noise`` samples (None if zero; ``noise_l2`` their norms)
+    were sampled; both signs add them.
 
     The rows are synthesised as one (B, N) array and extracted in one call;
-    every row comes out bit for bit as it would alone.  Each term's rows
-    (reference, each contaminant, and on the fd path the target and the
-    contaminants on the padded grid) come from ``carry``: a row that every
-    point of the batch holds is synthesised once, or reused from the batch
-    before, so a noise_amp sweep synthesises its references once per sign.
-    Off the fd path the reference term of each row is synthesised once: the
-    scene is built from it and extract subtracts it.
+    every row comes out bit for bit as it would alone.  A term whose row
+    every point of the run or of the batch holds is synthesised once
+    (:func:`_term_rows`), so a noise_amp sweep synthesises its references
+    once per sign.  Off the fd path the scene is built from the reference
+    and contaminant rows that extract subtracts and the budget bounds.
     """
-    cfg = scns[0].cfg
-    scene = {k: sec[k][rows] for k in ("omega_true", "amp_ref", "prior")}
-    ecfg = ex.ExtractionConfig(setup=setup, prior=scene["prior"],
+    cfg, setup = cfgs[0], cfgs[0].setup
+    fd, k = _fd_window(cfg), 1 + len(sec["contaminants"])
+    ecfg = ex.ExtractionConfig(setup=setup, prior=sec["prior"][rows],
                                amp_floor=cfg["extraction"]["amp_floor"])
-
-    t, scene_t = setup.grid(), scns[0].grid
-    refs = _modes(scene["omega_true"], scene["amp_ref"])
-    y0 = carry.mode_rows((sign, "reference"), refs, t)
-    columns = [_modes(freq[rows], amp[rows]) for freq, amp in sec["contaminants"]]
-    others = [carry.mode_rows((sign, j), column, t) for j, column in enumerate(columns)]
-    # the fd window filters the scene of the unwindowed target on the padded
-    # grid; elsewhere the target term is the reference
-    fd = _fd_window(cfg)
-    if fd:
-        targets = _modes(scene["omega_true"], np.full(len(scns), sec["amp"], dtype=complex))
-        values = carry.mode_rows((sign, "target"), targets, scene_t).copy()
-        for j, column in enumerate(columns):
-            values += carry.mode_rows((sign, j, "scene"), column, scene_t)
-    else:
-        values = y0.copy()
-        for term in others:
-            values += term
+    freq, amp, grid, shared = terms[0]
+    refs = _modes(freq[rows], amp[rows])
+    y0 = _term_rows(freq[rows], amp[rows], grid, shared, refs)
+    others = [_term_rows(freq[rows], amp[rows], g, row) for freq, amp, g, row in terms[1:k]]
+    if fd:  # the fd window filters the unwindowed target's scene on the padded grid
+        scene = (_term_rows(freq[rows], amp[rows], g, row) for freq, amp, g, row in terms[k:])
+    else:  # elsewhere the target term is the reference
+        scene = iter([y0, *others])
+    values = next(scene).copy()
+    for term in scene:
+        values += term
     if tail is not None:
         values += tail
-    for row, scn in zip(values, scns):
-        if scn.noise_samples is not None:
-            row += scn.noise_samples
-    y = sm.SampledSignal(t_start=float(scene_t[0]), dt=setup.dt, values=values)
+    for row, samples in zip(values, noise):
+        if samples is not None:
+            row += samples
+    y = sm.SampledSignal(t_start=float(t[0]), dt=setup.dt, values=values)
     if fd:  # each row through its own point's window: the pseudopoles move with ell
         filtered = [aw.apply_window_fd(sm.SampledSignal(y.t_start, y.dt, row),
-                                       scn.cfg.windows[sign], cfg["window"]["stencil_order"])
-                    for row, scn in zip(values, scns)]
+                                       point.windows[sign], cfg["window"]["stencil_order"])
+                    for row, point in zip(values, cfgs)]
         y = sm.SampledSignal(filtered[0].t_start, y.dt, np.stack([f.values for f in filtered]))
     res = ex.extract(y, ecfg, y0_reference=refs,
                      y0=sm.SampledSignal(t_start=setup.t0, dt=setup.dt, values=y0))
     # the contaminants are known exactly: their norm joins the noise budget
     # (triangle inequality)
-    known = np.array([scn.noise_l2 for scn in scns])
+    known = noise_l2
     if others:
         known = known + sm.residual_l2(sm.SampledSignal(
             t_start=setup.t0, dt=setup.dt, values=sum(others[1:], others[0])), setup)
@@ -336,20 +289,11 @@ def _failed(report: RunReport, row: dict, prefix: str, exc: RinglabError):
 #: only adds memory: four rows of a 20 001-node grid would add about 10 MiB
 #: to the peak RSS.  A batch holds its scene rows and reference rows whole;
 #: its extraction adds only run buffers of at most 8 192 terms per row
-#: (signal_model._DOT_RUN), whatever the grid's length.  Across batches the
-#: carry (:class:`_Carry`) adds one padded grid, one tail, one LCG stream and
-#: the last row of each term and sign that a whole batch shared: about 1 MiB
-#: on a 20 001-node grid.
+#: (signal_model._DOT_RUN), whatever the grid's length.  Its run of equal
+#: setups adds one padded grid, one tail, one LCG stream and, per term and
+#: sign, the row that every point of the run holds: about 1 MiB on a
+#: 20 001-node grid.
 _BATCH_SAMPLES = 2**15
-
-
-def _batches(points: list):
-    """(start, stop) of each batch: a run of consecutive points with equal
-    observation setups (:func:`_setup_runs`), cut at _BATCH_SAMPLES samples."""
-    for start, stop in _setup_runs(points):
-        cap = max(1, _BATCH_SAMPLES // (points[start].setup.n_samples + 1))
-        for first in range(start, stop, cap):
-            yield first, min(first + cap, stop)
 
 
 def _setup_runs(points: list):
@@ -383,62 +327,75 @@ def _run_points(cfgs: list, signs=(+1, -1)) -> dict:
     succeeded; an InversionError ends its row.
 
     Every row runs every stage.  Each sector's scene is one set of columns
-    over the table, its samples are synthesised and extracted in batches
-    (:func:`_batches`), both signs of a batch in turn, and its eps budget is
-    one call per run of equal setups.  A row keeps the first error a lone
-    scenario raises: its +1 extraction, its +1 budget, its -1 extraction,
-    its -1 budget, its inversion; what its later stages compute is not
-    reported.  The batches share one carry (:class:`_Carry`), for the scene
-    grid and the tail, which no sweep varies (the grid's padding neither),
-    and the rows a batch shares.  All scenarios are inverted in one
+    over the table.  Each run of equal setups (:func:`_setup_runs`) first
+    builds what none of its points varies: the scene grid (padded on the fd
+    path), the tail and the unscaled LCG stream on it, which no sweep varies
+    within a run, and per sign the rows that all its points hold
+    (:func:`_sector_terms`).  Its points are then synthesised and extracted
+    in batches of at most _BATCH_SAMPLES samples, both signs of a batch in
+    turn, and its eps budget is one call over the rows of every sign.  A row
+    keeps the first error a lone scenario raises: its +1 extraction, its +1
+    budget, its -1 extraction, its -1 budget, its inversion; what its later
+    stages compute is not reported.  All scenarios are inverted in one
     :func:`paramap.invert_rows` call: its arrays are (rows, 2 or 3), so the
     sample bound of a batch does not concern it.  The configs share the
     lattice map and the inversion mode, which no sweep varies, so the first
     one stands for all of them there.
     """
-    n, carry = len(cfgs), _Carry()
+    n = len(cfgs)
     table: dict = {"ell": np.array([cfg.model.ell for cfg in cfgs])}
-    parts = {sign: [] for sign in signs}  # each batch's (extraction, known norms)
     for sign in signs:
         table[sign] = _sector_scene(sign, cfgs)
-    for start, stop in _batches(cfgs):
-        setup = cfgs[start].setup
-        t = carry.grid(setup, cfgs[start].fd_pad)
-        scns = [_scenario(cfg, setup, t, carry) for cfg in cfgs[start:stop]]
-        tail = carry.tail(cfgs[start].tail, t)
+    parts = {sign: [] for sign in signs}  # each batch's (extraction, known norms)
+    eps_bound = np.full((len(signs), n), np.nan)
+    errors = [None] * n
+    for start, stop in _setup_runs(cfgs):
+        # what no point of the run varies, built once
+        first = cfgs[start]
+        setup, pad = first.setup, first.fd_pad
+        t = setup.grid() if not pad else (max(setup.t0 - pad * setup.dt, 0.0) + setup.dt
+                                          * np.arange(setup.n_samples + 1 + 2 * pad))
+        tail = None if first.tail.is_zero else first.tail.eval(t)
+        lcg = None if first.noise.lcg_seed is None else first.noise.lcg_unit(t)
+        terms = {sign: _sector_terms(table[sign], slice(start, stop), setup.grid(), t,
+                                     _fd_window(first)) for sign in signs}
+        run = {sign: [] for sign in signs}
+        cap = max(1, _BATCH_SAMPLES // (setup.n_samples + 1))
+        for lo in range(start, stop, cap):
+            rows = slice(lo, min(lo + cap, stop))
+            samples = [None if cfg.noise.is_zero else cfg.noise.eval(t, lcg) for cfg in cfgs[rows]]
+            noise_l2 = np.array([0.0 if s is None else sm.residual_l2(
+                sm.SampledSignal(t_start=float(t[0]), dt=setup.dt, values=s), setup)
+                for s in samples])
+            for sign in signs:
+                run[sign].append(_run_sectors(sign, table[sign], rows, cfgs[rows], terms[sign],
+                                              t, tail, samples, noise_l2))
+        # one eps budget over the run's rows of every sign; each row keeps
+        # its first error, in stage order
+        budget = ex.epsilon_budget(
+            *(np.concatenate([table[sign][key][start:stop] for sign in signs])
+              for key in ("amp_ref", "omega_true")),
+            first.tail, np.concatenate([known for sign in signs for _, known in run[sign]]), setup)
+        eps_bound[:, start:stop] = budget["eps_bound"].reshape(len(signs), -1)
+        found = iter(budget["errors"])
         for sign in signs:
-            parts[sign].append(_run_sectors(sign, table[sign], slice(start, stop), scns,
-                                            setup, tail, carry))
+            extracted = (exc for res, _ in run[sign] for exc in res.errors)
+            for i, ext_exc, exc in zip(range(start, stop), extracted, found):
+                errors[i] = errors[i] or ext_exc or exc
+            parts[sign] += run[sign]
     delta = np.array([cfg.setup.delta for cfg in cfgs])
-    failed = {}  # each sector's extraction errors
-    for sign in signs:
+    for sign, col in zip(signs, eps_bound):
         sec = table[sign]
         # the certified columns of every batch's extraction, derived once
         joined = ex.Extraction(
             errors=[exc for res, _ in parts[sign] for exc in res.errors], delta=delta,
             **{key: np.concatenate([getattr(res, key) for res, _ in parts[sign]])
                for key in _EXTRACTION_COLUMNS})
-        failed[sign] = joined.errors
         sec.update({key: getattr(joined, key) for key in (
             *_EXTRACTION_COLUMNS, "eps", "bound_z", "bound_omega", "eps_small", "branch_hyp")})
         sec["known"] = np.concatenate([known for _, known in parts[sign]])
         sec["z_true"] = np.exp(-1j * sec["omega_true"] * delta)
-    # one eps budget per run of equal setups, over the rows of every sign
-    stacked = [np.array([table[sign][key] for sign in signs])
-               for key in ("amp_ref", "omega_true", "known")]
-    eps_bound = np.full((len(signs), n), np.nan)
-    errors = [None] * n
-    for start, stop in _setup_runs(cfgs):
-        budget = ex.epsilon_budget(*(col[:, start:stop].ravel() for col in stacked[:2]),
-                                   cfgs[start].tail, stacked[2][:, start:stop].ravel(),
-                                   cfgs[start].setup)
-        eps_bound[:, start:stop] = budget["eps_bound"].reshape(len(signs), -1)
-        found = iter(budget["errors"])
-        for sign in signs:
-            for i, exc in zip(range(start, stop), found):
-                errors[i] = errors[i] or failed[sign][i] or exc
-    for sign, col in zip(signs, eps_bound):
-        table[sign]["eps_bound"] = col
+        sec["eps_bound"] = col
     table["errors"] = errors
     if len(signs) == 1:
         return table

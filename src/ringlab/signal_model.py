@@ -526,15 +526,6 @@ def mode_energy_lower_bound(amp, freq, setup: ObservationSetup):
     return val if freq.ndim else float(val[0])
 
 
-def mode_energy_lower_bound_crude(amp: complex, freq: complex,
-                                  setup: ObservationSetup) -> float:
-    """Crude bound |a| e^{Im(omega) (t0+T-2 delta)} sqrt(T - 3 delta) for ||.||_w."""
-    if setup.t_len <= 3 * setup.delta:
-        raise ConfigError("crude energy bound needs t_len > 3*delta")
-    b = setup.t0 + setup.t_len - 2 * setup.delta
-    return float(abs(amp) * np.exp(freq.imag * b) * np.sqrt(setup.t_len - 3 * setup.delta))
-
-
 def residual_l2(r: SampledSignal, setup: ObservationSetup):
     """L2 norm of r over the full window [t0, t0+T] by trapezoid, one per row:
     sqrt(dt (|r_0|^2 / 2 + |r_1|^2 + ... + |r_{N-1}|^2 + |r_N|^2 / 2)), the

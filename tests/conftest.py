@@ -11,12 +11,13 @@ can be checked against the continuum.
 """
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 import pytest
 
 from ringlab import extractor as ex
+from ringlab import paramap as pm
 from ringlab import signal_model as sm
 from ringlab.errors import ConfigError, DegenerateSignalError
 
@@ -178,6 +179,31 @@ def disk_check(omega_hat: complex, prior: complex, c_sep: float,
             raise ConfigError("sufficient condition needs delta and |z|")
         out["eps_sufficient"] = bool(eps <= (c_sep / 40.0) * delta * z_abs)
     return out
+
+
+def mode_energy_lower_bound_crude(amp: complex, freq: complex,
+                                  setup: sm.ObservationSetup) -> float:
+    """Crude bound |a| e^{Im(omega) (t0+T-2 delta)} sqrt(T - 3 delta) for ||.||_w."""
+    if setup.t_len <= 3 * setup.delta:
+        raise ConfigError("crude energy bound needs t_len > 3*delta")
+    b = setup.t0 + setup.t_len - 2 * setup.delta
+    return float(abs(amp) * np.exp(freq.imag * b) * np.sqrt(setup.t_len - 3 * setup.delta))
+
+
+def point_array(p: pm.ParameterPoint, three_param: bool) -> np.ndarray:
+    """(M, a, Lambda) of a parameter point, or (M, a) in 2p."""
+    if three_param:
+        return np.array([p.m, p.a, p.lam])
+    return np.array([p.m, p.a])
+
+
+def point_from_array(x: np.ndarray, lam_fixed: Optional[float] = None) -> pm.ParameterPoint:
+    """The parameter point of (M, a, Lambda), or of (M, a) with Lambda
+    ``lam_fixed`` (0 if None)."""
+    if len(x) == 3:
+        return pm.ParameterPoint(m=float(x[0]), a=float(x[1]), lam=float(x[2]))
+    return pm.ParameterPoint(m=float(x[0]), a=float(x[1]),
+                             lam=0.0 if lam_fixed is None else lam_fixed)
 
 
 def fit_decay_order(sigma: np.ndarray, vals: np.ndarray, n_bins: int = 10) -> float:

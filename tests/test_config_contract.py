@@ -11,11 +11,12 @@ input that admits no fit.
 
 Leaves that set how much work a run does are capped, for run time only:
 ``n_models``, ``grid_n``, ``n_draws``, the band-isolation model size (``dim``,
-``n_poles``, ``max_order``) and times (at most 10), the window-check degree
-``m0``, and the grid length (``observation.T`` at most 100, ``observation.dt``
-at least 0.0025).  The section bases below shrink the same leaves: one
-band-isolation model at one time, a 40-point pseudospectrum grid, 20
-window-check draws.  Extreme values overflow in numpy by design, so here a
+``n_poles``, ``max_order``) and times (at most 10, except that a time past
+the bound that loading rejects is kept, so that check is drawn), the
+window-check degree ``m0``, and the grid length (``observation.T`` at most
+100, ``observation.dt`` at least 0.0025).  The section bases below shrink
+the same leaves: one band-isolation model at one time, a 40-point
+pseudospectrum grid, 20 window-check draws.  Extreme values overflow in numpy by design, so here a
 RuntimeWarning is not an error but one more line on stderr.
 """
 import contextlib
@@ -127,7 +128,8 @@ def cases(draw):
     path = draw(PATHS)
     value = draw(VALUES[path])
     if path[-1] == "times" and isinstance(value, list):  # band-isolation cost grows with t
-        value = [min(t, 10.0) if isinstance(t, (int, float)) else t for t in value]
+        value = [min(t, 10.0) if isinstance(t, (int, float)) and t <= config._MAX_BAND_TIME
+                 else t for t in value]
     doc = copy.deepcopy(BASE.get(path[0], {}))
     node = doc
     for key in path[:-1]:
@@ -228,6 +230,10 @@ FOUND = [
     # a band tolerance no mismatch can meet: it exited 1 with a violation
     ("band-isolate", {"band_isolate": {"n_models": 1, "times": [1.0], "tol": -1.0}}, 2),
     ("band-isolate", {"band_isolate": {"n_models": 1, "times": [1.0], "tol": 0.0}}, 2),
+    # a first pass too long to allocate: it exited 1 with "Maximum allowed
+    # size exceeded" from numpy, and just past the bound of 2**20 panels
+    ("band-isolate", {"band_isolate": {"n_models": 1, "times": [1.0e+300]}}, 2),
+    ("band-isolate", {"band_isolate": {"n_models": 1, "times": [1.0, 655.37]}}, 2),
 ]
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import point_array, point_from_array
 
 from ringlab import extractor as ex
 from ringlab import paramap as pm
@@ -20,14 +21,14 @@ KINDS = ("photon_sphere", "gap_over_mass", "constant")
 
 def fd_jacobian(model, p, three, rel_step=1e-6):
     """Central differences of the data map: the oracle for the analytic Jacobian."""
-    x = p.as_array(three)
+    x = point_array(p, three)
     cols = []
     for j in range(len(x)):
         h = rel_step * max(1.0, abs(x[j]))
         xp, xm = x.copy(), x.copy()
         xp[j] += h
         xm[j] -= h
-        g = [model.data_map(pm.ParameterPoint.from_array(y, lam_fixed=p.lam), three)
+        g = [model.data_map(point_from_array(y, lam_fixed=p.lam), three)
              for y in (xp, xm)]
         cols.append((g[0] - g[1]) / (2.0 * h))
     return np.stack(cols, axis=1)
@@ -185,7 +186,7 @@ class TestJacobian:
             p = pm.ParameterPoint(m=m, a=rng.uniform(-0.3, 0.3),
                                   lam=rng.uniform(0.0, 0.5) / (9.0 * m**2))
             jac = model.jacobian(p, three)
-            assert jac.shape == (len(p.as_array(three)),) * 2
+            assert jac.shape == (len(point_array(p, three)),) * 2
             err = np.abs(jac - fd_jacobian(model, p, three)).max()
             assert err <= 1e-7 * np.abs(jac).max()
 
@@ -305,11 +306,11 @@ def scalar_newton(model, data, guess, box):
     target = np.array([data["U"], data["V"]] + ([data["W"]] if three else []))
 
     def fun(x):
-        p = pm.ParameterPoint.from_array(x, lam_fixed=guess.lam)
+        p = point_from_array(x, lam_fixed=guess.lam)
         return model.data_map(p, three) - target
 
     def jacobian(x):
-        p = pm.ParameterPoint.from_array(x, lam_fixed=guess.lam)
+        p = point_from_array(x, lam_fixed=guess.lam)
         m, lam = p.m, p.lam
         r = np.sqrt(1.0 - 9.0 * lam * m**2)
         u_m = -1.0 / (3.0 * pm.SQRT3 * m**2 * r)
@@ -321,7 +322,7 @@ def scalar_newton(model, data, guess, box):
                           "constant": (0.0, 0.0)}[model.lam_kind]
         return np.array([[u_m, 0.0, u_lam], [0.0, model.kappa, 0.0], [lam_m, 0.0, lam_lam]])
 
-    x = guess.as_array(three)
+    x = point_array(guess, three)
     n_iter, res = 0, fun(x)
     res_norm = np.linalg.norm(res)
     while res_norm > pm.NEWTON_TOL:
@@ -350,7 +351,7 @@ def scalar_newton(model, data, guess, box):
         n_iter += 1
     if box is not None and not all(lo <= v <= hi for v, (lo, hi) in zip(x, box)):
         raise InversionError(f"converged point {x} leaves the parameter box")
-    return {"point": pm.ParameterPoint.from_array(x, lam_fixed=guess.lam),
+    return {"point": point_from_array(x, lam_fixed=guess.lam),
             "iterations": n_iter, "residual": float(res_norm)}
 
 

@@ -13,6 +13,7 @@ import pytest
 import yaml
 
 from ringlab import cli, config, pipeline
+from ringlab import extractor as ex
 from ringlab import merotoy as mt
 from ringlab import signal_model as sm
 from ringlab.config import ScenarioConfig, load_config
@@ -180,6 +181,40 @@ def table_digest(driver, doc) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+#: (owner, attribute, counter) of each synthesis step that synthesis_counts
+#: counts; extractor imports mode_rows by name, so both names are wrapped
+_SYNTHESIS = ((sm, "mode_rows", "mode_rows"), (ex, "mode_rows", "mode_rows"),
+              (sm.TailSpec, "eval", "tail_eval"), (sm.NoiseSpec, "lcg_unit", "lcg_unit"),
+              (sm.NoiseSpec, "eval", "noise_eval"), (sm, "residual_l2", "residual_l2"))
+
+
+def synthesis_counts(driver, doc) -> dict:
+    """The synthesis one run of ``driver`` does, its config loaded first: the
+    calls of signal_model.mode_rows and the rows they synthesise, and the
+    calls of TailSpec.eval, NoiseSpec.lcg_unit, NoiseSpec.eval and
+    residual_l2."""
+    cfg = ScenarioConfig(raw=doc)
+    counts = dict.fromkeys(["mode_rows_rows", *(name for _, _, name in _SYNTHESIS)], 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            if name == "mode_rows":
+                counts["mode_rows_rows"] += len(args[0])
+            return fn(*args, **kwargs)
+        return wrapper
+
+    saved = [(owner, attr, vars(owner)[attr]) for owner, attr, _ in _SYNTHESIS]
+    try:
+        for owner, attr, name in _SYNTHESIS:
+            setattr(owner, attr, counted(name, getattr(owner, attr)))
+        driver(cfg)
+    finally:
+        for owner, attr, fn in saved:
+            setattr(owner, attr, fn)
+    return counts
+
+
 def _table_cases() -> dict:
     """name -> a thunk giving (driver, document): every SWEEPS entry as a
     sweep, its base document as a pipeline and an extract run, runs that
@@ -214,6 +249,11 @@ TABLE_CASES = _table_cases()
 TABLE_DIGESTS_PATH = Path(__file__).with_name("table_digests.json")
 TABLE_DIGESTS = (json.loads(TABLE_DIGESTS_PATH.read_text(encoding="utf-8"))
                  if TABLE_DIGESTS_PATH.exists() else {})
+#: case -> synthesis_counts, written by the same command: a change that
+#: synthesises more or less on purpose regenerates it and says where
+TABLE_COUNTS_PATH = Path(__file__).with_name("table_counts.json")
+TABLE_COUNTS = (json.loads(TABLE_COUNTS_PATH.read_text(encoding="utf-8"))
+                if TABLE_COUNTS_PATH.exists() else {})
 
 
 class TestConfig:
@@ -445,9 +485,10 @@ class TestSweep:
         assert sweep.violations == violations
 
     def test_sweep_peak_memory_bounded(self):
-        # what one batch hands the next is bounded: a 24-point sweep (8
-        # batches of 3 rows of 10 001 samples, each batch one ell, so each
-        # shares its reference rows) peaks within 5% of a 6-point one
+        # what a run keeps across its batches is bounded: a 24-point sweep
+        # (one run, 8 batches of 3 rows of 10 001 samples, each batch one
+        # ell, so each synthesises its shared reference rows once) peaks
+        # within 5% of a 6-point one
         def peak(points):
             cfg = ScenarioConfig(raw=dict(
                 CANONICAL, observation={"T0": 4.0, "T": 10.0, "Delta": 1.0, "dt": 0.001},
@@ -489,6 +530,10 @@ class TestSweep:
     @pytest.mark.parametrize("name", sorted(TABLE_CASES))
     def test_table_matches_pinned_digest(self, name):
         assert table_digest(*TABLE_CASES[name]()) == TABLE_DIGESTS[name]
+
+    @pytest.mark.parametrize("name", sorted(TABLE_CASES))
+    def test_table_synthesis_counts_pinned(self, name):
+        assert synthesis_counts(*TABLE_CASES[name]()) == TABLE_COUNTS[name]
 
 
 class TestCli:
@@ -664,6 +709,16 @@ class TestCli:
     def test_missing_file_exit_2(self, tmp_path):
         assert cli.main(["pipeline", "--config", str(tmp_path / "nope.yaml"),
                          "--out", str(tmp_path / "o")]) == 2
+
+    def test_unwritable_out_exit_2(self, tmp_path, capsys):
+        # an --out that is an existing file is an output error, not a
+        # violation: exit 2 with one stderr line and no traceback
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert cli.main(["pipeline", "--config", str(DEMO_DIR / "canonical.yaml"),
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("output error: "), err
 
     def test_violation_exit_1(self, tmp_path):
         cfg = write_cfg(tmp_path, dict(CANONICAL, inversion=TIGHT_BOX))
@@ -842,4 +897,7 @@ def test_pipeline_run_loads_no_contour_or_prony_code(tmp_path):
 if __name__ == "__main__":
     TABLE_DIGESTS_PATH.write_text(json.dumps(
         {name: table_digest(*case()) for name, case in sorted(TABLE_CASES.items())},
+        indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    TABLE_COUNTS_PATH.write_text(json.dumps(
+        {name: synthesis_counts(*case()) for name, case in sorted(TABLE_CASES.items())},
         indent=1, sort_keys=True) + "\n", encoding="utf-8")

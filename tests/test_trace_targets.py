@@ -114,9 +114,9 @@ def test_lcg_long_grid_op_counts(monkeypatch):
     # one lcg-long-grid op: 4 points of 20 001 samples, one point per batch
     # (the sample cap), so 8 extract calls of five weighted inner products;
     # one residual_l2 per scenario, for its noise norm (no contaminants).
-    # The points differ only in noise amplitude, so the op samples its tail
-    # once, draws its LCG stream once and synthesises one reference row per
-    # sign, which every later batch reuses
+    # The points are one run of equal setups that differ only in noise
+    # amplitude, so the op samples its tail once, draws its LCG stream once
+    # and synthesises one reference row per sign, which every batch uses
     from ringlab import pipeline, signal_model
     calls = {"residual_l2": 0, "tail": 0, "mode_rows": 0, "lcg_unit": 0}
 
