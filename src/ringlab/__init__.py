@@ -19,7 +19,8 @@ __version__ = "0.1.0"
 #: calibrated conditioning constant of ``prony2``: 2x the max observed ratio of
 #: worst-case root error to eta/(|a1 a2| |z1-z2|^3) on the coarse reference grid
 #: (separations 0.1..0.5, amplitude moduli 0.5..2, |z| <= 1, eta = 1e-8);
-#: recomputed, persisted, and validated on a disjoint grid by the test suite.
+#: recomputed by ``calibrate_c_hat`` in tests/conftest.py and validated on a
+#: disjoint grid by tests/test_prony2.py.
 #: Stated here because every report's metadata records it, and a run that
 #: fits no Prony model does not load prony2.
 CALIBRATED_C_HAT = 10.82

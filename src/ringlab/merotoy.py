@@ -20,7 +20,7 @@ import math
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional, Tuple
+from typing import Callable, Iterable, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -360,23 +360,31 @@ _GK_NODES, _GK_WEIGHTS = _gk21()
 _GL_BLOCK = 8192
 
 
-def _gk_rule(times: np.ndarray, half: float) -> np.ndarray:
-    """The (2T, 21) table of a pass whose panels have half width half: the K21
-    and K21 - G10 weights times the phase e^{-i t half x} at each node x."""
+def _pass(forcing: ForcingSpec, nu: float, times: np.ndarray, mids: np.ndarray,
+          half: float) -> Tuple[np.ndarray, Iterator[tuple]]:
+    """The Gauss-Kronrod pass over the panels [m - half, m + half] of sigma,
+    m in mids, on Im(omega) = -nu: its rule table and its blocks.
+
+    At the node x of the panel m, omega = (m - i nu) + half x, so the phase
+    e^{-i t omega} is the panel's e^{-i t (m - i nu)} times e^{-i t half x},
+    which every panel of the pass shares.  The (2T, 21) rule table is the K21
+    and K21 - G10 weights times that shared phase.  The blocks are a lazy
+    generator that yields, per block of at most _GL_BLOCK nodes, the (n,)
+    Kronrod nodes, panel by panel, the forcing scalar F at them and the
+    (T, panels) panel phases.
+    """
     weights = half * np.stack([_GK_WEIGHTS[0], _GK_WEIGHTS[0] - _GK_WEIGHTS[1]])
-    return (weights[:, None, :] * np.exp(-1j * half * np.multiply.outer(times, _GK_NODES))
+    rule = (weights[:, None, :] * np.exp(-1j * half * np.multiply.outer(times, _GK_NODES))
             ).reshape(2 * times.size, _GK_NODES.size)
 
+    def blocks():
+        step = _GL_BLOCK // _GK_NODES.size
+        for lo in range(0, mids.size, step):
+            base = mids[lo:lo + step] - 1j * nu
+            omega = (base[:, None] + half * _GK_NODES).ravel()
+            yield omega, forcing.scalar(omega), np.exp(-1j * np.multiply.outer(times, base))
 
-def _panel_blocks(nu: float, times: np.ndarray, mids: np.ndarray, half: float):
-    """Per block of at most _GL_BLOCK nodes of the panels [m - half, m + half]
-    of sigma on Im(omega) = -nu: the (n,) Kronrod nodes, panel by panel, and
-    the (T, panels) panel phases e^{-i t (m - i nu)}."""
-    step = _GL_BLOCK // _GK_NODES.size
-    for lo in range(0, mids.size, step):
-        base = mids[lo:lo + step] - 1j * nu
-        yield ((base[:, None] + half * _GK_NODES).ravel(),
-               np.exp(-1j * np.multiply.outer(times, base)))
+    return rule, blocks()
 
 
 def _table_bytes(n_panels: int, n_times: int) -> int:
@@ -389,23 +397,22 @@ def _table_bytes(n_panels: int, n_times: int) -> int:
 #: the most bytes of first-pass tables _first_pass keeps, least recently used
 #: dropped first; a line whose table alone exceeds it is not tabulated
 _FIRST_PASS_BYTES = 1 << 23
-#: key -> (mids, half, table, its bytes), least recently used first
+#: key -> (mids, half, (rule, blocks), its bytes), least recently used first
 _FIRST_PASSES: OrderedDict = OrderedDict()
 
 
 def _first_pass(forcing: ForcingSpec, nu: float, times: np.ndarray,
-                sigma_max: float) -> Tuple[np.ndarray, float, Optional[tuple]]:
-    """The uniform panels (mids, half) of line_integral's first pass and their
-    table, or None for a table that alone would exceed _FIRST_PASS_BYTES.
+                sigma_max: float) -> Tuple[np.ndarray, float, tuple]:
+    """The uniform panels (mids, half) of line_integral's first pass and its
+    (rule, blocks), as ``_pass`` builds them.
 
     The panels cover |sigma| <= sigma_max, sized to the e^{-i sigma t}
-    oscillation of the largest time.  The table is (rule, blocks): the pass's
-    (2T, 21) rule table and, per block of panels, its (n,) nodes, the forcing
-    scalar F at them and the (T, panels) panel phases, all read-only.  None
-    of it depends on the resolvent, g or the payload, so it is built once per
-    line nu, radius, times and forcing shape (k, alpha), the key it is kept
-    under, and every model on that line reads it.  F is evaluated block by
-    block, exactly as a pass without the table evaluates it.
+    oscillation of the largest time.  None of the pass depends on the
+    resolvent, g or the payload, so its blocks are tabulated, read-only, as
+    a tuple, once per line nu, radius, times and forcing shape (k, alpha),
+    the key the table is kept under, and every model on that line reads it.
+    A table that alone would exceed _FIRST_PASS_BYTES is not kept: its pass
+    comes back with ``_pass``'s lazy blocks.
     """
     key = (np.array([nu, sigma_max, forcing.alpha]).tobytes(), forcing.k, times.tobytes())
     entry = _FIRST_PASSES.pop(key, None)
@@ -414,12 +421,11 @@ def _first_pass(forcing: ForcingSpec, nu: float, times: np.ndarray,
         edges = np.linspace(-sigma_max, sigma_max,
                             max(8, int(np.ceil(2.0 * sigma_max / plen))) + 1)
         mids, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1] - edges[0])
+        rule, blocks = _pass(forcing, nu, times, mids, half)
         size = _table_bytes(mids.size, times.size)
         if size > _FIRST_PASS_BYTES:
-            return mids, half, None
-        blocks = tuple((omega, forcing.scalar(omega), phase)
-                       for omega, phase in _panel_blocks(nu, times, mids, half))
-        rule = _gk_rule(times, half)
+            return mids, half, (rule, blocks)
+        blocks = tuple(blocks)
         for arr in (mids, rule, *(a for block in blocks for a in block)):
             arr.flags.writeable = False
         entry = (mids, half, (rule, blocks), size)
@@ -429,38 +435,25 @@ def _first_pass(forcing: ForcingSpec, nu: float, times: np.ndarray,
     return entry[:3]
 
 
-def _gl_line_sum(values: Callable, nu: float, times: np.ndarray, mids: np.ndarray,
-                 half: float, allowance: float,
-                 first: Optional[tuple] = None) -> Tuple[np.ndarray, np.ndarray]:
-    """One Gauss-Kronrod pass over the panels [m - half, m + half] of sigma,
-    m in mids, on Im(omega) = -nu.
+def _gl_line_sum(values: Callable, rule: np.ndarray, blocks: Iterable[tuple],
+                 allowance: float) -> Tuple[np.ndarray, np.ndarray]:
+    """One Gauss-Kronrod pass: the (rule, blocks) of ``_pass``, or the
+    ``_first_pass`` table of the same form.
 
-    values maps (n,) frequencies and the forcing scalar F at them, or None,
-    to (n, d) values; it is evaluated once at the 21 Kronrod nodes of every
-    panel, block by block.  At the node x of the panel m,
-    omega = (m - i nu) + half x, so the phase e^{-i t omega} is the panel's
-    e^{-i t (m - i nu)} times e^{-i t half x}, which every panel of the pass
-    shares: one (2T, 21) table, the K21 and K21 - G10 weights times that
-    shared phase, contracts the 21 values of every panel at once, and each
-    panel's own phase scales the result.  first, the ``_first_pass`` table
-    of these very panels, supplies the nodes, phases, rule table and F, so
-    values receives F; without it the pass forms the first three and passes
-    None for F.  A panel's error estimate is its largest distance, over the
-    times, between its K21 and embedded G10 integrals.  Returns the (T, d)
-    sum of the K21 integrals of the panels whose estimate is at most
-    allowance, and the (P,) mask of the others.
+    values maps (n,) frequencies and the forcing scalar F at them to (n, d)
+    values; it is evaluated once at the 21 Kronrod nodes of every panel,
+    block by block.  The rule table contracts the 21 values of every panel
+    of a block at once, and each panel's own phase scales the result.  A
+    panel's error estimate is its largest distance, over the times, between
+    its K21 and embedded G10 integrals.  Returns the (T, d) sum of the K21
+    integrals of the panels whose estimate is at most allowance, and the
+    (P,) mask of the others.
     """
-    if first is None:
-        rule = _gk_rule(times, half)
-        blocks = ((omega, None, phase) for omega, phase in _panel_blocks(nu, times, mids, half))
-    else:
-        rule, blocks = first
-    n_times, n_nodes = times.size, _GK_NODES.size
     total, refine = 0.0, []
     for omega, scalar, phase in blocks:
-        n_panels = phase.shape[1]
+        n_times, n_panels = phase.shape
         vals = values(omega, scalar)
-        sums = np.tensordot(rule, vals.reshape(n_panels, n_nodes, -1), axes=(1, 1))
+        sums = np.tensordot(rule, vals.reshape(n_panels, _GK_NODES.size, -1), axes=(1, 1))
         kronrod, error = sums.reshape(2, n_times, n_panels, -1) * phase[:, :, None]
         rough = np.linalg.norm(error, axis=2).max(axis=0) > allowance
         total = total + kronrod[:, ~rough].sum(axis=1)
@@ -469,13 +462,9 @@ def _gl_line_sum(values: Callable, nu: float, times: np.ndarray, mids: np.ndarra
 
 
 def _integrand(resolvent: RationalResolvent, forcing: ForcingSpec,
-               g: Optional[Callable], omega: np.ndarray,
-               scalar: Optional[np.ndarray] = None) -> np.ndarray:
-    """g R F_hat at (n,) frequencies: the (n,) scalar g F times R(omega) payload.
-    scalar is F at omega, when a first-pass table holds it; otherwise F is
-    evaluated here."""
-    if scalar is None:
-        scalar = forcing.scalar(omega)
+               g: Optional[Callable], omega: np.ndarray, scalar: np.ndarray) -> np.ndarray:
+    """g R F_hat at (n,) frequencies, given the forcing scalar F there: the
+    (n,) scalar g F times R(omega) payload."""
     return _g_times(g, omega, scalar)[:, None] * resolvent.eval_many(omega, forcing.payload)
 
 
@@ -494,26 +483,27 @@ def line_integral(resolvent: RationalResolvent, forcing: ForcingSpec, g: Optiona
     for every t of the (T,) array times, by QUADPACK's G10/K21 Gauss-Kronrod
     pair, adaptively (after its qag: Piessens et al., 1983).  The first pass
     covers the line with n uniform panels sized to the e^{-i sigma t}
-    oscillation of the largest t.  Its nodes, panel phases, rule table and
-    forcing scalar F depend only on nu, sigma_max, the times and the forcing's
-    (k, alpha): ``_first_pass`` builds them once per such key and keeps them,
-    read-only, in a memo of at most _FIRST_PASS_BYTES, so every model that
-    shares the line, radius, times and forcing shape reads them and evaluates
-    only g and R itself.  Every pass accepts each panel whose error
-    estimate (the largest distance, over the times, between its K21 and
-    embedded G10 values) is at most max(tol, 1e-14) times its share
-    width / (2 sigma_max) of the line, adds its K21 value to the result, and
-    bisects the others; the next pass evaluates only their halves, so no node
-    is evaluated twice.  The estimates of the panels accepted this way sum to
+    oscillation of the largest t, and each later pass the halves of the panels
+    the one before it bisected; ``_pass`` builds every pass.  The first pass
+    depends only on nu, sigma_max, the times and the forcing's (k, alpha):
+    ``_first_pass`` tabulates it once per such key, read-only, in a memo of
+    at most _FIRST_PASS_BYTES, so every model that shares the line, radius,
+    times and forcing shape reads it and evaluates only g and R itself.
+    Every pass accepts each panel whose error estimate (the largest distance,
+    over the times, between its K21 and embedded G10 values) is at most
+    max(tol, 1e-14) times its share width / (2 sigma_max) of the line, adds
+    its K21 value to the result, and bisects the others; the next pass
+    evaluates only their halves, so no node is evaluated twice.  The estimates of the panels accepted this way sum to
     at most tol; after _MAX_BISECTIONS bisections (16n-panel widths) every
     panel is accepted.  Since a panel's estimate is its worst over the times,
     the panels of a batch of times are the union of each time's own.  Only the
     phase depends on t, so g R F_hat is evaluated once per node and shared by
     every time, and the integrand is analytic, so the rules converge
-    spectrally.  Returns ((T, d) values, (T,) truncation estimates): an
-    estimate extrapolates the integrand envelope beyond the truncation radius
-    from its measured algebraic decay.  F_hat is the forcing's scalar times
-    its payload; g, when given, maps (n,) frequencies to (n,) values.
+    spectrally.  Returns ((T, d) values, (T,) truncation estimates): the
+    estimates are ``_tail_from_envelope`` of the ``_envelope`` at sigma_max,
+    the tail formula ``choose_sigma_max`` applies.  F_hat is the forcing's
+    scalar times its payload; g, when given, maps (n,) frequencies to (n,)
+    values.
     """
     times = _as_times(times)
     _check_line_clear(resolvent, nu)
@@ -521,19 +511,20 @@ def line_integral(resolvent: RationalResolvent, forcing: ForcingSpec, g: Optiona
     def values(w, scalar):
         return _integrand(resolvent, forcing, g, w, scalar) / (2.0 * np.pi)
 
-    mids, half, first = _first_pass(forcing, nu, times, sigma_max)
+    mids, half, (rule, blocks) = _first_pass(forcing, nu, times, sigma_max)
     rate = max(tol, 1e-14) / sigma_max  # a panel's error allowance per unit half width
     value = 0.0
     for depth in range(_MAX_BISECTIONS + 1):
         allowance = rate * half if depth < _MAX_BISECTIONS else np.inf
-        accepted, refine = _gl_line_sum(values, nu, times, mids, half, allowance, first)
+        accepted, refine = _gl_line_sum(values, rule, blocks, allowance)
         value = value + accepted
         half *= 0.5
         mids = (mids[refine, None] + np.array([-half, half])).ravel()
-        first = None
         if not mids.size:
             break
-    return value, _tail_estimate(resolvent, forcing, g, nu, times, sigma_max)
+        rule, blocks = _pass(forcing, nu, times, mids, half)
+    envelope = _envelope(resolvent, forcing, g, nu, np.array([sigma_max]))
+    return value, _tail_from_envelope(envelope[0], nu, times, sigma_max)
 
 
 #: where the tail envelope is sampled, in units of the truncation radius
@@ -545,12 +536,16 @@ def _envelope(resolvent: RationalResolvent, forcing: ForcingSpec,
     """|g R F_hat| at sigma_max _TAIL_NODES on Im(omega) = -nu, for each of
     the (L,) radii sigmas: an (L, 4) array from one evaluation."""
     w = np.multiply.outer(sigmas, _TAIL_NODES).ravel() - 1j * nu
-    return np.linalg.norm(_integrand(resolvent, forcing, g, w), axis=1).reshape(-1, 4)
+    return np.linalg.norm(_integrand(resolvent, forcing, g, w, forcing.scalar(w)),
+                          axis=1).reshape(-1, 4)
 
 
 def _tail_from_envelope(env: np.ndarray, nu: float, times: np.ndarray,
                         sigma_max: float) -> np.ndarray:
-    """The (T,) tail estimates at radius sigma_max from its 4 envelope values."""
+    """The (T,) tail estimates at radius sigma_max from its 4 envelope values,
+    an extrapolation of the envelope beyond sigma_max from its measured
+    algebraic decay.  The envelope does not depend on t, so four evaluations
+    serve every time; only the factor e^{-nu t} does."""
     e_half = float(env[0] + env[1])
     e_full = float(env[2] + env[3])
     if e_full <= 0 or e_half <= 0:
@@ -558,20 +553,6 @@ def _tail_from_envelope(env: np.ndarray, nu: float, times: np.ndarray,
     p = np.log(e_half / e_full) / np.log(2.0)  # local algebraic decay exponent
     return (np.exp(-nu * times) * e_full * sigma_max
             / max(p - 1.0, 0.1) / (2.0 * np.pi))
-
-
-def _tail_estimate(resolvent: RationalResolvent, forcing: ForcingSpec,
-                   g: Optional[Callable], nu: float, times,
-                   sigma_max: float) -> np.ndarray:
-    """Envelope estimate of the omitted |sigma| > sigma_max contribution.
-
-    The envelope of g R F_hat does not depend on t, so four evaluations serve
-    every time; only the factor e^{-nu t} does.  Returns a (T,) array for the
-    (T,) array times.
-    """
-    times = _as_times(times)
-    env = _envelope(resolvent, forcing, g, nu, np.array([sigma_max]))
-    return _tail_from_envelope(env[0], nu, times, sigma_max)
 
 
 #: the largest truncation radius choose_sigma_max returns

@@ -26,10 +26,9 @@ CONFLUENCE_THRESHOLD = 1e-8
 #: smallness constant c0 in eta <= c0 |a1 a2| |z1 - z2|^4
 SMALLNESS_C0 = 1e-2
 
-#: midpoint of the node pairs of separation_scaling_probe and calibrate_c_hat
+#: midpoint of the node pairs of separation_scaling_probe and of the
+#: calibration grid of CALIBRATED_C_HAT (tests/conftest.py's calibrate_c_hat)
 Z_CENTER = 0.7
-#: amplitude moduli of calibrate_c_hat's reference grid
-AMP_MODULI = (0.5, 1.0, 2.0)
 #: perturbation directions of conditioning_report's slope probe (seed 0)
 REPORT_DIRECTIONS = 32
 
@@ -321,27 +320,3 @@ def conditioning_report(a1: complex, a2: complex, z1: complex, z2: complex,
             eta=max(eta, 1e-10), a1=a1, a2=a2,
             n_directions=REPORT_DIRECTIONS, seed=0)["slope"]
     return out
-
-
-def calibrate_c_hat(separations: Sequence[float] = (0.1, 0.2, 0.3, 0.4, 0.5),
-                    eta: float = 1e-8, n_directions: int = 64, seed: int = 1) -> float:
-    """Calibrate the conditioning constant on the coarse reference grid.
-
-    Returns 2x the maximum observed ratio of worst-case root error to
-    eta / (|a1 a2| |z1 - z2|^3) over the grid; |z| stays <= 1.
-    """
-    rng = np.random.default_rng(seed)
-    worst_ratio = 0.0
-    for sep in separations:
-        for m1 in AMP_MODULI:
-            for m2 in AMP_MODULI:
-                a1 = m1 * np.exp(2j * np.pi * rng.random())
-                a2 = m2 * np.exp(2j * np.pi * rng.random())
-                z1 = Z_CENTER + 0.5 * sep
-                z2 = Z_CENTER - 0.5 * sep
-                err = worst_case_root_error(a1, a2, z1, z2, eta,
-                                            n_directions=n_directions,
-                                            seed=seed)
-                ratio = err / (eta / (abs(a1 * a2) * sep**3))
-                worst_ratio = max(worst_ratio, ratio)
-    return 2.0 * worst_ratio

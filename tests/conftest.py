@@ -18,6 +18,7 @@ import pytest
 
 from ringlab import extractor as ex
 from ringlab import paramap as pm
+from ringlab import prony2 as p2
 from ringlab import signal_model as sm
 from ringlab.errors import ConfigError, DegenerateSignalError
 
@@ -204,6 +205,34 @@ def point_from_array(x: np.ndarray, lam_fixed: Optional[float] = None) -> pm.Par
         return pm.ParameterPoint(m=float(x[0]), a=float(x[1]), lam=float(x[2]))
     return pm.ParameterPoint(m=float(x[0]), a=float(x[1]),
                              lam=0.0 if lam_fixed is None else lam_fixed)
+
+
+#: amplitude moduli of calibrate_c_hat's reference grid
+AMP_MODULI = (0.5, 1.0, 2.0)
+
+
+def calibrate_c_hat(separations: Sequence[float] = (0.1, 0.2, 0.3, 0.4, 0.5),
+                    eta: float = 1e-8, n_directions: int = 64, seed: int = 1) -> float:
+    """Calibrate the conditioning constant on the coarse reference grid.
+
+    Returns 2x the maximum observed ratio of worst-case root error to
+    eta / (|a1 a2| |z1 - z2|^3) over the grid; |z| stays <= 1.
+    """
+    rng = np.random.default_rng(seed)
+    worst_ratio = 0.0
+    for sep in separations:
+        for m1 in AMP_MODULI:
+            for m2 in AMP_MODULI:
+                a1 = m1 * np.exp(2j * np.pi * rng.random())
+                a2 = m2 * np.exp(2j * np.pi * rng.random())
+                z1 = p2.Z_CENTER + 0.5 * sep
+                z2 = p2.Z_CENTER - 0.5 * sep
+                err = p2.worst_case_root_error(a1, a2, z1, z2, eta,
+                                               n_directions=n_directions,
+                                               seed=seed)
+                ratio = err / (eta / (abs(a1 * a2) * sep**3))
+                worst_ratio = max(worst_ratio, ratio)
+    return 2.0 * worst_ratio
 
 
 def fit_decay_order(sigma: np.ndarray, vals: np.ndarray, n_bins: int = 10) -> float:

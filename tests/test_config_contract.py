@@ -234,12 +234,27 @@ FOUND = [
     # size exceeded" from numpy, and just past the bound of 2**20 panels
     ("band-isolate", {"band_isolate": {"n_models": 1, "times": [1.0e+300]}}, 2),
     ("band-isolate", {"band_isolate": {"n_models": 1, "times": [1.0, 655.37]}}, 2),
+    # a pole order whose residue oracle the Cauchy ring cannot resolve: the
+    # default document exited 1 with mismatches of 4.1e-6 and 5.9e18
+    ("band-isolate", {"band_isolate": {"max_order": 15}}, 2),
+    ("band-isolate", {"band_isolate": {"max_order": 40}}, 2),
 ]
 
 
 @pytest.mark.parametrize("sub, doc, code", FOUND)
 def test_found_counterexamples(contract, sub, doc, code):
     assert contract(sub, doc) == code
+
+
+def test_band_isolation_certifies_at_the_largest_max_order():
+    # 40 seeded models of the default document at the largest max_order that
+    # loads: every row certifies; one order more exits 2
+    cfg = config.ScenarioConfig(raw={"band_isolate": {"n_models": 40, "max_order": 10}})
+    report = pipeline.run_band_isolate(cfg)
+    assert len(report.rows) == 120 and not report.violations
+    assert all(row["ok"] for row in report.rows)
+    with pytest.raises(ConfigError, match="max_order"):
+        config.ScenarioConfig(raw={"band_isolate": {"max_order": 11}})
 
 
 def _load_with(monkeypatch, loader, path):

@@ -242,12 +242,13 @@ class TestGaussKronrod:
         mids = np.arange(-1598.0, 1600.0, 2.0 * half)
         assert mids.size * mt._GK_NODES.size > 2 * mt._GL_BLOCK
 
-        def values(w, scalar=None):
+        def values(w, scalar):
             return mt._integrand(R, forcing, None, w, scalar)
 
         omega = (mids[:, None] + half * mt._GK_NODES).ravel() - 1j * nu
         terms = (np.exp(-1j * np.multiply.outer(times, omega))[:, :, None]
-                 * values(omega)).reshape(times.size, mids.size, mt._GK_NODES.size, -1)
+                 * values(omega, forcing.scalar(omega))
+                 ).reshape(times.size, mids.size, mt._GK_NODES.size, -1)
         kronrod, gauss = half * np.einsum("tpkd,wk->wtpd", terms, mt._GK_WEIGHTS)
         error = np.linalg.norm(kronrod - gauss, axis=2).max(axis=0)
         # the allowance sits in the widest gap between the middle estimates
@@ -256,7 +257,8 @@ class TestGaussKronrod:
         allowance = float(np.sqrt(middle[gap] * middle[gap + 1]))
         rounding = 64 * np.finfo(float).eps * np.abs(np.multiply.outer(times, omega)).max()
         for cut in (allowance, np.inf):
-            total, refine = mt._gl_line_sum(values, nu, times, mids, half, cut)
+            total, refine = mt._gl_line_sum(values, *mt._pass(forcing, nu, times, mids, half),
+                                            cut)
             assert refine.tolist() == (error > cut).tolist()
             kept = ~refine
             bound = rounding * half * np.abs(terms[:, kept]).sum(axis=(1, 2, 3))
@@ -267,23 +269,32 @@ class TestGaussKronrod:
     @pytest.fixture(scope="class")
     def criterion_08_lines(self):
         """Criterion 08's 50 models at tol 1e-8: for each of their 100 lines,
-        its sigma_max, the (values, nu, times, mids, half, allowance, first)
-        of each of its passes, and the value it returns."""
+        its forcing, nu, times and sigma_max, its first pass's panel half
+        width, the values and panel count of each of its passes, and the
+        value it returns."""
         lines = []
-        line_integral, line_sum = mt.line_integral, mt._gl_line_sum
+        line_integral, first_pass, line_sum = mt.line_integral, mt._first_pass, mt._gl_line_sum
 
-        def tracked_line(*args):
-            lines.append((args[5], []))
-            value, tail = line_integral(*args)
-            lines[-1] += (value,)
+        def tracked_line(resolvent, forcing, g, nu, times, sigma_max, tol):
+            lines.append({"forcing": forcing, "nu": nu, "times": times,
+                          "sigma_max": sigma_max, "passes": []})
+            value, tail = line_integral(resolvent, forcing, g, nu, times, sigma_max, tol)
+            lines[-1]["value"] = value
             return value, tail
 
-        def tracked_sum(*args):
-            lines[-1][1].append(args)
-            return line_sum(*args)
+        def tracked_first(*args):
+            mids, half, table = first_pass(*args)
+            lines[-1]["half"] = half
+            return mids, half, table
+
+        def tracked_sum(values, rule, blocks, allowance):
+            blocks = tuple(blocks)
+            lines[-1]["passes"].append((values, sum(phase.shape[1] for *_, phase in blocks)))
+            return line_sum(values, rule, blocks, allowance)
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(mt, "line_integral", tracked_line)
+            patch.setattr(mt, "_first_pass", tracked_first)
             patch.setattr(mt, "_gl_line_sum", tracked_sum)
             for idx in range(50):
                 rng = np.random.default_rng(800 + idx)
@@ -302,13 +313,15 @@ class TestGaussKronrod:
         # every time, of the uniform K21 value on panels four times finer than
         # its finest accepted panel (those of its last pass)
         worst = 0.0
-        for sigma_max, passes, accepted in criterion_08_lines:
-            values, nu, times, _, half, _, _ = passes[-1]
+        for line in criterion_08_lines:
+            sigma_max, passes = line["sigma_max"], line["passes"]
+            half = line["half"] / 2 ** (len(passes) - 1)
             edges = np.linspace(-sigma_max, sigma_max,
                                 int(round(4.0 * sigma_max / half)) + 1)
-            reference, _ = mt._gl_line_sum(values, nu, times, 0.5 * (edges[:-1] + edges[1:]),
-                                           0.5 * (edges[1] - edges[0]), np.inf)
-            worst = max(worst, float(np.linalg.norm(accepted - reference, axis=1).max()))
+            finer = mt._pass(line["forcing"], line["nu"], line["times"],
+                             0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1] - edges[0]))
+            reference, _ = mt._gl_line_sum(passes[-1][0], *finer, np.inf)
+            worst = max(worst, float(np.linalg.norm(line["value"] - reference, axis=1).max()))
         assert worst <= self.TOL
 
     def test_evaluated_nodes_mostly_accepted(self, criterion_08_lines):
@@ -316,8 +329,8 @@ class TestGaussKronrod:
         # bisected, so of its P panels P - P_next / 2 are accepted, and at
         # least 0.9 of every evaluated node lies in an accepted panel
         evaluated = accepted = 0
-        for _, passes, _ in criterion_08_lines:
-            counts = [args[3].size for args in passes] + [0]
+        for line in criterion_08_lines:
+            counts = [panels for _, panels in line["passes"]] + [0]
             evaluated += sum(counts)
             accepted += sum(p - nxt // 2 for p, nxt in zip(counts, counts[1:]))
         assert accepted >= 0.9 * evaluated
@@ -424,11 +437,16 @@ class TestFirstPassMemo:
             nu2_tables.add(id(mt._first_pass(self.model(seed)[1], 2.3,
                                               np.array(self.TIMES), 100.0)[2]))
         assert len(nu2_tables) == 1
-        # a table larger than the memo is built for its line and not kept
+        # a table larger than the memo is not kept: its pass comes back with
+        # lazy blocks, equal to the table's bit for bit
         monkeypatch.setattr(mt, "_FIRST_PASS_BYTES", size - 1)
         mt._FIRST_PASSES.clear()
-        assert mt._first_pass(self.model(1)[1], 0.3, np.array(self.TIMES), 100.0)[2] is None
-        assert not mt._FIRST_PASSES
+        lazy_mids, _, (lazy_rule, lazy) = mt._first_pass(self.model(1)[1], 0.6,
+                                                         np.array(self.TIMES), 100.0)
+        assert not mt._FIRST_PASSES and not isinstance(lazy, tuple)
+        assert np.array_equal(lazy_mids, mids) and np.array_equal(lazy_rule, rule)
+        for got, want in zip(lazy, blocks, strict=True):
+            assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
 
 
 class TestChooseSigmaMax:
@@ -439,7 +457,8 @@ class TestChooseSigmaMax:
         sigma, envelopes = 50.0, []
         while sigma < mt.SIGMA_MAX_CAP:
             w = np.array([0.5, -0.5, 1.0, -1.0]) * sigma - 1j * nu
-            env = np.linalg.norm(mt._integrand(resolvent, forcing, None, w), axis=1)
+            env = np.linalg.norm(mt._integrand(resolvent, forcing, None, w, forcing.scalar(w)),
+                                 axis=1)
             envelopes.append(env)
             e_half, e_full = float(env[0] + env[1]), float(env[2] + env[3])
             tail = np.zeros(len(times))
@@ -472,6 +491,40 @@ class TestChooseSigmaMax:
                         chosen.add(got)
         # the cap, the start and the levels between are all reached
         assert {50.0, 100.0, mt.SIGMA_MAX_CAP} <= chosen
+
+    def test_truncation_estimate_is_the_searched_envelope_row(self, monkeypatch):
+        # with sigma_max unset, each line's truncation estimate is, bit for
+        # bit, the tail formula of the envelope row the one-call search
+        # judged at the chosen radius
+        line_tails, line_integral = [], mt.line_integral
+
+        def tracked(*args):
+            value, tail = line_integral(*args)
+            line_tails.append(tail)
+            return value, tail
+
+        monkeypatch.setattr(mt, "line_integral", tracked)
+        times = np.array([1.0, 2.0, 5.0])
+        sigmas = 50.0 * 2.0 ** np.arange(7)  # every radius the search tries below the cap
+        assert sigmas[-1] < mt.SIGMA_MAX_CAP <= 2.0 * sigmas[-1]
+        chosen = set()
+        for seed in range(6):
+            rng = np.random.default_rng(60 + seed)
+            dim = int(rng.integers(1, 4))
+            resolvent = mt.random_rational_resolvent(rng, dim=dim, n_poles=3)
+            forcing = mt.ForcingSpec(k=3 + seed, payload=rng.standard_normal(dim)
+                                     + 1j * rng.standard_normal(dim))
+            line_tails.clear()
+            out = mt.band_subtract(resolvent, forcing, None, 0.3, 2.3, times, tol=1e-8)
+            sigma = out["sigma_max"]
+            assert sigma < mt.SIGMA_MAX_CAP
+            row = sigmas.tolist().index(sigma)
+            for nu, tail in zip((0.3, 2.3), line_tails, strict=True):
+                envelope = mt._envelope(resolvent, forcing, None, nu, sigmas)[row]
+                assert np.array_equal(tail, mt._tail_from_envelope(envelope, nu, times, sigma))
+            assert np.array_equal(out["truncation_estimate"], line_tails[0] + line_tails[1])
+            chosen.add(sigma)
+        assert len(chosen) == 4  # 50 to 1 600
 
 
 class TestBandSubtract:

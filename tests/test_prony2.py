@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import calibrate_c_hat
 
 from ringlab import prony2 as p2
 from ringlab.errors import ConfigError, StructureError
@@ -186,7 +187,7 @@ class TestConfluentFit:
 
 class TestCalibration:
     def test_frozen_constant_matches_recalibration(self):
-        assert abs(p2.calibrate_c_hat() - p2.CALIBRATED_C_HAT) < 0.01
+        assert abs(calibrate_c_hat() - p2.CALIBRATED_C_HAT) < 0.01
 
     def test_validation_grid_no_exceedance(self, rng):
         # disjoint finer grid than the calibration grid
