@@ -32,7 +32,7 @@ for ell in (10, 20, 40):
     a = aw.PseudopoleSet(tuple(ell * base))
     b = aw.PseudopoleSet(tuple(ell * (base + 0.002)))
     print(f"  ell = {ell:3d}: node mismatch delta = "
-          f"{aw.prior_mismatch(a, b)['delta']:.4f}")
+          f"{max(abs(p - q) for p, q in zip(a.nodes, b.nodes)):.4f}")
 
 # --- growth on a shifted line stays uniform when nodes scale up -------------
 sigma = np.linspace(-10, 10, 201)

@@ -17,7 +17,8 @@ from ringlab import signal_model as sm
 model = pm.default_lattice(kappa=0.3, lam_kind="constant", lam_value=0.2,
                            ell=100)
 p_true = pm.ParameterPoint(m=1.0, a=0.08, lam=0.02)
-print("photon-sphere frequency:", pm.photon_sphere_frequency(p_true.m, p_true.lam))
+print("photon-sphere frequency:",
+      model.uvl(p_true.m, p_true.a, 1.0 - 9.0 * p_true.lam * p_true.m**2)[0])
 w_plus = pm.pseudopole(model, 0, +1, p_true)
 w_minus = pm.pseudopole(model, 0, -1, p_true)
 print(f"labeled pair: {w_plus:.4f}, {w_minus:.4f} "

@@ -18,8 +18,9 @@ import numpy as np
 from .errors import ConfigError
 from .signal_model import Mode, SampledSignal
 
-#: constant in the robustness bound C_n * delta / d_sharp for perturbed nodes
 def lagrange_robustness_constant(n: int) -> float:
+    """The constant C_n of the robustness bound C_n * delta / d_sharp for
+    perturbed nodes."""
     return 4.0 * (5.0 / 3.0) ** n
 
 
@@ -172,20 +173,6 @@ def interp_robustness(nodes: PseudopoleSet, perturbed: Sequence[complex],
         "hypothesis_ok": delta <= d_sharp / 8.0,
         "bound": lagrange_robustness_constant(n) * delta / d_sharp if n else 0.0,
     }
-
-
-def prior_mismatch(nodes_p: PseudopoleSet, nodes_ptilde: PseudopoleSet) -> dict:
-    """Mismatch diagnostics between two pseudopole priors.
-
-    delta = max nodewise distance, d_sharp from the second set, and their
-    ratio, which gates the window-robustness assertions.
-    """
-    if len(nodes_p) != len(nodes_ptilde):
-        raise ConfigError("node counts must match")
-    delta = max(abs(a - b) for a, b in zip(nodes_p.nodes, nodes_ptilde.nodes))
-    d_sharp = nodes_ptilde.min_sep
-    return {"delta": delta, "d_sharp": d_sharp,
-            "ratio": delta / d_sharp if np.isfinite(d_sharp) else 0.0}
 
 
 def apply_window_modal(modes: Sequence[Mode], w: WindowPolynomial) -> list:

@@ -58,16 +58,6 @@ class ParameterPoint:
             raise ConfigError("need 9*lam*M^2 < 1 (photon-sphere frequency real)")
 
 
-def photon_sphere_frequency(m: float, lam: float = 0.0) -> float:
-    """Coordinate-time orbital frequency sqrt(1 - 9 lam M^2) / (3 sqrt(3) M)."""
-    if m <= 0:
-        raise ConfigError("mass must be positive")
-    x = 9.0 * lam * m**2
-    if x >= 1.0:
-        raise ConfigError("extremal or over-extremal: 9*lam*M^2 >= 1")
-    return float(_photon_u(m, 1.0 - x))
-
-
 @dataclass(frozen=True)
 class LatticeModel:
     """Pseudopole lattice ell*(u +/- v) - i (j+1/2) lam over parameter points.
@@ -216,7 +206,8 @@ def invert_rows(model: LatticeModel, targets: np.ndarray, guesses: Sequence[Para
     targets is (B, d): rows (U, V) or, in three-parameter mode, (U, V, W).
     Each row starts from its guess (whose Lambda stays fixed in 2p) and ends
     with its point, iteration count and residual norm (the row of the
-    returned :class:`Inversion`) or its InversionError: its
+    returned :class:`Inversion`), and with its InversionError if one ends it
+    (the point being then its last accepted iterate): its
     residual norm below NEWTON_TOL stops it, and non-convergence within
     NEWTON_MAX_ITER steps, a singular Jacobian (relative to its largest
     entry), ten halvings of the step without descent, or a converged point
@@ -229,8 +220,6 @@ def invert_rows(model: LatticeModel, targets: np.ndarray, guesses: Sequence[Para
     three = d == 3
     x = np.array([[g.m, g.a, g.lam][:d] for g in guesses], dtype=float).reshape(n_rows, d)
     out: list = [None] * n_rows
-    iters = np.zeros(n_rows, dtype=int)
-    norm = np.empty(n_rows)
 
     def evaluate(xs, lam, tgt) -> list:
         """[M**2, s = 1 - 9 Lambda M^2, residual, its norm] at the rows xs
@@ -257,16 +246,17 @@ def invert_rows(model: LatticeModel, targets: np.ndarray, guesses: Sequence[Para
         # the rows still iterating: their rows of x (ids) and their state
         rows = [np.arange(n_rows), x, np.array([g.lam for g in guesses], dtype=float), targets]
         rows += evaluate(*rows[1:])
+        norm, iters = rows[-1].copy(), np.zeros(n_rows, dtype=int)
         for it in range(NEWTON_MAX_ITER + 1):
             ids, xs, lam, tgt, m2, s, res, nrm = rows
+            # every row holds its last accepted iterate, its residual norm and
+            # its step count, whatever ends it
+            x[ids], norm[ids], iters[ids] = xs, nrm, it
             going = nrm > NEWTON_TOL
             n_going = np.count_nonzero(going)
             if not n_going:
-                x[ids], norm[ids], iters[ids] = xs, nrm, it
                 break
             if n_going < len(ids):
-                stop = ~going
-                x[ids[stop]], norm[ids[stop]], iters[ids[stop]] = xs[stop], nrm[stop], it
                 rows = [v[going] for v in rows]
                 ids, xs, lam, tgt, m2, s, res, nrm = rows
             if it == NEWTON_MAX_ITER:
@@ -322,8 +312,9 @@ def invert_rows(model: LatticeModel, targets: np.ndarray, guesses: Sequence[Para
 class Inversion:
     """:func:`invert_rows`'s rows as (B,) columns, the one form of its
     result: the point (m, a, lam; lam the guess's in 2p), the Newton steps
-    and the residual norm, which a row that ``errors`` ends (None, or its
-    InversionError) holds as it stopped."""
+    and the residual norm.  A row that ``errors`` ends (None, or its
+    InversionError) holds its last accepted iterate, the residual norm there
+    and the steps it accepted."""
 
     m: np.ndarray
     a: np.ndarray

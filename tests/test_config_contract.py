@@ -151,13 +151,14 @@ def contract(tmp_path, monkeypatch):
             driver_errors.append(str(exc))
             raise
 
-    def failed(report, row, prefix, exc):
-        assert not isinstance(exc, ConfigError), f"config error as a failed row: {exc}"
-        return real_failed(report, row, prefix, exc)
+    def certify(report, checks, failed=None):
+        for _, exc in (failed or {}).values():
+            assert not isinstance(exc, ConfigError), f"config error as a failed row: {exc}"
+        return real_certify(report, checks, failed)
 
-    real_failed = pipeline._failed
+    real_certify = pipeline._certify
     monkeypatch.setattr(cli, "run_subcommand", run_subcommand)
-    monkeypatch.setattr(pipeline, "_failed", failed)
+    monkeypatch.setattr(pipeline, "_certify", certify)
     path, out = tmp_path / "cfg.yaml", str(tmp_path / "out")
 
     def check(sub, doc):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import point_array, point_from_array
+from conftest import photon_sphere_frequency, point_array, point_from_array
 
 from ringlab import extractor as ex
 from ringlab import paramap as pm
@@ -63,20 +63,20 @@ def random_box(rng):
 
 class TestPhotonSphere:
     def test_schwarzschild_limit(self):
-        assert abs(pm.photon_sphere_frequency(1.0, 0.0)
+        assert abs(photon_sphere_frequency(1.0, 0.0)
                    - 1.0 / (3.0 * np.sqrt(3.0))) < 1e-15
 
     def test_with_cosmological_constant(self):
         want = np.sqrt(0.82) / (3.0 * np.sqrt(3.0))
-        assert abs(pm.photon_sphere_frequency(1.0, 0.02) - want) < 1e-15
+        assert abs(photon_sphere_frequency(1.0, 0.02) - want) < 1e-15
         assert abs(want - 0.174271) < 1e-6
 
     def test_degeneration_to_zero(self):
-        vals = [pm.photon_sphere_frequency(1.0, lam)
+        vals = [photon_sphere_frequency(1.0, lam)
                 for lam in (0.05, 0.1, 0.11, 0.111)]
         assert vals[-1] < 0.01 * vals[0] + 0.02
         with pytest.raises(ConfigError):
-            pm.photon_sphere_frequency(1.0, 1.0 / 9.0)
+            photon_sphere_frequency(1.0, 1.0 / 9.0)
 
 
 class TestPseudopole:
@@ -103,7 +103,7 @@ class TestPseudopole:
                                    lam_value=0.2, ell=10)
         p = pm.ParameterPoint(m=1.0, a=0.1, lam=0.02)
         got = pm.pseudopole(model, 0, +1, p)
-        want = 10 * (pm.photon_sphere_frequency(1.0, 0.02) + 0.03) - 0.1j
+        want = 10 * (photon_sphere_frequency(1.0, 0.02) + 0.03) - 0.1j
         assert abs(got - want) < 1e-13
         assert abs(got - (2.04271 - 0.1j)) < 1e-5
 
@@ -419,6 +419,43 @@ class TestInvertRows:
         x = rng.uniform(0.5, 2.0, 20000) * 2.0 ** rng.integers(-30, 30, 20000)
         for k in (2, 3):
             assert pm._pow(x, k).tolist() == [v ** k for v in x.tolist()]
+
+
+    @pytest.mark.parametrize("stop, error, steps", [
+        ("stall", "damped Newton stalled (no descent direction)", 4),
+        ("max_iter", "Newton did not converge in 1 iterations", 1),
+        ("singular", "singular Jacobian of the data map", 0),
+    ], ids=["stall", "max_iter", "singular"])
+    def test_a_row_an_error_ends_holds_its_last_iterate(self, monkeypatch, stop, error, steps):
+        # whatever ends a row, it holds its last accepted iterate, the residual
+        # norm there and its accepted steps, the same on every call: the state
+        # that a step limit of that many steps stops it in
+        model = pm.default_lattice(lam_kind="constant")
+        guess = pm.ParameterPoint(m=1.0, a=0.08, lam=0.02)
+        targets = np.array([[-1.0, 0.024], [0.19245, 0.024]])
+        if stop == "max_iter":
+            monkeypatch.setattr(pm, "NEWTON_MAX_ITER", 1)
+        elif stop == "singular":  # lam = u duplicates U: the 3p map is singular
+            model = pm.default_lattice(kappa=0.3, lam_kind="photon_sphere")
+            data = model.data_map(guess, True)
+            targets = np.array([data + [0.0, 0.0, 1e-4], data])
+            guess = pm.ParameterPoint(m=1.01, a=0.081, lam=0.021)
+
+        def state(inv):
+            return [inv.m.tolist(), inv.a.tolist(), inv.lam.tolist(),
+                    inv.iterations.tolist(), inv.residual.tolist()]
+
+        inv = pm.invert_rows(model, targets, [guess] * 2, [None] * 2)
+        assert str(inv.errors[0]) == error and inv.iterations[0] == steps
+        assert state(pm.invert_rows(model, targets, [guess] * 2, [None] * 2)) == state(inv)
+        s = 1.0 - 9.0 * inv.lam * pm._pow(inv.m, 2)
+        residual = model.data_rows(inv.m, inv.a, s, targets.shape[1] == 3) - targets
+        assert inv.residual.tolist() == pm._row_norms(residual).tolist()
+        assert np.isfinite(inv.residual).all()
+        monkeypatch.setattr(pm, "NEWTON_MAX_ITER", steps)
+        cut = pm.invert_rows(model, targets[:1], [guess], [None])
+        assert str(cut.errors[0]) == f"Newton did not converge in {steps} iterations"
+        assert state(cut) == [col[:1] for col in state(inv)]
 
 
 class TestInverseConstants:

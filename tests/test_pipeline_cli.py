@@ -847,6 +847,29 @@ def test_demo_config_sets_agree():
         assert yaml.safe_load(text) == shipped, name
 
 
+def _scalar_cells(report) -> list:
+    """The cells of a report's rows that are not a Python bool, int, float or
+    str: ``fmt`` writes a numpy scalar in other bytes (np.bool_(True) as
+    True, np.float32(0.5) as 0.5), and no error says so."""
+    return [(i, key, type(v)) for i, row in enumerate(report.rows)
+            for key, v in row.items() if type(v) not in (bool, int, float, str)]
+
+
+@pytest.mark.parametrize("name", sorted(DEMO_CONFIGS))
+def test_demo_report_cells_are_python_scalars(name):
+    doc = yaml.safe_load((DEMO_DIR / f"{name}.yaml").read_text(encoding="utf-8"))
+    report = run_subcommand(DEMO_CONFIGS[name], ScenarioConfig(raw=doc))
+    assert report.rows and _scalar_cells(report) == []
+
+
+@pytest.mark.parametrize("workload", ["ell-sweep", "lcg-long-grid", "band-isolate"])
+def test_benchmark_report_cells_are_python_scalars(tmp_path, workload):
+    wl = load_workloads().make(workload)
+    wl.prepare(tmp_path)
+    for i in range(3):
+        report = wl.run(wl.make_input(1, i), tmp_path)
+        assert report.rows and _scalar_cells(report) == []
+
 @pytest.mark.parametrize("name", sorted(DEMO_CONFIGS))
 def test_demo_config_runs_and_is_deterministic(tmp_path, name):
     argv = [DEMO_CONFIGS[name], "--config", str(DEMO_DIR / f"{name}.yaml")]
