@@ -2,30 +2,32 @@
 
 One scenario is: build the two one-mode sector signals from the lattice at
 the true parameters, add tail and noise, optionally apply the analytic
-window (modal or finite-difference path), extract both frequencies with
-the shift Rayleigh quotient, form the estimated observables, invert the
-data map, and emit the full error-versus-bound ledger.  Every driver hands
-its certified inequalities to one function as (name, hypothesis, value,
-bound) records; a violation with its hypothesis holding marks the run as
-failed (CLI exit code 1).  Scenarios form one table, held as columns:
-``pipeline`` and ``extract`` are tables of one row, ``sweep`` a row per
-point.  Every row runs every stage, and a row that fails reports the first
-error its point raises alone.  Each sector's scene (true frequency,
-reference amplitude, prior, contaminants) is one set of columns over the
-table; consecutive points on one observation setup synthesise and extract
-their sectors as the rows of one array; each run of equal setups is one
-eps-budget call; every point's data are inverted in one damped-Newton pass;
-and the ledgers, the checks and the report rows are computed once per
-column, the rows built once at the end.  Each row is bit for bit what its
-point gives alone: the columns use only elementwise kernels that round as
-the scalar code did (|z| is hypot, never numpy's complex abs; Python's
-complex division and libm's log1p and pow stay scalar calls, row by row).
-What no point of a run of equal setups varies is built once, before its
-batches: the scene grid, the tail on it, the unscaled LCG stream of its
-seed, which every noise amplitude scales, and each mode row that every
-point of the run holds (a noise_amp sweep synthesises its references, tail
-and stream once).  A row that only the points of one batch share is
-synthesised once for that batch.
+window (modal or finite-difference path), extract both frequencies with the
+shift Rayleigh quotient, form the estimated observables, invert the data
+map, and emit the full error-versus-bound ledger.  Every subcommand is one
+table held as columns: ``pipeline``, ``extract`` and ``prony`` have one row,
+``sweep`` a row per point, ``band-isolate`` a row per (model, time),
+``pseudospectrum`` a row per eps and ``window-check`` a row per node, then
+its robustness row.  A driver hands its table's certified inequalities to
+one function in one call, as (name, hypothesis, value, bound) records, and
+builds its rows in one call; a violation with its hypothesis holding marks
+the run as failed (CLI exit code 1).  Every scenario row runs every stage,
+and a row that fails reports the first error its point raises alone.  Each
+sector's scene (true frequency, reference amplitude, prior, contaminants) is
+one set of columns over the table; consecutive points on one observation
+setup synthesise and extract their sectors as the rows of one array; each
+run of equal setups is one eps-budget call; every point's data are inverted
+in one damped-Newton pass; and the ledgers, the checks and the report rows
+are computed once per column, the rows built once at the end.  Each row is
+bit for bit what its point gives alone: the columns use only elementwise
+kernels that round as the scalar code did (|z| is hypot, never numpy's
+complex abs; Python's complex division and libm's log1p and pow stay scalar
+calls, row by row).  What no point of a run of equal setups varies is built
+once, before its batches: the scene grid, the tail on it, the unscaled LCG
+stream of its seed, which every noise amplitude scales, and each mode row
+that every point of the run holds (a noise_amp sweep synthesises its
+references, tail and stream once).  A row that only the points of one batch
+share is synthesised once for that batch.
 
 Inside a scenario every norm is taken in the discrete trapezoid-weighted
 inner product on the sampling grid, the bilinear form sum_k q_k f_k conj(g_k)
@@ -241,19 +243,18 @@ def _certify(report: RunReport, checks: list, failed: Optional[dict] = None) -> 
     hypothesis holds and not value <= bound, so a NaN never certifies.
 
     ``checks`` holds (labels, records) groups over one table: labels has one
-    label per row (a str: the table is one row), and a record's entries are
-    scalars or one column per row.  Row by row, then group by group and
-    record by record, each failure is the violation "label: name violated
+    label per row, and a record's entries are scalars or one column per row,
+    each decided as a column over the table.  Row by row, then group by group
+    and record by record, each failure is the violation "label: name violated
     (value > bound)".  ``failed`` maps a row that a RinglabError ended to its
     (prefix, error): it certifies nothing, and its violation is "prefix
     error", in its turn.  No row is touched.  Returns per row whether
     nothing failed."""
     failed = failed or {}
-    groups = [([labels] if isinstance(labels, str) else labels, records)
-              for labels, records in checks]
-    bad = np.zeros(len(groups[0][0]), dtype=bool)
-    decided = [[np.logical_and(hyp, np.logical_not(np.less_equal(value, bound)))
-                for _, hyp, value, bound in records] for _, records in groups]
+    n = len(checks[0][0])
+    decided = [[np.broadcast_to(np.logical_and(hyp, np.logical_not(np.less_equal(value, bound))), n)
+                for _, hyp, value, bound in records] for _, records in checks]
+    bad = np.zeros(n, dtype=bool)
     for fail in (f for group in decided for f in group):
         bad |= fail
     bad[list(failed)] = True
@@ -262,10 +263,10 @@ def _certify(report: RunReport, checks: list, failed: Optional[dict] = None) -> 
             prefix, exc = failed[i]
             report.add_violation(f"{prefix}{exc}")
             continue
-        for (labels, records), group in zip(groups, decided):
+        for (labels, records), group in zip(checks, decided):
             for (name, _, value, bound), fail in zip(records, group):
-                if np.ravel(fail)[i] if fail.ndim else fail:
-                    value, bound = (np.ravel(v)[i] if np.ndim(v) else v for v in (value, bound))
+                if fail[i]:
+                    value, bound = (np.broadcast_to(v, n)[i] for v in (value, bound))
                     report.add_violation(
                         f"{labels[i]}: {name} violated ({value:.6e} > {bound:.6e})")
     return (~bad).tolist()
@@ -520,7 +521,7 @@ def run_extract(cfg: ScenarioConfig) -> RunReport:
     table = _run_points([cfg], signs=(+1,))
     sec, exc = table[+1], table["errors"][0]
     ledger, records = _sector_ledger(sec, cfg)
-    _certify(report, [("extract", records)], {0: ("", exc)} if exc else None)
+    _certify(report, [(["extract"], records)], {0: ("", exc)} if exc else None)
     report.add_rows([{"omega_true": sec["omega_true"], "z_true": sec["z_true"], **ledger},
                      {"failed": [True], "error": [str(exc)]}], [(1,) if exc else (0,)])
     return report
@@ -549,15 +550,17 @@ def run_prony(cfg: ScenarioConfig) -> RunReport:
                     "cond_smallness_ok": cond["smallness_ok"],
                     "cond_slope": cond["scaling_exponent_probe"],
                     "c_hat": cond["c_hat"]})
-    report.add_row(row)
+    report.add_rows([{key: [value] for key, value in row.items()}])
     return report
 
 
 def run_band_isolate(cfg: ScenarioConfig) -> RunReport:
+    """One row per (model, time), model-major, certified and built as one table."""
     from . import merotoy as mt
     report = RunReport(metadata={"subcommand": "band-isolate", **_REPORT_TOLERANCES})
     sec = cfg["band_isolate"]
-    nu1, nu2, tol = float(sec["nu1"]), float(sec["nu2"]), float(sec["tol"])
+    nu1, nu2, tol, times = float(sec["nu1"]), float(sec["nu2"]), float(sec["tol"]), sec["times"]
+    per_model, mismatch, tail = [], [], []  # per model: model, dim, n_poles, n_in_strip, sigma_max
     for idx in range(sec["n_models"]):
         rng = np.random.default_rng(sec["seed"] + idx)
         # both draws happen whether or not the config fixes the value
@@ -568,60 +571,60 @@ def run_band_isolate(cfg: ScenarioConfig) -> RunReport:
                                                  max_order=sec["max_order"])
         forcing = mt.ForcingSpec(
             k=sec["forcing_k"], payload=rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
-        out = mt.band_subtract(resolvent, forcing, None, nu1, nu2, sec["times"])
-        for t, mismatch, tail in zip(sec["times"], out["mismatch"],
-                                     out["truncation_estimate"]):
-            ok, = _certify(report, [(f"model {idx}, t={t}",
-                                     [("band isolation", True, float(mismatch), tol)])])
-            report.add_row({
-                "model": idx, "t": float(t), "dim": dim,
-                "n_poles": len(resolvent.poles),
-                "n_in_strip": len(resolvent.poles_in_strip(-nu2, -nu1)),
-                "mismatch": float(mismatch), "tol": tol,
-                "sigma_max": out["sigma_max"],
-                "truncation_estimate": float(tail),
-                # a hypothesis flag, not a check: ok reads only the mismatch
-                "hyp_truncation": bool(tail < tol), "ok": ok,
-            })
+        out = mt.band_subtract(resolvent, forcing, None, nu1, nu2, times)
+        per_model.append((idx, dim, len(resolvent.poles),
+                          len(resolvent.poles_in_strip(-nu2, -nu1)), out["sigma_max"]))
+        mismatch += out["mismatch"].tolist()
+        tail += out["truncation_estimate"].tolist()
+    # the models' times joined, model-major: a per-model value once per time
+    model, dim, n_poles, n_in_strip, sigma_max = (
+        [m[k] for m in per_model for _ in times] for k in range(5))
+    ok = _certify(report, [([f"model {idx}, t={t}" for idx, *_ in per_model for t in times],
+                            [("band isolation", True, mismatch, tol)])])
+    report.add_rows([{
+        "model": model, "t": [float(t) for _ in per_model for t in times], "dim": dim,
+        "n_poles": n_poles, "n_in_strip": n_in_strip, "mismatch": mismatch,
+        "tol": [tol] * len(mismatch), "sigma_max": sigma_max, "truncation_estimate": tail,
+        # a hypothesis flag, not a check: ok reads only the mismatch
+        "hyp_truncation": [est < tol for est in tail], "ok": ok,
+    }])
     return report
 
 
 def run_pseudospectrum(cfg: ScenarioConfig) -> RunReport:
+    """One row per eps, certified and built as one table."""
     from . import merotoy as mt
     report = RunReport(metadata={"subcommand": "pseudospectrum", **_REPORT_TOLERANCES})
     sec = cfg["pseudospectrum"]
-    poles = tuple(sec["poles"])
     model = mt.PseudospectrumModel(
-        poles=poles, e_plus=float(sec["e_plus"]), e_minus=float(sec["e_minus"]),
+        poles=tuple(sec["poles"]), e_plus=float(sec["e_plus"]), e_minus=float(sec["e_minus"]),
         hol_bound=float(sec["hol_bound"]))
     re_grid = np.linspace(*cfg.re_range, sec["grid_n"])
     im_grid = np.linspace(*cfg.im_range, sec["grid_n"])
-    for i, eps in enumerate(sec["eps"]):
-        scan = mt.pseudospectrum_scan(model, re_grid, im_grid, float(eps))
-        holds, = _certify(report, [(f"pseudospectrum eps={eps}",
-                                    [("inclusion", True, scan["violations"], 0)])])
-        report.add_row({
-            "eps": float(eps), "n_flagged": scan["n_flagged"],
-            "violations": scan["violations"], "radius": scan["radius"],
-            "inclusion_holds": holds, "grid_spacing": scan["spacing"],
-        })
-        flagged = np.argwhere(scan["mask"])
-        rows = [(re_grid[j], im_grid[i2]) for i2, j in flagged]
-        report.plotdata[f"pseudospectrum_eps{i}"] = (["re", "im"], rows)
+    scans = [mt.pseudospectrum_scan(model, re_grid, im_grid, float(eps)) for eps in sec["eps"]]
+    for i, scan in enumerate(scans):
+        report.plotdata[f"pseudospectrum_eps{i}"] = (
+            ["re", "im"], [(re_grid[j], im_grid[i2]) for i2, j in np.argwhere(scan["mask"])])
+    col = {key: [scan[key] for scan in scans] for key in ("n_flagged", "violations", "radius")}
+    holds = _certify(report, [([f"pseudospectrum eps={eps}" for eps in sec["eps"]],
+                               [("inclusion", True, col["violations"], 0)])])
+    report.add_rows([{"eps": [float(eps) for eps in sec["eps"]], **col, "inclusion_holds": holds,
+                      "grid_spacing": [scan["spacing"] for scan in scans]}])
     return report
 
 
 def run_window_check(cfg: ScenarioConfig) -> RunReport:
+    """One row per window node, then the robustness row: one table, certified
+    and built once, each of whose records holds on its own rows only."""
     report = RunReport(metadata={"subcommand": "window-check", **_REPORT_TOLERANCES})
     sec = cfg["window_check"]
     gpoly = cfg.check_window
     nodes, target = gpoly.nodes, gpoly.target
-    for j, node in enumerate(nodes.nodes):
-        want = 1.0 if j == target else 0.0
-        dev = abs(complex(gpoly(node)) - want)
-        ok, = _certify(report, [(f"window-check node {j}", [("identity", True, dev, 1e-12)])])
-        report.add_row({"check": "identity", "node": j, "deviation": dev,
-                        "tol": 1e-12, "ok": ok})
+    n = len(nodes.nodes)
+    is_node = np.arange(n + 1) < n  # the node rows, then the robustness row
+    # the robustness row's deviation cell is filler, which no row holds
+    dev = [abs(complex(gpoly(node)) - (1.0 if j == target else 0.0))
+           for j, node in enumerate(nodes.nodes)] + [0.0]
     rng = np.random.default_rng(sec["seed"])
     n_draws = sec["n_draws"]
     delta_scale = float(sec["delta_scale"])
@@ -632,12 +635,15 @@ def run_window_check(cfg: ScenarioConfig) -> RunReport:
         pert = [z + delta * np.exp(2j * np.pi * rng.random())
                 for z in nodes.nodes]
         rob = aw.interp_robustness(nodes, pert, m=target)
-        dev = max([rob["dev_target"], *rob["dev_off"]])
-        draws.append((f"draw {k}", rob["hypothesis_ok"], dev, rob["bound"]))
-    ok, = _certify(report, [("window-check robustness", draws)])
-    worst = max([0.0] + [dev / bound for _, hyp, dev, bound in draws if hyp and bound > 0])
-    report.add_row({"check": "robustness", "n_draws": n_draws,
-                    "worst_ratio_to_bound": worst, "ok": ok})
+        draws.append((f"draw {k}", ~is_node & rob["hypothesis_ok"],
+                      max([rob["dev_target"], *rob["dev_off"]]), rob["bound"]))
+    labels = [f"window-check node {j}" for j in range(n)] + ["window-check robustness"]
+    ok = _certify(report, [(labels, [("identity", is_node, dev, 1e-12), *draws])])
+    worst = max([0.0] + [d / bound for _, hyp, d, bound in draws if hyp[n] and bound > 0])
+    report.add_rows([{"check": ["identity"] * n + ["robustness"]},
+                     {"node": [*range(n), None], "deviation": dev, "tol": [1e-12] * (n + 1)},
+                     {"n_draws": [n_draws] * (n + 1), "worst_ratio_to_bound": [worst] * (n + 1)},
+                     {"ok": ok}], [(0, 1, 3)] * n + [(0, 2, 3)])
     sig_max = float(sec["sigma_max"])
     sigma = np.linspace(-sig_max, sig_max, 201)
     prof = aw.growth_profile(gpoly, float(sec["nu"]), sigma)

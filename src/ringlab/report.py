@@ -27,8 +27,6 @@ def fmt(value) -> str:
         return ""
     if isinstance(value, float):
         return f"{value:.16e}"
-    if isinstance(value, int):
-        return str(value)
     return str(value)
 
 
@@ -81,10 +79,6 @@ class RunReport:
                 picks[held] = [names[j] for j in idx], get
             keys, get = picks[held]
             self.rows.append(dict(zip(keys, get(row))))
-
-    def add_row(self, row: dict):
-        """:meth:`add_rows` of one row, its values as scalars."""
-        self.add_rows([{key: [value] for key, value in row.items()}])
 
     def add_violation(self, message: str):
         self.violations.append(message)

@@ -13,6 +13,7 @@ import yaml
 
 from ringlab import analytic_window as aw
 from ringlab import cli, pipeline
+from ringlab import merotoy as mt
 from ringlab import paramap as pm
 from ringlab.config import ScenarioConfig
 from ringlab.errors import InversionError
@@ -48,12 +49,82 @@ def test_only_certify_and_failed_add_violations():
     assert found == {("pipeline.py", "_certify")}
 
 
+#: the drivers of a certified table; run_prony's table certifies nothing
+TABLE_DRIVERS = ("_scenario_rows", "run_extract", "run_band_isolate", "run_pseudospectrum",
+                 "run_window_check")
+
+
+def test_each_table_is_certified_once_and_built_once():
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+    def calls(node, name, looped=False):
+        """Per call of ``name`` under node, whether a loop or comprehension holds it."""
+        for child in ast.iter_child_nodes(node):
+            func = getattr(child, "func", None)
+            if getattr(func, "attr", getattr(func, "id", None)) == name:
+                yield looped
+            yield from calls(child, name, looped or isinstance(child, loops))
+
+    tree = ast.parse((SRC / "pipeline.py").read_text(encoding="utf-8"))
+    drivers = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert {name for name, node in drivers.items() if list(calls(node, "_certify"))} \
+        == set(TABLE_DRIVERS)
+    for name in TABLE_DRIVERS:
+        assert list(calls(drivers[name], "_certify")) == [False], name
+        assert list(calls(drivers[name], "add_rows")) == [False], name
+    assert list(calls(drivers["run_prony"], "add_rows")) == [False]
+    assert not hasattr(RunReport, "add_row")
+
+
+def test_band_isolate_violations_come_model_major():
+    report = pipeline.run_band_isolate(
+        ScenarioConfig(raw={"band_isolate": {"n_models": 3, "tol": 1.0e-20}}))
+    labels = [f"model {m}, t={t}" for m in range(3) for t in (1.0, 2.0, 5.0)]
+    found = [VIOLATION.fullmatch(v) for v in report.violations]
+    assert [match.group(1, 2) for match in found] == [(label, "band isolation") for label in labels]
+    assert [(row["model"], row["t"], row["ok"]) for row in report.rows] == [
+        (m, t, False) for m in range(3) for t in (1.0, 2.0, 5.0)]
+    assert [match.group(3) for match in found] == [f"{row['mismatch']:.6e}" for row in report.rows]
+
+
+def test_window_check_draw_violations_come_in_draw_order(monkeypatch):
+    # every draw's bound is 0 while its deviation is not: each draw fails,
+    # on the robustness row alone
+    real = aw.interp_robustness
+    monkeypatch.setattr(aw, "interp_robustness", lambda *args, **kw: {**real(*args, **kw),
+                                                                        "bound": 0.0})
+    report = pipeline.run_window_check(ScenarioConfig(raw={"window_check": {"n_draws": 6}}))
+    nodes = [v for v in report.violations if v.startswith("window-check node ")]
+    assert report.violations[:len(nodes)] == nodes
+    assert [VIOLATION.fullmatch(v).group(1, 2) for v in report.violations[len(nodes):]] == [
+        ("window-check robustness", f"draw {k}") for k in range(6)]
+    assert [row["check"] for row in report.rows] == ["identity"] * 3 + ["robustness"]
+    assert report.rows[-1]["ok"] is False and report.rows[-1]["n_draws"] == 6
+
+
+def test_pseudospectrum_violations_come_in_eps_order(monkeypatch):
+    # the scan reports violations at the second and fourth eps only
+    real = mt.pseudospectrum_scan
+
+    def scan(model, re_grid, im_grid, eps, **kw):
+        out = real(model, re_grid, im_grid, eps, **kw)
+        return {**out, "violations": 7 if eps in (1e-2, 1e-4) else out["violations"]}
+
+    monkeypatch.setattr(mt, "pseudospectrum_scan", scan)
+    report = pipeline.run_pseudospectrum(ScenarioConfig(raw={}))
+    assert [row["inclusion_holds"] for row in report.rows] == [True, False, True, False]
+    assert [row["violations"] for row in report.rows] == [0, 7, 0, 7]
+    assert report.violations == [
+        "pseudospectrum eps=0.01: inclusion violated (7.000000e+00 > 0.000000e+00)",
+        "pseudospectrum eps=0.0001: inclusion violated (7.000000e+00 > 0.000000e+00)"]
+
+
 def test_certify_fails_a_nan_under_a_holding_hypothesis():
     report = RunReport()
     nan = float("nan")
-    assert pipeline._certify(report, [("x", [("a", True, 1.0, 1.0), ("b", False, nan, 0.0)])]) \
+    assert pipeline._certify(report, [(["x"], [("a", True, 1.0, 1.0), ("b", False, nan, 0.0)])]) \
         == [True]
-    assert pipeline._certify(report, [("x", [("c", True, nan, 1.0), ("d", True, 0.0, nan)])]) \
+    assert pipeline._certify(report, [(["x"], [("c", True, nan, 1.0), ("d", True, 0.0, nan)])]) \
         == [False]
     assert report.violations == ["x: c violated (nan > 1.000000e+00)",
                                  "x: d violated (0.000000e+00 > nan)"]
@@ -94,20 +165,19 @@ def test_add_rows_builds_rows_from_blocks():
     assert [type(v) for row in report.rows for v in row.values()] == \
         [int, float, float, float, float, float, str, int, float, float, bool, str, str,
          bool, str, str]
-    # by default every row holds every block; add_row is the one-row form
+    # by default every row holds every block
     every = RunReport()
     every.add_rows(blocks)
     assert [list(row) for row in every.rows] == [
         ["n", "z_re", "z_im", "w_re", "w_im", "x", "failed", "error", "tag"]] * 4
     assert every.rows[2]["z_re"] == 0.0 and math.copysign(1.0, every.rows[2]["z_re"]) == -1.0
-    one = RunReport()
-    one.add_row({"k": 2, "s": 1 - 1j, "ok": True, "c": "x"})
-    assert one.rows == [{"k": 2, "s_re": 1.0, "s_im": -1.0, "ok": True, "c": "x"}]
 
 
 def _row_label(row):
     if "model" in row:
         return f"model {row['model']}, t={row['t']}"
+    if "eps" in row:
+        return f"pseudospectrum eps={row['eps']}"
     if row["check"] == "identity":
         return f"window-check node {row['node']}"
     return "window-check robustness"
@@ -118,17 +188,19 @@ def _row_label(row):
     ("window-check", {}),
     # most draws break the robustness hypothesis: ok reads the others only
     ("window-check", {"window_check": {"delta_scale": 20.0}}),
+    ("pseudospectrum", {}),
 ])
 def test_ok_is_the_rows_certification(tmp_path, sub, doc):
     code, report = run_cli(tmp_path, sub, doc)
     violations = report["violations"]
     assert all(VIOLATION.fullmatch(v) for v in violations), violations
-    for row in report["rows"]:
+    oks = [row["inclusion_holds"] if "eps" in row else row["ok"] for row in report["rows"]]
+    for row, ok in zip(report["rows"], oks):
         label = _row_label(row) + ": "
-        assert row["ok"] == (not any(v.startswith(label) for v in violations)), row
+        assert ok == (not any(v.startswith(label) for v in violations)), row
         if row.get("check") == "robustness":
-            assert row["ok"] == (row["worst_ratio_to_bound"] <= 1.0)
-    assert code == (0 if all(row["ok"] for row in report["rows"]) else 1)
+            assert ok == (row["worst_ratio_to_bound"] <= 1.0)
+    assert code == (0 if all(oks) else 1)
 
 
 @pytest.mark.parametrize("bound, printed", [
