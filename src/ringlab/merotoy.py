@@ -752,17 +752,34 @@ class PseudospectrumModel:
         self.c_q = float(min(prods)) / 2.0 ** max(len(self.poles) - 1, 1)
         self.min_sep = min((abs(pj - pk) for j, pj in enumerate(self.poles)
                             for pk in self.poles[j + 1:]), default=np.inf)
+        self._profile = (None, None)
 
     def q(self, omega):
         omega = np.asarray(omega, dtype=complex)
         val = np.ones(omega.shape, dtype=complex)
         for p in self.poles:
-            val = val * (omega - p)
+            val *= omega - p
         return val
 
     def norm(self, omega):
         with np.errstate(divide="ignore"):
             return self.hol_bound + self.e_plus * self.e_minus / np.abs(self.q(omega))
+
+    def profile(self, re_grid: np.ndarray, im_grid: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The norm and the distance to the nearest pole at every point of
+        the grid re_grid + i im_grid: two (len(im_grid), len(re_grid)) arrays.
+
+        Neither depends on eps, so the last grid's pair is kept and every
+        scan of that grid, one per eps of a run, reads it.
+        """
+        key = (re_grid.tobytes(), im_grid.tobytes())
+        if self._profile[0] != key:
+            omega = re_grid[None, :] + 1j * im_grid[:, None]
+            dist = np.abs(omega - self.poles[0])
+            for p in self.poles[1:]:
+                np.minimum(dist, np.abs(omega - p), out=dist)
+            self._profile = (key, (self.norm(omega), dist))
+        return self._profile[1]
 
     def disk_radius(self, eps: float) -> float:
         """Certified confinement radius around the poles at level eps.
@@ -789,7 +806,9 @@ def pseudospectrum_scan(model: PseudospectrumModel, re_grid: np.ndarray,
 
     Returns the boolean region mask, the certified disk radius, and how many
     flagged points lie farther than that radius from every pole (the inclusion
-    needs none); with require_resolved, a grid coarser than it raises.
+    needs none); with require_resolved, a grid coarser than it raises.  The
+    norm and pole distances come from ``model.profile``, so of the scans of
+    one grid at several eps only the first evaluates them.
     """
     re_grid = np.asarray(re_grid, dtype=float)
     im_grid = np.asarray(im_grid, dtype=float)
@@ -798,11 +817,8 @@ def pseudospectrum_scan(model: PseudospectrumModel, re_grid: np.ndarray,
     if require_resolved and spacing > radius:
         raise ResolutionError(
             f"grid spacing {spacing:.3g} coarser than predicted radius {radius:.3g}")
-    omega = re_grid[None, :] + 1j * im_grid[:, None]
-    mask = model.norm(omega) > 1.0 / eps
-    dist = np.full(omega.shape, np.inf)
-    for p in model.poles:
-        dist = np.minimum(dist, np.abs(omega - p))
+    norm, dist = model.profile(re_grid, im_grid)
+    mask = norm > 1.0 / eps
     violations = int(np.count_nonzero(mask & (dist > radius)))
     return {"mask": mask, "radius": radius, "violations": violations,
             "spacing": float(spacing), "n_flagged": int(np.count_nonzero(mask))}

@@ -218,12 +218,20 @@ def test_bias_bound_violation(tmp_path, monkeypatch, bound, printed):
         ("scenario 0", "2p bias bound", printed), ("scenario 0", "budget bias bound", printed)]
 
 
-def test_band_isolation_passes_at_tol():
-    doc = {"band_isolate": {"n_models": 1, "seed": 3}}
-    first = pipeline.run_band_isolate(ScenarioConfig(raw=doc))
-    doc["band_isolate"]["tol"] = max(row["mismatch"] for row in first.rows)
-    report = pipeline.run_band_isolate(ScenarioConfig(raw=doc))
-    assert [row["mismatch"] for row in report.rows] == [row["mismatch"] for row in first.rows]
+def test_band_isolation_passes_at_tol(monkeypatch):
+    # the config's tol also sets the quadrature, so the subtraction is
+    # wrapped to report a mismatch of exactly tol: it certifies (<=)
+    tol = 3.7e-7
+    real = mt.band_subtract
+
+    def at_tol(*args, **kw):
+        out = real(*args, **kw)
+        return dict(out, mismatch=np.full(out["mismatch"].shape, tol))
+
+    monkeypatch.setattr(mt, "band_subtract", at_tol)
+    report = pipeline.run_band_isolate(
+        ScenarioConfig(raw={"band_isolate": {"n_models": 2, "seed": 3, "tol": tol}}))
+    assert report.rows and [row["mismatch"] for row in report.rows] == [tol] * len(report.rows)
     assert report.ok and all(row["ok"] for row in report.rows)
 
 

@@ -40,10 +40,11 @@ def test_targets_resolve_in_ringlab():
 
 def test_band_isolate_op_counters():
     # one band-isolate op: one call per model, so one line integral per line,
-    # each of whose Gauss-Kronrod passes evaluates the resolvent: the nu1
-    # line accepts all 125 panels (2 625 nodes) of its first pass; the nu2
-    # line bisects 2 of them and then 1 of their 4 halves, so its passes
-    # evaluate 2 625, 84 and 42 nodes
+    # each of whose Gauss-Kronrod passes evaluates the resolvent.  At tol
+    # 1e-6 the radius search stops at its first rung, sigma_max 50: the nu1
+    # line accepts all 63 panels (1 323 nodes) of its first pass; the nu2
+    # line bisects 2 of them and accepts their 4 halves, so its passes
+    # evaluate 1 323 and 84 nodes
     from ringlab import pipeline
     from ringlab.config import ScenarioConfig
     cfg = ScenarioConfig(raw={"band_isolate": {
@@ -51,9 +52,10 @@ def test_band_isolate_op_counters():
         "nu1": 0.3, "nu2": 2.3, "times": [1.0, 2.0, 5.0], "tol": 1e-6}})
     report, metrics = traced_op(pipeline.run_band_isolate, cfg)
     assert len(report.rows) == 3 and not report.violations
+    assert {row["sigma_max"] for row in report.rows} == {50.0}
     assert metrics["merotoy.line_integrals"] == 2
-    assert metrics["merotoy.gl_passes"] == 4
-    assert metrics["merotoy.resolvent_nodes"] == 5376
+    assert metrics["merotoy.gl_passes"] == 3
+    assert metrics["merotoy.resolvent_nodes"] == 2730
 
 
 def test_noise_sampled_once_per_scenario():
@@ -190,3 +192,26 @@ def test_invert_data_feeds_newton_iterations():
     result, metrics = traced_op(lambda: paramap.invert_data(model, data, guess))
     assert set(result) == {"point", "iterations", "residual"} and result["iterations"] > 0
     assert metrics["paramap.newton_iterations"] == result["iterations"]
+
+
+def test_band_isolate_tol_ladder():
+    # the config's tol sets the quadrature: on each of the benchmark's 15
+    # model shapes every rung certifies, a looser tol never takes a larger
+    # radius or more resolvent nodes, and in all the loosest takes fewer
+    from ringlab import pipeline
+    from ringlab.config import ScenarioConfig
+    band_input = load_ringbench("workloads").band_input
+    tightest = loosest = 0
+    for i in range(15):
+        doc = band_input(1, i)
+        radii, nodes = [], []
+        for tol in (1e-8, 1e-6, 1e-4):
+            doc["band_isolate"]["tol"] = tol
+            report, metrics = traced_op(pipeline.run_band_isolate, ScenarioConfig(raw=doc))
+            assert report.rows and not report.violations
+            assert all(row["mismatch"] <= tol and row["ok"] for row in report.rows)
+            radii.append(report.rows[0]["sigma_max"])
+            nodes.append(metrics["merotoy.resolvent_nodes"])
+        assert radii == sorted(radii, reverse=True) and nodes == sorted(nodes, reverse=True), i
+        tightest, loosest = tightest + nodes[0], loosest + nodes[-1]
+    assert loosest < tightest
