@@ -33,8 +33,7 @@ print(f"\nforcing transform decay on Im omega = -0.5: sigma^{slope:.2f}")
 # sigma_max
 times = np.array([1.0, 2.0, 5.0])
 out = mt.band_subtract(resolvent, forcing, None, nu1=0.3, nu2=2.3, times=times)
-strip = resolvent.poles_in_strip(-2.3, -0.3)
-print(f"\nband (-2.3, -0.3) holds {len(strip)} poles "
+print(f"\nband (-2.3, -0.3) holds {out['n_in_strip']} poles "
       f"(sigma_max = {out['sigma_max']:g} for every t)")
 for j, t in enumerate(times):
     print(f"  t = {t:.0f}: |I_nu1 - I_nu2| = {np.linalg.norm(out['difference'][j]):.6e}, "

@@ -115,6 +115,13 @@ _MAX_SAMPLES = 2**20
 #: the latest band-isolation time: at the widest radius (merotoy.SIGMA_MAX_CAP,
 #: 6 400) the first pass of a line has ceil(1 600 t) panels, at most 2**20
 _MAX_BAND_TIME = _MAX_SAMPLES / 1600.0
+#: the most band-isolation times: a pass block of 390 panels (merotoy._GL_BLOCK
+#: // 21 nodes) holds a (times, 390) array of panel phases
+_MAX_BAND_TIMES = _MAX_SAMPLES // 390
+#: the largest band-isolation dim: a model holds at most 26 poles
+#: (merotoy.RANDOM_MAX_POLES) of order at most 10 (band_isolate.max_order) and
+#: one polynomial term, so 261 (dim, dim) matrices, at most 2**20 entries in all
+_MAX_BAND_DIM = math.isqrt(_MAX_SAMPLES // (26 * 10 + 1))
 #: the longest pseudospectrum grid side: its square grid holds at most _MAX_SAMPLES points
 _MAX_GRID_N = math.isqrt(_MAX_SAMPLES)
 #: the most window-check draws: each keeps one record, and 10^5 draws run in seconds
@@ -154,7 +161,9 @@ _LIMITS = {
     ("pseudospectrum", "hol_bound"): _NONNEGATIVE,
     ("window", "m0"): _null_or_at_least(0, "window.m0"),
     ("window_check", "m0"): _null_or_at_least(0, "window_check.m0"),
-    ("band_isolate", "dim"): _null_or_at_least(1, "band_isolate.dim"),
+    ("band_isolate", "dim"): (
+        lambda v: v is None or 1 <= resolve(v, 1, "band_isolate.dim") <= _MAX_BAND_DIM,
+        f"null or an integer in 1..{_MAX_BAND_DIM}"),
     # the residue oracle differentiates g F to order max_order - 1 on a Cauchy
     # ring, whose rounding grows like r!/radius^r: over the default document's
     # first 40 models (n_models: 40), the worst mismatch is at most 2e-10 for
@@ -162,8 +171,9 @@ _LIMITS = {
     # above the default tol, at 15
     ("band_isolate", "max_order"): (lambda v: 1 <= v <= 10, "in 1..10"),
     ("band_isolate", "seed"): _NONNEGATIVE, ("window_check", "seed"): _NONNEGATIVE,
-    ("band_isolate", "times"): (lambda v: len(v) > 0 and all(0 < t <= _MAX_BAND_TIME for t in v),
-                                f"a nonempty list of times in (0, {_MAX_BAND_TIME}]"),
+    ("band_isolate", "times"): (
+        lambda v: 0 < len(v) <= _MAX_BAND_TIMES and all(0 < t <= _MAX_BAND_TIME for t in v),
+        f"a list of 1..{_MAX_BAND_TIMES} times in (0, {_MAX_BAND_TIME}]"),
     # no mismatch can meet a bound <= 0
     ("band_isolate", "tol"): (lambda v: v > 0, "positive"),
     # the closed-form forcing transform is tested against mpmath for k <= 12
@@ -271,7 +281,10 @@ class ScenarioConfig:
             for key in path:
                 value = value[key]
             if not holds(value):
-                raise ConfigError(f"{'.'.join(path)} must be {what}, got {value!r}")
+                # a long list is named by its length, so the error stays a short line
+                got = f"{len(value)} items" if isinstance(value, list) and len(value) > 10 \
+                    else repr(value)
+                raise ConfigError(f"{'.'.join(path)} must be {what}, got {got}")
         n_poles = data["band_isolate"]["n_poles"]
         if n_poles is not None:  # only a band-isolate config sets it: load its sampler then
             from .merotoy import RANDOM_MAX_POLES

@@ -475,7 +475,7 @@ _MAX_BISECTIONS = 4
 
 def line_integral(resolvent: RationalResolvent, forcing: ForcingSpec, g: Optional[Callable],
                   nu: float, times, sigma_max: float = 200.0,
-                  tol: float = 1e-9) -> Tuple[np.ndarray, np.ndarray]:
+                  tol: float = 1e-9) -> np.ndarray:
     """Truncated inverse-Laplace integrals on the shifted line Im(omega) = -nu.
 
     (1/2 pi) * integral over |sigma| <= sigma_max of
@@ -499,11 +499,8 @@ def line_integral(resolvent: RationalResolvent, forcing: ForcingSpec, g: Optiona
     the panels of a batch of times are the union of each time's own.  Only the
     phase depends on t, so g R F_hat is evaluated once per node and shared by
     every time, and the integrand is analytic, so the rules converge
-    spectrally.  Returns ((T, d) values, (T,) truncation estimates): the
-    estimates are ``_tail_from_envelope`` of the ``_envelope`` at sigma_max,
-    the tail formula ``choose_sigma_max`` applies.  F_hat is the forcing's
-    scalar times its payload; g, when given, maps (n,) frequencies to (n,)
-    values.
+    spectrally.  Returns the (T, d) values.  F_hat is the forcing's scalar
+    times its payload; g, when given, maps (n,) frequencies to (n,) values.
     """
     times = _as_times(times)
     _check_line_clear(resolvent, nu)
@@ -523,8 +520,7 @@ def line_integral(resolvent: RationalResolvent, forcing: ForcingSpec, g: Optiona
         if not mids.size:
             break
         rule, blocks = _pass(forcing, nu, times, mids, half)
-    envelope = _envelope(resolvent, forcing, g, nu, np.array([sigma_max]))
-    return value, _tail_from_envelope(envelope[0], nu, times, sigma_max)
+    return value
 
 
 #: where the tail envelope is sampled, in units of the truncation radius
@@ -562,7 +558,7 @@ SIGMA_MAX_CAP = 6400.0
 def choose_sigma_max(resolvent: RationalResolvent, forcing: ForcingSpec,
                      g: Optional[Callable], nu: float, times,
                      tol: float, start: float = 50.0) -> float:
-    """Double the truncation radius until every time's tail estimate < tol/10,
+    """Double the truncation radius until every time's tail estimate < tol,
     up to ``SIGMA_MAX_CAP``.
 
     The radii start, 2 start, ... below the cap are tried in order, but one
@@ -579,14 +575,14 @@ def choose_sigma_max(resolvent: RationalResolvent, forcing: ForcingSpec,
         sigma *= 2.0
     envelope = _envelope(resolvent, forcing, g, nu, np.array(sigmas))
     for sigma, env in zip(sigmas, envelope):
-        if _tail_from_envelope(env, nu, times, sigma).max() < tol / 10.0:
+        if _tail_from_envelope(env, nu, times, sigma).max() < tol:
             return sigma
     return SIGMA_MAX_CAP
 
 
 def band_subtract(resolvent: RationalResolvent, forcing: ForcingSpec,
                   g: Optional[Callable], nu1: float, nu2: float, times,
-                  sigma_max: Optional[float] = None, tol: float = 1e-8) -> dict:
+                  sigma_max: Optional[float] = None, tol: float = 4e-8) -> dict:
     """Contour subtraction: poles strictly between the two lines are isolated.
 
     difference = I_{nu1}(t) - I_{nu2}(t) equals the sum over poles with
@@ -597,11 +593,19 @@ def band_subtract(resolvent: RationalResolvent, forcing: ForcingSpec,
     the residue oracle below uses exactly that orientation).  The reported
     mismatch is the norm of the difference of the two computations.
 
+    tol is the mismatch aimed for, and it is split here: each line runs to
+    tol/4 (``line_integral``), and the radius search stops at the first
+    radius where each line's tail estimate is below tol/40
+    (``choose_sigma_max``), so the quadrature's estimates sum to at most
+    0.55 tol and the residue ring's error takes the rest.  Each line's
+    truncation estimate is ``_tail_from_envelope`` of its ``_envelope`` at
+    the radius it runs at, the tail formula the search applies.
+
     times is a (T,) array and every time shares one truncation radius, one
     node set per line and one Cauchy ring per strip pole: ``difference``
     and ``residue_sum`` are (T, d), ``mismatch`` and ``truncation_estimate``
-    are (T,), and ``sigma_max`` is one float, the radius the most demanding
-    time and line need.
+    are (T,), ``sigma_max`` is one float, the radius the most demanding
+    time and line need, and ``n_in_strip`` the number of strip poles.
     """
     if not nu1 < nu2:
         raise ConfigError("need nu1 < nu2")
@@ -609,24 +613,28 @@ def band_subtract(resolvent: RationalResolvent, forcing: ForcingSpec,
     _check_line_clear(resolvent, nu1)
     _check_line_clear(resolvent, nu2)
     if sigma_max is None:
-        sigma_max = max(choose_sigma_max(resolvent, forcing, g, nu, times, tol)
+        sigma_max = max(choose_sigma_max(resolvent, forcing, g, nu, times, tol / 40)
                         for nu in (nu1, nu2))
-    i1, tail1 = line_integral(resolvent, forcing, g, nu1, times, sigma_max, tol)
-    i2, tail2 = line_integral(resolvent, forcing, g, nu2, times, sigma_max, tol)
-    difference = i1 - i2
+    values, tails = [], []
+    for nu in (nu1, nu2):
+        values.append(line_integral(resolvent, forcing, g, nu, times, sigma_max, tol / 4))
+        envelope = _envelope(resolvent, forcing, g, nu, np.array([sigma_max]))
+        tails.append(_tail_from_envelope(envelope[0], nu, times, sigma_max))
+    difference = values[0] - values[1]
 
     def windowed(w):
         # g is a polynomial, so g F is holomorphic and the ring applies; the
         # payload is constant and rides along
         return _g_times(g, w, forcing.scalar(w))[:, None] * forcing.payload
 
+    strip = resolvent.poles_in_strip(-nu2, -nu1)
     residue_sum = np.zeros((times.size, resolvent.dim), dtype=complex)
-    for pole in resolvent.poles_in_strip(-nu2, -nu1):
+    for pole in strip:
         residue_sum -= residue_time_term(pole, windowed, times)
     mismatch = np.linalg.norm(difference - residue_sum, axis=1)
     return {"difference": difference, "residue_sum": residue_sum,
             "mismatch": mismatch, "sigma_max": sigma_max,
-            "truncation_estimate": tail1 + tail2}
+            "truncation_estimate": tails[0] + tails[1], "n_in_strip": len(strip)}
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,7 @@ from . import extractor as ex
 from . import paramap as pm
 from . import signal_model as sm
 from .config import ScenarioConfig
-from .errors import ConfigError, StructureError
+from .errors import ConfigError, RinglabError, StructureError
 from .report import RunReport
 
 
@@ -555,12 +555,15 @@ def run_prony(cfg: ScenarioConfig) -> RunReport:
 
 
 def run_band_isolate(cfg: ScenarioConfig) -> RunReport:
-    """One row per (model, time), model-major, certified and built as one table."""
+    """One row per (model, time), model-major, certified and built as one
+    table.  A model whose subtraction raises (a line through a drawn pole)
+    fails its rows with that error, and the other models still run."""
     from . import merotoy as mt
     report = RunReport(metadata={"subcommand": "band-isolate", **_REPORT_TOLERANCES})
     sec = cfg["band_isolate"]
     nu1, nu2, tol, times = float(sec["nu1"]), float(sec["nu2"]), float(sec["tol"]), sec["times"]
-    per_model, mismatch, tail = [], [], []  # per model: model, dim, n_poles, n_in_strip, sigma_max
+    # per model: model, dim, n_poles, n_in_strip, sigma_max; per row: its error or None
+    per_model, mismatch, tail, errors = [], [], [], []
     for idx in range(sec["n_models"]):
         rng = np.random.default_rng(sec["seed"] + idx)
         # both draws happen whether or not the config fixes the value
@@ -571,25 +574,33 @@ def run_band_isolate(cfg: ScenarioConfig) -> RunReport:
                                                  max_order=sec["max_order"])
         forcing = mt.ForcingSpec(
             k=sec["forcing_k"], payload=rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
-        # each line's accepted panels estimate at most tol/4 and its tail under
-        # tol/40, so 0.55 tol in all; the residue ring's error takes the rest
-        out = mt.band_subtract(resolvent, forcing, None, nu1, nu2, times, tol=tol / 4)
-        per_model.append((idx, dim, len(resolvent.poles),
-                          len(resolvent.poles_in_strip(-nu2, -nu1)), out["sigma_max"]))
+        try:
+            out = mt.band_subtract(resolvent, forcing, None, nu1, nu2, times, tol=tol)
+            errors += [None] * len(times)
+        except RinglabError as exc:  # placeholders: a failed row holds none of them
+            nan = np.full(len(times), np.nan)
+            out = {"n_in_strip": 0, "sigma_max": np.nan, "mismatch": nan,
+                   "truncation_estimate": nan}
+            errors += [exc] * len(times)
+        per_model.append((idx, dim, len(resolvent.poles), out["n_in_strip"], out["sigma_max"]))
         mismatch += out["mismatch"].tolist()
         tail += out["truncation_estimate"].tolist()
     # the models' times joined, model-major: a per-model value once per time
     model, dim, n_poles, n_in_strip, sigma_max = (
         [m[k] for m in per_model for _ in times] for k in range(5))
-    ok = _certify(report, [([f"model {idx}, t={t}" for idx, *_ in per_model for t in times],
-                            [("band isolation", True, mismatch, tol)])])
-    report.add_rows([{
-        "model": model, "t": [float(t) for _ in per_model for t in times], "dim": dim,
-        "n_poles": n_poles, "n_in_strip": n_in_strip, "mismatch": mismatch,
-        "tol": [tol] * len(mismatch), "sigma_max": sigma_max, "truncation_estimate": tail,
-        # a hypothesis flag, not a check: ok reads only the mismatch
-        "hyp_truncation": [est < tol for est in tail], "ok": ok,
-    }])
+    labels = [f"model {idx}, t={t}" for idx, *_ in per_model for t in times]
+    ok = _certify(report, [(labels, [("band isolation", True, mismatch, tol)])],
+                  {i: (f"{label}: ", exc) for i, (label, exc) in enumerate(zip(labels, errors))
+                   if exc is not None})
+    report.add_rows([
+        {"model": model, "t": [float(t) for _ in per_model for t in times], "dim": dim,
+         "n_poles": n_poles},
+        {"n_in_strip": n_in_strip, "mismatch": mismatch, "tol": [tol] * len(mismatch),
+         "sigma_max": sigma_max, "truncation_estimate": tail,
+         # a hypothesis flag, not a check: ok reads only the mismatch
+         "hyp_truncation": [est < tol for est in tail], "ok": ok},
+        {"failed": [True] * len(errors), "error": list(map(str, errors))},
+    ], [(0, 1) if exc is None else (0, 2) for exc in errors])
     return report
 
 

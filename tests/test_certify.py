@@ -235,6 +235,37 @@ def test_band_isolation_passes_at_tol(monkeypatch):
     assert report.ok and all(row["ok"] for row in report.rows)
 
 
+def test_band_isolation_hands_band_subtract_the_configs_tol(monkeypatch):
+    # band_subtract owns the mismatch budget and its split, so run_band_isolate
+    # passes the config's tol unchanged, once per model
+    tols, real = [], mt.band_subtract
+
+    def tracked(*args, tol, **kw):
+        tols.append(tol)
+        return real(*args, tol=tol, **kw)
+
+    monkeypatch.setattr(mt, "band_subtract", tracked)
+    report = pipeline.run_band_isolate(
+        ScenarioConfig(raw={"band_isolate": {"n_models": 2, "seed": 3, "tol": 3.7e-7}}))
+    assert report.ok and tols == [3.7e-7, 3.7e-7]
+
+
+def test_band_isolation_line_through_a_pole_fails_its_models_rows(tmp_path):
+    # seed 0's first model has a pole on the nu2 line: its rows fail with
+    # the ContourError, one violation each, and the next model still runs
+    nu2 = 1.1080556036190763
+    code, report = run_cli(tmp_path, "band-isolate", {"band_isolate": {
+        "n_models": 2, "seed": 0, "nu1": 0.3, "nu2": nu2, "times": [1.0, 2.0]}})
+    error = f"pole at (1.6510223091108869-{nu2}j) sits on the line Im(omega) = -{nu2}"
+    assert code == 1
+    assert report["violations"] == [f"model 0, t={t}: {error}" for t in (1.0, 2.0)]
+    failed, good = report["rows"][:2], report["rows"][2:]
+    assert all(row["failed"] and row["error"] == error and row["ok"] is None
+               and row["mismatch"] is None for row in failed)
+    assert [row["model"] for row in good] == [1, 1]
+    assert all(row["ok"] and row["failed"] is None for row in good)
+
+
 def test_one_node_window_bound_is_zero(tmp_path):
     # one node's weight is the constant 1: its deviations are 0 at any
     # perturbation, an infinite one too, and so is its bound

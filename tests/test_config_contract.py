@@ -14,10 +14,12 @@ Leaves that set how much work a run does are capped, for run time only:
 ``n_poles``, ``max_order``) and times (at most 10, except that a time past
 the bound that loading rejects is kept, so that check is drawn), the
 window-check degree ``m0``, and the grid length (``observation.T`` at most
-100, ``observation.dt`` at least 0.0025).  The section bases below shrink
-the same leaves: one band-isolation model at one time, a 40-point
-pseudospectrum grid, 20 window-check draws.  Extreme values overflow in numpy by design, so here a
-RuntimeWarning is not an error but one more line on stderr.
+100, ``observation.dt`` at least 0.0025).  The first band-isolation ``dim``
+and the first count of ``times`` that loading rejects are drawn as well.
+The section bases below shrink the same leaves: one band-isolation model at
+one time, a 40-point pseudospectrum grid, 20 window-check draws.  Extreme
+values overflow in numpy by design, so here a RuntimeWarning is not an error
+but one more line on stderr.
 """
 import contextlib
 import copy
@@ -54,6 +56,10 @@ SIZE_CAP = {("band_isolate", "n_models"): 2, ("band_isolate", "dim"): 4,
             ("band_isolate", "n_poles"): 6, ("band_isolate", "max_order"): 3,
             ("pseudospectrum", "grid_n"): 60, ("window_check", "n_draws"): 30,
             ("window_check", "m0"): 30}
+#: size leaf -> its first value that loading rejects, drawn beside the capped
+#: ones as the first branch of its one_of, which the derandomised draws reach
+PAST_BOUND = {("band_isolate", "dim"): config._MAX_BAND_DIM + 1,
+              ("band_isolate", "times"): [1.0] * (config._MAX_BAND_TIMES + 1)}
 #: a driver's ConfigError that only its subcommand raises
 SUBCOMMAND_ERRORS = ("sweep requires an axis", "prony needs either", "prony input:")
 
@@ -120,6 +126,7 @@ def _leaves(tree, path=()):
 LEAVES = list(_leaves(DEFAULTS))
 #: leaf path -> its values, built once
 VALUES = {path: leaf_values(path, default) for path, default in LEAVES}
+VALUES.update({path: st.one_of(st.just(value), VALUES[path]) for path, value in PAST_BOUND.items()})
 PATHS = st.sampled_from(sorted(VALUES))
 
 
@@ -239,6 +246,14 @@ FOUND = [
     # default document exited 1 with mismatches of 4.1e-6 and 5.9e18
     ("band-isolate", {"band_isolate": {"max_order": 15}}, 2),
     ("band-isolate", {"band_isolate": {"max_order": 40}}, 2),
+    # a line through a drawn pole: a traceback ended in ContourError.  Now
+    # the model's rows fail, one violation each
+    ("band-isolate", {"band_isolate": {"n_models": 1, "seed": 0, "nu1": 0.3,
+                                       "nu2": 1.1080556036190763, "times": [1.0]}}, 1),
+    # sizes that loaded unbounded: (dim, dim) Laurent matrices of about 160
+    # GB each, and one past the most times a pass block's phases may hold
+    ("band-isolate", {"band_isolate": {"n_models": 1, "times": [1.0], "dim": 100000}}, 2),
+    ("band-isolate", {"band_isolate": {"n_models": 1, "times": [1.0] * 2689}}, 2),
 ]
 
 
@@ -289,3 +304,36 @@ def test_libyaml_loader_reads_what_the_python_one_reads(tmp_path, monkeypatch):
 
 def test_leaves_cover_every_section():
     assert {path[0] for path, _ in LEAVES} == set(SUBCOMMAND) == set(DEFAULTS)
+
+
+def test_readme_key_block_is_the_defaults():
+    # the README's YAML block that lists every key with its default names
+    # exactly the keys of DEFAULTS and loads to exactly its values
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    fence = "```yaml\n"
+    start = text.index(fence, text.index("lists every key with its default")) + len(fence)
+    block = yaml.safe_load(text[start:text.index("```", start)])
+
+    def keys(tree):
+        return {key: keys(value) if isinstance(value, dict) else None
+                for key, value in tree.items()}
+
+    assert keys(block) == keys(DEFAULTS)
+    assert config.ScenarioConfig(raw=block).data == DEFAULTS
+
+
+def test_band_isolation_size_bounds():
+    # the largest dim and the most times that load, one more of each does
+    # not, and both bounds are derived from the sampler's and the pass's sizes
+    from ringlab import merotoy as mt
+    assert config._MAX_BAND_DIM == 63 and config._MAX_BAND_TIMES == 2688
+    assert config._MAX_BAND_TIMES == config._MAX_SAMPLES // (mt._GL_BLOCK // mt._GK_NODES.size)
+    matrices = mt.RANDOM_MAX_POLES * 10 + 1  # Laurent terms to max_order 10, and hol
+    assert matrices * config._MAX_BAND_DIM ** 2 <= config._MAX_SAMPLES \
+        < matrices * (config._MAX_BAND_DIM + 1) ** 2
+    for key, largest in (("dim", config._MAX_BAND_DIM),
+                         ("times", [1.0] * config._MAX_BAND_TIMES)):
+        config.ScenarioConfig(raw={"band_isolate": {key: largest}})
+        past = largest + 1 if key == "dim" else largest + [1.0]
+        with pytest.raises(ConfigError, match=f"band_isolate.{key} must be"):
+            config.ScenarioConfig(raw={"band_isolate": {key: past}})

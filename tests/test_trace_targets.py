@@ -4,6 +4,8 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 RINGBENCH = Path(__file__).resolve().parents[1] / "ringbench"
 
 
@@ -215,3 +217,39 @@ def test_band_isolate_tol_ladder():
         assert radii == sorted(radii, reverse=True) and nodes == sorted(nodes, reverse=True), i
         tightest, loosest = tightest + nodes[0], loosest + nodes[-1]
     assert loosest < tightest
+
+
+def test_band_subtract_is_its_steps_composed(monkeypatch):
+    # on the benchmark's 15 model shapes, band_subtract at tol equals, bit
+    # for bit, the radius search at tol/40 and both lines at tol/4, composed
+    # by hand, with the tail formula at the chosen radius per line
+    from ringlab import merotoy as mt
+    from ringlab import pipeline
+    from ringlab.config import ScenarioConfig
+    calls, real = [], mt.band_subtract
+
+    def tracked(*args, **kw):
+        calls.append((args, kw, real(*args, **kw)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(mt, "band_subtract", tracked)
+    band_input = load_ringbench("workloads").band_input
+    for i in range(15):
+        for tol in (1e-6, 1e-8):
+            doc = band_input(1, i)
+            doc["band_isolate"]["tol"] = tol
+            pipeline.run_band_isolate(ScenarioConfig(raw=doc))
+    assert len(calls) == 30
+    for (resolvent, forcing, g, nu1, nu2, times), kw, out in calls:
+        tol, times = kw["tol"], np.asarray(times, dtype=float)
+        sigma = max(mt.choose_sigma_max(resolvent, forcing, g, nu, times, tol / 40)
+                    for nu in (nu1, nu2))
+        lines = [mt.line_integral(resolvent, forcing, g, nu, times, sigma, tol / 4)
+                 for nu in (nu1, nu2)]
+        tails = [mt._tail_from_envelope(mt._envelope(resolvent, forcing, g, nu,
+                                                     np.array([sigma]))[0], nu, times, sigma)
+                 for nu in (nu1, nu2)]
+        assert out["sigma_max"] == sigma
+        assert np.array_equal(out["difference"], lines[0] - lines[1])
+        assert np.array_equal(out["truncation_estimate"], tails[0] + tails[1])
+        assert out["n_in_strip"] == len(resolvent.poles_in_strip(-nu2, -nu1))
