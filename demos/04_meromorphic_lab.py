@@ -67,8 +67,9 @@ model = mt.PseudospectrumModel(poles=(0.0 - 1.0j, 1.0 - 1.0j),
 re = np.linspace(-1, 2, 400)
 im = np.linspace(-2.5, 0.5, 400)
 print("\npseudospectrum scan (two poles separated by 1):")
-for eps in (1e-1, 1e-2, 1e-3):
-    scan = mt.pseudospectrum_scan(model, re, im, eps)
+# one call scans every eps: the grid's norm profile is evaluated once
+eps_values = (1e-1, 1e-2, 1e-3)
+for eps, scan in zip(eps_values, mt.pseudospectrum_scan(model, re, im, eps_values)):
     print(f"  eps = {eps:6.0e}: {scan['n_flagged']:5d} grid points flagged, "
           f"certified radius {scan['radius']:.4f}, "
           f"outside disks: {scan['violations']}")

@@ -31,7 +31,3 @@ class StructureError(RinglabError):
 
 class InversionError(RinglabError):
     """Newton inversion of the data map failed or left the parameter box."""
-
-
-class ResolutionError(RinglabError):
-    """Scan grid too coarse for the feature size it is asked to resolve."""

@@ -20,11 +20,11 @@ import math
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Optional, Tuple
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ConfigError, ContourError, HypothesisError, ResolutionError, StructureError
+from .errors import ConfigError, ContourError, HypothesisError, StructureError
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +358,9 @@ _GK_NODES, _GK_WEIGHTS = _gk21()
 #: Nodes evaluated at once in one Gauss-Kronrod pass: bounds the (n, d)
 #: values and per-panel sums a pass holds, whatever the truncation radius.
 _GL_BLOCK = 8192
+#: the most elements of the (2T, panels, d) panel sums _gl_line_sum holds at
+#: once: a block whose sums are larger is summed a slice of panels at a time
+_GL_SUM_ELEMENTS = 1 << 20
 
 
 def _pass(forcing: ForcingSpec, nu: float, times: np.ndarray, mids: np.ndarray,
@@ -443,21 +446,25 @@ def _gl_line_sum(values: Callable, rule: np.ndarray, blocks: Iterable[tuple],
     values maps (n,) frequencies and the forcing scalar F at them to (n, d)
     values; it is evaluated once at the 21 Kronrod nodes of every panel,
     block by block.  The rule table contracts the 21 values of every panel
-    of a block at once, and each panel's own phase scales the result.  A
-    panel's error estimate is its largest distance, over the times, between
-    its K21 and embedded G10 integrals.  Returns the (T, d) sum of the K21
-    integrals of the panels whose estimate is at most allowance, and the
-    (P,) mask of the others.
+    of a block at once, and each panel's own phase scales the result; a
+    block whose (2T, panels, d) sums would exceed _GL_SUM_ELEMENTS is taken
+    a slice of its panels at a time.  A panel's error estimate is its
+    largest distance, over the times, between its K21 and embedded G10
+    integrals.  Returns the (T, d) sum of the K21 integrals of the panels
+    whose estimate is at most allowance, and the (P,) mask of the others.
     """
     total, refine = 0.0, []
     for omega, scalar, phase in blocks:
         n_times, n_panels = phase.shape
-        vals = values(omega, scalar)
-        sums = np.tensordot(rule, vals.reshape(n_panels, _GK_NODES.size, -1), axes=(1, 1))
-        kronrod, error = sums.reshape(2, n_times, n_panels, -1) * phase[:, :, None]
-        rough = np.linalg.norm(error, axis=2).max(axis=0) > allowance
-        total = total + kronrod[:, ~rough].sum(axis=1)
-        refine.append(rough)
+        vals = values(omega, scalar).reshape(n_panels, _GK_NODES.size, -1)
+        step = max(1, _GL_SUM_ELEMENTS // (2 * n_times * vals.shape[2]))
+        for lo in range(0, n_panels, step):
+            part = phase[:, lo:lo + step]
+            sums = np.tensordot(rule, vals[lo:lo + step], axes=(1, 1))
+            kronrod, error = sums.reshape(2, n_times, part.shape[1], -1) * part[:, :, None]
+            rough = np.linalg.norm(error, axis=2).max(axis=0) > allowance
+            total = total + kronrod[:, ~rough].sum(axis=1)
+            refine.append(rough)
     return total, np.concatenate(refine)
 
 
@@ -733,7 +740,7 @@ def amplitude_pairing(f_at_pole: np.ndarray, u0: np.ndarray, v0: np.ndarray,
 # localized pseudospectrum
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class PseudospectrumModel:
     """Scalar toy model: resolvent norm profile hol + E+ E- / |q(omega)|.
 
@@ -751,16 +758,15 @@ class PseudospectrumModel:
     hol_bound: float = 0.0
 
     def __post_init__(self):
-        self.poles = tuple(complex(p) for p in self.poles)
+        object.__setattr__(self, "poles", tuple(complex(p) for p in self.poles))
         # |q'(pole_j)| is the product of the distances to the other poles
         prods = []
         for j, pj in enumerate(self.poles):
             others = [pj - pk for k, pk in enumerate(self.poles) if k != j]
             prods.append(np.prod([abs(d) for d in others]) if others else 1.0)
-        self.c_q = float(min(prods)) / 2.0 ** max(len(self.poles) - 1, 1)
-        self.min_sep = min((abs(pj - pk) for j, pj in enumerate(self.poles)
-                            for pk in self.poles[j + 1:]), default=np.inf)
-        self._profile = (None, None)
+        object.__setattr__(self, "c_q", float(min(prods)) / 2.0 ** max(len(self.poles) - 1, 1))
+        object.__setattr__(self, "min_sep", min((abs(pj - pk) for j, pj in enumerate(self.poles)
+                                                 for pk in self.poles[j + 1:]), default=np.inf))
 
     def q(self, omega):
         omega = np.asarray(omega, dtype=complex)
@@ -772,22 +778,6 @@ class PseudospectrumModel:
     def norm(self, omega):
         with np.errstate(divide="ignore"):
             return self.hol_bound + self.e_plus * self.e_minus / np.abs(self.q(omega))
-
-    def profile(self, re_grid: np.ndarray, im_grid: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """The norm and the distance to the nearest pole at every point of
-        the grid re_grid + i im_grid: two (len(im_grid), len(re_grid)) arrays.
-
-        Neither depends on eps, so the last grid's pair is kept and every
-        scan of that grid, one per eps of a run, reads it.
-        """
-        key = (re_grid.tobytes(), im_grid.tobytes())
-        if self._profile[0] != key:
-            omega = re_grid[None, :] + 1j * im_grid[:, None]
-            dist = np.abs(omega - self.poles[0])
-            for p in self.poles[1:]:
-                np.minimum(dist, np.abs(omega - p), out=dist)
-            self._profile = (key, (self.norm(omega), dist))
-        return self._profile[1]
 
     def disk_radius(self, eps: float) -> float:
         """Certified confinement radius around the poles at level eps.
@@ -808,25 +798,29 @@ class PseudospectrumModel:
 
 
 def pseudospectrum_scan(model: PseudospectrumModel, re_grid: np.ndarray,
-                        im_grid: np.ndarray, eps: float,
-                        require_resolved: bool = False) -> dict:
+                        im_grid: np.ndarray, eps: Sequence[float]) -> list:
     """Mark grid points where the model norm exceeds 1/eps; check confinement.
 
-    Returns the boolean region mask, the certified disk radius, and how many
-    flagged points lie farther than that radius from every pole (the inclusion
-    needs none); with require_resolved, a grid coarser than it raises.  The
-    norm and pole distances come from ``model.profile``, so of the scans of
-    one grid at several eps only the first evaluates them.
+    One dict per value of the sequence eps: the boolean region mask, the
+    certified disk radius, how many flagged points lie farther than that
+    radius from every pole (the inclusion needs none), the grid spacing, to
+    compare with the radius, and the flagged count.  The norm and the
+    distance to the nearest pole at every grid point depend on no eps, so
+    they are evaluated once, and each eps adds only its mask and counts.
     """
     re_grid = np.asarray(re_grid, dtype=float)
     im_grid = np.asarray(im_grid, dtype=float)
-    radius = model.disk_radius(eps)
-    spacing = max(np.diff(re_grid).max(), np.diff(im_grid).max())
-    if require_resolved and spacing > radius:
-        raise ResolutionError(
-            f"grid spacing {spacing:.3g} coarser than predicted radius {radius:.3g}")
-    norm, dist = model.profile(re_grid, im_grid)
-    mask = norm > 1.0 / eps
-    violations = int(np.count_nonzero(mask & (dist > radius)))
-    return {"mask": mask, "radius": radius, "violations": violations,
-            "spacing": float(spacing), "n_flagged": int(np.count_nonzero(mask))}
+    spacing = float(max(np.diff(re_grid).max(), np.diff(im_grid).max()))
+    omega = re_grid[None, :] + 1j * im_grid[:, None]
+    dist = np.abs(omega - model.poles[0])
+    for p in model.poles[1:]:
+        np.minimum(dist, np.abs(omega - p), out=dist)
+    norm = model.norm(omega)
+    scans = []
+    for e in eps:
+        radius = model.disk_radius(e)
+        mask = norm > 1.0 / e
+        scans.append({"mask": mask, "radius": radius,
+                      "violations": int(np.count_nonzero(mask & (dist > radius))),
+                      "spacing": spacing, "n_flagged": int(np.count_nonzero(mask))})
+    return scans

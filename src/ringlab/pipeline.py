@@ -26,8 +26,7 @@ calls, row by row).  What no point of a run of equal setups varies is built
 once, before its batches: the scene grid, the tail on it, the unscaled LCG
 stream of its seed, which every noise amplitude scales, and each mode row
 that every point of the run holds (a noise_amp sweep synthesises its
-references, tail and stream once).  A row that only the points of one batch
-share is synthesised once for that batch.
+references, tail and stream once).
 
 Inside a scenario every norm is taken in the discrete trapezoid-weighted
 inner product on the sampling grid, the bilinear form sum_k q_k f_k conj(g_k)
@@ -116,11 +115,9 @@ def _shared_row(freq: np.ndarray, amp: np.ndarray, t: np.ndarray) -> Optional[np
 def _term_rows(freq: np.ndarray, amp: np.ndarray, t: np.ndarray, row: Optional[np.ndarray],
                modes: Optional[list] = None) -> np.ndarray:
     """``signal_model.mode_rows`` of the (B,) columns freq and amp on t, not to
-    be written to: ``row`` (the row of every point of their run) or, if None,
-    the row every point of the batch holds, repeated (a batch of one uses the
-    row itself); else every row in one call, from ``modes`` if given (the
-    columns' Modes)."""
-    row = _shared_row(freq, amp, t) if row is None else row
+    be written to: ``row`` (the row of every point of their run) repeated (a
+    batch of one uses the row itself) or, if None, every row in one call,
+    from ``modes`` if given (the columns' Modes)."""
     if row is None:
         return sm.mode_rows(modes or _modes(freq, amp), t)
     return row if len(freq) == 1 else np.repeat(row, len(freq), axis=0)
@@ -153,10 +150,10 @@ def _run_sectors(sign: int, sec: dict, rows: slice, cfgs: list, terms: list, t: 
 
     The rows are synthesised as one (B, N) array and extracted in one call;
     every row comes out bit for bit as it would alone.  A term whose row
-    every point of the run or of the batch holds is synthesised once
-    (:func:`_term_rows`), so a noise_amp sweep synthesises its references
-    once per sign.  Off the fd path the scene is built from the reference
-    and contaminant rows that extract subtracts and the budget bounds.
+    every point of the run holds is synthesised once (:func:`_term_rows`),
+    so a noise_amp sweep synthesises its references once per sign.  Off the
+    fd path the scene is built from the reference and contaminant rows that
+    extract subtracts and the budget bounds.
     """
     cfg, setup = cfgs[0], cfgs[0].setup
     fd, k = _fd_window(cfg), 1 + len(sec["contaminants"])
@@ -614,14 +611,15 @@ def run_pseudospectrum(cfg: ScenarioConfig) -> RunReport:
         hol_bound=float(sec["hol_bound"]))
     re_grid = np.linspace(*cfg.re_range, sec["grid_n"])
     im_grid = np.linspace(*cfg.im_range, sec["grid_n"])
-    scans = [mt.pseudospectrum_scan(model, re_grid, im_grid, float(eps)) for eps in sec["eps"]]
+    eps = [float(e) for e in sec["eps"]]
+    scans = mt.pseudospectrum_scan(model, re_grid, im_grid, eps)
     for i, scan in enumerate(scans):
         report.plotdata[f"pseudospectrum_eps{i}"] = (
             ["re", "im"], [(re_grid[j], im_grid[i2]) for i2, j in np.argwhere(scan["mask"])])
     col = {key: [scan[key] for scan in scans] for key in ("n_flagged", "violations", "radius")}
-    holds = _certify(report, [([f"pseudospectrum eps={eps}" for eps in sec["eps"]],
+    holds = _certify(report, [([f"pseudospectrum eps={e}" for e in sec["eps"]],
                                [("inclusion", True, col["violations"], 0)])])
-    report.add_rows([{"eps": [float(eps) for eps in sec["eps"]], **col, "inclusion_holds": holds,
+    report.add_rows([{"eps": eps, **col, "inclusion_holds": holds,
                       "grid_spacing": [scan["spacing"] for scan in scans]}])
     return report
 

@@ -103,15 +103,18 @@ def test_window_check_draw_violations_come_in_draw_order(monkeypatch):
 
 
 def test_pseudospectrum_violations_come_in_eps_order(monkeypatch):
-    # the scan reports violations at the second and fourth eps only
-    real = mt.pseudospectrum_scan
+    # one scan of every eps, which reports violations at the second and
+    # fourth eps only
+    real, calls = mt.pseudospectrum_scan, []
 
-    def scan(model, re_grid, im_grid, eps, **kw):
-        out = real(model, re_grid, im_grid, eps, **kw)
-        return {**out, "violations": 7 if eps in (1e-2, 1e-4) else out["violations"]}
+    def scan(model, re_grid, im_grid, eps):
+        calls.append(eps)
+        return [{**out, "violations": 7 if e in (1e-2, 1e-4) else out["violations"]}
+                for e, out in zip(eps, real(model, re_grid, im_grid, eps))]
 
     monkeypatch.setattr(mt, "pseudospectrum_scan", scan)
     report = pipeline.run_pseudospectrum(ScenarioConfig(raw={}))
+    assert calls == [[1e-1, 1e-2, 1e-3, 1e-4]]
     assert [row["inclusion_holds"] for row in report.rows] == [True, False, True, False]
     assert [row["violations"] for row in report.rows] == [0, 7, 0, 7]
     assert report.violations == [

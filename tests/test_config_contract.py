@@ -130,6 +130,16 @@ VALUES.update({path: st.one_of(st.just(value), VALUES[path]) for path, value in 
 PATHS = st.sampled_from(sorted(VALUES))
 
 
+def document(path, value):
+    """The section base of the leaf at ``path`` with that leaf set to ``value``."""
+    doc = copy.deepcopy(BASE.get(path[0], {}))
+    node = doc
+    for key in path[:-1]:
+        node = node.setdefault(key, {})
+    node[path[-1]] = value
+    return doc
+
+
 @st.composite
 def cases(draw):
     path = draw(PATHS)
@@ -137,12 +147,7 @@ def cases(draw):
     if path[-1] == "times" and isinstance(value, list):  # band-isolation cost grows with t
         value = [min(t, 10.0) if isinstance(t, (int, float)) and t <= config._MAX_BAND_TIME
                  else t for t in value]
-    doc = copy.deepcopy(BASE.get(path[0], {}))
-    node = doc
-    for key in path[:-1]:
-        node = node.setdefault(key, {})
-    node[path[-1]] = value
-    return draw(st.sampled_from(SUBCOMMAND[path[0]])), doc
+    return draw(st.sampled_from(SUBCOMMAND[path[0]])), document(path, value)
 
 
 @pytest.fixture
@@ -197,6 +202,32 @@ def test_every_one_leaf_config_runs_or_exits_2(contract):
         contract(*case)
 
     check()
+
+
+def wrong_value(default):
+    """A value of another type than the leaf default ``default``, drawn from
+    one of WRONG's branches by that type: a name for a bool or a number, a
+    bool for a name, a mapping for a list or an unset leaf."""
+    if isinstance(default, str):
+        return True
+    if isinstance(default, (list, type(None))):
+        return {"k": 1}
+    return "bogus"
+
+
+#: (subcommand, document) of every leaf with a wrong-type value, then of every
+#: PAST_BOUND value: the draws above reach each of them only by chance
+EVERY_LEAF = ([(SUBCOMMAND[path[0]][0], document(path, wrong_value(default)))
+               for path, default in LEAVES]
+              + [(SUBCOMMAND[path[0]][0], document(path, value))
+                 for path, value in PAST_BOUND.items()])
+
+
+@pytest.mark.parametrize("sub, doc", EVERY_LEAF,
+                         ids=[".".join(path) for path, _ in LEAVES]
+                         + [".".join(path) + "-past-bound" for path in PAST_BOUND])
+def test_every_leaf_rejects_a_wrong_type_and_its_bound(contract, sub, doc):
+    assert contract(sub, doc) == 2
 
 
 #: counterexamples that random draws of the same leaves found, each an escaping

@@ -1,11 +1,14 @@
+import tracemalloc
+
 import mpmath
 import numpy as np
 import pytest
 from conftest import fit_decay_order
 from scipy.integrate import quad
 
+from ringlab import config
 from ringlab import merotoy as mt
-from ringlab.errors import ConfigError, ContourError, ResolutionError, StructureError
+from ringlab.errors import ConfigError, ContourError, StructureError
 
 
 def bump(f: mt.ForcingSpec, t):
@@ -568,6 +571,24 @@ class TestBandSubtract:
         out = mt.band_subtract(R, self._forcing(1, rng), g, 0.5, 1.5, [1.0])
         assert np.linalg.norm(out["difference"]) < 1e-7
 
+    def test_memory_bounded_at_the_most_times(self, rng):
+        # the most times that load, at dim 8: a pass block's (2T, 390, d)
+        # panel sums would hold 17M elements, and their phase-scaled copy as
+        # many (a peak of about 480 MiB); _gl_line_sum sums them a slice of
+        # panels at a time, so the peak stays within five of its budgets of
+        # _GL_SUM_ELEMENTS complex elements (16 MiB each)
+        R = mt.random_rational_resolvent(rng, dim=8, n_poles=3, max_order=2)
+        times = np.linspace(0.5, 10.0, config._MAX_BAND_TIMES)
+        forcing = self._forcing(8, rng)
+        tracemalloc.start()
+        try:
+            out = mt.band_subtract(R, forcing, None, 0.3, 2.3, times, tol=1e-6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out["mismatch"].max() < 1e-6
+        assert peak < 5 * 16 * mt._GL_SUM_ELEMENTS, peak
+
 
 class TestTimesBatch:
     """One band_subtract call serves every time from the same node sets.
@@ -744,7 +765,7 @@ class TestPseudospectrum:
         re = np.linspace(-0.5, 1.5, 301)
         im = np.linspace(-2.0, 0.0, 301)
         eps = 0.02
-        scan = mt.pseudospectrum_scan(m, re, im, eps)
+        [scan] = mt.pseudospectrum_scan(m, re, im, [eps])
         w = re[None, :] + 1j * im[:, None]
         exact = np.abs(w - (0.5 - 1j)) < 4.0 * eps
         assert np.array_equal(scan["mask"], exact)
@@ -754,8 +775,8 @@ class TestPseudospectrum:
         m = mt.PseudospectrumModel(poles=(0.0 - 1j, 1.0 - 1j))
         re = np.linspace(-1, 2, 200)
         im = np.linspace(-2.5, 0.5, 200)
-        flagged = [mt.pseudospectrum_scan(m, re, im, e)["n_flagged"]
-                   for e in (1e-1, 1e-2, 1e-3)]
+        scans = mt.pseudospectrum_scan(m, re, im, [1e-1, 1e-2, 1e-3])
+        flagged = [scan["n_flagged"] for scan in scans]
         assert flagged[0] > flagged[1] >= flagged[2]
 
     def test_two_pole_disjoint_disks(self):
@@ -765,7 +786,8 @@ class TestPseudospectrum:
         for pole in m.poles:
             re = np.linspace(pole.real - 0.1, pole.real + 0.1, 400)
             im = np.linspace(pole.imag - 0.1, pole.imag + 0.1, 400)
-            scan = mt.pseudospectrum_scan(m, re, im, eps, require_resolved=True)
+            [scan] = mt.pseudospectrum_scan(m, re, im, [eps])
+            assert scan["spacing"] <= scan["radius"]  # the grid resolves the disk
             assert scan["n_flagged"] > 0
             assert scan["violations"] == 0
             assert scan["radius"] <= 2.5 * eps * 2.0  # C*eps with C = 2 E+E-/c_q
@@ -784,17 +806,36 @@ class TestPseudospectrum:
             eps = 10.0 ** rng.uniform(-3.0, np.log10(3.0))
             parts = [p.real for p in poles] + [p.imag for p in poles]
             grid = np.linspace(min(parts) - 3.0, max(parts) + 3.0, 151)
-            scan = mt.pseudospectrum_scan(m, grid, grid, eps)
+            [scan] = mt.pseudospectrum_scan(m, grid, grid, [eps])
             assert scan["violations"] == 0, (poles, eps)
             n_flagged += scan["n_flagged"] > 0
         assert n_flagged > 100  # the check is not vacuous
 
-    def test_resolution_error(self):
-        m = mt.PseudospectrumModel(poles=(0.0 - 1j,))
-        re = np.linspace(-2, 2, 10)
-        im = np.linspace(-3, 1, 10)
-        with pytest.raises(ResolutionError):
-            mt.pseudospectrum_scan(m, re, im, 1e-4, require_resolved=True)
+    def test_one_call_evaluates_the_grid_once(self, monkeypatch):
+        # four eps in one call evaluate the norm profile once, and each entry
+        # is bit for bit the scan of its eps alone
+        m = mt.PseudospectrumModel(poles=(0.0 - 1j, 1.0 - 1j), hol_bound=0.1)
+        re = np.linspace(-1, 2, 120)
+        im = np.linspace(-2.5, 0.5, 110)
+        eps = [1e-1, 1e-2, 1e-3, 1e-4]
+        alone = [mt.pseudospectrum_scan(m, re, im, [e])[0] for e in eps]
+        calls = []
+        norm = mt.PseudospectrumModel.norm
+        monkeypatch.setattr(mt.PseudospectrumModel, "norm",
+                            lambda self, omega: calls.append(omega.shape) or norm(self, omega))
+        scans = mt.pseudospectrum_scan(m, re, im, eps)
+        assert calls == [(110, 120)]
+        assert len(scans) == len(eps)
+        for scan, one in zip(scans, alone):
+            assert scan.keys() == one.keys()
+            assert np.array_equal(scan["mask"], one["mask"])
+            for key in ("n_flagged", "violations", "radius", "spacing"):
+                assert type(scan[key]) is type(one[key]) and scan[key] == one[key], key
+
+    def test_model_is_frozen(self):
+        m = mt.PseudospectrumModel(poles=(0.0 - 1j, 1.0 - 1j))
+        with pytest.raises(AttributeError):
+            m.hol_bound = 0.5
 
 
 class TestHolomorphicDerivatives:
